@@ -1,10 +1,6 @@
 #!/usr/bin/env sh
-# Perf gate: opt-in timing smoke tests, then the bench report (which
-# refuses to emit numbers unless optimized output is byte-identical to the
-# uncached serial baseline).  Extra arguments are passed to bench_report.py
-# (e.g. --scale small --dry-run, or --seed-ref <ref> to measure a pre-PR
-# checkout as the "before" number).
+# Opt-in timing smoke tests (REPRO_PERF=1, `-m perf`).  Throughput and
+# latency numbers come from the benchmark: `python -m bench run`.
 set -eu
 cd "$(dirname "$0")/.."
 REPRO_PERF=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest tests/perf -m perf -q -p no:cacheprovider
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} exec python scripts/bench_report.py "$@"

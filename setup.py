@@ -22,14 +22,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    entry_points={
-        "console_scripts": [
-            # The perf harness (same logic as scripts/bench_report.py);
-            # run from a repository root so --seed-ref worktrees and the
-            # default BENCH_surfacing.json output resolve sensibly.
-            "repro-bench = repro.perf.benchreport:main",
-        ],
-    },
     classifiers=[
         "Programming Language :: Python :: 3",
         "Topic :: Scientific/Engineering :: Information Analysis",

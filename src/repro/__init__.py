@@ -12,14 +12,15 @@ Most users need only the top-level facade:
 The package implements, over a fully simulated web:
 
 * ``repro.api`` -- the :class:`DeepWebService` facade (build / crawl /
-  surface / search / report) with batched scheduling and cross-corpus
+  surface / search / report) with one scheduler seam and cross-corpus
   ``search_all``.
 * ``repro.store`` -- the unified content store: the ``IngestRecord``
   write model, the ``Ingestor`` seam every content layer produces
   through, and pluggable storage backends (in-memory, hash-sharded with
   fan-out/merge search).
 * ``repro.pipeline`` -- the staged surfacing pipeline: seven pluggable
-  stages, a shared context, and observer hooks for metrics and progress.
+  stages, a shared context, observer hooks for metrics and progress, and
+  the :class:`SurfacingScheduler` seam the facade surfaces through.
 * ``repro.relational`` -- the in-memory relational engine backing every
   deep-web site.
 * ``repro.datagen`` -- seeded synthetic data for ~10 content domains.
@@ -47,8 +48,6 @@ The package implements, over a fully simulated web:
   error/timeout/outage schedules), bounded retry with seeded backoff,
   per-host circuit breakers, and the degraded-identity chaos harness
   (faults shrink answers, never substitute them).
-* ``repro.perf`` -- named timers/counters and the observer bridge used by
-  ``scripts/bench_report.py``.
 """
 
 __version__ = "0.2.0"
@@ -56,10 +55,8 @@ __version__ = "0.2.0"
 from repro.api import (
     DeepWebService,
     DeepWebServiceBuilder,
-    ParallelSurfacingScheduler,
     ServiceReport,
     SiteReportRow,
-    SurfacingScheduler,
 )
 from repro.core.surfacer import (
     FormSurfacingResult,
@@ -75,6 +72,7 @@ from repro.pipeline import (
     ProgressObserver,
     Stage,
     SurfacingPipeline,
+    SurfacingScheduler,
     default_stages,
 )
 from repro.query import (
@@ -135,7 +133,6 @@ __all__ = [
     "ServiceReport",
     "SiteReportRow",
     "SurfacingScheduler",
-    "ParallelSurfacingScheduler",
     # surfacing pipeline
     "SurfacingPipeline",
     "Stage",

@@ -17,12 +17,10 @@ fluent builder:
     hits = service.search("red toyota camry")
     print(service.report())
 
-All site surfacing -- ``surface()`` and ``surface_many()`` -- is batched
-through a single :class:`SurfacingScheduler` seam.  Two schedulers ship:
-the serial default, and :class:`ParallelSurfacingScheduler`, which fans a
-batch of sites out over a thread pool while producing results, index
-contents and observer events identical to the serial run (select it with
-``DeepWebService.build().parallel()``).
+All site surfacing -- ``surface()`` and ``surface_many()`` -- goes
+through a single :class:`~repro.pipeline.scheduler.SurfacingScheduler`
+seam: serial by default, journaled and resumable for services built with
+``persist()``.
 
 Storage is pluggable through the unified content store: pass
 ``.store(ShardedBackend(4))`` on the builder to hash-partition the index
@@ -40,10 +38,7 @@ per-hit provenance and per-route budget accounting in ``report()``.
 
 from __future__ import annotations
 
-import gc
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -52,6 +47,7 @@ from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.htmlparse.forms import extract_forms
 from repro.pipeline.observer import MetricsObserver, PipelineObserver, ProgressObserver
 from repro.pipeline.pipeline import SurfacingPipeline
+from repro.pipeline.scheduler import SurfacingScheduler
 from repro.pipeline.stages import Stage
 from repro.query.executor import PlannerStats, PlanResult, QueryExecutor
 from repro.query.plan import QueryPlan
@@ -59,7 +55,6 @@ from repro.query.planner import QueryPlanner
 from repro.search.crawler import CrawlStats, Crawler
 from repro.search.querylog import QueryLog
 from repro.search.engine import (
-    SOURCE_SURFACE,
     SOURCE_VERTICAL,
     SOURCE_WEBTABLE,
     SearchEngine,
@@ -68,286 +63,14 @@ from repro.search.engine import (
 from repro.serve.frontend import QueryFrontend, WorkloadOutcome
 from repro.serve.loadgen import WorkloadGenerator, WorkloadQuery
 from repro.store.backend import StorageBackend
-from repro.store.records import IngestRecord
-from repro.util.text import tokenize
 from repro.resilience.faults import FaultPlan, FaultyWeb, ScriptedFaults
 from repro.resilience.retry import BreakerRegistry, ResilientWeb, RetryPolicy
 from repro.webspace.loadmeter import AGENT_WEBTABLES
-from repro.webspace.page import WebPage
 from repro.webspace.site import DeepWebSite
 from repro.virtual.vertical import VerticalSearchEngine
 from repro.webspace.sitegen import WebConfig, generate_web
 from repro.webspace.web import FetchError, Web
 from repro.webtables.corpus import TableCorpus
-
-
-class SurfacingScheduler:
-    """Serial batch scheduler for site surfacing.
-
-    The scheduler is deliberately the only place that decides *how* a set
-    of sites flows through a pipeline; replacing it (sharded, async,
-    multi-process) must not touch the pipeline or the facade.
-    """
-
-    def __init__(self, batch_size: int = 8) -> None:
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.batch_size = batch_size
-
-    def batches(self, sites: Sequence[DeepWebSite]) -> Iterable[list[DeepWebSite]]:
-        for start in range(0, len(sites), self.batch_size):
-            yield list(sites[start : start + self.batch_size])
-
-    def run(
-        self,
-        pipeline: SurfacingPipeline,
-        sites: Iterable[DeepWebSite],
-        start_index: int = 0,
-        total: int | None = None,
-    ) -> list[SiteSurfacingResult]:
-        """Surface the sites batch by batch.
-
-        ``start_index``/``total`` keep observer progress global when the
-        caller is itself accumulating across several ``run`` calls.
-        """
-        targets = list(sites)
-        total = total if total is not None else start_index + len(targets)
-        results: list[SiteSurfacingResult] = []
-        for batch in self.batches(targets):
-            results.extend(
-                pipeline.surface_many(
-                    batch, start_index=start_index + len(results), total=total
-                )
-            )
-        return results
-
-
-class _SiteEngineRecorder:
-    """An engine stand-in for one parallel surfacing worker.
-
-    During a parallel batch the shared :class:`SearchEngine` is frozen;
-    each worker records its would-be inserts here as prepared
-    :class:`IngestRecord` batches (pages analyzed and tokenized once, off
-    the main thread) and reads host-scoped term frequencies as the union
-    of the frozen base and its own local inserts.  Site hosts are unique,
-    so this view is exactly what the serial run would have seen.
-    ``replay`` pushes the recorded batch through the engine's shared
-    :class:`~repro.store.ingest.Ingestor` in deterministic site order.
-    """
-
-    def __init__(self, base: SearchEngine) -> None:
-        self._base = base
-        self._prepared: list[IngestRecord] = []
-        self._local_ids: dict[str, int] = {}
-        self._host_counts: dict[tuple[str, bool], dict[str, int]] = {}
-        # How many prepared records each frequency view has folded in.
-        # Views catch up lazily on read: a record nobody looks up again
-        # (most indexed pages) is tokenized exactly once, at preparation.
-        self._counted_upto: dict[tuple[str, bool], int] = {}
-
-    @property
-    def prepared(self) -> list[IngestRecord]:
-        """The recorded inserts, in site-local ingestion order (what the
-        surfacing journal checkpoints for a completed site)."""
-        return list(self._prepared)
-
-    def add_page(
-        self,
-        page: WebPage,
-        source: str = SOURCE_SURFACE,
-        annotations: Mapping[str, str] | None = None,
-    ) -> int | None:
-        """Record one insert; mirrors :meth:`SearchEngine.add_page` exactly
-        (returns a provisional negative id for new documents)."""
-        if not page.ok:
-            return None
-        existing = self._base.backend.doc_id_for_url(page.url)
-        if existing is not None:
-            return existing
-        local = self._local_ids.get(page.url)
-        if local is not None:
-            return local
-        # Preparation is the ingestor's single definition (same analysis
-        # cache, same annotation-token folding), so recorded records can
-        # never diverge from what the serial write path would store.
-        record = self._base.ingestor.prepare_page(
-            page, source=source, annotations=annotations
-        )
-        provisional = -(len(self._prepared) + 1)
-        self._prepared.append(record)
-        self._local_ids[page.url] = provisional
-        return provisional
-
-    def site_term_frequencies(self, host: str, drop_stopwords: bool = True) -> dict[str, int]:
-        """Base counts for the host plus counts of locally recorded pages.
-
-        Views are folded forward incrementally from a per-view high-water
-        mark: each lookup tokenizes only the records prepared since the
-        previous lookup, never the whole backlog (the from-scratch rebuild
-        was quadratic in pages per site -- the single largest reason the
-        parallel scheduler used to lose to serial)."""
-        cache_key = (host, drop_stopwords)
-        cached = self._host_counts.get(cache_key)
-        if cached is None:
-            cached = self._base.site_term_frequencies(host, drop_stopwords=drop_stopwords)
-            self._host_counts[cache_key] = cached
-            self._counted_upto[cache_key] = 0
-        upto = self._counted_upto[cache_key]
-        if upto < len(self._prepared):
-            for record in self._prepared[upto:]:
-                if record.host == host:
-                    for token in tokenize(record.text, drop_stopwords=drop_stopwords):
-                        cached[token] = cached.get(token, 0) + 1
-            self._counted_upto[cache_key] = len(self._prepared)
-        return dict(cached)
-
-    def replay(self, engine: SearchEngine) -> None:
-        """Batch the recorded inserts through the shared ingestor, in order."""
-        engine.ingest_records(self._prepared)
-
-
-class _StageEventRecorder(PipelineObserver):
-    """Buffers a worker's stage events for in-order replay on the caller.
-
-    Replayed events carry the worker's *live* context object: event names,
-    order, counts and timings match the serial run exactly, but an observer
-    that reads mutable ``ctx`` fields sees the site's end-of-run state
-    (replay happens after the worker finished).  The in-repo observers
-    (metrics, progress, perf) only read stage names/results/timings and are
-    unaffected; ctx-snapshot-sensitive observers should use the serial
-    scheduler."""
-
-    def __init__(self) -> None:
-        self.events: list[tuple[str, str, object, float | None]] = []
-
-    def on_stage_start(self, stage_name, ctx) -> None:
-        self.events.append(("start", stage_name, ctx, None))
-
-    def on_stage_end(self, stage_name, ctx, elapsed) -> None:
-        self.events.append(("end", stage_name, ctx, elapsed))
-
-    def replay(self, observers: Sequence[PipelineObserver]) -> None:
-        for kind, stage_name, ctx, elapsed in self.events:
-            for observer in observers:
-                if kind == "start":
-                    observer.on_stage_start(stage_name, ctx)
-                else:
-                    observer.on_stage_end(stage_name, ctx, elapsed)
-
-
-class ParallelSurfacingScheduler(SurfacingScheduler):
-    """Thread-pool scheduler producing results identical to the serial run.
-
-    Each site in a batch is surfaced by an isolated worker pipeline: a
-    fresh :class:`~repro.pipeline.context.PipelineContext` over the shared
-    web (every seeded helper derives its randomness from the config seed by
-    name, so fresh instances replay the exact serial streams) and a
-    :class:`_SiteEngineRecorder` in place of the shared engine.  The shared
-    engine is only mutated between batches, when each worker's recorded
-    inserts are replayed in site order; observer events are replayed in the
-    same deterministic order, so metrics and progress output match the
-    serial scheduler event for event.
-
-    Two caveats for pipelines customized beyond the defaults:
-
-    * stage *instances* are shared across worker threads, so custom stages
-      must not keep per-run mutable state on ``self`` (every built-in stage
-      is stateless; a stateful stage needs the serial scheduler);
-    * replayed stage events carry the worker's live context, which by
-      replay time holds the site's end-of-run state -- observers that read
-      mutable ``ctx`` fields per stage should also stay serial (event
-      names, order, counts, results and timings are unaffected).
-    """
-
-    def __init__(self, max_workers: int = 4, batch_size: int = 8) -> None:
-        super().__init__(batch_size=batch_size)
-        if max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-
-    @staticmethod
-    def _surface_one(pipeline: SurfacingPipeline, site: DeepWebSite):
-        recorder = _SiteEngineRecorder(pipeline.engine)
-        events = _StageEventRecorder()
-        worker = SurfacingPipeline(
-            pipeline.web,
-            recorder,
-            pipeline.config,
-            stages=pipeline.stages,
-            observers=[events],
-        )
-        result = worker.surface_site(site)
-        return result, recorder, events, worker.prober
-
-    def run(
-        self,
-        pipeline: SurfacingPipeline,
-        sites: Iterable[DeepWebSite],
-        start_index: int = 0,
-        total: int | None = None,
-    ) -> list[SiteSurfacingResult]:
-        targets = list(sites)
-        total = total if total is not None else start_index + len(targets)
-        results: list[SiteSurfacingResult] = []
-        # Surfacing a batch allocates heavily (pages, signatures, records)
-        # but creates no reference cycles worth chasing mid-flight; pausing
-        # the cyclic collector for the run and collecting once at the end
-        # is measurably cheaper than letting every worker trigger it.
-        # Freezing first parks the (large, long-lived) pre-run heap in the
-        # permanent generation so that one final collect only scans objects
-        # the run itself allocated.  Skipped when the caller already froze
-        # objects -- unfreezing here would release theirs too.
-        gc_was_enabled = gc.isenabled()
-        frozen_here = gc.get_freeze_count() == 0
-        if frozen_here:
-            gc.freeze()
-        gc.disable()
-        # On a GIL build every worker is CPU-bound, so forced thread
-        # switches are pure overhead (cache churn, no latency to hide).
-        # Stretching the interval to ~0.5s lets each worker run its site
-        # nearly to completion before the interpreter preempts it, which
-        # recovers almost all of the single-worker cost profile even at
-        # max_workers=4.  Nothing in a worker blocks, so responsiveness of
-        # other threads only matters to embedders -- and the old interval
-        # is restored the moment the run finishes.
-        old_switch_interval = sys.getswitchinterval()
-        sys.setswitchinterval(max(old_switch_interval, 0.5))
-        try:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                for batch in self.batches(targets):
-                    # Submit biggest sites first so a large site picked up
-                    # last cannot straggle behind an otherwise idle pool;
-                    # results are still replayed strictly in site order.
-                    order = sorted(
-                        range(len(batch)), key=lambda i: batch[i].size(), reverse=True
-                    )
-                    futures: dict[int, object] = {
-                        i: pool.submit(self._surface_one, pipeline, batch[i])
-                        for i in order
-                    }
-                    outcomes = [futures[i].result() for i in range(len(batch))]
-                    for site, (result, recorder, events, prober) in zip(batch, outcomes):
-                        index = start_index + len(results)
-                        for observer in pipeline.observers:
-                            observer.on_site_start(site, index, total)
-                        events.replay(pipeline.observers)
-                        recorder.replay(pipeline.engine)
-                        # Fold the worker's probe-cache counters into the
-                        # shared prober so report() matches the serial run.
-                        pipeline.prober.probe_cache.add_counts(
-                            prober.probe_cache.hits, prober.probe_cache.misses
-                        )
-                        results.append(result)
-                        for observer in pipeline.observers:
-                            observer.on_site_end(site, result, index, total)
-        finally:
-            sys.setswitchinterval(old_switch_interval)
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect()
-            if frozen_here:
-                gc.unfreeze()
-        return results
 
 
 @dataclass
@@ -588,18 +311,6 @@ class DeepWebServiceBuilder:
     def scheduler(self, scheduler: SurfacingScheduler) -> "DeepWebServiceBuilder":
         self._scheduler = scheduler
         return self
-
-    def parallel(self, max_workers: int = 4, batch_size: int = 8) -> "DeepWebServiceBuilder":
-        """Surface sites through the thread-pool scheduler (results are
-        identical to the serial scheduler on a fixed seed).
-
-        Custom stages must be stateless (instances are shared across worker
-        threads), and observers reading mutable ``ctx`` fields see end-of-
-        site state in replayed stage events -- see
-        :class:`ParallelSurfacingScheduler` for the full caveats."""
-        return self.scheduler(
-            ParallelSurfacingScheduler(max_workers=max_workers, batch_size=batch_size)
-        )
 
     def persist(self, path: str | Path) -> "DeepWebServiceBuilder":
         """Give the service a durable home directory.

@@ -66,8 +66,8 @@ class ProbeCache:
     Degraded results (synthetic 503 pages) are never stored, mirroring
     the URL-level cache: a later identical probe may succeed.
 
-    ``hits``/``misses`` feed :class:`~repro.perf.PerfRegistry` counters,
-    ``DeepWebService.report()`` and the BENCH_surfacing stage output.
+    ``hits``/``misses`` feed ``DeepWebService.report()`` and the
+    benchmark's ``core.probe_cache_hit_ratio`` counter.
     """
 
     __slots__ = ("_entries", "hits", "misses")

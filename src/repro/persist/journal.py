@@ -16,17 +16,17 @@ The journal is an append-only JSONL file with three entry kinds:
 * ``site`` -- one completed site: its blob hashes in ingestion order
   plus the serialized :class:`~repro.core.surfacer.SiteSurfacingResult`.
 
-:class:`ResumableSurfacingScheduler` surfaces each site through an
-isolated worker pipeline (the :class:`~repro.api._SiteEngineRecorder`
-staging pattern the parallel scheduler already proves byte-identical to
-the serial run), journals the completed site, and only then replays the
-records into the shared store -- so an interrupted site leaves *nothing*
-behind and re-surfaces from scratch deterministically, while completed
-sites replay from the journal without refetching a single page.  Journal
-entries are fsynced before the store sees the records; on the inverse
-crash (journaled but not yet stored) the resume replay heals the store
-by URL-dedup.  A torn final line from a crash mid-append is ignored;
-corruption anywhere else raises :class:`JournalCorruptionError`.
+:class:`ResumableSurfacingScheduler` surfaces each site through a
+worker pipeline whose engine is a :class:`_SiteEngineRecorder` (the
+site's inserts are staged, not written), journals the completed site,
+and only then replays the records into the shared store -- so an
+interrupted site leaves *nothing* behind and re-surfaces from scratch
+deterministically, while completed sites replay from the journal without
+refetching a single page.  Journal entries are fsynced before the store
+sees the records; on the inverse crash (journaled but not yet stored)
+the resume replay heals the store by URL-dedup.  A torn final line from
+a crash mid-append is truncated away on load; corruption anywhere else
+raises :class:`JournalCorruptionError`.
 """
 
 from __future__ import annotations
@@ -36,12 +36,8 @@ import json
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.api import (
-    ParallelSurfacingScheduler,
-    SurfacingScheduler,
-)
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.persist.snapshot import (
     decode_record,
@@ -50,7 +46,11 @@ from repro.persist.snapshot import (
     encode_site_result,
 )
 from repro.pipeline.pipeline import SurfacingPipeline
+from repro.pipeline.scheduler import SurfacingScheduler
+from repro.search.engine import SOURCE_SURFACE, SearchEngine
 from repro.store.records import IngestRecord
+from repro.util.text import tokenize
+from repro.webspace.page import WebPage
 from repro.webspace.site import DeepWebSite
 
 #: Bumped when the journal entry layout changes incompatibly.
@@ -109,21 +109,37 @@ class SurfacingJournal:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        lines = [
-            line for line in self.path.read_text().split("\n") if line.strip()
-        ]
-        for position, line in enumerate(lines):
+        raw = self.path.read_bytes()
+        lines: list[tuple[int, bytes]] = []  # (byte offset, non-blank line)
+        offset = 0
+        for line in raw.split(b"\n"):
+            if line.strip():
+                lines.append((offset, line))
+            offset += len(line) + 1
+        for position, (offset, line) in enumerate(lines):
+            final = position == len(lines) - 1
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    # A crash mid-append tears at most the final line;
-                    # the entry it would have recorded simply re-runs.
-                    return
-                raise JournalCorruptionError(
-                    f"{self.path}: undecodable entry at line {position + 1}"
-                )
+            except ValueError:
+                if not final:
+                    raise JournalCorruptionError(
+                        f"{self.path}: undecodable entry at line {position + 1}"
+                    )
+                entry = None
+            if final and (entry is None or offset + len(line) == len(raw)):
+                # A crash mid-append tears at most the final line (cut
+                # short, or missing its newline); the entry it would have
+                # recorded simply re-runs.  Drop the fragment now, or the
+                # next append would glue a good entry onto it.
+                self._truncate(offset)
+                return
             self._apply(entry, position)
+
+    def _truncate(self, size: int) -> None:
+        with open(self.path, "r+b") as handle:
+            handle.truncate(size)
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def _apply(self, entry: dict, position: int) -> None:
         kind = entry.get("kind")
@@ -241,30 +257,107 @@ class SurfacingJournal:
         return records, decode_site_result(encoded_result)
 
 
+class _SiteEngineRecorder:
+    """An engine stand-in that stages one site's inserts instead of
+    writing them.
+
+    While a site is being surfaced the shared :class:`SearchEngine` is
+    left untouched; the would-be inserts are recorded here as prepared
+    :class:`IngestRecord` batches, and host-scoped term frequencies read
+    as the union of the untouched base and the local inserts.  Site hosts
+    are unique, so this view is exactly what direct engine writes would
+    have shown the pipeline.
+    """
+
+    def __init__(self, base: SearchEngine) -> None:
+        self._base = base
+        self._prepared: list[IngestRecord] = []
+        self._local_ids: dict[str, int] = {}
+        self._host_counts: dict[tuple[str, bool], dict[str, int]] = {}
+        # How many prepared records each frequency view has folded in.
+        # Views catch up lazily on read: a record nobody looks up again
+        # (most indexed pages) is tokenized exactly once, at preparation.
+        self._counted_upto: dict[tuple[str, bool], int] = {}
+
+    @property
+    def prepared(self) -> list[IngestRecord]:
+        """The recorded inserts, in site-local ingestion order (what the
+        surfacing journal checkpoints for a completed site)."""
+        return list(self._prepared)
+
+    def add_page(
+        self,
+        page: WebPage,
+        source: str = SOURCE_SURFACE,
+        annotations: Mapping[str, str] | None = None,
+    ) -> int | None:
+        """Record one insert; mirrors :meth:`SearchEngine.add_page` exactly
+        (returns a provisional negative id for new documents)."""
+        if not page.ok:
+            return None
+        existing = self._base.backend.doc_id_for_url(page.url)
+        if existing is not None:
+            return existing
+        local = self._local_ids.get(page.url)
+        if local is not None:
+            return local
+        # Preparation is the ingestor's single definition (same analysis
+        # cache, same annotation-token folding), so recorded records can
+        # never diverge from what the direct write path would store.
+        record = self._base.ingestor.prepare_page(
+            page, source=source, annotations=annotations
+        )
+        provisional = -(len(self._prepared) + 1)
+        self._prepared.append(record)
+        self._local_ids[page.url] = provisional
+        return provisional
+
+    def site_term_frequencies(self, host: str, drop_stopwords: bool = True) -> dict[str, int]:
+        """Base counts for the host plus counts of locally recorded pages.
+
+        Views are folded forward incrementally from a per-view high-water
+        mark: each lookup tokenizes only the records prepared since the
+        previous lookup, never the whole backlog (a from-scratch rebuild
+        is quadratic in pages per site)."""
+        cache_key = (host, drop_stopwords)
+        cached = self._host_counts.get(cache_key)
+        if cached is None:
+            cached = self._base.site_term_frequencies(host, drop_stopwords=drop_stopwords)
+            self._host_counts[cache_key] = cached
+            self._counted_upto[cache_key] = 0
+        upto = self._counted_upto[cache_key]
+        if upto < len(self._prepared):
+            for record in self._prepared[upto:]:
+                if record.host == host:
+                    for token in tokenize(record.text, drop_stopwords=drop_stopwords):
+                        cached[token] = cached.get(token, 0) + 1
+            self._counted_upto[cache_key] = len(self._prepared)
+        return dict(cached)
+
+
 class ResumableSurfacingScheduler(SurfacingScheduler):
     """A serial scheduler that checkpoints every completed site.
 
     Per site, in order: if the journal holds the site, its records are
     replayed into the shared store (URL-dedup makes this idempotent) and
     the journaled result is returned without touching the web; otherwise
-    the site is surfaced through an isolated worker pipeline (records
-    staged in a :class:`~repro.api._SiteEngineRecorder`, so an
-    interruption mid-site leaves the store and journal untouched),
-    journaled, replayed into the store, and the store is flushed.  Site
-    hosts are unique across a webspace, which is what makes the host a
-    sound journal key and the staged view equal to the serial run.
+    the site is surfaced through a worker pipeline that stages its
+    inserts in a :class:`_SiteEngineRecorder` (so an interruption
+    mid-site leaves the store and journal untouched), journaled, replayed
+    into the store, and the store is flushed.  Site hosts are unique
+    across a webspace, which is what makes the host a sound journal key
+    and the staged view equal to the serial run.
 
-    Stage events for journaled sites are *not* re-emitted (the work they
-    describe did not run); site start/end observer events still fire for
-    every site, so progress output stays complete.
+    The worker reports to the pipeline's own observers as it runs, so a
+    freshly surfaced site emits the same live event stream as under the
+    serial scheduler.  Stage events for journaled sites are *not*
+    re-emitted (the work they describe did not run); site start/end
+    observer events still fire for every site, so progress output stays
+    complete.  Stage *instances* are shared with the worker, as they are
+    between sites of a serial run.
     """
 
-    def __init__(
-        self,
-        journal: SurfacingJournal | str | Path,
-        batch_size: int = 8,
-    ) -> None:
-        super().__init__(batch_size=batch_size)
+    def __init__(self, journal: SurfacingJournal | str | Path) -> None:
         self.journal = (
             journal
             if isinstance(journal, SurfacingJournal)
@@ -289,22 +382,38 @@ class ResumableSurfacingScheduler(SurfacingScheduler):
             journaled = self.journal.site_entry(site.host)
             if journaled is not None:
                 records, result = journaled
-                pipeline.engine.ingest_records(records)
             else:
-                result, recorder, events, prober = (
-                    ParallelSurfacingScheduler._surface_one(pipeline, site)
-                )
-                self.journal.record_site(site.host, recorder.prepared, result)
-                events.replay(pipeline.observers)
-                recorder.replay(pipeline.engine)
-                pipeline.prober.probe_cache.add_counts(
-                    prober.probe_cache.hits, prober.probe_cache.misses
-                )
+                records, result = self._surface_staged(pipeline, site)
+                self.journal.record_site(site.host, records, result)
+            pipeline.engine.ingest_records(records)
             self._flush(pipeline)
             results.append(result)
             for observer in pipeline.observers:
                 observer.on_site_end(site, result, index, total)
         return results
+
+    @staticmethod
+    def _surface_staged(
+        pipeline: SurfacingPipeline, site: DeepWebSite
+    ) -> tuple[list[IngestRecord], SiteSurfacingResult]:
+        recorder = _SiteEngineRecorder(pipeline.engine)
+        # A fresh context over the shared web: every seeded helper derives
+        # its randomness from the config seed by name, so the worker
+        # replays the exact streams the shared pipeline would have drawn.
+        worker = SurfacingPipeline(
+            pipeline.web,
+            recorder,
+            pipeline.config,
+            stages=pipeline.stages,
+            observers=pipeline.observers,
+        )
+        result = worker.surface_site(site)
+        # Fold the worker's probe-cache counters into the shared prober so
+        # report() matches the serial run.
+        pipeline.prober.probe_cache.add_counts(
+            worker.prober.probe_cache.hits, worker.prober.probe_cache.misses
+        )
+        return recorder.prepared, result
 
     @staticmethod
     def _flush(pipeline: SurfacingPipeline) -> None:

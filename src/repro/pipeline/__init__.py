@@ -4,7 +4,9 @@ The package decomposes the paper's surfacing system into seven independent
 stages (see :mod:`repro.pipeline.stages` for the paper mapping) composed by
 :class:`~repro.pipeline.pipeline.SurfacingPipeline`.  Stages share a
 :class:`~repro.pipeline.context.PipelineContext` and can be instrumented
-through :class:`~repro.pipeline.observer.PipelineObserver` hooks.
+through :class:`~repro.pipeline.observer.PipelineObserver` hooks; the
+facade hands a set of sites to the pipeline through
+:class:`~repro.pipeline.scheduler.SurfacingScheduler`.
 """
 
 from repro.pipeline.context import PipelineContext
@@ -15,6 +17,7 @@ from repro.pipeline.observer import (
     ProgressObserver,
 )
 from repro.pipeline.pipeline import SurfacingPipeline, UnknownStageError
+from repro.pipeline.scheduler import SurfacingScheduler
 from repro.pipeline.stages import (
     SCOPE_FORM,
     SCOPE_SITE,
@@ -36,6 +39,7 @@ __all__ = [
     "ProgressObserver",
     "CompositeObserver",
     "SurfacingPipeline",
+    "SurfacingScheduler",
     "UnknownStageError",
     "Stage",
     "SCOPE_SITE",

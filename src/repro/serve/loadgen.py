@@ -4,8 +4,8 @@ A load test is only evidence if it can be replayed: the generator draws
 a seeded Zipf stream over a fixed query population, so two runs with the
 same web and seed produce the *identical* sequence of queries -- which
 is what lets the equivalence tests pin cached, uncached and concurrent
-serving against each other, and what makes ``serve_qps`` numbers in
-``BENCH_surfacing.json`` comparable across machines.
+serving against each other, and what makes the ``serve_*`` workloads of
+``bench/`` comparable across runs.
 
 The population mirrors where real traffic would land across the three
 content routes:

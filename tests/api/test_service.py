@@ -11,7 +11,6 @@ from repro import (
     SearchEngine,
     SurfacingConfig,
     SurfacingPipeline,
-    SurfacingScheduler,
     Web,
     WebConfig,
     generate_web,
@@ -126,16 +125,11 @@ class TestScheduler:
         built = (
             DeepWebService.build()
             .web(SMALL_WEB)
-            .scheduler(SurfacingScheduler(batch_size=2))
             .observer(IndexObserver())
             .create()
         )
         built.surface()
         assert events == [(0, 3), (1, 3), (2, 3)]
-
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SurfacingScheduler(batch_size=0)
 
     def test_surface_many_accumulates_and_surface_replaces(self):
         built = DeepWebService.build().web(SMALL_WEB).create()

@@ -19,7 +19,6 @@ import pytest
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
-from repro.perf.benchreport import normalized_index, normalized_results
 from repro.persist import (
     JournalConfigMismatchError,
     JournalCorruptionError,
@@ -31,6 +30,8 @@ from repro.pipeline.observer import PipelineObserver
 from repro.store.records import IngestRecord
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.sitegen import WebConfig
+
+from reference_normalizers import normalized_index, normalized_results
 
 pytestmark = pytest.mark.persist
 
@@ -47,6 +48,30 @@ class CrashAt(PipelineObserver):
     def on_site_start(self, site, index, total) -> None:
         if index == self.index:
             raise RuntimeError(f"simulated crash at site {index} ({site.host})")
+
+
+class EventLog(PipelineObserver):
+    """Records every observer event as ``(kind, site host or stage name,
+    urls the current form has indexed *at that moment*)``."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, str, int | None]] = []
+
+    def on_site_start(self, site, index, total) -> None:
+        self.events.append(("site-start", site.host, None))
+
+    def on_site_end(self, site, result, index, total) -> None:
+        self.events.append(("site-end", site.host, None))
+
+    def on_stage_start(self, stage_name, ctx) -> None:
+        self.events.append(("stage-start", stage_name, self._indexed(ctx)))
+
+    def on_stage_end(self, stage_name, ctx, elapsed) -> None:
+        self.events.append(("stage-end", stage_name, self._indexed(ctx)))
+
+    @staticmethod
+    def _indexed(ctx) -> int | None:
+        return None if ctx.form_result is None else ctx.form_result.urls_indexed
 
 
 def build_service(journal=None, observer=None) -> DeepWebService:
@@ -67,6 +92,15 @@ def clean_run():
         normalized_index(service.engine),
         [(r.doc_id, r.url, r.score) for r in service.search("toyota price", k=50)],
     )
+
+
+@pytest.fixture(scope="module")
+def serial_observed():
+    """Observer events and report of an uninterrupted serial run."""
+    log = EventLog()
+    service = build_service(observer=log)
+    service.surface()
+    return log.events, service.report()
 
 
 def test_interrupted_then_resumed_output_is_byte_identical(tmp_path, clean_run):
@@ -132,17 +166,43 @@ def test_crash_between_surfacing_and_journaling_leaves_no_trace(
     assert normalized_index(resumed.engine) == expected_index
 
 
-def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run):
+def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run, serial_observed):
     expected_results, expected_index, _ = clean_run
+    serial_events, serial_report = serial_observed
     journal_path = tmp_path / "surfacing.journal"
-    first = build_service(journal=journal_path)
+    first_log = EventLog()
+    first = build_service(journal=journal_path, observer=first_log)
     first.surface()
+    # On a fresh journal the staged worker reports live: same events, same
+    # order, and a ctx-reading observer sees the same mid-run state as
+    # under the serial scheduler (nothing indexed yet when index-pages
+    # starts -- not the site's end-of-run totals).
+    assert first_log.events == serial_events
+    assert ("stage-start", "index-pages", 0) in first_log.events
+    assert any(
+        kind == "stage-end" and name == "index-pages" and indexed
+        for kind, name, indexed in first_log.events
+    )
+    open_sites = 0
+    for kind, _, _ in first_log.events:
+        open_sites += {"site-start": 1, "site-end": -1}.get(kind, 0)
+        assert open_sites == 1 or kind == "site-end"  # stages only inside a site
+    # The worker's probe-cache counters fold into the shared prober.
+    report = first.report()
+    for counter in ("hits", "misses"):
+        assert report.probe_cache[counter] == serial_report.probe_cache[counter]
+    assert report.stage_metrics["stage_runs"] == serial_report.stage_metrics["stage_runs"]
 
-    warm = build_service(journal=journal_path)
+    warm_log = EventLog()
+    warm = build_service(journal=journal_path, observer=warm_log)
     results = warm.surface()
     assert normalized_results(results) == expected_results
     assert normalized_index(warm.engine) == expected_index
     assert warm.web.load_meter.total(agent=AGENT_SURFACER) == 0
+    # Journaled sites did no stage work, so they emit site events only.
+    assert warm_log.events == [
+        event for event in serial_events if event[0].startswith("site-")
+    ]
 
 
 def test_resume_under_different_config_is_refused(tmp_path):
@@ -198,6 +258,30 @@ def test_torn_final_line_is_forgiven(tmp_path):
         "http://host.example.com/r/2",
     ]
     assert result.host == "host.example.com"
+
+
+def test_torn_tail_does_not_poison_later_appends(tmp_path):
+    """Crash mid-append, resume, journal two more sites, resume again: the
+    fragment must be gone before the first append or it glues onto the
+    next entry and the following load refuses the file."""
+    from repro.core.surfacer import SiteSurfacingResult
+
+    path = tmp_path / "torn.journal"
+    journal_with_one_site(path)
+    intact = path.read_bytes()
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"kind": "site", "host": "half-writ')
+    resumed = SurfacingJournal(path)
+    assert path.read_bytes() == intact  # the torn tail was truncated away
+    for n, host in ((3, "second.example.com"), (4, "third.example.com")):
+        resumed.record_site(
+            host, [sample_record(n)], SiteSurfacingResult(host=host, domain="auto")
+        )
+    assert SurfacingJournal(path).completed_hosts == [
+        "host.example.com",
+        "second.example.com",
+        "third.example.com",
+    ]
 
 
 def test_mid_file_corruption_is_refused(tmp_path):

@@ -18,11 +18,12 @@ import pytest
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
-from repro.perf.benchreport import normalized_index, normalized_results
 from repro.persist import SnapshotError, SqliteBackend
 from repro.search.querylog import Query, QueryLog
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.sitegen import WebConfig, generate_web
+
+from reference_normalizers import normalized_index, normalized_results
 
 pytestmark = pytest.mark.persist
 

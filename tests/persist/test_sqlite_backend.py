@@ -17,10 +17,11 @@ import pytest
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
-from repro.perf.benchreport import normalized_index
 from repro.persist import SqliteBackend, SqliteStoreError
 from repro.store import IngestRecord, InMemoryBackend
 from repro.webspace.sitegen import WebConfig
+
+from reference_normalizers import normalized_index
 
 pytestmark = pytest.mark.persist
 
