@@ -236,11 +236,3 @@ class SearchEngine:
                     cached[token] = cached.get(token, 0) + 1
             self._host_terms[cache_key] = cached
         return dict(cached)
-
-    # -- compatibility ---------------------------------------------------------
-
-    @property
-    def _index(self):
-        """The in-memory backend's global inverted index (micro-benchmarks
-        reach for this; sharded backends have no single index)."""
-        return self._backend.index

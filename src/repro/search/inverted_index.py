@@ -1,9 +1,14 @@
-"""A BM25 inverted index."""
+"""A BM25 inverted index.
+
+Scoring is one code path: :meth:`InvertedIndex.accumulate` adds one cached
+``idf * tf_component`` per posting, :func:`rank_accumulator` orders the sums.
+"""
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import Counter, defaultdict
 from typing import Iterable, Mapping, Sequence
 
@@ -13,17 +18,20 @@ def rank_accumulator(
 ) -> list[tuple[int, float]]:
     """Order a score accumulator: descending score, ascending doc id.
 
-    The single definition of ranking order (including the heap-based
-    top-k fast path), shared by the global index and the sharded store's
-    merge so their orderings can never drift apart.
+    The single definition of ranking order, shared by the global index
+    and the sharded and cluster stores' merges so their orderings can
+    never drift apart.  The top-k path finds the k-th best score over the
+    bare floats, keeps the entries at or above it (every tie included) and
+    sorts only those -- the same list a full sort would be cut to.
     """
-    sort_key = lambda item: (-item[1], item[0])  # noqa: E731
+    items: Iterable[tuple[int, float]] = accumulator.items()
     if limit is not None and limit < len(accumulator):
-        return heapq.nsmallest(limit, accumulator.items(), key=sort_key)
-    ranked = sorted(accumulator.items(), key=sort_key)
-    if limit is not None:
-        ranked = ranked[:limit]
-    return ranked
+        if limit <= 0:
+            return []
+        threshold = heapq.nlargest(limit, accumulator.values())[-1]
+        items = [item for item in items if item[1] >= threshold]
+    ranked = sorted(items, key=lambda item: (-item[1], item[0]))
+    return ranked if limit is None else ranked[:limit]
 
 
 def bm25_idf(document_count: int, document_frequency: int) -> float:
@@ -51,12 +59,18 @@ class InvertedIndex:
     Okapi BM25 formula with a non-negative idf floor (so very common terms do
     not produce negative contributions on a small corpus).
 
-    Scoring ingredients that depend only on the corpus -- per-term idf and
-    per-document length norms -- are precomputed and cached; both caches are
-    invalidated whenever the index mutates (``add_document`` changes both the
-    document count and the average length, which every idf and norm depends
-    on).  When ``limit`` is given, ranking takes a heap-based top-k path
-    instead of sorting every matching document.
+    Scoring ingredients that depend only on the corpus are precomputed and
+    cached per queried term: its idf, and its *impacts* -- an ``array('d')``
+    of ``idf * tf_component``, one C double per posting, in the posting
+    dict's order.  Each entry carries what it was computed from and is
+    checked on every read: an idf the document count, an impact array the
+    ``(idf, average_length, len(postings))`` triple.  A shard is handed
+    corpus-global idf and average length that move when *another* shard is
+    written, so ``add_document`` clearing the caches (which only bounds
+    their size) cannot be what keeps them correct.  The first matching
+    term of a query is copied into the empty accumulator in one C-level
+    ``update`` -- ``0.0 + x`` is ``x`` bit for bit -- and later terms add
+    in query-token order, so scores equal the textbook loop's exactly.
     """
 
     def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
@@ -65,11 +79,10 @@ class InvertedIndex:
         self._postings: dict[str, dict[int, int]] = defaultdict(dict)
         self._doc_lengths: dict[int, int] = {}
         self._total_length = 0
-        self._idf_cache: dict[str, float] = {}
-        # Length norms cached per (average_length, index generation); the
-        # local scoring path and sharded stores (which supply the
-        # corpus-global average length) share this one definition.
-        self._external_norms: tuple[float, dict[int, float]] | None = None
+        # term -> (document count, idf)
+        self._idf_cache: dict[str, tuple[int, float]] = {}
+        # term -> ((idf, average_length, len(postings)), impacts)
+        self._impact_cache: dict[str, tuple[tuple[float, float, int], array]] = {}
 
     def __len__(self) -> int:
         return len(self._doc_lengths)
@@ -106,9 +119,9 @@ class InvertedIndex:
             postings[term][doc_id] = frequency
         self._doc_lengths[doc_id] = len(tokens)
         self._total_length += len(tokens)
-        # Every cached idf and length norm depends on N and avgdl.
+        # Entries validate themselves; clearing only drops the stale ones.
         self._idf_cache.clear()
-        self._external_norms = None
+        self._impact_cache.clear()
 
     def document_terms(self) -> dict[int, list[tuple[str, int]]]:
         """Per-document ``(term, frequency)`` pairs, terms sorted.
@@ -127,12 +140,6 @@ class InvertedIndex:
                 by_doc[doc_id].append((term, frequency))
         return by_doc
 
-    # -- precomputed scoring ingredients ------------------------------------
-
-    def _length_norms(self) -> dict[int, float]:
-        """Per-document BM25 length norms, rebuilt once per index generation."""
-        return self.norms_for_average_length(self.average_length())
-
     # -- querying -----------------------------------------------------------
 
     def document_frequency(self, term: str) -> int:
@@ -140,34 +147,37 @@ class InvertedIndex:
 
     def idf(self, term: str) -> float:
         """BM25 idf with a small floor to keep scores non-negative."""
+        document_count = len(self._doc_lengths)
         cached = self._idf_cache.get(term)
-        if cached is not None:
-            return cached
-        value = bm25_idf(len(self._doc_lengths), len(self._postings.get(term, ())))
-        self._idf_cache[term] = value
+        # df only changes when N does, so N stamps the entry: a write that
+        # lands between the compute and the store below cannot go unnoticed.
+        if cached is not None and cached[0] == document_count:
+            return cached[1]
+        value = bm25_idf(document_count, len(self._postings.get(term, ())))
+        self._idf_cache[term] = (document_count, value)
         return value
 
-    def norms_for_average_length(self, average_length: float) -> dict[int, float]:
-        """Per-document length norms against an external (global) avgdl.
-
-        Used by sharded stores: each shard norms its documents with the
-        corpus-wide average length, exactly as one global index would.
-        Cached until the index mutates or a different avgdl is requested.
-        """
-        cached = self._external_norms
-        if cached is not None and cached[0] == average_length:
+    def _impacts(
+        self, term: str, postings: dict[int, int], idf: float, average_length: float
+    ) -> array:
+        """``idf * tf_component`` per posting of ``term``, in posting order."""
+        key = (idf, average_length, len(postings))
+        cached = self._impact_cache.get(term)
+        if cached is not None and cached[0] == key:
             return cached[1]
+        k1 = self.k1
+        k1_plus_1 = k1 + 1
         b = self.b
         one_minus_b = 1 - b
-        if average_length:
-            norms = {
-                doc_id: one_minus_b + b * (length / average_length)
-                for doc_id, length in self._doc_lengths.items()
-            }
-        else:
-            norms = {doc_id: one_minus_b + b * 1.0 for doc_id in self._doc_lengths}
-        self._external_norms = (average_length, norms)
-        return norms
+        lengths = self._doc_lengths
+        # A zero average length (only empty documents) norms every length as average.
+        impacts = array("d", [
+            idf * ((frequency * k1_plus_1) / (frequency + k1 * (one_minus_b + b * (
+                lengths[doc_id] / average_length if average_length else 1.0))))
+            for doc_id, frequency in postings.items()
+        ])
+        self._impact_cache[term] = (key, impacts)
+        return impacts
 
     def accumulate(
         self,
@@ -182,41 +192,32 @@ class InvertedIndex:
         caller (computed over the whole corpus), so several shard indexes
         accumulating into one dict reproduce a single global index's
         scores exactly: a document lives in one shard, and its per-term
-        contributions are added in the same query-token order as
-        :meth:`score` would.
+        contributions are added in query-token order.
         """
-        norms = self.norms_for_average_length(average_length)
-        k1 = self.k1
-        k1_plus_1 = k1 + 1
         for term in query_tokens:
             postings = self._postings.get(term)
             if not postings:
                 continue
-            idf = idf_by_term[term]
-            for doc_id, frequency in postings.items():
-                tf_component = (frequency * k1_plus_1) / (frequency + k1 * norms[doc_id])
-                accumulator[doc_id] = accumulator.get(doc_id, 0.0) + idf * tf_component
+            impacts = self._impacts(term, postings, idf_by_term[term], average_length)
+            if not accumulator:
+                accumulator.update(zip(postings, impacts))
+                continue
+            get = accumulator.get
+            for doc_id, impact in zip(postings, impacts):
+                accumulator[doc_id] = get(doc_id, 0.0) + impact
 
     def score(self, query_tokens: Iterable[str], limit: int | None = None) -> list[tuple[int, float]]:
         """BM25 scores for all documents matching at least one query term.
 
         Returns (doc_id, score) pairs sorted by descending score then
         ascending doc id (for determinism).  ``limit`` truncates the list
-        (via a heap-based top-k selection that produces exactly the same
-        ordering as the full sort).
+        (via :func:`rank_accumulator`'s top-k selection, which produces
+        exactly the same ordering as the full sort).
         """
-        norms = self._length_norms()
-        k1 = self.k1
-        k1_plus_1 = k1 + 1
-        accumulator: dict[int, float] = defaultdict(float)
-        for term in query_tokens:
-            postings = self._postings.get(term)
-            if not postings:
-                continue
-            idf = self.idf(term)
-            for doc_id, frequency in postings.items():
-                tf_component = (frequency * k1_plus_1) / (frequency + k1 * norms[doc_id])
-                accumulator[doc_id] += idf * tf_component
+        tokens = list(query_tokens)
+        idf_by_term = {term: self.idf(term) for term in tokens if term in self._postings}
+        accumulator: dict[int, float] = {}
+        self.accumulate(tokens, idf_by_term, self.average_length(), accumulator)
         return rank_accumulator(accumulator, limit)
 
     def matching_documents(self, query_tokens: Iterable[str], require_all: bool = False) -> set[int]:

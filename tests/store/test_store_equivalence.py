@@ -9,16 +9,19 @@ Two claims, both exact (bit-identical floats, identical ids):
   same metrics;
 * **memory-vs-sharded**: :class:`ShardedBackend` (4 and 7 shards)
   returns identical top-k lists, matches and stats to the in-memory
-  backend on the same corpus.
+  backend on the same corpus -- and so do it and :class:`ClusterBackend`
+  for a term every shard has already scored, after a write to one shard.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClusterBackend
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
 from repro.store import IngestRecord, InMemoryBackend, ShardedBackend
+from repro.store.sharded import shard_of
 from repro.util.text import tokenize
 
 
@@ -223,3 +226,44 @@ class TestMemoryVsSharded:
         _, _, sharded4, sharded7 = engines
         assert sum(1 for n in sharded4.store_stats().shard_documents if n) == 4
         assert sum(1 for n in sharded7.store_stats().shard_documents if n) >= 5
+
+
+class TestWriteToOneShardReachesEveryShard:
+    """One record lands in one shard but moves the corpus-global idf and
+    average length every shard scores with: what the other shards cached
+    for a term before the write must not survive it."""
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            lambda: ShardedBackend(4),
+            lambda: ClusterBackend(shard_count=4, replicas=2, deadline_seconds=5.0),
+        ],
+        ids=["sharded-4", "cluster-4x2"],
+    )
+    def test_warm_term_rescored_after_single_shard_ingest(self, corpus, make_backend):
+        records, _ = corpus
+        term = next(
+            token
+            for token in records[0].tokens
+            if {shard_of(r.url, 4) for r in records if token in r.tokens} == {0, 1, 2, 3}
+        )
+        late = IngestRecord(
+            url="http://late.example/one", host="late.example", title="late",
+            text="late", tokens=[term, term, "latecomer", "padding"], source="surface",
+        )
+        memory = InMemoryBackend()
+        fanned = make_backend()
+        try:
+            for record in records:
+                assert fanned.add(record) == memory.add(record)
+            warm = memory.search([term], limit=None)
+            for _ in range(4):  # round-robin: every replica of every shard caches the term
+                assert fanned.search([term], limit=None) == warm
+            assert fanned.add(late) == memory.add(late)
+            assert memory.search([term], limit=None) != warm
+            for _ in range(4):
+                for limit in (None, 1, 10):
+                    assert fanned.search([term], limit=limit) == memory.search([term], limit=limit)
+        finally:
+            getattr(fanned, "close", lambda: None)()
