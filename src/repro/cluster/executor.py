@@ -2,15 +2,18 @@
 
 The executor is the cluster's read-side coordinator: one task per shard,
 each placed on one replica chosen by the routing policy (round-robin or
-least-loaded), with
+least-loaded).  Every attempt of one scatter reports to that scatter's
+single reply queue, and one gather loop takes replies in arrival order
+(no shard waits behind a slower sibling), under
 
-* a **per-shard deadline** -- a shard that cannot produce a response in
+* a **per-scatter deadline** -- a shard that cannot produce a response in
   time is dropped from the merge (the backend degrades to the PR 7
   subset invariant: fewer hits, never wrong ones);
-* **hedged duplicate requests** -- when the first attempt has not
-  responded within the hedge window and an untried live replica exists,
-  the same task is launched there too; the first response wins and the
-  loser is cancelled;
+* **hedged duplicate requests** -- once the hedge window has passed, every
+  shard still waiting on its first attempt with an untried live replica
+  gets the same task launched there too (all of them at ``hedge_at``, as
+  the window is measured from the scatter's start, not per shard); the
+  first response wins and the loser is cancelled;
 * **replica failover** -- a dead, refusing (admission-limited) or
   erroring replica hands the attempt to the next candidate while the
   deadline allows.
@@ -28,13 +31,13 @@ deterministically.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.cluster.node import AGENT_CLUSTER, ShardNode
+from repro.cluster.node import AGENT_CLUSTER, Attempt, ShardNode
 from repro.resilience.faults import (
     KIND_ERROR,
     KIND_OUTAGE,
@@ -75,20 +78,20 @@ class ShardOutcome:
 class _ShardState:
     """Book-keeping for one shard while its scatter is in flight."""
 
-    __slots__ = (
-        "shard", "deadline", "hedge_at", "pending", "tried",
-        "attempts", "hedged", "last_reason",
-    )
+    __slots__ = ("shard", "replies", "pending", "tried", "attempts", "hedged", "last_reason")
 
-    def __init__(self, shard: int, deadline: float, hedge_at: float) -> None:
+    def __init__(self, shard: int, replies: queue.SimpleQueue) -> None:
         self.shard = shard
-        self.deadline = deadline
-        self.hedge_at = hedge_at
-        self.pending: list[tuple[ShardNode, Future, bool]] = []  # (node, future, is_hedge)
+        self.replies = replies
+        self.pending: dict[Attempt, bool] = {}  # attempt -> is it a hedge
         self.tried: set[int] = set()
         self.attempts = 0
         self.hedged = False
         self.last_reason: str | None = None
+
+    def reply(self, attempt: Attempt) -> None:
+        """``on_done`` of every attempt for this shard (runs on a worker)."""
+        self.replies.put((self, attempt))
 
 
 class ScatterGatherExecutor:
@@ -185,13 +188,17 @@ class ScatterGatherExecutor:
         self,
         state: _ShardState,
         task_factory: Callable[[ShardNode], Callable[[], object]],
-        as_hedge: bool,
+        as_hedge: bool = False,
+        failover: bool = False,
     ) -> bool:
         """Try replicas until one accepts the task; ``False`` if none did.
 
-        An injected ``timeout`` marks the attempt a straggler: nothing is
-        pending for it, so the *next* replica tried is by definition the
-        hedge -- deterministic hedging without a wall-clock stall.
+        ``failover`` says the attempt replaces one that ended ``down``,
+        ``refused`` or ``error`` -- true from the second replica this call
+        tries, too.  An injected ``timeout`` marks the attempt a straggler
+        instead: nothing is pending for it, so the *next* replica tried is
+        by definition the hedge (not a failover) -- deterministic hedging
+        without a wall-clock stall.
         """
         while True:
             node = self._pick(state)
@@ -199,36 +206,33 @@ class ScatterGatherExecutor:
                 return False
             state.tried.add(node.replica_index)
             state.attempts += 1
-            if state.attempts > 1:
+            if failover:
                 with self._lock:
                     self.failovers += 1
             verdict = self._consult_plan(node)
             if verdict is None:
-                future = node.try_submit(task_factory(node))
-                if future is None:
-                    state.last_reason = (
-                        REASON_DOWN if not node.alive else REASON_REFUSED
-                    )
-                    continue
-                state.pending.append((node, future, as_hedge or state.hedged))
-                with self._lock:
-                    self.tasks += 1
-                    if as_hedge or state.hedged:
-                        self.hedges += 1
-                if as_hedge or state.hedged:
-                    state.hedged = True
-                return True
+                attempt = node.try_submit(task_factory(node), on_done=state.reply)
+                if attempt is not None:
+                    state.hedged = as_hedge or state.hedged
+                    state.pending[attempt] = state.hedged
+                    with self._lock:
+                        self.tasks += 1
+                        if state.hedged:
+                            self.hedges += 1
+                    return True
+                verdict = REASON_DOWN if not node.alive else REASON_REFUSED
             state.last_reason = verdict
-            if verdict == REASON_STALLED:
+            failover = verdict != REASON_STALLED
+            if not failover:
                 # The straggler never answers: every further attempt for
-                # this shard is a hedged duplicate.
+                # this shard is a hedged duplicate of it, not a failover.
                 state.hedged = True
 
     def _fail(self, state: _ShardState, reason: str) -> ShardOutcome:
-        for _node, future, _hedge in state.pending:
-            future.cancel()
-        with self._lock:
-            if reason == REASON_DEADLINE:
+        for attempt in state.pending:
+            attempt.cancel()
+        if reason == REASON_DEADLINE:
+            with self._lock:
                 self.deadline_misses += 1
         return ShardOutcome(
             shard=state.shard,
@@ -237,87 +241,78 @@ class ScatterGatherExecutor:
             reason=reason,
         )
 
-    def _collect(
-        self,
-        state: _ShardState,
-        task_factory: Callable[[ShardNode], Callable[[], object]],
-    ) -> ShardOutcome:
-        while True:
-            if not state.pending:
-                # Nothing in flight: try to (re)place the task, else fail.
-                if not self._launch(state, task_factory, as_hedge=False):
-                    return self._fail(state, state.last_reason or REASON_DOWN)
-            now = self._clock()
-            if now >= state.deadline:
-                return self._fail(state, REASON_DEADLINE)
-            timeout = state.deadline - now
-            may_hedge = (
-                not state.hedged
-                and len(state.pending) == 1
-                and any(
-                    node.replica_index not in state.tried and node.alive
-                    for node in self.replica_sets[state.shard]
-                )
-            )
-            if may_hedge:
-                timeout = min(timeout, max(0.0, state.hedge_at - now))
-            done, _not_done = wait(
-                [future for _node, future, _hedge in state.pending],
-                timeout=timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                if may_hedge and self._clock() >= state.hedge_at:
-                    self._launch(state, task_factory, as_hedge=True)
-                continue
-            for entry in list(state.pending):
-                node, future, is_hedge = entry
-                if future not in done:
-                    continue
-                state.pending.remove(entry)
-                try:
-                    value = future.result()
-                except BaseException:
-                    state.last_reason = REASON_ERROR
-                    continue
-                # First response wins; cancel the losers outright.
-                for _loser_node, loser, _h in state.pending:
-                    loser.cancel()
-                if is_hedge:
-                    with self._lock:
-                        self.hedge_wins += 1
-                return ShardOutcome(
-                    shard=state.shard,
-                    value=value,
-                    replica=node.name,
-                    attempts=state.attempts,
-                    hedged=state.hedged,
-                    hedge_won=is_hedge,
-                )
-
     def scatter(
         self, task_factory: Callable[[ShardNode], Callable[[], object]]
     ) -> list[ShardOutcome]:
         """Run ``task_factory(node)()`` once per shard; gather per-shard.
 
-        Primaries for every shard are placed before any collection starts
-        (true fan-out); hedges and failovers happen per shard during the
-        gather.  The returned list is ordered by shard index.
+        Primaries for every shard are placed before the gather starts
+        (true fan-out); one loop then takes replies in arrival order and
+        hedges or fails over whichever shard needs it.  The returned list
+        is ordered by shard index.
         """
         with self._lock:
             self.scatters += 1
         started = self._clock()
-        states = [
-            _ShardState(
-                shard,
-                deadline=started + self.deadline_seconds,
-                hedge_at=started + self.hedge_after_seconds,
-            )
-            for shard in range(len(self.replica_sets))
-        ]
+        deadline = started + self.deadline_seconds
+        hedge_at = started + self.hedge_after_seconds  # never past the deadline
+        replies: queue.SimpleQueue = queue.SimpleQueue()
+        states = [_ShardState(shard, replies) for shard in range(len(self.replica_sets))]
+        outcomes: list[ShardOutcome | None] = [None] * len(states)
         for state in states:
-            self._launch(state, task_factory, as_hedge=False)
-        return [self._collect(state, task_factory) for state in states]
+            if not self._launch(state, task_factory):
+                outcomes[state.shard] = self._fail(state, state.last_reason or REASON_DOWN)
+        unresolved = outcomes.count(None)
+        while unresolved:
+            now = self._clock()
+            if now >= deadline:
+                for state in states:
+                    if outcomes[state.shard] is None:
+                        outcomes[state.shard] = self._fail(state, REASON_DEADLINE)
+                break
+            if now < hedge_at:
+                timeout = hedge_at - now
+            else:
+                timeout = deadline - now
+                # A reply already waiting is taken first: its shard may be
+                # about to resolve, and a duplicate for it would be wasted.
+                if replies.empty():
+                    for state in states:
+                        # Still on its first attempt, so unresolved; ``_launch``
+                        # places nothing if no untried live replica is left.
+                        if len(state.pending) == 1 and not state.hedged:
+                            self._launch(state, task_factory, as_hedge=True)
+            try:
+                state, attempt = replies.get(timeout=timeout)
+            except queue.Empty:
+                continue
+            if outcomes[state.shard] is not None:
+                continue  # a loser that was already running when cancelled
+            is_hedge = state.pending.pop(attempt)
+            if attempt.error is None:
+                # First response wins; cancel the losers outright.
+                for loser in state.pending:
+                    loser.cancel()
+                if is_hedge:
+                    with self._lock:
+                        self.hedge_wins += 1
+                outcomes[state.shard] = ShardOutcome(
+                    shard=state.shard,
+                    value=attempt.value,
+                    replica=attempt.node.name,
+                    attempts=state.attempts,
+                    hedged=state.hedged,
+                    hedge_won=is_hedge,
+                )
+                unresolved -= 1
+            else:
+                state.last_reason = REASON_ERROR
+                if not state.pending and not self._launch(
+                    state, task_factory, failover=True
+                ):
+                    outcomes[state.shard] = self._fail(state, state.last_reason)
+                    unresolved -= 1
+        return outcomes
 
     def stats(self) -> dict[str, object]:
         with self._lock:

@@ -1,15 +1,23 @@
-"""One shard replica: an executor-isolated worker over a shard slice.
+"""One shard replica: a mailbox worker over a shard slice.
 
 A :class:`ShardNode` is the process-level model of one shard server.  It
 owns a private :class:`~repro.search.inverted_index.InvertedIndex` plus
 the shard's documents (exactly the ``_Shard`` slice from
-:mod:`repro.store.sharded`), runs its query work on its *own*
-single-thread executor (no node ever touches another node's state:
-promoting a node to a real process would not change any caller), and
-applies per-node admission control -- a bounded in-flight limit beyond
-which it refuses new work instead of queueing without bound, the same
-degradation contract the :class:`~repro.serve.frontend.QueryFrontend`
-applies at the top of the stack.
+:mod:`repro.store.sharded`) and runs its query work on its *own* daemon
+thread, started by the first submit, which drains one ``SimpleQueue``
+inbox in order (no node ever touches another node's state: promoting a
+node to a real process would not change any caller).  Admission control
+is an in-flight counter checked against ``inflight_limit`` under the
+node's lock: past it the node refuses new work instead of queueing
+without bound, the same degradation contract the
+:class:`~repro.serve.frontend.QueryFrontend` applies at the top of the
+stack.
+
+Accepted work comes back as an :class:`Attempt`, which the worker settles
+exactly once -- ran, raised, or cancelled before the worker reached it
+(then ``fn`` never runs) -- in this order: value or exception stored,
+admission slot returned, ``result()`` unblocked, ``on_done(attempt)``
+called on the worker thread.
 
 ``kill()`` / ``revive()`` model replica failure for chaos soaks: a dead
 node refuses query work.  The *write* path deliberately keeps every
@@ -19,9 +27,9 @@ are out of scope), so a revived replica serves current data immediately.
 
 from __future__ import annotations
 
+import queue
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.search.inverted_index import InvertedIndex
 from repro.store.records import Document
@@ -34,6 +42,37 @@ AGENT_CLUSTER = "cluster"
 def replica_name(shard_index: int, replica_index: int) -> str:
     """The canonical node name fault plans and stats key on."""
     return f"shard{shard_index}/replica{replica_index}"
+
+
+class Attempt:
+    """One accepted unit of work on a node's worker (see the module docstring)."""
+
+    __slots__ = ("node", "fn", "args", "on_done", "value", "error", "cancelled", "_settled")
+
+    def __init__(self, node: "ShardNode", fn: Callable[..., object], args: tuple, on_done) -> None:
+        self.node = node
+        self.fn = fn
+        self.args = args
+        self.on_done = on_done
+        self.value: object | None = None
+        self.error: BaseException | None = None
+        self.cancelled = False
+        # Held from birth, released once by the worker: the settled flag.
+        self._settled = threading.Lock()
+        self._settled.acquire()
+
+    def cancel(self) -> None:
+        """Ask the worker to skip this attempt if it has not started it."""
+        self.cancelled = True
+
+    def result(self, timeout: float | None = None) -> object:
+        """The value ``fn`` returned (``None`` if skipped), or its exception."""
+        if not self._settled.acquire(timeout=-1 if timeout is None else timeout):
+            raise TimeoutError(f"{self.node.name}: no result within {timeout}s")
+        self._settled.release()
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 class ShardNode:
@@ -55,9 +94,11 @@ class ShardNode:
         self.index = InvertedIndex(k1=k1, b=b)
         self.documents: dict[int, Document] = {}
         self.inflight_limit = inflight_limit
-        self._slots = threading.BoundedSemaphore(inflight_limit)
         self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
+        #: The worker thread and the inbox it drains; both ``None`` until
+        #: the first submit and again after ``close()``.
+        self._worker: threading.Thread | None = None
+        self._inbox: queue.SimpleQueue | None = None
         self._alive = True
         self._inflight = 0
         #: Per-replica fault-plan index (consumed only for governed tasks,
@@ -80,10 +121,13 @@ class ShardNode:
         self._alive = True
 
     def close(self) -> None:
+        """Finish what the inbox holds, then stop and join the worker."""
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+            worker, self._worker = self._worker, None
+            inbox, self._inbox = self._inbox, None
+        if worker is not None:
+            inbox.put(None)
+            worker.join()
 
     # -- write path (coordinator thread; replicas stay byte-identical) -------
 
@@ -104,7 +148,7 @@ class ShardNode:
         with self._lock:
             return self._inflight
 
-    def try_submit(self, fn, *args) -> Future | None:
+    def try_submit(self, fn, *args, on_done=None) -> Attempt | None:
         """Run ``fn(*args)`` on this node's worker, or refuse.
 
         Returns ``None`` when the node is dead or its admission limit is
@@ -113,29 +157,38 @@ class ShardNode:
         """
         if not self._alive:
             return None
-        if not self._slots.acquire(blocking=False):
-            with self._lock:
-                self.refused += 1
-            return None
+        attempt = Attempt(self, fn, args, on_done)
+        # Posted under the lock, so an attempt can never land behind the
+        # stop sentinel of a concurrent ``close()``.
         with self._lock:
+            if self._inflight >= self.inflight_limit:
+                self.refused += 1
+                return None
+            if self._worker is None:
+                inbox: queue.SimpleQueue = queue.SimpleQueue()
+                worker = threading.Thread(
+                    target=self._drain, args=(inbox,), name=self.name, daemon=True
+                )
+                worker.start()  # before any book-keeping: a failed start leaks nothing
+                self._worker, self._inbox = worker, inbox
             self._inflight += 1
             self.tasks_served += 1
-        try:
-            future = self._executor().submit(fn, *args)
-        except BaseException:
+            self._inbox.put(attempt)
+        return attempt
+
+    def _drain(self, inbox: queue.SimpleQueue) -> None:
+        """The worker loop: settle attempts in arrival order until ``None``."""
+        while (attempt := inbox.get()) is not None:
+            if not attempt.cancelled:
+                try:
+                    attempt.value = attempt.fn(*attempt.args)
+                except BaseException as error:  # re-raised by Attempt.result()
+                    attempt.error = error
             with self._lock:
                 self._inflight -= 1
-                self.tasks_served -= 1
-            self._slots.release()
-            raise
-
-        def _release(_future: Future) -> None:
-            with self._lock:
-                self._inflight -= 1
-            self._slots.release()
-
-        future.add_done_callback(_release)
-        return future
+            attempt._settled.release()
+            if attempt.on_done is not None:
+                attempt.on_done(attempt)
 
     def accumulate(
         self,
@@ -153,14 +206,6 @@ class ShardNode:
         partial: dict[int, float] = {}
         self.index.accumulate(tokens, idf_by_term, average_length, partial)
         return partial
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=self.name
-                )
-            return self._pool
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "dead"

@@ -3,13 +3,15 @@
 Timing-sensitive behaviour is pinned without real stalls wherever
 possible: injected ``timeout`` faults model stragglers deterministically
 (the attempt never completes, so the next replica tried *is* the hedge),
-and deadline misses are driven by a fake clock.  The one wall-clock test
-(a genuinely slow primary being out-hedged) uses events, not sleeps, on
-the assertion path.
+and deadline misses are driven by a fake clock.  The wall-clock tests
+(a genuinely slow primary being out-hedged, a shard stuck to its deadline
+beside a sibling that needs a hedge or a failover) use events, not
+sleeps, on the assertion path.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -284,6 +286,7 @@ class TestInjectedFaults:
             assert outcome.hedged, "a stalled primary makes the retry a hedge"
             stats = executor.stats()
             assert stats["hedges"] == 1
+            assert stats["failovers"] == 0, "a hedge is not a replica failure"
             assert stats["injected"] == {KIND_TIMEOUT: 1}
         finally:
             close_all(nodes)
@@ -359,7 +362,117 @@ class TestWallClockHedge:
             assert outcome.hedged and outcome.hedge_won
             stats = executor.stats()
             assert stats["hedges"] == 1 and stats["hedge_wins"] == 1
+            assert stats["failovers"] == 0, "a hedge is not a replica failure"
             release.set()
         finally:
             release.set()
+            close_all(nodes)
+
+
+class TestStalledShardDoesNotStarveItsSiblings:
+    """Shard 0 never answers; shard 1 must still get its hedge / failover.
+
+    The deadline is real wall-clock here (shard 0 has to miss it), but the
+    stall itself is an event and nothing on the assertion path sleeps.
+    """
+
+    DEADLINE_SECONDS = 0.3
+
+    def test_sibling_is_hedged_while_an_earlier_shard_is_stuck(self):
+        nodes = build_nodes(2, 2)
+        release = threading.Event()
+        executor = ScatterGatherExecutor(
+            nodes, deadline_seconds=self.DEADLINE_SECONDS, hedge_after_seconds=0.01
+        )
+
+        def task(node: ShardNode):
+            def run():
+                if node.shard_index == 0 or node.replica_index == 0:
+                    assert release.wait(DEADLINE)
+                return node.name
+
+            return run
+
+        try:
+            stuck, hedged = executor.scatter(task)
+            assert not stuck.ok and stuck.reason == REASON_DEADLINE and stuck.hedged
+            assert hedged.ok and hedged.value == replica_name(1, 1)
+            assert hedged.hedged and hedged.hedge_won
+            stats = executor.stats()
+            assert stats["hedges"] == 2 and stats["hedge_wins"] == 1
+            assert stats["deadline_misses"] == 1 and stats["failovers"] == 0
+        finally:
+            release.set()
+            close_all(nodes)
+
+    def test_sibling_fails_over_while_an_earlier_shard_is_stuck(self):
+        nodes = build_nodes(2, 2)
+        release = threading.Event()
+        # No hedging in this one: the window is the whole deadline.
+        executor = ScatterGatherExecutor(
+            nodes,
+            deadline_seconds=self.DEADLINE_SECONDS,
+            hedge_after_seconds=self.DEADLINE_SECONDS,
+        )
+
+        def task(node: ShardNode):
+            def run():
+                if node.shard_index == 0:
+                    assert release.wait(DEADLINE)
+                elif node.replica_index == 0:
+                    raise RuntimeError("primary down")
+                return node.name
+
+            return run
+
+        try:
+            stuck, recovered = executor.scatter(task)
+            assert not stuck.ok and stuck.reason == REASON_DEADLINE
+            assert recovered.ok and recovered.value == replica_name(1, 1)
+            assert recovered.attempts == 2 and not recovered.hedged
+            stats = executor.stats()
+            assert stats["failovers"] == 1 and stats["hedges"] == 0
+        finally:
+            release.set()
+            close_all(nodes)
+
+
+class TestConcurrentScatters:
+    def test_replies_never_cross_scatters(self):
+        """Client threads sharing one executor each gather their own values.
+
+        More clients than cores and a shortened switch interval, so worker
+        replies of different scatters interleave as finely as they can.
+        """
+        clients, rounds, shards = 6, 150, 4
+        nodes = build_nodes(shards, 2, inflight_limit=clients)
+        # Hedge window = deadline: a slow box must not add duplicate tasks.
+        executor = ScatterGatherExecutor(
+            nodes, deadline_seconds=DEADLINE, hedge_after_seconds=DEADLINE
+        )
+        wrong: list[object] = []
+
+        def client(tag: int) -> None:
+            expected = [(tag, shard) for shard in range(shards)]
+            for _ in range(rounds):
+                outcomes = executor.scatter(lambda node: lambda: (tag, node.shard_index))
+                if [outcome.value for outcome in outcomes] != expected:
+                    wrong.append((tag, outcomes))
+
+        threads = [threading.Thread(target=client, args=(tag,)) for tag in range(clients)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert wrong == []
+            stats = executor.stats()
+            assert stats["scatters"] == clients * rounds
+            assert stats["tasks"] == clients * rounds * shards
+            assert all(node.inflight == 0 for replica_set in nodes for node in replica_set)
+        finally:
+            sys.setswitchinterval(interval)
             close_all(nodes)
