@@ -16,8 +16,9 @@ The package implements, over a fully simulated web:
   ``search_all``.
 * ``repro.store`` -- the unified content store: the ``IngestRecord``
   write model, the ``Ingestor`` seam every content layer produces
-  through, and pluggable storage backends (in-memory, hash-sharded with
-  fan-out/merge search).
+  through, the ``DocumentCatalog`` every backend keeps its documents in,
+  and the in-memory backend (sqlite lives in ``repro.persist``, the
+  hash-partitioned replicated one in ``repro.cluster``).
 * ``repro.pipeline`` -- the staged surfacing pipeline: seven pluggable
   stages, a shared context, observer hooks for metrics and progress, and
   the :class:`SurfacingScheduler` seam the facade surfaces through.
@@ -61,7 +62,6 @@ from repro.api import (
 from repro.core.surfacer import (
     FormSurfacingResult,
     SiteSurfacingResult,
-    Surfacer,
     SurfacingConfig,
     SurfacingConfigError,
 )
@@ -112,7 +112,6 @@ from repro.store import (
     IngestRecord,
     Ingestor,
     InMemoryBackend,
-    ShardedBackend,
     StorageBackend,
     StoreStats,
 )
@@ -141,8 +140,6 @@ __all__ = [
     "PipelineObserver",
     "MetricsObserver",
     "ProgressObserver",
-    # legacy surfacer surface
-    "Surfacer",
     "SurfacingConfig",
     "SurfacingConfigError",
     "SiteSurfacingResult",
@@ -160,7 +157,6 @@ __all__ = [
     "StorageBackend",
     "StoreStats",
     "InMemoryBackend",
-    "ShardedBackend",
     # federated query planning
     "ParsedQuery",
     "parse_query",

@@ -98,9 +98,9 @@ def surface_world(
 ) -> list[SiteSurfacingResult]:
     """Run the surfacing pipeline over every deep-web site of a world.
 
-    A fresh, freshly-seeded service is built per call (matching the old
-    one-``Surfacer``-per-run behaviour) and attached to the world so
-    callers can reach the scheduler, pipeline and stage metrics afterwards.
+    A fresh, freshly-seeded service is built per call and attached to the
+    world so callers can reach the scheduler, pipeline and stage metrics
+    afterwards.
     """
     builder = (
         DeepWebService.build()

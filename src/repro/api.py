@@ -22,8 +22,8 @@ through a single :class:`~repro.pipeline.scheduler.SurfacingScheduler`
 seam: serial by default, journaled and resumable for services built with
 ``persist()``.
 
-Storage is pluggable through the unified content store: pass
-``.store(ShardedBackend(4))`` on the builder to hash-partition the index
+Storage is pluggable through the unified content store: call
+``.cluster(shards=4)`` on the builder to hash-partition the index
 across shards (rankings stay identical to the in-memory default), and use
 ``search_all()`` for a cross-corpus query that ranks surfaced pages,
 crawled pages and harvested webtables in one result list.
@@ -158,8 +158,8 @@ class ServiceReport:
             cluster = self.storage.get("cluster")
             if cluster:
                 line = (
-                    f"cluster: {cluster.get('shards')}x{cluster.get('replicas')} "
-                    f"({cluster.get('routing')}), {cluster.get('scatters', 0)} scatters, "
+                    f"cluster: {cluster.get('shards')}x{cluster.get('replicas')}, "
+                    f"{cluster.get('scatters', 0)} scatters, "
                     f"{cluster.get('hedges', 0)} hedges "
                     f"({cluster.get('hedge_wins', 0)} won), "
                     f"{cluster.get('deadline_misses', 0)} deadline misses, "
@@ -252,7 +252,7 @@ class DeepWebServiceBuilder:
 
     def store(self, backend: StorageBackend) -> "DeepWebServiceBuilder":
         """Back the service's search engine with a specific storage
-        backend (e.g. ``ShardedBackend(4)``); mutually exclusive with
+        backend (e.g. ``SqliteBackend(path)``); mutually exclusive with
         supplying a fully built engine via :meth:`engine`."""
         self._store = backend
         return self
@@ -263,7 +263,6 @@ class DeepWebServiceBuilder:
         replicas: int = 1,
         deadline_seconds: float = 0.25,
         hedge_after_seconds: float = 0.05,
-        routing: str = "round-robin",
         inflight_limit: int = 8,
         fault_plan: FaultPlan | ScriptedFaults | None = None,
     ) -> "DeepWebServiceBuilder":
@@ -285,7 +284,6 @@ class DeepWebServiceBuilder:
                 replicas=replicas,
                 deadline_seconds=deadline_seconds,
                 hedge_after_seconds=hedge_after_seconds,
-                routing=routing,
                 inflight_limit=inflight_limit,
                 fault_plan=fault_plan,
             )
@@ -901,7 +899,6 @@ class DeepWebService:
             section["cluster"] = {
                 "shards": cluster.shard_count,
                 "replicas": cluster.replicas,
-                "routing": cluster.routing,
                 "scatters": cluster.scatters,
                 "hedges": cluster.hedges,
                 "hedge_wins": cluster.hedge_wins,

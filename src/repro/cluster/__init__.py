@@ -1,9 +1,10 @@
 """Scatter-gather cluster serving: replicated shard nodes behind one backend.
 
-The cluster tier turns the single-process :class:`~repro.store.sharded.
-ShardedBackend` layout into N executor-isolated shard nodes with
-replicas, per-shard deadlines, hedged duplicate requests for stragglers
-and per-node admission control -- while keeping clean-path rankings
+The cluster tier is the one hash-partitioned backend: documents route by
+a stable CRC32 of their URL to N shards, each a set of replica nodes on
+their own worker threads, with per-shard deadlines, hedged duplicate
+requests for stragglers and per-node admission control -- while keeping
+clean-path rankings
 byte-identical to :class:`~repro.store.memory.InMemoryBackend` and
 degrading to exact-score subsets (the PR 7 invariant) under failure.
 """
@@ -15,13 +16,10 @@ from repro.cluster.executor import (
     REASON_ERROR,
     REASON_REFUSED,
     REASON_STALLED,
-    ROUTING_LEAST_LOADED,
-    ROUTING_POLICIES,
-    ROUTING_ROUND_ROBIN,
     ScatterGatherExecutor,
     ShardOutcome,
 )
-from repro.cluster.node import AGENT_CLUSTER, ShardNode, replica_name
+from repro.cluster.node import AGENT_CLUSTER, ShardNode, replica_name, shard_of
 
 __all__ = [
     "AGENT_CLUSTER",
@@ -32,11 +30,9 @@ __all__ = [
     "REASON_ERROR",
     "REASON_REFUSED",
     "REASON_STALLED",
-    "ROUTING_LEAST_LOADED",
-    "ROUTING_POLICIES",
-    "ROUTING_ROUND_ROBIN",
     "ScatterGatherExecutor",
     "ShardNode",
     "ShardOutcome",
     "replica_name",
+    "shard_of",
 ]

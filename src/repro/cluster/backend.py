@@ -1,10 +1,11 @@
 """The cluster coordinator: a StorageBackend over replicated shard nodes.
 
-:class:`ClusterBackend` is the multi-node sibling of
-:class:`~repro.store.sharded.ShardedBackend`.  Documents route to shards
-by the same stable CRC32 hash (:func:`~repro.store.sharded.shard_of`),
-writes apply to *every* replica of the owning shard, and searches
-scatter one accumulate task per shard through a
+:class:`ClusterBackend` is the one hash-partitioned backend.  Documents
+and doc ids live in the coordinator's
+:class:`~repro.store.backend.DocumentCatalog`; each document's token
+stream routes to a shard by a stable CRC32 hash of its URL
+(:func:`~repro.cluster.node.shard_of`) and is indexed by *every* replica
+of that shard, and searches scatter one accumulate task per shard through a
 :class:`~repro.cluster.executor.ScatterGatherExecutor` (deadlines,
 hedged duplicates, replica failover) and merge the partial accumulators
 back into one ranked list.
@@ -29,7 +30,8 @@ Two invariants make it safe to put in front of real traffic:
   ``consume_degraded()`` tells callers (and the chaos harness) that the
   most recent searches were served degraded.
 
-Admin reads (``get``, ``documents``, ``export_records``, ...) are
+Document reads (``get``, ``documents``, ...) are the catalog's; the
+postings reads (``export_records``, ``matching_documents``) are
 coordinator-side and synchronous against replica 0 of each shard --
 replicas are byte-identical by construction, including dead ones, since
 kill/revive only gates *query* serving.
@@ -39,16 +41,15 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from repro.cluster.executor import ScatterGatherExecutor, ShardOutcome
-from repro.cluster.node import ShardNode, replica_name
+from repro.cluster.executor import ScatterGatherExecutor
+from repro.cluster.node import ShardNode, shard_of
 from repro.resilience.faults import FaultPlan, ScriptedFaults
 from repro.search.inverted_index import bm25_idf, rank_accumulator
-from repro.store.backend import StoreStats
-from repro.store.records import Document, IngestRecord
-from repro.store.sharded import shard_of
+from repro.store.backend import DocumentCatalog, StoreStats
+from repro.store.records import IngestRecord
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class ClusterStats:
 
     shard_count: int
     replicas: int
-    routing: str
     documents: int
     alive_replicas: int
     dead_replicas: tuple[str, ...]
@@ -75,8 +75,8 @@ class ClusterStats:
     def lines(self) -> list[str]:
         """Human-readable rendering for service reports."""
         lines = [
-            f"shards: {self.shard_count} x {self.replicas} replicas "
-            f"({self.routing} routing), {self.documents} documents",
+            f"shards: {self.shard_count} x {self.replicas} replicas, "
+            f"{self.documents} documents",
             f"scatters: {self.scatters} ({self.tasks} tasks, "
             f"{self.failovers} failovers, {self.refused} refused)",
             f"hedges: {self.hedges} ({self.hedge_wins} won), "
@@ -91,7 +91,7 @@ class ClusterStats:
         return lines
 
 
-class ClusterBackend:
+class ClusterBackend(DocumentCatalog):
     """Replicated scatter-gather storage with single-index semantics."""
 
     kind = "cluster"
@@ -104,7 +104,6 @@ class ClusterBackend:
         b: float = 0.75,
         deadline_seconds: float = 0.25,
         hedge_after_seconds: float = 0.05,
-        routing: str = "round-robin",
         inflight_limit: int = 8,
         fault_plan: FaultPlan | ScriptedFaults | None = None,
     ) -> None:
@@ -112,6 +111,7 @@ class ClusterBackend:
             raise ValueError(f"shard_count must be positive, got {shard_count}")
         if replicas <= 0:
             raise ValueError(f"replicas must be positive, got {replicas}")
+        super().__init__()
         self.shard_count = shard_count
         self.replicas = replicas
         self.k1 = k1
@@ -127,20 +127,19 @@ class ClusterBackend:
             self.replica_sets,
             deadline_seconds=deadline_seconds,
             hedge_after_seconds=hedge_after_seconds,
-            routing=routing,
             fault_plan=fault_plan,
         )
         # Coordinator-held scoring ingredients: exact integer sums kept at
         # ingest time, so degraded merges still score with full-corpus
         # numbers (subset-with-identical-scores, never rescored survivors).
-        self._url_to_doc: dict[str, int] = {}
-        self._doc_to_shard: dict[int, int] = {}
-        self._next_id = 1
         self._total_length = 0
         self._df: Counter[str] = Counter()
         self._lock = threading.Lock()
         self._degraded_flag = False
-        self._degraded_searches = 0
+        #: Searches served with a shard missing so far; only ever grows.
+        #: The serving frontend compares it around a search to keep
+        #: degraded rankings out of its cache.
+        self.degraded_searches = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -154,12 +153,6 @@ class ClusterBackend:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __len__(self) -> int:
-        return len(self._doc_to_shard)
-
-    def __contains__(self, url: str) -> bool:
-        return url in self._url_to_doc
 
     # -- replica management ----------------------------------------------------
 
@@ -179,94 +172,23 @@ class ClusterBackend:
 
     # -- writes --------------------------------------------------------------
 
-    def add(self, record: IngestRecord) -> int:
-        existing = self._url_to_doc.get(record.url)
-        if existing is not None:
-            return existing
-        doc_id = self._next_id
-        self._next_id += 1
-        shard_index = shard_of(record.url, self.shard_count)
-        document = record.as_document(doc_id)
+    def _index(self, doc_id: int, record: IngestRecord) -> None:
         # Every replica of the owning shard stays byte-identical, dead or
         # alive -- kill/revive gates query serving only, so a revived
         # replica answers with current data (no catch-up protocol).
-        for node in self.replica_sets[shard_index]:
-            node.add(doc_id, record.tokens, document)
-        self._url_to_doc[record.url] = doc_id
-        self._doc_to_shard[doc_id] = shard_index
+        for node in self.replica_sets[shard_of(record.url, self.shard_count)]:
+            node.add(doc_id, record.tokens)
         self._total_length += len(record.tokens)
         for term in set(record.tokens):
             self._df[term] += 1
-        return doc_id
-
-    # -- reads (coordinator-side, replica 0 of each shard) ---------------------
-
-    def _shard_documents(self, shard_index: int) -> dict[int, Document]:
-        return self.replica_sets[shard_index][0].documents
-
-    def doc_id_for_url(self, url: str) -> int | None:
-        return self._url_to_doc.get(url)
-
-    def get(self, doc_id: int) -> Document:
-        shard_index = self._doc_to_shard.get(doc_id)
-        if shard_index is None:
-            raise KeyError(doc_id)
-        return self._shard_documents(shard_index)[doc_id]
-
-    def document_for_url(self, url: str) -> Document | None:
-        doc_id = self._url_to_doc.get(url)
-        return self.get(doc_id) if doc_id is not None else None
-
-    def documents(self, source: str | None = None) -> list[Document]:
-        docs: list[Document] = []
-        for shard_index in range(self.shard_count):
-            docs.extend(self._shard_documents(shard_index).values())
-        if source is not None:
-            docs = [doc for doc in docs if doc.source == source]
-        docs.sort(key=lambda doc: doc.doc_id)
-        return docs
-
-    def documents_for_host(self, host: str) -> list[Document]:
-        docs = [
-            doc
-            for shard_index in range(self.shard_count)
-            for doc in self._shard_documents(shard_index).values()
-            if doc.host == host
-        ]
-        docs.sort(key=lambda doc: doc.doc_id)
-        return docs
 
     def export_records(self) -> list[IngestRecord]:
-        """The stored corpus as re-ingestable records, ascending doc id.
-
-        Same contract as the other backends: tokens are reconstructed
-        term-sorted from replica 0's postings (scoring only reads counts).
-        """
-        terms_by_shard = [
-            self.replica_sets[shard_index][0].index.document_terms()
-            for shard_index in range(self.shard_count)
-        ]
-        records: list[IngestRecord] = []
-        for doc_id in sorted(self._doc_to_shard):
-            shard_index = self._doc_to_shard[doc_id]
-            doc = self._shard_documents(shard_index)[doc_id]
-            tokens = [
-                term
-                for term, frequency in terms_by_shard[shard_index].get(doc_id, [])
-                for _ in range(frequency)
-            ]
-            records.append(
-                IngestRecord(
-                    url=doc.url,
-                    host=doc.host,
-                    title=doc.title,
-                    text=doc.text,
-                    tokens=tokens,
-                    source=doc.source,
-                    annotations=dict(doc.annotations),
-                )
-            )
-        return records
+        """The stored corpus as re-ingestable records, term-sorted streams
+        rebuilt from replica 0's postings (shards hold disjoint doc ids)."""
+        terms: dict[int, list[tuple[str, int]]] = {}
+        for replica_set in self.replica_sets:
+            terms.update(replica_set[0].index.document_terms())
+        return self._records_from_terms(terms)
 
     # -- querying ------------------------------------------------------------
 
@@ -281,7 +203,7 @@ class ClusterBackend:
         index would use.
         """
         tokens = list(query_tokens)
-        document_count = len(self._doc_to_shard)
+        document_count = len(self._documents)
         if not tokens or not document_count:
             return []
         average_length = self._total_length / document_count
@@ -302,7 +224,7 @@ class ClusterBackend:
         if degraded:
             with self._lock:
                 self._degraded_flag = True
-                self._degraded_searches += 1
+                self.degraded_searches += 1
         return rank_accumulator(accumulator, limit)
 
     def consume_degraded(self) -> bool:
@@ -314,8 +236,9 @@ class ClusterBackend:
     def matching_documents(
         self, query_tokens: Iterable[str], require_all: bool = False
     ) -> set[int]:
-        # Coordinator-side admin read (replica 0), same union-of-shards
-        # argument as ShardedBackend: a document lives wholly in one shard.
+        # Coordinator-side read of replica 0.  A document lives wholly in
+        # one shard, so per-shard conjunction (or disjunction) followed by
+        # a union is exactly the global answer.
         tokens = list(query_tokens)
         matches: set[int] = set()
         for shard_index in range(self.shard_count):
@@ -326,21 +249,11 @@ class ClusterBackend:
 
     # -- stats ---------------------------------------------------------------
 
-    def count_by_source(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for shard_index in range(self.shard_count):
-            for doc in self._shard_documents(shard_index).values():
-                counts[doc.source] = counts.get(doc.source, 0) + 1
-        return dict(sorted(counts.items()))
-
     def stats(self) -> StoreStats:
-        return StoreStats(
-            backend=self.kind,
-            documents=len(self),
-            by_source=self.count_by_source(),
+        return replace(
+            super().stats(),
             shard_documents=tuple(
-                len(self._shard_documents(shard_index))
-                for shard_index in range(self.shard_count)
+                len(replica_set[0].index) for replica_set in self.replica_sets
             ),
         )
 
@@ -353,12 +266,9 @@ class ClusterBackend:
             if not node.alive
         )
         alive = self.shard_count * self.replicas - len(dead)
-        with self._lock:
-            degraded_searches = self._degraded_searches
         return ClusterStats(
             shard_count=self.shard_count,
             replicas=self.replicas,
-            routing=self.executor.routing,
             documents=len(self),
             alive_replicas=alive,
             dead_replicas=dead,
@@ -371,7 +281,7 @@ class ClusterBackend:
             refused=sum(
                 node.refused for replica_set in self.replica_sets for node in replica_set
             ),
-            degraded_searches=degraded_searches,
+            degraded_searches=self.degraded_searches,
             injected=executor_stats["injected"],
             replica_serves={
                 node.name: node.tasks_served

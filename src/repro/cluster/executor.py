@@ -1,8 +1,8 @@
 """Scatter-gather over shard replicas: deadlines, hedging, failover.
 
 The executor is the cluster's read-side coordinator: one task per shard,
-each placed on one replica chosen by the routing policy (round-robin or
-least-loaded).  Every attempt of one scatter reports to that scatter's
+each placed on one replica chosen by a per-shard round-robin cursor.
+Every attempt of one scatter reports to that scatter's
 single reply queue, and one gather loop takes replies in arrival order
 (no shard waits behind a slower sibling), under
 
@@ -45,10 +45,6 @@ from repro.resilience.faults import (
     FaultPlan,
     ScriptedFaults,
 )
-
-ROUTING_ROUND_ROBIN = "round-robin"
-ROUTING_LEAST_LOADED = "least-loaded"
-ROUTING_POLICIES = (ROUTING_ROUND_ROBIN, ROUTING_LEAST_LOADED)
 
 #: Why a shard produced no response (``ShardOutcome.reason``).
 REASON_DEADLINE = "deadline"
@@ -102,7 +98,6 @@ class ScatterGatherExecutor:
         replica_sets: Sequence[Sequence[ShardNode]],
         deadline_seconds: float = 0.25,
         hedge_after_seconds: float = 0.05,
-        routing: str = ROUTING_ROUND_ROBIN,
         fault_plan: FaultPlan | ScriptedFaults | None = None,
         agent: str = AGENT_CLUSTER,
         clock: Callable[[], float] = time.perf_counter,
@@ -115,12 +110,9 @@ class ScatterGatherExecutor:
             raise ValueError(
                 f"hedge_after_seconds must be >= 0, got {hedge_after_seconds}"
             )
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(f"routing must be one of {ROUTING_POLICIES}, got {routing!r}")
         self.replica_sets = [list(replicas) for replicas in replica_sets]
         self.deadline_seconds = deadline_seconds
         self.hedge_after_seconds = min(hedge_after_seconds, deadline_seconds)
-        self.routing = routing
         self.fault_plan = fault_plan
         self.agent = agent
         self._clock = clock
@@ -138,25 +130,16 @@ class ScatterGatherExecutor:
     # -- routing -------------------------------------------------------------
 
     def _pick(self, state: _ShardState) -> ShardNode | None:
-        """The next untried live replica under the routing policy."""
+        """The next untried live replica, walking on from the shard's cursor."""
         replicas = self.replica_sets[state.shard]
-        candidates = [
-            node
-            for node in replicas
-            if node.replica_index not in state.tried and node.alive
-        ]
-        if not candidates:
-            return None
-        if self.routing == ROUTING_LEAST_LOADED:
-            return min(candidates, key=lambda node: (node.inflight, node.replica_index))
         with self._lock:
             cursor = self._cursors[state.shard]
-            self._cursors[state.shard] = (cursor + 1) % len(replicas)
-        for offset in range(len(replicas)):
-            node = replicas[(cursor + offset) % len(replicas)]
-            if node.replica_index not in state.tried and node.alive:
-                return node
-        return None  # pragma: no cover - candidates was non-empty
+            for offset in range(len(replicas)):
+                node = replicas[(cursor + offset) % len(replicas)]
+                if node.replica_index not in state.tried and node.alive:
+                    self._cursors[state.shard] = (cursor + 1) % len(replicas)
+                    return node
+        return None
 
     # -- fault injection -------------------------------------------------------
 

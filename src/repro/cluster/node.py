@@ -1,12 +1,13 @@
-"""One shard replica: a mailbox worker over a shard slice.
+"""One shard replica: a mailbox worker over a shard's postings.
 
 A :class:`ShardNode` is the process-level model of one shard server.  It
-owns a private :class:`~repro.search.inverted_index.InvertedIndex` plus
-the shard's documents (exactly the ``_Shard`` slice from
-:mod:`repro.store.sharded`) and runs its query work on its *own* daemon
-thread, started by the first submit, which drains one ``SimpleQueue``
-inbox in order (no node ever touches another node's state: promoting a
-node to a real process would not change any caller).  Admission control
+owns a private :class:`~repro.search.inverted_index.InvertedIndex` over
+its shard's token streams -- postings only; the documents themselves
+live in the coordinator's catalog -- and runs its query work on its
+*own* daemon thread, started by the first submit, which drains one
+``SimpleQueue`` inbox in order (no node ever touches another node's
+state: promoting a node to a real process would not change any caller).
+Admission control
 is an in-flight counter checked against ``inflight_limit`` under the
 node's lock: past it the node refuses new work instead of queueing
 without bound, the same degradation contract the
@@ -29,14 +30,19 @@ from __future__ import annotations
 
 import queue
 import threading
+import zlib
 from typing import Callable, Sequence
 
 from repro.search.inverted_index import InvertedIndex
-from repro.store.records import Document
 
 #: The agent name cluster fault plans gate on (mirrors the fetch-side
 #: ``AGENT_*`` constants in :mod:`repro.webspace.loadmeter`).
 AGENT_CLUSTER = "cluster"
+
+
+def shard_of(url: str, shard_count: int) -> int:
+    """Stable URL -> shard routing (CRC32, hash-seed independent)."""
+    return zlib.crc32(url.encode("utf-8")) % shard_count
 
 
 def replica_name(shard_index: int, replica_index: int) -> str:
@@ -76,7 +82,7 @@ class Attempt:
 
 
 class ShardNode:
-    """One replica of one shard: index + documents + a private worker."""
+    """One replica of one shard: a postings index + a private worker."""
 
     def __init__(
         self,
@@ -92,7 +98,6 @@ class ShardNode:
         self.replica_index = replica_index
         self.name = replica_name(shard_index, replica_index)
         self.index = InvertedIndex(k1=k1, b=b)
-        self.documents: dict[int, Document] = {}
         self.inflight_limit = inflight_limit
         self._lock = threading.Lock()
         #: The worker thread and the inbox it drains; both ``None`` until
@@ -131,9 +136,8 @@ class ShardNode:
 
     # -- write path (coordinator thread; replicas stay byte-identical) -------
 
-    def add(self, doc_id: int, tokens: Sequence[str], document: Document) -> None:
+    def add(self, doc_id: int, tokens: Sequence[str]) -> None:
         self.index.add_document(doc_id, tokens)
-        self.documents[doc_id] = document
 
     # -- query work ----------------------------------------------------------
 
@@ -200,8 +204,7 @@ class ShardNode:
 
         The partial accumulator merges exactly (a document lives in one
         shard only), so the coordinator's merged ranking is bit-identical
-        to a single global index -- same contract as
-        :meth:`repro.store.sharded.ShardedBackend.search`.
+        to a single global index.
         """
         partial: dict[int, float] = {}
         self.index.accumulate(tokens, idf_by_term, average_length, partial)
@@ -209,4 +212,4 @@ class ShardNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "dead"
-        return f"<ShardNode {self.name} {state} docs={len(self.documents)}>"
+        return f"<ShardNode {self.name} {state} docs={len(self.index)}>"

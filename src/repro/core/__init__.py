@@ -13,7 +13,7 @@ The pipeline mirrors Sections 3-5 of the paper:
    :mod:`repro.core.informativeness`);
 6. generate submission URLs under an indexability criterion
    (:mod:`repro.core.urlgen`);
-7. fetch and index the surfaced pages (:mod:`repro.core.surfacer`), with
+7. fetch and index the surfaced pages (:mod:`repro.pipeline.stages`), with
    semantic annotations (:mod:`repro.core.annotation`), record extraction
    (:mod:`repro.core.extraction`) and coverage estimation
    (:mod:`repro.core.coverage`).
@@ -27,7 +27,7 @@ from repro.core.keywords import IterativeProber
 from repro.core.correlations import CorrelationDetector, DatabaseSelection, RangePair
 from repro.core.templates import QueryTemplate, TemplateSelector
 from repro.core.urlgen import IndexabilityCriterion, UrlGenerator
-from repro.core.surfacer import SiteSurfacingResult, Surfacer, SurfacingConfig
+from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.core.coverage import CoverageEstimator, CoverageReport
 from repro.core.annotation import PageAnnotation, annotation_for_bindings
 from repro.core.extraction import extract_detail_record, extract_result_records
@@ -49,7 +49,6 @@ __all__ = [
     "TemplateSelector",
     "UrlGenerator",
     "IndexabilityCriterion",
-    "Surfacer",
     "SurfacingConfig",
     "SiteSurfacingResult",
     "CoverageEstimator",

@@ -1,6 +1,6 @@
-"""Surfacing configuration, result objects and the legacy ``Surfacer`` facade.
+"""Surfacing configuration and result objects.
 
-The pipeline itself now lives in :mod:`repro.pipeline`: seven pluggable
+The pipeline itself lives in :mod:`repro.pipeline`: seven pluggable
 stages (form discovery, input classification, correlation detection,
 candidate values, template selection, URL generation + indexability
 filtering, indexing) composed by
@@ -8,31 +8,20 @@ filtering, indexing) composed by
 
 * :class:`SurfacingConfig` -- the validated tuning knobs;
 * :class:`FormSurfacingResult` / :class:`SiteSurfacingResult` -- the result
-  objects every experiment consumes;
-* :class:`Surfacer` -- a thin backwards-compatible wrapper so the original
-  ``Surfacer(web, engine, config).surface_site(site)`` call shape keeps
-  working and produces output identical to the staged pipeline.
+  objects every experiment consumes.
 
-New code should prefer :class:`repro.api.DeepWebService` (the facade) or
+Run surfacing through :class:`repro.api.DeepWebService` (the facade) or
 :class:`repro.pipeline.SurfacingPipeline` (stage-level control).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.correlations import DatabaseSelection, RangePair
 from repro.core.coverage import CoverageReport
 from repro.core.templates import QueryTemplate
 from repro.core.urlgen import IndexabilityCriterion, UrlGenerationStats
-from repro.search.engine import SearchEngine
-from repro.webspace.site import DeepWebSite
-from repro.webspace.web import Web
-
-if TYPE_CHECKING:  # pragma: no cover - avoids a runtime import cycle
-    from repro.core.form_model import SurfacingForm
-    from repro.pipeline.pipeline import SurfacingPipeline
 
 
 class SurfacingConfigError(ValueError):
@@ -166,73 +155,3 @@ class SiteSurfacingResult:
         for form_result in self.form_results:
             sets.extend(form_result.record_sets)
         return sets
-
-
-class Surfacer:
-    """Backwards-compatible facade over :class:`SurfacingPipeline`.
-
-    The original monolithic implementation was decomposed into the staged
-    pipeline; this wrapper preserves the historical constructor and the
-    ``surface_site`` / ``surface_web`` / ``surface_form`` entry points, and
-    produces identical results for a fixed seed.
-    """
-
-    def __init__(
-        self,
-        web: Web,
-        engine: SearchEngine | None = None,
-        config: SurfacingConfig | None = None,
-    ) -> None:
-        from repro.pipeline.pipeline import SurfacingPipeline
-
-        self.pipeline: SurfacingPipeline = SurfacingPipeline(web, engine, config)
-
-    # -- shared services (historical attribute surface) ---------------------
-
-    @property
-    def web(self) -> Web:
-        return self.pipeline.web
-
-    @property
-    def engine(self) -> SearchEngine:
-        return self.pipeline.engine
-
-    @property
-    def config(self) -> SurfacingConfig:
-        return self.pipeline.config
-
-    @property
-    def rng(self):
-        return self.pipeline.rng
-
-    @property
-    def prober(self):
-        return self.pipeline.prober
-
-    @property
-    def classifier(self):
-        return self.pipeline.classifier
-
-    @property
-    def correlations(self):
-        return self.pipeline.correlations
-
-    @property
-    def coverage_estimator(self):
-        return self.pipeline.coverage_estimator
-
-    # -- public API ---------------------------------------------------------
-
-    def surface_web(self, sites: list[DeepWebSite] | None = None) -> list[SiteSurfacingResult]:
-        """Surface every deep-web site (or the supplied subset)."""
-        return self.pipeline.surface_web(sites)
-
-    def surface_site(self, site: DeepWebSite) -> SiteSurfacingResult:
-        """Run the full pipeline for one site."""
-        return self.pipeline.surface_site(site)
-
-    def surface_form(
-        self, site: DeepWebSite, form: "SurfacingForm", homepage_html: str
-    ) -> FormSurfacingResult:
-        """Surface one GET form."""
-        return self.pipeline.surface_form(site, form, homepage_html)

@@ -5,8 +5,8 @@ A :class:`PipelineContext` carries two kinds of state:
 * *services* -- the web, the search engine, the config and the seeded
   helpers (prober, classifier, correlation detector, coverage estimator)
   that every stage shares.  They are created once per pipeline and reused
-  across sites so that typed-value draws and probe caches behave exactly
-  like the original monolithic ``Surfacer``;
+  across sites, so typed-value draws and probe caches carry over from
+  one site to the next;
 * *scoped work state* -- the site currently being surfaced (homepage HTML,
   discovered forms, the accumulating :class:`SiteSurfacingResult`) and the
   form currently flowing through the form-scoped stages (type predictions,
@@ -78,8 +78,8 @@ class PipelineContext:
         engine: SearchEngine | None = None,
         config: SurfacingConfig | None = None,
     ) -> "PipelineContext":
-        """Build the service context (rng children keyed exactly as the
-        legacy ``Surfacer`` did, so seeded runs are bit-identical)."""
+        """Build the service context (the rng child keys are part of the
+        seeded-run contract: renaming one changes every seeded result)."""
         config = config or SurfacingConfig()
         rng = SeededRng(config.seed)
         return cls(

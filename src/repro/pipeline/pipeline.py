@@ -11,9 +11,7 @@ inserted, replaced or ablated by name:
 
 ``surface_site`` runs one site through the stages; ``surface_many`` and
 ``surface_web`` add deterministic per-site progress events and per-site
-wall-clock timing (``SiteSurfacingResult.elapsed_seconds``).  The legacy
-``Surfacer`` facade in :mod:`repro.core.surfacer` is now a thin wrapper
-around this class.
+wall-clock timing (``SiteSurfacingResult.elapsed_seconds``).
 """
 
 from __future__ import annotations

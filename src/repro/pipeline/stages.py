@@ -3,11 +3,9 @@
 Each stage implements the :class:`Stage` protocol -- a ``name`` (used for
 insertion/replacement/ablation and in observer events), a ``scope``
 (``"site"`` stages run once per site, ``"form"`` stages once per GET form)
-and ``run(ctx) -> ctx``.  The bodies are faithful extractions of the
-original monolithic ``Surfacer.surface_site``/``surface_form``: probe
-order, rng derivations and result bookkeeping are unchanged, which is what
-keeps the staged pipeline bit-identical to the legacy path on a fixed
-seed (see ``tests/pipeline/test_equivalence.py``).
+and ``run(ctx) -> ctx``.  Probe order, rng derivations and result
+bookkeeping are part of the seeded-run contract: changing one changes
+every seeded result.
 
 Paper mapping (CIDR 2009, Sections 3.2-4):
 

@@ -10,8 +10,8 @@ ranker can exploit.
 
 Storage lives behind :class:`~repro.store.backend.StorageBackend` (the
 in-memory default reproduces the engine's historical behavior byte for
-byte; the sharded backend fans searches out and merges identical top-k
-lists back), and every write flows through one
+byte; the cluster backend scatters searches over shard replicas and
+merges identical top-k lists back), and every write flows through one
 :class:`~repro.store.ingest.Ingestor`, which the crawler, the surfacing
 scheduler, the virtual-integration registry and the table corpus share.
 """

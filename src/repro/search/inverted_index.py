@@ -102,11 +102,6 @@ class InvertedIndex:
             return 0.0
         return self._total_length / len(self._doc_lengths)
 
-    @property
-    def total_length(self) -> int:
-        """Sum of indexed token counts (exact: integer accumulation)."""
-        return self._total_length
-
     # -- construction -------------------------------------------------------
 
     def add_document(self, doc_id: int, tokens: Sequence[str]) -> None:

@@ -232,6 +232,19 @@ class QueryFrontend:
 
     # -- serving -------------------------------------------------------------
 
+    def _degraded_searches(self) -> int:
+        """Searches the backend has served degraded so far (a cluster
+        that lost a shard; always 0 for backends without the notion).
+
+        A ranking is cached only if this did not move while it was
+        computed: caching a degraded one would keep serving the shrunken
+        answer after the replicas recover.  With several workers a
+        healthy ranking may go uncached because a concurrent search
+        degraded; a degraded one never gets in.
+        """
+        backend = getattr(self.engine, "backend", None)
+        return getattr(backend, "degraded_searches", 0)
+
     def serve(self, query: str, k: int = 10) -> list[SearchResult]:
         """Answer one query synchronously (cache first, then the engine)."""
         return self._serve_timed(query, k)[0]
@@ -266,8 +279,10 @@ class QueryFrontend:
                 results = list(cached)
                 cache_outcome = "hit"
             else:
+                degraded_before = self._degraded_searches()
                 results = self.engine.search(query, k=k)
-                self.cache.put(key, k, results, generation=generation)
+                if self._degraded_searches() == degraded_before:
+                    self.cache.put(key, k, results, generation=generation)
                 cache_outcome = "miss"
         latency = self._clock() - started
         with self._lock:
@@ -311,11 +326,15 @@ class QueryFrontend:
                 # stats (routes/budgets stay zero: nothing re-ran).
                 self._plan_executor.stats.record(outcome)
             else:
+                degraded_before = self._degraded_searches()
                 outcome = self._plan_executor.execute(plan)
-                if not outcome.degraded:
-                    # A degraded outcome is partial (fetch failures lost
-                    # hits); caching it would keep serving the shrunken
-                    # answer after the hosts recover.
+                if (
+                    not outcome.degraded
+                    and self._degraded_searches() == degraded_before
+                ):
+                    # A degraded outcome is partial (fetch failures or a
+                    # lost shard dropped hits); caching it would keep
+                    # serving the shrunken answer after recovery.
                     self.cache.put(
                         key, plan.k, tuple(outcome.hits), generation=generation
                     )

@@ -8,12 +8,15 @@ index's storage layer:
   the stored :class:`Document`, and the canonical ``source`` tags;
 * :mod:`repro.store.ingest` -- the :class:`Ingestor` write-path seam all
   content layers produce through;
-* :mod:`repro.store.backend` -- the :class:`StorageBackend` protocol;
+* :mod:`repro.store.backend` -- the :class:`StorageBackend` protocol and
+  the :class:`DocumentCatalog` (documents, URL dedup, doc ids) every
+  backend shares;
 * :mod:`repro.store.memory` -- :class:`InMemoryBackend`, byte-identical
-  to the storage that used to live inside ``SearchEngine``;
-* :mod:`repro.store.sharded` -- :class:`ShardedBackend`, hash-partitioned
-  across N shards with fan-out/merge search that reproduces the global
-  ranking exactly.
+  to the storage that used to live inside ``SearchEngine``.
+
+The hash-partitioned, replicated backend is
+:class:`repro.cluster.ClusterBackend`; it reproduces the global ranking
+exactly.
 """
 
 from repro.store.backend import StorageBackend, StoreStats
@@ -29,7 +32,6 @@ from repro.store.records import (
     Document,
     IngestRecord,
 )
-from repro.store.sharded import ShardedBackend
 
 __all__ = [
     "Document",
@@ -39,7 +41,6 @@ __all__ = [
     "StorageBackend",
     "StoreStats",
     "InMemoryBackend",
-    "ShardedBackend",
     "SOURCE_SURFACE",
     "SOURCE_DEEP_CRAWLED",
     "SOURCE_SURFACED",

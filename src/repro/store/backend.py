@@ -4,14 +4,19 @@ A backend owns document storage *and* the posting lists over the token
 streams it was given; the :class:`~repro.search.engine.SearchEngine`,
 the surfacing pipeline, the virtual-integration registry and the table
 corpus all write through an :class:`~repro.store.ingest.Ingestor` and
-read through these methods, so swapping the backend (in-memory, sharded,
-or something remote) never touches a content layer.
+read through these methods, so swapping the backend (in-memory, sqlite,
+or the replicated cluster) never touches a content layer.
+
+:class:`DocumentCatalog` is the part of that protocol every backend in
+this tree shares -- where documents and the URL -> doc-id map live and
+how ids are assigned -- so a backend only says how it indexes and
+searches token streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.store.records import Document, IngestRecord
 
@@ -97,3 +102,103 @@ class StorageBackend(Protocol):
 
     def stats(self) -> StoreStats:
         ...
+
+
+class DocumentCatalog:
+    """Documents, the URL -> doc-id map and id assignment, in one place.
+
+    Doc ids are sequential from 1 in ingestion order and a URL is stored
+    once.  A subclass provides ``kind``, ``_index`` (put one new
+    document's token stream wherever its postings live), ``search``,
+    ``matching_documents`` and ``export_records``.
+    """
+
+    def __init__(self) -> None:
+        self._documents: dict[int, Document] = {}
+        self._url_to_doc: dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._documents)
+
+    def __contains__(self, url: str) -> bool:
+        return url in self._url_to_doc
+
+    # -- writes --------------------------------------------------------------
+
+    def add(self, record: IngestRecord) -> int:
+        existing = self._url_to_doc.get(record.url)
+        if existing is not None:
+            return existing
+        doc_id = len(self._documents) + 1
+        self._index(doc_id, record)
+        self._documents[doc_id] = record.as_document(doc_id)
+        self._url_to_doc[record.url] = doc_id
+        return doc_id
+
+    def _index(self, doc_id: int, record: IngestRecord) -> None:
+        raise NotImplementedError
+
+    # -- reads ---------------------------------------------------------------
+
+    def doc_id_for_url(self, url: str) -> int | None:
+        return self._url_to_doc.get(url)
+
+    def get(self, doc_id: int) -> Document:
+        return self._documents[doc_id]
+
+    def document_for_url(self, url: str) -> Document | None:
+        doc_id = self._url_to_doc.get(url)
+        return self._documents.get(doc_id) if doc_id is not None else None
+
+    def documents(self, source: str | None = None) -> list[Document]:
+        # Insertion order is ascending doc id (ids are sequential).
+        docs = list(self._documents.values())
+        if source is not None:
+            docs = [doc for doc in docs if doc.source == source]
+        return docs
+
+    def documents_for_host(self, host: str) -> list[Document]:
+        return [doc for doc in self._documents.values() if doc.host == host]
+
+    def _records_from_terms(
+        self, terms: Mapping[int, Sequence[tuple[str, int]]]
+    ) -> list[IngestRecord]:
+        """Re-ingestable records from per-document ``(term, frequency)`` pairs.
+
+        Token *order* is not retained (an index keeps per-term counts), so
+        each document's stream is rebuilt in the order ``terms`` gives;
+        re-adding the records to an empty backend reproduces doc ids,
+        postings and therefore rankings and scores bit for bit (indexing
+        is order-insensitive by construction).
+        """
+        return [
+            IngestRecord(
+                url=doc.url,
+                host=doc.host,
+                title=doc.title,
+                text=doc.text,
+                tokens=[
+                    term
+                    for term, frequency in terms.get(doc_id, ())
+                    for _ in range(frequency)
+                ],
+                source=doc.source,
+                annotations=dict(doc.annotations),
+            )
+            for doc_id, doc in self._documents.items()
+        ]
+
+    # -- stats ---------------------------------------------------------------
+
+    def count_by_source(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for doc in self._documents.values():
+            counts[doc.source] = counts.get(doc.source, 0) + 1
+        return dict(sorted(counts.items()))
+
+    def stats(self) -> StoreStats:
+        return StoreStats(
+            backend=self.kind,
+            documents=len(self._documents),
+            by_source=self.count_by_source(),
+        )

@@ -1,10 +1,10 @@
-"""The single-process backend: one inverted index plus python dicts.
+"""The single-process backend: one inverted index over the shared catalog.
 
-This is a faithful relocation of the storage that used to live inside
-``SearchEngine`` -- sequential doc ids starting at 1, URL-keyed
-deduplication, one :class:`~repro.search.inverted_index.InvertedIndex`
-over every token stream -- so seeded runs produce byte-identical doc
-ids, rankings and report renderings to the pre-store code
+Sequential doc ids starting at 1 and URL-keyed deduplication come from
+:class:`~repro.store.backend.DocumentCatalog`; this class adds one
+:class:`~repro.search.inverted_index.InvertedIndex` over every token
+stream, so seeded runs produce byte-identical doc ids, rankings and
+report renderings to the pre-store code
 (``tests/store/test_store_equivalence.py`` pins this).
 """
 
@@ -13,96 +13,27 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.search.inverted_index import InvertedIndex
-from repro.store.backend import StoreStats
-from repro.store.records import Document, IngestRecord
+from repro.store.backend import DocumentCatalog
+from repro.store.records import IngestRecord
 
 
-class InMemoryBackend:
+class InMemoryBackend(DocumentCatalog):
     """Default storage: everything in dicts, scored by one global index."""
 
     kind = "memory"
 
     def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
+        super().__init__()
         self.k1 = k1
         self.b = b
         self.index = InvertedIndex(k1=k1, b=b)
-        self._documents: dict[int, Document] = {}
-        self._url_to_doc: dict[str, int] = {}
-        self._next_id = 1
 
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    def __contains__(self, url: str) -> bool:
-        return url in self._url_to_doc
-
-    # -- writes --------------------------------------------------------------
-
-    def add(self, record: IngestRecord) -> int:
-        existing = self._url_to_doc.get(record.url)
-        if existing is not None:
-            return existing
-        doc_id = self._next_id
-        self._next_id += 1
+    def _index(self, doc_id: int, record: IngestRecord) -> None:
         self.index.add_document(doc_id, record.tokens)
-        self._documents[doc_id] = record.as_document(doc_id)
-        self._url_to_doc[record.url] = doc_id
-        return doc_id
-
-    # -- reads ---------------------------------------------------------------
-
-    def doc_id_for_url(self, url: str) -> int | None:
-        return self._url_to_doc.get(url)
-
-    def get(self, doc_id: int) -> Document:
-        return self._documents[doc_id]
-
-    def document_for_url(self, url: str) -> Document | None:
-        doc_id = self._url_to_doc.get(url)
-        return self._documents.get(doc_id) if doc_id is not None else None
-
-    def documents(self, source: str | None = None) -> list[Document]:
-        # Insertion order is ascending doc id (ids are sequential).
-        docs = list(self._documents.values())
-        if source is not None:
-            docs = [doc for doc in docs if doc.source == source]
-        return docs
-
-    def documents_for_host(self, host: str) -> list[Document]:
-        return [doc for doc in self._documents.values() if doc.host == host]
 
     def export_records(self) -> list[IngestRecord]:
-        """The stored corpus as re-ingestable records, ascending doc id.
-
-        Token *order* is not retained (the index keeps per-term counts),
-        so each document's stream is reconstructed term-sorted; re-adding
-        the records to an empty backend reproduces doc ids, postings and
-        therefore rankings and scores bit for bit (indexing is
-        order-insensitive by construction).
-        """
-        terms = self.index.document_terms()
-        records: list[IngestRecord] = []
-        for doc_id in sorted(self._documents):
-            doc = self._documents[doc_id]
-            tokens = [
-                term
-                for term, frequency in terms.get(doc_id, [])
-                for _ in range(frequency)
-            ]
-            records.append(
-                IngestRecord(
-                    url=doc.url,
-                    host=doc.host,
-                    title=doc.title,
-                    text=doc.text,
-                    tokens=tokens,
-                    source=doc.source,
-                    annotations=dict(doc.annotations),
-                )
-            )
-        return records
-
-    # -- querying ------------------------------------------------------------
+        """The stored corpus as re-ingestable records, term-sorted streams."""
+        return self._records_from_terms(self.index.document_terms())
 
     def search(
         self, query_tokens: Sequence[str], limit: int | None = None
@@ -113,18 +44,3 @@ class InMemoryBackend:
         self, query_tokens: Iterable[str], require_all: bool = False
     ) -> set[int]:
         return self.index.matching_documents(query_tokens, require_all=require_all)
-
-    # -- stats ---------------------------------------------------------------
-
-    def count_by_source(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for doc in self._documents.values():
-            counts[doc.source] = counts.get(doc.source, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            backend=self.kind,
-            documents=len(self._documents),
-            by_source=self.count_by_source(),
-        )

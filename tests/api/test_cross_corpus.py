@@ -9,7 +9,6 @@ from repro import (
     DeepWebService,
     InMemoryBackend,
     SearchEngine,
-    ShardedBackend,
     SurfacingConfig,
     WebConfig,
 )
@@ -31,12 +30,13 @@ def sharded_service():
         DeepWebService.build()
         .web(SMALL_WEB)
         .surfacing(SurfacingConfig(max_urls_per_form=100))
-        .store(ShardedBackend(4))
+        .cluster(shards=4, deadline_seconds=30)  # identity is asserted below
         .create()
     )
     service.crawl(max_pages=100)
     service.surface()
-    return service
+    yield service
+    service.store.close()
 
 
 class TestBuilderStore:

@@ -84,6 +84,23 @@ class TestCleanClusterBehindFacade:
             service.store.close()
 
 
+    def test_degraded_plan_result_is_served_but_not_cached(self):
+        service = build_clustered(replicas=1)
+        try:
+            plan = service.plan("used car", k=40)
+            assert plan.cacheable
+            healthy = service.execute(plan).hits
+            service.store.kill(replica_name(1, 0))
+            shrunken = service.frontend.serve_plan(plan)
+            assert 0 < len(shrunken.hits) < len(healthy)
+            service.store.revive(replica_name(1, 0))
+            recovered = service.frontend.serve_plan(plan)
+            assert not recovered.cached and recovered.hits == healthy
+            assert service.frontend.serve_plan(plan).cached  # healthy ones still are
+        finally:
+            service.store.close()
+
+
 class TestKillReviveSoak:
     def test_replica_outages_with_failover_stay_byte_identical(self, clean_service):
         """Killing one replica per shard never degrades anything."""

@@ -92,8 +92,6 @@ class TestScatterBasics:
                 ScatterGatherExecutor(nodes, deadline_seconds=0.0)
             with pytest.raises(ValueError):
                 ScatterGatherExecutor(nodes, hedge_after_seconds=-1.0)
-            with pytest.raises(ValueError):
-                ScatterGatherExecutor(nodes, routing="fastest")
         finally:
             close_all(nodes)
 
@@ -111,26 +109,6 @@ class TestRouting:
                 replica_name(0, 1),
             ]
         finally:
-            close_all(nodes)
-
-    def test_least_loaded_prefers_idle_replica(self):
-        nodes = build_nodes(1, 2)
-        executor = ScatterGatherExecutor(
-            nodes, deadline_seconds=DEADLINE, routing="least-loaded"
-        )
-        release = threading.Event()
-        try:
-            # Occupy replica0 with a blocked task so it reports inflight=1.
-            blocked = nodes[0][0].try_submit(release.wait, DEADLINE)
-            assert blocked is not None
-            outcome = executor.scatter(name_task)[0]
-            assert outcome.value == replica_name(0, 1)
-            release.set()
-            assert blocked.result(timeout=DEADLINE)
-            # With both idle, ties break to the lowest replica index.
-            assert executor.scatter(name_task)[0].value == replica_name(0, 0)
-        finally:
-            release.set()
             close_all(nodes)
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.surfacer import Surfacer, SurfacingConfig
+from repro.core.surfacer import SurfacingConfig
 from repro.datagen.domains import domain
+from repro.pipeline import SurfacingPipeline
 from repro.search.engine import SOURCE_SURFACED, SearchEngine
 from repro.util.rng import SeededRng
 from repro.webspace.loadmeter import AGENT_SURFACER
@@ -24,7 +25,7 @@ def car_world(car_site):
 class TestSurfaceSite:
     def test_surfacing_covers_most_of_the_site(self, car_world):
         web, engine, site = car_world
-        surfacer = Surfacer(web, engine, SurfacingConfig(max_urls_per_form=300))
+        surfacer = SurfacingPipeline(web, engine, SurfacingConfig(max_urls_per_form=300))
         result = surfacer.surface_site(site)
         assert result.forms_found == 1
         assert result.forms_surfaced == 1
@@ -35,7 +36,7 @@ class TestSurfaceSite:
 
     def test_surfaced_pages_land_in_the_index(self, car_world):
         web, engine, site = car_world
-        Surfacer(web, engine).surface_site(site)
+        SurfacingPipeline(web, engine).surface_site(site)
         surfaced_docs = engine.documents(source=SOURCE_SURFACED)
         assert surfaced_docs
         assert all(doc.host == site.host for doc in surfaced_docs)
@@ -43,7 +44,7 @@ class TestSurfaceSite:
 
     def test_surfaced_content_is_searchable(self, car_world):
         web, engine, site = car_world
-        Surfacer(web, engine).surface_site(site)
+        SurfacingPipeline(web, engine).surface_site(site)
         record = site.database.table("listings").get(1)
         query = f"{record['year']} {record['make']} {record['model']}"
         results = engine.search(query, k=5)
@@ -54,14 +55,14 @@ class TestSurfaceSite:
         site = build_deep_site(domain("jobs"), "postjobs.test", 30, SeededRng(4), method="post")
         web = Web()
         web.register(site)
-        result = Surfacer(web, SearchEngine()).surface_site(site)
+        result = SurfacingPipeline(web, SearchEngine()).surface_site(site)
         assert result.post_forms_skipped == 1
         assert result.forms_surfaced == 0
         assert result.urls_indexed == 0
 
     def test_typed_inputs_detected_during_surfacing(self, car_world):
         web, engine, site = car_world
-        result = Surfacer(web, engine).surface_site(site)
+        result = SurfacingPipeline(web, engine).surface_site(site)
         form_result = result.form_results[0]
         assert "zipcode" in set(form_result.typed_inputs.values())
         assert {pair.property_name for pair in form_result.range_pairs} >= {"price"}
@@ -69,7 +70,7 @@ class TestSurfaceSite:
     def test_database_selection_detected_on_media_site(self, media_site):
         web = Web()
         web.register(media_site)
-        result = Surfacer(web, SearchEngine()).surface_site(media_site)
+        result = SurfacingPipeline(web, SearchEngine()).surface_site(media_site)
         form_result = result.form_results[0]
         assert form_result.database_selection is not None
         assert result.records_covered > 0
@@ -77,7 +78,7 @@ class TestSurfaceSite:
     def test_analysis_load_is_bounded(self, car_world):
         web, engine, site = car_world
         config = SurfacingConfig(max_urls_per_form=150)
-        result = Surfacer(web, engine, config).surface_site(site)
+        result = SurfacingPipeline(web, engine, config).surface_site(site)
         # Off-line analysis load stays within a small constant factor of the
         # site's database size (the paper's "light load" claim).
         assert result.analysis_load <= 12 * site.size()
@@ -86,7 +87,7 @@ class TestSurfaceSite:
     def test_indexability_criterion_bounds_results_per_page(self, car_world):
         web, engine, site = car_world
         config = SurfacingConfig(min_results_per_page=1, max_results_per_page=20)
-        result = Surfacer(web, engine, config).surface_site(site)
+        result = SurfacingPipeline(web, engine, config).surface_site(site)
         for form_result in result.form_results:
             stats = form_result.generation_stats
             assert stats.rejected_too_many >= 0
@@ -119,7 +120,7 @@ class TestSurfaceWeb:
             web.register(
                 build_deep_site(domain("books"), "det.test", 40, SeededRng("determinism"))
             )
-            surfacer = Surfacer(web, SearchEngine(), SurfacingConfig(seed=3))
+            surfacer = SurfacingPipeline(web, SearchEngine(), SurfacingConfig(seed=3))
             return surfacer.surface_web()[0].urls_indexed
 
         assert run() == run()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.longtail import deep_web_impact
-from repro.core.surfacer import Surfacer, SurfacingConfig
 from repro.search.crawler import Crawler
 from repro.search.engine import SOURCE_DEEP_CRAWLED, SOURCE_SURFACE, SOURCE_SURFACED, SearchEngine
 from repro.search.querylog import KIND_TAIL

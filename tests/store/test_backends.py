@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClusterBackend, shard_of
+from repro.persist import SqliteBackend
 from repro.store import (
     IngestRecord,
     Ingestor,
     InMemoryBackend,
-    ShardedBackend,
     StorageBackend,
 )
 from repro.store.records import SOURCE_SURFACE, SOURCE_SURFACED, SOURCE_WEBTABLE
-from repro.store.sharded import shard_of
 from repro.webspace.page import WebPage
 
 
@@ -32,16 +32,49 @@ def page(url: str, title: str, body: str, status: int = 200) -> WebPage:
     return WebPage(url=url, html=html, status=status)
 
 
-BACKENDS = [lambda: InMemoryBackend(), lambda: ShardedBackend(4)]
+def sharded(shard_count: int, replicas: int = 1) -> ClusterBackend:
+    """The hash-partitioned backend; identity is asserted on it, so the
+    deadline is far beyond anything a loaded box could miss."""
+    return ClusterBackend(shard_count, replicas=replicas, deadline_seconds=30)
 
 
-@pytest.mark.parametrize("make_backend", BACKENDS, ids=["memory", "sharded"])
+#: Every DocumentCatalog subclass; "sharded" is the 4 x 1 cluster.
+BACKENDS = {
+    "memory": lambda tmp_path: InMemoryBackend(),
+    "sqlite": lambda tmp_path: SqliteBackend(tmp_path / "store.sqlite3"),
+    "cluster-1x1": lambda tmp_path: sharded(1),
+    "sharded": lambda tmp_path: sharded(4),
+    "cluster-4x2": lambda tmp_path: sharded(4, replicas=2),
+}
+
+
+@pytest.fixture(params=list(BACKENDS))
+def backend(request, tmp_path):
+    made = BACKENDS[request.param](tmp_path)
+    yield made
+    if hasattr(made, "close"):
+        made.close()
+
+
+@pytest.fixture
+def cluster_of():
+    """Build ``sharded(n)`` backends that are closed when the test ends."""
+    made: list[ClusterBackend] = []
+
+    def make(shard_count: int) -> ClusterBackend:
+        made.append(sharded(shard_count))
+        return made[-1]
+
+    yield make
+    for cluster in made:
+        cluster.close()
+
+
 class TestBackendContract:
-    def test_satisfies_protocol(self, make_backend):
-        assert isinstance(make_backend(), StorageBackend)
+    def test_satisfies_protocol(self, backend):
+        assert isinstance(backend, StorageBackend)
 
-    def test_sequential_doc_ids_and_dedup(self, make_backend):
-        backend = make_backend()
+    def test_sequential_doc_ids_and_dedup(self, backend):
         assert backend.add(record("u://1", "alpha")) == 1
         assert backend.add(record("u://2", "bravo")) == 2
         assert backend.add(record("u://1", "alpha again")) == 1  # dedup by URL
@@ -50,8 +83,7 @@ class TestBackendContract:
         assert backend.doc_id_for_url("u://2") == 2
         assert backend.doc_id_for_url("u://nope") is None
 
-    def test_get_and_document_for_url(self, make_backend):
-        backend = make_backend()
+    def test_get_and_document_for_url(self, backend):
         backend.add(record("u://1", "alpha"))
         doc = backend.get(1)
         assert doc.doc_id == 1 and doc.url == "u://1" and doc.text == "alpha"
@@ -60,22 +92,19 @@ class TestBackendContract:
         with pytest.raises(KeyError):
             backend.get(99)
 
-    def test_documents_are_doc_id_ordered(self, make_backend):
-        backend = make_backend()
+    def test_documents_are_doc_id_ordered(self, backend):
         for index in range(20):
             backend.add(record(f"u://{index}", f"token{index}"))
         assert [doc.doc_id for doc in backend.documents()] == list(range(1, 21))
 
-    def test_documents_filter_by_source_and_host(self, make_backend):
-        backend = make_backend()
+    def test_documents_filter_by_source_and_host(self, backend):
         backend.add(record("u://1", "alpha", source=SOURCE_SURFACED))
         backend.add(record("u://2", "bravo"))
         assert [d.doc_id for d in backend.documents(source=SOURCE_SURFACED)] == [1]
         assert [d.doc_id for d in backend.documents_for_host("h.test")] == [1, 2]
         assert backend.documents_for_host("other.test") == []
 
-    def test_search_and_matching(self, make_backend):
-        backend = make_backend()
+    def test_search_and_matching(self, backend):
         backend.add(record("u://1", "toyota camry austin"))
         backend.add(record("u://2", "honda civic austin"))
         ranked = backend.search(["toyota"])
@@ -84,8 +113,7 @@ class TestBackendContract:
         assert backend.matching_documents(["austin", "toyota"], require_all=True) == {1}
         assert backend.search(["nosuchterm"]) == []
 
-    def test_count_by_source_is_sorted(self, make_backend):
-        backend = make_backend()
+    def test_count_by_source_is_sorted(self, backend):
         backend.add(record("u://1", "x", source="zeta"))
         backend.add(record("u://2", "x", source="alpha"))
         assert list(backend.count_by_source()) == ["alpha", "zeta"]
@@ -97,12 +125,12 @@ class TestBackendContract:
 class TestShardedSpecifics:
     def test_shard_count_validation(self):
         with pytest.raises(ValueError):
-            ShardedBackend(0)
+            ClusterBackend(0)
         with pytest.raises(ValueError):
-            ShardedBackend(-3)
+            ClusterBackend(-3)
 
-    def test_routing_is_stable_and_partitioned(self):
-        backend = ShardedBackend(4)
+    def test_routing_is_stable_and_partitioned(self, cluster_of):
+        backend = cluster_of(4)
         for index in range(40):
             backend.add(record(f"u://doc/{index}", f"token{index}"))
         stats = backend.stats()
@@ -113,30 +141,30 @@ class TestShardedSpecifics:
         # With 40 distinct URLs, at least two shards must be populated.
         assert sum(1 for count in stats.shard_documents if count) >= 2
 
-    def test_single_shard_degenerates_to_global(self):
-        single = ShardedBackend(1)
+    def test_single_shard_degenerates_to_global(self, cluster_of):
+        single = cluster_of(1)
         memory = InMemoryBackend()
         for index in range(10):
             single.add(record(f"u://{index}", f"alpha token{index}"))
             memory.add(record(f"u://{index}", f"alpha token{index}"))
         assert single.search(["alpha"], limit=5) == memory.search(["alpha"], limit=5)
 
-    def test_empty_store_search(self):
-        assert ShardedBackend(4).search(["anything"]) == []
-        assert ShardedBackend(4).matching_documents(["x"], require_all=True) == set()
+    def test_empty_store_search(self, cluster_of):
+        assert cluster_of(4).search(["anything"]) == []
+        assert cluster_of(4).matching_documents(["x"], require_all=True) == set()
 
 
 class TestShardedBoundaries:
     """Direct boundary coverage for the sharded backend's own paths.
 
-    These hit ShardedBackend without the engine in front of it: the
+    These hit the cluster backend without the engine in front of it: the
     engine tokenizes/normalizes before calling down, so the raw-backend
     behaviour on blank and unknown input was previously only covered
     incidentally by the parametrized contract suite.
     """
 
-    def test_empty_backend_reads_are_empty_not_errors(self):
-        backend = ShardedBackend(4)
+    def test_empty_backend_reads_are_empty_not_errors(self, cluster_of):
+        backend = cluster_of(4)
         assert len(backend) == 0
         assert backend.search([]) == []
         assert backend.search([], limit=5) == []
@@ -146,8 +174,8 @@ class TestShardedBoundaries:
         assert backend.count_by_source() == {}
         assert backend.stats().shard_documents == (0, 0, 0, 0)
 
-    def test_blank_and_unknown_term_queries(self):
-        backend = ShardedBackend(4)
+    def test_blank_and_unknown_term_queries(self, cluster_of):
+        backend = cluster_of(4)
         backend.add(record("u://1", "toyota camry"))
         backend.add(record("u://2", "honda civic"))
         assert backend.search([]) == []
@@ -159,8 +187,8 @@ class TestShardedBoundaries:
         assert backend.matching_documents([]) == set()
         assert backend.matching_documents([], require_all=True) == set()
 
-    def test_export_records_round_trip_at_single_shard(self):
-        single = ShardedBackend(1)
+    def test_export_records_round_trip_at_single_shard(self, cluster_of):
+        single = cluster_of(1)
         for index in range(12):
             single.add(
                 record(
@@ -171,7 +199,7 @@ class TestShardedBoundaries:
             )
         exported = single.export_records()
         assert [rec.url for rec in exported] == [f"u://doc/{i}" for i in range(12)]
-        rebuilt = ShardedBackend(1)
+        rebuilt = cluster_of(1)
         for rec in exported:
             rebuilt.add(rec)
         assert rebuilt.search(["alpha", "shared"], limit=None) == single.search(
@@ -180,8 +208,8 @@ class TestShardedBoundaries:
         assert rebuilt.count_by_source() == single.count_by_source()
         assert [d.doc_id for d in rebuilt.documents()] == list(range(1, 13))
 
-    def test_documents_for_host_ordering_across_shards(self):
-        backend = ShardedBackend(4)
+    def test_documents_for_host_ordering_across_shards(self, cluster_of):
+        backend = cluster_of(4)
         hosts = ("a.test", "b.test")
         for index in range(30):
             rec = IngestRecord(

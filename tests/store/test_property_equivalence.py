@@ -6,8 +6,8 @@ adversarially: a seeded generator produces ~200-op cases interleaving
 ingests (fresh URLs, duplicate URLs, every source tag, occasional empty
 token streams) with searches (random vocab/nonsense terms, varying k),
 match queries and stat reads -- applied op-for-op to an
-:class:`InMemoryBackend` engine, to :class:`ShardedBackend` engines with
-3 and 8 shards, and to the durable
+:class:`InMemoryBackend` engine, to :class:`ClusterBackend` engines with
+3 and 8 shards (one replica), and to the durable
 :class:`~repro.persist.SqliteBackend`.  After *every* operation all
 implementations must agree exactly: same doc ids, same rankings with
 bit-identical scores, same match sets, same stats.
@@ -15,12 +15,15 @@ bit-identical scores, same match sets, same stats.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
+from repro.cluster import ClusterBackend
 from repro.datagen import vocab
 from repro.persist import SqliteBackend
 from repro.search.engine import SearchEngine
-from repro.store import IngestRecord, ShardedBackend
+from repro.store import IngestRecord
 from repro.store.records import (
     SOURCE_DEEP_CRAWLED,
     SOURCE_SURFACE,
@@ -76,6 +79,7 @@ class Interleaving:
     for every op; every other engine must match it exactly.
     ``extra_backends`` lets callers append further implementations (the
     sqlite-on-tmpdir backend) to the default memory/sharded trio.
+    ``close()`` closes every backend that has one (shard workers, files).
     """
 
     def __init__(self, seed: str, ops: int = 200, extra_backends=()) -> None:
@@ -83,8 +87,9 @@ class Interleaving:
         self.ops = ops
         self.engines = [
             SearchEngine(),
-            SearchEngine(backend=ShardedBackend(3)),
-            SearchEngine(backend=ShardedBackend(8)),
+            # Agreement is asserted op for op: no loaded box misses 30 s.
+            SearchEngine(backend=ClusterBackend(3, deadline_seconds=30)),
+            SearchEngine(backend=ClusterBackend(8, deadline_seconds=30)),
             *(SearchEngine(backend=backend) for backend in extra_backends),
         ]
         self.ingested: list[IngestRecord] = []
@@ -102,6 +107,11 @@ class Interleaving:
     def run(self) -> None:
         for _ in range(self.ops):
             self.step()
+
+    def close(self) -> None:
+        for engine in self.engines:
+            if hasattr(engine.backend, "close"):
+                engine.backend.close()
 
     def step(self) -> None:
         roll = self.rng.random()
@@ -198,13 +208,12 @@ class Interleaving:
 @pytest.mark.parametrize("seed", ["case-a", "case-b", "case-c", "case-d"])
 def test_random_interleavings_agree(seed, tmp_path):
     sqlite = SqliteBackend(tmp_path / f"{seed}.sqlite3")
-    case = Interleaving(seed, ops=200, extra_backends=[sqlite])
-    case.run()
-    # The case must have exercised both paths to mean anything.
-    assert len(case.ingested) > 40
-    assert case.searches > 20
-    case.assert_final_state_identical()
-    sqlite.close()
+    with closing(Interleaving(seed, ops=200, extra_backends=[sqlite])) as case:
+        case.run()
+        # The case must have exercised both paths to mean anything.
+        assert len(case.ingested) > 40
+        assert case.searches > 20
+        case.assert_final_state_identical()
 
 
 @pytest.mark.persist
@@ -213,20 +222,20 @@ def test_sqlite_engine_agrees_after_reopen(tmp_path):
     (fresh process simulation: state reloaded from the file alone)."""
     path = tmp_path / "reopen.sqlite3"
     case = Interleaving("reopen-case", ops=120, extra_backends=[SqliteBackend(path)])
-    case.run()
-    case.engines[-1].backend.close()
-    case.engines[-1] = SearchEngine(backend=SqliteBackend(path))
-    for _ in range(60):  # keep interleaving against the reopened file
-        case.step()
-    case.assert_final_state_identical()
-    case.engines[-1].backend.close()
+    with closing(case):
+        case.run()
+        case.engines[-1].backend.close()
+        case.engines[-1] = SearchEngine(backend=SqliteBackend(path))
+        for _ in range(60):  # keep interleaving against the reopened file
+            case.step()
+        case.assert_final_state_identical()
 
 
 def test_interleavings_are_reproducible():
     """The op stream itself is a function of the seed alone."""
-    first = Interleaving("repro-check", ops=60)
-    first.run()
-    second = Interleaving("repro-check", ops=60)
-    second.run()
+    with closing(Interleaving("repro-check", ops=60)) as first:
+        first.run()
+    with closing(Interleaving("repro-check", ops=60)) as second:
+        second.run()
     assert [r.url for r in first.ingested] == [r.url for r in second.ingested]
     assert [r.tokens for r in first.ingested] == [r.tokens for r in second.ingested]

@@ -7,21 +7,21 @@ Two claims, both exact (bit-identical floats, identical ids):
   replicated verbatim below as :class:`LegacyEngine` -- on a seeded
   surfaced corpus: same doc ids, same rankings with the same scores,
   same metrics;
-* **memory-vs-sharded**: :class:`ShardedBackend` (4 and 7 shards)
-  returns identical top-k lists, matches and stats to the in-memory
-  backend on the same corpus -- and so do it and :class:`ClusterBackend`
-  for a term every shard has already scored, after a write to one shard.
+* **memory-vs-sharded**: :class:`ClusterBackend` (4 and 7 shards, one
+  replica) returns identical top-k lists, matches and stats to the
+  in-memory backend on the same corpus -- and so does it (replicated
+  too) for a term every shard has already scored, after a write to one
+  shard.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterBackend
+from repro.cluster import ClusterBackend, shard_of
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
-from repro.store import IngestRecord, InMemoryBackend, ShardedBackend
-from repro.store.sharded import shard_of
+from repro.store import IngestRecord, InMemoryBackend
 from repro.util.text import tokenize
 
 
@@ -138,11 +138,15 @@ def engines(corpus):
         )
     memory = SearchEngine()
     memory.ingest_records(records)
-    sharded4 = SearchEngine(backend=ShardedBackend(4))
-    sharded4.ingest_records(records)
-    sharded7 = SearchEngine(backend=ShardedBackend(7))
-    sharded7.ingest_records(records)
-    return legacy, memory, sharded4, sharded7
+    # Identity is asserted, so the deadline is beyond any loaded box.
+    with ClusterBackend(4, deadline_seconds=30) as four, ClusterBackend(
+        7, deadline_seconds=30
+    ) as seven:
+        sharded4 = SearchEngine(backend=four)
+        sharded4.ingest_records(records)
+        sharded7 = SearchEngine(backend=seven)
+        sharded7.ingest_records(records)
+        yield legacy, memory, sharded4, sharded7
 
 
 class TestPreVsPostRefactor:
@@ -182,7 +186,7 @@ class TestPreVsPostRefactor:
 
 
 class TestMemoryVsSharded:
-    """ShardedBackend (>= 4 shards) == InMemoryBackend, exactly."""
+    """ClusterBackend (>= 4 shards, 1 replica) == InMemoryBackend, exactly."""
 
     def test_doc_ids_identical(self, corpus, engines):
         records, _ = corpus
@@ -233,15 +237,8 @@ class TestWriteToOneShardReachesEveryShard:
     average length every shard scores with: what the other shards cached
     for a term before the write must not survive it."""
 
-    @pytest.mark.parametrize(
-        "make_backend",
-        [
-            lambda: ShardedBackend(4),
-            lambda: ClusterBackend(shard_count=4, replicas=2, deadline_seconds=5.0),
-        ],
-        ids=["sharded-4", "cluster-4x2"],
-    )
-    def test_warm_term_rescored_after_single_shard_ingest(self, corpus, make_backend):
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_warm_term_rescored_after_single_shard_ingest(self, corpus, replicas):
         records, _ = corpus
         term = next(
             token
@@ -253,8 +250,7 @@ class TestWriteToOneShardReachesEveryShard:
             text="late", tokens=[term, term, "latecomer", "padding"], source="surface",
         )
         memory = InMemoryBackend()
-        fanned = make_backend()
-        try:
+        with ClusterBackend(4, replicas=replicas, deadline_seconds=30) as fanned:
             for record in records:
                 assert fanned.add(record) == memory.add(record)
             warm = memory.search([term], limit=None)
@@ -265,5 +261,3 @@ class TestWriteToOneShardReachesEveryShard:
             for _ in range(4):
                 for limit in (None, 1, 10):
                     assert fanned.search([term], limit=limit) == memory.search([term], limit=limit)
-        finally:
-            getattr(fanned, "close", lambda: None)()
