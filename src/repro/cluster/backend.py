@@ -193,7 +193,10 @@ class ClusterBackend(DocumentCatalog):
     # -- querying ------------------------------------------------------------
 
     def search(
-        self, query_tokens: Sequence[str], limit: int | None = None
+        self,
+        query_tokens: Sequence[str],
+        limit: int | None = None,
+        per_source: bool = False,
     ) -> list[tuple[int, float]]:
         """Scatter the query across shards, merge one ranked list.
 
@@ -225,7 +228,9 @@ class ClusterBackend(DocumentCatalog):
             with self._lock:
                 self._degraded_flag = True
                 self.degraded_searches += 1
-        return rank_accumulator(accumulator, limit)
+        return rank_accumulator(
+            accumulator, limit, self._source_of if per_source else None
+        )
 
     def consume_degraded(self) -> bool:
         """Whether any search since the last call was served degraded."""

@@ -100,9 +100,9 @@ def _result_nodes(root: DomNode) -> list[DomNode]:
     return best if len(best) >= 2 else []
 
 
-def extract_result_records(html: str) -> list[ExtractedRecord]:
+def extract_result_records(html_or_dom: str | DomNode) -> list[ExtractedRecord]:
     """Extract one record per result entry on a surfaced results page."""
-    root = parse_html(html)
+    root = parse_html(html_or_dom) if isinstance(html_or_dom, str) else html_or_dom
     records: list[ExtractedRecord] = []
     for node in _result_nodes(root):
         anchor = node.find_first("a")

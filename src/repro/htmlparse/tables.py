@@ -63,7 +63,14 @@ def extract_tables(html_or_dom: str | DomNode, page_url: str = "") -> list[HtmlT
     with an empty header and one row per attribute pair, matching how
     detail-page tables should be read.
     """
-    root = parse_html(html_or_dom) if isinstance(html_or_dom, str) else html_or_dom
+    if isinstance(html_or_dom, str):
+        # A table element needs a literal ``<table`` start tag; most pages
+        # have none, and finding that out must not cost a DOM.
+        if "<table" not in html_or_dom.lower():
+            return []
+        root = parse_html(html_or_dom)
+    else:
+        root = html_or_dom
     tables: list[HtmlTable] = []
     for table_node in root.find_all("table"):
         raw_rows: list[tuple[list[str], list[str]]] = []  # (th texts, td texts)

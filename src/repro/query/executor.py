@@ -37,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.virtual.vertical import VerticalSearchEngine
 
 
+#: Ranked ``(doc_id, score)`` pairs and, index for index, their source tags.
+_SourceRanking = tuple[list[tuple[int, float]], list[str]]
+
+
 @dataclass(frozen=True)
 class PlanHit:
     """One blended result plus the route that produced it."""
@@ -186,46 +190,50 @@ class BlendedRanker:
         if len(contributions) == 1:
             name, results, _floor = contributions[0]
             return [PlanHit(result=result, route=name) for result in results]
-        candidates: list[tuple[float, int, int, PlanHit]] = []
+        # (-normalized score, doc id, route order, result, route name): the
+        # rescored result row is built only for candidates that survive.
+        candidates: list[tuple[float, int, int, SearchResult, str]] = []
         for order, (name, results, _floor) in enumerate(contributions):
             best = max((result.score for result in results), default=0.0)
             norm = best if best > 0 else 1.0
             for result in results:
-                scored = replace(result, score=result.score / norm)
                 candidates.append(
-                    (-scored.score, scored.doc_id, order, PlanHit(scored, name))
+                    (-(result.score / norm), result.doc_id, order, result, name)
                 )
         candidates.sort(key=lambda entry: entry[:3])
-        deduped: list[PlanHit] = []
+        deduped: list[tuple[float, int, int, SearchResult, str]] = []
         seen: set[str] = set()
-        for _neg_score, _doc_id, _order, hit in candidates:
+        for entry in candidates:
             # URL is the one identity shared by store documents and
             # live-minted results, so a page the live probe returns that
             # the store also holds dedups to its best instance.
-            if hit.result.url in seen:
+            url = entry[3].url
+            if url in seen:
                 continue
-            seen.add(hit.result.url)
-            deduped.append(hit)
+            seen.add(url)
+            deduped.append(entry)
         head = deduped[:k]
-        taken = {id(hit) for hit in head}
+        tail_start = len(head)
         counts: dict[str, int] = {}
-        for hit in head:
-            counts[hit.route] = counts.get(hit.route, 0) + 1
+        for entry in head:
+            counts[entry[4]] = counts.get(entry[4], 0) + 1
+        taken: set[int] = set()
         for name, _results, floor in contributions:
             if floor <= 0:
                 continue
-            for hit in deduped[k:]:
+            for index in range(tail_start, len(deduped)):
                 if counts.get(name, 0) >= floor:
                     break
-                if hit.route == name and id(hit) not in taken:
-                    taken.add(id(hit))
-                    head.append(hit)
+                if deduped[index][4] == name and index not in taken:
+                    taken.add(index)
+                    head.append(deduped[index])
                     counts[name] = counts.get(name, 0) + 1
         order_of = {name: index for index, (name, _r, _f) in enumerate(contributions)}
-        head.sort(
-            key=lambda hit: (-hit.result.score, hit.result.doc_id, order_of[hit.route])
-        )
-        return head
+        head.sort(key=lambda entry: (entry[0], entry[1], order_of[entry[4]]))
+        return [
+            PlanHit(replace(result, score=-neg_score), name)
+            for neg_score, _doc_id, _order, result, name in head
+        ]
 
 
 class QueryExecutor:
@@ -270,8 +278,8 @@ class QueryExecutor:
         contributions: list[tuple[str, list[SearchResult], int]] = []
         raw: list[tuple[str, int, int, float, bool, tuple[str, ...], str]] = []
         #: Per-execution memo so the indexed floor path and the webtables
-        #: route share one full ranking instead of ranking the corpus twice.
-        shared: dict[str, list[SearchResult]] = {}
+        #: route share one store search instead of ranking the corpus twice.
+        shared: dict[str, _SourceRanking] = {}
         for route in plan.routes:
             route_started = self._clock()
             skipped = False
@@ -334,62 +342,76 @@ class QueryExecutor:
 
     # -- route operators -----------------------------------------------------
 
-    def _full_ranking(
-        self, plan: QueryPlan, shared: dict[str, list[SearchResult]]
-    ) -> list[SearchResult]:
-        """Every matching document, ranked -- computed once per execution.
+    def _source_ranking(
+        self,
+        plan: QueryPlan,
+        shared: dict[str, _SourceRanking],
+    ) -> _SourceRanking:
+        """The store's per-source top ranking and each entry's source tag
+        -- one backend search per execution.
 
-        ``k >= len(engine)`` means the list holds *all* matches, so any
-        route-level ``k`` can slice it without losing entries.
+        ``limit`` is the largest count any store-reading route can ask of
+        one source, so the list -- every match among the ``limit`` best of
+        its own source, in global rank order -- holds the global top-k as
+        its prefix, every floor candidate and the webtables top-k; the
+        matches it leaves out are ones no route could return.
         """
-        full = shared.get("full")
-        if full is None:
-            full = self._engine.search(
-                plan.query.text, k=max(plan.k, len(self._engine))
+        if "ranking" not in shared:
+            limit = max(
+                max(route.k, getattr(route, "min_per_source", 0))
+                for route in plan.routes
+                if not isinstance(route, LiveVerticalRoute)
             )
-            shared["full"] = full
-        return full
+            ranked = self._engine.rank(plan.query.text, k=limit, per_source=True)
+            get = self._engine.backend.get
+            shared["ranking"] = ranked, [get(doc_id).source for doc_id, _score in ranked]
+        return shared["ranking"]
 
     def _run_indexed(
         self,
         plan: QueryPlan,
         route: IndexedRoute,
-        shared: dict[str, list[SearchResult]],
+        shared: dict[str, _SourceRanking],
     ) -> list[SearchResult]:
         """The materialized read path, byte-for-byte the pre-planner
         ``search_all`` merge: global top-k plus the per-source
-        representation floor, score-ordered with doc-id ties."""
+        representation floor, score-ordered with doc-id ties.  The floor
+        is applied to ``(doc_id, score)`` pairs; only the hits returned
+        become :class:`SearchResult` rows."""
         engine = self._engine
-        query = plan.query.text
         if route.min_per_source <= 0:
             # Pure top-k: keep the backend's heap-based ranking path.
-            return engine.search(query, k=route.k)
+            return engine.search(plan.query.text, k=route.k)
         # The representation floor needs to see where every matching
-        # source ranks, so this path ranks all matches.
-        full = self._full_ranking(plan, shared)
-        top = full[: route.k]
+        # source ranks: the store's per-source top ranking shows exactly
+        # the matches that can be in the top-k or fill a floor.
+        ranked, sources = self._source_ranking(plan, shared)
+        top = ranked[: route.k]
         counts: dict[str, int] = {}
-        for result in top:
-            counts[result.source] = counts.get(result.source, 0) + 1
+        for source in sources[: route.k]:
+            counts[source] = counts.get(source, 0) + 1
         extras = []
-        for result in full[route.k :]:
-            if counts.get(result.source, 0) < route.min_per_source:
-                counts[result.source] = counts.get(result.source, 0) + 1
-                extras.append(result)
+        for pair, source in zip(ranked[route.k :], sources[route.k :]):
+            if counts.get(source, 0) < route.min_per_source:
+                counts[source] = counts.get(source, 0) + 1
+                extras.append(pair)
         if extras:
-            top = sorted(top + extras, key=lambda r: (-r.score, r.doc_id))
-        return top
+            top = sorted(top + extras, key=lambda pair: (-pair[1], pair[0]))
+        return engine.materialize(top)
 
     def _run_webtables(
         self,
         plan: QueryPlan,
         route: WebTablesRoute,
-        shared: dict[str, list[SearchResult]],
+        shared: dict[str, _SourceRanking],
     ) -> list[SearchResult]:
         """Rank only the harvested ``webtable`` documents (tables and form
         schemata the corpus admitted into the shared store)."""
-        full = self._full_ranking(plan, shared)
-        return [result for result in full if result.source == SOURCE_WEBTABLE][: route.k]
+        ranked, sources = self._source_ranking(plan, shared)
+        tables = [
+            pair for pair, source in zip(ranked, sources) if source == SOURCE_WEBTABLE
+        ]
+        return self._engine.materialize(tables[: route.k])
 
     def _run_live(
         self, plan: QueryPlan, route: LiveVerticalRoute

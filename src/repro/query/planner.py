@@ -99,23 +99,36 @@ class QueryPlanner:
         statistics decide (structured filters or an all-attribute
         keyword query unlock the route); ``live=True`` consults the
         router and adds a budgeted live probe when any registered source
-        plausibly covers the query.
+        plausibly covers the query.  ``live_fetch_budget=None`` means the
+        planner's default budget; ``0`` means no load on the form sites,
+        so no live route is planned (and the plan stays cacheable).
+        ``webtables_k=0`` likewise plans no webtables route.  Negative
+        budgets and route sizes raise ``ValueError``.
         """
+        for name, value in (
+            ("live_fetch_budget", live_fetch_budget),
+            ("live_max_results", live_max_results),
+            ("webtables_k", webtables_k),
+        ):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
+        if live_fetch_budget is None:
+            live_fetch_budget = self.default_live_budget
         parsed = parse_query(query)
         if parsed.is_empty or k <= 0:
             return QueryPlan(query=parsed, k=max(k, 0), generation=len(self._engine))
         routes: list[Route] = [IndexedRoute(k=k, min_per_source=min_per_source)]
         if include_webtables is None:
             include_webtables = parsed.is_structured or self._is_table_lookup(parsed)
-        if include_webtables:
+        if include_webtables and webtables_k:
             routes.append(WebTablesRoute(k=webtables_k))
-        if live:
+        if live and live_fetch_budget:
             hosts = self._live_hosts(parsed)
             if hosts:
                 routes.append(
                     LiveVerticalRoute(
                         hosts=hosts,
-                        fetch_budget=live_fetch_budget or self.default_live_budget,
+                        fetch_budget=live_fetch_budget,
                         max_results=live_max_results,
                         time_budget_seconds=live_time_budget_seconds,
                     )

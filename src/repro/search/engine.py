@@ -192,10 +192,29 @@ class SearchEngine:
         tokens = tokenize(query)
         if not tokens:
             return []
-        ranked = self._backend.search(tokens, limit=k)
+        return self.materialize(self._backend.search(tokens, limit=k))
+
+    def rank(
+        self, query: str, k: int = 10, per_source: bool = False
+    ) -> list[tuple[int, float]]:
+        """:meth:`search` before materialisation: ``(doc_id, score)`` pairs.
+
+        ``per_source`` asks the backend for the ``k`` best of every source
+        tag instead of the ``k`` best overall (see
+        :meth:`~repro.store.backend.StorageBackend.search`); the federated
+        executor ranks ids this way and materialises only what it returns.
+        """
+        tokens = tokenize(query)
+        if not tokens:
+            return []
+        return self._backend.search(tokens, limit=k, per_source=per_source)
+
+    def materialize(self, ranked: Iterable[tuple[int, float]]) -> list[SearchResult]:
+        """Result rows for ranked ``(doc_id, score)`` pairs, in their order."""
+        get = self._backend.get
         results = []
         for doc_id, score in ranked:
-            doc = self._backend.get(doc_id)
+            doc = get(doc_id)
             results.append(
                 SearchResult(
                     doc_id=doc_id,

@@ -10,24 +10,47 @@ import heapq
 import math
 from array import array
 from collections import Counter, defaultdict
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 
 def rank_accumulator(
-    accumulator: Mapping[int, float], limit: int | None = None
+    accumulator: Mapping[int, float],
+    limit: int | None = None,
+    group: Callable[[int], Hashable] | None = None,
 ) -> list[tuple[int, float]]:
     """Order a score accumulator: descending score, ascending doc id.
 
     The single definition of ranking order, shared by the global index
-    and the sharded and cluster stores' merges so their orderings can
-    never drift apart.  The top-k path finds the k-th best score over the
-    bare floats, keeps the entries at or above it (every tie included) and
-    sorts only those -- the same list a full sort would be cut to.
+    and the cluster store's merge so their orderings can never drift
+    apart.  The top-k path finds the k-th best score over the bare floats,
+    keeps the entries at or above it (every tie included) and sorts only
+    those -- the same list a full sort would be cut to.
+
+    With ``group``, ``limit`` applies inside each group instead of
+    globally: an entry is kept while fewer than ``limit`` entries of its
+    own group rank before it, so the result is every entry among the
+    ``limit`` best of its group, still in global rank order, with the
+    global top-``limit`` as its prefix.  Any entry may be the only one of
+    its group, so every entry is visited; the walk therefore orders the
+    ids with two stable C-level sorts (ascending id, then descending
+    score -- the order the key below spells out) instead of one Python
+    key call per entry.
     """
     items: Iterable[tuple[int, float]] = accumulator.items()
     if limit is not None and limit < len(accumulator):
         if limit <= 0:
             return []
+        if group is not None:
+            kept: list[tuple[int, float]] = []
+            taken: dict[Hashable, int] = {}
+            score_of = accumulator.__getitem__
+            for doc_id in sorted(sorted(accumulator), key=score_of, reverse=True):
+                key = group(doc_id)
+                count = taken.get(key, 0)
+                if count < limit:
+                    taken[key] = count + 1
+                    kept.append((doc_id, score_of(doc_id)))
+            return kept
         threshold = heapq.nlargest(limit, accumulator.values())[-1]
         items = [item for item in items if item[1] >= threshold]
     ranked = sorted(items, key=lambda item: (-item[1], item[0]))
@@ -201,19 +224,25 @@ class InvertedIndex:
             for doc_id, impact in zip(postings, impacts):
                 accumulator[doc_id] = get(doc_id, 0.0) + impact
 
-    def score(self, query_tokens: Iterable[str], limit: int | None = None) -> list[tuple[int, float]]:
+    def score(
+        self,
+        query_tokens: Iterable[str],
+        limit: int | None = None,
+        group: Callable[[int], Hashable] | None = None,
+    ) -> list[tuple[int, float]]:
         """BM25 scores for all documents matching at least one query term.
 
         Returns (doc_id, score) pairs sorted by descending score then
         ascending doc id (for determinism).  ``limit`` truncates the list
         (via :func:`rank_accumulator`'s top-k selection, which produces
-        exactly the same ordering as the full sort).
+        exactly the same ordering as the full sort) -- per ``group`` of
+        documents when one is given.
         """
         tokens = list(query_tokens)
         idf_by_term = {term: self.idf(term) for term in tokens if term in self._postings}
         accumulator: dict[int, float] = {}
         self.accumulate(tokens, idf_by_term, self.average_length(), accumulator)
-        return rank_accumulator(accumulator, limit)
+        return rank_accumulator(accumulator, limit, group)
 
     def matching_documents(self, query_tokens: Iterable[str], require_all: bool = False) -> set[int]:
         """Doc ids containing any (or all) of the query terms.

@@ -85,9 +85,19 @@ class StorageBackend(Protocol):
         ...
 
     def search(
-        self, query_tokens: Sequence[str], limit: int | None = None
+        self,
+        query_tokens: Sequence[str],
+        limit: int | None = None,
+        per_source: bool = False,
     ) -> list[tuple[int, float]]:
-        """BM25-ranked ``(doc_id, score)`` pairs (desc score, asc id)."""
+        """BM25-ranked ``(doc_id, score)`` pairs (desc score, asc id).
+
+        ``limit`` keeps the best ``limit`` matches; with ``per_source`` it
+        keeps every match that is among the ``limit`` best of its own
+        source tag, still in global rank order (a superset of the plain
+        top-``limit``, which is its prefix) -- what the federated read
+        path needs to apply per-source floors without ranking every match.
+        """
         ...
 
     def matching_documents(
@@ -145,6 +155,10 @@ class DocumentCatalog:
 
     def get(self, doc_id: int) -> Document:
         return self._documents[doc_id]
+
+    def _source_of(self, doc_id: int) -> str:
+        """The ``group`` a ``per_source`` search hands ``rank_accumulator``."""
+        return self._documents[doc_id].source
 
     def document_for_url(self, url: str) -> Document | None:
         doc_id = self._url_to_doc.get(url)

@@ -36,9 +36,14 @@ class InMemoryBackend(DocumentCatalog):
         return self._records_from_terms(self.index.document_terms())
 
     def search(
-        self, query_tokens: Sequence[str], limit: int | None = None
+        self,
+        query_tokens: Sequence[str],
+        limit: int | None = None,
+        per_source: bool = False,
     ) -> list[tuple[int, float]]:
-        return self.index.score(query_tokens, limit=limit)
+        return self.index.score(
+            query_tokens, limit=limit, group=self._source_of if per_source else None
+        )
 
     def matching_documents(
         self, query_tokens: Iterable[str], require_all: bool = False

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.form_model import SurfacingForm, discover_forms
+from repro.htmlparse.dom import DomNode, parse_html
+from repro.htmlparse.links import extract_links
 from repro.store.ingest import Ingestor
 from repro.store.records import SOURCE_VERTICAL, IngestRecord
 from repro.util.text import tokenize
@@ -27,6 +29,7 @@ from repro.virtual.wrappers import ResultWrapper, WrappedRecord, matches_filters
 from repro.virtual.mediated_schema import schema_for_domain
 from repro.webspace.loadmeter import AGENT_VIRTUAL
 from repro.webspace.site import DeepWebSite
+from repro.webspace.url import Url
 from repro.webspace.web import FetchError, Web
 
 
@@ -312,19 +315,18 @@ class VerticalSearchEngine:
             fetches += 1
             if not page.ok:
                 break
-            records.extend(source.wrapper.wrap_page(page.html))
-            next_url = self._next_page_url(page.html, url)
+            # One DOM per fetched page, read by the wrapper and the pager.
+            root = parse_html(page.html)
+            records.extend(source.wrapper.wrap_page(root))
+            next_url = self._next_page_url(root, url)
             if next_url is None:
                 break
             url = next_url
         return records, fetches, failed
 
     @staticmethod
-    def _next_page_url(html: str, current_url):
-        from repro.htmlparse.links import extract_links
-        from repro.webspace.url import Url
-
-        for link in extract_links(html, page_url=current_url):
+    def _next_page_url(root: DomNode, current_url: Url) -> Url | None:
+        for link in extract_links(root, page_url=current_url):
             parsed = Url.parse(link)
             if parsed.path == current_url.path and parsed.param("page") is not None:
                 return parsed

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.extraction import ExtractedRecord, extract_result_records
+from repro.htmlparse.dom import DomNode
 from repro.virtual.matching import FormMapping
 from repro.virtual.mediated_schema import schema_for_domain
 
@@ -51,10 +52,10 @@ class ResultWrapper:
             return attribute.name
         return field_name
 
-    def wrap_page(self, html: str) -> list[WrappedRecord]:
-        """Extract all records from one result page."""
+    def wrap_page(self, html_or_dom: str | DomNode) -> list[WrappedRecord]:
+        """Extract all records from one result page (markup or parsed)."""
         records: list[WrappedRecord] = []
-        for extracted in extract_result_records(html):
+        for extracted in extract_result_records(html_or_dom):
             records.append(self._wrap(extracted))
         return records
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.htmlparse.dom import parse_html
 from repro.htmlparse.forms import extract_forms
 from repro.htmlparse.links import extract_links
 from repro.htmlparse.tables import extract_tables
@@ -165,3 +168,31 @@ class TestTableExtraction:
 
     def test_no_tables(self):
         assert extract_tables("<html><body></body></html>") == []
+
+    def test_markup_without_a_table_tag_builds_no_dom(self, monkeypatch):
+        import repro.htmlparse.tables as tables_module
+
+        def no_dom(html):
+            raise AssertionError("parsed a page that holds no <table")
+
+        monkeypatch.setattr(tables_module, "parse_html", no_dom)
+        assert extract_tables("<html><body><p>no tables here</p></body></html>") == []
+        # An escaped tag is text, not an element.
+        assert extract_tables("<p>&lt;table&gt;&lt;tr&gt;&lt;td&gt;x&lt;/td&gt;</p>") == []
+
+    @pytest.mark.parametrize(
+        "html",
+        [
+            TABLE_HTML,
+            TABLE_HTML.replace("<table", "<TABLE").replace("</table", "</TABLE"),
+            TABLE_HTML.replace("<table", "<tAbLe"),
+            "<p>&lt;table&gt; escaped, then real</p><table><tr><td>x</td></tr></table>",
+            "<!-- <table> in a comment only -->",
+            "<p>&lt;table&gt;</p>",
+            "",
+        ],
+    )
+    def test_markup_and_parsed_page_give_the_same_tables(self, html):
+        assert extract_tables(html, "http://x.com/p") == extract_tables(
+            parse_html(html), "http://x.com/p"
+        )

@@ -15,6 +15,7 @@ from repro.query.plan import (
 )
 from repro.query.planner import QueryPlanner
 from repro.search.engine import SearchEngine
+from repro.webspace.loadmeter import AGENT_VIRTUAL
 from repro.webspace.sitegen import WebConfig
 
 
@@ -116,6 +117,39 @@ class TestPlannerValidation:
             QueryPlanner(engine, max_live_sources=0)
         with pytest.raises(ValueError):
             QueryPlanner(engine, default_live_budget=0)
+
+    def test_default_and_explicit_live_budgets(self, service):
+        planner = service.planner
+        for asked, planned in ((None, planner.default_live_budget), (4, 4), (1, 1)):
+            plan = service.plan("software engineer jobs", live=True, live_fetch_budget=asked)
+            assert plan.routes[-1].fetch_budget == planned
+
+    def test_zero_live_budget_plans_no_live_route_and_spends_nothing(self, service):
+        plan = service.plan("software engineer jobs", live=True, live_fetch_budget=0)
+        assert plan.route_names == (ROUTE_INDEXED,)
+        assert plan.cacheable
+        before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
+        outcome = service.execute(plan)
+        assert service.web.load_meter.total(agent=AGENT_VIRTUAL) == before
+        assert outcome.live_fetches_spent == 0 and outcome.hits
+
+    @pytest.mark.parametrize(
+        "argument", ["live_fetch_budget", "live_max_results", "webtables_k"]
+    )
+    def test_negative_budgets_and_route_sizes_are_rejected(self, service, argument):
+        with pytest.raises(ValueError, match=argument):
+            service.planner.plan("make model price", live=True, **{argument: -1})
+        with pytest.raises(ValueError, match=argument):
+            # Checked before anything else, the empty plan included.
+            service.planner.plan("", **{argument: -3})
+
+    def test_zero_webtables_k_plans_no_webtables_route(self, service):
+        planner = service.planner
+        plan = planner.plan("make model price", k=5, include_webtables=True, webtables_k=0)
+        assert plan.route_names == (ROUTE_INDEXED,)
+        plan = planner.plan("make model price", k=5, include_webtables=True, webtables_k=3)
+        assert plan.route_names == (ROUTE_INDEXED, ROUTE_WEBTABLES)
+        assert plan.routes[-1].k == 3
 
     def test_planner_without_router_never_plans_live(self):
         planner = QueryPlanner(SearchEngine())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.search.inverted_index import InvertedIndex
+from repro.search.inverted_index import InvertedIndex, rank_accumulator
 from repro.util.text import tokenize
 
 
@@ -116,3 +116,54 @@ class TestProperties:
         expected = {doc_id for doc_id, tokens in enumerate(documents) if "alpha" in tokens}
         assert {doc_id for doc_id, _ in ranked} == expected
         assert all(score > 0 for _, score in ranked)
+
+
+def brute_force_grouped(accumulator, limit, group_of):
+    """Full ``(-score, doc_id)`` sort; keep an entry iff fewer than
+    ``limit`` entries of its own group precede it."""
+    kept, seen = [], {}
+    for doc_id, score in sorted(accumulator.items(), key=lambda item: (-item[1], item[0])):
+        key = group_of[doc_id]
+        if limit is None or seen.get(key, 0) < limit:
+            kept.append((doc_id, score))
+        seen[key] = seen.get(key, 0) + 1
+    return kept
+
+
+class TestGroupedRanking:
+    # Scores drawn from four values, so ties straddle every group's cut.
+    @given(
+        entries=st.dictionaries(
+            st.integers(min_value=1, max_value=60),
+            st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.sampled_from("abc")),
+            max_size=40,
+        ),
+        limit=st.one_of(st.none(), st.integers(min_value=-2, max_value=45)),
+    )
+    def test_equals_brute_force(self, entries, limit):
+        accumulator = {doc_id: score for doc_id, (score, _group) in entries.items()}
+        group_of = {doc_id: group for doc_id, (_score, group) in entries.items()}
+        expected = brute_force_grouped(accumulator, limit, group_of)
+        assert rank_accumulator(accumulator, limit, group_of.__getitem__) == expected
+        if limit is not None and limit > 0:
+            # The plain top-k is the grouped result's prefix.
+            assert rank_accumulator(accumulator, limit) == expected[:limit]
+
+    def test_tie_straddling_a_group_cut_breaks_by_doc_id(self):
+        accumulator = {7: 1.0, 3: 1.0, 5: 1.0, 9: 2.0, 4: 1.0}
+        group_of = {7: "a", 3: "a", 5: "a", 9: "b", 4: "b"}
+        assert rank_accumulator(accumulator, 2, group_of.__getitem__) == [
+            (9, 2.0), (3, 1.0), (4, 1.0), (5, 1.0),
+        ]
+
+    def test_index_score_threads_the_group_through(self):
+        index = build_index()
+        group = {1: "cars", 2: "cars", 3: "cars", 4: "homes", 5: "gov"}.__getitem__
+        tokens = tokenize("used toyota austin texas")
+        full = index.score(tokens)
+        assert len(full) == 5
+        grouped = index.score(tokens, limit=1, group=group)
+        best_of = {}
+        for doc_id, score in full:
+            best_of.setdefault(group(doc_id), (doc_id, score))
+        assert grouped == [pair for pair in full if pair in best_of.values()]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.extraction import extract_result_records
 from repro.datagen.domains import domain
+from repro.htmlparse.dom import parse_html
 from repro.search.engine import SearchEngine
 from repro.util.rng import SeededRng
 from repro.virtual.matching import SchemaMatcher
@@ -66,6 +67,41 @@ class TestWrappers:
         records = source.wrapper.wrap_page(page.html)
         assert records
         assert all(record.get("make") for record in records)
+
+    def test_result_page_is_parsed_once_per_fetch(self, car_vertical, monkeypatch):
+        """The wrapper and the pager share one DOM: every ``parse_html``
+        seam a probe can reach is counted, and the total is the fetches."""
+        import repro.core.extraction
+        import repro.htmlparse.links
+        import repro.virtual.vertical
+
+        web, engine, _sites, _accepted = car_vertical
+        parses = []
+
+        def counting_parse(html):
+            parses.append(html)
+            return parse_html(html)
+
+        for module in (repro.virtual.vertical, repro.core.extraction, repro.htmlparse.links):
+            monkeypatch.setattr(module, "parse_html", counting_parse)
+        before = web.load_meter.total(agent=AGENT_VIRTUAL)
+        answer = engine.structured_query({"color": "red"})
+        fetched = web.load_meter.total(agent=AGENT_VIRTUAL) - before
+        assert answer.records and answer.fetches_issued == fetched
+        assert fetched > len(answer.sources_contacted)  # pagination happened
+        assert len(parses) == fetched
+
+    def test_extraction_accepts_a_parsed_page(self, car_vertical):
+        web, engine, sites, _accepted = car_vertical
+        source = engine.sources()[0]
+        template = sites[0].forms[0]
+        make_input = next(spec for spec in template.inputs if spec.column == "make")
+        url = source.form.submission_url({make_input.name: make_input.options[0]})
+        html = web.fetch(url).html
+        from_markup = extract_result_records(html)
+        assert from_markup
+        assert extract_result_records(parse_html(html)) == from_markup
+        assert source.wrapper.wrap_page(parse_html(html)) == source.wrapper.wrap_page(html)
 
     def test_matches_filters(self):
         from repro.virtual.wrappers import WrappedRecord

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import DeepWebService, SurfacingConfig, WebConfig
+from repro.htmlparse.dom import parse_html
 from repro.htmlparse.forms import ParsedForm, ParsedInput
+from repro.htmlparse.tables import extract_tables
 from repro.webspace.page import WebPage
 from repro.webtables.acsdb import AcsDb
 from repro.webtables.corpus import TableCorpus, normalize_attribute
@@ -259,3 +262,39 @@ class TestCorpusStoreEmission:
         docs = backend.documents(source=SOURCE_WEBTABLE)
         # Stable record URLs dedup in the store (1 table + 1 form schema).
         assert len(docs) == 2
+
+
+class TestTableTagShortcut:
+    """``extract_tables`` skips the DOM for pages without a ``<table``;
+    a harvest must admit exactly what it admitted when every page was parsed."""
+
+    @staticmethod
+    def harvested_corpus() -> TableCorpus:
+        service = (
+            DeepWebService.build()
+            .web(WebConfig(total_deep_sites=3, surface_site_count=1, max_records=40, seed=11))
+            .surfacing(SurfacingConfig(max_urls_per_form=40))
+            .create()
+        )
+        service.crawl(max_pages=80)
+        service.surface()
+        service.harvest_tables()
+        return service.corpus
+
+    def test_harvest_is_identical_with_and_without_the_shortcut(self, monkeypatch):
+        import repro.webtables.corpus as corpus_module
+
+        with_shortcut = self.harvested_corpus()
+        parsed_pages = []
+
+        def always_parse(html, page_url=""):
+            parsed_pages.append(page_url)
+            return extract_tables(parse_html(html), page_url=page_url)
+
+        monkeypatch.setattr(corpus_module, "extract_tables", always_parse)
+        without = self.harvested_corpus()
+        assert parsed_pages and without.tables
+        assert with_shortcut.tables == without.tables
+        assert with_shortcut.form_schemas == without.form_schemas
+        assert with_shortcut.form_values == without.form_values
+        assert with_shortcut.stats == without.stats
