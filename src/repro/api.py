@@ -70,7 +70,7 @@ from repro.webspace.site import DeepWebSite
 from repro.virtual.vertical import VerticalSearchEngine
 from repro.webspace.sitegen import WebConfig, generate_web
 from repro.webspace.web import FetchError, Web
-from repro.webtables.corpus import TableCorpus
+from repro.webtables.corpus import HarvestState, TableCorpus
 
 
 @dataclass
@@ -439,13 +439,7 @@ class DeepWebService:
         self.results: list[SiteSurfacingResult] = []
         self.crawl_stats: CrawlStats | None = None
         self._corpus: TableCorpus | None = None
-        self._harvested_urls: set[str] = set()
-        self._harvested_form_hosts: set[str] = set()
-        self._harvested_detail_counts: dict[str, int] = {}
-        #: (store doc count, detail budget) at the end of the last
-        #: harvest; lets repeated harvests over a settled corpus return
-        #: immediately instead of rescanning every document and site.
-        self._harvest_settled: tuple[int, int] | None = None
+        self._harvest = HarvestState()
         self._serving = dict(serving or {})
         self._frontend: QueryFrontend | None = None
         #: Federated read path: one planner + executor pair per service,
@@ -724,7 +718,8 @@ class DeepWebService:
         read API like :meth:`search_all` can harvest-first on every
         query without rescanning a settled corpus.
         """
-        settled = self._harvest_settled
+        harvest = self._harvest
+        settled = harvest.settled
         if (
             settled is not None
             and settled[0] == len(self.engine)
@@ -738,9 +733,9 @@ class DeepWebService:
             # would double-count corpus stats if re-fetched here.
             if doc.source in (SOURCE_WEBTABLE, SOURCE_VERTICAL):
                 continue
-            if doc.url in self._harvested_urls:
+            if doc.url in harvest.urls:
                 continue
-            self._harvested_urls.add(doc.url)
+            harvest.urls.add(doc.url)
             try:
                 page = self.web.fetch(doc.url, agent=AGENT_WEBTABLES)
             except FetchError:
@@ -749,8 +744,8 @@ class DeepWebService:
                 continue
             admitted += self.corpus.add_page(page)
         for site in self.web.deep_sites():
-            if site.host not in self._harvested_form_hosts:
-                self._harvested_form_hosts.add(site.host)
+            if site.host not in harvest.form_hosts:
+                harvest.form_hosts.add(site.host)
                 try:
                     homepage = self.web.fetch(site.homepage_url(), agent=AGENT_WEBTABLES)
                 except FetchError:
@@ -758,7 +753,7 @@ class DeepWebService:
                 if homepage is not None and homepage.ok:
                     for form in extract_forms(homepage.html, page_url=homepage.url):
                         self.corpus.add_form(form)
-            budget = detail_pages_per_site - self._harvested_detail_counts.get(site.host, 0)
+            budget = detail_pages_per_site - harvest.detail_counts.get(site.host, 0)
             for table in site.database.tables():
                 if budget <= 0:
                     break
@@ -766,19 +761,19 @@ class DeepWebService:
                     if budget <= 0:
                         break
                     url = str(site.detail_url(key))
-                    if url in self._harvested_urls:
+                    if url in harvest.urls:
                         continue
-                    self._harvested_urls.add(url)
+                    harvest.urls.add(url)
                     budget -= 1
-                    self._harvested_detail_counts[site.host] = (
-                        self._harvested_detail_counts.get(site.host, 0) + 1
+                    harvest.detail_counts[site.host] = (
+                        harvest.detail_counts.get(site.host, 0) + 1
                     )
                     try:
                         page = self.web.fetch(url, agent=AGENT_WEBTABLES)
                     except FetchError:
                         continue
                     admitted += self.corpus.add_page(page)
-        self._harvest_settled = (
+        harvest.settled = (
             len(self.engine),
             max(detail_pages_per_site, settled[1] if settled else 0),
         )

@@ -39,10 +39,6 @@ class RangePair:
     max_input: str
     options: tuple[str, ...] = ()
 
-    @property
-    def has_options(self) -> bool:
-        return bool(self.options)
-
 
 @dataclass(frozen=True)
 class DatabaseSelection:

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from html import unescape
 from typing import Iterable, Sequence
 
-from repro.htmlparse.dom import DomNode, _VOID_TAGS, parse_html
-from repro.htmlparse.links import keep_href, resolve_links
-from repro.htmlparse.text import SKIP_TAGS
+from repro.htmlparse.dom import _VOID_TAGS, parse_html
+from repro.htmlparse.links import keep_href, raw_hrefs, resolve_links
+from repro.htmlparse.text import SKIP_TAGS, extract_text, extract_title
 from repro.util.text import normalize
 from repro.webspace.url import Url
 
@@ -146,49 +146,12 @@ def content_key(html: str) -> str:
     return hashlib.blake2b(html.encode("utf-8", "surrogatepass"), digest_size=16).hexdigest()
 
 
-class _PageScan:
-    """Mutable state for the single DOM traversal."""
-
-    __slots__ = ("title", "pieces", "hrefs")
-
-    def __init__(self) -> None:
-        self.title: str | None = None
-        self.pieces: list[str] = []
-        self.hrefs: list[str] = []
-
-
-def _scan(node: DomNode, text_root: DomNode, collecting: bool, state: _PageScan) -> None:
-    """One depth-first traversal collecting title, anchors and visible text.
-
-    Text collection mirrors :func:`repro.htmlparse.text.extract_text`
-    exactly (it starts at ``text_root`` and skips ``_SKIP_TAGS`` subtrees,
-    with a node's own text chunks preceding its children's); anchors and the
-    title are collected over the whole document regardless of text scope.
-    """
-    if node is text_root:
-        collecting = True
-    tag = node.tag
-    if state.title is None and tag == "title":
-        state.title = node.text()
-    elif tag == "a":
-        href = node.attrs.get("href", "").strip()
-        if keep_href(href):
-            state.hrefs.append(href)
-    if collecting:
-        if tag in SKIP_TAGS:
-            collecting = False
-        else:
-            state.pieces.extend(node.text_chunks)
-    for child in node.children:
-        _scan(child, text_root, collecting, state)
-
-
 # -- the linear fast path ---------------------------------------------------
 #
 # Site-generated pages are well-formed: escaped text, quoted attributes, a
 # known tag inventory and no script/style blocks.  For those, a single
-# regex-tokenized scan reproduces exactly what the DOM traversal above
-# computes (title, visible-text pieces, raw hrefs) without building a tree
+# regex-tokenized scan reproduces exactly what :func:`_dom_scan` reads off
+# the tree (title, visible body text, raw hrefs) without building a tree
 # or running the stdlib parser's state machine.  The scanner is strict: any
 # token it cannot prove it understands makes it return ``None`` and the DOM
 # path runs instead, so correctness never depends on the fast path.
@@ -245,10 +208,10 @@ def _fast_href(attrs: str) -> str:
     return ""
 
 
-def _fast_scan(html: str) -> "tuple[str, list[str], tuple[str, ...]] | None":
-    """Linear-scan equivalent of the DOM traversal, or ``None`` to fall back.
+def _fast_scan(html: str) -> "tuple[str, str, tuple[str, ...]] | None":
+    """Linear-scan equivalent of :func:`_dom_scan`, or ``None`` to fall back.
 
-    Returns ``(title, text_pieces, hrefs)`` exactly as the DOM path would
+    Returns ``(title, body_text, hrefs)`` exactly as the DOM path would
     compute them.  Piece ordering follows ``DomNode._collect_text`` (a
     node's own text chunks precede its children's), which the scanner
     reproduces by folding each element's chunks into its parent at close.
@@ -336,16 +299,13 @@ def _fast_scan(html: str) -> "tuple[str, list[str], tuple[str, ...]] | None":
     else:
         root = stack[0]
         text_pieces = root[1] + root[2]
-    return (title or "", text_pieces, tuple(hrefs))
+    return (title or "", " ".join(text_pieces), tuple(hrefs))
 
 
-def _dom_scan(html: str) -> tuple[str, list[str], tuple[str, ...]]:
-    """The reference traversal: full DOM build plus :func:`_scan`."""
+def _dom_scan(html: str) -> tuple[str, str, tuple[str, ...]]:
+    """The reference path: one DOM build read by the ``htmlparse`` extractors."""
     dom = parse_html(html)
-    text_root = dom.find_first("body") or dom
-    state = _PageScan()
-    _scan(dom, text_root, collecting=False, state=state)
-    return (state.title or "", state.pieces, tuple(state.hrefs))
+    return (extract_title(dom), extract_text(dom, include_title=False), tuple(raw_hrefs(dom)))
 
 
 def analyze_html(html: str, key: str | None = None) -> PageAnalysis:
@@ -358,9 +318,9 @@ def analyze_html(html: str, key: str | None = None) -> PageAnalysis:
     scanned = _fast_scan(html) if FAST_SCAN_ENABLED else None
     if scanned is None:
         scanned = _dom_scan(html)
-    title, body_pieces, hrefs = scanned
-    pieces = ([title] if title else []) + body_pieces
-    text = " ".join(pieces)
+    title, body_text, hrefs = scanned
+    # Both pieces are already stripped, so this is the join over every chunk.
+    text = " ".join(piece for piece in (title, body_text) if piece)
     normalized = normalize(text)
     match = _RESULT_COUNT_RE.search(text)
     if match:
@@ -502,15 +462,6 @@ _DEFAULT_CACHE = SignatureCache()
 def default_signature_cache() -> SignatureCache:
     """The process-wide shared cache (prober, engine and crawler default)."""
     return _DEFAULT_CACHE
-
-
-def set_default_signature_cache(cache: SignatureCache) -> SignatureCache:
-    """Swap the process-wide cache (benchmarks use this to disable caching);
-    returns the previous cache so callers can restore it."""
-    global _DEFAULT_CACHE
-    previous = _DEFAULT_CACHE
-    _DEFAULT_CACHE = cache
-    return previous
 
 
 # -- public signature entry points ----------------------------------------------

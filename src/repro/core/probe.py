@@ -115,12 +115,6 @@ class ProbeCache:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-    def add_counts(self, hits: int, misses: int) -> None:
-        """Fold another cache's counters in (the parallel scheduler
-        aggregates per-worker counts so reports match the serial run)."""
-        self.hits += hits
-        self.misses += misses
-
     def clear(self) -> None:
         self._entries.clear()
         self.hits = 0

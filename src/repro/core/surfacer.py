@@ -51,10 +51,8 @@ class SurfacingConfig:
     keyword_rounds: int = 2
     max_keywords: int = 12
     use_typed_values: bool = True
-    probe_confirm_types: bool = True
     range_aware: bool = True
     db_selection_aware: bool = True
-    annotate_pages: bool = True
     index_pages: bool = True
 
     def __post_init__(self) -> None:

@@ -16,6 +16,11 @@ lifecycle:
   continues where it stopped and still produces the same final output
   as an uninterrupted run.
 
+Snapshot and journal share one internal, type-driven codec
+(:mod:`repro.persist.codec`): the persisted dataclasses are the on-disk
+layout, and ``tests/persist/test_layout_guard.py`` ties that layout to
+the two format numbers.
+
 The facade wires all three through ``DeepWebService.build().persist(dir)``
 (store + journal + default snapshot path under one directory), plus
 ``service.snapshot()`` / ``DeepWebService.restore(path)``.
@@ -27,7 +32,6 @@ from repro.persist.journal import (
     JournalError,
     ResumableSurfacingScheduler,
     SurfacingJournal,
-    config_fingerprint,
     record_content_hash,
 )
 from repro.persist.snapshot import SnapshotError, restore_service, snapshot_service
@@ -45,5 +49,4 @@ __all__ = [
     "snapshot_service",
     "restore_service",
     "record_content_hash",
-    "config_fingerprint",
 ]

@@ -16,17 +16,21 @@ The journal is an append-only JSONL file with three entry kinds:
 * ``site`` -- one completed site: its blob hashes in ingestion order
   plus the serialized :class:`~repro.core.surfacer.SiteSurfacingResult`.
 
-:class:`ResumableSurfacingScheduler` surfaces each site through a
-worker pipeline whose engine is a :class:`_SiteEngineRecorder` (the
-site's inserts are staged, not written), journals the completed site,
-and only then replays the records into the shared store -- so an
-interrupted site leaves *nothing* behind and re-surfaces from scratch
+:class:`ResumableSurfacingScheduler` surfaces each site with the shared
+pipeline -- same prober, probe cache and seeded helpers as a serial run --
+pointed at a *scratch* :class:`~repro.search.engine.SearchEngine` holding
+the base store's documents for that host, so the site's inserts are
+staged, not written.  It journals the completed site and only then
+replays the staged records into the shared store -- so an interrupted
+site leaves *nothing* behind and re-surfaces from scratch
 deterministically, while completed sites replay from the journal without
 refetching a single page.  Journal entries are fsynced before the store
 sees the records; on the inverse crash (journaled but not yet stored)
 the resume replay heals the store by URL-dedup.  A torn final line from
 a crash mid-append is truncated away on load; corruption anywhere else
-raises :class:`JournalCorruptionError`.
+raises :class:`JournalCorruptionError`.  Site results and the config
+fingerprint are written and read by :mod:`repro.persist.codec` from the
+dataclass definitions; a result that does not match them is corruption.
 """
 
 from __future__ import annotations
@@ -34,27 +38,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
-from repro.persist.snapshot import (
-    decode_record,
-    decode_site_result,
-    encode_record,
-    encode_site_result,
-)
+from repro.persist.codec import decode, encode
+from repro.persist.snapshot import decode_record, encode_record
 from repro.pipeline.pipeline import SurfacingPipeline
 from repro.pipeline.scheduler import SurfacingScheduler
-from repro.search.engine import SOURCE_SURFACE, SearchEngine
+from repro.search.engine import SearchEngine
 from repro.store.records import IngestRecord
-from repro.util.text import tokenize
-from repro.webspace.page import WebPage
 from repro.webspace.site import DeepWebSite
 
-#: Bumped when the journal entry layout changes incompatibly.
-JOURNAL_FORMAT = 1
+#: Bumped when the journal entry layout changes incompatibly (a renamed or
+#: retyped field under :class:`SiteSurfacingResult` does;
+#: ``tests/persist/test_layout_guard.py`` notices).
+JOURNAL_FORMAT = 2
 
 
 class JournalError(RuntimeError):
@@ -77,7 +77,7 @@ def record_content_hash(record: IngestRecord) -> str:
 
 def config_fingerprint(config: SurfacingConfig) -> str:
     """A stable fingerprint of every surfacing knob."""
-    payload = json.dumps(asdict(config), sort_keys=True)
+    payload = json.dumps(encode(SurfacingConfig, config), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -88,8 +88,8 @@ class SurfacingJournal:
         self.path = Path(path)
         self._fingerprint: str | None = None
         self._blobs: dict[str, IngestRecord] = {}
-        #: host -> (blob hashes in ingestion order, encoded site result)
-        self._sites: dict[str, tuple[list[str], dict]] = {}
+        #: host -> (blob hashes in ingestion order, site result)
+        self._sites: dict[str, tuple[list[str], SiteSurfacingResult]] = {}
         self._load()
 
     def __len__(self) -> int:
@@ -100,9 +100,6 @@ class SurfacingJournal:
         """Hosts with a journaled (completed) surfacing result, in
         completion order."""
         return list(self._sites)
-
-    def __contains__(self, host: str) -> bool:
-        return host in self._sites
 
     # -- loading -------------------------------------------------------------
 
@@ -165,7 +162,14 @@ class SurfacingJournal:
                     f"{self.path}: site {entry['host']!r} references "
                     f"{len(missing)} unknown blob(s)"
                 )
-            self._sites[entry["host"]] = (list(entry["records"]), entry["result"])
+            try:
+                result = decode(SiteSurfacingResult, entry["result"])
+            except (TypeError, ValueError) as error:
+                raise JournalCorruptionError(
+                    f"{self.path}: site {entry['host']!r} at line {position + 1} "
+                    f"does not match this build's result layout ({error})"
+                ) from error
+            self._sites[entry["host"]] = (list(entry["records"]), result)
         else:
             raise JournalCorruptionError(
                 f"{self.path}: unknown entry kind {kind!r} at line {position + 1}"
@@ -230,18 +234,17 @@ class SurfacingJournal:
                         "record": encode_record(record),
                     }
                 )
-        encoded_result = encode_site_result(result)
         entries.append(
             {
                 "kind": "site",
                 "host": host,
                 "records": hashes,
-                "result": encoded_result,
+                "result": encode(SiteSurfacingResult, result),
             }
         )
         self._append(entries)
         self._blobs.update(fresh)
-        self._sites[host] = (hashes, encoded_result)
+        self._sites[host] = (hashes, result)
 
     # -- resume reads --------------------------------------------------------
 
@@ -252,87 +255,8 @@ class SurfacingJournal:
         entry = self._sites.get(host)
         if entry is None:
             return None
-        hashes, encoded_result = entry
-        records = [self._blobs[content_hash] for content_hash in hashes]
-        return records, decode_site_result(encoded_result)
-
-
-class _SiteEngineRecorder:
-    """An engine stand-in that stages one site's inserts instead of
-    writing them.
-
-    While a site is being surfaced the shared :class:`SearchEngine` is
-    left untouched; the would-be inserts are recorded here as prepared
-    :class:`IngestRecord` batches, and host-scoped term frequencies read
-    as the union of the untouched base and the local inserts.  Site hosts
-    are unique, so this view is exactly what direct engine writes would
-    have shown the pipeline.
-    """
-
-    def __init__(self, base: SearchEngine) -> None:
-        self._base = base
-        self._prepared: list[IngestRecord] = []
-        self._local_ids: dict[str, int] = {}
-        self._host_counts: dict[tuple[str, bool], dict[str, int]] = {}
-        # How many prepared records each frequency view has folded in.
-        # Views catch up lazily on read: a record nobody looks up again
-        # (most indexed pages) is tokenized exactly once, at preparation.
-        self._counted_upto: dict[tuple[str, bool], int] = {}
-
-    @property
-    def prepared(self) -> list[IngestRecord]:
-        """The recorded inserts, in site-local ingestion order (what the
-        surfacing journal checkpoints for a completed site)."""
-        return list(self._prepared)
-
-    def add_page(
-        self,
-        page: WebPage,
-        source: str = SOURCE_SURFACE,
-        annotations: Mapping[str, str] | None = None,
-    ) -> int | None:
-        """Record one insert; mirrors :meth:`SearchEngine.add_page` exactly
-        (returns a provisional negative id for new documents)."""
-        if not page.ok:
-            return None
-        existing = self._base.backend.doc_id_for_url(page.url)
-        if existing is not None:
-            return existing
-        local = self._local_ids.get(page.url)
-        if local is not None:
-            return local
-        # Preparation is the ingestor's single definition (same analysis
-        # cache, same annotation-token folding), so recorded records can
-        # never diverge from what the direct write path would store.
-        record = self._base.ingestor.prepare_page(
-            page, source=source, annotations=annotations
-        )
-        provisional = -(len(self._prepared) + 1)
-        self._prepared.append(record)
-        self._local_ids[page.url] = provisional
-        return provisional
-
-    def site_term_frequencies(self, host: str, drop_stopwords: bool = True) -> dict[str, int]:
-        """Base counts for the host plus counts of locally recorded pages.
-
-        Views are folded forward incrementally from a per-view high-water
-        mark: each lookup tokenizes only the records prepared since the
-        previous lookup, never the whole backlog (a from-scratch rebuild
-        is quadratic in pages per site)."""
-        cache_key = (host, drop_stopwords)
-        cached = self._host_counts.get(cache_key)
-        if cached is None:
-            cached = self._base.site_term_frequencies(host, drop_stopwords=drop_stopwords)
-            self._host_counts[cache_key] = cached
-            self._counted_upto[cache_key] = 0
-        upto = self._counted_upto[cache_key]
-        if upto < len(self._prepared):
-            for record in self._prepared[upto:]:
-                if record.host == host:
-                    for token in tokenize(record.text, drop_stopwords=drop_stopwords):
-                        cached[token] = cached.get(token, 0) + 1
-            self._counted_upto[cache_key] = len(self._prepared)
-        return dict(cached)
+        hashes, result = entry
+        return [self._blobs[content_hash] for content_hash in hashes], result
 
 
 class ResumableSurfacingScheduler(SurfacingScheduler):
@@ -341,28 +265,22 @@ class ResumableSurfacingScheduler(SurfacingScheduler):
     Per site, in order: if the journal holds the site, its records are
     replayed into the shared store (URL-dedup makes this idempotent) and
     the journaled result is returned without touching the web; otherwise
-    the site is surfaced through a worker pipeline that stages its
-    inserts in a :class:`_SiteEngineRecorder` (so an interruption
+    the site is surfaced against a scratch engine (so an interruption
     mid-site leaves the store and journal untouched), journaled, replayed
     into the store, and the store is flushed.  Site hosts are unique
     across a webspace, which is what makes the host a sound journal key
     and the staged view equal to the serial run.
 
-    The worker reports to the pipeline's own observers as it runs, so a
-    freshly surfaced site emits the same live event stream as under the
-    serial scheduler.  Stage events for journaled sites are *not*
-    re-emitted (the work they describe did not run); site start/end
+    A freshly surfaced site runs through the pipeline itself, so it emits
+    the same live event stream and moves the same probe-cache counters as
+    under the serial scheduler.  Stage events for journaled sites are
+    *not* re-emitted (the work they describe did not run); site start/end
     observer events still fire for every site, so progress output stays
-    complete.  Stage *instances* are shared with the worker, as they are
-    between sites of a serial run.
+    complete.
     """
 
-    def __init__(self, journal: SurfacingJournal | str | Path) -> None:
-        self.journal = (
-            journal
-            if isinstance(journal, SurfacingJournal)
-            else SurfacingJournal(journal)
-        )
+    def __init__(self, journal: str | Path) -> None:
+        self.journal = SurfacingJournal(journal)
 
     def run(
         self,
@@ -396,24 +314,23 @@ class ResumableSurfacingScheduler(SurfacingScheduler):
     def _surface_staged(
         pipeline: SurfacingPipeline, site: DeepWebSite
     ) -> tuple[list[IngestRecord], SiteSurfacingResult]:
-        recorder = _SiteEngineRecorder(pipeline.engine)
-        # A fresh context over the shared web: every seeded helper derives
-        # its randomness from the config seed by name, so the worker
-        # replays the exact streams the shared pipeline would have drawn.
-        worker = SurfacingPipeline(
-            pipeline.web,
-            recorder,
-            pipeline.config,
-            stages=pipeline.stages,
-            observers=pipeline.observers,
+        base = pipeline.engine
+        scratch = SearchEngine(signature_cache=base.signature_cache)
+        # Surfacing reads only this host's term counts and URL dedup from
+        # the engine, never a ranking, so the preload carries no tokens.
+        scratch.ingest_records(
+            IngestRecord(doc.url, doc.host, doc.title, doc.text, tokens=(), source=doc.source)
+            for doc in base.documents_for_host(site.host)
         )
-        result = worker.surface_site(site)
-        # Fold the worker's probe-cache counters into the shared prober so
-        # report() matches the serial run.
-        pipeline.prober.probe_cache.add_counts(
-            worker.prober.probe_cache.hits, worker.prober.probe_cache.misses
-        )
-        return recorder.prepared, result
+        staged: list[IngestRecord] = []
+        scratch.ingestor.add_listener(lambda record, doc_id: staged.append(record))
+        shared = pipeline.context
+        pipeline.context = replace(shared, engine=scratch)
+        try:
+            result = pipeline.surface_site(site)
+        finally:
+            pipeline.context = shared
+        return staged, result
 
     @staticmethod
     def _flush(pipeline: SurfacingPipeline) -> None:

@@ -2,14 +2,14 @@
 
 A snapshot is one JSON document capturing everything a
 :class:`~repro.api.DeepWebService` accumulated that is expensive to
-recompute: the content store (every indexed document, exported through
-the backend's :meth:`~repro.store.backend.StorageBackend.export_records`
-seam), per-site surfacing results, crawl stats, the WebTables corpus
-(tables, form schemata, select values, stats -- the AcsDb and every
-semantic service derive from these), harvest bookkeeping, an attached
-query log, and the serving cache's generation counter.  The simulated
-web itself is *not* serialized: it regenerates deterministically from
-its :class:`~repro.webspace.sitegen.WebConfig` (services built from an
+recompute; :class:`ServiceSnapshot` lists it, field for field, and
+:mod:`repro.persist.codec` writes and reads it from the dataclass
+definitions -- a field added to a result object round-trips without an
+edit here.  Only the per-document pair :func:`encode_record` /
+:func:`decode_record` is hand-written (it runs once per stored document
+on every snapshot and restore).  The simulated web itself is *not*
+serialized: it regenerates deterministically from its
+:class:`~repro.webspace.sitegen.WebConfig` (services built from an
 explicit :class:`~repro.webspace.web.Web` must pass ``web=`` to
 :func:`restore_service`).
 
@@ -24,7 +24,8 @@ meter shows zero surfacing work (``tests/persist`` pins all of this).
 
 The cache generation is restored *advanced by one* past the snapshotted
 value, so any ranking stamped with a pre-snapshot generation can never
-be served as fresh by the restored frontend.
+be served as fresh by the restored frontend -- across any number of
+snapshot/restore hops, whether or not a hop ever built its frontend.
 """
 
 from __future__ import annotations
@@ -32,33 +33,27 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.core.correlations import DatabaseSelection, RangePair
-from repro.core.coverage import CoverageReport
-from repro.core.surfacer import (
-    FormSurfacingResult,
-    SiteSurfacingResult,
-    SurfacingConfig,
-)
-from repro.core.templates import QueryTemplate
-from repro.core.urlgen import UrlGenerationStats
+from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
+from repro.persist.codec import decode, encode
 from repro.search.crawler import CrawlStats
 from repro.search.querylog import Query, QueryLog
 from repro.store.records import IngestRecord
-from repro.util.stats import CaptureRecaptureEstimate
 from repro.webspace.sitegen import WebConfig, generate_web
 from repro.webspace.web import Web
-from repro.webtables.corpus import CorpusStats, CorpusTable
+from repro.webtables.corpus import CorpusStats, CorpusTable, HarvestState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports lazily)
     from repro.api import DeepWebService
     from repro.store.backend import StorageBackend
 
-#: Bumped when the snapshot payload changes incompatibly.
-SNAPSHOT_FORMAT = 1
+#: Bumped when the snapshot payload changes incompatibly (a renamed or
+#: retyped field of any dataclass under :class:`ServiceSnapshot` does;
+#: ``tests/persist/test_layout_guard.py`` notices).
+SNAPSHOT_FORMAT = 2
 SNAPSHOT_KIND = "deepweb-service-snapshot"
 
 
@@ -66,7 +61,36 @@ class SnapshotError(RuntimeError):
     """A snapshot file that cannot be written or restored safely."""
 
 
-# -- record / result codecs -------------------------------------------------
+@dataclass
+class CorpusState:
+    """The persisted attributes of a :class:`~repro.webtables.corpus.TableCorpus`."""
+
+    tables: list[CorpusTable]
+    form_schemas: list[tuple[str, ...]]
+    form_values: dict[str, list[str]]
+    stats: CorpusStats
+
+
+@dataclass
+class ServiceSnapshot:
+    """The snapshot file, field for field."""
+
+    kind: str
+    format: int
+    created_at: float
+    web_config: WebConfig | None
+    surfacing_config: SurfacingConfig
+    serving: dict[str, object]
+    #: The content store in doc-id order (``export_records`` through
+    #: :func:`encode_record`); the AcsDb and every semantic service
+    #: derive from ``corpus``.
+    documents: list[object]
+    results: list[SiteSurfacingResult]
+    crawl: CrawlStats | None
+    corpus: CorpusState | None
+    harvest: HarvestState
+    query_log: list[Query] | None
+    cache_generation: int
 
 
 def encode_record(record: IngestRecord) -> dict[str, Any]:
@@ -93,212 +117,40 @@ def decode_record(payload: dict[str, Any]) -> IngestRecord:
     )
 
 
-def _encode_coverage(coverage: CoverageReport | None) -> dict[str, Any] | None:
-    if coverage is None:
-        return None
-    return {
-        "host": coverage.host,
-        "records_surfaced": coverage.records_surfaced,
-        "true_total": coverage.true_total,
-        "estimated_total": coverage.estimated_total,
-        "estimate": None if coverage.estimate is None else asdict(coverage.estimate),
-        "lower_bound": coverage.lower_bound,
-        "upper_bound": coverage.upper_bound,
-        "confidence": coverage.confidence,
-    }
-
-
-def _decode_coverage(payload: dict[str, Any] | None) -> CoverageReport | None:
-    if payload is None:
-        return None
-    estimate = payload["estimate"]
-    return CoverageReport(
-        host=payload["host"],
-        records_surfaced=payload["records_surfaced"],
-        true_total=payload["true_total"],
-        estimated_total=payload["estimated_total"],
-        estimate=None if estimate is None else CaptureRecaptureEstimate(**estimate),
-        lower_bound=payload["lower_bound"],
-        upper_bound=payload["upper_bound"],
-        confidence=payload["confidence"],
-    )
-
-
-def _encode_form_result(result: FormSurfacingResult) -> dict[str, Any]:
-    selection = result.database_selection
-    return {
-        "form_identity": result.form_identity,
-        "method": result.method,
-        "skipped": result.skipped,
-        "skip_reason": result.skip_reason,
-        "typed_inputs": dict(result.typed_inputs),
-        "range_pairs": [
-            {
-                "property_name": pair.property_name,
-                "min_input": pair.min_input,
-                "max_input": pair.max_input,
-                "options": list(pair.options),
-            }
-            for pair in result.range_pairs
-        ],
-        "database_selection": None
-        if selection is None
-        else {
-            "text_input": selection.text_input,
-            "select_input": selection.select_input,
-            "categories": list(selection.categories),
-        },
-        "templates_selected": [
-            list(template.binding_inputs) for template in result.templates_selected
-        ],
-        "urls_generated": result.urls_generated,
-        "urls_kept": result.urls_kept,
-        "urls_indexed": result.urls_indexed,
-        "generation_stats": asdict(result.generation_stats),
-        # Frozensets serialize sorted so the payload is deterministic.
-        "record_sets": [sorted(record_set) for record_set in result.record_sets],
-    }
-
-
-def _decode_form_result(payload: dict[str, Any]) -> FormSurfacingResult:
-    selection = payload["database_selection"]
-    return FormSurfacingResult(
-        form_identity=payload["form_identity"],
-        method=payload["method"],
-        skipped=payload["skipped"],
-        skip_reason=payload["skip_reason"],
-        typed_inputs=dict(payload["typed_inputs"]),
-        range_pairs=[
-            RangePair(
-                property_name=pair["property_name"],
-                min_input=pair["min_input"],
-                max_input=pair["max_input"],
-                options=tuple(pair["options"]),
-            )
-            for pair in payload["range_pairs"]
-        ],
-        database_selection=None
-        if selection is None
-        else DatabaseSelection(
-            text_input=selection["text_input"],
-            select_input=selection["select_input"],
-            categories=tuple(selection["categories"]),
-        ),
-        templates_selected=[
-            QueryTemplate(binding_inputs=tuple(inputs))
-            for inputs in payload["templates_selected"]
-        ],
-        urls_generated=payload["urls_generated"],
-        urls_kept=payload["urls_kept"],
-        urls_indexed=payload["urls_indexed"],
-        generation_stats=UrlGenerationStats(**payload["generation_stats"]),
-        record_sets=[frozenset(keys) for keys in payload["record_sets"]],
-    )
-
-
-def encode_site_result(result: SiteSurfacingResult) -> dict[str, Any]:
-    return {
-        "host": result.host,
-        "domain": result.domain,
-        "forms_found": result.forms_found,
-        "forms_surfaced": result.forms_surfaced,
-        "post_forms_skipped": result.post_forms_skipped,
-        "urls_generated": result.urls_generated,
-        "urls_indexed": result.urls_indexed,
-        "probes_issued": result.probes_issued,
-        "analysis_load": result.analysis_load,
-        "elapsed_seconds": result.elapsed_seconds,
-        "form_results": [_encode_form_result(form) for form in result.form_results],
-        "coverage": _encode_coverage(result.coverage),
-    }
-
-
-def decode_site_result(payload: dict[str, Any]) -> SiteSurfacingResult:
-    return SiteSurfacingResult(
-        host=payload["host"],
-        domain=payload["domain"],
-        forms_found=payload["forms_found"],
-        forms_surfaced=payload["forms_surfaced"],
-        post_forms_skipped=payload["post_forms_skipped"],
-        urls_generated=payload["urls_generated"],
-        urls_indexed=payload["urls_indexed"],
-        probes_issued=payload["probes_issued"],
-        analysis_load=payload["analysis_load"],
-        elapsed_seconds=payload["elapsed_seconds"],
-        form_results=[_decode_form_result(form) for form in payload["form_results"]],
-        coverage=_decode_coverage(payload["coverage"]),
-    )
-
-
-def _encode_corpus(corpus) -> dict[str, Any]:
-    return {
-        "tables": [
-            {
-                "attributes": list(table.attributes),
-                "values": [list(row) for row in table.values],
-                "source_url": table.source_url,
-                "source_kind": table.source_kind,
-            }
-            for table in corpus.tables
-        ],
-        "form_schemas": [list(schema) for schema in corpus.form_schemas],
-        "form_values": {
-            attribute: list(values) for attribute, values in corpus.form_values.items()
-        },
-        "stats": asdict(corpus.stats),
-    }
-
-
-def _encode_query(query: Query) -> dict[str, Any]:
-    return {
-        "text": query.text,
-        "kind": query.kind,
-        "frequency": query.frequency,
-        "rank": query.rank,
-        "target_host": query.target_host,
-        "target_table": query.target_table,
-        "target_record_id": query.target_record_id,
-    }
-
-
 # -- snapshot write ---------------------------------------------------------
 
 
 def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
     """Serialize the service to ``path`` (written atomically); returns it."""
     frontend = service._frontend
-    cache_generation = (
-        frontend.cache.generation if frontend is not None and not frontend.closed else 0
+    live = frontend is not None and not frontend.closed
+    corpus = service._corpus
+    query_log = service.query_log
+    snapshot = ServiceSnapshot(
+        kind=SNAPSHOT_KIND,
+        format=SNAPSHOT_FORMAT,
+        created_at=time.time(),
+        web_config=service.web_config,
+        surfacing_config=service.config,
+        serving=service._serving,
+        documents=[encode_record(r) for r in service.store.export_records()],
+        results=service.results,
+        crawl=service.crawl_stats,
+        corpus=None
+        if corpus is None
+        else CorpusState(corpus.tables, corpus.form_schemas, corpus.form_values, corpus.stats),
+        harvest=service._harvest,
+        query_log=None if query_log is None else query_log.queries,
+        # With no live frontend this process stamped nothing, but the one it
+        # was restored from may have: carry that floor forward.
+        cache_generation=frontend.cache.generation
+        if live
+        else service._restored_cache_generation,
     )
-    settled = service._harvest_settled
-    query_log = getattr(service, "query_log", None)
-    payload = {
-        "kind": SNAPSHOT_KIND,
-        "format": SNAPSHOT_FORMAT,
-        "created_at": time.time(),
-        "web_config": None if service.web_config is None else asdict(service.web_config),
-        "surfacing_config": asdict(service.config),
-        "serving": dict(service._serving),
-        "store_kind": service.store.kind,
-        "documents": [encode_record(r) for r in service.store.export_records()],
-        "results": [encode_site_result(result) for result in service.results],
-        "crawl": None if service.crawl_stats is None else asdict(service.crawl_stats),
-        "corpus": None if service._corpus is None else _encode_corpus(service._corpus),
-        "harvest": {
-            "urls": sorted(service._harvested_urls),
-            "form_hosts": sorted(service._harvested_form_hosts),
-            "detail_counts": dict(sorted(service._harvested_detail_counts.items())),
-            "settled": None if settled is None else list(settled),
-        },
-        "query_log": None
-        if query_log is None
-        else [_encode_query(query) for query in query_log.queries],
-        "cache_generation": cache_generation,
-    }
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     try:
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(encode(ServiceSnapshot, snapshot), sort_keys=True)
     except (TypeError, ValueError) as error:
         raise SnapshotError(f"snapshot payload is not serializable: {error}") from error
     scratch = target.with_name(target.name + ".tmp")
@@ -330,38 +182,34 @@ def restore_service(
             f"{source}: snapshot format {payload.get('format')!r} is not "
             f"supported (this build reads format {SNAPSHOT_FORMAT})"
         )
+    try:
+        snapshot: ServiceSnapshot = decode(ServiceSnapshot, payload)
+    except (TypeError, ValueError) as error:
+        raise SnapshotError(
+            f"{source}: snapshot does not match this build's layout ({error})"
+        ) from error
 
-    web_config = None
-    if payload["web_config"] is not None:
-        raw = dict(payload["web_config"])
-        raw["domains"] = tuple(raw.get("domains", ()))
-        raw["domain_weights"] = tuple(raw.get("domain_weights", ()))
-        web_config = WebConfig(**raw)
     if web is None:
-        if web_config is None:
+        if snapshot.web_config is None:
             raise SnapshotError(
                 f"{source}: snapshot was taken from an explicit Web (no "
                 "WebConfig recorded); pass web= to restore against it"
             )
-        web = generate_web(web_config)
+        web = generate_web(snapshot.web_config)
 
-    builder = (
-        DeepWebService.build()
-        .web(web)
-        .surfacing(SurfacingConfig(**payload["surfacing_config"]))
-    )
+    builder = DeepWebService.build().web(web).surfacing(snapshot.surfacing_config)
     if store is not None:
         builder = builder.store(store)
-    if payload["serving"]:
-        builder = builder.serving(**payload["serving"])
+    if snapshot.serving:
+        builder = builder.serving(**snapshot.serving)
     service = builder.create()
-    service.web_config = web_config
+    service.web_config = snapshot.web_config
 
     # Replay the corpus through the shared ingestor (listeners fire as on
     # live writes).  A fresh store must reproduce ids 1..N; a caller-
     # supplied store already holding the corpus (e.g. the reopened sqlite
     # file) dedups by URL onto those same ids.
-    records = [decode_record(entry) for entry in payload["documents"]]
+    records = [decode_record(entry) for entry in snapshot.documents]
     ids = service.engine.ingest_records(records)
     if ids != list(range(1, len(ids) + 1)):
         raise SnapshotError(
@@ -369,42 +217,22 @@ def restore_service(
             "(restore needs an empty store, or one holding exactly this corpus)"
         )
 
-    service.results = [decode_site_result(entry) for entry in payload["results"]]
-    if payload["crawl"] is not None:
-        service.crawl_stats = CrawlStats(**payload["crawl"])
-    if payload["corpus"] is not None:
+    service.results = snapshot.results
+    service.crawl_stats = snapshot.crawl
+    if snapshot.corpus is not None:
         corpus = service.corpus  # created wired to the shared ingestor
-        raw_corpus = payload["corpus"]
-        corpus.tables = [
-            CorpusTable(
-                attributes=tuple(table["attributes"]),
-                values=tuple(tuple(row) for row in table["values"]),
-                source_url=table["source_url"],
-                source_kind=table["source_kind"],
-            )
-            for table in raw_corpus["tables"]
-        ]
-        corpus.form_schemas = [tuple(schema) for schema in raw_corpus["form_schemas"]]
-        corpus.form_values = {
-            attribute: list(values)
-            for attribute, values in raw_corpus["form_values"].items()
-        }
-        corpus.stats = CorpusStats(**raw_corpus["stats"])
-    harvest = payload["harvest"]
-    service._harvested_urls = set(harvest["urls"])
-    service._harvested_form_hosts = set(harvest["form_hosts"])
-    service._harvested_detail_counts = dict(harvest["detail_counts"])
-    if harvest["settled"] is not None:
-        service._harvest_settled = tuple(harvest["settled"])
-    if payload["query_log"] is not None:
-        service.query_log = QueryLog(
-            queries=[Query(**entry) for entry in payload["query_log"]]
-        )
+        corpus.tables = snapshot.corpus.tables
+        corpus.form_schemas = snapshot.corpus.form_schemas
+        corpus.form_values = snapshot.corpus.form_values
+        corpus.stats = snapshot.corpus.stats
+    service._harvest = snapshot.harvest
+    if snapshot.query_log is not None:
+        service.query_log = QueryLog(queries=snapshot.query_log)
     # The restored frontend's cache starts past every generation the
     # snapshotted process stamped (applied lazily when the frontend is
     # first built -- see DeepWebService.frontend).
-    service._restored_cache_generation = payload["cache_generation"] + 1
+    service._restored_cache_generation = snapshot.cache_generation + 1
     service._restored_from = source
     service._snapshot_path = source
-    service._snapshot_created_at = payload["created_at"]
+    service._snapshot_created_at = snapshot.created_at
     return service

@@ -15,7 +15,7 @@ sequential assigner unchanged (ids are contiguous from 1), otherwise the
 file is corrupt and opening raises :class:`SqliteStoreError` instead of
 silently renumbering a corpus.
 
-Durability is batched: inserts commit every ``commit_every`` documents
+Durability is batched: inserts commit every :data:`COMMIT_EVERY` documents
 and on :meth:`flush` / :meth:`close` (the resume-aware surfacing
 scheduler flushes after every journaled site).  BM25 parameters are
 pinned in a ``meta`` table so a file cannot be reopened under scoring
@@ -34,10 +34,19 @@ from repro.store.records import IngestRecord
 
 #: Bumped when the on-disk layout changes incompatibly.
 SQLITE_FORMAT = 1
+#: Inserts buffered between commits (flush/close commit the remainder).
+COMMIT_EVERY = 256
+#: The ``documents`` columns of a record, in :class:`IngestRecord` field order.
+_RECORD_COLUMNS = "url, host, title, text, tokens, source, annotations"
 
 
 class SqliteStoreError(RuntimeError):
     """A sqlite store file that cannot be (re)opened safely."""
+
+
+def _record_from_row(url, host, title, text, tokens, source, annotations) -> IngestRecord:
+    """One ``documents`` row, selected as :data:`_RECORD_COLUMNS`, as a record."""
+    return IngestRecord(url, host, title, text, json.loads(tokens), source, json.loads(annotations))
 
 
 class SqliteBackend(InMemoryBackend):
@@ -45,18 +54,9 @@ class SqliteBackend(InMemoryBackend):
 
     kind = "sqlite"
 
-    def __init__(
-        self,
-        path: str | Path,
-        k1: float = 1.5,
-        b: float = 0.75,
-        commit_every: int = 256,
-    ) -> None:
-        if commit_every <= 0:
-            raise ValueError(f"commit_every must be positive, got {commit_every}")
+    def __init__(self, path: str | Path, k1: float = 1.5, b: float = 0.75) -> None:
         super().__init__(k1=k1, b=b)
         self.path = Path(path)
-        self.commit_every = commit_every
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One writer lock; reads stay lock-free on the in-memory state
         # (same thread-safety contract as InMemoryBackend serving).
@@ -111,20 +111,10 @@ class SqliteBackend(InMemoryBackend):
     def _load(self) -> None:
         """Replay stored rows through the in-memory add path, id-checked."""
         rows = self._connection.execute(
-            "SELECT doc_id, url, host, title, text, tokens, source, annotations "
-            "FROM documents ORDER BY doc_id"
+            f"SELECT doc_id, {_RECORD_COLUMNS} FROM documents ORDER BY doc_id"
         )
-        for doc_id, url, host, title, text, tokens, source, annotations in rows:
-            record = IngestRecord(
-                url=url,
-                host=host,
-                title=title,
-                text=text,
-                tokens=json.loads(tokens),
-                source=source,
-                annotations=json.loads(annotations),
-            )
-            assigned = super().add(record)
+        for doc_id, *row in rows:
+            assigned = super().add(_record_from_row(*row))
             if assigned != doc_id:
                 raise SqliteStoreError(
                     f"{self.path}: stored doc ids are not contiguous "
@@ -140,8 +130,7 @@ class SqliteBackend(InMemoryBackend):
                 return existing
             doc_id = super().add(record)
             self._connection.execute(
-                "INSERT INTO documents "
-                "(doc_id, url, host, title, text, tokens, source, annotations) "
+                f"INSERT INTO documents (doc_id, {_RECORD_COLUMNS}) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     doc_id,
@@ -155,7 +144,7 @@ class SqliteBackend(InMemoryBackend):
                 ),
             )
             self._pending += 1
-            if self._pending >= self.commit_every:
+            if self._pending >= COMMIT_EVERY:
                 self._connection.commit()
                 self._pending = 0
             return doc_id
@@ -168,21 +157,9 @@ class SqliteBackend(InMemoryBackend):
         """
         self.flush()
         rows = self._connection.execute(
-            "SELECT url, host, title, text, tokens, source, annotations "
-            "FROM documents ORDER BY doc_id"
+            f"SELECT {_RECORD_COLUMNS} FROM documents ORDER BY doc_id"
         )
-        return [
-            IngestRecord(
-                url=url,
-                host=host,
-                title=title,
-                text=text,
-                tokens=json.loads(tokens),
-                source=source,
-                annotations=json.loads(annotations),
-            )
-            for url, host, title, text, tokens, source, annotations in rows
-        ]
+        return [_record_from_row(*row) for row in rows]
 
     def flush(self) -> None:
         """Commit buffered inserts to disk."""

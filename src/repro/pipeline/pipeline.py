@@ -216,14 +216,6 @@ class SurfacingPipeline:
                 break
         return ctx.form_result
 
-    def surface_form(
-        self, site: DeepWebSite, form: SurfacingForm, homepage_html: str
-    ) -> FormSurfacingResult:
-        """Surface one GET form (legacy-compatible entry point)."""
-        ctx = self.context.for_site(site)
-        ctx.homepage_html = homepage_html
-        return self._surface_form(ctx, form)
-
     def surface_many(
         self,
         sites: Iterable[DeepWebSite],

@@ -86,8 +86,7 @@ class InputClassificationStage:
     scope = SCOPE_FORM
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        prober = ctx.prober if ctx.config.probe_confirm_types else None
-        ctx.predictions = ctx.classifier.classify_form(ctx.form, prober)
+        ctx.predictions = ctx.classifier.classify_form(ctx.form, ctx.prober)
         ctx.form_result.typed_inputs = ctx.classifier.typed_inputs(ctx.predictions)
         return ctx
 
@@ -322,11 +321,9 @@ def _index_url(ctx: PipelineContext, candidate: GeneratedUrl) -> bool:
     result = ctx.prober.probe(ctx.form, candidate.bindings)
     if not result.ok:
         return False
-    annotations = None
-    if ctx.config.annotate_pages:
-        annotations = annotation_for_bindings(
-            candidate.bindings, domain=ctx.site.domain_name
-        ).as_dict
+    annotations = annotation_for_bindings(
+        candidate.bindings, domain=ctx.site.domain_name
+    ).as_dict
     doc_id = ctx.engine.add_page(result.page, source=SOURCE_SURFACED, annotations=annotations)
     if doc_id is None:
         return False

@@ -73,10 +73,6 @@ class Crawler:
             return self._signature_cache
         return default_signature_cache()
 
-    @property
-    def visited_count(self) -> int:
-        return len(self._visited)
-
     def crawl(
         self,
         seeds: Iterable[Url | str] | None = None,

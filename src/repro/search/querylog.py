@@ -54,10 +54,6 @@ class Query:
     target_table: str = ""
     target_record_id: object = None
 
-    @property
-    def is_tail_kind(self) -> bool:
-        return self.kind == KIND_TAIL
-
 
 @dataclass
 class QueryLog:

@@ -58,10 +58,6 @@ class SeededRng:
         """Normally distributed float."""
         return self._random.gauss(mu, sigma)
 
-    def lognormal(self, mu: float, sigma: float) -> float:
-        """Log-normally distributed float."""
-        return self._random.lognormvariate(mu, sigma)
-
     def choice(self, items: Sequence[T]) -> T:
         """Uniformly pick one element of a non-empty sequence."""
         return self._random.choice(items)

@@ -41,9 +41,6 @@ class MediatedSchema:
                 return attribute
         return None
 
-    def attribute_names(self) -> list[str]:
-        return [attribute.name for attribute in self.attributes]
-
 
 def _geo_attributes() -> list[MediatedAttribute]:
     return [

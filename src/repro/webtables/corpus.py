@@ -63,6 +63,24 @@ class CorpusStats:
     table_errors: int = 0
 
 
+@dataclass
+class HarvestState:
+    """What the facade's table harvest has already consumed.
+
+    Keeps ``DeepWebService.harvest_tables`` incremental and idempotent,
+    and round-trips through snapshots so a restored service never
+    re-fetches a harvested page.
+    """
+
+    urls: set[str] = field(default_factory=set)
+    form_hosts: set[str] = field(default_factory=set)
+    detail_counts: dict[str, int] = field(default_factory=dict)
+    #: (store doc count, detail budget) at the end of the last harvest;
+    #: lets repeated harvests over a settled corpus return immediately
+    #: instead of rescanning every document and site.
+    settled: tuple[int, int] | None = None
+
+
 class TableCorpus:
     """Accumulates relational tables and form schemata.
 

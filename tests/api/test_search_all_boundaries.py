@@ -130,9 +130,9 @@ class TestHarvestShortCircuit:
     def test_larger_detail_budget_reopens_the_harvest(self, service):
         service.search_all("anything", k=1)
         assert service.harvest_tables(detail_pages_per_site=10) == 0  # settled
-        counts_before = dict(service._harvested_detail_counts)
+        counts_before = dict(service._harvest.detail_counts)
         service.harvest_tables(detail_pages_per_site=12)
-        counts_after = service._harvested_detail_counts
+        counts_after = service._harvest.detail_counts
         assert any(
             counts_after[host] > counts_before.get(host, 0) for host in counts_after
         ), "a larger budget must fetch the difference"

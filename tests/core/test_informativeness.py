@@ -181,7 +181,7 @@ class TestFastScanDifferential:
         for html in refused:
             assert _fast_scan(html) is None, html
             # The DOM fallback still analyzes the page.
-            title, pieces, hrefs = _dom_scan(html)
+            title, body_text, hrefs = _dom_scan(html)
             assert analyze_html(html).text == " ".join(
-                ([title] if title else []) + pieces
+                piece for piece in (title, body_text) if piece
             )

@@ -7,8 +7,6 @@ import pytest
 from repro.core.informativeness import (
     SignatureCache,
     analyze_html,
-    default_signature_cache,
-    set_default_signature_cache,
     signature_for_page,
     signature_of,
 )
@@ -126,17 +124,6 @@ class TestCacheMechanics:
         assert stats["hits"] == 1 and stats["misses"] == 1
         cache.clear()
         assert cache.stats()["entries"] == 0
-
-    def test_default_cache_swap_restores(self):
-        original = default_signature_cache()
-        replacement = SignatureCache(max_entries=0)
-        previous = set_default_signature_cache(replacement)
-        try:
-            assert previous is original
-            assert default_signature_cache() is replacement
-        finally:
-            set_default_signature_cache(original)
-        assert default_signature_cache() is original
 
     def test_error_pages_short_circuit(self):
         assert signature_of("anything", status_ok=False).is_error

@@ -35,6 +35,14 @@ def normalized_results(results) -> list[tuple]:
     return out
 
 
+def fault_accounting(service) -> tuple[list[tuple], list[str]]:
+    """Per-site fault counters, and the per-site report rows that print them."""
+    return (
+        [(r.host, r.fetch_errors, r.fetch_retries, r.degraded) for r in service.results],
+        [line for line in service.report().lines() if line.startswith("  ")],
+    )
+
+
 def normalized_index(engine) -> list[tuple]:
     return [
         (doc.doc_id, doc.url, doc.host, doc.title, doc.text, doc.source,

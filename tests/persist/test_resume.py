@@ -27,11 +27,13 @@ from repro.persist import (
     record_content_hash,
 )
 from repro.pipeline.observer import PipelineObserver
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.retry import RetryPolicy
 from repro.store.records import IngestRecord
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.sitegen import WebConfig
 
-from reference_normalizers import normalized_index, normalized_results
+from reference_normalizers import fault_accounting, normalized_index, normalized_results
 
 pytestmark = pytest.mark.persist
 
@@ -345,3 +347,85 @@ def test_shared_records_are_journaled_once(tmp_path):
         "http://host.example.com/r/1",
         "http://host.example.com/r/3",
     ]
+
+
+@pytest.mark.parametrize(
+    "tamper, complaint",
+    [
+        (lambda result: result.update(surprise=1), "unknown .'surprise'."),
+        (lambda result: result.pop("host"), "missing .'host'."),
+    ],
+    ids=["unknown-key", "missing-field"],
+)
+def test_site_result_of_another_layout_is_refused(tmp_path, tamper, complaint):
+    """A result this build's dataclasses cannot hold is corruption at load,
+    never a bare TypeError / KeyError when the site is resumed."""
+    path = tmp_path / "layout.journal"
+    journal_with_one_site(path)
+    lines = path.read_text().splitlines()
+    entry = json.loads(lines[-1])
+    assert entry["kind"] == "site"
+    tamper(entry["result"])
+    lines[-1] = json.dumps(entry, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(JournalCorruptionError, match=f"result layout.*{complaint}"):
+        SurfacingJournal(path)
+
+
+# -- what the journal carries, and what staging sees ---------------------------
+
+
+def test_fault_accounting_survives_resume(tmp_path):
+    """Per-site fetch errors, retries and the degraded flag replay from the
+    journal: a resumed report must not read as a clean run."""
+
+    def surface_under_faults() -> tuple[list[tuple], list[str]]:
+        service = (
+            DeepWebService.build()
+            .web(WEB)
+            .surfacing(SURFACING)
+            .faults(FaultPlan(seed=3, default=FaultSpec(error_rate=0.2), agents=["surfacer"]))
+            .resilience(RetryPolicy(max_attempts=2))
+            .scheduler(ResumableSurfacingScheduler(tmp_path / "faulted.journal"))
+            .create()
+        )
+        service.surface()
+        return fault_accounting(service)
+
+    first = surface_under_faults()
+    assert any(errors and retries and degraded for _, errors, retries, degraded in first[0])
+    assert surface_under_faults() == first  # second run: every site from the journal
+
+
+class TermViews(PipelineObserver):
+    """The host term counts the pipeline's engine shows as each stage starts."""
+
+    def __init__(self) -> None:
+        self.views: list[tuple[str, str, tuple]] = []
+
+    def on_stage_start(self, stage_name, ctx) -> None:
+        counts = ctx.engine.site_term_frequencies(ctx.site.host)
+        self.views.append((ctx.site.host, stage_name, tuple(sorted(counts.items()))))
+
+
+def test_staging_over_a_crawled_store_matches_the_serial_run(tmp_path):
+    """The identity tests above start from an empty store.  Here every deep
+    host already has crawled documents, which keyword seeding counts and
+    URL dedup must see: the scratch engine is preloaded with them."""
+
+    def crawl_then_surface(journal=None):
+        views = TermViews()
+        service = build_service(journal=journal, observer=views)
+        service.crawl(max_pages=80)
+        crawled_hosts = {doc.host for doc in service.engine.documents()}
+        assert crawled_hosts >= {site.host for site in service.web.deep_sites()}
+        service.surface()
+        return (
+            normalized_results(service.results),
+            normalized_index(service.engine),
+            views.views,
+        )
+
+    serial = crawl_then_surface()
+    assert any(counts for _, stage, counts in serial[2] if stage == "discover-forms")
+    assert crawl_then_surface(journal=tmp_path / "crawled.journal") == serial

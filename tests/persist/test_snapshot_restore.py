@@ -19,11 +19,13 @@ import pytest
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.persist import SnapshotError, SqliteBackend
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.retry import RetryPolicy
 from repro.search.querylog import Query, QueryLog
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.sitegen import WebConfig, generate_web
 
-from reference_normalizers import normalized_index, normalized_results
+from reference_normalizers import fault_accounting, normalized_index, normalized_results
 
 pytestmark = pytest.mark.persist
 
@@ -109,7 +111,7 @@ def test_restore_round_trips_bookkeeping(round_trip):
     assert restored.corpus.stats == service.corpus.stats
     assert restored.query_log is not None
     assert restored.query_log.queries == service.query_log.queries
-    assert restored._harvest_settled == service._harvest_settled
+    assert restored._harvest.settled == service._harvest.settled
     assert restored._restored_from == path
 
 
@@ -224,3 +226,58 @@ def test_explicit_web_snapshot_requires_web_on_restore(tmp_path):
         DeepWebService.restore(path)
     restored = DeepWebService.restore(path, web=generate_web(WEB))
     assert normalized_index(restored.engine) == normalized_index(service.engine)
+
+
+def test_cache_generation_keeps_rising_across_hops_that_never_serve(round_trip, tmp_path):
+    """snapshot -> restore -> snapshot -> restore with the middle service's
+    frontend never built: the second restored frontend must still start
+    past the first one's generation, not beside it."""
+    _, first, _, _ = round_trip
+    untouched = DeepWebService.restore(first.snapshot(tmp_path / "hop1.json"))
+    assert untouched._frontend is None
+    second = DeepWebService.restore(untouched.snapshot(tmp_path / "hop2.json"))
+    generations = [
+        service.frontend.cache.generation for service in (first, untouched, second)
+    ]
+    assert generations == sorted(set(generations)), generations
+    for service in (untouched, second):
+        service.frontend.close()
+
+
+def test_fault_accounting_survives_restore(tmp_path):
+    """Per-site fetch errors, retries and the degraded flag are part of the
+    result; a restored report must not read as a clean run."""
+    service = (
+        DeepWebService.build()
+        .web(WEB)
+        .surfacing(SURFACING)
+        .faults(FaultPlan(seed=3, default=FaultSpec(error_rate=0.2), agents=["surfacer"]))
+        .resilience(RetryPolicy(max_attempts=2))
+        .create()
+    )
+    service.surface()
+    restored = DeepWebService.restore(service.snapshot(tmp_path / "faulted.json"))
+    assert any(r.fetch_errors and r.fetch_retries and r.degraded for r in service.results)
+    assert fault_accounting(restored) == fault_accounting(service)
+
+
+@pytest.mark.parametrize(
+    "tamper, complaint",
+    [
+        (lambda payload: payload["results"][0].update(surprise=1), "unknown .'surprise'."),
+        (lambda payload: payload["results"][0].pop("host"), "missing .'host'."),
+        (lambda payload: payload.update(surprise=1), "unknown .'surprise'."),
+        (lambda payload: payload["surfacing_config"].update(max_urls_per_form=0), "positive"),
+    ],
+    ids=["unknown-result-key", "missing-result-field", "unknown-top-level-key", "invalid-config"],
+)
+def test_restore_refuses_a_payload_of_another_layout(round_trip, tmp_path, tamper, complaint):
+    """An undeclared key, a missing required field and an invalid value are
+    snapshot errors, never a bare TypeError / KeyError from a constructor."""
+    _, _, _, path = round_trip
+    payload = json.loads(path.read_text())
+    tamper(payload)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(payload))
+    with pytest.raises(SnapshotError, match=f"layout.*{complaint}"):
+        DeepWebService.restore(tampered)

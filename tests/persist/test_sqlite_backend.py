@@ -142,9 +142,10 @@ def test_export_records_round_trips_tokens_verbatim(tmp_path):
 # -- commit batching ---------------------------------------------------------
 
 
-def test_commit_batching_and_flush(tmp_path):
+def test_commit_batching_and_flush(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.persist.sqlite.COMMIT_EVERY", 3)
     path = tmp_path / "batch.sqlite3"
-    backend = SqliteBackend(path, commit_every=3)
+    backend = SqliteBackend(path)
     reader = sqlite3.connect(str(path))
 
     def committed_rows() -> int:
@@ -163,11 +164,6 @@ def test_commit_batching_and_flush(tmp_path):
     backend.close()  # close commits the tail
     assert committed_rows() == 5
     reader.close()
-
-
-def test_commit_every_must_be_positive(tmp_path):
-    with pytest.raises(ValueError):
-        SqliteBackend(tmp_path / "bad.sqlite3", commit_every=0)
 
 
 # -- pinned parameters and corruption ----------------------------------------
