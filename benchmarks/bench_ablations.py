@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the design choices of the surfacing pipeline.
 
 Not a paper table: these sweeps justify the default parameter choices of the
 surfacing pipeline on the simulator.

@@ -1,11 +1,11 @@
 """Shared fixtures for the benchmark/experiment harness.
 
-Every benchmark regenerates one quantitative claim of the paper (see
-DESIGN.md section 4 and EXPERIMENTS.md).  Expensive artefacts -- the
-generated web, the crawl, the surfacing run and the query log -- are built
-once per session and shared; benchmarks time the interesting operation with
-``benchmark.pedantic`` (a single round) and then assert on the *shape* of
-the result, printing the rows that EXPERIMENTS.md records.
+Every benchmark regenerates one quantitative claim of the paper (each
+file's docstring names the claim and the paper section).  Expensive
+artefacts -- the generated web, the crawl, the surfacing run and the query
+log -- are built once per session and shared; benchmarks time the
+interesting operation with ``benchmark.pedantic`` (a single round) and then
+assert on the *shape* of the result, printing its rows (``-s`` shows them).
 """
 
 from __future__ import annotations

@@ -53,140 +53,28 @@ The package implements, over a fully simulated web:
 
 __version__ = "0.2.0"
 
-from repro.api import (
-    DeepWebService,
-    DeepWebServiceBuilder,
-    ServiceReport,
-    SiteReportRow,
-)
-from repro.core.surfacer import (
-    FormSurfacingResult,
-    SiteSurfacingResult,
-    SurfacingConfig,
-    SurfacingConfigError,
-)
-from repro.pipeline import (
-    MetricsObserver,
-    PipelineContext,
-    PipelineObserver,
-    ProgressObserver,
-    Stage,
-    SurfacingPipeline,
-    SurfacingScheduler,
-    default_stages,
-)
-from repro.query import (
-    BlendedRanker,
-    IndexedRoute,
-    LiveVerticalRoute,
-    ParsedQuery,
-    PlanHit,
-    PlannerStats,
-    PlanResult,
-    QueryExecutor,
-    QueryPlan,
-    QueryPlanner,
-    WebTablesRoute,
-    parse_query,
-)
-from repro.resilience import (
-    BreakerRegistry,
-    CircuitBreaker,
-    FaultPlan,
-    FaultSpec,
-    FaultyWeb,
-    ResilientWeb,
-    RetryPolicy,
-)
-from repro.search.crawler import Crawler
+from repro.api import DeepWebService
+from repro.core.surfacer import SurfacingConfig, SurfacingConfigError
+from repro.pipeline import MetricsObserver, ProgressObserver, SurfacingPipeline
 from repro.search.engine import SOURCE_SURFACED, SearchEngine
-from repro.serve import (
-    QueryFrontend,
-    QueryResultCache,
-    ServeStats,
-    WorkloadGenerator,
-    WorkloadOutcome,
-    WorkloadQuery,
-)
-from repro.store import (
-    IngestRecord,
-    Ingestor,
-    InMemoryBackend,
-    StorageBackend,
-    StoreStats,
-)
+from repro.store import InMemoryBackend
 from repro.webspace.sitegen import WebConfig, generate_web
-from repro.webspace.web import (
-    FetchError,
-    FetchTimeout,
-    HostUnavailable,
-    TransientFetchError,
-    Web,
-)
+from repro.webspace.web import Web
 
+#: What tests, examples, scripts and benchmarks import from the top level;
+#: everything else is imported from the package that defines it.
 __all__ = [
     "__version__",
-    # facade
     "DeepWebService",
-    "DeepWebServiceBuilder",
-    "ServiceReport",
-    "SiteReportRow",
-    "SurfacingScheduler",
-    # surfacing pipeline
-    "SurfacingPipeline",
-    "Stage",
-    "default_stages",
-    "PipelineContext",
-    "PipelineObserver",
-    "MetricsObserver",
-    "ProgressObserver",
     "SurfacingConfig",
     "SurfacingConfigError",
-    "SiteSurfacingResult",
-    "FormSurfacingResult",
-    # world building and search
+    "SurfacingPipeline",
+    "MetricsObserver",
+    "ProgressObserver",
     "Web",
     "WebConfig",
     "generate_web",
     "SearchEngine",
     "SOURCE_SURFACED",
-    "Crawler",
-    # unified content store
-    "IngestRecord",
-    "Ingestor",
-    "StorageBackend",
-    "StoreStats",
     "InMemoryBackend",
-    # federated query planning
-    "ParsedQuery",
-    "parse_query",
-    "QueryPlan",
-    "QueryPlanner",
-    "QueryExecutor",
-    "BlendedRanker",
-    "PlanResult",
-    "PlanHit",
-    "PlannerStats",
-    "IndexedRoute",
-    "LiveVerticalRoute",
-    "WebTablesRoute",
-    # resilience: typed fetch errors, fault injection, retry, breaking
-    "FetchError",
-    "TransientFetchError",
-    "FetchTimeout",
-    "HostUnavailable",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultyWeb",
-    "RetryPolicy",
-    "ResilientWeb",
-    "CircuitBreaker",
-    "BreakerRegistry",
-    # query serving
-    "QueryFrontend",
-    "QueryResultCache",
-    "ServeStats",
-    "WorkloadGenerator",
-    "WorkloadOutcome",
-    "WorkloadQuery",
 ]

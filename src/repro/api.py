@@ -22,11 +22,11 @@ through a single :class:`~repro.pipeline.scheduler.SurfacingScheduler`
 seam: serial by default, journaled and resumable for services built with
 ``persist()``.
 
-Storage is pluggable through the unified content store: call
-``.cluster(shards=4)`` on the builder to hash-partition the index
-across shards (rankings stay identical to the in-memory default), and use
-``search_all()`` for a cross-corpus query that ranks surfaced pages,
-crawled pages and harvested webtables in one result list.
+Storage is pluggable through the unified content store: pass
+``.store(ClusterBackend(shard_count=4))`` to the builder to hash-partition
+the index across shards (rankings stay identical to the in-memory
+default), and use ``search_all()`` for a cross-corpus query that ranks
+surfaced pages, crawled pages and harvested webtables in one result list.
 
 Cross-corpus reads flow through the federated query layer
 (:mod:`repro.query`): ``search_all()`` is a thin wrapper over an
@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
-from repro.htmlparse.forms import extract_forms
 from repro.pipeline.observer import MetricsObserver, PipelineObserver, ProgressObserver
 from repro.pipeline.pipeline import SurfacingPipeline
 from repro.pipeline.scheduler import SurfacingScheduler
@@ -54,41 +53,17 @@ from repro.query.plan import QueryPlan
 from repro.query.planner import QueryPlanner
 from repro.search.crawler import CrawlStats, Crawler
 from repro.search.querylog import QueryLog
-from repro.search.engine import (
-    SOURCE_VERTICAL,
-    SOURCE_WEBTABLE,
-    SearchEngine,
-    SearchResult,
-)
+from repro.search.engine import SearchEngine, SearchResult
 from repro.serve.frontend import QueryFrontend, WorkloadOutcome
 from repro.serve.loadgen import WorkloadGenerator, WorkloadQuery
 from repro.store.backend import StorageBackend
 from repro.resilience.faults import FaultPlan, FaultyWeb, ScriptedFaults
 from repro.resilience.retry import BreakerRegistry, ResilientWeb, RetryPolicy
-from repro.webspace.loadmeter import AGENT_WEBTABLES
 from repro.webspace.site import DeepWebSite
 from repro.virtual.vertical import VerticalSearchEngine
 from repro.webspace.sitegen import WebConfig, generate_web
-from repro.webspace.web import FetchError, Web
-from repro.webtables.corpus import HarvestState, TableCorpus
-
-
-@dataclass
-class SiteReportRow:
-    """One line of the per-site report table."""
-
-    host: str
-    domain: str
-    forms_surfaced: int
-    urls_indexed: int
-    records_covered: int
-    coverage: float | None
-    analysis_load: int
-    elapsed_seconds: float
-    #: Fault accounting for the site's surfacing run (zero on a clean web).
-    fetch_errors: int = 0
-    fetch_retries: int = 0
-    degraded: bool = False
+from repro.webspace.web import Web
+from repro.webtables.corpus import HarvestState, TableCorpus, harvest_web
 
 
 @dataclass
@@ -108,7 +83,8 @@ class ServiceReport:
     elapsed_seconds: float
     index_by_source: dict[str, int] = field(default_factory=dict)
     crawl: CrawlStats | None = None
-    sites: list[SiteReportRow] = field(default_factory=list)
+    #: The per-site results every total above is summed from.
+    sites: list[SiteSurfacingResult] = field(default_factory=list)
     #: Cross-stage probe memo counters (hits/misses/hit_rate); rendered only
     #: when probes were actually issued, keeping probe-free reports stable.
     probe_cache: dict[str, float] = field(default_factory=dict)
@@ -203,7 +179,7 @@ class ServiceReport:
                 f"{self.query_planning.get('blended_results', 0)} blended results"
             )
         for row in self.sites:
-            coverage = f"{row.coverage:.0%}" if row.coverage is not None else "n/a"
+            coverage = f"{row.coverage.true_coverage:.0%}" if row.coverage else "n/a"
             line = (
                 f"  {row.host:<38s} domain={row.domain:<14s} urls={row.urls_indexed:<4d} "
                 f"coverage={coverage} offline_load={row.analysis_load}"
@@ -252,42 +228,10 @@ class DeepWebServiceBuilder:
 
     def store(self, backend: StorageBackend) -> "DeepWebServiceBuilder":
         """Back the service's search engine with a specific storage
-        backend (e.g. ``SqliteBackend(path)``); mutually exclusive with
-        supplying a fully built engine via :meth:`engine`."""
+        backend (``SqliteBackend(path)``, ``ClusterBackend(...)``); mutually
+        exclusive with supplying a fully built engine via :meth:`engine`."""
         self._store = backend
         return self
-
-    def cluster(
-        self,
-        shards: int = 8,
-        replicas: int = 1,
-        deadline_seconds: float = 0.25,
-        hedge_after_seconds: float = 0.05,
-        inflight_limit: int = 8,
-        fault_plan: FaultPlan | ScriptedFaults | None = None,
-    ) -> "DeepWebServiceBuilder":
-        """Back the service with the scatter-gather cluster tier.
-
-        Sugar for ``store(ClusterBackend(...))``: documents partition
-        across ``shards`` replicated shard nodes, searches scatter with
-        per-shard deadlines and hedged duplicates, and clean-path
-        rankings stay byte-identical to the in-memory default.  A
-        ``fault_plan`` keyed on ``shard{i}/replica{j}`` names (agent
-        ``cluster``) injects deterministic replica outages/errors/stalls
-        for chaos soaks; ``service.cluster_stats()`` and ``report()``
-        expose hedge/deadline/degradation accounting."""
-        from repro.cluster import ClusterBackend
-
-        return self.store(
-            ClusterBackend(
-                shard_count=shards,
-                replicas=replicas,
-                deadline_seconds=deadline_seconds,
-                hedge_after_seconds=hedge_after_seconds,
-                inflight_limit=inflight_limit,
-                fault_plan=fault_plan,
-            )
-        )
 
     def surfacing(self, config: SurfacingConfig) -> "DeepWebServiceBuilder":
         self._surfacing = config
@@ -457,9 +401,10 @@ class DeepWebService:
         self._snapshot_path: Path | None = None
         self._snapshot_created_at: float | None = None
         self._restored_from: Path | None = None
-        #: Applied to the serving cache when the frontend is first built,
-        #: so a restored frontend starts past every pre-snapshot generation.
-        self._restored_cache_generation = 0
+        #: No frontend of this service starts below this cache generation:
+        #: what a restore carried over, raised to :attr:`cache_generation`
+        #: whenever a closed frontend is replaced.
+        self._cache_generation_floor = 0
 
     @classmethod
     def build(cls) -> DeepWebServiceBuilder:
@@ -504,14 +449,20 @@ class DeepWebService:
         through this service's executor (``serve_plan``), cached on the
         plan fingerprint."""
         if self._frontend is None or self._frontend.closed:
+            self._cache_generation_floor = self.cache_generation
             self._frontend = QueryFrontend(
                 self.engine, executor=self.executor, **self._serving
             )
-            if self._restored_cache_generation:
-                self._frontend.cache.advance_generation(
-                    self._restored_cache_generation
-                )
+            self._frontend.cache.advance_generation(self._cache_generation_floor)
         return self._frontend
+
+    @property
+    def cache_generation(self) -> int:
+        """The highest serving-cache generation stamped so far -- by the
+        current frontend, any it replaced, or the process this service was
+        restored from.  What a snapshot records."""
+        live = self._frontend.cache.generation if self._frontend is not None else 0
+        return max(self._cache_generation_floor, live)
 
     @property
     def journal(self):
@@ -644,11 +595,16 @@ class DeepWebService:
         self, sites: Iterable[DeepWebSite] | None = None
     ) -> list[SiteSurfacingResult]:
         """Surface every deep-web site (or the supplied subset), replacing
-        previously stored results (and the stage metrics mirroring them)."""
+        previously stored results (and their stage metrics) once the run
+        has succeeded; a run that raises leaves both as they were."""
         targets = list(sites) if sites is not None else self.web.deep_sites()
-        self.results = []
+        kept = self.metrics.stage_runs, self.metrics.stage_seconds
         self.metrics.reset()
-        self.results = self.scheduler.run(self.pipeline, targets)
+        try:
+            self.results = self.scheduler.run(self.pipeline, targets)
+        except BaseException:
+            self.metrics.stage_runs, self.metrics.stage_seconds = kept
+            raise
         return self.results
 
     def surface_many(self, sites: Iterable[DeepWebSite]) -> list[SiteSurfacingResult]:
@@ -698,86 +654,12 @@ class DeepWebService:
         )
 
     def harvest_tables(self, detail_pages_per_site: int = 10) -> int:
-        """Mine the indexed web for WebTables raw material.
-
-        Each already-indexed page (crawled or surfaced) is re-fetched
-        under the ``webtables`` agent and run through the corpus'
-        relational-quality filter; admitted tables land in the shared
-        store as ``webtable`` documents.  Per deep site, homepage forms
-        contribute their schemata and a sample of detail pages
-        contributes attribute/value schema instances (the same raw
-        material :meth:`SemanticServer.from_web` assembles).  Incremental
-        and idempotent: pages already harvested are skipped, so repeated
-        calls only process content indexed since the last one -- and the
-        per-site detail budget accumulates across calls, so a later call
-        with a larger ``detail_pages_per_site`` fetches the difference.
-        Returns how many tables were admitted by this call.
-
-        When the store has not grown since the previous harvest and the
-        detail budget is not larger, the call returns immediately -- a
-        read API like :meth:`search_all` can harvest-first on every
-        query without rescanning a settled corpus.
-        """
-        harvest = self._harvest
-        settled = harvest.settled
-        if (
-            settled is not None
-            and settled[0] == len(self.engine)
-            and settled[1] >= detail_pages_per_site
-        ):
-            return 0
-        admitted = 0
-        for doc in list(self.engine.documents()):
-            # Webtable docs are corpus output, and vertical-source docs
-            # alias homepages the site loop below already mines -- both
-            # would double-count corpus stats if re-fetched here.
-            if doc.source in (SOURCE_WEBTABLE, SOURCE_VERTICAL):
-                continue
-            if doc.url in harvest.urls:
-                continue
-            harvest.urls.add(doc.url)
-            try:
-                page = self.web.fetch(doc.url, agent=AGENT_WEBTABLES)
-            except FetchError:
-                # The page stays marked harvested (the harvest must remain
-                # idempotent); its tables are simply lost to the fault.
-                continue
-            admitted += self.corpus.add_page(page)
-        for site in self.web.deep_sites():
-            if site.host not in harvest.form_hosts:
-                harvest.form_hosts.add(site.host)
-                try:
-                    homepage = self.web.fetch(site.homepage_url(), agent=AGENT_WEBTABLES)
-                except FetchError:
-                    homepage = None
-                if homepage is not None and homepage.ok:
-                    for form in extract_forms(homepage.html, page_url=homepage.url):
-                        self.corpus.add_form(form)
-            budget = detail_pages_per_site - harvest.detail_counts.get(site.host, 0)
-            for table in site.database.tables():
-                if budget <= 0:
-                    break
-                for key in table.primary_keys():
-                    if budget <= 0:
-                        break
-                    url = str(site.detail_url(key))
-                    if url in harvest.urls:
-                        continue
-                    harvest.urls.add(url)
-                    budget -= 1
-                    harvest.detail_counts[site.host] = (
-                        harvest.detail_counts.get(site.host, 0) + 1
-                    )
-                    try:
-                        page = self.web.fetch(url, agent=AGENT_WEBTABLES)
-                    except FetchError:
-                        continue
-                    admitted += self.corpus.add_page(page)
-        harvest.settled = (
-            len(self.engine),
-            max(detail_pages_per_site, settled[1] if settled else 0),
-        )
-        return admitted
+        """Mine the indexed web for WebTables raw material
+        (:func:`~repro.webtables.corpus.harvest_web`; the corpus is wired
+        to this service's store): admitted tables land there as
+        ``webtable`` documents.  Incremental, idempotent, immediate on a
+        settled corpus; returns how many tables this call admitted."""
+        return harvest_web(self.web, self.corpus, self._harvest, detail_pages_per_site)
 
     def plan(
         self,
@@ -975,22 +857,6 @@ class DeepWebService:
 
     def report(self) -> ServiceReport:
         """Summarize everything surfaced and indexed so far."""
-        rows = [
-            SiteReportRow(
-                host=result.host,
-                domain=result.domain,
-                forms_surfaced=result.forms_surfaced,
-                urls_indexed=result.urls_indexed,
-                records_covered=result.records_covered,
-                coverage=result.coverage.true_coverage if result.coverage else None,
-                analysis_load=result.analysis_load,
-                elapsed_seconds=result.elapsed_seconds,
-                fetch_errors=result.fetch_errors,
-                fetch_retries=result.fetch_retries,
-                degraded=result.degraded,
-            )
-            for result in self.results
-        ]
         return ServiceReport(
             sites_total=len(self.results),
             sites_surfaced=sum(1 for result in self.results if result.urls_indexed > 0),
@@ -1005,7 +871,7 @@ class DeepWebService:
             elapsed_seconds=sum(result.elapsed_seconds for result in self.results),
             index_by_source=self.engine.count_by_source(),
             crawl=self.crawl_stats,
-            sites=rows,
+            sites=list(self.results),
             probe_cache=self.pipeline.prober.probe_cache.stats(),
             stage_metrics=self.metrics.as_dict(),
             query_planning=self.planner_stats.as_dict(),

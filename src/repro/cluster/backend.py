@@ -27,8 +27,8 @@ Two invariants make it safe to put in front of real traffic:
   *identical* scores -- the degraded result is a strict subset of the
   healthy one, the same PR 7 invariant the fetch tier degrades to, and
   :func:`~repro.resilience.chaos.compare_degraded` asserts it wholesale.
-  ``consume_degraded()`` tells callers (and the chaos harness) that the
-  most recent searches were served degraded.
+  ``degraded_searches`` counts the searches served that way; callers
+  (the frontend, the chaos harness) compare it around a search.
 
 Document reads (``get``, ``documents``, ...) are the catalog's; the
 postings reads (``export_records``, ``matching_documents``) are
@@ -135,11 +135,12 @@ class ClusterBackend(DocumentCatalog):
         self._total_length = 0
         self._df: Counter[str] = Counter()
         self._lock = threading.Lock()
-        self._degraded_flag = False
         #: Searches served with a shard missing so far; only ever grows.
-        #: The serving frontend compares it around a search to keep
-        #: degraded rankings out of its cache.
+        #: The one degraded signal: the serving frontend compares it around
+        #: a search to keep degraded rankings out of its cache, the chaos
+        #: harness to know which plans may have shrunk.
         self.degraded_searches = 0
+        self._degraded_consumed = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -226,17 +227,17 @@ class ClusterBackend(DocumentCatalog):
                 degraded = True
         if degraded:
             with self._lock:
-                self._degraded_flag = True
                 self.degraded_searches += 1
         return rank_accumulator(
             accumulator, limit, self._source_of if per_source else None
         )
 
     def consume_degraded(self) -> bool:
-        """Whether any search since the last call was served degraded."""
+        """Whether ``degraded_searches`` moved since the last call (the
+        form ``bench/``'s oracle reads the counter in)."""
         with self._lock:
-            flag, self._degraded_flag = self._degraded_flag, False
-            return flag
+            seen, self._degraded_consumed = self._degraded_consumed, self.degraded_searches
+            return self.degraded_searches > seen
 
     def matching_documents(
         self, query_tokens: Iterable[str], require_all: bool = False

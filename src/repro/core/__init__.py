@@ -21,7 +21,7 @@ The pipeline mirrors Sections 3-5 of the paper:
 
 from repro.core.form_model import SurfacingForm, discover_forms
 from repro.core.probe import FormProber, ProbeResult
-from repro.core.informativeness import PageSignature, signature_of
+from repro.core.informativeness import PageSignature
 from repro.core.input_types import InputTypeClassifier, TypedValueLibrary
 from repro.core.keywords import IterativeProber
 from repro.core.correlations import CorrelationDetector, DatabaseSelection, RangePair
@@ -38,7 +38,6 @@ __all__ = [
     "FormProber",
     "ProbeResult",
     "PageSignature",
-    "signature_of",
     "InputTypeClassifier",
     "TypedValueLibrary",
     "IterativeProber",

@@ -156,9 +156,6 @@ def content_key(html: str) -> str:
 # token it cannot prove it understands makes it return ``None`` and the DOM
 # path runs instead, so correctness never depends on the fast path.
 
-#: Flipped off in tests to force the DOM path (differential checking).
-FAST_SCAN_ENABLED = True
-
 # Elements whose content the stdlib parser treats as raw text (CDATA); the
 # fast path refuses them rather than replicating that mode.
 _CDATA_TAGS = frozenset({"script", "style"})
@@ -315,10 +312,7 @@ def analyze_html(html: str, key: str | None = None) -> PageAnalysis:
     byte-identical to ``extract_text(parse_html(html))`` and the hrefs match
     what ``extract_links`` would collect before resolution.
     """
-    scanned = _fast_scan(html) if FAST_SCAN_ENABLED else None
-    if scanned is None:
-        scanned = _dom_scan(html)
-    title, body_text, hrefs = scanned
+    title, body_text, hrefs = _fast_scan(html) or _dom_scan(html)
     # Both pieces are already stripped, so this is the join over every chunk.
     text = " ".join(piece for piece in (title, body_text) if piece)
     normalized = normalize(text)
@@ -454,43 +448,6 @@ class SignatureCache:
             self._signatures.pop(next(iter(self._signatures)), None)
         except (StopIteration, RuntimeError):  # pragma: no cover - races
             pass
-
-
-_DEFAULT_CACHE = SignatureCache()
-
-
-def default_signature_cache() -> SignatureCache:
-    """The process-wide shared cache (prober, engine and crawler default)."""
-    return _DEFAULT_CACHE
-
-
-# -- public signature entry points ----------------------------------------------
-
-
-def signature_of(
-    html: str,
-    status_ok: bool = True,
-    page_url: str | Url | None = None,
-    cache: SignatureCache | None = None,
-) -> PageSignature:
-    """Compute the signature of a result page from its HTML.
-
-    ``page_url`` (when given) is the base against which relative detail
-    links are resolved; without it only absolute links count.  Analyses are
-    served from ``cache`` (the process-wide default unless overridden).
-    """
-    if not status_ok:
-        return ERROR_SIGNATURE
-    if cache is None:  # empty caches are falsy, so test identity
-        cache = _DEFAULT_CACHE
-    return cache.signature(html, page_url=page_url)
-
-
-def signature_for_page(
-    html: str, page_url: str | Url, cache: SignatureCache | None = None
-) -> PageSignature:
-    """:func:`signature_of` with relative links resolved against the page URL."""
-    return signature_of(html, page_url=page_url, cache=cache)
 
 
 def distinct_signature_fraction(signatures: Sequence[PageSignature]) -> float:

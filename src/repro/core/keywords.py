@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.form_model import SurfacingForm
-from repro.core.informativeness import SignatureCache, default_signature_cache
 from repro.core.probe import FormProber, ProbeResult
 from repro.search.engine import SearchEngine
 from repro.util.text import STOPWORDS, tokenize
@@ -91,14 +90,9 @@ class IterativeProber:
 
     # -- candidate extraction ------------------------------------------------------
 
-    @staticmethod
-    def extract_candidates(
-        result: ProbeResult, limit: int, cache: SignatureCache | None = None
-    ) -> list[str]:
+    def extract_candidates(self, result: ProbeResult, limit: int) -> list[str]:
         """New candidate keywords mined from a probe's result page."""
-        if cache is None:  # empty caches are falsy, so test identity
-            cache = default_signature_cache()
-        text = cache.analyze(result.page.html).text
+        text = self.prober.signature_cache.analyze(result.page.html).text
         counts = Counter(
             token
             for token in tokenize(text, drop_stopwords=True)
@@ -137,9 +131,7 @@ class IterativeProber:
                 probed[keyword] = result
                 if not result.has_results:
                     continue
-                for new_keyword in self.extract_candidates(
-                    result, self.candidates_per_round, self.prober.signature_cache
-                ):
+                for new_keyword in self.extract_candidates(result, self.candidates_per_round):
                     if new_keyword not in seen_candidates:
                         seen_candidates.add(new_keyword)
                         next_candidates.append(new_keyword)

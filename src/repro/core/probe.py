@@ -24,11 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.form_model import SurfacingForm
-from repro.core.informativeness import (
-    PageSignature,
-    SignatureCache,
-    default_signature_cache,
-)
+from repro.core.informativeness import PageSignature, SignatureCache
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.page import WebPage, service_unavailable
 from repro.webspace.url import Url
@@ -133,16 +129,13 @@ class FormProber:
         self.web = web
         self.agent = agent
         self._cache: dict[str, ProbeResult] = {}
-        self._signature_cache = signature_cache
+        #: The content-keyed analysis cache; a pipeline passes its engine's,
+        #: so a probed page is not parsed again when it is indexed.
+        self.signature_cache = (  # ``is None``: an empty cache is falsy
+            signature_cache if signature_cache is not None else SignatureCache()
+        )
         self.probe_count = 0
         self.probe_cache = ProbeCache()
-
-    @property
-    def signature_cache(self) -> SignatureCache:
-        """The content-keyed analysis cache (process default unless injected)."""
-        if self._signature_cache is not None:  # empty caches are falsy
-            return self._signature_cache
-        return default_signature_cache()
 
     def probe(self, form: SurfacingForm, bindings: Mapping[str, str]) -> ProbeResult:
         """Submit ``bindings`` to ``form`` and return the probe result.

@@ -122,8 +122,6 @@ def decode_record(payload: dict[str, Any]) -> IngestRecord:
 
 def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
     """Serialize the service to ``path`` (written atomically); returns it."""
-    frontend = service._frontend
-    live = frontend is not None and not frontend.closed
     corpus = service._corpus
     query_log = service.query_log
     snapshot = ServiceSnapshot(
@@ -141,11 +139,7 @@ def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
         else CorpusState(corpus.tables, corpus.form_schemas, corpus.form_values, corpus.stats),
         harvest=service._harvest,
         query_log=None if query_log is None else query_log.queries,
-        # With no live frontend this process stamped nothing, but the one it
-        # was restored from may have: carry that floor forward.
-        cache_generation=frontend.cache.generation
-        if live
-        else service._restored_cache_generation,
+        cache_generation=service.cache_generation,
     )
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -229,9 +223,9 @@ def restore_service(
     if snapshot.query_log is not None:
         service.query_log = QueryLog(queries=snapshot.query_log)
     # The restored frontend's cache starts past every generation the
-    # snapshotted process stamped (applied lazily when the frontend is
-    # first built -- see DeepWebService.frontend).
-    service._restored_cache_generation = snapshot.cache_generation + 1
+    # snapshotted process stamped (applied when a frontend is built --
+    # see DeepWebService.frontend).
+    service._cache_generation_floor = snapshot.cache_generation + 1
     service._restored_from = source
     service._snapshot_path = source
     service._snapshot_created_at = snapshot.created_at

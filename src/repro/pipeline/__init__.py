@@ -11,7 +11,6 @@ facade hands a set of sites to the pipeline through
 
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.observer import (
-    CompositeObserver,
     MetricsObserver,
     PipelineObserver,
     ProgressObserver,
@@ -37,7 +36,6 @@ __all__ = [
     "PipelineObserver",
     "MetricsObserver",
     "ProgressObserver",
-    "CompositeObserver",
     "SurfacingPipeline",
     "SurfacingScheduler",
     "UnknownStageError",

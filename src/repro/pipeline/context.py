@@ -82,12 +82,15 @@ class PipelineContext:
         seeded-run contract: renaming one changes every seeded result)."""
         config = config or SurfacingConfig()
         rng = SeededRng(config.seed)
+        engine = engine if engine is not None else SearchEngine()
         return cls(
             web=web,
-            engine=engine if engine is not None else SearchEngine(),
+            engine=engine,
             config=config,
             rng=rng,
-            prober=FormProber(web),
+            # One analysis cache per service: a probed page is parsed once,
+            # however often it is probed again or indexed.
+            prober=FormProber(web, signature_cache=engine.signature_cache),
             classifier=InputTypeClassifier(TypedValueLibrary(rng.child("typed"))),
             correlations=CorrelationDetector(),
             coverage_estimator=CoverageEstimator(rng.child("coverage")),

@@ -11,10 +11,9 @@ pipeline as it runs instead.  ``SurfacingPipeline`` emits:
   elapsed)`` around each stage execution (form-scoped stages fire once per
   form).
 
-Observers must not mutate the context.  :class:`MetricsObserver` keeps
-counters and cumulative stage timings; :class:`ProgressObserver` prints a
-deterministic progress line per site; :class:`CompositeObserver` fans out
-to several observers.
+Observers must not mutate the context.  :class:`MetricsObserver` counts
+stage runs and their cumulative timings (what no result object records);
+:class:`ProgressObserver` prints a deterministic progress line per site.
 """
 
 from __future__ import annotations
@@ -48,55 +47,28 @@ class PipelineObserver:
 
 
 class MetricsObserver(PipelineObserver):
-    """Counts stage executions and accumulates timings and site totals."""
+    """Counts stage executions and accumulates their timings.
+
+    Site totals (forms, URLs, probes, seconds) are not kept here: the
+    :class:`~repro.core.surfacer.SiteSurfacingResult` list is their one
+    owner, and it survives a snapshot/restore that no observer watches.
+    """
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        """Zero every counter (e.g. when the results they mirror are replaced)."""
+        """Zero the counters (when the results they belong to are replaced)."""
         self.stage_runs: Counter[str] = Counter()
         self.stage_seconds: Counter[str] = Counter()
-        self.sites_started = 0
-        self.sites_finished = 0
-        self.forms_found = 0
-        self.forms_surfaced = 0
-        self.urls_generated = 0
-        self.urls_indexed = 0
-        self.probes_issued = 0
-        self.elapsed_seconds = 0.0
-
-    # -- hooks ------------------------------------------------------------
-
-    def on_site_start(self, site, index, total) -> None:
-        self.sites_started += 1
-
-    def on_site_end(self, site, result, index, total) -> None:
-        self.sites_finished += 1
-        self.forms_found += result.forms_found
-        self.forms_surfaced += result.forms_surfaced
-        self.urls_generated += result.urls_generated
-        self.urls_indexed += result.urls_indexed
-        self.probes_issued += result.probes_issued
-        self.elapsed_seconds += result.elapsed_seconds
 
     def on_stage_end(self, stage_name, ctx, elapsed) -> None:
         self.stage_runs[stage_name] += 1
         self.stage_seconds[stage_name] += elapsed
 
-    # -- reporting --------------------------------------------------------
-
     def as_dict(self) -> dict[str, object]:
-        """Everything the observer counted, in one plain dict."""
+        """Both counters as plain dicts."""
         return {
-            "sites_started": self.sites_started,
-            "sites_finished": self.sites_finished,
-            "forms_found": self.forms_found,
-            "forms_surfaced": self.forms_surfaced,
-            "urls_generated": self.urls_generated,
-            "urls_indexed": self.urls_indexed,
-            "probes_issued": self.probes_issued,
-            "elapsed_seconds": self.elapsed_seconds,
             "stage_runs": dict(self.stage_runs),
             "stage_seconds": dict(self.stage_seconds),
         }
@@ -123,30 +95,3 @@ class ProgressObserver(PipelineObserver):
             f"forms={result.forms_surfaced}/{result.forms_found} "
             f"urls={result.urls_indexed} records={result.records_covered}"
         )
-
-
-class CompositeObserver(PipelineObserver):
-    """Fans every event out to a list of observers."""
-
-    def __init__(self, observers: list[PipelineObserver] | None = None) -> None:
-        self.observers: list[PipelineObserver] = list(observers or [])
-
-    def add(self, observer: PipelineObserver) -> "CompositeObserver":
-        self.observers.append(observer)
-        return self
-
-    def on_site_start(self, site, index, total) -> None:
-        for observer in self.observers:
-            observer.on_site_start(site, index, total)
-
-    def on_site_end(self, site, result, index, total) -> None:
-        for observer in self.observers:
-            observer.on_site_end(site, result, index, total)
-
-    def on_stage_start(self, stage_name, ctx) -> None:
-        for observer in self.observers:
-            observer.on_stage_start(stage_name, ctx)
-
-    def on_stage_end(self, stage_name, ctx, elapsed) -> None:
-        for observer in self.observers:
-            observer.on_stage_end(stage_name, ctx, elapsed)

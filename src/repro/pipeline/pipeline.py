@@ -9,9 +9,9 @@ inserted, replaced or ablated by name:
     pipeline.replace_stage("candidate-values", MyValuesStage())
     pipeline.insert_stage(AuditStage(), after="generate-urls")
 
-``surface_site`` runs one site through the stages; ``surface_many`` and
-``surface_web`` add deterministic per-site progress events and per-site
-wall-clock timing (``SiteSurfacingResult.elapsed_seconds``).
+``surface_site`` runs one site through the stages and times it
+(``SiteSurfacingResult.elapsed_seconds``); ``surface_many`` adds
+deterministic per-site progress events.
 """
 
 from __future__ import annotations
@@ -68,20 +68,8 @@ class SurfacingPipeline:
         return self.context.config
 
     @property
-    def rng(self):
-        return self.context.rng
-
-    @property
     def prober(self):
         return self.context.prober
-
-    @property
-    def classifier(self):
-        return self.context.classifier
-
-    @property
-    def correlations(self):
-        return self.context.correlations
 
     @property
     def coverage_estimator(self):
@@ -239,10 +227,3 @@ class SurfacingPipeline:
             for observer in self.observers:
                 observer.on_site_end(site, result, index, total)
         return results
-
-    def surface_web(
-        self, sites: list[DeepWebSite] | None = None
-    ) -> list[SiteSurfacingResult]:
-        """Surface every deep-web site (or the supplied subset)."""
-        targets = sites if sites is not None else self.web.deep_sites()
-        return self.surface_many(targets)

@@ -11,8 +11,8 @@ check and the chaos tests:
   so when faults are restricted to query-time agents the faulted execution
   must be *byte-identical* to the clean one -- hits, scores and order.
   One carve-out: a store that can degrade *itself* (the cluster backend
-  dropping a shard that missed its deadline) reports it through
-  ``consume_degraded()``, and then the faulted hits may shrink -- but
+  dropping a shard that missed its deadline) counts it in
+  ``degraded_searches``, and then the faulted hits may shrink -- but
   every one of them must appear, score included, in the widened clean
   ranking.  Shrinkage with identical scores, never substitution, never
   rescoring of the survivors;
@@ -106,17 +106,6 @@ class DegradedComparison:
         )
 
 
-def _consume_backend_degraded(service) -> bool:
-    """Whether the service's store served recent searches degraded.
-
-    Duck-typed seam for backends that can degrade on their own (the
-    cluster backend's ``consume_degraded``); plain backends report False.
-    Consuming per plan keeps the flag scoped to the execution just run.
-    """
-    consume = getattr(getattr(service, "store", None), "consume_degraded", None)
-    return bool(consume()) if callable(consume) else False
-
-
 def _universe_pool(universe: PlanResult) -> set[tuple[str, str, str, str]]:
     """Identities of everything the fault-free run can return.
 
@@ -152,10 +141,13 @@ def compare_degraded(
         started = time.perf_counter()
         clean = clean_service.execute(plan)
         comparison.clean_seconds += time.perf_counter() - started
+        # Read around each plan, so the signal is scoped to the execution
+        # just run.
+        degraded_before = faulted_service.store.degraded_searches
         started = time.perf_counter()
         faulted = faulted_service.execute(plan)
         comparison.faulted_seconds += time.perf_counter() - started
-        backend_degraded = _consume_backend_degraded(faulted_service)
+        backend_degraded = faulted_service.store.degraded_searches > degraded_before
         comparison.clean_hits += len(clean.hits)
         comparison.faulted_hits += len(faulted.hits)
         if faulted.degraded:

@@ -15,10 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.informativeness import SignatureCache, default_signature_cache
 from repro.htmlparse.links import resolve_links
 from repro.search.engine import SOURCE_DEEP_CRAWLED, SOURCE_SURFACE, SearchEngine
-from repro.store.ingest import Ingestor
 from repro.webspace.loadmeter import AGENT_CRAWLER
 from repro.webspace.site import DeepWebSite
 from repro.webspace.url import Url
@@ -51,27 +49,14 @@ class Crawler:
         web: Web,
         engine: SearchEngine,
         agent: str = AGENT_CRAWLER,
-        signature_cache: SignatureCache | None = None,
-        ingestor: Ingestor | None = None,
     ) -> None:
         self.web = web
         self.engine = engine
         self.agent = agent
-        # The crawl writes through the engine's ingestor by default, so
-        # crawled pages land in the same store as every other producer; a
-        # custom ingestor redirects the whole write path (e.g. tests, or a
-        # crawl feeding a secondary store).
-        self.ingestor = ingestor if ingestor is not None else engine.ingestor
-        self._signature_cache = signature_cache
+        # The crawl writes through the engine's ingestor, so crawled pages
+        # land in the same store as every other producer.
+        self.ingestor = engine.ingestor
         self._visited: set[str] = set()
-
-    @property
-    def signature_cache(self) -> SignatureCache:
-        """Shared single-pass analysis cache (link extraction + indexing
-        reuse one parse per fetched page)."""
-        if self._signature_cache is not None:  # empty caches are falsy
-            return self._signature_cache
-        return default_signature_cache()
 
     def crawl(
         self,
@@ -113,7 +98,9 @@ class Crawler:
                 stats.skipped_errors += 1
                 continue
             source = self._source_for(url.host)
-            analysis = self.signature_cache.analyze(page.html)
+            # The ingestor's cache: link extraction and indexing share one
+            # parse per fetched page.
+            analysis = self.ingestor.signature_cache.analyze(page.html)
             if self.ingestor.ingest_page(page, source=source) is not None:
                 stats.indexed += 1
             if depth >= max_depth:

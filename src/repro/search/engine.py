@@ -19,7 +19,7 @@ scheduler, the virtual-integration registry and the table corpus share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.core.informativeness import SignatureCache
 from repro.store.backend import StorageBackend, StoreStats
@@ -94,9 +94,9 @@ class SearchEngine:
 
     @property
     def signature_cache(self) -> SignatureCache:
-        """The analysis cache ``add_page`` reads (process default unless
-        injected); share one cache with the prober/crawler that fetched the
-        pages so indexing never re-parses them."""
+        """The analysis cache ``add_page`` reads (the ingestor's): this
+        engine's own unless one was injected, and the one its crawler and
+        its pipeline's prober analyze through."""
         return self._ingestor.signature_cache
 
     def __len__(self) -> int:
@@ -125,32 +125,6 @@ class SearchEngine:
         or the existing doc id respectively).
         """
         return self._ingestor.ingest_page(page, source=source, annotations=annotations)
-
-    def add_prepared(
-        self,
-        url: str,
-        host: str,
-        title: str,
-        text: str,
-        tokens: Sequence[str],
-        source: str = SOURCE_SURFACE,
-        annotations: Mapping[str, str] | None = None,
-    ) -> int | None:
-        """Index a pre-analyzed page (``tokens`` already include annotation
-        tokens).  Used by :meth:`add_page` callers and by schedulers that
-        analyze pages off the main index and replay the inserts
-        deterministically."""
-        return self._ingestor.ingest(
-            IngestRecord(
-                url=url,
-                host=host,
-                title=title,
-                text=text,
-                tokens=tokens,
-                source=source,
-                annotations=dict(annotations or {}),
-            )
-        )
 
     def ingest_records(self, records: Iterable[IngestRecord]) -> list[int]:
         """Batch-write prepared records (the scheduler replay path)."""
@@ -226,10 +200,6 @@ class SearchEngine:
                 )
             )
         return results
-
-    def search_hosts(self, query: str, k: int = 10) -> list[str]:
-        """Hosts of the top-k results (convenience for impact attribution)."""
-        return [result.host for result in self.search(query, k=k)]
 
     def matching_documents(self, query: str, require_all: bool = True) -> list[Document]:
         """Documents containing all (or any) query terms, unranked."""

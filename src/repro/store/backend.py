@@ -123,6 +123,11 @@ class DocumentCatalog:
     ``matching_documents`` and ``export_records``.
     """
 
+    #: Searches served from part of the corpus so far.  Only a backend that
+    #: can lose a shard (the cluster) ever moves it; readers compare it
+    #: around a search.
+    degraded_searches = 0
+
     def __init__(self) -> None:
         self._documents: dict[int, Document] = {}
         self._url_to_doc: dict[str, int] = {}

@@ -3,16 +3,16 @@
 Every content layer produces through an :class:`Ingestor`:
 
 * the :class:`~repro.search.engine.SearchEngine` (``add_page`` /
-  ``add_prepared``) and the :class:`~repro.search.crawler.Crawler`;
-* the surfacing pipeline's indexing stage, and the parallel scheduler,
-  which replays each worker's recorded batch through
+  ``ingest_records``) and the :class:`~repro.search.crawler.Crawler`;
+* the surfacing pipeline's indexing stage, and the resumable scheduler,
+  which replays each site's staged batch through
   :meth:`Ingestor.ingest_batch`;
 * the virtual-integration registry and the WebTables corpus, which emit
   :class:`~repro.store.records.IngestRecord` objects directly.
 
 The ingestor owns deduplication ordering (URL check *before* any page
 analysis, preserving the engine's historical cache behavior), page
-preparation (single-pass analysis via the shared
+preparation (single-pass analysis via its
 :class:`~repro.core.informativeness.SignatureCache`, annotation tokens
 folded into the token stream), and an observer hook so read-side caches
 (e.g. per-host term frequencies) can invalidate on every new write no
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from repro.core.informativeness import SignatureCache, default_signature_cache
+from repro.core.informativeness import SignatureCache
 from repro.store.backend import StorageBackend
 from repro.store.records import SOURCE_SURFACE, IngestRecord
 from repro.util.text import tokenize
@@ -43,17 +43,13 @@ class Ingestor:
         signature_cache: SignatureCache | None = None,
     ) -> None:
         self.backend = backend
-        self._signature_cache = signature_cache
+        #: The analysis cache page preparation reads.  Whatever fetches
+        #: pages for this store (crawler, prober, vertical registry)
+        #: analyzes them through it, so ingestion never re-parses them.
+        self.signature_cache = (  # ``is None``: an empty cache is falsy
+            signature_cache if signature_cache is not None else SignatureCache()
+        )
         self._listeners: list[IngestListener] = []
-
-    @property
-    def signature_cache(self) -> SignatureCache:
-        """The analysis cache page preparation reads (process default
-        unless injected); share one cache with the prober/crawler that
-        fetched the pages so ingestion never re-parses them."""
-        if self._signature_cache is not None:  # empty caches are falsy
-            return self._signature_cache
-        return default_signature_cache()
 
     def add_listener(self, listener: IngestListener) -> None:
         """Subscribe to successful new-document ingests (cache invalidation)."""

@@ -15,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.htmlparse.forms import ParsedForm
+from repro.htmlparse.forms import ParsedForm, extract_forms
 from repro.htmlparse.tables import HtmlTable, extract_tables
 from repro.store.ingest import Ingestor
-from repro.store.records import SOURCE_WEBTABLE, IngestRecord
+from repro.store.records import SOURCE_VERTICAL, SOURCE_WEBTABLE, IngestRecord
 from repro.util.text import name_tokens, tokenize
+from repro.webspace.loadmeter import AGENT_WEBTABLES
 from repro.webspace.page import WebPage
 from repro.webspace.url import Url
+from repro.webspace.web import FetchError, Web
 
 
 def normalize_attribute(name: str) -> str:
@@ -65,11 +67,11 @@ class CorpusStats:
 
 @dataclass
 class HarvestState:
-    """What the facade's table harvest has already consumed.
+    """What a table harvest has already consumed.
 
-    Keeps ``DeepWebService.harvest_tables`` incremental and idempotent,
-    and round-trips through snapshots so a restored service never
-    re-fetches a harvested page.
+    Keeps :func:`harvest_web` incremental and idempotent, and round-trips
+    through snapshots so a restored service never re-fetches a harvested
+    page.
     """
 
     urls: set[str] = field(default_factory=set)
@@ -313,3 +315,75 @@ class TableCorpus:
         for schema in self.schemata():
             names.update(schema)
         return sorted(names)
+
+
+def harvest_web(
+    web: Web,
+    corpus: TableCorpus,
+    state: HarvestState,
+    detail_pages_per_site: int,
+) -> int:
+    """Mine a web for WebTables raw material; returns the tables admitted.
+
+    Every page in the store ``corpus`` writes to (crawled or surfaced;
+    none when it is not wired to one) is re-fetched under the
+    ``webtables`` agent and run through the corpus' relational-quality
+    filter.  Per deep site, homepage forms contribute their schemata and
+    up to ``detail_pages_per_site`` detail pages contribute
+    attribute/value schema instances.
+
+    ``state`` makes the walk incremental and idempotent: pages already
+    harvested are skipped, the per-site detail budget accumulates across
+    calls (a later call with a larger budget fetches the difference), and
+    a call that finds neither the store nor the budget grown since the
+    last one returns at once -- a read path can harvest-first on every
+    query without rescanning a settled corpus.
+    """
+    # An unwired corpus has no store: nothing indexed to mine, length 0.
+    store = corpus._ingestor.backend if corpus._ingestor is not None else ()
+    settled = state.settled
+    if settled is not None and settled[0] == len(store) and settled[1] >= detail_pages_per_site:
+        return 0
+
+    def admit(url: str) -> int:
+        # A page lost to a fault stays marked harvested (the harvest must
+        # remain idempotent); its tables are simply lost.
+        state.urls.add(url)
+        try:
+            return corpus.add_page(web.fetch(url, agent=AGENT_WEBTABLES))
+        except FetchError:
+            return 0
+
+    admitted = 0
+    for doc in store.documents() if store else ():
+        # Webtable docs are corpus output, and vertical-source docs alias
+        # homepages the site loop below already mines -- both would
+        # double-count corpus stats if re-fetched here.
+        if doc.source not in (SOURCE_WEBTABLE, SOURCE_VERTICAL) and doc.url not in state.urls:
+            admitted += admit(doc.url)
+    for site in web.deep_sites():
+        if site.host not in state.form_hosts:
+            state.form_hosts.add(site.host)
+            try:
+                homepage = web.fetch(site.homepage_url(), agent=AGENT_WEBTABLES)
+            except FetchError:
+                homepage = None
+            if homepage is not None and homepage.ok:
+                for form in extract_forms(homepage.html, page_url=homepage.url):
+                    corpus.add_form(form)
+        budget = detail_pages_per_site - state.detail_counts.get(site.host, 0)
+        detail_urls = (
+            str(site.detail_url(key))
+            for table in site.database.tables()
+            for key in table.primary_keys()
+        )
+        for url in detail_urls:
+            if budget <= 0:
+                break
+            if url in state.urls:
+                continue
+            budget -= 1
+            state.detail_counts[site.host] = state.detail_counts.get(site.host, 0) + 1
+            admitted += admit(url)
+    state.settled = (len(store), max(detail_pages_per_site, settled[1] if settled else 0))
+    return admitted

@@ -7,11 +7,9 @@ a simulated web (crawling detail pages and form pages for raw material).
 
 from __future__ import annotations
 
-from repro.htmlparse.forms import extract_forms
-from repro.webspace.loadmeter import AGENT_CRAWLER
 from repro.webspace.web import Web
 from repro.webtables.acsdb import AcsDb
-from repro.webtables.corpus import TableCorpus
+from repro.webtables.corpus import HarvestState, TableCorpus, harvest_web
 from repro.webtables.services import (
     AutocompleteService,
     PropertyService,
@@ -53,37 +51,14 @@ class SemanticServer:
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def from_web(
-        cls,
-        web: Web,
-        detail_pages_per_site: int = 15,
-        agent: str = AGENT_CRAWLER,
-    ) -> "SemanticServer":
+    def from_web(cls, web: Web, detail_pages_per_site: int = 15) -> "SemanticServer":
         """Build a semantic server by sampling the simulated web.
 
-        For every deep-web site the builder ingests the homepage form and a
-        sample of detail pages (attribute/value tables).  This mirrors how
-        the production corpus was assembled from crawled pages and forms.
+        For every deep-web site the corpus takes in the homepage form and a
+        sample of detail pages (attribute/value tables), the same walk the
+        facade's ``harvest_tables`` makes.  This mirrors how the production
+        corpus was assembled from crawled pages and forms.
         """
-        from repro.webspace.web import FetchError
-
         corpus = TableCorpus()
-        for site in web.deep_sites():
-            try:
-                homepage = web.fetch(site.homepage_url(), agent=agent)
-            except FetchError:
-                homepage = None
-            if homepage is not None and homepage.ok:
-                for form in extract_forms(homepage.html, page_url=homepage.url):
-                    corpus.add_form(form)
-            for table in site.database.tables():
-                keys = table.primary_keys()[:detail_pages_per_site]
-                for key in keys:
-                    try:
-                        page = web.fetch(site.detail_url(key), agent=agent)
-                    except FetchError:
-                        # A lost detail page only shrinks the sample; the
-                        # corpus is built from whatever fetched cleanly.
-                        continue
-                    corpus.add_page(page)
+        harvest_web(web, corpus, HarvestState(), detail_pages_per_site)
         return cls(corpus)

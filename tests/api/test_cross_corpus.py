@@ -12,6 +12,7 @@ from repro import (
     SurfacingConfig,
     WebConfig,
 )
+from repro.cluster import ClusterBackend
 from repro.search.engine import (
     SOURCE_DEEP_CRAWLED,
     SOURCE_SURFACE,
@@ -30,7 +31,7 @@ def sharded_service():
         DeepWebService.build()
         .web(SMALL_WEB)
         .surfacing(SurfacingConfig(max_urls_per_form=100))
-        .cluster(shards=4, deadline_seconds=30)  # identity is asserted below
+        .store(ClusterBackend(shard_count=4, deadline_seconds=30))  # identity is asserted below
         .create()
     )
     service.crawl(max_pages=100)

@@ -107,7 +107,7 @@ class TestHarvestShortCircuit:
         assert service.web.load_meter.total(agent=AGENT_WEBTABLES) == load_before
 
     def test_new_ingest_reopens_the_harvest(self, service):
-        from repro.search.engine import SOURCE_SURFACE
+        from repro.search.engine import SOURCE_SURFACE, IngestRecord
         from repro.webspace.loadmeter import AGENT_WEBTABLES
 
         service.search_all("anything", k=1)  # settled
@@ -116,11 +116,13 @@ class TestHarvestShortCircuit:
         url = str(site.detail_url(table.primary_keys()[0]))
         page = service.web.fetch(url, agent=AGENT_WEBTABLES)
         # Land a page the harvest has not seen under a fresh URL.
-        service.engine.add_prepared(
-            url=url + "?reopen=1", host=site.host, title=page.url,
-            text="reopen harvest probe page", tokens=["reopen", "harvest"],
-            source=SOURCE_SURFACE,
-        )
+        service.engine.ingest_records([
+            IngestRecord(
+                url=url + "?reopen=1", host=site.host, title=page.url,
+                text="reopen harvest probe page", tokens=["reopen", "harvest"],
+                source=SOURCE_SURFACE,
+            )
+        ])
         load_before = service.web.load_meter.total(agent=AGENT_WEBTABLES)
         service.harvest_tables()
         assert service.web.load_meter.total(agent=AGENT_WEBTABLES) > load_before, (

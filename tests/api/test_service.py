@@ -155,7 +155,6 @@ class TestScheduler:
         built.surface()
         report = built.report()
         assert report.stage_metrics["stage_runs"]["discover-forms"] == report.sites_total
-        assert report.stage_metrics["urls_indexed"] == report.urls_indexed
 
     def test_explicit_metrics_observer_is_wired(self):
         from repro import MetricsObserver, SurfacingPipeline
@@ -164,7 +163,31 @@ class TestScheduler:
         metrics = MetricsObserver()
         built = DeepWebService(SurfacingPipeline(web), metrics=metrics)
         built.surface(web.deep_sites()[:1])
-        assert metrics.sites_finished == 1
+        assert metrics.stage_runs["discover-forms"] == 1
+
+    def test_a_surface_that_raises_keeps_results_and_metrics(self):
+        """The index still holds the first run's pages, so the report must
+        still describe them (it read 0 sites before)."""
+        from repro.pipeline.scheduler import SurfacingScheduler
+
+        class FailsSecondRun(SurfacingScheduler):
+            runs = 0
+
+            def run(self, pipeline, sites, start_index=0, total=None):
+                self.runs += 1
+                if self.runs > 1:
+                    raise RuntimeError("refused before surfacing anything")
+                return super().run(pipeline, sites, start_index, total)
+
+        built = DeepWebService.build().web(SMALL_WEB).scheduler(FailsSecondRun()).create()
+        built.surface()
+        before = built.report()
+        with pytest.raises(RuntimeError):
+            built.surface()
+        after = built.report()
+        assert after.sites_total == before.sites_total == 3
+        assert after.urls_indexed == before.urls_indexed == after.index_by_source["surfaced"]
+        assert after.stage_metrics == before.stage_metrics
 
 
 def test_progress_builder_hook_prints(car_site):

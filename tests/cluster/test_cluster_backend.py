@@ -7,7 +7,7 @@ The load-bearing contracts:
 * losing one replica of a replicated shard changes nothing (failover);
 * losing *every* replica of a shard degrades to a strict subset whose
   surviving hits keep identical scores (coordinator-held BM25
-  ingredients), reported through ``consume_degraded()``;
+  ingredients), counted in ``degraded_searches``;
 * the full :class:`~repro.store.backend.StorageBackend` protocol holds,
   including the ``export_records`` round-trip.
 """
@@ -23,8 +23,6 @@ from repro.store.backend import StorageBackend, StoreStats
 from repro.store.memory import InMemoryBackend
 from repro.store.records import IngestRecord
 from repro.util.text import tokenize
-
-pytestmark = pytest.mark.cluster
 
 #: Generous deadline: these tests exercise semantics, not timing.
 DEADLINE = 10.0
@@ -231,6 +229,12 @@ class TestReplicasAndDegradation:
         cluster.search(["used"], 5)
         assert cluster.consume_degraded()
         assert not cluster.consume_degraded()
+        # It is a view of the one signal, the counter: two more degraded
+        # searches read as one "since the last call".
+        cluster.search(["used"], 5)
+        cluster.search(["car"], 5)
+        assert cluster.degraded_searches == 3
+        assert cluster.consume_degraded() and not cluster.consume_degraded()
 
     def test_unknown_replica_name_raises(self, cluster):
         with pytest.raises(KeyError):

@@ -13,12 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api import DeepWebService, SurfacingConfig, WebConfig
-from repro.cluster import AGENT_CLUSTER, replica_name
+from repro.cluster import AGENT_CLUSTER, ClusterBackend, replica_name
 from repro.resilience.chaos import compare_degraded
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.serve.loadgen import WorkloadGenerator
-
-pytestmark = [pytest.mark.cluster, pytest.mark.chaos]
 
 WEB = WebConfig(total_deep_sites=3, surface_site_count=1, max_records=60, seed=13)
 SURFACING = SurfacingConfig(max_urls_per_form=60)
@@ -37,11 +35,13 @@ def build_clustered(fault_plan=None, replicas: int = 2) -> DeepWebService:
         DeepWebService.build()
         .web(WEB)
         .surfacing(SURFACING)
-        .cluster(
-            shards=4,
-            replicas=replicas,
-            deadline_seconds=DEADLINE,
-            fault_plan=fault_plan,
+        .store(
+            ClusterBackend(
+                shard_count=4,
+                replicas=replicas,
+                deadline_seconds=DEADLINE,
+                fault_plan=fault_plan,
+            )
         )
         .create()
     )

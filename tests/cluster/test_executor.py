@@ -36,8 +36,6 @@ from repro.resilience.faults import (
     ScriptedFaults,
 )
 
-pytestmark = pytest.mark.cluster
-
 DEADLINE = 10.0
 
 ERROR = FaultDecision(kind=KIND_ERROR)

@@ -19,8 +19,6 @@ import pytest
 
 from repro.cluster import ShardNode
 
-pytestmark = pytest.mark.cluster
-
 WAIT = 10.0
 SRC = Path(__file__).resolve().parents[2] / "src"
 

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 from repro.core.informativeness import (
     PageSignature,
+    SignatureCache,
     distinct_signature_fraction,
     is_informative,
     record_ids_from_links,
-    signature_for_page,
-    signature_of,
 )
 from repro.webspace.page import not_found
+
+
+def signature_of(html: str, page_url: str | None = None) -> PageSignature:
+    """A page's signature through the one entry point, a cache of its own."""
+    return SignatureCache().signature(html, page_url=page_url)
 
 
 RESULTS_HTML = """
@@ -57,7 +61,7 @@ class TestSignatureOf:
 
     def test_signature_for_page_resolves_relative_links(self):
         html = RESULTS_HTML.replace("http://cars.test/item", "/item")
-        signature = signature_for_page(html, "http://cars.test/search?make=Toyota")
+        signature = signature_of(html, "http://cars.test/search?make=Toyota")
         assert signature.record_ids == frozenset({"cars.test#4", "cars.test#9", "cars.test#11"})
 
     def test_distinct_from(self):
@@ -125,13 +129,15 @@ class TestFastScanDifferential:
     on generated pages, and must *refuse* (return ``None``) anything it
     cannot prove it parses identically."""
 
+    @staticmethod
+    def _form_and_make_input(car_site):
+        template = car_site.forms[0]
+        return template, next(spec for spec in template.inputs if spec.column == "make")
+
     def _site_pages(self, car_site):
         from repro.webspace.url import Url
 
-        template = car_site.forms[0]
-        make_input = next(
-            spec for spec in template.inputs if spec.column == "make"
-        )
+        template, make_input = self._form_and_make_input(car_site)
         urls = [
             car_site.homepage_url(),
             car_site.detail_url(1),
@@ -156,18 +162,32 @@ class TestFastScanDifferential:
             assert fast is not None, "generated markup should take the fast path"
             assert fast == _dom_scan(page.html)
 
-    def test_analyze_html_identical_with_fast_path_disabled(self, car_site):
-        import repro.core.informativeness as informativeness
-        from repro.core.informativeness import analyze_html
+    def test_fast_scan_matches_dom_scan_over_a_walk_of_the_site(self, car_site):
+        """No flag selects a path, so the two are compared directly, over
+        every page a link walk from one submission per ``make`` reaches
+        (results pages, pagination, detail pages), not a hand-picked five."""
+        from repro.core.informativeness import _dom_scan, _fast_scan
+        from repro.htmlparse.links import resolve_links
+        from repro.webspace.url import Url
 
-        pages = self._site_pages(car_site)
-        enabled = [analyze_html(page.html) for page in pages]
-        informativeness.FAST_SCAN_ENABLED = False
-        try:
-            disabled = [analyze_html(page.html) for page in pages]
-        finally:
-            informativeness.FAST_SCAN_ENABLED = True
-        assert enabled == disabled
+        template, make_input = self._form_and_make_input(car_site)
+        frontier = [str(car_site.homepage_url())] + [
+            str(Url.build(car_site.host, template.action_path, {make_input.name: option}))
+            for option in make_input.options
+        ]
+        seen = set(frontier)
+        compared = 0
+        while frontier and compared < 150:
+            url = frontier.pop(0)
+            page = car_site.handle(Url.parse(url))
+            fast = _fast_scan(page.html)
+            assert fast is not None and fast == _dom_scan(page.html), url
+            compared += 1
+            for link in resolve_links(fast[2], url):
+                if Url.parse(link).host == car_site.host and link not in seen:
+                    seen.add(link)
+                    frontier.append(link)
+        assert compared > 20
 
     def test_fast_scan_refuses_cdata_and_malformed_markup(self):
         from repro.core.informativeness import _dom_scan, _fast_scan, analyze_html

@@ -84,6 +84,6 @@ class TestSelectKeywords:
     def test_candidate_extraction_skips_stopwords_and_numbers(self, car_form, car_prober):
         select = car_form.select_inputs[0]
         result = car_prober.probe(car_form, {select.name: select.options[0]})
-        candidates = IterativeProber.extract_candidates(result, limit=20)
+        candidates = IterativeProber(car_prober).extract_candidates(result, limit=20)
         assert candidates
         assert all(not candidate.isdigit() and len(candidate) > 2 for candidate in candidates)

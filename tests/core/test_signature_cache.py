@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.informativeness import (
-    SignatureCache,
-    analyze_html,
-    signature_for_page,
-    signature_of,
-)
+from repro.core.informativeness import SignatureCache, analyze_html
 from repro.htmlparse.dom import parse_html
 from repro.htmlparse.links import extract_links, resolve_links
 from repro.htmlparse.text import extract_text, extract_title
@@ -70,19 +65,20 @@ class TestCachedVsUncachedSignatures:
         assert cache.hits > 0
         assert len(uncached) == 0
 
-    def test_signature_of_and_for_page_agree_with_explicit_cache(self):
+    def test_signatures_with_and_without_a_base_agree_on_absolute_links(self):
+        cache = SignatureCache()
         html = (
             "<html><body><p>2 results found</p>"
             '<a href="/item?id=7">A</a><a href="/item?id=9">B</a></body></html>'
         )
         absolute = html.replace('href="/item', 'href="http://cars.test/item')
-        assert signature_of(absolute) == signature_for_page(
-            absolute, "http://cars.test/search"
+        assert cache.signature(absolute) == cache.signature(
+            absolute, page_url="http://cars.test/search"
         )
-        relative = signature_for_page(html, "http://cars.test/search")
+        relative = cache.signature(html, page_url="http://cars.test/search")
         assert relative.record_ids == {"cars.test#7", "cars.test#9"}
         # Without a base the relative links cannot resolve.
-        assert signature_of(html).record_ids == frozenset()
+        assert cache.signature(html).record_ids == frozenset()
 
     def test_distinct_bases_are_cached_separately(self):
         cache = SignatureCache()
@@ -126,12 +122,15 @@ class TestCacheMechanics:
         assert cache.stats()["entries"] == 0
 
     def test_error_pages_short_circuit(self):
-        assert signature_of("anything", status_ok=False).is_error
+        cache = SignatureCache()
+        assert cache.signature("anything", status_ok=False).is_error
+        assert cache.stats()["misses"] == 0  # nothing was analyzed
 
     def test_injected_empty_cache_is_not_mistaken_for_missing(self):
         # An empty cache is falsy (len == 0); the seam must still honor it
-        # instead of silently falling back to the process default.
+        # instead of silently building its own.
         from repro.core.probe import FormProber
+        from repro.pipeline.pipeline import SurfacingPipeline
         from repro.search.crawler import Crawler
         from repro.search.engine import SearchEngine
         from repro.webspace.web import Web
@@ -140,4 +139,66 @@ class TestCacheMechanics:
         engine = SearchEngine(signature_cache=injected)
         assert engine.signature_cache is injected
         assert FormProber(Web(), signature_cache=injected).signature_cache is injected
-        assert Crawler(Web(), engine, signature_cache=injected).signature_cache is injected
+        # The engine's cache is the one its crawler and its pipeline use.
+        assert Crawler(Web(), engine).ingestor.signature_cache is injected
+        assert SurfacingPipeline(Web(), engine).prober.signature_cache is injected
+
+
+SMALL_WEB = WebConfig(total_deep_sites=2, surface_site_count=1, max_records=40, seed=5)
+
+
+def surfaced(engine=None):
+    from repro.api import DeepWebService
+
+    builder = DeepWebService.build().web(SMALL_WEB)
+    service = (builder.engine(engine) if engine is not None else builder).create()
+    service.crawl(max_pages=40)
+    service.surface()
+    return service
+
+
+def surfacing_outcome(service):
+    """What a surfacing run produced, timing-free: per-site counters plus
+    the index contents (the benchmark's surfacing digest, unhashed)."""
+    sites = [
+        (r.host, r.forms_found, r.forms_surfaced, r.urls_generated, r.urls_indexed,
+         r.probes_issued, r.analysis_load, r.records_covered)
+        for r in service.results
+    ]
+    documents = [(d.doc_id, d.url, d.title, d.text, d.source) for d in service.engine.documents()]
+    return sites, documents
+
+
+class TestOneCachePerService:
+    def test_two_services_in_one_process_share_nothing(self):
+        first = surfaced()
+        before = first.engine.signature_cache.stats()
+        assert before["misses"] > 0 and before["hits"] > 0
+        second = surfaced()
+        # Surfacing the same web again neither read nor moved the first
+        # service's cache: the second one did all its own misses.
+        assert first.engine.signature_cache.stats() == before
+        assert second.engine.signature_cache is not first.engine.signature_cache
+        assert second.engine.signature_cache.stats() == before
+
+    def test_every_analysis_of_a_service_goes_through_its_engines_cache(self):
+        service = surfaced()
+        cache = service.engine.signature_cache
+        assert service.pipeline.prober.signature_cache is cache
+        assert service.engine.ingestor.signature_cache is cache
+        lookups = cache.hits + cache.misses
+        service.vertical  # registration analyzes every deep site's homepage
+        assert cache.hits + cache.misses >= lookups + len(service.web.deep_sites())
+
+    def test_warm_cache_surfaces_the_same_as_cold(self):
+        """What ``surface_cold``'s in-process verify meant while the cache
+        was process-global: content already analyzed changes nothing."""
+        from repro.search.engine import SearchEngine
+
+        cold = surfaced()
+        warm_cache = cold.engine.signature_cache
+        hits_before = warm_cache.hits
+        warm = surfaced(SearchEngine(signature_cache=warm_cache))
+        assert surfacing_outcome(warm) == surfacing_outcome(cold)
+        # ...and the second run really was served from the first one's work.
+        assert warm_cache.hits - hits_before > cold.engine.signature_cache.misses // 2

@@ -121,6 +121,6 @@ class TestSurfaceWeb:
                 build_deep_site(domain("books"), "det.test", 40, SeededRng("determinism"))
             )
             surfacer = SurfacingPipeline(web, SearchEngine(), SurfacingConfig(seed=3))
-            return surfacer.surface_web()[0].urls_indexed
+            return surfacer.surface_many(web.deep_sites())[0].urls_indexed
 
         assert run() == run()

@@ -23,8 +23,6 @@ from repro.webtables.corpus import HarvestState
 
 from persisted_types import ROOTS, persisted_dataclasses
 
-pytestmark = pytest.mark.persist
-
 PERSISTED = persisted_dataclasses(*ROOTS["snapshot"], *ROOTS["journal"])
 
 SCALARS = {

@@ -18,7 +18,6 @@ def load_example():
 
 
 @pytest.mark.smoke
-@pytest.mark.persist
 def test_durable_example_runs_end_to_end(tmp_path, capsys):
     example = load_example()
     exit_code = example.main(str(tmp_path / "state"))

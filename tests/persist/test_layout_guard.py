@@ -19,8 +19,6 @@ from repro.persist.snapshot import SNAPSHOT_FORMAT
 
 from persisted_types import ROOTS, layout_lines
 
-pytestmark = pytest.mark.persist
-
 LAYOUTS = Path(__file__).parent / "layouts"
 FORMATS = {"snapshot": SNAPSHOT_FORMAT, "journal": JOURNAL_FORMAT}
 

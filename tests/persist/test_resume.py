@@ -35,8 +35,6 @@ from repro.webspace.sitegen import WebConfig
 
 from reference_normalizers import fault_accounting, normalized_index, normalized_results
 
-pytestmark = pytest.mark.persist
-
 WEB = WebConfig(total_deep_sites=5, surface_site_count=1, max_records=60, seed=13)
 SURFACING = SurfacingConfig(max_urls_per_form=60)
 

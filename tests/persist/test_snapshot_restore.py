@@ -27,8 +27,6 @@ from repro.webspace.sitegen import WebConfig, generate_web
 
 from reference_normalizers import fault_accounting, normalized_index, normalized_results
 
-pytestmark = pytest.mark.persist
-
 WEB = WebConfig(total_deep_sites=3, surface_site_count=1, max_records=60, seed=3)
 SURFACING = SurfacingConfig(max_urls_per_form=60)
 QUERIES = ["toyota dealer", "price camry", "used honda", "city zipcode"]
@@ -155,6 +153,42 @@ def test_restored_cache_generation_never_serves_stale_rankings(round_trip):
     # Entries stamped by the restored process itself serve normally.
     cache.put("toyota dealer", 10, ())
     assert cache.get("toyota dealer", 10) == ()
+
+
+def test_restored_report_has_one_set_of_surfacing_totals(round_trip):
+    """``stage_metrics`` used to carry second copies of the totals, filled
+    by an observer no restore replays: ``urls_indexed`` read 0 there beside
+    the report's real figure.  The results are the one owner now."""
+    service, restored, _, _ = round_trip
+    original, report = service.report(), restored.report()
+    assert report.urls_indexed == original.urls_indexed > 0
+    assert report.lines()[:4] == original.lines()[:4]
+    assert report.sites == restored.results
+    assert set(report.stage_metrics) == {"stage_runs", "stage_seconds"}
+    assert report.stage_metrics["stage_runs"] == {}  # restore ran no stage
+
+
+def test_cache_generation_floor_survives_a_closed_frontend(tmp_path):
+    """A frontend that was built, stamped generations and was closed still
+    counts: the snapshot records what it reached, the restored frontend
+    starts past it, and so does its replacement on the original service
+    (they started at 1 and 0)."""
+    service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
+    service.frontend  # listening from the first ingest on
+    service.crawl(max_pages=30)
+    stamped = service.frontend.cache.generation
+    assert stamped >= 30
+    service.frontend.close()
+    restored = DeepWebService.restore(service.snapshot(tmp_path / "closed.json"))
+    with restored.frontend, service.frontend:
+        assert restored.frontend.cache.generation == stamped + 1
+        assert service.frontend.cache.generation == stamped
+    # ...and a frontend closed after the restore raises the floor again.
+    with service.frontend as replacement:
+        service.crawl(max_pages=60)
+        reached = replacement.cache.generation
+    assert reached > stamped
+    assert service.cache_generation == reached
 
 
 def test_restore_into_reopened_sqlite_store(tmp_path):

@@ -23,8 +23,6 @@ from repro.webspace.sitegen import WebConfig
 
 from reference_normalizers import normalized_index
 
-pytestmark = pytest.mark.persist
-
 WEB = WebConfig(total_deep_sites=3, surface_site_count=1, max_records=60, seed=3)
 SURFACING = SurfacingConfig(max_urls_per_form=60)
 

@@ -12,8 +12,6 @@ from repro.resilience.retry import (
     CircuitBreaker,
 )
 
-pytestmark = pytest.mark.chaos
-
 
 class FakeClock:
     def __init__(self) -> None:

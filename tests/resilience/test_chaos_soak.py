@@ -10,15 +10,11 @@ failure mode.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.resilience import BreakerRegistry, RetryPolicy
 from repro.serve.loadgen import KIND_STRUCTURED, WorkloadGenerator
 from repro.webspace.sitegen import WebConfig, generate_web
-
-pytestmark = pytest.mark.chaos
 
 
 def test_full_stack_soak_at_twenty_percent_errors():

@@ -8,16 +8,12 @@ silently depend on whether the tier happens to be installed.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.resilience import BreakerRegistry, FaultPlan, FaultSpec, RetryPolicy
 from repro.resilience.faults import FaultyWeb
 from repro.resilience.retry import ResilientWeb
 from repro.webspace.sitegen import WebConfig
-
-pytestmark = pytest.mark.chaos
 
 WEB = WebConfig(total_deep_sites=3, surface_site_count=1, max_records=50, seed=23)
 

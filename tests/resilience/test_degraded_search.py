@@ -9,8 +9,6 @@ planner stats, the serving frontend's refusal to cache partial answers).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.resilience import (
     BreakerRegistry,
     FaultPlan,
@@ -20,8 +18,6 @@ from repro.resilience import (
 )
 from repro.serve.loadgen import KIND_STRUCTURED, WorkloadGenerator
 from repro.webspace.loadmeter import AGENT_VIRTUAL
-
-pytestmark = pytest.mark.chaos
 
 
 def plan_workload(service, count: int = 60, seed: str = "chaos-degraded"):

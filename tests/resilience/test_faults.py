@@ -20,8 +20,6 @@ from repro.serve.loadgen import WorkloadGenerator
 from repro.webspace.loadmeter import AGENT_CRAWLER, AGENT_VIRTUAL
 from repro.webspace.web import FetchError, HostUnavailable, Web
 
-pytestmark = pytest.mark.chaos
-
 NOISY = FaultSpec(error_rate=0.3, timeout_rate=0.1, latency_mean=0.05, latency_jitter=0.02)
 
 

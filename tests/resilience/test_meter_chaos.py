@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.webspace.loadmeter import (
     AGENT_SURFACER,
     AGENT_VIRTUAL,
     LoadMeter,
 )
-
-pytestmark = pytest.mark.chaos
 
 
 class TestErrorRetryCounters:

@@ -21,8 +21,6 @@ from repro.webspace.web import (
     TransientFetchError,
 )
 
-pytestmark = pytest.mark.chaos
-
 ERROR = FaultDecision(kind=KIND_ERROR)
 
 

@@ -80,8 +80,8 @@ class TestSearch:
     def test_no_results(self):
         assert build_engine().search("zzqx") == []
 
-    def test_search_hosts(self):
-        hosts = build_engine().search_hosts("texas")
+    def test_results_carry_their_hosts(self):
+        hosts = [result.host for result in build_engine().search("texas")]
         assert "cars.com" in hosts or "gov.com" in hosts
 
     def test_annotations_are_searchable(self):

@@ -204,7 +204,6 @@ class Interleaving:
         assert len(docs) == len({url for _, url, _, _, _ in docs})
 
 
-@pytest.mark.persist
 @pytest.mark.parametrize("seed", ["case-a", "case-b", "case-c", "case-d"])
 def test_random_interleavings_agree(seed, tmp_path):
     sqlite = SqliteBackend(tmp_path / f"{seed}.sqlite3")
@@ -216,7 +215,6 @@ def test_random_interleavings_agree(seed, tmp_path):
         case.assert_final_state_identical()
 
 
-@pytest.mark.persist
 def test_sqlite_engine_agrees_after_reopen(tmp_path):
     """The durable backend must still agree op-for-op after a reopen
     (fresh process simulation: state reloaded from the file alone)."""

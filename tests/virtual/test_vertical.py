@@ -172,7 +172,7 @@ class TestStoreEmission:
         assert docs[0].host == "cars.store.test"
         assert docs[0].annotations["domain"] == "used_cars"
         # The source description is searchable alongside everything else.
-        assert search_engine.search_hosts("used cars") == ["cars.store.test"]
+        assert [hit.host for hit in search_engine.search("used cars")] == ["cars.store.test"]
 
     def test_rejected_site_emits_nothing(self):
         from repro.store.records import SOURCE_VERTICAL

@@ -147,6 +147,33 @@ class TestSemanticServer:
         assert server.properties("Toyota")
         assert isinstance(server.synonyms("zip"), list)
 
+    def test_from_web_and_the_facade_harvest_are_one_walk(self):
+        """``from_web(web, n)`` and a fresh service's ``harvest_tables(n)``
+        admit the same tables and schemata for the same fetches: there is
+        one harvest (``harvest_web``), the service only adds its store."""
+        from repro.api import DeepWebService
+        from repro.webspace.loadmeter import AGENT_WEBTABLES
+        from repro.webspace.sitegen import WebConfig, generate_web
+
+        config = WebConfig(total_deep_sites=5, surface_site_count=1, max_records=60, seed=9)
+        # The premise that lets a per-site detail budget stand in for
+        # from_web's old per-table one.
+        sampled = generate_web(config)
+        assert all(len(list(site.database.tables())) == 1 for site in sampled.deep_sites())
+
+        server = SemanticServer.from_web(sampled, detail_pages_per_site=7)
+        service = DeepWebService.build().web(config).create()
+        admitted = service.harvest_tables(detail_pages_per_site=7)
+
+        assert admitted == len(server.corpus) > 0
+        assert service.corpus.tables == server.corpus.tables
+        assert service.corpus.schemata() == server.corpus.schemata()
+        assert service.corpus.form_values == server.corpus.form_values
+        assert service.corpus.stats == server.corpus.stats
+        assert service.web.load_meter.total(agent=AGENT_WEBTABLES) == (
+            sampled.load_meter.total(agent=AGENT_WEBTABLES)
+        ) == sampled.load_meter.total()
+
     def test_from_web_builds_corpus(self, small_web):
         server = SemanticServer.from_web(small_web, detail_pages_per_site=5)
         assert len(server.corpus) > 0
