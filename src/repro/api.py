@@ -85,8 +85,9 @@ class ServiceReport:
     crawl: CrawlStats | None = None
     #: The per-site results every total above is summed from.
     sites: list[SiteSurfacingResult] = field(default_factory=list)
-    #: Cross-stage probe memo counters (hits/misses/hit_rate); rendered only
-    #: when probes were actually issued, keeping probe-free reports stable.
+    #: Cross-stage probe memo counters (hits/misses/inferred/hit_rate and the
+    #: number of non-monotone forms); rendered only when probes were
+    #: actually issued, keeping probe-free reports stable.
     probe_cache: dict[str, float] = field(default_factory=dict)
     stage_metrics: dict[str, object] = field(default_factory=dict)
     #: Federated-read provenance: plans executed, routes taken, hits kept
@@ -115,7 +116,14 @@ class ServiceReport:
         misses = int(self.probe_cache.get("misses", 0))
         if hits or misses:
             rate = hits / (hits + misses)
-            out.append(f"probe cache: {hits} hits, {misses} misses ({rate:.1%} hit rate)")
+            line = (
+                f"probe cache: {hits} hits, {misses} misses ({rate:.1%} hit rate), "
+                f"{int(self.probe_cache.get('inferred', 0))} inferred empty without a fetch"
+            )
+            non_monotone = int(self.probe_cache.get("non_monotone_forms", 0))
+            if non_monotone:
+                line += f"; {non_monotone} non-monotone forms (never inferred)"
+            out.append(line)
         if self.crawl is not None:
             out.append(f"baseline crawl: {self.crawl.fetched} fetched, {self.crawl.indexed} indexed")
         if self.index_by_source:
@@ -598,12 +606,12 @@ class DeepWebService:
         previously stored results (and their stage metrics) once the run
         has succeeded; a run that raises leaves both as they were."""
         targets = list(sites) if sites is not None else self.web.deep_sites()
-        kept = self.metrics.stage_runs, self.metrics.stage_seconds
+        kept = self.metrics.totals
         self.metrics.reset()
         try:
             self.results = self.scheduler.run(self.pipeline, targets)
         except BaseException:
-            self.metrics.stage_runs, self.metrics.stage_seconds = kept
+            self.metrics.totals = kept
             raise
         return self.results
 

@@ -115,6 +115,8 @@ class IterativeProber:
         both ensures diversity of result pages and bounds the number of URLs.
         """
         selection = KeywordSelection(input_name=input_name)
+        if self.max_keywords <= 0 or self.max_rounds <= 0:
+            return selection  # nothing can be selected: probe nothing
         candidates = self.seed_keywords(form, form_page_html)
         probed: dict[str, ProbeResult] = {}
         seen_candidates = set(candidates)

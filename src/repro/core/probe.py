@@ -8,19 +8,26 @@ checked.
 Probing is also the system's dominant repeated cost: template selection
 probes bindings during the lattice search, the indexability filter
 re-probes overlapping bindings for the same form, and the indexing stage
-probes every kept URL a third time.  Two cache levels collapse that:
+asks for every kept URL once more.  Three things bound the fetches:
 
 * the :class:`ProbeCache` memoizes results on ``(form identity, frozen
   binding)``, so a repeated probe never re-builds (or re-renders) the
-  submission URL at all -- this is the cross-stage memo;
+  submission URL at all -- this is the cross-stage memo, and why the
+  indexing stage fetches nothing;
+* a submission is a conjunction of its bindings, so adding a binding can
+  never add results: a binding whose cached sub-binding came back empty is
+  *inferred* empty without a fetch (:attr:`ProbeResult.inferred`).  Every
+  real fetch checks the assumption against the cached sub-bindings; a form
+  that breaks it is marked non-monotone and is never inferred on again;
 * the URL-keyed result cache (one level below) collapses *distinct*
-  bindings that materialize to the same URL, and is what guarantees the
-  fetch count stays "one per unique URL".
+  bindings that materialize to the same URL: at most one fetch per unique
+  URL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 from repro.core.form_model import SurfacingForm
@@ -30,6 +37,8 @@ from repro.webspace.page import WebPage, service_unavailable
 from repro.webspace.url import Url
 from repro.webspace.web import FetchError, Web
 
+BindingKey = tuple[str, frozenset[tuple[str, str]]]
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -38,6 +47,8 @@ class ProbeResult:
     url: Url
     page: WebPage
     signature: PageSignature
+    #: No fetch was made: a sub-binding's empty page stands in for this one.
+    inferred: bool = False
 
     @property
     def ok(self) -> bool:
@@ -62,32 +73,36 @@ class ProbeCache:
     Degraded results (synthetic 503 pages) are never stored, mirroring
     the URL-level cache: a later identical probe may succeed.
 
-    ``hits``/``misses`` feed ``DeepWebService.report()`` and the
-    benchmark's ``core.probe_cache_hit_ratio`` counter.
+    A lookup ends one of three ways, each with its own counter: ``hits``
+    (memoized), ``inferred`` (proved empty from a memoized sub-binding, no
+    fetch) and ``misses`` (fetched).  They feed ``DeepWebService.report()``
+    and the benchmark's ``core.probe_cache_hit_ratio`` counter.
     """
 
-    __slots__ = ("_entries", "hits", "misses")
+    __slots__ = ("_entries", "hits", "misses", "inferred", "non_monotone")
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, frozenset[tuple[str, str]]], ProbeResult] = {}
+        self._entries: dict[BindingKey, ProbeResult] = {}
         self.hits = 0
         self.misses = 0
+        self.inferred = 0
+        #: Identities of forms seen returning more results for a binding
+        #: than for one of its sub-bindings; nothing is inferred for them.
+        self.non_monotone: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @staticmethod
-    def key(
-        form: SurfacingForm, bindings: Mapping[str, str]
-    ) -> tuple[str, frozenset[tuple[str, str]]]:
+    def key(form: SurfacingForm, bindings: Mapping[str, str]) -> BindingKey:
         return (form.identity, frozenset(bindings.items()))
 
-    def get(self, key: tuple[str, frozenset[tuple[str, str]]]) -> "ProbeResult | None":
+    def get(self, key: BindingKey) -> "ProbeResult | None":
+        """The memoized result, counted as a hit; a ``None`` is counted by
+        whoever resolves it (``inferred`` or ``misses``)."""
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
-        else:
-            self.misses += 1
         return cached
 
     def peek(self, form: SurfacingForm, bindings: Mapping[str, str]) -> "ProbeResult | None":
@@ -95,8 +110,41 @@ class ProbeCache:
         anyway on a miss must not double-count)."""
         return self._entries.get(self.key(form, bindings))
 
-    def put(self, key: tuple[str, frozenset[tuple[str, str]]], result: ProbeResult) -> None:
+    def put(self, key: BindingKey, result: ProbeResult) -> None:
         self._entries[key] = result
+
+    def tightest_sub_binding(self, key: BindingKey) -> "ProbeResult | None":
+        """The memoized ``ok`` result with the fewest results among the
+        proper, non-empty sub-bindings of ``key`` -- an upper bound on what
+        ``key`` itself can return from a conjunctive form.  ``None`` when
+        nothing is memoized or the form is known not to be conjunctive.
+        Degraded pages are never memoized, so never evidence."""
+        identity, pairs = key
+        if len(pairs) < 2 or identity in self.non_monotone:
+            return None
+        entries = self._entries
+        tightest = None
+        for size in range(1, len(pairs)):
+            for subset in combinations(pairs, size):
+                cached = entries.get((identity, frozenset(subset)))
+                if cached is None or not cached.ok:
+                    continue
+                if tightest is None or cached.result_count < tightest.result_count:
+                    tightest = cached
+                    if cached.result_count == 0:
+                        return cached
+        return tightest
+
+    def mark_non_monotone(self, form_identity: str) -> None:
+        """Stop inferring for a form and forget what was inferred for it."""
+        self.non_monotone.add(form_identity)
+        suspect = [
+            key
+            for key, result in self._entries.items()
+            if result.inferred and key[0] == form_identity
+        ]
+        for key in suspect:
+            del self._entries[key]
 
     @property
     def hit_rate(self) -> float:
@@ -108,13 +156,17 @@ class ProbeCache:
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
+            "inferred": self.inferred,
+            "non_monotone_forms": len(self.non_monotone),
             "hit_rate": round(self.hit_rate, 4),
         }
 
     def clear(self) -> None:
         self._entries.clear()
+        self.non_monotone.clear()
         self.hits = 0
         self.misses = 0
+        self.inferred = 0
 
 
 class FormProber:
@@ -142,16 +194,16 @@ class FormProber:
 
         Identical submissions are served from the binding-keyed
         :class:`ProbeCache` (repeated informativeness tests and the
-        cross-stage re-probes never inflate site load); distinct bindings
-        that materialize to the same URL collapse in the URL-keyed cache
-        below it.
+        cross-stage re-probes never inflate site load); bindings with a
+        sub-binding already known to be empty are inferred empty; distinct
+        bindings that materialize to the same URL collapse in the URL-keyed
+        cache below it.
         """
         binding_key = (form.identity, frozenset(bindings.items()))
         memoized = self.probe_cache.get(binding_key)
         if memoized is not None:
             return memoized
-        url = form.submission_url(bindings)
-        return self._probe_url(form, binding_key, url)
+        return self._resolve(form, binding_key, bindings, None)
 
     def probe_prepared(
         self,
@@ -167,14 +219,53 @@ class FormProber:
         memoized = self.probe_cache.get(binding_key)
         if memoized is not None:
             return memoized
-        return self._probe_url(form, binding_key, url)
+        return self._resolve(form, binding_key, bindings, url)
 
-    def _probe_url(
+    def conjunctive(self, form: SurfacingForm) -> bool:
+        """Whether adding a binding to ``form`` is still assumed never to
+        add results (no fetch has shown otherwise)."""
+        return form.identity not in self.probe_cache.non_monotone
+
+    def confirm(
+        self, form: SurfacingForm, bindings: Mapping[str, str], inferred: ProbeResult
+    ) -> ProbeResult:
+        """Fetch what ``inferred`` stands in for (only a page the site served
+        is ever indexed); the real result replaces it in the memo."""
+        self.probe_cache.misses += 1
+        result = self._probe_url(form, self.probe_cache.key(form, bindings), inferred.url)
+        if result.has_results:
+            self.probe_cache.mark_non_monotone(form.identity)
+        return result
+
+    def _resolve(
         self,
         form: SurfacingForm,
-        binding_key: tuple[str, frozenset[tuple[str, str]]],
-        url: Url,
+        binding_key: BindingKey,
+        bindings: Mapping[str, str],
+        url: Url | None,
     ) -> ProbeResult:
+        """A :class:`ProbeCache` miss: infer the page or fetch it."""
+        cache = self.probe_cache
+        bound = cache.tightest_sub_binding(binding_key)
+        if url is None:
+            url = form.submission_url(bindings)
+        if bound is not None and bound.result_count == 0:
+            cache.inferred += 1
+            result = ProbeResult(
+                url=url,
+                page=WebPage(url=str(url), html=bound.page.html),
+                signature=bound.signature,
+                inferred=True,
+            )
+            cache.put(binding_key, result)
+            return result
+        cache.misses += 1
+        result = self._probe_url(form, binding_key, url)
+        if bound is not None and result.ok and result.result_count > bound.result_count:
+            cache.mark_non_monotone(form.identity)
+        return result
+
+    def _probe_url(self, form: SurfacingForm, binding_key: BindingKey, url: Url) -> ProbeResult:
         key = str(url)
         result = self._cache.get(key)
         if result is None:

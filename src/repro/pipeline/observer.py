@@ -12,15 +12,19 @@ pipeline as it runs instead.  ``SurfacingPipeline`` emits:
   form).
 
 Observers must not mutate the context.  :class:`MetricsObserver` counts
-stage runs and their cumulative timings (what no result object records);
-:class:`ProgressObserver` prints a deterministic progress line per site.
+stage runs, their cumulative timings and the fetches each stage cost its
+sites (what no result object records); :class:`ProgressObserver` prints a
+deterministic progress line per site.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING
+
+from repro.webspace.loadmeter import AGENT_SURFACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.surfacer import SiteSurfacingResult
@@ -46,8 +50,19 @@ class PipelineObserver:
         """Called after a stage ran; ``elapsed`` is wall-clock seconds."""
 
 
+@dataclass
+class StageTotals:
+    """Everything a :class:`MetricsObserver` holds, keyed by stage name."""
+
+    stage_runs: Counter[str] = field(default_factory=Counter)
+    stage_seconds: Counter[str] = field(default_factory=Counter)
+    #: Surfacer-agent fetches the site received while the stage ran: the
+    #: per-stage split of ``SiteSurfacingResult.analysis_load``.
+    stage_fetches: Counter[str] = field(default_factory=Counter)
+
+
 class MetricsObserver(PipelineObserver):
-    """Counts stage executions and accumulates their timings.
+    """Counts stage executions and accumulates their timings and fetches.
 
     Site totals (forms, URLs, probes, seconds) are not kept here: the
     :class:`~repro.core.surfacer.SiteSurfacingResult` list is their one
@@ -55,23 +70,41 @@ class MetricsObserver(PipelineObserver):
     """
 
     def __init__(self) -> None:
-        self.reset()
+        self.totals = StageTotals()
+        self._load_before = 0
 
     def reset(self) -> None:
         """Zero the counters (when the results they belong to are replaced)."""
-        self.stage_runs: Counter[str] = Counter()
-        self.stage_seconds: Counter[str] = Counter()
+        self.totals = StageTotals()
+
+    @property
+    def stage_runs(self) -> Counter[str]:
+        return self.totals.stage_runs
+
+    @property
+    def stage_seconds(self) -> Counter[str]:
+        return self.totals.stage_seconds
+
+    @property
+    def stage_fetches(self) -> Counter[str]:
+        return self.totals.stage_fetches
+
+    @staticmethod
+    def _site_load(ctx: "PipelineContext") -> int:
+        return ctx.web.load_meter.total(host=ctx.site.host, agent=AGENT_SURFACER)
+
+    def on_stage_start(self, stage_name, ctx) -> None:
+        self._load_before = self._site_load(ctx)
 
     def on_stage_end(self, stage_name, ctx, elapsed) -> None:
-        self.stage_runs[stage_name] += 1
-        self.stage_seconds[stage_name] += elapsed
+        totals = self.totals
+        totals.stage_runs[stage_name] += 1
+        totals.stage_seconds[stage_name] += elapsed
+        totals.stage_fetches[stage_name] += self._site_load(ctx) - self._load_before
 
     def as_dict(self) -> dict[str, object]:
-        """Both counters as plain dicts."""
-        return {
-            "stage_runs": dict(self.stage_runs),
-            "stage_seconds": dict(self.stage_seconds),
-        }
+        """Every counter as a plain dict."""
+        return {name: dict(counter) for name, counter in vars(self.totals).items()}
 
 
 class ProgressObserver(PipelineObserver):

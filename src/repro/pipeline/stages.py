@@ -250,13 +250,16 @@ def default_stages() -> list[Stage]:
 def _database_selection_urls(
     ctx: PipelineContext, database_selection: DatabaseSelection | None
 ) -> list[GeneratedUrl]:
-    """Per-category keyword URLs for a detected database-selection pair."""
-    if database_selection is None:
+    """Per-category keyword URLs for a detected database-selection pair
+    (none, and no probe, when the keyword budget or round count is zero)."""
+    config = ctx.config
+    if database_selection is None or not (config.max_keywords and config.keyword_rounds):
         return []
+    per_category = max(3, config.max_keywords // 2)
     urls: list[GeneratedUrl] = []
     template = QueryTemplate((database_selection.text_input, database_selection.select_input))
     for category in database_selection.categories:
-        keywords = _keywords_for_category(ctx, database_selection, category)
+        keywords = _keywords_for_category(ctx, database_selection, category, per_category)
         for keyword in keywords:
             bindings = {
                 database_selection.select_input: category,
@@ -276,14 +279,27 @@ def _keywords_for_category(
     ctx: PipelineContext,
     database_selection: DatabaseSelection,
     category: str,
-    per_category: int | None = None,
+    per_category: int,
 ) -> list[str]:
-    """Iterative-probing keywords conditioned on one selected database."""
-    per_category = per_category or max(3, ctx.config.max_keywords // 2)
+    """Iterative-probing keywords conditioned on one selected database.
+
+    On a conjunctive form (see :mod:`repro.core.probe`) a keyword page lists
+    a subset of the category's records, which spares two kinds of probe
+    without changing what is chosen: once the chosen pages cover as many
+    records as the category's banner counts, no later keyword can add one;
+    and a keyword that is empty here is probed once on its own, because if
+    it is empty there too the prober infers it empty in every other category.
+    """
+    prober, form = ctx.prober, ctx.form
+    select_input, text_input = database_selection.select_input, database_selection.text_input
     # Seed from the result page of the category-only submission.
-    category_page = ctx.prober.probe(ctx.form, {database_selection.select_input: category})
+    category_page = prober.probe(form, {select_input: category})
+    conjunctive = prober.conjunctive(form)
+    category_size = category_page.result_count if category_page.ok and conjunctive else None
+    if category_size == 0:
+        return []
     seed_page = category_page.page.html if category_page.ok else ctx.homepage_html
-    seed_text = ctx.prober.signature_cache.analyze(seed_page).text
+    seed_text = prober.signature_cache.analyze(seed_page).text
     seeds = [
         token
         for token in tokenize(seed_text, drop_stopwords=True)
@@ -294,16 +310,12 @@ def _keywords_for_category(
     chosen: list[str] = []
     covered: set[str] = set()
     for keyword in ordered_seeds[: per_category * 4]:
-        if len(chosen) >= per_category:
+        if len(chosen) >= per_category or len(covered) == category_size:
             break
-        result = ctx.prober.probe(
-            ctx.form,
-            {
-                database_selection.select_input: category,
-                database_selection.text_input: keyword,
-            },
-        )
+        result = prober.probe(form, {select_input: category, text_input: keyword})
         if not result.has_results:
+            if conjunctive and result.ok and not result.inferred:
+                prober.probe(form, {text_input: keyword})
             continue
         gain = len(result.signature.record_ids - covered)
         if gain == 0:
@@ -319,6 +331,10 @@ def _keywords_for_category(
 def _index_url(ctx: PipelineContext, candidate: GeneratedUrl) -> bool:
     """Fetch a kept URL (cached by the prober) and add it to the index."""
     result = ctx.prober.probe(ctx.form, candidate.bindings)
+    if result.inferred:
+        # Only a page the site served is indexed (an empty page is kept
+        # only under ``min_results_per_page=0``).
+        result = ctx.prober.confirm(ctx.form, candidate.bindings, result)
     if not result.ok:
         return False
     annotations = annotation_for_bindings(

@@ -167,7 +167,8 @@ class TestScheduler:
 
     def test_a_surface_that_raises_keeps_results_and_metrics(self):
         """The index still holds the first run's pages, so the report must
-        still describe them (it read 0 sites before)."""
+        still describe them (it read 0 sites before) -- every counter the
+        metrics observer holds, although the failed run moved them all."""
         from repro.pipeline.scheduler import SurfacingScheduler
 
         class FailsSecondRun(SurfacingScheduler):
@@ -176,7 +177,8 @@ class TestScheduler:
             def run(self, pipeline, sites, start_index=0, total=None):
                 self.runs += 1
                 if self.runs > 1:
-                    raise RuntimeError("refused before surfacing anything")
+                    super().run(pipeline, list(sites)[:1], start_index, total)
+                    raise RuntimeError("gave up after the first site")
                 return super().run(pipeline, sites, start_index, total)
 
         built = DeepWebService.build().web(SMALL_WEB).scheduler(FailsSecondRun()).create()
@@ -187,7 +189,9 @@ class TestScheduler:
         after = built.report()
         assert after.sites_total == before.sites_total == 3
         assert after.urls_indexed == before.urls_indexed == after.index_by_source["surfaced"]
+        assert set(after.stage_metrics) == {"stage_runs", "stage_seconds", "stage_fetches"}
         assert after.stage_metrics == before.stage_metrics
+        assert sum(after.stage_metrics["stage_fetches"].values()) == after.analysis_load > 0
 
 
 def test_progress_builder_hook_prints(car_site):

@@ -16,8 +16,10 @@ from repro.analysis.experiments import build_query_log, build_world, surface_wor
 from repro.core.form_model import discover_forms
 from repro.core.probe import FormProber
 from repro.datagen.domains import domain
+from repro.relational.predicate import And, Or
 from repro.search.engine import SearchEngine
 from repro.util.rng import SeededRng
+from repro.webspace.site import DeepWebSite
 from repro.webspace.sitegen import WebConfig, build_deep_site, generate_web
 from repro.webspace.web import Web
 
@@ -86,6 +88,32 @@ def media_site():
     return build_deep_site(
         domain("media_catalog"), "media.test.example.com", 80, SeededRng("media-fixture")
     )
+
+
+class OrSite(DeepWebSite):
+    """A site whose form ORs its inputs: adding a binding adds results."""
+
+    def compile_predicate(self, form, params):
+        predicate = super().compile_predicate(form, params)
+        return Or(predicate.parts) if isinstance(predicate, And) else predicate
+
+
+@pytest.fixture
+def or_site_of():
+    """``or_site_of(site)``: the same site, its form ORing its inputs (what
+    the prober's conjunctive-form assumption must notice by itself)."""
+
+    def build(site: DeepWebSite) -> OrSite:
+        return OrSite(
+            host=site.host,
+            title=site.title,
+            database=site.database,
+            forms=site.forms,
+            domain_name=site.domain_name,
+            description=site.description,
+        )
+
+    return build
 
 
 @pytest.fixture

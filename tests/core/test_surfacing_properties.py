@@ -2,20 +2,25 @@
 
 These hold for any generated site, not just the fixtures: submission URLs are
 canonical and deterministic, range-aware enumeration never produces inverted
-ranges, and the indexability filter never keeps an empty page.
+ranges, the indexability filter never keeps an empty page, and a form
+submission is a conjunction (the assumption the prober infers from).
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.correlations import CorrelationDetector
 from repro.core.form_model import discover_forms
+from repro.core.informativeness import SignatureCache
 from repro.core.probe import FormProber
 from repro.core.templates import QueryTemplate
 from repro.core.urlgen import IndexabilityCriterion, UrlGenerator
 from repro.datagen.domains import domain, domain_names
 from repro.util.rng import SeededRng
+from repro.util.text import tokenize
 from repro.webspace.sitegen import build_deep_site
 from repro.webspace.web import Web
 
@@ -106,3 +111,46 @@ class TestEnumerationProperties:
         kept = generator.filter_indexable(form, candidates, prober)
         for candidate in kept:
             assert 1 <= candidate.result_count <= 25
+
+
+class TestConjunctiveWorld:
+    """The prober skips a fetch when a sub-binding is known to be empty.
+    That is sound only if adding a binding never adds results; this states
+    it of the generated world, with every page really fetched."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(domain_name=domain_strategy, seed=seed_strategy, data=st.data())
+    def test_adding_a_binding_never_adds_results(self, domain_name, seed, data):
+        web, site, form = _site_and_form(domain_name, seed)
+        # Values that occur in the data (so pages are not all empty), plus misses.
+        vocabulary = sorted(
+            {
+                text
+                for _table, row in list(site.database.all_rows())[:15]
+                for value in row.values()
+                for text in (str(value), *tokenize(str(value)))
+            }
+        ) + ["zzqx", ""]
+        chosen = data.draw(
+            st.lists(
+                st.sampled_from(form.bindable_inputs),
+                min_size=2,
+                max_size=3,
+                unique_by=lambda spec: spec.name,
+            )
+        )
+        bindings = {
+            spec.name: data.draw(st.sampled_from(list(spec.options) or vocabulary))
+            for spec in chosen
+        }
+        signatures = SignatureCache()
+
+        def count(subset) -> int:
+            page = web.fetch(form.submission_url(dict(subset)))
+            assert page.ok
+            return signatures.signature(page.html).result_count
+
+        full = count(bindings.items())
+        for size in range(1, len(bindings)):
+            for subset in combinations(bindings.items(), size):
+                assert full <= count(subset), (bindings, subset)

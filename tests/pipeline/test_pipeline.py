@@ -138,13 +138,18 @@ class TestObserversAndProgress:
     def test_metrics_observer_counts_stages_only(self, car_web, car_site):
         metrics = MetricsObserver()
         pipeline = SurfacingPipeline(car_web, observers=[metrics])
-        pipeline.surface_many([car_site])
+        result = pipeline.surface_many([car_site])[0]
         assert metrics.stage_runs["discover-forms"] == 1
         assert metrics.stage_runs["index-pages"] == 1
         assert set(metrics.stage_seconds) == set(metrics.stage_runs)
         # Stage counters only: site totals have one owner, the results.
-        assert set(metrics.as_dict()) == {"stage_runs", "stage_seconds"}
+        assert set(metrics.as_dict()) == {"stage_runs", "stage_seconds", "stage_fetches"}
         assert metrics.as_dict()["stage_runs"]["generate-urls"] == 1
+        # Every surfacer fetch happens inside a stage, so the ledger adds up.
+        assert set(metrics.stage_fetches) == set(metrics.stage_runs)
+        assert metrics.stage_fetches["discover-forms"] == 1
+        assert metrics.stage_fetches["index-pages"] == 0
+        assert sum(metrics.stage_fetches.values()) == result.analysis_load
 
     def test_per_site_timing_is_recorded(self, car_web, car_site):
         pipeline = SurfacingPipeline(car_web)
