@@ -32,7 +32,7 @@ def main() -> None:
     #    almost none of the deep-web records are reachable.
     crawl = service.crawl(max_pages=500)
     print(f"Baseline crawl: fetched {crawl.fetched} pages, indexed {crawl.indexed}")
-    print(f"  index by source: {service.engine.count_by_source()}")
+    print(f"  index by source: {service.engine.store_stats().by_source}")
 
     # 3. Run the surfacing pipeline: discover forms, classify inputs, probe,
     #    select informative templates, generate URLs, index the result pages.

@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     service.crawl(max_pages=150)
     service.surface()
     print(f"index ready: {len(service.engine)} documents "
-          f"({', '.join(f'{s}={n}' for s, n in service.engine.count_by_source().items())})")
+          f"({', '.join(f'{s}={n}' for s, n in service.engine.store_stats().by_source.items())})")
 
     print(f"serving {args.queries} queries (zipf stream, {args.workers} workers) ...")
     outcome = service.serve_workload(count=args.queries, k=args.k, seed="serve-demo")

@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.pipeline.observer import MetricsObserver, PipelineObserver, ProgressObserver
@@ -56,7 +56,7 @@ from repro.search.querylog import QueryLog
 from repro.search.engine import SearchEngine, SearchResult
 from repro.serve.frontend import QueryFrontend, WorkloadOutcome
 from repro.serve.loadgen import WorkloadGenerator, WorkloadQuery
-from repro.store.backend import StorageBackend
+from repro.store.backend import StorageBackend, StoreStats
 from repro.resilience.faults import FaultPlan, FaultyWeb, ScriptedFaults
 from repro.resilience.retry import BreakerRegistry, ResilientWeb, RetryPolicy
 from repro.webspace.site import DeepWebSite
@@ -64,6 +64,9 @@ from repro.virtual.vertical import VerticalSearchEngine
 from repro.webspace.sitegen import WebConfig, generate_web
 from repro.webspace.web import Web
 from repro.webtables.corpus import HarvestState, TableCorpus, harvest_web
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.backend import ClusterStats
 
 
 @dataclass
@@ -81,7 +84,6 @@ class ServiceReport:
     probes_issued: int
     analysis_load: int
     elapsed_seconds: float
-    index_by_source: dict[str, int] = field(default_factory=dict)
     crawl: CrawlStats | None = None
     #: The per-site results every total above is summed from.
     sites: list[SiteSurfacingResult] = field(default_factory=list)
@@ -93,9 +95,13 @@ class ServiceReport:
     #: Federated-read provenance: plans executed, routes taken, hits kept
     #: per route, live fetches consumed, blend sizes.
     query_planning: dict[str, object] = field(default_factory=dict)
-    #: Storage provenance: backend kind, doc counts by source, and -- for
-    #: persisted/restored services -- store, journal and snapshot paths
-    #: plus the snapshot age.
+    #: The store's own snapshot: backend kind, doc counts (per source tag
+    #: and per shard).
+    store: StoreStats | None = None
+    #: The cluster's own snapshot, when the store is a ``ClusterBackend``.
+    cluster: ClusterStats | None = None
+    #: Persistence provenance -- for persisted/restored services the
+    #: store, journal and snapshot paths plus the snapshot age.
     storage: dict[str, object] = field(default_factory=dict)
     #: Fault/degradation accounting: meter error/retry totals, per-host
     #: outcomes, injected-fault counts and breaker states.  Empty (and
@@ -126,33 +132,16 @@ class ServiceReport:
             out.append(line)
         if self.crawl is not None:
             out.append(f"baseline crawl: {self.crawl.fetched} fetched, {self.crawl.indexed} indexed")
-        if self.index_by_source:
-            by_source = ", ".join(
-                f"{source}={count}" for source, count in sorted(self.index_by_source.items())
-            )
-            out.append(f"index by source: {by_source}")
-        if self.storage:
-            storage_line = (
-                f"storage: {self.storage.get('backend')} backend, "
-                f"{self.storage.get('documents')} documents"
-            )
+        if self.store is not None:
+            line = f"storage: {self.store.backend} backend, {self.store.documents} documents"
             if self.storage.get("restored_from"):
-                storage_line += " (restored from snapshot)"
-            out.append(storage_line)
-            cluster = self.storage.get("cluster")
-            if cluster:
-                line = (
-                    f"cluster: {cluster.get('shards')}x{cluster.get('replicas')}, "
-                    f"{cluster.get('scatters', 0)} scatters, "
-                    f"{cluster.get('hedges', 0)} hedges "
-                    f"({cluster.get('hedge_wins', 0)} won), "
-                    f"{cluster.get('deadline_misses', 0)} deadline misses, "
-                    f"{cluster.get('degraded_searches', 0)} degraded searches"
-                )
-                dead = cluster.get("dead_replicas")
-                if dead:
-                    line += ", dead=" + ",".join(dead)
-                out.append(line)
+                line += " (restored from snapshot)"
+            out.append(line)
+            if self.store.by_source:
+                counts = ", ".join(f"{tag}={n}" for tag, n in self.store.by_source.items())
+                out.append(f"index by source: {counts}")
+        if self.cluster is not None:
+            out.extend(self.cluster.lines())
         if self.resilience:
             line = (
                 f"resilience: {self.resilience.get('fetch_errors', 0)} fetch errors, "
@@ -286,7 +275,10 @@ class DeepWebServiceBuilder:
         :class:`~repro.resilience.faults.FaultyWeb` at :meth:`create`; the
         plan decides per ``(host, fetch index)`` whether a fetch raises a
         typed :class:`~repro.webspace.web.FetchError`.  Combine with
-        :meth:`resilience` to also retry and circuit-break those faults."""
+        :meth:`resilience` to also retry and circuit-break those faults.
+        Every fetch consumer (crawler, prober, vertical engine) shares the
+        wrapped web.  For a faulted twin built fault-free, pass a plan with
+        ``enabled=False`` and flip ``plan.enabled`` once set-up is done."""
         self._fault_plan = plan
         return self
 
@@ -564,34 +556,6 @@ class DeepWebService:
 
         return restore_service(path, web=web, store=store)
 
-    # -- chaos / resilience --------------------------------------------------
-
-    def inject_faults(
-        self,
-        plan: FaultPlan | ScriptedFaults,
-        policy: RetryPolicy | None = None,
-        breakers: BreakerRegistry | None = None,
-    ) -> Web:
-        """Start injecting faults into this (already built) service.
-
-        Wraps the current web in a
-        :class:`~repro.resilience.faults.FaultyWeb` (plus a
-        :class:`~repro.resilience.retry.ResilientWeb` when a retry policy
-        or breaker registry is given) and rewires every fetch consumer --
-        the pipeline context, the prober, and the vertical engine if
-        already built.  The chaos-bench seam: build two identical
-        services, inject faults into one, and compare.  Returns the
-        wrapped web; flip ``plan.enabled`` to pause/resume injection."""
-        wrapped: Web = FaultyWeb(self.web, plan)
-        if policy is not None or breakers is not None:
-            wrapped = ResilientWeb(wrapped, policy=policy, breakers=breakers)
-        ctx = self.pipeline.context
-        ctx.web = wrapped
-        ctx.prober.web = wrapped
-        if self._vertical is not None:
-            self._vertical.web = wrapped
-        return wrapped
-
     # -- operations ---------------------------------------------------------
 
     def crawl(self, max_pages: int = 500) -> CrawlStats:
@@ -755,7 +719,7 @@ class DeepWebService:
         )
         return self.execute(plan).results
 
-    def cluster_stats(self):
+    def cluster_stats(self) -> ClusterStats | None:
         """Scatter-gather accounting when the store is a
         :class:`~repro.cluster.ClusterBackend` (shape, hedges, deadline
         misses, degraded searches, dead replicas); ``None`` otherwise."""
@@ -769,30 +733,8 @@ class DeepWebService:
         return None
 
     def _storage_section(self) -> dict[str, object]:
-        """The report's storage provenance (backend kind, composition,
-        persistence paths, snapshot age)."""
-        stats = self.engine.store_stats()
-        section: dict[str, object] = {
-            "backend": stats.backend,
-            "documents": stats.documents,
-            "by_source": dict(stats.by_source),
-        }
-        if stats.shard_documents:
-            section["shard_documents"] = list(stats.shard_documents)
-        cluster = self.cluster_stats()
-        if cluster is not None:
-            section["cluster"] = {
-                "shards": cluster.shard_count,
-                "replicas": cluster.replicas,
-                "scatters": cluster.scatters,
-                "hedges": cluster.hedges,
-                "hedge_wins": cluster.hedge_wins,
-                "deadline_misses": cluster.deadline_misses,
-                "failovers": cluster.failovers,
-                "refused": cluster.refused,
-                "degraded_searches": cluster.degraded_searches,
-                "dead_replicas": list(cluster.dead_replicas),
-            }
+        """The report's persistence provenance (paths, snapshot age)."""
+        section: dict[str, object] = {}
         store_path = getattr(self.store, "path", None)
         if store_path is not None:
             section["store_path"] = str(store_path)
@@ -812,7 +754,8 @@ class DeepWebService:
         return section
 
     def _resilience_section(self) -> dict[str, object]:
-        """Fault/degradation accounting for :meth:`report`.
+        """Fault/degradation accounting for :meth:`report`, summed over
+        every fault and retry layer the web is wrapped in.
 
         Returns ``{}`` on a fault-free service (no resilience wrappers and
         a clean meter), so clean-run reports render byte-identically to
@@ -820,19 +763,19 @@ class DeepWebService:
         meter = self.web.load_meter
         errors = meter.errors()
         retries = meter.retries()
-        faulty: FaultyWeb | None = None
-        resilient: ResilientWeb | None = None
+        injected: dict[str, int] = {}
+        registries: list[BreakerRegistry] = []  # distinct: layers may share one
         layer: Web | None = self.web
         while layer is not None:
-            if resilient is None and isinstance(layer, ResilientWeb):
-                resilient = layer
-            if faulty is None and isinstance(layer, FaultyWeb):
-                faulty = layer
+            if isinstance(layer, FaultyWeb):
+                for kind, count in layer.fault_counts().items():
+                    injected[kind] = injected.get(kind, 0) + count
+            breakers = layer.breakers if isinstance(layer, ResilientWeb) else None
+            if breakers is not None and breakers not in registries:
+                registries.append(breakers)
             layer = getattr(layer, "inner", None)
-        injected = faulty.fault_counts() if faulty is not None else {}
-        breakers = resilient.breakers if resilient is not None else None
-        trips = breakers.trips() if breakers is not None else 0
-        skips = breakers.skips() if breakers is not None else 0
+        trips = sum(registry.trips() for registry in registries)
+        skips = sum(registry.skips() for registry in registries)
         if not errors and not retries and not injected and not trips and not skips:
             # Installed-but-idle wrappers stay invisible: a clean run's
             # report is byte-identical with or without the resilience tier.
@@ -841,25 +784,19 @@ class DeepWebService:
             "fetch_errors": errors,
             "fetch_retries": retries,
         }
-        hosts: dict[str, dict[str, int]] = {}
-        for host in meter.hosts():
-            outcome = meter.outcome(host)
-            if outcome.errors or outcome.retries:
-                hosts[host] = {
-                    "fetches": outcome.fetches,
-                    "errors": outcome.errors,
-                    "retries": outcome.retries,
-                }
+        outcomes = [meter.outcome(host) for host in meter.hosts()]
+        hosts = {o.host: o for o in outcomes if o.errors or o.retries}
         if hosts:
             section["hosts"] = hosts
         if injected:
-            section["injected"] = injected
-        if breakers is not None and (trips or skips):
-            states = breakers.states()
+            section["injected"] = dict(sorted(injected.items()))
+        if trips or skips:
             section["breakers"] = {
                 "trips": trips,
                 "skips": skips,
-                "open": [host for host, state in states.items() if state != "closed"],
+                "open": sorted(
+                    {host for registry in registries for host in registry.open_hosts()}
+                ),
             }
         return section
 
@@ -877,12 +814,13 @@ class DeepWebService:
             probes_issued=sum(result.probes_issued for result in self.results),
             analysis_load=sum(result.analysis_load for result in self.results),
             elapsed_seconds=sum(result.elapsed_seconds for result in self.results),
-            index_by_source=self.engine.count_by_source(),
             crawl=self.crawl_stats,
             sites=list(self.results),
             probe_cache=self.pipeline.prober.probe_cache.stats(),
             stage_metrics=self.metrics.as_dict(),
             query_planning=self.planner_stats.as_dict(),
+            store=self.engine.store_stats(),
+            cluster=self.cluster_stats(),
             storage=self._storage_section(),
             resilience=self._resilience_section(),
         )

@@ -73,21 +73,21 @@ class ClusterStats:
     replica_serves: dict[str, int]
 
     def lines(self) -> list[str]:
-        """Human-readable rendering for service reports."""
+        """Human-readable rendering (what service reports print)."""
         lines = [
-            f"shards: {self.shard_count} x {self.replicas} replicas, "
+            f"cluster: {self.shard_count} x {self.replicas} replicas, "
             f"{self.documents} documents",
-            f"scatters: {self.scatters} ({self.tasks} tasks, "
+            f"cluster scatters: {self.scatters} ({self.tasks} tasks, "
             f"{self.failovers} failovers, {self.refused} refused)",
-            f"hedges: {self.hedges} ({self.hedge_wins} won), "
+            f"cluster hedges: {self.hedges} ({self.hedge_wins} won), "
             f"deadline misses: {self.deadline_misses}, "
             f"degraded searches: {self.degraded_searches}",
         ]
         if self.dead_replicas:
-            lines.append("dead replicas: " + ", ".join(self.dead_replicas))
+            lines.append("cluster dead replicas: " + ", ".join(self.dead_replicas))
         if self.injected:
-            parts = [f"{kind}={count}" for kind, count in sorted(self.injected.items())]
-            lines.append("injected faults: " + ", ".join(parts))
+            parts = [f"{kind}={count}" for kind, count in self.injected.items()]
+            lines.append("cluster injected faults: " + ", ".join(parts))
         return lines
 
 
@@ -264,38 +264,29 @@ class ClusterBackend(DocumentCatalog):
         )
 
     def cluster_stats(self) -> ClusterStats:
-        executor_stats = self.executor.stats()
-        dead = tuple(
-            node.name
-            for replica_set in self.replica_sets
-            for node in replica_set
-            if not node.alive
-        )
-        alive = self.shard_count * self.replicas - len(dead)
-        return ClusterStats(
-            shard_count=self.shard_count,
-            replicas=self.replicas,
-            documents=len(self),
-            alive_replicas=alive,
-            dead_replicas=dead,
-            scatters=executor_stats["scatters"],
-            tasks=executor_stats["tasks"],
-            hedges=executor_stats["hedges"],
-            hedge_wins=executor_stats["hedge_wins"],
-            deadline_misses=executor_stats["deadline_misses"],
-            failovers=executor_stats["failovers"],
-            refused=sum(
-                node.refused for replica_set in self.replica_sets for node in replica_set
-            ),
-            degraded_searches=self.degraded_searches,
-            injected=executor_stats["injected"],
-            replica_serves={
-                node.name: node.tasks_served
-                for replica_set in self.replica_sets
-                for node in replica_set
-                if node.tasks_served
-            },
-        )
+        nodes = [node for replica_set in self.replica_sets for node in replica_set]
+        dead = tuple(node.name for node in nodes if not node.alive)
+        executor = self.executor
+        with executor.lock:
+            return ClusterStats(
+                shard_count=self.shard_count,
+                replicas=self.replicas,
+                documents=len(self),
+                alive_replicas=len(nodes) - len(dead),
+                dead_replicas=dead,
+                scatters=executor.scatters,
+                tasks=executor.tasks,
+                hedges=executor.hedges,
+                hedge_wins=executor.hedge_wins,
+                deadline_misses=executor.deadline_misses,
+                failovers=executor.failovers,
+                refused=sum(node.refused for node in nodes),
+                degraded_searches=self.degraded_searches,
+                injected=dict(sorted(executor.injected.items())),
+                replica_serves={
+                    node.name: node.tasks_served for node in nodes if node.tasks_served
+                },
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -116,9 +116,10 @@ class ScatterGatherExecutor:
         self.fault_plan = fault_plan
         self.agent = agent
         self._clock = clock
-        self._lock = threading.Lock()
+        #: Guards the routing cursors and the cumulative counters below,
+        #: which ``ClusterBackend.cluster_stats()`` reads under it.
+        self.lock = threading.Lock()
         self._cursors = [0] * len(self.replica_sets)
-        # Cumulative counters (read through ClusterBackend.cluster_stats()).
         self.scatters = 0
         self.tasks = 0
         self.hedges = 0
@@ -132,7 +133,7 @@ class ScatterGatherExecutor:
     def _pick(self, state: _ShardState) -> ShardNode | None:
         """The next untried live replica, walking on from the shard's cursor."""
         replicas = self.replica_sets[state.shard]
-        with self._lock:
+        with self.lock:
             cursor = self._cursors[state.shard]
             for offset in range(len(replicas)):
                 node = replicas[(cursor + offset) % len(replicas)]
@@ -156,7 +157,7 @@ class ScatterGatherExecutor:
         decision = plan.decide(node.name, node.next_fault_index())
         if decision.ok:
             return None
-        with self._lock:
+        with self.lock:
             self.injected[decision.kind] = self.injected.get(decision.kind, 0) + 1
         if decision.kind == KIND_OUTAGE:
             return REASON_DOWN
@@ -190,7 +191,7 @@ class ScatterGatherExecutor:
             state.tried.add(node.replica_index)
             state.attempts += 1
             if failover:
-                with self._lock:
+                with self.lock:
                     self.failovers += 1
             verdict = self._consult_plan(node)
             if verdict is None:
@@ -198,7 +199,7 @@ class ScatterGatherExecutor:
                 if attempt is not None:
                     state.hedged = as_hedge or state.hedged
                     state.pending[attempt] = state.hedged
-                    with self._lock:
+                    with self.lock:
                         self.tasks += 1
                         if state.hedged:
                             self.hedges += 1
@@ -215,7 +216,7 @@ class ScatterGatherExecutor:
         for attempt in state.pending:
             attempt.cancel()
         if reason == REASON_DEADLINE:
-            with self._lock:
+            with self.lock:
                 self.deadline_misses += 1
         return ShardOutcome(
             shard=state.shard,
@@ -234,7 +235,7 @@ class ScatterGatherExecutor:
         hedges or fails over whichever shard needs it.  The returned list
         is ordered by shard index.
         """
-        with self._lock:
+        with self.lock:
             self.scatters += 1
         started = self._clock()
         deadline = started + self.deadline_seconds
@@ -277,7 +278,7 @@ class ScatterGatherExecutor:
                 for loser in state.pending:
                     loser.cancel()
                 if is_hedge:
-                    with self._lock:
+                    with self.lock:
                         self.hedge_wins += 1
                 outcomes[state.shard] = ShardOutcome(
                     shard=state.shard,
@@ -296,15 +297,3 @@ class ScatterGatherExecutor:
                     outcomes[state.shard] = self._fail(state, state.last_reason)
                     unresolved -= 1
         return outcomes
-
-    def stats(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                "scatters": self.scatters,
-                "tasks": self.tasks,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
-                "deadline_misses": self.deadline_misses,
-                "failovers": self.failovers,
-                "injected": dict(sorted(self.injected.items())),
-            }

@@ -344,8 +344,8 @@ class SignatureCache:
     additionally keyed by the link-resolution base (host + directory), since
     relative links resolve differently under different page URLs.  Entries
     are evicted FIFO past ``max_entries``; ``max_entries=0`` disables
-    storage entirely (every call recomputes), which is how the benchmark
-    harness measures the uncached baseline.
+    storage entirely (every call recomputes), which is how the tests get
+    the uncached analysis to compare cached results against.
 
     The cache is safe to share across threads: analyses are pure functions
     of content, so a race at worst duplicates work (hit/miss counters are

@@ -5,31 +5,20 @@ to run the same ``str(value)`` normalization (and blank filtering) once per
 *template*; for a form with a dozen informative templates that re-walked
 every candidate list a dozen times.  A :class:`ValuePool` runs the pass once
 per form and hands out the same tuples to every template.
-
-Normalized tuples are additionally interned in a module-level table, so
-forms on the same host -- which draw from the same select options,
-typed-value libraries and keyword selections -- share one string pool
-instead of materializing per-form copies.
 """
 
 from __future__ import annotations
 
 from typing import ItemsView, Iterable, KeysView, Mapping, Sequence
 
-_INTERNED: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-
-def _intern(values: tuple[str, ...]) -> tuple[str, ...]:
-    return _INTERNED.setdefault(values, values)
-
 
 class ValuePool:
     """A per-form normalized view over ``value_sets``.
 
-    The pool is a read-through cache: lookups normalize lazily, memoize per
-    input name and intern the resulting tuple.  Wrapping an existing pool is
-    a no-op (:meth:`wrap`), so public APIs keep accepting plain mappings
-    while internal call chains share one pool per form.
+    The pool is a read-through cache: lookups normalize lazily and memoize
+    per input name.  Wrapping an existing pool is a no-op (:meth:`wrap`),
+    so public APIs keep accepting plain mappings while internal call
+    chains share one pool per form.
     """
 
     __slots__ = ("_raw", "_normalized", "_nonblank")
@@ -75,7 +64,7 @@ class ValuePool:
         """``str(value)`` for every candidate value of ``name``, in order."""
         cached = self._normalized.get(name)
         if cached is None:
-            cached = _intern(tuple(str(value) for value in self._raw.get(name, ())))
+            cached = tuple(str(value) for value in self._raw.get(name, ()))
             self._normalized[name] = cached
         return cached
 
@@ -85,6 +74,6 @@ class ValuePool:
         if cached is None:
             values = self.normalized(name)
             stripped = tuple(value for value in values if value.strip())
-            cached = values if len(stripped) == len(values) else _intern(stripped)
+            cached = values if len(stripped) == len(values) else stripped
             self._nonblank[name] = cached
         return cached

@@ -9,8 +9,8 @@ time:
   how much of the query their schema/option/description vocabulary
   covers; only plausibly relevant hosts earn a live probe (and only
   when the caller opted into query-time load);
-* **store composition stats** -- ``count_by_source`` says whether the
-  webtables route has any documents to rank at all;
+* **store composition stats** -- ``store_stats().by_source`` says
+  whether the webtables route has any documents to rank at all;
 * **corpus attribute statistics** -- the
   :class:`~repro.webtables.acsdb.AcsDb` says whether a filter attribute
   (or an all-attribute keyword query, the table-lookup shape) is known
@@ -72,8 +72,8 @@ class QueryPlanner:
         self._acsdb: AcsDb | None = None
         self._acsdb_key: tuple[int, int] | None = None
         # Store-composition signal memoized on the (append-only) document
-        # count: count_by_source walks the store, which must not happen
-        # on every keyword-query plan() call.
+        # count: the store's stats walk every document, which must not
+        # happen on every keyword-query plan() call.
         self._webtables_key: int | None = None
         self._store_has_webtables = False
 
@@ -173,7 +173,7 @@ class QueryPlanner:
         key = len(self._engine)
         if self._webtables_key != key:
             self._store_has_webtables = (
-                self._engine.count_by_source().get(SOURCE_WEBTABLE, 0) > 0
+                self._engine.store_stats().by_source.get(SOURCE_WEBTABLE, 0) > 0
             )
             self._webtables_key = key
         return self._store_has_webtables

@@ -144,13 +144,9 @@ class SearchEngine:
     def documents_for_host(self, host: str) -> list[Document]:
         return self._backend.documents_for_host(host)
 
-    def count_by_source(self) -> dict[str, int]:
-        """Document counts per source tag, deterministically ordered
-        (sorted by source, backed by the store's stats)."""
-        return dict(self._backend.stats().by_source)
-
     def store_stats(self) -> StoreStats:
-        """The backend's aggregate stats (doc counts, per-shard layout)."""
+        """The backend's aggregate stats: doc counts in total, per source
+        tag (sorted by source) and per shard."""
         return self._backend.stats()
 
     # -- querying ---------------------------------------------------------------

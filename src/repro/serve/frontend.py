@@ -38,7 +38,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.query.executor import PlanResult, QueryExecutor
 from repro.query.plan import QueryPlan
@@ -69,15 +69,6 @@ class ServeStats:
     latency_max: float
     elapsed_seconds: float = 0.0
     qps: float = 0.0
-    #: Federated-plan provenance: how many plan serves, what the live
-    #: routes spent, and how often each route participated (sorted
-    #: (route, count) pairs -- a tuple so the snapshot stays hashable).
-    plans_served: int = 0
-    live_fetches: int = 0
-    routes: tuple[tuple[str, int], ...] = ()
-    #: Plan serves whose result was degraded by fetch failures (partial,
-    #: never wrong; these are never cached).
-    degraded_plans: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -92,10 +83,6 @@ class ServeStats:
         cache_misses: int,
         latencies: Sequence[float],
         elapsed_seconds: float = 0.0,
-        plans_served: int = 0,
-        live_fetches: int = 0,
-        routes: Mapping[str, int] | None = None,
-        degraded_plans: int = 0,
     ) -> "ServeStats":
         if latencies:
             ordered = sorted(latencies)  # percentile()'s re-sort is then linear
@@ -118,10 +105,6 @@ class ServeStats:
             latency_max=top,
             elapsed_seconds=elapsed_seconds,
             qps=(served / elapsed_seconds) if elapsed_seconds > 0 else 0.0,
-            plans_served=plans_served,
-            live_fetches=live_fetches,
-            routes=tuple(sorted((routes or {}).items())),
-            degraded_plans=degraded_plans,
         )
 
     def lines(self) -> list[str]:
@@ -137,14 +120,6 @@ class ServeStats:
         ]
         if self.qps:
             out.append(f"throughput: {self.qps:.0f} queries/s over {self.elapsed_seconds:.2f}s")
-        if self.plans_served:
-            routes = ", ".join(f"{route}={count}" for route, count in self.routes)
-            out.append(
-                f"plans: {self.plans_served} served (routes {routes or 'none'}, "
-                f"{self.live_fetches} live fetches)"
-            )
-        if self.degraded_plans:
-            out.append(f"degraded: {self.degraded_plans} plan serves returned partial results")
         return out
 
     def __str__(self) -> str:
@@ -209,12 +184,9 @@ class QueryFrontend:
         self._served = 0
         self._shed = 0
         #: Optional federated-plan executor; without one, ``serve_plan``
-        #: refuses (the frontend alone cannot harvest or probe).
+        #: refuses (the frontend alone cannot harvest or probe).  Plan
+        #: provenance is counted once, in the executor's ``PlannerStats``.
         self._plan_executor = executor
-        self._plans_served = 0
-        self._live_fetches = 0
-        self._degraded_plans = 0
-        self._route_counts: dict[str, int] = {}
         # Cumulative percentiles cover the most recent window only, so a
         # long-lived frontend holds a bounded history; workload runs
         # collect their own exact latencies from the futures.
@@ -341,12 +313,6 @@ class QueryFrontend:
         latency = self._clock() - started
         with self._lock:
             self._served += 1
-            self._plans_served += 1
-            self._live_fetches += outcome.live_fetches_spent
-            if outcome.degraded:
-                self._degraded_plans += 1
-            for route in outcome.routes_taken() if not outcome.cached else plan.route_names:
-                self._route_counts[route] = self._route_counts.get(route, 0) + 1
             self._latencies.append(latency)
         return outcome
 
@@ -463,10 +429,6 @@ class QueryFrontend:
                 cache_hits=self.cache.hits,
                 cache_misses=self.cache.misses,
                 latencies=list(self._latencies),
-                plans_served=self._plans_served,
-                live_fetches=self._live_fetches,
-                routes=dict(self._route_counts),
-                degraded_plans=self._degraded_plans,
             )
 
     def _executor(self) -> ThreadPoolExecutor:

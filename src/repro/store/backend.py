@@ -106,10 +106,6 @@ class StorageBackend(Protocol):
         """Doc ids containing any (or all) of the query terms."""
         ...
 
-    def count_by_source(self) -> dict[str, int]:
-        """Document counts per source tag, sorted by source."""
-        ...
-
     def stats(self) -> StoreStats:
         ...
 
@@ -209,15 +205,12 @@ class DocumentCatalog:
 
     # -- stats ---------------------------------------------------------------
 
-    def count_by_source(self) -> dict[str, int]:
+    def stats(self) -> StoreStats:
         counts: dict[str, int] = {}
         for doc in self._documents.values():
             counts[doc.source] = counts.get(doc.source, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def stats(self) -> StoreStats:
         return StoreStats(
             backend=self.kind,
             documents=len(self._documents),
-            by_source=self.count_by_source(),
+            by_source=dict(sorted(counts.items())),
         )

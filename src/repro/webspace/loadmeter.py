@@ -22,17 +22,6 @@ AGENT_USER = "user"                # a user clicking through to fresh content
 
 
 @dataclass(frozen=True)
-class LoadSnapshot:
-    """Aggregated load numbers for one host."""
-
-    host: str
-    total: int
-    by_agent: dict[str, int]
-    errors: int = 0
-    retries: int = 0
-
-
-@dataclass(frozen=True)
 class FetchOutcome:
     """Per-host fetch bookkeeping under faults: attempts, failures, retries.
 
@@ -87,17 +76,7 @@ class LoadMeter:
 
     def total(self, host: str | None = None, agent: str | None = None) -> int:
         """Total fetches, optionally filtered by host and/or agent."""
-        hosts = [host] if host is not None else list(self._by_host_agent.keys())
-        total = 0
-        for name in hosts:
-            counts = self._by_host_agent.get(name)
-            if counts is None:
-                continue
-            if agent is None:
-                total += sum(counts.values())
-            else:
-                total += counts.get(agent, 0)
-        return total
+        return self._filtered_total(self._by_host_agent, host, agent)
 
     def errors(self, host: str | None = None, agent: str | None = None) -> int:
         """Total failed fetches, optionally filtered by host and/or agent."""
@@ -127,17 +106,6 @@ class LoadMeter:
         return FetchOutcome(
             host=host,
             fetches=self.total(host=host),
-            errors=self.errors(host=host),
-            retries=self.retries(host=host),
-        )
-
-    def snapshot(self, host: str) -> LoadSnapshot:
-        """Load summary for one host."""
-        counts = self._by_host_agent.get(host, Counter())
-        return LoadSnapshot(
-            host=host,
-            total=sum(counts.values()),
-            by_agent=dict(counts),
             errors=self.errors(host=host),
             retries=self.retries(host=host),
         )

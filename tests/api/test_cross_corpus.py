@@ -77,7 +77,7 @@ class TestSearchAll:
         ]
 
     def test_search_all_populates_the_shared_store(self, sharded_service):
-        counts = sharded_service.engine.count_by_source()
+        counts = sharded_service.engine.store_stats().by_source
         assert counts.get(SOURCE_WEBTABLE, 0) > 0
         assert len(sharded_service.corpus) > 0
         # Sharded layout is real: every shard holds documents.
@@ -90,7 +90,7 @@ class TestSearchAll:
 
     def test_report_accounts_webtable_documents(self, sharded_service):
         report = sharded_service.report()
-        assert report.index_by_source.get(SOURCE_WEBTABLE, 0) > 0
+        assert report.store.by_source.get(SOURCE_WEBTABLE, 0) > 0
         assert str(report)  # deterministic rendering still works
 
     def test_sharded_results_match_inmemory_service(self, sharded_service):

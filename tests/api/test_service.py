@@ -89,7 +89,7 @@ class TestReport:
         report = service.report()
         assert report.sites_total == len(service.results)
         assert report.urls_indexed == sum(result.urls_indexed for result in service.results)
-        assert report.index_by_source.get("surfaced") == report.urls_indexed
+        assert report.store.by_source.get("surfaced") == report.urls_indexed
         assert report.crawl is service.crawl_stats
         assert len(report.sites) == report.sites_total
 
@@ -188,7 +188,7 @@ class TestScheduler:
             built.surface()
         after = built.report()
         assert after.sites_total == before.sites_total == 3
-        assert after.urls_indexed == before.urls_indexed == after.index_by_source["surfaced"]
+        assert after.urls_indexed == before.urls_indexed == after.store.by_source["surfaced"]
         assert set(after.stage_metrics) == {"stage_runs", "stage_seconds", "stage_fetches"}
         assert after.stage_metrics == before.stage_metrics
         assert sum(after.stage_metrics["stage_fetches"].values()) == after.analysis_load > 0

@@ -149,7 +149,7 @@ class TestStorageProtocol:
 
     def test_documents_by_source(self, cluster, reference):
         assert cluster.documents("crawl") == reference.documents("crawl")
-        assert cluster.count_by_source() == reference.count_by_source()
+        assert cluster.stats().by_source == reference.stats().by_source
 
     def test_matching_documents(self, cluster, reference):
         for require_all in (False, True):

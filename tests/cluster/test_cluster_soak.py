@@ -76,10 +76,17 @@ class TestCleanClusterBehindFacade:
         try:
             service.search("used car", k=5)
             report = service.report()
-            cluster = report.storage["cluster"]
-            assert cluster["shards"] == 4 and cluster["replicas"] == 2
-            assert cluster["scatters"] >= 1
-            assert any(line.startswith("cluster: 4x2") for line in report.lines())
+            # The report holds the cluster's own snapshot, not a copy of
+            # some of its fields, and renders it once, with its own lines.
+            assert report.cluster == service.cluster_stats()
+            assert report.cluster.shard_count == 4 and report.cluster.replicas == 2
+            assert report.cluster.scatters >= 1
+            lines = report.lines()
+            assert [line for line in lines if line.startswith("cluster")] == (
+                report.cluster.lines()
+            )
+            header = f"cluster: 4 x 2 replicas, {len(service.store)} documents"
+            assert lines.count(header) == 1
         finally:
             service.store.close()
 

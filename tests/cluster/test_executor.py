@@ -75,7 +75,7 @@ class TestScatterBasics:
             assert [o.value for o in outcomes] == [
                 replica_name(shard, 0) for shard in range(4)
             ]
-            assert executor.stats()["tasks"] == 4
+            assert executor.tasks == 4
         finally:
             close_all(nodes)
 
@@ -119,7 +119,7 @@ class TestFailover:
             for _ in range(3):
                 outcome = executor.scatter(name_task)[0]
                 assert outcome.ok and outcome.value == replica_name(0, 1)
-            assert executor.stats()["failovers"] == 0  # dead node never tried
+            assert executor.failovers == 0  # dead node never tried
         finally:
             close_all(nodes)
 
@@ -149,7 +149,7 @@ class TestFailover:
             outcome = executor.scatter(task)[0]
             assert not outcome.ok and outcome.reason == REASON_ERROR
             assert outcome.attempts == 2  # both replicas were tried
-            assert executor.stats()["failovers"] == 1
+            assert executor.failovers == 1
         finally:
             close_all(nodes)
 
@@ -224,7 +224,7 @@ class TestDeadlines:
             outcomes = executor.scatter(task)
             assert not outcomes[0].ok and outcomes[0].reason == REASON_DEADLINE
             assert not outcomes[1].ok and outcomes[1].reason == REASON_DEADLINE
-            assert executor.stats()["deadline_misses"] == 2
+            assert executor.deadline_misses == 2
             release.set()
         finally:
             release.set()
@@ -245,7 +245,7 @@ class TestInjectedFaults:
         try:
             outcome = executor.scatter(name_task)[0]
             assert outcome.ok and outcome.value == replica_name(0, 1)
-            assert executor.stats()["injected"] == {KIND_OUTAGE: 1}
+            assert executor.injected == {KIND_OUTAGE: 1}
         finally:
             close_all(nodes)
 
@@ -260,10 +260,9 @@ class TestInjectedFaults:
             outcome = executor.scatter(name_task)[0]
             assert outcome.ok and outcome.value == replica_name(0, 1)
             assert outcome.hedged, "a stalled primary makes the retry a hedge"
-            stats = executor.stats()
-            assert stats["hedges"] == 1
-            assert stats["failovers"] == 0, "a hedge is not a replica failure"
-            assert stats["injected"] == {KIND_TIMEOUT: 1}
+            assert executor.hedges == 1
+            assert executor.failovers == 0, "a hedge is not a replica failure"
+            assert executor.injected == {KIND_TIMEOUT: 1}
         finally:
             close_all(nodes)
 
@@ -279,7 +278,7 @@ class TestInjectedFaults:
         try:
             outcome = executor.scatter(name_task)[0]
             assert not outcome.ok and outcome.reason == REASON_ERROR
-            assert executor.stats()["injected"] == {KIND_ERROR: 2}
+            assert executor.injected == {KIND_ERROR: 2}
         finally:
             close_all(nodes)
 
@@ -295,7 +294,7 @@ class TestInjectedFaults:
             for _ in range(3):
                 assert executor.scatter(name_task)[0].ok
             assert nodes[0][0]._fault_index == 0
-            assert executor.stats()["injected"] == {}
+            assert executor.injected == {}
         finally:
             close_all(nodes)
 
@@ -336,9 +335,8 @@ class TestWallClockHedge:
             outcome = executor.scatter(task)[0]
             assert outcome.ok and outcome.value == replica_name(0, 1)
             assert outcome.hedged and outcome.hedge_won
-            stats = executor.stats()
-            assert stats["hedges"] == 1 and stats["hedge_wins"] == 1
-            assert stats["failovers"] == 0, "a hedge is not a replica failure"
+            assert executor.hedges == 1 and executor.hedge_wins == 1
+            assert executor.failovers == 0, "a hedge is not a replica failure"
             release.set()
         finally:
             release.set()
@@ -374,9 +372,8 @@ class TestStalledShardDoesNotStarveItsSiblings:
             assert not stuck.ok and stuck.reason == REASON_DEADLINE and stuck.hedged
             assert hedged.ok and hedged.value == replica_name(1, 1)
             assert hedged.hedged and hedged.hedge_won
-            stats = executor.stats()
-            assert stats["hedges"] == 2 and stats["hedge_wins"] == 1
-            assert stats["deadline_misses"] == 1 and stats["failovers"] == 0
+            assert executor.hedges == 2 and executor.hedge_wins == 1
+            assert executor.deadline_misses == 1 and executor.failovers == 0
         finally:
             release.set()
             close_all(nodes)
@@ -406,8 +403,7 @@ class TestStalledShardDoesNotStarveItsSiblings:
             assert not stuck.ok and stuck.reason == REASON_DEADLINE
             assert recovered.ok and recovered.value == replica_name(1, 1)
             assert recovered.attempts == 2 and not recovered.hedged
-            stats = executor.stats()
-            assert stats["failovers"] == 1 and stats["hedges"] == 0
+            assert executor.failovers == 1 and executor.hedges == 0
         finally:
             release.set()
             close_all(nodes)
@@ -445,9 +441,8 @@ class TestConcurrentScatters:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert wrong == []
-            stats = executor.stats()
-            assert stats["scatters"] == clients * rounds
-            assert stats["tasks"] == clients * rounds * shards
+            assert executor.scatters == clients * rounds
+            assert executor.tasks == clients * rounds * shards
             assert all(node.inflight == 0 for replica_set in nodes for node in replica_set)
         finally:
             sys.setswitchinterval(interval)

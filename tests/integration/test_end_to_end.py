@@ -20,7 +20,7 @@ from repro.webtables.semantic_server import SemanticServer
 
 class TestSurfacingStory:
     def test_deep_content_invisible_before_surfacing(self, crawled_world):
-        counts = crawled_world.engine.count_by_source()
+        counts = crawled_world.engine.store_stats().by_source
         assert counts.get(SOURCE_SURFACE, 0) > 0
         # Without surfacing, only homepages (and a few browse links) of deep
         # sites are indexed: a tiny fraction of the records.
@@ -36,7 +36,7 @@ class TestSurfacingStory:
             if result.forms_surfaced > 0
         )
         assert covered > 0.6 * get_form_records
-        assert surfaced_world.engine.count_by_source().get(SOURCE_SURFACED, 0) > 0
+        assert surfaced_world.engine.store_stats().by_source.get(SOURCE_SURFACED, 0) > 0
         assert total_records >= get_form_records
 
     def test_tail_queries_answered_from_surfaced_pages(self, surfaced_world):

@@ -115,18 +115,18 @@ def test_restore_round_trips_bookkeeping(round_trip):
 
 def test_report_storage_section(round_trip):
     service, restored, _, path = round_trip
-    section = service.report().storage
-    assert section["backend"] == "memory"
-    assert section["documents"] == len(service.store)
-    assert section["by_source"] == dict(service.store.count_by_source())
+    report = service.report()
+    assert report.store == service.store.stats()
+    assert report.store.backend == "memory"
+    assert report.store.documents == len(service.store)
+    section = report.storage
     assert section["snapshot_path"] == str(path)
     assert section["snapshot_age_seconds"] >= 0.0
     assert "restored_from" not in section
 
-    restored_section = restored.report().storage
-    assert restored_section["backend"] == "memory"
-    assert restored_section["documents"] == len(service.store)
-    assert restored_section["restored_from"] == str(path)
+    restored_report = restored.report()
+    assert restored_report.store == report.store
+    assert restored_report.storage["restored_from"] == str(path)
 
     lines = restored.report().lines()
     storage_lines = [line for line in lines if line.startswith("storage:")]

@@ -66,7 +66,7 @@ def test_protocol_surface(tmp_path):
         assert backend.document_for_url(first.url).doc_id == 1
         assert [d.doc_id for d in backend.documents()] == [1, 2]
         assert [d.doc_id for d in backend.documents_for_host("durable.example.com")] == [1, 2]
-        assert backend.count_by_source() == {"surfaced": 2}
+        assert backend.stats().by_source == {"surfaced": 2}
         stats = backend.stats()
         assert stats.backend == "sqlite"
         assert stats.documents == 2

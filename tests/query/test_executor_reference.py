@@ -221,7 +221,7 @@ class TestWorkIsBoundedByWhatIsReturned:
     def test_result_rows_and_document_reads(self, engine, monkeypatch):
         backend = engine.backend
         k, floor = 4, 2
-        limit, source_count = max(k, floor), len(backend.count_by_source())
+        limit, source_count = max(k, floor), len(backend.stats().by_source)
         matches = len(backend.search(["alpha", "bravo"]))
         assert matches > 4 * limit * source_count
 

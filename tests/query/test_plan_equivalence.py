@@ -102,12 +102,14 @@ class TestFrontendPlanEquivalence:
     def test_served_plans_match_direct_executor_runs(self, service):
         plans = self._plans(service, 150, seed="plan-equiv")
         direct = [service.execute(plan).results for plan in plans]
+        recorded = service.planner_stats.as_dict()["plans"]
         with QueryFrontend(
             service.engine, workers=1, cache_size=512, executor=service.executor
         ) as frontend:
             served = [frontend.serve_plan(plan).results for plan in plans]
             assert served == direct
-            assert frontend.stats().plans_served == len(plans)
+            assert frontend.stats().served == len(plans)
+            assert service.planner_stats.as_dict()["plans"] == recorded + len(plans)
             assert frontend.cache.hits > 0, "repeated plans must hit the fingerprint cache"
 
     def test_mid_workload_ingest_invalidates_served_plans(self, service):

@@ -1,15 +1,26 @@
-"""Provenance surfacing: ``service.report()`` and ``ServeStats`` tell
-which routes ran, what the live probes spent, and how big the blends were."""
+"""Provenance surfacing: ``service.report()`` tells which routes ran, what
+the live probes spent and how big the blends were, read from the one
+owner of those counters (``PlannerStats``); ``ServeStats`` keeps to
+serving facts."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.query.plan import ROUTE_INDEXED, ROUTE_WEBTABLES
+from repro.query.executor import QueryExecutor
 from repro.serve.frontend import QueryFrontend, ServeStats
 from repro.webspace.sitegen import WebConfig
+
+#: What the serving frontend counts; plan provenance is not among them.
+SERVING_FACTS = {
+    "served", "shed", "cache_hits", "cache_misses", "latency_p50", "latency_p90",
+    "latency_p99", "latency_mean", "latency_max", "elapsed_seconds", "qps",
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,30 +64,31 @@ class TestServiceReport:
         assert list(one["routes_taken"]) == sorted(one["routes_taken"])
 
 
-class TestServeStatsProvenance:
-    def test_serve_plan_updates_plan_counters(self, service):
+class TestOneOwnerPerPlanCounter:
+    def test_cached_serves_run_no_route(self, service):
+        """Plan provenance lives in the executor's ``PlannerStats`` alone:
+        a cached serve counts as a plan and a cached plan, never as a
+        route taken (nothing re-ran)."""
         plan = service.plan("records listings", k=5, include_webtables=False)
+        executor = QueryExecutor(service.engine)
+        with QueryFrontend(
+            service.engine, workers=1, cache_size=32, executor=executor
+        ) as frontend:
+            for _ in range(5):
+                frontend.serve_plan(plan)
+            served = frontend.stats()
+        planning = executor.stats.as_dict()
+        assert planning["plans"] == 5 and planning["cached_plans"] == 4
+        assert planning["routes_taken"] == {ROUTE_INDEXED: 1}
+        assert served.served == 5 and served.cache_hits == 4
+
+    def test_serve_stats_hold_serving_facts_only(self, service):
         with QueryFrontend(
             service.engine, workers=1, cache_size=32, executor=service.executor
         ) as frontend:
-            frontend.serve_plan(plan)
-            frontend.serve_plan(plan)  # cached serve still counts routes
-            stats = frontend.stats()
-        assert stats.plans_served == 2
-        assert dict(stats.routes).get(ROUTE_INDEXED) == 2
-        assert "plans: 2 served" in str(stats)
-        # The cached serve lands in the shared provenance sink too.
-        assert service.planner_stats.as_dict()["cached_plans"] >= 1
-
-    def test_string_serving_reports_no_plan_lines(self, service):
-        with QueryFrontend(service.engine, workers=1, cache_size=32) as frontend:
             frontend.serve("records", k=3)
+            frontend.serve_plan(service.plan("records listings", k=5))
             stats = frontend.stats()
-        assert stats.plans_served == 0
-        assert "plans:" not in str(stats)
-
-    def test_from_counters_defaults_keep_compatibility(self):
-        stats = ServeStats.from_counters(
-            served=1, shed=0, cache_hits=0, cache_misses=1, latencies=[0.001]
-        )
-        assert stats.plans_served == 0 and stats.routes == ()
+        assert {f.name for f in fields(ServeStats)} == SERVING_FACTS
+        assert stats.served == 2
+        assert not any(line.startswith("plans:") for line in stats.lines())

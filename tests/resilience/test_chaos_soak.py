@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
-from repro.resilience import BreakerRegistry, RetryPolicy
+from repro.resilience import BreakerRegistry, FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience.faults import FaultyWeb
+from repro.resilience.retry import ResilientWeb
 from repro.serve.loadgen import KIND_STRUCTURED, WorkloadGenerator
 from repro.webspace.sitegen import WebConfig, generate_web
 
@@ -99,3 +101,47 @@ def test_soak_replays_byte_identically():
         )
 
     assert run() == run()
+
+
+def test_report_sums_every_fault_and_breaker_layer():
+    """A web wrapped twice -- once by the caller, once by the builder --
+    reports the faults and breaker refusals of both layers.  The meter is
+    the cross-check: every injected fault and every refused fetch is
+    metered as one error, so the report's parts add up to its total."""
+    base = generate_web(
+        WebConfig(total_deep_sites=4, surface_site_count=1, max_records=50, seed=31)
+    )
+    inner_faults = FaultPlan(seed="inner", default=FaultSpec(error_rate=0.1))
+    inner_breakers = BreakerRegistry(failure_threshold=0.2)
+    outer_breakers = BreakerRegistry(failure_threshold=0.2)
+    service = (
+        DeepWebService.build()
+        .web(ResilientWeb(FaultyWeb(base, inner_faults), breakers=inner_breakers))
+        .surfacing(SurfacingConfig(max_urls_per_form=40))
+        .faults(FaultPlan(seed="outer", default=FaultSpec(error_rate=0.1)))
+        .resilience(RetryPolicy(max_attempts=1), outer_breakers)
+        .create()
+    )
+    service.crawl(max_pages=80)
+    service.surface()
+    layers = []
+    layer = service.web
+    while layer is not None:
+        layers.append(layer)
+        layer = getattr(layer, "inner", None)
+    faulty = [layer for layer in layers if isinstance(layer, FaultyWeb)]
+    assert len(faulty) == 2 and all(web.fault_counts() for web in faulty)
+    expected: dict[str, int] = {}
+    for web in faulty:
+        for kind, count in web.fault_counts().items():
+            expected[kind] = expected.get(kind, 0) + count
+
+    assert inner_breakers.trips() and outer_breakers.trips()
+
+    section = service.report().resilience
+    assert section["injected"] == expected
+    skips = inner_breakers.skips() + outer_breakers.skips()
+    assert section["breakers"]["skips"] == skips
+    assert section["breakers"]["trips"] == inner_breakers.trips() + outer_breakers.trips()
+    assert sum(expected.values()) + skips == section["fetch_errors"]
+    assert section["fetch_errors"] == service.web.load_meter.errors()

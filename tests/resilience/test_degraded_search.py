@@ -33,20 +33,40 @@ def plan_workload(service, count: int = 60, seed: str = "chaos-degraded"):
 
 
 def heavy_faults(seed="degraded-test") -> FaultPlan:
-    """Virtual-agent-only faults heavy enough to defeat a short retry."""
+    """Virtual-agent-only faults heavy enough to defeat a short retry,
+    paused until the twin's set-up is done."""
     return FaultPlan(
         seed=seed,
         default=FaultSpec(error_rate=0.5, timeout_rate=0.1),
         agents=(AGENT_VIRTUAL,),
+        enabled=False,
     )
+
+
+def hosts_down(hosts) -> FaultPlan:
+    """Every virtual fetch against ``hosts`` fails (paused until set-up)."""
+    return FaultPlan(
+        seed=1,
+        hosts={host: FaultSpec(error_rate=1.0) for host in hosts},
+        agents=(AGENT_VIRTUAL,),
+        enabled=False,
+    )
+
+
+def first_live_plan(service):
+    """The first live plan of the seeded workload and its live route.
+
+    Twins plan identically, so a plan made on the clean twin names the
+    hosts a faulted twin must be built to fail."""
+    plan = next(plan for plan in plan_workload(service) if not plan.cacheable)
+    return plan, next(route for route in plan.routes if not route.cacheable)
 
 
 class TestSubsetInvariant:
     def test_faulted_hits_are_a_subset_of_the_fault_free_universe(
         self, clean_service, chaos_factory
     ):
-        faulted = chaos_factory()
-        faulted.inject_faults(
+        faulted = chaos_factory(
             heavy_faults(),
             policy=RetryPolicy(max_attempts=2, seed="degraded-test"),
             breakers=BreakerRegistry(),
@@ -64,8 +84,7 @@ class TestSubsetInvariant:
     ):
         """Store-only plans never fetch, so query-time faults cannot touch
         them at all -- not even to shrink them."""
-        faulted = chaos_factory()
-        faulted.inject_faults(heavy_faults())
+        faulted = chaos_factory(heavy_faults())
         plans = [plan for plan in plan_workload(clean_service) if plan.cacheable]
         assert plans
         for plan in plans:
@@ -78,8 +97,7 @@ class TestDegradedDeterminism:
         byte-identical degraded answers -- chaos runs are replayable."""
 
         def run():
-            service = chaos_factory()
-            service.inject_faults(
+            service = chaos_factory(
                 heavy_faults(),
                 policy=RetryPolicy(max_attempts=2, seed="degraded-test"),
             )
@@ -102,21 +120,11 @@ class TestDegradedDeterminism:
 
 
 class TestDegradedProvenance:
-    def test_route_outcome_records_failed_hosts(self, chaos_factory):
-        service = chaos_factory()
-        live_plans = [p for p in plan_workload(service) if not p.cacheable]
-        assert live_plans
-        plan = live_plans[0]
-        live_route = next(r for r in plan.routes if not r.cacheable)
+    def test_route_outcome_records_failed_hosts(self, clean_service, chaos_factory):
+        plan, live_route = first_live_plan(clean_service)
         dead_host = live_route.hosts[0]
         # Kill exactly one routed host; everything else stays healthy.
-        service.inject_faults(
-            FaultPlan(
-                seed=1,
-                hosts={dead_host: FaultSpec(error_rate=1.0)},
-                agents=(AGENT_VIRTUAL,),
-            )
-        )
+        service = chaos_factory(hosts_down([dead_host]))
         result = service.execute(plan)
         assert result.degraded
         assert dead_host in result.failed_hosts
@@ -126,8 +134,7 @@ class TestDegradedProvenance:
         assert service.executor.stats.as_dict()["degraded_plans"] >= 1
 
     def test_degraded_plans_render_in_service_report(self, chaos_factory):
-        service = chaos_factory()
-        service.inject_faults(heavy_faults())
+        service = chaos_factory(heavy_faults())
         for plan in plan_workload(service, count=30):
             service.execute(plan)
         lines = service.report().lines()
@@ -135,29 +142,45 @@ class TestDegradedProvenance:
         assert any("degraded plans:" in line for line in lines)
 
 
+class TestOnePlanCounterOwner:
+    def test_report_reads_the_planner_stats_after_mixed_traffic(
+        self, clean_service, chaos_factory
+    ):
+        """Direct executions and frontend serves -- a cached, two empty and
+        two degraded plans among them -- land in one ``PlannerStats``; the
+        report is that owner's snapshot and the frontend keeps none."""
+        degraded_plan, live_route = first_live_plan(clean_service)
+        cacheable = next(plan for plan in plan_workload(clean_service) if plan.cacheable)
+        service = chaos_factory(hosts_down(live_route.hosts))
+        frontend = service.frontend
+        service.execute(cacheable)
+        assert not frontend.serve_plan(cacheable).cached
+        assert frontend.serve_plan(cacheable).cached
+        frontend.serve_plan(service.plan("   "))
+        service.execute(service.plan(""))
+        assert frontend.serve_plan(degraded_plan).degraded
+        assert service.execute(degraded_plan).degraded
+
+        planning = service.planner_stats.as_dict()
+        assert service.report().query_planning == planning
+        assert planning["plans"] == 7
+        assert (
+            planning["cached_plans"], planning["empty_plans"], planning["degraded_plans"]
+        ) == (1, 2, 2)
+        plan_fields = {"plans_served", "live_fetches", "routes", "degraded_plans"}
+        assert not plan_fields & set(vars(frontend.stats()))
+
+
 class TestFrontendNeverCachesDegraded:
-    def test_degraded_serves_counted_and_uncached(self, chaos_factory):
-        service = chaos_factory()
-        degraded_plan = next(
-            plan for plan in plan_workload(service) if not plan.cacheable
-        )
-        live_route = next(r for r in degraded_plan.routes if not r.cacheable)
+    def test_degraded_serves_counted_and_uncached(self, clean_service, chaos_factory):
+        degraded_plan, live_route = first_live_plan(clean_service)
         # Every routed live host is hard-down: both serves degrade for sure.
-        service.inject_faults(
-            FaultPlan(
-                seed=1,
-                hosts={
-                    host: FaultSpec(error_rate=1.0) for host in live_route.hosts
-                },
-                agents=(AGENT_VIRTUAL,),
-            )
-        )
+        service = chaos_factory(hosts_down(live_route.hosts))
         frontend = service.frontend
         first = frontend.serve_plan(degraded_plan)
         second = frontend.serve_plan(degraded_plan)
-        stats = frontend.stats()
-        assert stats.degraded_plans >= 2
+        assert service.planner_stats.as_dict()["degraded_plans"] == 2
         # Neither serve was answered from cache: a shrunken answer must
         # never outlive the fault that shrank it.
         assert not first.cached and not second.cached
-        assert any("degraded" in line for line in stats.lines())
+        assert "degraded plans: 2 (partial results, never cached)" in service.report().lines()

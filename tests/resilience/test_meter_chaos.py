@@ -34,15 +34,16 @@ class TestErrorRetryCounters:
         assert (outcome.fetches, outcome.errors, outcome.retries) == (2, 1, 1)
         assert outcome.degraded
 
-    def test_snapshot_carries_error_fields_and_stays_clean_by_default(self):
+    def test_outcome_stays_clean_by_default(self):
         meter = LoadMeter()
         meter.record("h.example.com", AGENT_SURFACER)
-        snap = meter.snapshot("h.example.com")
-        assert (snap.errors, snap.retries) == (0, 0)
+        outcome = meter.outcome("h.example.com")
+        assert (outcome.errors, outcome.retries) == (0, 0)
+        assert not outcome.degraded
         meter.record_error("h.example.com", AGENT_SURFACER)
         meter.record_retry("h.example.com", AGENT_SURFACER)
-        snap = meter.snapshot("h.example.com")
-        assert (snap.errors, snap.retries) == (1, 1)
+        outcome = meter.outcome("h.example.com")
+        assert (outcome.errors, outcome.retries) == (1, 1)
 
     def test_reset_clears_all_three_tables(self):
         meter = LoadMeter()

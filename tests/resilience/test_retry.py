@@ -164,7 +164,3 @@ class TestRetryStormVisibility:
         assert outcome.retries > 10, "storm amplification must be metered"
         assert outcome.errors > 10
         assert outcome.degraded
-        # The snapshot row surfaces the same counters for reporting.
-        snap = meter.snapshot(car_site.host)
-        assert snap.retries == outcome.retries
-        assert snap.errors == outcome.errors

@@ -14,7 +14,7 @@ class TestCrawl:
         stats = Crawler(small_web, engine).crawl(max_pages=120)
         assert stats.indexed > 0
         assert stats.fetched >= stats.indexed
-        assert engine.count_by_source().get(SOURCE_SURFACE, 0) > 0
+        assert engine.store_stats().by_source.get(SOURCE_SURFACE, 0) > 0
 
     def test_deep_content_not_reached_without_browse_links(self, car_web, car_site):
         engine = SearchEngine()
@@ -31,7 +31,7 @@ class TestCrawl:
         seed = Url.build(car_site.host, template.action_path, {})
         stats = crawler.crawl(seeds=[seed], max_pages=30)
         assert stats.indexed > 5
-        assert engine.count_by_source().get(SOURCE_DEEP_CRAWLED, 0) > 5
+        assert engine.store_stats().by_source.get(SOURCE_DEEP_CRAWLED, 0) > 5
 
     def test_max_pages_respected(self, small_web):
         engine = SearchEngine()
@@ -57,7 +57,7 @@ class TestCrawl:
         crawler = Crawler(car_web, engine)
         assert crawler.fetch_and_index(car_site.detail_url(1))
         assert not crawler.fetch_and_index(car_site.detail_url(10**9))
-        assert engine.count_by_source().get(SOURCE_DEEP_CRAWLED) == 1
+        assert engine.store_stats().by_source.get(SOURCE_DEEP_CRAWLED) == 1
 
     def test_error_pages_counted(self, car_web, car_site):
         engine = SearchEngine()

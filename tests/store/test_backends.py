@@ -116,10 +116,18 @@ class TestBackendContract:
     def test_count_by_source_is_sorted(self, backend):
         backend.add(record("u://1", "x", source="zeta"))
         backend.add(record("u://2", "x", source="alpha"))
-        assert list(backend.count_by_source()) == ["alpha", "zeta"]
         stats = backend.stats()
         assert stats.documents == 2
         assert list(stats.by_source) == ["alpha", "zeta"]
+
+    def test_by_source_sums_to_the_store(self, backend):
+        """``stats().by_source`` is the one per-source count: it accounts
+        for every stored document exactly once (a re-added URL is one)."""
+        sources = (SOURCE_SURFACE, SOURCE_SURFACED, SOURCE_WEBTABLE)
+        for index in range(30):
+            backend.add(record(f"u://{index % 25}", "x", source=sources[index % 3]))
+        stats = backend.stats()
+        assert sum(stats.by_source.values()) == stats.documents == len(backend) == 25
 
 
 class TestShardedSpecifics:
@@ -171,7 +179,7 @@ class TestShardedBoundaries:
         assert backend.documents() == []
         assert backend.documents_for_host("h.test") == []
         assert backend.export_records() == []
-        assert backend.count_by_source() == {}
+        assert backend.stats().by_source == {}
         assert backend.stats().shard_documents == (0, 0, 0, 0)
 
     def test_blank_and_unknown_term_queries(self, cluster_of):
@@ -205,7 +213,7 @@ class TestShardedBoundaries:
         assert rebuilt.search(["alpha", "shared"], limit=None) == single.search(
             ["alpha", "shared"], limit=None
         )
-        assert rebuilt.count_by_source() == single.count_by_source()
+        assert rebuilt.stats().by_source == single.stats().by_source
         assert [d.doc_id for d in rebuilt.documents()] == list(range(1, 13))
 
     def test_documents_for_host_ordering_across_shards(self, cluster_of):

@@ -183,7 +183,7 @@ class Interleaving:
         reference = self.reference
         for engine in self.others:
             assert len(reference) == len(engine)
-            assert reference.count_by_source() == engine.count_by_source()
+            assert reference.store_stats().by_source == engine.store_stats().by_source
         host = f"site{self.rng.randint(0, 5)}.example.com"
         expected = [d.doc_id for d in reference.documents_for_host(host)]
         for engine in self.others:

@@ -181,7 +181,7 @@ class TestPreVsPostRefactor:
 
     def test_metrics_identical(self, engines):
         legacy, memory, _, _ = engines
-        assert memory.count_by_source() == legacy.count_by_source()
+        assert memory.store_stats().by_source == legacy.count_by_source()
         assert len(memory) == len(legacy)
 
 
@@ -224,7 +224,7 @@ class TestMemoryVsSharded:
                 == memory.backend.matching_documents(tokenize(query), require_all=True)
             )
         assert [d.doc_id for d in sharded4.documents()] == [d.doc_id for d in memory.documents()]
-        assert sharded4.count_by_source() == memory.count_by_source()
+        assert sharded4.store_stats().by_source == memory.store_stats().by_source
 
     def test_shards_are_actually_used(self, engines):
         _, _, sharded4, sharded7 = engines

@@ -50,12 +50,14 @@ class TestLoadMeter:
     def test_unknown_host_is_zero(self):
         assert LoadMeter().total(host="nowhere.com") == 0
 
-    def test_snapshot(self):
+    def test_outcome(self):
         meter = LoadMeter()
         meter.record("a.com", AGENT_SURFACER)
-        snapshot = meter.snapshot("a.com")
-        assert snapshot.total == 1
-        assert snapshot.by_agent == {AGENT_SURFACER: 1}
+        outcome = meter.outcome("a.com")
+        assert (outcome.host, outcome.fetches, outcome.errors, outcome.retries) == (
+            "a.com", 1, 0, 0
+        )
+        assert meter.total(host="a.com", agent=AGENT_SURFACER) == 1
 
     def test_hosts_sorted(self):
         meter = LoadMeter()
