@@ -48,7 +48,7 @@ def main(state_dir: str | None = None) -> int:
     service = build(state)
     service.crawl(max_pages=300)
     service.surface()
-    cold_hits = [(r.url, r.score) for r in service.search_all(QUERY, k=10)]
+    cold_hits = [(r.url, r.score) for r in service.query(QUERY, k=10).results]
     print(f"state dir: {state}")
     print(f"cold build: {len(service.store)} documents in "
           f"{service.store.kind} store, {len(service.journal)} sites journaled")
@@ -62,7 +62,7 @@ def main(state_dir: str | None = None) -> int:
     # 3. Warm restart from the snapshot alone.  The web regenerates from
     #    its WebConfig; nothing is fetched, nothing is re-surfaced.
     warm = DeepWebService.restore(snapshot_path)
-    warm_hits = [(r.url, r.score) for r in warm.search_all(QUERY, k=10)]
+    warm_hits = [(r.url, r.score) for r in warm.query(QUERY, k=10).results]
     assert warm_hits == cold_hits, "restored rankings must be byte-identical"
     fetches = warm.web.load_meter.total(agent=AGENT_SURFACER)
     print(f"warm restart: {len(warm_hits)} hits for {QUERY!r}, "

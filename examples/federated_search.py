@@ -4,11 +4,11 @@
 Builds a small deep-web world, crawls and surfaces it into the shared
 store, then answers queries through the federated planner:
 
-* ``search_all`` -- the indexed-only plan (byte-identical to the
-  classic cross-corpus read);
-* ``service.plan(...)`` / ``service.execute(...)`` -- an explicit
-  multi-route plan (indexed + webtables + a budgeted live probe) with
-  per-hit provenance and per-route budget accounting.
+* ``service.query(q, include_webtables=False)`` -- the indexed-only
+  plan (byte-identical to the classic cross-corpus read);
+* ``service.planner.plan(...)`` / ``service.executor.execute(...)`` --
+  an explicit multi-route plan (indexed + webtables + a budgeted live
+  probe) with per-hit provenance and per-route budget accounting.
 
     PYTHONPATH=src python examples/federated_search.py [--sites 3]
         [--seed 41] [--live-budget 6]
@@ -46,21 +46,21 @@ def main(argv: list[str] | None = None) -> int:
 
     # Route 1: the classic cross-corpus read (indexed-only plan).
     keyword_query = "records listings search"
-    hits = service.search_all(keyword_query, k=5)
-    print(f"\nsearch_all({keyword_query!r}) -> {len(hits)} hits")
+    hits = service.query(keyword_query, k=5, min_per_source=3, include_webtables=False).results
+    print(f"\nquery({keyword_query!r}, include_webtables=False) -> {len(hits)} hits")
     for hit in hits[:5]:
         print(f"  [{hit.source:<12s}] {hit.score:6.2f}  {hit.title[:60]}")
 
     # Route 2: an explicit federated plan over a structured query.
     structured_query = "city:portland records"
-    plan = service.plan(
+    plan = service.planner.plan(
         structured_query, k=8, live=True, live_fetch_budget=args.live_budget
     )
     print(f"\nplan({structured_query!r}):")
     print(f"  routes: {' + '.join(plan.route_names)}")
     print(f"  cacheable: {plan.cacheable}")
     print(f"  fingerprint: {plan.fingerprint()}")
-    outcome = service.execute(plan)
+    outcome = service.executor.execute(plan)
     print(f"  blended hits: {len(outcome.hits)} "
           f"(live fetches spent: {outcome.live_fetches_spent})")
     for hit in outcome.hits[:8]:

@@ -18,6 +18,7 @@ import argparse
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
+from repro.serve.loadgen import WorkloadGenerator
 from repro.webspace.sitegen import WebConfig
 
 
@@ -47,7 +48,8 @@ def main(argv: list[str] | None = None) -> int:
           f"({', '.join(f'{s}={n}' for s, n in service.engine.store_stats().by_source.items())})")
 
     print(f"serving {args.queries} queries (zipf stream, {args.workers} workers) ...")
-    outcome = service.serve_workload(count=args.queries, k=args.k, seed="serve-demo")
+    stream = WorkloadGenerator(service.web, seed="serve-demo").stream(args.queries, k=args.k)
+    outcome = service.frontend.serve_workload(stream, default_k=args.k)
     print()
     print(outcome.stats)
     answered = sum(1 for results in outcome.results if results)

@@ -12,8 +12,8 @@ Most users need only the top-level facade:
 The package implements, over a fully simulated web:
 
 * ``repro.api`` -- the :class:`DeepWebService` facade (build / crawl /
-  surface / search / report) with one scheduler seam and cross-corpus
-  ``search_all``.
+  surface / search / query / report) with one scheduler seam; ``query``
+  is the federated cross-corpus read.
 * ``repro.store`` -- the unified content store: the ``IngestRecord``
   write model, the ``Ingestor`` seam every content layer produces
   through, the ``DocumentCatalog`` every backend keeps its documents in,

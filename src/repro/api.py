@@ -25,14 +25,11 @@ seam: serial by default, journaled and resumable for services built with
 Storage is pluggable through the unified content store: pass
 ``.store(ClusterBackend(shard_count=4))`` to the builder to hash-partition
 the index across shards (rankings stay identical to the in-memory
-default), and use ``search_all()`` for a cross-corpus query that ranks
-surfaced pages, crawled pages and harvested webtables in one result list.
-
-Cross-corpus reads flow through the federated query layer
-(:mod:`repro.query`): ``search_all()`` is a thin wrapper over an
-indexed-only :class:`~repro.query.plan.QueryPlan` (byte-identical to the
-pre-planner read path), while ``plan()``/``execute()`` expose the full
-routed form -- indexed + webtables + a budgeted live form probe -- with
+default).  The facade has two reads: ``search(q, k)``, the engine's
+top-k over the shared index (what ``service.frontend.serve`` caches),
+and ``query(q, ...)``, the federated read through :mod:`repro.query` --
+one plan (indexed + webtables + a budgeted live form probe) ranking
+surfaced pages, crawled pages and harvested webtables in one list, with
 per-hit provenance and per-route budget accounting in ``report()``.
 """
 
@@ -49,13 +46,11 @@ from repro.pipeline.pipeline import SurfacingPipeline
 from repro.pipeline.scheduler import SurfacingScheduler
 from repro.pipeline.stages import Stage
 from repro.query.executor import PlannerStats, PlanResult, QueryExecutor
-from repro.query.plan import QueryPlan
 from repro.query.planner import QueryPlanner
 from repro.search.crawler import CrawlStats, Crawler
 from repro.search.querylog import QueryLog
 from repro.search.engine import SearchEngine, SearchResult
-from repro.serve.frontend import QueryFrontend, WorkloadOutcome
-from repro.serve.loadgen import WorkloadGenerator, WorkloadQuery
+from repro.serve.frontend import QueryFrontend
 from repro.store.backend import StorageBackend, StoreStats
 from repro.resilience.faults import FaultPlan, FaultyWeb, ScriptedFaults
 from repro.resilience.retry import BreakerRegistry, ResilientWeb, RetryPolicy
@@ -445,9 +440,10 @@ class DeepWebService:
         :meth:`~DeepWebServiceBuilder.serving`).  A frontend the caller
         closed (e.g. via ``with service.frontend:``) is replaced with a
         fresh one on the next access, so the serving path never sticks
-        in a refused state.  The frontend serves :class:`QueryPlan` s
-        through this service's executor (``serve_plan``), cached on the
-        plan fingerprint."""
+        in a refused state.  It serves strings (``serve``, answers
+        identical to :meth:`search`) and plans from :attr:`planner`
+        through this service's executor (``serve_plan``); replay a
+        workload with ``serve_workload``."""
         if self._frontend is None or self._frontend.closed:
             self._cache_generation_floor = self.cache_generation
             self._frontend = QueryFrontend(
@@ -478,7 +474,7 @@ class DeepWebService:
         every deep site (homepage fetches under the ``virtual`` agent)
         and lands accepted sources in the shared store as
         ``vertical-source`` documents, so only plans that opted into
-        live probing (``plan(live=True)``) ever pay that cost."""
+        live probing (``query(..., live=True)``) ever pay that cost."""
         if self._vertical is None:
             self._vertical = VerticalSearchEngine(
                 self.web, ingestor=self.engine.ingestor
@@ -489,7 +485,7 @@ class DeepWebService:
     @property
     def planner(self) -> QueryPlanner:
         """The federated query planner (router scores, store stats and
-        corpus statistics in; explicit :class:`QueryPlan` s out)."""
+        corpus statistics in; explicit, replayable plans out)."""
         if self._planner is None:
             self._planner = QueryPlanner(
                 self.engine,
@@ -602,29 +598,6 @@ class DeepWebService:
         landed in the store)."""
         return self.engine.search(query, k=k)
 
-    def serve_workload(
-        self,
-        queries: Iterable[WorkloadQuery | str] | None = None,
-        count: int = 1000,
-        k: int = 10,
-        seed: int | str = "workload",
-        shed_on_overload: bool = False,
-    ) -> WorkloadOutcome:
-        """Replay a query workload through the serving frontend.
-
-        With ``queries=None`` a seeded Zipf stream of ``count`` requests
-        is drawn from :class:`~repro.serve.loadgen.WorkloadGenerator`
-        over this service's web -- fully reproducible for a fixed world
-        and ``seed``.  Results are byte-identical to calling
-        :meth:`search` per query; the returned outcome carries
-        :class:`~repro.serve.frontend.ServeStats` (throughput, cache hit
-        rate, latency percentiles)."""
-        if queries is None:
-            queries = WorkloadGenerator(self.web, seed=seed).stream(count, k=k)
-        return self.frontend.serve_workload(
-            queries, default_k=k, shed_on_overload=shed_on_overload
-        )
-
     def harvest_tables(self, detail_pages_per_site: int = 10) -> int:
         """Mine the indexed web for WebTables raw material
         (:func:`~repro.webtables.corpus.harvest_web`; the corpus is wired
@@ -633,37 +606,6 @@ class DeepWebService:
         settled corpus; returns how many tables this call admitted."""
         return harvest_web(self.web, self.corpus, self._harvest, detail_pages_per_site)
 
-    def plan(
-        self,
-        query: str,
-        k: int = 20,
-        min_per_source: int = 0,
-        live: bool = False,
-        live_fetch_budget: int | None = None,
-        include_webtables: bool | None = None,
-    ) -> QueryPlan:
-        """Plan one federated read without executing it.
-
-        The planner parses ``query`` (keywords vs ``field:value``
-        filters), consults routing signals (router vocabulary scores,
-        store composition, corpus attribute statistics) and emits an
-        explicit, replayable :class:`QueryPlan`.  ``live=True`` allows a
-        budgeted query-time probe of routed form sites (this builds the
-        virtual-integration routing table on first use)."""
-        return self.planner.plan(
-            query,
-            k=k,
-            min_per_source=min_per_source,
-            live=live,
-            live_fetch_budget=live_fetch_budget,
-            include_webtables=include_webtables,
-        )
-
-    def execute(self, plan: QueryPlan) -> PlanResult:
-        """Execute a plan through this service's executor (budgets
-        enforced, provenance recorded in :meth:`report`)."""
-        return self.executor.execute(plan)
-
     def query(
         self,
         query: str,
@@ -671,53 +613,36 @@ class DeepWebService:
         min_per_source: int = 0,
         live: bool = False,
         live_fetch_budget: int | None = None,
+        include_webtables: bool | None = None,
     ) -> PlanResult:
-        """Plan and execute in one call: the federated read path."""
-        return self.execute(
-            self.plan(
+        """The federated read: :attr:`planner` plans ``query`` (keywords
+        vs ``field:value`` filters, routed on router, store and corpus
+        signals) and :attr:`executor` runs the plan under its budgets,
+        recording provenance for :meth:`report`.  ``live=True`` allows a
+        budgeted query-time probe of routed form sites;
+        ``include_webtables=None`` lets corpus statistics decide the
+        webtables route, and ``False`` keeps the plan indexed-only --
+        byte-identical to the pre-planner cross-corpus read.
+
+        ``.results`` is the global top-k plus a floor: every source tag
+        matching anywhere contributes at least ``min_per_source``
+        results when it has them, so the list may exceed ``k`` and stays
+        score-ordered (ties by doc id).  ``k <= 0`` and empty/whitespace
+        queries return nothing without harvesting or probing (the floor
+        tops up a ranking, it never manufactures one); a source with
+        fewer matches than the floor contributes what it has (no
+        padding); repeated calls return the identical list.
+        """
+        return self.executor.execute(
+            self.planner.plan(
                 query,
                 k=k,
                 min_per_source=min_per_source,
                 live=live,
                 live_fetch_budget=live_fetch_budget,
+                include_webtables=include_webtables,
             )
         )
-
-    def search_all(
-        self, query: str, k: int = 20, min_per_source: int = 3
-    ) -> list[SearchResult]:
-        """Cross-corpus search: one BM25-ranked list over every route.
-
-        A thin wrapper over the planner + executor: the emitted plan is
-        *indexed-only* (the materialized store already holds surfaced
-        pages, crawled pages, webtable documents and registered vertical
-        sources), which keeps results byte-identical to the pre-planner
-        read path -- ``tests/query`` pins this.  Webtables are harvested
-        from the indexed pages first (incrementally), so the structured
-        route is populated before ranking.  For multi-route reads with
-        live probing and blend provenance, use :meth:`plan` /
-        :meth:`execute`.
-
-        The returned list is the global top-k plus a representation
-        floor: every source tag that matches the query anywhere in the
-        ranking contributes at least ``min_per_source`` results (when it
-        has that many), so a route cannot disappear just because another
-        route dominates the head of the ranking.  The merged list stays
-        score-ordered (ties by doc id) and may exceed ``k`` by the few
-        floor entries; pass ``min_per_source=0`` for the pure top-k.
-
-        Boundary contract: ``k <= 0`` and empty/whitespace queries
-        return an empty list without harvesting or probing (the floor
-        tops up a requested ranking, it never manufactures one); a
-        source with fewer matches than the floor contributes exactly
-        what it has (no padding); an empty corpus or empty match set
-        returns an empty list; repeated calls return the identical,
-        stably ordered list.
-        """
-        plan = self.planner.plan(
-            query, k=k, min_per_source=min_per_source, include_webtables=False
-        )
-        return self.execute(plan).results
 
     def cluster_stats(self) -> ClusterStats | None:
         """Scatter-gather accounting when the store is a

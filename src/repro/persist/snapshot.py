@@ -17,7 +17,7 @@ Restore replays the exported records through the service's shared
 :class:`~repro.store.ingest.Ingestor` -- so ingest listeners (host-term
 caches, cache-generation bumps) fire exactly as live writes would --
 and checks that the sequential id assigner reproduces ids 1..N.  A
-restored service answers ``search``/``search_all``/``query()``
+restored service answers ``search`` and ``query()``
 immediately: the default (non-live) planner never probes, the harvest
 bookkeeping marks the corpus settled, and the regenerated web's load
 meter shows zero surfacing work (``tests/persist`` pins all of this).

@@ -11,7 +11,7 @@ spent.
 
 Equivalence guarantee: a plan holding a single :class:`IndexedRoute`
 bypasses normalization entirely -- its results (ids, scores, order) are
-byte-identical to the pre-planner ``search_all`` read path, which
+byte-identical to the pre-planner cross-corpus read path, which
 ``tests/query/`` pins against a legacy replica.
 """
 
@@ -91,7 +91,7 @@ class PlanResult:
 
     @property
     def results(self) -> list[SearchResult]:
-        """The ranked result list (what ``search_all`` returns)."""
+        """The ranked result list (what ``service.query`` callers read)."""
         return [hit.result for hit in self.hits]
 
     @property
@@ -374,7 +374,7 @@ class QueryExecutor:
         shared: dict[str, _SourceRanking],
     ) -> list[SearchResult]:
         """The materialized read path, byte-for-byte the pre-planner
-        ``search_all`` merge: global top-k plus the per-source
+        cross-corpus merge: global top-k plus the per-source
         representation floor, score-ordered with doc-id ties.  The floor
         is applied to ``(doc_id, score)`` pairs; only the hits returned
         become :class:`SearchResult` rows."""

@@ -37,7 +37,7 @@ SOURCE_LIVE_VERTICAL = "live-vertical"
 
 @dataclass(frozen=True)
 class IndexedRoute:
-    """Rank the unified content store (the pre-planner ``search_all`` path).
+    """Rank the unified content store (the pre-planner cross-corpus read).
 
     ``min_per_source`` is the cross-corpus representation floor: every
     source tag that matches anywhere in the ranking keeps at least that

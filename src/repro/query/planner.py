@@ -41,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
     from repro.virtual.routing import Router
     from repro.webtables.corpus import TableCorpus
 
+#: Most form sites one live route probes.
+MAX_LIVE_SOURCES = 3
+#: ``Web.fetch`` budget of a live route when the caller names none.
+DEFAULT_LIVE_BUDGET = 8
+
 
 class QueryPlanner:
     """Parses queries and emits routed, budgeted :class:`QueryPlan` s.
@@ -55,18 +60,10 @@ class QueryPlanner:
         engine: "SearchEngine",
         router_provider: Callable[[], "Router | None"] | None = None,
         corpus_provider: Callable[[], "TableCorpus | None"] | None = None,
-        max_live_sources: int = 3,
-        default_live_budget: int = 8,
     ) -> None:
-        if max_live_sources <= 0:
-            raise ValueError(f"max_live_sources must be positive, got {max_live_sources}")
-        if default_live_budget <= 0:
-            raise ValueError(f"default_live_budget must be positive, got {default_live_budget}")
         self._engine = engine
         self._router_provider = router_provider
         self._corpus_provider = corpus_provider
-        self.max_live_sources = max_live_sources
-        self.default_live_budget = default_live_budget
         # AcsDb rebuilt lazily, keyed on corpus size (schema admission is
         # append-only, so equal counts mean an identical statistics set).
         self._acsdb: AcsDb | None = None
@@ -74,7 +71,7 @@ class QueryPlanner:
         # Store-composition signal memoized on the (append-only) document
         # count: the store's stats walk every document, which must not
         # happen on every keyword-query plan() call.
-        self._webtables_key: int | None = None
+        self._composition_key: int | None = None
         self._store_has_webtables = False
 
     # -- planning ------------------------------------------------------------
@@ -86,10 +83,7 @@ class QueryPlanner:
         min_per_source: int = 0,
         live: bool = False,
         live_fetch_budget: int | None = None,
-        live_max_results: int = 20,
-        live_time_budget_seconds: float | None = None,
         include_webtables: bool | None = None,
-        webtables_k: int = 10,
     ) -> QueryPlan:
         """Emit the plan for one query.
 
@@ -99,40 +93,29 @@ class QueryPlanner:
         statistics decide (structured filters or an all-attribute
         keyword query unlock the route); ``live=True`` consults the
         router and adds a budgeted live probe when any registered source
-        plausibly covers the query.  ``live_fetch_budget=None`` means the
-        planner's default budget; ``0`` means no load on the form sites,
-        so no live route is planned (and the plan stays cacheable).
-        ``webtables_k=0`` likewise plans no webtables route.  Negative
-        budgets and route sizes raise ``ValueError``.
+        plausibly covers the query.  ``live_fetch_budget=None`` means
+        :data:`DEFAULT_LIVE_BUDGET`; ``0`` means no load on the form
+        sites, so no live route is planned (and the plan stays
+        cacheable).  A negative budget raises ``ValueError``.
         """
-        for name, value in (
-            ("live_fetch_budget", live_fetch_budget),
-            ("live_max_results", live_max_results),
-            ("webtables_k", webtables_k),
-        ):
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must not be negative, got {value}")
         if live_fetch_budget is None:
-            live_fetch_budget = self.default_live_budget
+            live_fetch_budget = DEFAULT_LIVE_BUDGET
+        elif live_fetch_budget < 0:
+            raise ValueError(
+                f"live_fetch_budget must not be negative, got {live_fetch_budget}"
+            )
         parsed = parse_query(query)
         if parsed.is_empty or k <= 0:
             return QueryPlan(query=parsed, k=max(k, 0), generation=len(self._engine))
         routes: list[Route] = [IndexedRoute(k=k, min_per_source=min_per_source)]
         if include_webtables is None:
             include_webtables = parsed.is_structured or self._is_table_lookup(parsed)
-        if include_webtables and webtables_k:
-            routes.append(WebTablesRoute(k=webtables_k))
+        if include_webtables:
+            routes.append(WebTablesRoute())
         if live and live_fetch_budget:
             hosts = self._live_hosts(parsed)
             if hosts:
-                routes.append(
-                    LiveVerticalRoute(
-                        hosts=hosts,
-                        fetch_budget=live_fetch_budget,
-                        max_results=live_max_results,
-                        time_budget_seconds=live_time_budget_seconds,
-                    )
-                )
+                routes.append(LiveVerticalRoute(hosts=hosts, fetch_budget=live_fetch_budget))
         return QueryPlan(
             query=parsed, k=k, routes=tuple(routes), generation=len(self._engine)
         )
@@ -171,11 +154,11 @@ class QueryPlanner:
         plan: the store is append-only, so an unchanged document count
         means an unchanged composition."""
         key = len(self._engine)
-        if self._webtables_key != key:
+        if self._composition_key != key:
             self._store_has_webtables = (
                 self._engine.store_stats().by_source.get(SOURCE_WEBTABLE, 0) > 0
             )
-            self._webtables_key = key
+            self._composition_key = key
         return self._store_has_webtables
 
     def _live_hosts(self, parsed: ParsedQuery) -> tuple[str, ...]:
@@ -201,6 +184,6 @@ class QueryPlanner:
                     scored.append((-bindable, source.host))
             # Most filter attributes bound first; host name breaks ties,
             # so truncation keeps the most-capable sources.
-            return tuple(host for _neg, host in sorted(scored)[: self.max_live_sources])
-        decision = router.route(parsed.keyword_text(), max_sources=self.max_live_sources)
-        return tuple(decision.selected_hosts(self.max_live_sources))
+            return tuple(host for _neg, host in sorted(scored)[:MAX_LIVE_SOURCES])
+        decision = router.route(parsed.keyword_text(), max_sources=MAX_LIVE_SOURCES)
+        return tuple(decision.selected_hosts(MAX_LIVE_SOURCES))

@@ -139,13 +139,13 @@ def compare_degraded(
     for plan in plans:
         comparison.queries += 1
         started = time.perf_counter()
-        clean = clean_service.execute(plan)
+        clean = clean_service.executor.execute(plan)
         comparison.clean_seconds += time.perf_counter() - started
         # Read around each plan, so the signal is scoped to the execution
         # just run.
         degraded_before = faulted_service.store.degraded_searches
         started = time.perf_counter()
-        faulted = faulted_service.execute(plan)
+        faulted = faulted_service.executor.execute(plan)
         comparison.faulted_seconds += time.perf_counter() - started
         backend_degraded = faulted_service.store.degraded_searches > degraded_before
         comparison.clean_hits += len(clean.hits)

@@ -156,7 +156,7 @@ class SearchEngine:
 
         Empty and whitespace-only queries (anything that tokenizes to
         nothing) return ``[]`` without touching the backend -- the one
-        empty-query contract shared by ``search_all``, the planner and
+        empty-query contract shared by ``service.query``, the planner and
         the serving frontend.
         """
         tokens = tokenize(query)

@@ -8,9 +8,12 @@ reproduction: it sits on top of a :class:`~repro.search.engine.SearchEngine`
 behind it) and provides
 
 * a :class:`~repro.serve.cache.QueryResultCache` -- LRU + TTL, keyed on
-  the normalized query and ``k``, stamped with a corpus generation the
-  frontend bumps from an ingest listener, so writes through *any*
-  content layer invalidate cached rankings automatically;
+  the normalized query and ``k`` (or a federated plan's fingerprint),
+  stamped with a corpus generation the frontend bumps from an ingest
+  listener, so writes through *any* content layer invalidate cached
+  rankings automatically.  Strings (:meth:`serve`) and plans
+  (:meth:`serve_plan`) share one request core, so the cache, the
+  degraded refusal and the latency booking are written once;
 * a thread-pool request executor with a bounded admission queue:
   :meth:`submit` sheds load once ``queue_limit`` requests are in flight
   (a production frontend degrades by refusing, not by queueing without
@@ -139,10 +142,6 @@ class WorkloadOutcome:
     stats: ServeStats
 
     @property
-    def served(self) -> int:
-        return self.stats.served
-
-    @property
     def shed(self) -> int:
         return self.stats.shed
 
@@ -204,63 +203,20 @@ class QueryFrontend:
 
     # -- serving -------------------------------------------------------------
 
-    def _degraded_searches(self) -> int:
-        """Searches the backend has served degraded so far (a cluster
-        that lost a shard; always 0 for backends without the notion).
-
-        A ranking is cached only if this did not move while it was
-        computed: caching a degraded one would keep serving the shrunken
-        answer after the replicas recover.  With several workers a
-        healthy ranking may go uncached because a concurrent search
-        degraded; a degraded one never gets in.
-        """
-        backend = getattr(self.engine, "backend", None)
-        return getattr(backend, "degraded_searches", 0)
-
     def serve(self, query: str, k: int = 10) -> list[SearchResult]:
-        """Answer one query synchronously (cache first, then the engine)."""
+        """Answer one query synchronously (cache first, then the engine).
+
+        An empty query or a non-positive ``k`` is answered ``[]`` without
+        a cache lookup, a stored entry or any scoring."""
         return self._serve_timed(query, k)[0]
 
     def _serve_timed(
         self, query: str, k: int
     ) -> tuple[list[SearchResult], float, str | None]:
-        """Serve one query, returning ``(results, latency, cache_outcome)``.
-
-        ``cache_outcome`` is ``"hit"``, ``"miss"`` or ``None`` (empty
-        query: no lookup happened).  Workload runs count their own
-        hits/misses from it so concurrent traffic through other entry
-        points cannot pollute a workload's reported stats.
-        """
-        if self._closed:
-            # A closed frontend no longer hears ingests, so serving from
-            # its cache could silently return stale rankings.
-            raise RuntimeError("frontend is closed")
-        started = self._clock()
-        key = normalize_query(query)
-        cache_outcome: str | None = None
-        if not key:
-            # The empty-query contract: nothing to rank, nothing to cache
-            # (an empty key must not occupy a cache slot or skew hit rates).
-            results: list[SearchResult] = []
-        else:
-            # The generation must be read before ranking: a write landing
-            # mid-search would otherwise stamp a pre-write ranking as fresh.
-            generation = self.cache.generation
-            cached = self.cache.get(key, k)
-            if cached is not None:
-                results = list(cached)
-                cache_outcome = "hit"
-            else:
-                degraded_before = self._degraded_searches()
-                results = self.engine.search(query, k=k)
-                if self._degraded_searches() == degraded_before:
-                    self.cache.put(key, k, results, generation=generation)
-                cache_outcome = "miss"
-        latency = self._clock() - started
-        with self._lock:
-            self._served += 1
-            self._latencies.append(latency)
-        return results, latency, cache_outcome
+        # The key is the normalized string plus ``k``, computed before
+        # anything is parsed or planned, so a hit does neither.
+        key = normalize_query(query) if k > 0 else ""
+        return self._request(key, k, _answer_query, query)
 
     def serve_plan(self, plan: QueryPlan) -> PlanResult:
         """Serve one federated :class:`QueryPlan`.
@@ -273,48 +229,54 @@ class QueryFrontend:
         Empty plans return an empty result without executing, caching or
         probing anything.
         """
+        key = plan.fingerprint() if plan.cacheable and not plan.is_empty else None
+        return self._request(key, plan.k, _answer_plan, plan)[0]
+
+    def _request(self, key: str | None, k: int, answer_with: Callable, request) -> tuple:
+        """The one read core: ``(answer, latency, cache_outcome)``.
+
+        An empty ``key`` is never looked up or stored (an empty request,
+        or a plan with a live route).  ``answer_with(self, request, k,
+        cached)`` returns ``(answer, hits)``: built from ``cached`` on a
+        hit, else computed, ``hits`` being what may be cached (``None``
+        for a partial answer); it is module-level so a hit allocates no
+        bound method.  Workload runs count ``cache_outcome`` (``"hit"``,
+        ``"miss"`` or ``None``) themselves, so traffic through other
+        entry points cannot pollute their stats.
+        """
         if self._closed:
+            # A closed frontend no longer hears ingests, so serving from
+            # its cache could silently return stale rankings.
             raise RuntimeError("frontend is closed")
-        if self._plan_executor is None:
-            raise RuntimeError(
-                "this frontend has no plan executor; construct it with "
-                "QueryFrontend(engine, executor=...) or use service.frontend"
-            )
         started = self._clock()
-        if plan.is_empty:
-            outcome = PlanResult(plan=plan)
-            # Keep the shared provenance sink in step with the executor
-            # path, which also records empty plans.
-            self._plan_executor.stats.record(outcome)
-        elif not plan.cacheable:
-            outcome = self._plan_executor.execute(plan)
+        if not key:
+            answer = answer_with(self, request, k, None)[0]
+            cache_outcome = None
         else:
-            key = plan.fingerprint()
+            # The generation must be read before computing: a write landing
+            # mid-search would otherwise stamp a pre-write ranking as fresh.
             generation = self.cache.generation
-            cached = self.cache.get(key, plan.k)
+            cached = self.cache.get(key, k)
             if cached is not None:
-                outcome = PlanResult(plan=plan, hits=list(cached), cached=True)
-                # Cache hits still count as plans in the shared provenance
-                # stats (routes/budgets stay zero: nothing re-ran).
-                self._plan_executor.stats.record(outcome)
+                answer = answer_with(self, request, k, cached)[0]
+                cache_outcome = "hit"
             else:
-                degraded_before = self._degraded_searches()
-                outcome = self._plan_executor.execute(plan)
-                if (
-                    not outcome.degraded
-                    and self._degraded_searches() == degraded_before
-                ):
-                    # A degraded outcome is partial (fetch failures or a
-                    # lost shard dropped hits); caching it would keep
-                    # serving the shrunken answer after recovery.
-                    self.cache.put(
-                        key, plan.k, tuple(outcome.hits), generation=generation
-                    )
+                # A search the backend served degraded (a cluster that lost
+                # a shard) is partial; caching it would keep serving the
+                # shrunken answer after the replicas recover.  With several
+                # workers a healthy answer may go uncached because a
+                # concurrent search degraded; a degraded one never gets in.
+                backend = self.engine.backend
+                degraded_before = backend.degraded_searches
+                answer, hits = answer_with(self, request, k, None)
+                if hits is not None and backend.degraded_searches == degraded_before:
+                    self.cache.put(key, k, hits, generation=generation)
+                cache_outcome = "miss"
         latency = self._clock() - started
         with self._lock:
             self._served += 1
             self._latencies.append(latency)
-        return outcome
+        return answer, latency, cache_outcome
 
     def submit(self, query: str, k: int = 10) -> Future | None:
         """Enqueue one query on the worker pool.
@@ -323,14 +285,18 @@ class QueryFrontend:
         requests are already in flight.  The returned future resolves to
         the same list :meth:`serve` would produce.
         """
-        if not self._slots.acquire(blocking=False):
+        return self._admit(self.serve, query, k, block=False)
+
+    def _admit(self, fn, query: str, k: int, block: bool) -> Future | None:
+        """Run ``fn(query, k)`` on the pool under an admission slot
+        (released on completion).  Without ``block`` a full queue sheds
+        the request -- counted, ``None`` returned -- instead of waiting."""
+        if block:
+            self._slots.acquire()
+        elif not self._slots.acquire(blocking=False):
             with self._lock:
                 self._shed += 1
             return None
-        return self._submit_held(self.serve, query, k)
-
-    def _submit_held(self, fn, query: str, k: int) -> Future:
-        """Submit with an admission slot already held (released on completion)."""
         try:
             future = self._executor().submit(fn, query, k)
         except BaseException:
@@ -355,19 +321,9 @@ class QueryFrontend:
         """
         started = self._clock()
         futures: list[Future | None] = []
-        workload_shed = 0
         for item in queries:
-            text, k = self._query_of(item, default_k)
-            if shed_on_overload:
-                if not self._slots.acquire(blocking=False):
-                    with self._lock:
-                        self._shed += 1
-                    workload_shed += 1
-                    futures.append(None)
-                    continue
-            else:
-                self._slots.acquire()
-            futures.append(self._submit_held(self._serve_timed, text, k))
+            text, k = (item, default_k) if isinstance(item, str) else (item.text, item.k)
+            futures.append(self._admit(self._serve_timed, text, k, block=not shed_on_overload))
         # Gather *every* future before letting an exception escape: a
         # raising result() must not abandon in-flight requests ungathered
         # (their admission slots would drain behind the caller's back and
@@ -376,41 +332,29 @@ class QueryFrontend:
         outcomes: list[tuple[list[SearchResult], float, str | None] | None] = []
         failure: BaseException | None = None
         for future in futures:
-            if future is None:
-                outcomes.append(None)
-                continue
             try:
-                outcomes.append(future.result())
+                outcomes.append(future.result() if future is not None else None)
             except BaseException as error:
-                if failure is None:
-                    failure = error
+                failure = failure or error
                 outcomes.append(None)
         if failure is not None:
             raise failure
         elapsed = self._clock() - started
-        results: list[list[SearchResult] | None] = [
-            outcome[0] if outcome is not None else None for outcome in outcomes
-        ]
-        latencies = [outcome[1] for outcome in outcomes if outcome is not None]
+        served = [outcome for outcome in outcomes if outcome is not None]
         # Stats come from workload-local accumulators, never from deltas
         # of the frontend-global counters: a background thread serving
         # directly during the replay must not pollute this workload's
         # served/shed/hit-rate numbers.
         stats = ServeStats.from_counters(
-            served=len(latencies),
-            shed=workload_shed,
-            cache_hits=sum(1 for o in outcomes if o is not None and o[2] == "hit"),
-            cache_misses=sum(1 for o in outcomes if o is not None and o[2] == "miss"),
-            latencies=latencies,
+            served=len(served),
+            shed=futures.count(None),
+            cache_hits=sum(1 for outcome in served if outcome[2] == "hit"),
+            cache_misses=sum(1 for outcome in served if outcome[2] == "miss"),
+            latencies=[outcome[1] for outcome in served],
             elapsed_seconds=elapsed,
         )
+        results = [outcome[0] if outcome is not None else None for outcome in outcomes]
         return WorkloadOutcome(results=results, stats=stats)
-
-    @staticmethod
-    def _query_of(item: WorkloadQuery | str, default_k: int) -> tuple[str, int]:
-        if isinstance(item, str):
-            return item, default_k
-        return item.text, item.k
 
     # -- stats / lifecycle ---------------------------------------------------
 
@@ -460,3 +404,38 @@ class QueryFrontend:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+# -- request kinds (the ``answer_with`` of ``QueryFrontend._request``) ---------
+
+
+def _answer_query(
+    frontend: QueryFrontend, query: str, k: int, cached
+) -> tuple[list[SearchResult], list[SearchResult] | None]:
+    """A string request: the engine's top-k."""
+    if cached is not None:
+        return list(cached), None
+    results = frontend.engine.search(query, k=k) if k > 0 else []
+    return results, results
+
+
+def _answer_plan(
+    frontend: QueryFrontend, plan: QueryPlan, k: int, cached
+) -> tuple[PlanResult, list | None]:
+    """A plan request: the executor's result (which records every plan it
+    runs, the empty one included)."""
+    executor = frontend._plan_executor
+    if executor is None:
+        raise RuntimeError(
+            "this frontend has no plan executor; construct it with "
+            "QueryFrontend(engine, executor=...) or use service.frontend"
+        )
+    if cached is None:
+        outcome = executor.execute(plan)
+        # A degraded outcome lost hits to fetch failures or a lost shard.
+        return outcome, None if outcome.degraded else outcome.hits
+    outcome = PlanResult(plan=plan, hits=list(cached), cached=True)
+    # Cache hits still count as plans in the shared provenance stats
+    # (routes/budgets stay zero: nothing re-ran).
+    executor.stats.record(outcome)
+    return outcome, None

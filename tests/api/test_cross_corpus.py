@@ -1,5 +1,5 @@
 """Cross-corpus service tests: builder ``.store()``, table harvesting and
-``search_all`` over a sharded content store (the ISSUE 3 acceptance path)."""
+the cross-corpus read over a sharded content store."""
 
 from __future__ import annotations
 
@@ -60,7 +60,9 @@ class TestBuilderStore:
 
 class TestSearchAll:
     def test_merged_results_span_surfaced_crawled_and_webtables(self, sharded_service):
-        results = sharded_service.search_all("used toyota price")
+        results = sharded_service.query(
+            "used toyota price", min_per_source=3, include_webtables=False
+        ).results
         assert results
         sources = {result.source for result in results}
         assert SOURCE_SURFACED in sources
@@ -71,7 +73,9 @@ class TestSearchAll:
         assert scores == sorted(scores, reverse=True)
 
     def test_min_per_source_zero_gives_pure_topk(self, sharded_service):
-        pure = sharded_service.search_all("used toyota price", k=10, min_per_source=0)
+        pure = sharded_service.query(
+            "used toyota price", k=10, min_per_source=0, include_webtables=False
+        ).results
         assert [r.doc_id for r in pure] == [
             r.doc_id for r in sharded_service.search("used toyota price", k=10)
         ]
@@ -85,7 +89,7 @@ class TestSearchAll:
 
     def test_harvest_is_incremental_and_idempotent(self, sharded_service):
         before = len(sharded_service.engine)
-        assert sharded_service.harvest_tables() == 0  # nothing new since search_all
+        assert sharded_service.harvest_tables() == 0  # nothing new since the reads above
         assert len(sharded_service.engine) == before
 
     def test_report_accounts_webtable_documents(self, sharded_service):
@@ -106,10 +110,14 @@ class TestSearchAll:
         plain.surface()
         expected = [
             (r.doc_id, r.url, r.score, r.source)
-            for r in plain.search_all("used toyota price", k=40)
+            for r in plain.query(
+                "used toyota price", k=40, min_per_source=3, include_webtables=False
+            ).results
         ]
         got = [
             (r.doc_id, r.url, r.score, r.source)
-            for r in sharded_service.search_all("used toyota price", k=40)
+            for r in sharded_service.query(
+                "used toyota price", k=40, min_per_source=3, include_webtables=False
+            ).results
         ]
         assert got == expected

@@ -1,8 +1,8 @@
 """The one empty-query contract, pinned across every read layer.
 
-``engine.search``, ``search_all``, the planner/executor, and the serving
-frontend all answer empty or whitespace-only queries with ``[]`` --
-without ranking, caching, harvesting or probing anything.
+``engine.search``, ``service.query``, the planner/executor, and the
+serving frontend all answer empty or whitespace-only queries with
+``[]`` -- without ranking, caching, harvesting or probing anything.
 """
 
 from __future__ import annotations
@@ -56,37 +56,48 @@ class TestSearchAllContract:
     @pytest.mark.parametrize("query", EMPTY_QUERIES)
     def test_search_all_returns_empty_without_harvesting(self, service, query):
         load_before = service.web.load_meter.total(agent=AGENT_WEBTABLES)
-        assert service.search_all(query, k=10, min_per_source=3) == []
+        assert service.query(query, k=10, min_per_source=3, include_webtables=False).results == []
         assert service.web.load_meter.total(agent=AGENT_WEBTABLES) == load_before
 
 
 class TestPlannerContract:
     @pytest.mark.parametrize("query", EMPTY_QUERIES)
     def test_plans_are_empty_and_execute_to_empty(self, service, query):
-        plan = service.plan(query, live=True)
+        plan = service.planner.plan(query, live=True)
         assert plan.is_empty and plan.routes == ()
         virtual_before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
         webtables_before = service.web.load_meter.total(agent=AGENT_WEBTABLES)
-        outcome = service.execute(plan)
+        outcome = service.executor.execute(plan)
         assert outcome.results == [] and outcome.hits == []
         assert service.web.load_meter.total(agent=AGENT_VIRTUAL) == virtual_before
         assert service.web.load_meter.total(agent=AGENT_WEBTABLES) == webtables_before
 
 
 class TestFrontendContract:
-    @pytest.mark.parametrize("query", EMPTY_QUERIES)
-    def test_serve_returns_empty_without_caching(self, service, query):
-        with QueryFrontend(service.engine, workers=1, cache_size=64) as frontend:
-            hits_before, misses_before = frontend.cache.hits, frontend.cache.misses
-            assert frontend.serve(query, k=10) == []
-            assert frontend.serve(query, k=10) == []  # repeat: still no cache traffic
-            assert len(frontend.cache) == 0, "empty queries must not occupy cache slots"
-            assert frontend.cache.hits == hits_before
-            assert frontend.cache.misses == misses_before
-            assert frontend.stats().served == 2  # the requests themselves count
+    @pytest.mark.parametrize(
+        "query,k",
+        [pytest.param(query, 10, id=query) for query in EMPTY_QUERIES]
+        # A non-positive k is an empty request too: nothing to rank.
+        + [pytest.param("toyota", 0, id="k=0"), pytest.param("toyota", -3, id="k=-3")],
+    )
+    def test_serve_returns_empty_without_caching(self, service, query, k):
+        scored = []
+        service.engine._backend.search = lambda tokens, **kwargs: scored.append(tokens)
+        try:
+            with QueryFrontend(service.engine, workers=1, cache_size=64) as frontend:
+                hits_before, misses_before = frontend.cache.hits, frontend.cache.misses
+                assert frontend.serve(query, k=k) == []
+                assert frontend.serve(query, k=k) == []  # repeat: still no cache traffic
+                assert len(frontend.cache) == 0, "empty queries must not occupy cache slots"
+                assert frontend.cache.hits == hits_before
+                assert frontend.cache.misses == misses_before
+                assert frontend.stats().served == 2  # the requests themselves count
+        finally:
+            del service.engine._backend.search
+        assert scored == [], "an empty request must not be scored"
 
     def test_serve_plan_empty_plan_is_free(self, service):
-        plan = service.plan("")
+        plan = service.planner.plan("")
         empty_before = service.planner_stats.as_dict()["empty_plans"]
         with QueryFrontend(
             service.engine, workers=1, cache_size=64, executor=service.executor

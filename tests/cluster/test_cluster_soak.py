@@ -56,7 +56,7 @@ def clean_service() -> DeepWebService:
 
 def workload_plans(service: DeepWebService, count: int = 24):
     generator = WorkloadGenerator(service.web, seed="cluster-soak")
-    return [service.plan(q.text, k=10) for q in generator.stream(count, k=10)]
+    return [service.planner.plan(q.text, k=10) for q in generator.stream(count, k=10)]
 
 
 class TestCleanClusterBehindFacade:
@@ -91,19 +91,36 @@ class TestCleanClusterBehindFacade:
             service.store.close()
 
 
-    def test_degraded_plan_result_is_served_but_not_cached(self):
+    @pytest.mark.parametrize("kind", ["plan", "string"])
+    def test_degraded_result_is_served_but_not_cached(self, kind):
+        """Both request kinds share the frontend's one read core: a
+        search that lost a shard is answered but never stored."""
         service = build_clustered(replicas=1)
+        frontend = service.frontend
+        plan = service.planner.plan("used car", k=40)
+        assert plan.cacheable
+
+        def serve():
+            """``(results, whether the cache answered)``"""
+            hits_before = frontend.cache.hits
+            if kind == "plan":
+                results = frontend.serve_plan(plan).results
+            else:
+                results = frontend.serve("used car", k=40)
+            return results, frontend.cache.hits > hits_before
+
         try:
-            plan = service.plan("used car", k=40)
-            assert plan.cacheable
-            healthy = service.execute(plan).hits
+            if kind == "plan":
+                healthy = service.executor.execute(plan).results
+            else:
+                healthy = service.search("used car", k=40)
             service.store.kill(replica_name(1, 0))
-            shrunken = service.frontend.serve_plan(plan)
-            assert 0 < len(shrunken.hits) < len(healthy)
+            shrunken, _ = serve()
+            assert 0 < len(shrunken) < len(healthy)
+            assert len(frontend.cache) == 0, "a degraded answer must not be stored"
             service.store.revive(replica_name(1, 0))
-            recovered = service.frontend.serve_plan(plan)
-            assert not recovered.cached and recovered.hits == healthy
-            assert service.frontend.serve_plan(plan).cached  # healthy ones still are
+            assert serve() == (healthy, False)  # recomputed after revival
+            assert serve() == (healthy, True)  # healthy ones are cached
         finally:
             service.store.close()
 

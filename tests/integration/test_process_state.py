@@ -13,6 +13,7 @@ import pkgutil
 
 import repro
 from repro.api import DeepWebService, SurfacingConfig, WebConfig
+from repro.serve.loadgen import WorkloadGenerator
 
 #: Bounded memos of pure functions (each clears or stops filling at a cap).
 ALLOWED = {
@@ -43,10 +44,11 @@ def use_a_service(seed: int) -> None:
     service.crawl(max_pages=30)
     service.surface()
     assert service.report().urls_indexed > 0
-    service.search_all("records listings", k=5)
+    service.query("records listings", k=5, min_per_source=3, include_webtables=False)
     service.query("city:portland records", k=5, live=True)
-    with service.frontend:
-        service.serve_workload(count=20, k=5)
+    with service.frontend as frontend:
+        stream = WorkloadGenerator(service.web, seed=seed).stream(20, k=5)
+        frontend.serve_workload(stream, default_k=5)
 
 
 def test_no_module_level_state_grows_across_two_services():

@@ -64,7 +64,7 @@ def answers(service: DeepWebService) -> dict[str, list[tuple]]:
         ]
         out[f"search_all:{query}"] = [
             (r.doc_id, r.url, r.score, r.source)
-            for r in service.search_all(query, k=15)
+            for r in service.query(query, k=15, min_per_source=3, include_webtables=False).results
         ]
         plan_result = service.query(query, k=10)
         out[f"query:{query}"] = [

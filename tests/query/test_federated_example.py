@@ -23,7 +23,7 @@ def test_federated_search_example_runs(capsys):
     exit_code = example.main(["--sites", "2", "--seed", "41", "--live-budget", "3"])
     assert exit_code == 0
     out = capsys.readouterr().out
-    assert "search_all(" in out
+    assert "include_webtables=False) ->" in out
     assert "routes: indexed" in out
     assert "fingerprint: plan:" in out
     assert "query planning:" in out

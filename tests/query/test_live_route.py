@@ -37,7 +37,7 @@ def live_plan(service, budget: int):
     # Pick a query the router will route: the first source's domain words.
     source = service.vertical.sources()[0]
     query = f"{source.mapping.domain.replace('_', ' ')} records"
-    plan = service.plan(query, k=10, live=True, live_fetch_budget=budget)
+    plan = service.planner.plan(query, k=10, live=True, live_fetch_budget=budget)
     if ROUTE_LIVE_VERTICAL not in plan.route_names:
         pytest.skip("router did not route the probe query in this world")
     return plan
@@ -48,7 +48,7 @@ class TestFetchBudget:
     def test_live_route_spends_at_most_its_budget(self, service, budget):
         plan = live_plan(service, budget)
         before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
-        outcome = service.execute(plan)
+        outcome = service.executor.execute(plan)
         spent = service.web.load_meter.total(agent=AGENT_VIRTUAL) - before
         assert spent <= budget, f"live route exceeded its budget ({spent} > {budget})"
         assert outcome.live_fetches_spent == spent  # provenance tells the truth
@@ -96,7 +96,7 @@ class TestLiveNeverCached:
 
     def test_live_hits_carry_live_provenance(self, service):
         plan = live_plan(service, budget=5)
-        outcome = service.execute(plan)
+        outcome = service.executor.execute(plan)
         live_hits = [hit for hit in outcome.hits if hit.route == ROUTE_LIVE_VERTICAL]
         for hit in live_hits:
             assert hit.result.source == SOURCE_LIVE_VERTICAL
@@ -107,7 +107,7 @@ class TestLiveNeverCached:
     def test_time_budget_skips_the_live_route(self, service):
         source = service.vertical.sources()[0]
         query = f"{source.mapping.domain.replace('_', ' ')} records"
-        base = service.plan(query, k=10, live=True, live_fetch_budget=3)
+        base = service.planner.plan(query, k=10, live=True, live_fetch_budget=3)
         if ROUTE_LIVE_VERTICAL not in base.route_names:
             pytest.skip("router did not route the probe query in this world")
         # A zero wall-clock budget is always exceeded by the indexed route.
@@ -126,7 +126,7 @@ class TestLiveNeverCached:
 
         plan = replace(base, routes=routes)
         before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
-        outcome = service.execute(plan)
+        outcome = service.executor.execute(plan)
         assert service.web.load_meter.total(agent=AGENT_VIRTUAL) == before
         skipped = [o for o in outcome.routes if o.route == ROUTE_LIVE_VERTICAL]
         assert skipped and skipped[0].skipped

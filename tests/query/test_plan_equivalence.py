@@ -1,8 +1,10 @@
 """The PR's acceptance pins: planner reads are byte-identical.
 
 * an indexed-only :class:`QueryPlan` returns byte-identical results
-  (ids, scores, order) to the pre-refactor ``search_all`` algorithm,
-  replicated inline below, at every ``min_per_source`` parity;
+  (ids, scores, order) to the pre-planner ``search_all`` algorithm,
+  replicated inline below, at every ``min_per_source`` parity -- that
+  read is now ``service.query(q, k, min_per_source,
+  include_webtables=False)``;
 * frontend-served plans are byte-identical to direct executor runs,
   including after a mid-workload ingest invalidates the plan cache.
 """
@@ -76,19 +78,21 @@ class TestIndexedPlanEquivalence:
     ):
         for query in sample_queries(service):
             expected = legacy_search_all(service, query, k=k, min_per_source=min_per_source)
-            got = service.search_all(query, k=k, min_per_source=min_per_source)
+            got = service.query(
+                query, k=k, min_per_source=min_per_source, include_webtables=False
+            ).results
             assert got == expected  # ids, scores, order -- the full tuples
 
     def test_direct_executor_matches_search_all(self, service):
         for query in sample_queries(service, limit=15):
-            plan = service.plan(query, k=10, min_per_source=2, include_webtables=False)
-            assert service.execute(plan).results == service.search_all(
-                query, k=10, min_per_source=2
-            )
+            plan = service.planner.plan(query, k=10, min_per_source=2, include_webtables=False)
+            assert service.executor.execute(plan).results == service.query(
+                query, k=10, min_per_source=2, include_webtables=False
+            ).results
 
     def test_indexed_hits_carry_route_provenance(self, service):
-        plan = service.plan(sample_queries(service, 1)[0], k=5, include_webtables=False)
-        outcome = service.execute(plan)
+        plan = service.planner.plan(sample_queries(service, 1)[0], k=5, include_webtables=False)
+        outcome = service.executor.execute(plan)
         assert outcome.hits, "corpus-derived query must match"
         assert all(hit.route == "indexed" for hit in outcome.hits)
         assert outcome.routes_taken() == ("indexed",)
@@ -97,11 +101,11 @@ class TestIndexedPlanEquivalence:
 class TestFrontendPlanEquivalence:
     def _plans(self, service, count: int, seed: str):
         stream = WorkloadGenerator(service.web, seed=seed).mixed_stream(count, k=10)
-        return [service.plan(query.text, k=query.k, min_per_source=2) for query in stream]
+        return [service.planner.plan(query.text, k=query.k, min_per_source=2) for query in stream]
 
     def test_served_plans_match_direct_executor_runs(self, service):
         plans = self._plans(service, 150, seed="plan-equiv")
-        direct = [service.execute(plan).results for plan in plans]
+        direct = [service.executor.execute(plan).results for plan in plans]
         recorded = service.planner_stats.as_dict()["plans"]
         with QueryFrontend(
             service.engine, workers=1, cache_size=512, executor=service.executor
@@ -118,7 +122,7 @@ class TestFrontendPlanEquivalence:
         with QueryFrontend(
             service.engine, workers=1, cache_size=512, executor=service.executor
         ) as frontend:
-            first_direct = [service.execute(plan).results for plan in plans[:half]]
+            first_direct = [service.executor.execute(plan).results for plan in plans[:half]]
             assert [frontend.serve_plan(p).results for p in plans[:half]] == first_direct
 
             text = "midworkload planner listing city bedrooms special"
@@ -135,11 +139,11 @@ class TestFrontendPlanEquivalence:
                 ]
             )
 
-            second_direct = [service.execute(plan).results for plan in plans[half:]]
+            second_direct = [service.executor.execute(plan).results for plan in plans[half:]]
             assert [frontend.serve_plan(p).results for p in plans[half:]] == second_direct
 
     def test_cached_plan_serves_identical_hits_with_provenance(self, service):
-        plan = service.plan(sample_queries(service, 1)[0], k=8, min_per_source=2)
+        plan = service.planner.plan(sample_queries(service, 1)[0], k=8, min_per_source=2)
         with QueryFrontend(
             service.engine, workers=1, cache_size=64, executor=service.executor
         ) as frontend:

@@ -39,7 +39,7 @@ def service() -> DeepWebService:
 class TestServiceReport:
     def test_report_carries_planning_provenance(self, service):
         service.query("city:portland records", k=10)
-        service.search_all("records listings", k=5)
+        service.query("records listings", k=5, min_per_source=3, include_webtables=False)
         report = service.report()
         planning = report.query_planning
         assert planning["plans"] >= 2
@@ -69,7 +69,7 @@ class TestOneOwnerPerPlanCounter:
         """Plan provenance lives in the executor's ``PlannerStats`` alone:
         a cached serve counts as a plan and a cached plan, never as a
         route taken (nothing re-ran)."""
-        plan = service.plan("records listings", k=5, include_webtables=False)
+        plan = service.planner.plan("records listings", k=5, include_webtables=False)
         executor = QueryExecutor(service.engine)
         with QueryFrontend(
             service.engine, workers=1, cache_size=32, executor=executor
@@ -87,7 +87,7 @@ class TestOneOwnerPerPlanCounter:
             service.engine, workers=1, cache_size=32, executor=service.executor
         ) as frontend:
             frontend.serve("records", k=3)
-            frontend.serve_plan(service.plan("records listings", k=5))
+            frontend.serve_plan(service.planner.plan("records listings", k=5))
             stats = frontend.stats()
         assert {f.name for f in fields(ServeStats)} == SERVING_FACTS
         assert stats.served == 2

@@ -54,11 +54,11 @@ def test_full_stack_soak_at_twenty_percent_errors():
     generator = WorkloadGenerator(service.web, seed="soak-queries")
     served = 0
     for query in generator.mixed_stream(120, k=8):
-        plan = service.plan(
+        plan = service.planner.plan(
             query.text, k=query.k, min_per_source=2,
             live=query.kind == KIND_STRUCTURED,
         )
-        result = service.execute(plan)
+        result = service.executor.execute(plan)
         served += len(result.hits)
     assert served > 0, "heavy faults may shrink answers, not erase them all"
 
@@ -95,7 +95,11 @@ def test_soak_replays_byte_identically():
         meter = service.web.load_meter
         return (
             service.report().lines(),
-            [service.search_all("used toyota", k=10)],
+            [
+                service.query(
+                    "used toyota", k=10, min_per_source=3, include_webtables=False
+                ).results
+            ],
             meter.errors(),
             meter.retries(),
         )

@@ -40,7 +40,10 @@ def observable_output(service):
     queries = ["used toyota", "category:books", "price title year"]
     return (
         service.report().lines(),
-        [service.search_all(query, k=10) for query in queries],
+        [
+            service.query(query, k=10, min_per_source=3, include_webtables=False).results
+            for query in queries
+        ],
         len(service.engine),
     )
 

@@ -24,7 +24,7 @@ def plan_workload(service, count: int = 60, seed: str = "chaos-degraded"):
     """A seeded mixed workload planned on ``service`` (structured go live)."""
     workload = WorkloadGenerator(service.web, seed=seed).mixed_stream(count, k=8)
     return [
-        service.plan(
+        service.planner.plan(
             query.text, k=query.k, min_per_source=2,
             live=query.kind == KIND_STRUCTURED,
         )
@@ -88,7 +88,7 @@ class TestSubsetInvariant:
         plans = [plan for plan in plan_workload(clean_service) if plan.cacheable]
         assert plans
         for plan in plans:
-            assert faulted.execute(plan).hits == clean_service.execute(plan).hits
+            assert faulted.executor.execute(plan).hits == clean_service.executor.execute(plan).hits
 
 
 class TestDegradedDeterminism:
@@ -103,7 +103,7 @@ class TestDegradedDeterminism:
             )
             outputs = []
             for plan in plan_workload(service):
-                result = service.execute(plan)
+                result = service.executor.execute(plan)
                 # Project out RouteOutcome.seconds -- wall-clock timing is
                 # the one field allowed to differ between identical runs.
                 routes = tuple(
@@ -125,7 +125,7 @@ class TestDegradedProvenance:
         dead_host = live_route.hosts[0]
         # Kill exactly one routed host; everything else stays healthy.
         service = chaos_factory(hosts_down([dead_host]))
-        result = service.execute(plan)
+        result = service.executor.execute(plan)
         assert result.degraded
         assert dead_host in result.failed_hosts
         outcome = next(o for o in result.routes if o.route == live_route.name)
@@ -136,7 +136,7 @@ class TestDegradedProvenance:
     def test_degraded_plans_render_in_service_report(self, chaos_factory):
         service = chaos_factory(heavy_faults())
         for plan in plan_workload(service, count=30):
-            service.execute(plan)
+            service.executor.execute(plan)
         lines = service.report().lines()
         assert any(line.startswith("resilience:") for line in lines)
         assert any("degraded plans:" in line for line in lines)
@@ -153,13 +153,13 @@ class TestOnePlanCounterOwner:
         cacheable = next(plan for plan in plan_workload(clean_service) if plan.cacheable)
         service = chaos_factory(hosts_down(live_route.hosts))
         frontend = service.frontend
-        service.execute(cacheable)
+        service.executor.execute(cacheable)
         assert not frontend.serve_plan(cacheable).cached
         assert frontend.serve_plan(cacheable).cached
-        frontend.serve_plan(service.plan("   "))
-        service.execute(service.plan(""))
+        frontend.serve_plan(service.planner.plan("   "))
+        service.executor.execute(service.planner.plan(""))
         assert frontend.serve_plan(degraded_plan).degraded
-        assert service.execute(degraded_plan).degraded
+        assert service.executor.execute(degraded_plan).degraded
 
         planning = service.planner_stats.as_dict()
         assert service.report().query_planning == planning

@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+from repro.query.executor import QueryExecutor
+from repro.query.planner import QueryPlanner
 from repro.search.engine import SearchEngine
 from repro.serve.frontend import QueryFrontend, ServeStats
 from repro.store.records import IngestRecord
@@ -76,6 +78,16 @@ class TestServe:
             frontend.serve("toyota", k=2)
         assert len(frontend.cache) == 0
 
+    def test_closed_frontend_refuses_plans_too(self, engine):
+        """Strings and plans share one read core, closed check included."""
+        frontend = QueryFrontend(engine, workers=1, executor=QueryExecutor(engine))
+        plan = QueryPlanner(engine).plan("toyota", k=2)
+        assert not frontend.serve_plan(plan).cached
+        assert frontend.serve_plan(plan).cached
+        frontend.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            frontend.serve_plan(plan)
+
     def test_ttl_uses_the_injected_clock(self, engine):
         now = [0.0]
         frontend = QueryFrontend(
@@ -122,6 +134,7 @@ class TestAdmissionControl:
 
         class BlockingEngine:
             ingestor = engine.ingestor
+            backend = engine.backend
 
             def search(self, query, k=10):
                 entered.set()

@@ -117,6 +117,7 @@ class TestWorkloadLocalStats:
 
         class InterleavingEngine:
             ingestor = engine.ingestor
+            backend = engine.backend
 
             def search(self, query, k=10):
                 if query == "trigger":
@@ -156,6 +157,7 @@ class TestWorkloadLocalStats:
 
         class BlockingEngine:
             ingestor = engine.ingestor
+            backend = engine.backend
 
             def search(self, query, k=10):
                 entered.set()
@@ -203,6 +205,7 @@ class TestWorkloadGathersAllFutures:
 
         class GatedEngine:
             ingestor = engine.ingestor
+            backend = engine.backend
 
             def search(self, query, k=10):
                 if query == "first":
