@@ -1,16 +1,16 @@
-"""Durable storage & resume: sqlite store, snapshot/restore, journaled surfacing.
+"""Durable storage & resume: one sqlite file, snapshot/restore, resumable surfacing.
 
 Builds a service with a durable home directory (``.persist(dir)``):
 the content store lands in ``store.sqlite3``, surfacing checkpoints every
-completed site into ``surfacing.journal``, and ``service.snapshot()``
-writes ``snapshot.json``.  The demo then shows the two payoffs:
+completed site into the same file, and ``service.snapshot()`` writes
+``snapshot.json``.  The demo then shows the two payoffs:
 
 * **warm restart** -- ``DeepWebService.restore(path)`` answers the same
   queries byte-identically without re-crawling or re-surfacing a thing
   (the load meter proves zero surfacer fetches);
-* **resume** -- a second service opened on the same directory replays the
-  journal instead of refetching, so an interrupted ``surface_many``
-  would continue exactly where it stopped.
+* **resume** -- a second service opened on the same directory reads the
+  completed sites from the store instead of refetching, so an interrupted
+  ``surface_many`` would continue exactly where it stopped.
 
 Run:  python examples/durable_service.py [state_dir]
 """
@@ -43,15 +43,15 @@ def main(state_dir: str | None = None) -> int:
     state = Path(state_dir) if state_dir else Path(tempfile.mkdtemp(prefix="deepweb-"))
 
     # 1. Cold build: crawl + surface into the durable store.  Every
-    #    completed site is journaled before it lands in sqlite, so a kill
-    #    anywhere in this loop loses at most the site in flight.
+    #    completed site commits its documents and its row together, so a
+    #    kill anywhere in this loop loses at most the site in flight.
     service = build(state)
     service.crawl(max_pages=300)
     service.surface()
     cold_hits = [(r.url, r.score) for r in service.query(QUERY, k=10).results]
     print(f"state dir: {state}")
     print(f"cold build: {len(service.store)} documents in "
-          f"{service.store.kind} store, {len(service.journal)} sites journaled")
+          f"{service.store.kind} store, {service.store.completed_sites} sites completed")
 
     # 2. Snapshot the whole service: store records, site results, crawl
     #    stats, WebTables corpus, harvest bookkeeping, cache generation.
@@ -73,12 +73,12 @@ def main(state_dir: str | None = None) -> int:
     print(f"report: {storage_line}")
 
     # 4. Resume: a fresh service on the same directory reopens the sqlite
-    #    store and replays the journal -- surfacing refetches nothing.
+    #    store, whose completed sites surfacing skips -- it refetches nothing.
     resumed = build(state)
     resumed.surface()
     resumed_fetches = resumed.web.load_meter.total(agent=AGENT_SURFACER)
-    print(f"resume: surface() replayed {len(resumed.journal)} journaled sites "
-          f"with {resumed_fetches} surfacer fetches")
+    print(f"resume: surface() read {resumed.store.completed_sites} completed sites "
+          f"from the store with {resumed_fetches} surfacer fetches")
     resumed.store.close()
     return 0
 

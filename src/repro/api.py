@@ -19,8 +19,8 @@ fluent builder:
 
 All site surfacing -- ``surface()`` and ``surface_many()`` -- goes
 through a single :class:`~repro.pipeline.scheduler.SurfacingScheduler`
-seam: serial by default, journaled and resumable for services built with
-``persist()``.
+seam: serial by default, checkpointed per site and resumable for services
+built with ``persist()``.
 
 Storage is pluggable through the unified content store: pass
 ``.store(ClusterBackend(shard_count=4))`` to the builder to hash-partition
@@ -48,7 +48,6 @@ from repro.pipeline.stages import Stage
 from repro.query.executor import PlannerStats, PlanResult, QueryExecutor
 from repro.query.planner import QueryPlanner
 from repro.search.crawler import CrawlStats, Crawler
-from repro.search.querylog import QueryLog
 from repro.search.engine import SearchEngine, SearchResult
 from repro.serve.frontend import QueryFrontend
 from repro.store.backend import StorageBackend, StoreStats
@@ -96,7 +95,7 @@ class ServiceReport:
     #: The cluster's own snapshot, when the store is a ``ClusterBackend``.
     cluster: ClusterStats | None = None
     #: Persistence provenance -- for persisted/restored services the
-    #: store, journal and snapshot paths plus the snapshot age.
+    #: store and snapshot paths, completed sites and the snapshot age.
     storage: dict[str, object] = field(default_factory=dict)
     #: Fault/degradation accounting: meter error/retry totals, per-host
     #: outcomes, injected-fault counts and breaker states.  Empty (and
@@ -198,7 +197,6 @@ class DeepWebServiceBuilder:
         self._surfacing: SurfacingConfig | None = None
         self._stages: Sequence[Stage] | None = None
         self._observers: list[PipelineObserver] = []
-        self._scheduler: SurfacingScheduler | None = None
         self._serving: dict[str, object] = {}
         self._persist_dir: Path | None = None
         self._fault_plan: FaultPlan | ScriptedFaults | None = None
@@ -221,7 +219,7 @@ class DeepWebServiceBuilder:
     def store(self, backend: StorageBackend) -> "DeepWebServiceBuilder":
         """Back the service's search engine with a specific storage
         backend (``SqliteBackend(path)``, ``ClusterBackend(...)``); mutually
-        exclusive with supplying a fully built engine via :meth:`engine`."""
+        exclusive with :meth:`engine` and :meth:`persist`."""
         self._store = backend
         return self
 
@@ -242,24 +240,19 @@ class DeepWebServiceBuilder:
         """Attach a deterministic per-site progress printer."""
         return self.observer(ProgressObserver(stream))
 
-    def scheduler(self, scheduler: SurfacingScheduler) -> "DeepWebServiceBuilder":
-        self._scheduler = scheduler
-        return self
-
     def persist(self, path: str | Path) -> "DeepWebServiceBuilder":
         """Give the service a durable home directory.
 
         The content store becomes a
-        :class:`~repro.persist.SqliteBackend` at ``<path>/store.sqlite3``
-        (unless an explicit :meth:`store` backend was supplied), surfacing
-        runs through a :class:`~repro.persist.ResumableSurfacingScheduler`
-        journaled at ``<path>/surfacing.journal`` (unless an explicit
-        :meth:`scheduler` was supplied), and ``service.snapshot()``
+        :class:`~repro.persist.SqliteBackend` at ``<path>/store.sqlite3``,
+        surfacing runs through a
+        :class:`~repro.persist.ResumableSurfacingScheduler` that records
+        each completed site in that same file, and ``service.snapshot()``
         defaults to ``<path>/snapshot.json``.  Reopening the same
         directory resumes: stored documents reload, and an interrupted
-        ``surface_many`` continues from the journal with output identical
+        ``surface_many`` skips the completed sites with output identical
         to an uninterrupted run.  Mutually exclusive with :meth:`engine`
-        (persistence must own the storage backend)."""
+        and :meth:`store` (persistence must own the storage backend)."""
         self._persist_dir = Path(path)
         return self
 
@@ -316,30 +309,16 @@ class DeepWebServiceBuilder:
         if self._resilience is not None:
             policy, breakers = self._resilience
             web = ResilientWeb(web, policy=policy, breakers=breakers)
-        if self._engine is not None and self._store is not None:
-            raise ValueError("pass either engine() or store(), not both")
-        store = self._store
-        scheduler = self._scheduler
+        if sum(part is not None for part in (self._engine, self._store, self._persist_dir)) > 1:
+            raise ValueError("pass at most one of engine(), store(), persist()")
+        store, scheduler = self._store, SurfacingScheduler()
         if self._persist_dir is not None:
-            if self._engine is not None:
-                raise ValueError(
-                    "persist() must own the storage backend; combine it with "
-                    "store(), not engine()"
-                )
             # Imported lazily: repro.persist builds on this module.
             from repro.persist import ResumableSurfacingScheduler, SqliteBackend
 
-            self._persist_dir.mkdir(parents=True, exist_ok=True)
-            if store is None:
-                store = SqliteBackend(self._persist_dir / "store.sqlite3")
-            if scheduler is None:
-                scheduler = ResumableSurfacingScheduler(
-                    self._persist_dir / "surfacing.journal"
-                )
-        if self._engine is not None:
-            engine = self._engine
-        else:
-            engine = SearchEngine(backend=store) if store is not None else SearchEngine()
+            store = SqliteBackend(self._persist_dir / "store.sqlite3")
+            scheduler = ResumableSurfacingScheduler(store)
+        engine = self._engine if self._engine is not None else SearchEngine(backend=store)
         metrics = MetricsObserver()
         pipeline = SurfacingPipeline(
             web,
@@ -350,7 +329,7 @@ class DeepWebServiceBuilder:
         )
         return DeepWebService(
             pipeline=pipeline,
-            scheduler=scheduler or SurfacingScheduler(),
+            scheduler=scheduler,
             metrics=metrics,
             serving=self._serving,
             web_config=self._web_config,
@@ -391,8 +370,6 @@ class DeepWebService:
         #: a snapshot restore regenerate the identical world.
         self.web_config = web_config
         self.persist_dir = persist_dir
-        #: An optional attached query log; round-trips through snapshots.
-        self.query_log: QueryLog | None = None
         self._snapshot_path: Path | None = None
         self._snapshot_created_at: float | None = None
         self._restored_from: Path | None = None
@@ -461,12 +438,6 @@ class DeepWebService:
         return max(self._cache_generation_floor, live)
 
     @property
-    def journal(self):
-        """The surfacing resume journal, when the scheduler keeps one
-        (services built with ``persist()``); ``None`` otherwise."""
-        return getattr(self.scheduler, "journal", None)
-
-    @property
     def vertical(self) -> VerticalSearchEngine:
         """The live virtual-integration engine over this service's web.
 
@@ -512,7 +483,7 @@ class DeepWebService:
     def snapshot(self, path: str | Path | None = None) -> Path:
         """Write a whole-service snapshot: index, surfacing results, crawl
         stats, WebTables corpus (and therefore the AcsDb), harvest
-        bookkeeping, attached query log and the serving-cache generation.
+        bookkeeping and the serving-cache generation.
 
         With no ``path`` the snapshot lands at
         ``<persist_dir>/snapshot.json`` (services built with
@@ -564,7 +535,9 @@ class DeepWebService:
     ) -> list[SiteSurfacingResult]:
         """Surface every deep-web site (or the supplied subset), replacing
         previously stored results (and their stage metrics) once the run
-        has succeeded; a run that raises leaves both as they were."""
+        has succeeded; a run that raises leaves both as they were.  Under
+        :meth:`~DeepWebServiceBuilder.persist`, a run that raises inside a
+        site's commit also retires the store: reopen the directory to resume."""
         targets = list(sites) if sites is not None else self.web.deep_sites()
         kept = self.metrics.totals
         self.metrics.reset()
@@ -665,9 +638,7 @@ class DeepWebService:
             section["store_path"] = str(store_path)
         if self.persist_dir is not None:
             section["persist_dir"] = str(self.persist_dir)
-        if self.journal is not None:
-            section["journal_path"] = str(self.journal.path)
-            section["journaled_sites"] = len(self.journal)
+            section["completed_sites"] = self.store.completed_sites
         if self._snapshot_path is not None:
             section["snapshot_path"] = str(self._snapshot_path)
             if self._snapshot_created_at is not None:

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.persist.codec import decode, encode
 from repro.search.crawler import CrawlStats
-from repro.search.querylog import Query, QueryLog
 from repro.store.records import IngestRecord
 from repro.webspace.sitegen import WebConfig, generate_web
 from repro.webspace.web import Web
@@ -53,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports lazily)
 #: Bumped when the snapshot payload changes incompatibly (a renamed or
 #: retyped field of any dataclass under :class:`ServiceSnapshot` does;
 #: ``tests/persist/test_layout_guard.py`` notices).
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 SNAPSHOT_KIND = "deepweb-service-snapshot"
 
 
@@ -89,7 +88,6 @@ class ServiceSnapshot:
     crawl: CrawlStats | None
     corpus: CorpusState | None
     harvest: HarvestState
-    query_log: list[Query] | None
     cache_generation: int
 
 
@@ -123,7 +121,6 @@ def decode_record(payload: dict[str, Any]) -> IngestRecord:
 def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
     """Serialize the service to ``path`` (written atomically); returns it."""
     corpus = service._corpus
-    query_log = service.query_log
     snapshot = ServiceSnapshot(
         kind=SNAPSHOT_KIND,
         format=SNAPSHOT_FORMAT,
@@ -138,7 +135,6 @@ def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
         if corpus is None
         else CorpusState(corpus.tables, corpus.form_schemas, corpus.form_values, corpus.stats),
         harvest=service._harvest,
-        query_log=None if query_log is None else query_log.queries,
         cache_generation=service.cache_generation,
     )
     target = Path(path)
@@ -202,10 +198,10 @@ def restore_service(
     # Replay the corpus through the shared ingestor (listeners fire as on
     # live writes).  A fresh store must reproduce ids 1..N; a caller-
     # supplied store already holding the corpus (e.g. the reopened sqlite
-    # file) dedups by URL onto those same ids.
+    # file) dedups by URL onto those same ids -- and must hold nothing else.
     records = [decode_record(entry) for entry in snapshot.documents]
     ids = service.engine.ingest_records(records)
-    if ids != list(range(1, len(ids) + 1)):
+    if ids != list(range(1, len(ids) + 1)) or len(service.store) != len(records):
         raise SnapshotError(
             f"{source}: restored store did not reproduce snapshot doc ids "
             "(restore needs an empty store, or one holding exactly this corpus)"
@@ -220,8 +216,6 @@ def restore_service(
         corpus.form_values = snapshot.corpus.form_values
         corpus.stats = snapshot.corpus.stats
     service._harvest = snapshot.harvest
-    if snapshot.query_log is not None:
-        service.query_log = QueryLog(queries=snapshot.query_log)
     # The restored frontend's cache starts past every generation the
     # snapshotted process stamped (applied when a frontend is built --
     # see DeepWebService.frontend).

@@ -16,6 +16,7 @@ from repro import (
     generate_web,
 )
 from repro.search.engine import SOURCE_SURFACED
+from repro.store import InMemoryBackend
 
 pytestmark = pytest.mark.smoke
 
@@ -53,6 +54,22 @@ class TestBuilder:
         built = DeepWebService.build().web(SMALL_WEB).engine(engine).create()
         assert built.engine is engine
         assert built.pipeline.engine is engine
+
+    @pytest.mark.parametrize(
+        "pair", [("engine", "store"), ("engine", "persist"), ("store", "persist")], ids="-".join
+    )
+    def test_storage_is_chosen_once(self, pair, tmp_path):
+        builder = DeepWebService.build().web(SMALL_WEB)
+        choose = {
+            "engine": lambda: builder.engine(SearchEngine()),
+            "store": lambda: builder.store(InMemoryBackend()),
+            "persist": lambda: builder.persist(tmp_path / "state"),
+        }
+        for part in pair:
+            choose[part]()
+        with pytest.raises(ValueError, match=r"at most one of engine\(\), store\(\), persist\(\)"):
+            builder.create()
+        assert not (tmp_path / "state").exists()  # refused before any file opens
 
     def test_stage_override_flows_through(self, car_web):
         built = (
@@ -181,7 +198,8 @@ class TestScheduler:
                     raise RuntimeError("gave up after the first site")
                 return super().run(pipeline, sites, start_index, total)
 
-        built = DeepWebService.build().web(SMALL_WEB).scheduler(FailsSecondRun()).create()
+        built = DeepWebService.build().web(SMALL_WEB).create()
+        built.scheduler = FailsSecondRun()
         built.surface()
         before = built.report()
         with pytest.raises(RuntimeError):

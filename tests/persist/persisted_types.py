@@ -1,7 +1,7 @@
 """The persisted dataclasses, found by walking the two on-disk roots.
 
-The snapshot root is :class:`ServiceSnapshot`; the journal persists
-:class:`SiteSurfacingResult` per site and fingerprints
+The snapshot root is :class:`ServiceSnapshot`; the sqlite store persists
+:class:`SiteSurfacingResult` per completed site and binds
 :class:`SurfacingConfig`.  Everything below a root is found through
 ``fields`` + ``get_type_hints``, so a dataclass added under a result
 object joins the codec tests and the layout guard on its own.
@@ -17,7 +17,7 @@ from repro.persist.snapshot import ServiceSnapshot
 
 ROOTS = {
     "snapshot": (ServiceSnapshot,),
-    "journal": (SiteSurfacingResult, SurfacingConfig),
+    "sqlite": (SiteSurfacingResult, SurfacingConfig),
 }
 
 

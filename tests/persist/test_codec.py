@@ -23,7 +23,7 @@ from repro.webtables.corpus import HarvestState
 
 from persisted_types import ROOTS, persisted_dataclasses
 
-PERSISTED = persisted_dataclasses(*ROOTS["snapshot"], *ROOTS["journal"])
+PERSISTED = persisted_dataclasses(*ROOTS["snapshot"], *ROOTS["sqlite"])
 
 SCALARS = {
     str: st.text(max_size=8),  # any unicode: ids and hosts are not ASCII-only

@@ -23,10 +23,12 @@ def test_durable_example_runs_end_to_end(tmp_path, capsys):
     exit_code = example.main(str(tmp_path / "state"))
     assert exit_code == 0
     out = capsys.readouterr().out
-    assert "sites journaled" in out
+    assert "4 sites completed" in out
     assert "byte-identical to the cold build, 0 surfacer fetches" in out
     assert "(restored from snapshot)" in out
     assert "with 0 surfacer fetches" in out
-    assert (tmp_path / "state" / "store.sqlite3").exists()
-    assert (tmp_path / "state" / "surfacing.journal").exists()
-    assert (tmp_path / "state" / "snapshot.json").exists()
+    # One container per persisted service: the store and the snapshot.
+    assert sorted(path.name for path in (tmp_path / "state").iterdir()) == [
+        "snapshot.json",
+        "store.sqlite3",
+    ]

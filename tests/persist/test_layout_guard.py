@@ -1,7 +1,7 @@
 """The persisted dataclasses *are* the on-disk layout: guard it per format.
 
 The codec writes whatever the dataclasses declare, so renaming or
-retyping a field silently changes what a snapshot or a journal holds.
+retyping a field silently changes what a snapshot or a store file holds.
 ``layouts/<kind>-<format>.txt`` records every ``Class.field: annotation``
 line a format number stands for; the current classes must still say
 exactly that, or the format number has to move.
@@ -14,13 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.persist.journal import JOURNAL_FORMAT
 from repro.persist.snapshot import SNAPSHOT_FORMAT
+from repro.persist.sqlite import SQLITE_FORMAT
 
 from persisted_types import ROOTS, layout_lines
 
 LAYOUTS = Path(__file__).parent / "layouts"
-FORMATS = {"snapshot": SNAPSHOT_FORMAT, "journal": JOURNAL_FORMAT}
+FORMATS = {"snapshot": SNAPSHOT_FORMAT, "sqlite": SQLITE_FORMAT}
 
 
 def digest(lines: list[str]) -> str:

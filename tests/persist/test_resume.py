@@ -1,31 +1,29 @@
 """Resume-aware surfacing: interrupted runs finish byte-identical.
 
-The contract from the issue: interrupt ``surface_many`` partway, resume
-against the same journal, and the final output -- per-site results,
-stored documents, rankings -- is byte-identical to a run that was never
-interrupted.  Both crash windows are exercised: before a site completes
-(the staged records never reach journal or store) and after journaling
-but before the store replay (the resume heals the store by URL-dedup).
-Journal integrity failures must be loud: mid-file corruption, tampered
-blobs and config drift all refuse to resume; only a torn final line
-(the one state a crash mid-append can produce) is forgiven.
+The contract: interrupt ``surface_many`` partway, reopen the same
+``persist()`` directory and resume, and the final output -- per-site
+results, stored documents, rankings -- is byte-identical to a run that
+was never interrupted, with no completed site fetched again.  A site's
+documents and its ``sites`` row commit in one sqlite transaction, so the
+crash sweep below stops the one writer at every point of a site and
+checks that the file holds all of that site or none of it, and that a
+store whose site transaction rolled back refuses further use until it
+is reopened (its in-memory index no longer matches the file).  Resuming
+under a different surfacing config, or over a site row this build
+cannot decode, is refused.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.api import DeepWebService
-from repro.core.surfacer import SurfacingConfig
-from repro.persist import (
-    JournalConfigMismatchError,
-    JournalCorruptionError,
-    ResumableSurfacingScheduler,
-    SurfacingJournal,
-    record_content_hash,
-)
+from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
+from repro.persist import SqliteBackend, SqliteStoreError
 from repro.pipeline.observer import PipelineObserver
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
@@ -37,16 +35,20 @@ from reference_normalizers import fault_accounting, normalized_index, normalized
 
 WEB = WebConfig(total_deep_sites=5, surface_site_count=1, max_records=60, seed=13)
 SURFACING = SurfacingConfig(max_urls_per_form=60)
+#: The sweep crashes while writing the third of the five sites, which
+#: indexes 51 documents in the clean run.
+CRASH_SITE = 2
 
 
 class CrashAt(PipelineObserver):
-    """Raises when surfacing reaches the site at ``index`` (simulated crash)."""
+    """Raises once, when surfacing reaches the site at ``index`` (simulated crash)."""
 
     def __init__(self, index: int) -> None:
         self.index = index
 
     def on_site_start(self, site, index, total) -> None:
         if index == self.index:
+            self.index = None
             raise RuntimeError(f"simulated crash at site {index} ({site.host})")
 
 
@@ -74,10 +76,10 @@ class EventLog(PipelineObserver):
         return None if ctx.form_result is None else ctx.form_result.urls_indexed
 
 
-def build_service(journal=None, observer=None) -> DeepWebService:
+def build_service(state=None, observer=None) -> DeepWebService:
     builder = DeepWebService.build().web(WEB).surfacing(SURFACING)
-    if journal is not None:
-        builder = builder.scheduler(ResumableSurfacingScheduler(journal))
+    if state is not None:
+        builder = builder.persist(state)
     if observer is not None:
         builder = builder.observer(observer)
     return builder.create()
@@ -103,77 +105,102 @@ def serial_observed():
     return log.events, service.report()
 
 
-def test_interrupted_then_resumed_output_is_byte_identical(tmp_path, clean_run):
-    expected_results, expected_index, expected_search = clean_run
-    journal_path = tmp_path / "surfacing.journal"
+class CrashingConnection:
+    """Wraps the store's sqlite connection: raises after the
+    ``crash_after``-th statement that starts with ``statement`` and binds
+    ``host`` has run -- inside the site's transaction, before its commit."""
 
-    crashed = build_service(journal=journal_path, observer=CrashAt(2))
+    def __init__(self, inner, statement: str, host: str, crash_after: int) -> None:
+        self.inner, self.statement, self.host = inner, statement, host
+        self.remaining = crash_after
+
+    def execute(self, sql, params=()):
+        cursor = self.inner.execute(sql, params)
+        if sql.startswith(self.statement) and self.host in params:
+            self.remaining -= 1
+            if self.remaining == 0:
+                raise RuntimeError("simulated crash inside the site's transaction")
+        return cursor
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize(
+    "statement, crash_after",
+    [
+        (None, None),
+        ("INSERT INTO documents", 1),
+        ("INSERT INTO documents", 25),
+        ("INSERT INTO documents", 51),
+        ("INSERT INTO sites", 1),
+    ],
+    ids=["site-start", "first-record", "middle-record", "last-record", "site-row"],
+)
+def test_crash_point_sweep(tmp_path, clean_run, statement, crash_after):
+    expected_results, expected_index, expected_search = clean_run
+    state = tmp_path / "state"
+    crashed = build_service(state, observer=CrashAt(CRASH_SITE) if statement is None else None)
+    sites = crashed.web.deep_sites()
+    host = sites[CRASH_SITE].host
+    if statement is not None:
+        assert sum(row[2] == host for row in expected_index) == 51
+        crashed.store._connection = CrashingConnection(
+            crashed.store._connection, statement, host, crash_after
+        )
     with pytest.raises(RuntimeError, match="simulated crash"):
         crashed.surface()
-    # The two completed sites are journaled; the interrupted one left
-    # nothing behind -- not in the journal, not in the store.
-    journal = SurfacingJournal(journal_path)
-    assert len(journal) == 2
-    hosts = {doc.host for doc in crashed.engine.documents()}
-    assert hosts == set(journal.completed_hosts)
 
-    resumed = build_service(journal=journal_path)
+    # What a kill leaves: the file, read beside the still-open service,
+    # holds the completed sites whole and nothing of the crashed one.
+    completed = [site.host for site in sites[:CRASH_SITE]]
+    with closing(sqlite3.connect(state / "store.sqlite3")) as reader:
+        stored = reader.execute("SELECT doc_id, url, host FROM documents ORDER BY doc_id")
+        assert stored.fetchall() == [row[:3] for row in expected_index if row[2] in completed]
+        rows = reader.execute("SELECT host FROM sites ORDER BY seq").fetchall()
+        assert [row[0] for row in rows] == completed
+
+    if statement is None:
+        # Outside a site's transaction nothing was written: retrying on the
+        # same service finishes the clean run.
+        assert normalized_results(crashed.surface()) == expected_results
+        assert normalized_index(crashed.engine) == expected_index
+    else:
+        # Inside it, the in-memory index kept documents the rollback took
+        # off disk, so a retry, a later add and a flush are all refused.
+        extra = IngestRecord("http://extra.example.com/", "extra.example.com", "t", "x", ("x",))
+        for use in (crashed.surface, lambda: crashed.store.add(extra), crashed.store.flush):
+            with pytest.raises(SqliteStoreError, match="reopen the file"):
+                use()
+    crashed.store.close()
+
+    # Reopening checks the stored ids are contiguous; resume is the clean run.
+    resumed = build_service(state)
     results = resumed.surface()
-    assert len(results) == len(expected_results)
     assert normalized_results(results) == expected_results
     assert normalized_index(resumed.engine) == expected_index
     assert [
         (r.doc_id, r.url, r.score) for r in resumed.search("toyota price", k=50)
     ] == expected_search
-    # The journaled sites were replayed, not refetched: the resume run's
-    # web saw surfacer traffic only for the sites the crash never reached.
-    for host in journal.completed_hosts:
-        assert resumed.web.load_meter.total(host=host, agent=AGENT_SURFACER) == 0
-
-
-def test_crash_between_surfacing_and_journaling_leaves_no_trace(
-    tmp_path, clean_run, monkeypatch
-):
-    """Crash in the other window: the site surfaced but journaling failed.
-    Staging means the store is untouched too, so the site re-surfaces
-    from scratch on resume with identical output."""
-    expected_results, expected_index, _ = clean_run
-    journal_path = tmp_path / "surfacing.journal"
-
-    service = build_service(journal=journal_path)
-    original = SurfacingJournal.record_site
-    state = {"armed": True}
-
-    def exploding_record_site(self, host, records, result):
-        if state["armed"] and len(self._sites) == 1:
-            state["armed"] = False
-            raise OSError("simulated disk failure before journal append")
-        return original(self, host, records, result)
-
-    monkeypatch.setattr(SurfacingJournal, "record_site", exploding_record_site)
-    with pytest.raises(OSError, match="simulated disk failure"):
-        service.surface()
-    journal = SurfacingJournal(journal_path)
-    assert len(journal) == 1  # the failed site is absent,
-    assert {doc.host for doc in service.engine.documents()} == set(
-        journal.completed_hosts
-    )  # ...and its staged records never reached the store
-
-    monkeypatch.setattr(SurfacingJournal, "record_site", original)
-    resumed = build_service(journal=journal_path)
-    results = resumed.surface()
-    assert normalized_results(results) == expected_results
-    assert normalized_index(resumed.engine) == expected_index
+    # Completed sites were read back, not refetched.
+    refetched = [
+        site.host
+        for site in sites
+        if resumed.web.load_meter.total(host=site.host, agent=AGENT_SURFACER)
+    ]
+    assert refetched == ([] if statement is None else [s.host for s in sites[CRASH_SITE:]])
+    assert resumed.report().storage["completed_sites"] == len(sites)
+    resumed.store.close()
 
 
 def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run, serial_observed):
     expected_results, expected_index, _ = clean_run
     serial_events, serial_report = serial_observed
-    journal_path = tmp_path / "surfacing.journal"
+    state = tmp_path / "state"
     first_log = EventLog()
-    first = build_service(journal=journal_path, observer=first_log)
+    first = build_service(state, observer=first_log)
     first.surface()
-    # On a fresh journal the staged worker reports live: same events, same
+    # On a fresh store the staged worker reports live: same events, same
     # order, and a ctx-reading observer sees the same mid-run state as
     # under the serial scheduler (nothing indexed yet when index-pages
     # starts -- not the site's end-of-run totals).
@@ -192,159 +219,36 @@ def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run, serial_obser
     for counter in ("hits", "misses"):
         assert report.probe_cache[counter] == serial_report.probe_cache[counter]
     assert report.stage_metrics["stage_runs"] == serial_report.stage_metrics["stage_runs"]
+    first.store.close()
 
     warm_log = EventLog()
-    warm = build_service(journal=journal_path, observer=warm_log)
+    warm = build_service(state, observer=warm_log)
     results = warm.surface()
     assert normalized_results(results) == expected_results
     assert normalized_index(warm.engine) == expected_index
     assert warm.web.load_meter.total(agent=AGENT_SURFACER) == 0
-    # Journaled sites did no stage work, so they emit site events only.
+    # Stored sites did no stage work, so they emit site events only.
     assert warm_log.events == [
         event for event in serial_events if event[0].startswith("site-")
     ]
+    warm.store.close()
 
 
 def test_resume_under_different_config_is_refused(tmp_path):
-    journal_path = tmp_path / "surfacing.journal"
-    service = build_service(journal=journal_path)
+    service = build_service(tmp_path / "state")
     service.surface_many(service.web.deep_sites()[:1])
+    service.store.close()
 
     drifted = (
         DeepWebService.build()
         .web(WEB)
         .surfacing(SurfacingConfig(max_urls_per_form=61))
-        .scheduler(ResumableSurfacingScheduler(journal_path))
+        .persist(tmp_path / "state")
         .create()
     )
-    with pytest.raises(JournalConfigMismatchError, match="different"):
+    with pytest.raises(SqliteStoreError, match="different"):
         drifted.surface_many(drifted.web.deep_sites()[1:2])
-
-
-# -- journal file integrity --------------------------------------------------
-
-
-def sample_record(n: int) -> IngestRecord:
-    return IngestRecord(
-        url=f"http://host.example.com/r/{n}",
-        host="host.example.com",
-        title=f"r{n}",
-        text=f"record {n}",
-        tokens=["record", str(n)],
-        source="surfaced",
-    )
-
-
-def journal_with_one_site(path) -> SurfacingJournal:
-    journal = SurfacingJournal(path)
-    journal.ensure_config(SURFACING)
-    from repro.core.surfacer import SiteSurfacingResult
-
-    result = SiteSurfacingResult(host="host.example.com", domain="auto")
-    journal.record_site("host.example.com", [sample_record(1), sample_record(2)], result)
-    return journal
-
-
-def test_torn_final_line_is_forgiven(tmp_path):
-    path = tmp_path / "torn.journal"
-    journal_with_one_site(path)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "site", "host": "half-writ')  # no newline, torn
-    reloaded = SurfacingJournal(path)
-    assert reloaded.completed_hosts == ["host.example.com"]
-    records, result = reloaded.site_entry("host.example.com")
-    assert [record.url for record in records] == [
-        "http://host.example.com/r/1",
-        "http://host.example.com/r/2",
-    ]
-    assert result.host == "host.example.com"
-
-
-def test_torn_tail_does_not_poison_later_appends(tmp_path):
-    """Crash mid-append, resume, journal two more sites, resume again: the
-    fragment must be gone before the first append or it glues onto the
-    next entry and the following load refuses the file."""
-    from repro.core.surfacer import SiteSurfacingResult
-
-    path = tmp_path / "torn.journal"
-    journal_with_one_site(path)
-    intact = path.read_bytes()
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "site", "host": "half-writ')
-    resumed = SurfacingJournal(path)
-    assert path.read_bytes() == intact  # the torn tail was truncated away
-    for n, host in ((3, "second.example.com"), (4, "third.example.com")):
-        resumed.record_site(
-            host, [sample_record(n)], SiteSurfacingResult(host=host, domain="auto")
-        )
-    assert SurfacingJournal(path).completed_hosts == [
-        "host.example.com",
-        "second.example.com",
-        "third.example.com",
-    ]
-
-
-def test_mid_file_corruption_is_refused(tmp_path):
-    path = tmp_path / "corrupt.journal"
-    journal_with_one_site(path)
-    lines = path.read_text().splitlines()
-    lines[1] = "@@not json@@"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(JournalCorruptionError, match="undecodable entry at line 2"):
-        SurfacingJournal(path)
-
-
-def test_tampered_blob_is_refused(tmp_path):
-    path = tmp_path / "tampered.journal"
-    journal_with_one_site(path)
-    lines = path.read_text().splitlines()
-    entry = json.loads(lines[1])
-    assert entry["kind"] == "blob"
-    entry["record"]["text"] = "tampered"
-    lines[1] = json.dumps(entry, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(JournalCorruptionError, match="content-hash check"):
-        SurfacingJournal(path)
-
-
-def test_site_referencing_unknown_blob_is_refused(tmp_path):
-    path = tmp_path / "dangling.journal"
-    journal_with_one_site(path)
-    lines = path.read_text().splitlines()
-    entry = json.loads(lines[-1])
-    assert entry["kind"] == "site"
-    entry["records"].append("0" * 64)
-    lines[-1] = json.dumps(entry, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(JournalCorruptionError, match="unknown blob"):
-        SurfacingJournal(path)
-
-
-def test_shared_records_are_journaled_once(tmp_path):
-    """Content-hash dedup: a record seen by two sites stores one blob."""
-    path = tmp_path / "dedup.journal"
-    journal = journal_with_one_site(path)
-    from repro.core.surfacer import SiteSurfacingResult
-
-    journal.record_site(
-        "other.example.com",
-        [sample_record(1), sample_record(3)],  # record 1 already journaled
-        SiteSurfacingResult(host="other.example.com", domain="auto"),
-    )
-    blob_lines = [
-        json.loads(line)
-        for line in path.read_text().splitlines()
-        if json.loads(line)["kind"] == "blob"
-    ]
-    assert len(blob_lines) == 3  # records 1, 2, 3 -- record 1 not duplicated
-    assert {entry["hash"] for entry in blob_lines} == {
-        record_content_hash(sample_record(n)) for n in (1, 2, 3)
-    }
-    records, _ = SurfacingJournal(path).site_entry("other.example.com")
-    assert [record.url for record in records] == [
-        "http://host.example.com/r/1",
-        "http://host.example.com/r/3",
-    ]
+    drifted.store.close()
 
 
 @pytest.mark.parametrize(
@@ -356,26 +260,28 @@ def test_shared_records_are_journaled_once(tmp_path):
     ids=["unknown-key", "missing-field"],
 )
 def test_site_result_of_another_layout_is_refused(tmp_path, tamper, complaint):
-    """A result this build's dataclasses cannot hold is corruption at load,
-    never a bare TypeError / KeyError when the site is resumed."""
-    path = tmp_path / "layout.journal"
-    journal_with_one_site(path)
-    lines = path.read_text().splitlines()
-    entry = json.loads(lines[-1])
-    assert entry["kind"] == "site"
-    tamper(entry["result"])
-    lines[-1] = json.dumps(entry, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(JournalCorruptionError, match=f"result layout.*{complaint}"):
-        SurfacingJournal(path)
+    """A stored result this build's dataclasses cannot hold is a store
+    error, never a bare TypeError / KeyError when the site is resumed."""
+    path = tmp_path / "store.sqlite3"
+    with SqliteBackend(path) as store:
+        with store.commit_site("host.example.com", SiteSurfacingResult("host.example.com", "auto")):
+            pass
+    with closing(sqlite3.connect(path)) as raw, raw:
+        (payload,) = raw.execute("SELECT result FROM sites").fetchone()
+        result = json.loads(payload)
+        tamper(result)
+        raw.execute("UPDATE sites SET result = ?", (json.dumps(result),))
+    with SqliteBackend(path) as store:
+        with pytest.raises(SqliteStoreError, match=f"result layout.*{complaint}"):
+            store.site_result("host.example.com")
 
 
-# -- what the journal carries, and what staging sees ---------------------------
+# -- what a stored site carries, and what staging sees ------------------------
 
 
 def test_fault_accounting_survives_resume(tmp_path):
-    """Per-site fetch errors, retries and the degraded flag replay from the
-    journal: a resumed report must not read as a clean run."""
+    """Per-site fetch errors, retries and the degraded flag come back from
+    the stored sites: a resumed report must not read as a clean run."""
 
     def surface_under_faults() -> tuple[list[tuple], list[str]]:
         service = (
@@ -384,15 +290,16 @@ def test_fault_accounting_survives_resume(tmp_path):
             .surfacing(SURFACING)
             .faults(FaultPlan(seed=3, default=FaultSpec(error_rate=0.2), agents=["surfacer"]))
             .resilience(RetryPolicy(max_attempts=2))
-            .scheduler(ResumableSurfacingScheduler(tmp_path / "faulted.journal"))
+            .persist(tmp_path / "faulted")
             .create()
         )
         service.surface()
-        return fault_accounting(service)
+        with service.store:
+            return fault_accounting(service)
 
     first = surface_under_faults()
     assert any(errors and retries and degraded for _, errors, retries, degraded in first[0])
-    assert surface_under_faults() == first  # second run: every site from the journal
+    assert surface_under_faults() == first  # second run: every site from the store
 
 
 class TermViews(PipelineObserver):
@@ -411,13 +318,15 @@ def test_staging_over_a_crawled_store_matches_the_serial_run(tmp_path):
     host already has crawled documents, which keyword seeding counts and
     URL dedup must see: the scratch engine is preloaded with them."""
 
-    def crawl_then_surface(journal=None):
+    def crawl_then_surface(state=None):
         views = TermViews()
-        service = build_service(journal=journal, observer=views)
+        service = build_service(state, observer=views)
         service.crawl(max_pages=80)
         crawled_hosts = {doc.host for doc in service.engine.documents()}
         assert crawled_hosts >= {site.host for site in service.web.deep_sites()}
         service.surface()
+        if state is not None:
+            service.store.close()
         return (
             normalized_results(service.results),
             normalized_index(service.engine),
@@ -426,4 +335,4 @@ def test_staging_over_a_crawled_store_matches_the_serial_run(tmp_path):
 
     serial = crawl_then_surface()
     assert any(counts for _, stage, counts in serial[2] if stage == "discover-forms")
-    assert crawl_then_surface(journal=tmp_path / "crawled.journal") == serial
+    assert crawl_then_surface(tmp_path / "state") == serial

@@ -5,9 +5,9 @@ The tentpole claim: ``service.snapshot(path)`` followed by
 ``search``/``search_all``/``query()`` answers are byte-identical to the
 original -- ids, order, scores -- while the regenerated web records
 *zero* surfacing work (no crawling, no form probing, no URL fetches by
-the surfacer).  Also pinned here: the report's ``storage`` section, the
-query-log round-trip, and the serving-cache generation fix (a restored
-frontend must never serve a pre-snapshot ranking as fresh).
+the surfacer).  Also pinned here: the report's ``storage`` section and
+the serving-cache generation fix (a restored frontend must never serve a
+pre-snapshot ranking as fresh).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core.surfacer import SurfacingConfig
 from repro.persist import SnapshotError, SqliteBackend
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
-from repro.search.querylog import Query, QueryLog
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.sitegen import WebConfig, generate_web
 
@@ -46,13 +45,6 @@ def build_and_fill() -> DeepWebService:
     service.crawl(max_pages=100)
     service.surface()
     service.harvest_tables()
-    service.query_log = QueryLog(
-        queries=[
-            Query(text="toyota dealer", kind="head", frequency=40, rank=1),
-            Query(text="used honda", kind="tail", frequency=1, rank=2,
-                  target_host="site.example.com"),
-        ]
-    )
     return service
 
 
@@ -107,8 +99,6 @@ def test_restore_round_trips_bookkeeping(round_trip):
     assert restored.corpus.form_schemas == service.corpus.form_schemas
     assert restored.corpus.form_values == service.corpus.form_values
     assert restored.corpus.stats == service.corpus.stats
-    assert restored.query_log is not None
-    assert restored.query_log.queries == service.query_log.queries
     assert restored._harvest.settled == service._harvest.settled
     assert restored._restored_from == path
 
@@ -212,6 +202,26 @@ def test_restore_into_reopened_sqlite_store(tmp_path):
     ] == expected
     assert restored.web.load_meter.total(agent=AGENT_SURFACER) == 0
     restored.store.close()
+
+
+def test_restore_refuses_a_store_holding_more_than_the_snapshot(tmp_path):
+    """The replay dedups a snapshot's documents onto the store's ids 1..N,
+    so the id check alone passes on a store holding the snapshot *and*
+    more; the restored service must not serve a corpus it has no results,
+    corpus or harvest state for."""
+    store_path = tmp_path / "store.sqlite3"
+    service = (
+        DeepWebService.build().web(WEB).surfacing(SURFACING).store(SqliteBackend(store_path)).create()
+    )
+    service.crawl(max_pages=40)
+    path = service.snapshot(tmp_path / "snapshot.json")
+    service.surface()
+    assert len(service.store) > 40
+    service.store.close()
+
+    with SqliteBackend(store_path) as store:
+        with pytest.raises(SnapshotError, match="exactly this corpus"):
+            DeepWebService.restore(path, store=store)
 
 
 def test_snapshot_defaults_to_persist_dir(tmp_path):

@@ -6,7 +6,7 @@ while the file is live and after a reopen from disk alone.  The
 adversarial interleaving half of this claim lives in
 ``tests/store/test_property_equivalence.py``; here we pin it on a real
 surfaced corpus plus the file-lifecycle behaviors the interleavings
-cannot see (reopen, commit batching, parameter pinning, corruption).
+cannot see (reopen, commits, format and parameter pinning, corruption).
 """
 
 from __future__ import annotations
@@ -137,12 +137,13 @@ def test_export_records_round_trips_tokens_verbatim(tmp_path):
     assert exported[0].annotations == {"n": "1"}
 
 
-# -- commit batching ---------------------------------------------------------
+# -- commits -------------------------------------------------------------------
 
 
-def test_commit_batching_and_flush(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.persist.sqlite.COMMIT_EVERY", 3)
-    path = tmp_path / "batch.sqlite3"
+def test_writes_commit_at_flush_and_close(tmp_path):
+    """Outside a site (``tests/persist/test_resume.py`` sweeps those), an
+    add commits only at the next flush or close."""
+    path = tmp_path / "commit.sqlite3"
     backend = SqliteBackend(path)
     reader = sqlite3.connect(str(path))
 
@@ -151,16 +152,12 @@ def test_commit_batching_and_flush(tmp_path, monkeypatch):
 
     backend.add(make_record(1))
     backend.add(make_record(2))
-    assert committed_rows() == 0  # below the batch threshold, uncommitted
-    backend.add(make_record(3))
-    assert committed_rows() == 3  # batch boundary commits
-    backend.add(make_record(4))
-    assert committed_rows() == 3
+    assert committed_rows() == 0
     backend.flush()
-    assert committed_rows() == 4
-    backend.add(make_record(5))
+    assert committed_rows() == 2
+    backend.add(make_record(3))
     backend.close()  # close commits the tail
-    assert committed_rows() == 5
+    assert committed_rows() == 3
     reader.close()
 
 
@@ -177,6 +174,24 @@ def test_reopen_with_different_bm25_parameters_is_refused(tmp_path):
         SqliteBackend(path, k1=1.5, b=0.5)
     # The original parameters still open fine.
     SqliteBackend(path, k1=1.5, b=0.75).close()
+
+
+def test_file_of_another_format_is_refused(tmp_path):
+    """A format-1 file (its resume record was a separate JSONL journal) is
+    refused, never half-resumed, and left as it was."""
+    path = tmp_path / "old.sqlite3"
+    with SqliteBackend(path) as backend:
+        backend.add(make_record(1))
+    with sqlite3.connect(str(path)) as raw:
+        raw.execute("UPDATE meta SET value = '1' WHERE key = 'format'")
+        raw.execute("DROP TABLE sites")
+    raw.close()
+    with pytest.raises(SqliteStoreError, match="format: file has '1', caller wants '2'"):
+        SqliteBackend(path)
+    with sqlite3.connect(str(path)) as raw:
+        tables = {name for (name,) in raw.execute("SELECT name FROM sqlite_master")}
+    raw.close()
+    assert "sites" not in tables
 
 
 def test_non_contiguous_doc_ids_are_refused(tmp_path):
