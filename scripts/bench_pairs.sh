@@ -9,6 +9,8 @@
 # directory that is removed on exit; each side's records are gathered into
 # bench/out/pairs-{parent,change}.json and handed to `python -m bench compare`.
 # Exit status: 1 if any run failed its oracle or could not run, else compare's.
+# A run that wrote no record is named (side, workload, seed) on stderr and
+# nothing is compared.
 set -eu
 usage() { sed -n '2,7p' "$0" >&2; exit 2; }
 [ $# -ge 1 ] || usage
@@ -53,21 +55,32 @@ for workload in $workloads; do
     done
 done
 
-gather() {  # DIR OUT
-    python3 - "$1" "$2" "$pairs" $workloads <<'EOF'
+gather() {  # SIDE DIR OUT; names every run that wrote no record, then fails
+    python3 - "$1" "$2" "$3" "$pairs" $workloads <<'EOF'
 import json, sys
 from pathlib import Path
 
-directory, out, pairs, *workloads = sys.argv[1:]
-records = [
-    json.loads((Path(directory) / "bench" / "out" / f"{workload}.full.seed{seed}.trace0.json").read_text())
+side, directory, out, pairs, *workloads = sys.argv[1:]
+paths = {
+    (workload, seed): Path(directory) / "bench" / "out" / f"{workload}.full.seed{seed}.trace0.json"
     for workload in workloads
     for seed in range(1, int(pairs) + 1)
-]
+}
+missing = [key for key, path in paths.items() if not path.exists()]
+for workload, seed in missing:
+    print(f"missing run: side={side} workload={workload} seed={seed}", file=sys.stderr)
+if missing:
+    sys.exit(1)
+records = [json.loads(path.read_text()) for path in paths.values()]
 Path(out).write_text(json.dumps({"kind": "bench-run", "reportable": True, "runs": records}, indent=1) + "\n")
 EOF
 }
-gather "$parent_dir" bench/out/pairs-parent.json
-gather "$change_dir" bench/out/pairs-change.json
+gathered=yes
+gather parent "$parent_dir" bench/out/pairs-parent.json || gathered=no
+gather change "$change_dir" bench/out/pairs-change.json || gathered=no
+if [ "$gathered" = no ]; then
+    echo "not comparing: the runs named above wrote no record" >&2
+    exit 1
+fi
 python3 -m bench compare bench/out/pairs-parent.json bench/out/pairs-change.json || failures=$((failures + 1))
 [ "$failures" -eq 0 ]

@@ -186,10 +186,10 @@ class ClusterBackend(DocumentCatalog):
     def export_records(self) -> list[IngestRecord]:
         """The stored corpus as re-ingestable records, term-sorted streams
         rebuilt from replica 0's postings (shards hold disjoint doc ids)."""
-        terms: dict[int, list[tuple[str, int]]] = {}
+        streams: dict[int, list[str]] = {}
         for replica_set in self.replica_sets:
-            terms.update(replica_set[0].index.document_terms())
-        return self._records_from_terms(terms)
+            streams.update(replica_set[0].index.document_terms())
+        return self._records_from_terms(streams)
 
     # -- querying ------------------------------------------------------------
 

@@ -7,17 +7,29 @@ recompute; :class:`ServiceSnapshot` lists it, field for field, and
 definitions -- a field added to a result object round-trips without an
 edit here.  Only the per-document pair :func:`encode_record` /
 :func:`decode_record` is hand-written (it runs once per stored document
-on every snapshot and restore).  The simulated web itself is *not*
-serialized: it regenerates deterministically from its
+on every snapshot and restore): a document's tokens -- the term-sorted
+stream ``export_records`` rebuilds from the postings -- are stored as
+*one* space-joined string, one JSON string per document rather than per
+token.  Every token in the tree comes from ``tokenize`` (``[a-z0-9]+``);
+an empty token or one holding a space, which would split back
+differently, is refused with :class:`SnapshotError`.  The simulated web
+itself is *not* serialized: it regenerates deterministically from its
 :class:`~repro.webspace.sitegen.WebConfig` (services built from an
 explicit :class:`~repro.webspace.web.Web` must pass ``web=`` to
 :func:`restore_service`).
 
-Restore replays the exported records through the service's shared
-:class:`~repro.store.ingest.Ingestor` -- so ingest listeners (host-term
-caches, cache-generation bumps) fire exactly as live writes would --
-and checks that the sequential id assigner reproduces ids 1..N.  A
-restored service answers ``search`` and ``query()``
+The file is written to ``<name>.tmp`` and renamed over the target
+(no fsync); a write or rename that fails removes the scratch file,
+leaves any previous snapshot as it was and raises :class:`SnapshotError`.
+
+Restore decodes the stored documents one at a time as the service's
+shared :class:`~repro.store.ingest.Ingestor` pulls them -- no token list
+outlives its own ``add``, and ingest listeners (host-term caches,
+cache-generation bumps) fire exactly as live writes would -- and checks
+that the sequential id assigner reproduces ids 1..N.  A document entry
+of another layout is a :class:`SnapshotError`; like a failed id check,
+it may be found after part of the corpus went into a caller-supplied
+``store``.  A restored service answers ``search`` and ``query()``
 immediately: the default (non-live) planner never probes, the harvest
 bookkeeping marks the corpus settled, and the regenerated web's load
 meter shows zero surfacing work (``tests/persist`` pins all of this).
@@ -33,9 +45,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.persist.codec import decode, encode
@@ -51,8 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports lazily)
 
 #: Bumped when the snapshot payload changes incompatibly (a renamed or
 #: retyped field of any dataclass under :class:`ServiceSnapshot` does;
-#: ``tests/persist/test_layout_guard.py`` notices).
-SNAPSHOT_FORMAT = 3
+#: ``tests/persist/test_layout_guard.py`` notices; format 4 stores each
+#: document's tokens as one space-joined string).
+SNAPSHOT_FORMAT = 4
 SNAPSHOT_KIND = "deepweb-service-snapshot"
 
 
@@ -91,28 +105,67 @@ class ServiceSnapshot:
     cache_generation: int
 
 
+_RECORD_FIELDS = frozenset(spec.name for spec in fields(IngestRecord))
+
+
 def encode_record(record: IngestRecord) -> dict[str, Any]:
+    tokens = record.tokens
+    joined = " ".join(tokens)
+    # n tokens joined by n - 1 spaces: any other count means one held a space.
+    if tokens and (joined.count(" ") != len(tokens) - 1 or "" in tokens):
+        raise SnapshotError(
+            f"{record.url}: a token is empty or holds a space, so the "
+            "document's tokens cannot be stored as one space-joined string"
+        )
     return {
         "url": record.url,
         "host": record.host,
         "title": record.title,
         "text": record.text,
-        "tokens": list(record.tokens),
+        "tokens": joined,
         "source": record.source,
         "annotations": dict(record.annotations),
     }
 
 
 def decode_record(payload: dict[str, Any]) -> IngestRecord:
+    """The inverse of :func:`encode_record`; an entry of another layout
+    raises ``ValueError`` / ``TypeError``, as :func:`~repro.persist.codec.decode` does."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"IngestRecord: expected an object, got {type(payload).__name__}")
+    if payload.keys() != _RECORD_FIELDS:
+        raise ValueError(
+            f"IngestRecord: unknown {sorted(payload.keys() - _RECORD_FIELDS)}, "
+            f"missing {sorted(_RECORD_FIELDS - payload.keys())}"
+        )
+    tokens = payload["tokens"]
+    if not isinstance(tokens, str):
+        raise ValueError(
+            f"IngestRecord: tokens must be one space-joined string, got {type(tokens).__name__}"
+        )
     return IngestRecord(
         url=payload["url"],
         host=payload["host"],
         title=payload["title"],
         text=payload["text"],
-        tokens=list(payload["tokens"]),
+        tokens=tokens.split(" ") if tokens else [],
         source=payload["source"],
         annotations=dict(payload["annotations"]),
     )
+
+
+def _layout_error(source: Path, error: Exception) -> SnapshotError:
+    return SnapshotError(f"{source}: snapshot does not match this build's layout ({error})")
+
+
+def _decoded(source: Path, documents: list[object]) -> Iterator[IngestRecord]:
+    """The stored documents, decoded one at a time as ingest pulls them."""
+    for entry in documents:
+        try:
+            record = decode_record(entry)
+        except (TypeError, ValueError) as error:
+            raise _layout_error(source, error) from error
+        yield record
 
 
 # -- snapshot write ---------------------------------------------------------
@@ -137,15 +190,22 @@ def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
         harvest=service._harvest,
         cache_generation=service.cache_generation,
     )
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     try:
         text = json.dumps(encode(ServiceSnapshot, snapshot), sort_keys=True)
     except (TypeError, ValueError) as error:
         raise SnapshotError(f"snapshot payload is not serializable: {error}") from error
+    target = Path(path)
     scratch = target.with_name(target.name + ".tmp")
-    scratch.write_text(text + "\n")
-    os.replace(scratch, target)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        scratch.write_text(text + "\n")
+        os.replace(scratch, target)
+    except OSError as error:
+        with suppress(OSError):
+            scratch.unlink(missing_ok=True)
+        raise SnapshotError(
+            f"{target}: snapshot not written ({error}); any previous snapshot is unchanged"
+        ) from error
     return target
 
 
@@ -175,9 +235,7 @@ def restore_service(
     try:
         snapshot: ServiceSnapshot = decode(ServiceSnapshot, payload)
     except (TypeError, ValueError) as error:
-        raise SnapshotError(
-            f"{source}: snapshot does not match this build's layout ({error})"
-        ) from error
+        raise _layout_error(source, error) from error
 
     if web is None:
         if snapshot.web_config is None:
@@ -199,9 +257,8 @@ def restore_service(
     # live writes).  A fresh store must reproduce ids 1..N; a caller-
     # supplied store already holding the corpus (e.g. the reopened sqlite
     # file) dedups by URL onto those same ids -- and must hold nothing else.
-    records = [decode_record(entry) for entry in snapshot.documents]
-    ids = service.engine.ingest_records(records)
-    if ids != list(range(1, len(ids) + 1)) or len(service.store) != len(records):
+    ids = service.engine.ingest_records(_decoded(source, snapshot.documents))
+    if ids != list(range(1, len(ids) + 1)) or len(service.store) != len(ids):
         raise SnapshotError(
             f"{source}: restored store did not reproduce snapshot doc ids "
             "(restore needs an empty store, or one holding exactly this corpus)"

@@ -141,22 +141,27 @@ class InvertedIndex:
         self._idf_cache.clear()
         self._impact_cache.clear()
 
-    def document_terms(self) -> dict[int, list[tuple[str, int]]]:
-        """Per-document ``(term, frequency)`` pairs, terms sorted.
+    def document_terms(self) -> dict[int, list[str]]:
+        """Each document's token stream, terms sorted, each term repeated
+        ``frequency`` times -- built in one pass over the sorted postings.
 
-        The index stores token *counts*, not token order; a token stream
-        rebuilt from these pairs (each term repeated ``frequency`` times)
-        re-indexes to bit-identical state -- :meth:`add_document` only
-        reads the ``Counter`` and the stream length.  This is the export
-        seam persistence snapshots serialize the corpus through.
+        The index stores token *counts*, not token order; a term-sorted
+        stream re-indexes to bit-identical state -- :meth:`add_document`
+        only reads the ``Counter`` and the stream length.  This is the
+        export seam persistence snapshots serialize the corpus through;
+        every id of the index has an entry (an empty document an empty
+        list), and each list is new, so a caller may keep it as a record's
+        tokens.
         """
-        by_doc: dict[int, list[tuple[str, int]]] = {
-            doc_id: [] for doc_id in self._doc_lengths
-        }
-        for term in sorted(self._postings):
-            for doc_id, frequency in self._postings[term].items():
-                by_doc[doc_id].append((term, frequency))
-        return by_doc
+        streams: dict[int, list[str]] = {doc_id: [] for doc_id in self._doc_lengths}
+        postings = self._postings
+        for term in sorted(postings):
+            for doc_id, frequency in postings[term].items():
+                if frequency == 1:
+                    streams[doc_id].append(term)
+                else:
+                    streams[doc_id] += [term] * frequency
+        return streams
 
     # -- querying -----------------------------------------------------------
 

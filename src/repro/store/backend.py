@@ -79,8 +79,11 @@ class StorageBackend(Protocol):
         Re-adding the exported records to an empty backend must reproduce
         doc ids, rankings and scores exactly.  Token order within a
         record need not match the original stream -- indexing is count-
-        based -- so backends may reconstruct streams from their postings.
-        This is the seam whole-service snapshots serialize through.
+        based -- so the index-backed stores hand out the term-sorted
+        streams :meth:`~repro.search.inverted_index.InvertedIndex.document_terms`
+        builds from their postings in one pass (sqlite returns its stored
+        rows verbatim).  This is the seam whole-service snapshots
+        serialize through.
         """
         ...
 
@@ -175,16 +178,15 @@ class DocumentCatalog:
     def documents_for_host(self, host: str) -> list[Document]:
         return [doc for doc in self._documents.values() if doc.host == host]
 
-    def _records_from_terms(
-        self, terms: Mapping[int, Sequence[tuple[str, int]]]
-    ) -> list[IngestRecord]:
-        """Re-ingestable records from per-document ``(term, frequency)`` pairs.
+    def _records_from_terms(self, streams: Mapping[int, list[str]]) -> list[IngestRecord]:
+        """Re-ingestable records from per-document token streams.
 
-        Token *order* is not retained (an index keeps per-term counts), so
-        each document's stream is rebuilt in the order ``terms`` gives;
-        re-adding the records to an empty backend reproduces doc ids,
-        postings and therefore rankings and scores bit for bit (indexing
-        is order-insensitive by construction).
+        ``streams`` is :meth:`InvertedIndex.document_terms` output (merged
+        across shards): token *order* is not retained (an index keeps
+        per-term counts), so each record takes its document's term-sorted
+        stream as is; re-adding the records to an empty backend reproduces
+        doc ids, postings and therefore rankings and scores bit for bit
+        (indexing is order-insensitive by construction).
         """
         return [
             IngestRecord(
@@ -192,11 +194,7 @@ class DocumentCatalog:
                 host=doc.host,
                 title=doc.title,
                 text=doc.text,
-                tokens=[
-                    term
-                    for term, frequency in terms.get(doc_id, ())
-                    for _ in range(frequency)
-                ],
+                tokens=streams[doc_id],
                 source=doc.source,
                 annotations=dict(doc.annotations),
             )

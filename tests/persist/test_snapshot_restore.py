@@ -12,11 +12,15 @@ pre-snapshot ranking as fresh).
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from repro.api import DeepWebService
+from repro.cluster import ClusterBackend
 from repro.core.surfacer import SurfacingConfig
 from repro.persist import SnapshotError, SqliteBackend
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -204,6 +208,55 @@ def test_restore_into_reopened_sqlite_store(tmp_path):
     restored.store.close()
 
 
+def test_cluster_snapshot_restores_into_memory_and_into_another_cluster(tmp_path):
+    """A cluster exports its shards' postings as term-sorted streams: a 4 x 2
+    snapshot restores into the default store and into a 3 x 1 cluster with
+    the same ids, rankings and scores."""
+    with ClusterBackend(4, 2, deadline_seconds=30) as cluster:
+        service = DeepWebService.build().web(WEB).surfacing(SURFACING).store(cluster).create()
+        service.crawl(max_pages=100)
+        service.surface()
+        service.harvest_tables()
+        expected = answers(service)
+        path = service.snapshot(tmp_path / "cluster.json")
+        assert cluster.degraded_searches == 0
+    with ClusterBackend(3, 1, deadline_seconds=30) as other:
+        for restored in (DeepWebService.restore(path), DeepWebService.restore(path, store=other)):
+            assert answers(restored) == expected
+            assert normalized_index(restored.engine) == normalized_index(service.engine)
+        assert restored.store is other and other.degraded_searches == 0
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_a_failed_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch, failing):
+    """A write that runs out of space part-way, or a rename that is refused,
+    is a SnapshotError: the scratch file is gone and the snapshot already
+    at the path is byte-for-byte what it was."""
+    service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
+    service.crawl(max_pages=30)
+    path = service.snapshot(tmp_path / "snapshot.json")
+    before = path.read_bytes()
+    service.crawl(max_pages=60)
+    if failing == "write":
+        write_text = Path.write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    else:
+
+        def refuse(source, target):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(SnapshotError, match="not written.*previous snapshot is unchanged"):
+        service.snapshot(path)
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["snapshot.json"]
+
+
 def test_restore_refuses_a_store_holding_more_than_the_snapshot(tmp_path):
     """The replay dedups a snapshot's documents onto the store's ids 1..N,
     so the id check alone passes on a store holding the snapshot *and*
@@ -312,12 +365,27 @@ def test_fault_accounting_survives_restore(tmp_path):
         (lambda payload: payload["results"][0].pop("host"), "missing .'host'."),
         (lambda payload: payload.update(surprise=1), "unknown .'surprise'."),
         (lambda payload: payload["surfacing_config"].update(max_urls_per_form=0), "positive"),
+        (lambda payload: payload["documents"][0].pop("tokens"), "missing .'tokens'."),
+        (lambda payload: payload["documents"][0].update(tokens=7), "string, got int"),
+        (lambda payload: payload["documents"][-1].update(surprise=1), "unknown .'surprise'."),
+        (
+            lambda payload: payload["documents"][0].update(
+                tokens=payload["documents"][0]["tokens"].split(" ")
+            ),
+            "string, got list",
+        ),
+        (lambda payload: payload["documents"].append("a document"), "expected an object"),
     ],
-    ids=["unknown-result-key", "missing-result-field", "unknown-top-level-key", "invalid-config"],
+    ids=[
+        "unknown-result-key", "missing-result-field", "unknown-top-level-key", "invalid-config",
+        "document-without-tokens", "document-tokens-not-a-string", "unknown-document-key",
+        "format-3-token-list", "document-not-an-object",
+    ],
 )
 def test_restore_refuses_a_payload_of_another_layout(round_trip, tmp_path, tamper, complaint):
     """An undeclared key, a missing required field and an invalid value are
-    snapshot errors, never a bare TypeError / KeyError from a constructor."""
+    snapshot errors, never a bare TypeError / KeyError from a constructor --
+    in the stored documents too, whichever entry holds them."""
     _, _, _, path = round_trip
     payload = json.loads(path.read_text())
     tamper(payload)
