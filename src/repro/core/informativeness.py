@@ -16,12 +16,12 @@ organised around two ideas:
   result-count banner and the error state -- in a single traversal
   (:class:`PageAnalysis`).  The search engine and the keyword prober reuse
   the same analysis instead of re-parsing the page.
-* For the well-formed markup the synthetic web emits, the parse itself is a
-  linear string scan (:func:`_fast_scan`) instead of the stdlib
-  ``html.parser`` state machine; any construct the scanner does not fully
-  understand (script/style CDATA, declarations beyond a doctype, malformed
-  tags) falls back to the DOM path.  Both paths produce byte-identical
-  analyses (``tests/core/test_informativeness.py`` checks differentially).
+* For the well-formed markup the synthetic web emits, the parse itself is
+  one ``re.split`` into text and tag pieces (:func:`_fast_scan`), each
+  distinct tag string parsed once per :class:`SignatureCache`; anything it
+  does not fully understand (script/style CDATA, malformed tags, a ``>``
+  inside a quoted value or a comment) falls back to the stdlib DOM path.
+  Both paths produce byte-identical analyses (``tests/core/`` fuzzes them).
 * :class:`SignatureCache` keys analyses by a fast content hash of the raw
   HTML, so identical result pages -- empty-results pages and error pages
   repeat constantly across probes, templates and sites -- are never parsed
@@ -149,24 +149,27 @@ def content_key(html: str) -> str:
 # -- the linear fast path ---------------------------------------------------
 #
 # Site-generated pages are well-formed: escaped text, quoted attributes, a
-# known tag inventory and no script/style blocks.  For those, a single
-# regex-tokenized scan reproduces exactly what :func:`_dom_scan` reads off
-# the tree (title, visible body text, raw hrefs) without building a tree
-# or running the stdlib parser's state machine.  The scanner is strict: any
-# token it cannot prove it understands makes it return ``None`` and the DOM
-# path runs instead, so correctness never depends on the fast path.
+# known tag inventory and no script/style blocks.  For those, a walk over
+# the page split into text and tag pieces reproduces exactly what
+# :func:`_dom_scan` reads off the tree (title, visible body text, raw hrefs)
+# without building a tree or running the stdlib parser's state machine.
+# The scanner is strict: any piece it cannot prove it understands makes it
+# return ``None`` and the DOM path runs instead, so correctness never
+# depends on the fast path.
 
 # Elements whose content the stdlib parser treats as raw text (CDATA); the
 # fast path refuses them rather than replicating that mode.
 _CDATA_TAGS = frozenset({"script", "style"})
 
-# Groups: 1 = end-tag name, 2 = start-tag name, 3 = attribute string,
-# 4 = self-closing slash.  ``match.lastindex`` dispatches: None for text /
-# comments / doctype, 1 for end tags, 4 for start tags (groups 3 and 4
-# always participate, even when empty).
+# Text pieces at even indices, tag pieces (``<`` to the first ``>``) at odd ones.
+_TAG_SPLIT_RE = re.compile(r"(<[^<>]*>)")
+
+# The grammar a whole tag piece must match.  Groups: 1 = end-tag name, 2 =
+# start-tag name, 3 = attribute string, 4 = self-closing slash.
+# ``match.lastindex`` dispatches: None for comments / doctype, 1 for end
+# tags, 4 for start tags (groups 3 and 4 always participate, even empty).
 _FAST_TOKEN_RE = re.compile(
-    r"[^<]+"
-    r"|<!--.*?-->"
+    r"<!--.*?-->"
     r"|<![Dd][Oo][Cc][Tt][Yy][Pp][Ee][^>]*>"
     r"|</([a-zA-Z][a-zA-Z0-9-]*)\s*>"
     r"|<([a-zA-Z][a-zA-Z0-9-]*)"
@@ -205,14 +208,32 @@ def _fast_href(attrs: str) -> str:
     return ""
 
 
-def _fast_scan(html: str) -> "tuple[str, str, tuple[str, ...]] | None":
-    """Linear-scan equivalent of :func:`_dom_scan`, or ``None`` to fall back.
+def _parse_tag(piece: str) -> "tuple[int, str, str, bool] | None":
+    """``(kind, lower-cased name, kept href, self-closing)`` of a tag piece,
+    kind 0 = ignored, 1 = end tag, 2 = start tag; ``None`` to fall back."""
+    match = _FAST_TOKEN_RE.fullmatch(piece)
+    if match is None:
+        return None
+    tag = (match.group(1) or match.group(2) or "").lower()  # "" for a comment / doctype
+    if match.lastindex != 4:  # not a start tag
+        return (1 if tag and tag not in _VOID_TAGS else 0, tag, "", False)
+    if tag in _CDATA_TAGS:
+        return None
+    href = _fast_href(match.group(3)) if tag == "a" else ""
+    return (2, tag, href, match.group(4) == "/" or tag in _VOID_TAGS)
+
+
+def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[str, ...]] | None":
+    """Split-scan equivalent of :func:`_dom_scan`, or ``None`` to fall back.
 
     Returns ``(title, body_text, hrefs)`` exactly as the DOM path would
     compute them.  Piece ordering follows ``DomNode._collect_text`` (a
     node's own text chunks precede its children's), which the scanner
     reproduces by folding each element's chunks into its parent at close.
+    ``tags`` memoizes :func:`_parse_tag` (a cache passes its own).  A text
+    piece holding ``<``, a tag outside the grammar and script / style refuse.
     """
+    tags = {} if tags is None else tags
     # Frame: [tag, own_chunks, subtree_pieces, role] with role 1 = the
     # first <title>, 2 = the first <body>.
     stack: list[list] = [["#document", [], [], 0]]
@@ -221,7 +242,6 @@ def _fast_scan(html: str) -> "tuple[str, str, tuple[str, ...]] | None":
     title_seen = False
     body_seen = False
     body_pieces: list[str] | None = None
-    pos = 0
 
     def fold() -> None:
         nonlocal title, body_pieces
@@ -234,24 +254,28 @@ def _fast_scan(html: str) -> "tuple[str, str, tuple[str, ...]] | None":
         if tag not in SKIP_TAGS and pieces:
             stack[-1][2].extend(pieces)
 
-    for match in _FAST_TOKEN_RE.finditer(html):
-        if match.start() != pos:
-            return None
-        pos = match.end()
-        kind = match.lastindex
-        if kind is None:
-            token = match.group()
-            if token[0] == "<":
-                continue  # comment or doctype
-            if "&" in token:
-                token = unescape(token)
-            data = token.strip()
-            if data:
-                stack[-1][1].append(data)
+    for position, piece in enumerate(_TAG_SPLIT_RE.split(html)):
+        if not position & 1:  # text
+            if piece:
+                if "<" in piece:
+                    return None
+                if "&" in piece:
+                    piece = unescape(piece)
+                data = piece.strip()
+                if data:
+                    stack[-1][1].append(data)
             continue
-        if kind == 1:  # end tag
-            tag = match.group(1).lower()
-            if tag in _VOID_TAGS:
+        parsed = tags.get(piece)
+        if parsed is None:
+            parsed = tags[piece] = _parse_tag(piece)
+            if parsed is None:
+                return None
+        kind, tag, href, selfclose = parsed
+        if not kind:
+            continue
+        if kind == 1:
+            if stack[-1][0] == tag:  # the common, well-nested case
+                fold()
                 continue
             for index in range(len(stack) - 1, 0, -1):
                 if stack[index][0] == tag:
@@ -259,14 +283,10 @@ def _fast_scan(html: str) -> "tuple[str, str, tuple[str, ...]] | None":
                         fold()
                     break
             continue
-        tag = match.group(2).lower()
-        if tag in _CDATA_TAGS:
-            return None
-        if tag == "a":
-            href = _fast_href(match.group(3))
-            if href:
-                hrefs.append(href)
-        selfclose = match.group(4) == "/" or tag in _VOID_TAGS
+        if href:
+            hrefs.append(href)
+        if title_seen and title is None and tag in SKIP_TAGS:
+            return None  # the open title's text includes what the fold skips
         role = 0
         if tag == "title" and not title_seen:
             title_seen = True
@@ -287,8 +307,6 @@ def _fast_scan(html: str) -> "tuple[str, str, tuple[str, ...]] | None":
                 role = 2
         if not selfclose:
             stack.append([tag, [], [], role])
-    if pos != len(html):
-        return None
     while len(stack) > 1:
         fold()
     if body_seen:
@@ -305,14 +323,14 @@ def _dom_scan(html: str) -> tuple[str, str, tuple[str, ...]]:
     return (extract_title(dom), extract_text(dom, include_title=False), tuple(raw_hrefs(dom)))
 
 
-def analyze_html(html: str, key: str | None = None) -> PageAnalysis:
+def analyze_html(html: str, key: str | None = None, tags: dict | None = None) -> PageAnalysis:
     """Parse a page once and derive every signature/indexing ingredient.
 
     The produced ``text`` (and therefore the content digest) is
     byte-identical to ``extract_text(parse_html(html))`` and the hrefs match
-    what ``extract_links`` would collect before resolution.
+    what ``extract_links`` would collect before resolution (``tags``: :func:`_fast_scan`).
     """
-    title, body_text, hrefs = _fast_scan(html) or _dom_scan(html)
+    title, body_text, hrefs = _fast_scan(html, tags) or _dom_scan(html)
     # Both pieces are already stripped, so this is the join over every chunk.
     text = " ".join(piece for piece in (title, body_text) if piece)
     normalized = normalize(text)
@@ -327,7 +345,7 @@ def analyze_html(html: str, key: str | None = None) -> PageAnalysis:
         content_key=key if key is not None else content_key(html),
         title=title,
         text=text,
-        digest=hashlib.sha1(normalized.encode("utf-8")).hexdigest()[:16],
+        digest=hashlib.sha1(normalized.encode("utf-8", "surrogatepass")).hexdigest()[:16],
         banner_count=banner_count,
         is_error=any(marker in normalized for marker in _ERROR_MARKERS),
         hrefs=hrefs,
@@ -360,6 +378,7 @@ class SignatureCache:
         # content_key -> {(base_host, base_dir) -> signature}; bucketed per
         # content so eviction drops exactly one page's derived signatures.
         self._signatures: dict[str, dict[tuple[str, str], PageSignature]] = {}
+        self._tags: dict[str, tuple | None] = {}  # the scanner's memo, emptied past max_entries
         self.hits = 0
         self.misses = 0
 
@@ -382,6 +401,7 @@ class SignatureCache:
     def clear(self) -> None:
         self._analyses.clear()
         self._signatures.clear()
+        self._tags.clear()
         self.hits = 0
         self.misses = 0
 
@@ -395,7 +415,9 @@ class SignatureCache:
             self.hits += 1
             return cached
         self.misses += 1
-        analysis = analyze_html(html, key)
+        analysis = analyze_html(html, key, self._tags)
+        if len(self._tags) > self.max_entries:
+            self._tags.clear()
         if self.max_entries:
             if len(self._analyses) >= self.max_entries:
                 self._evict()

@@ -22,7 +22,7 @@ STOPWORDS = frozenset(
 
 def normalize(text: str) -> str:
     """Lower-case and collapse whitespace."""
-    return re.sub(r"\s+", " ", text.strip().lower())
+    return " ".join(text.lower().split())
 
 
 def tokenize(text: str, drop_stopwords: bool = False) -> list[str]:

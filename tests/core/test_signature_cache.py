@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.core import informativeness
 from repro.core.informativeness import SignatureCache, analyze_html
+from repro.datagen.domains import domain, domain_names
 from repro.htmlparse.dom import parse_html
 from repro.htmlparse.links import extract_links, resolve_links
 from repro.htmlparse.text import extract_text, extract_title
-from repro.webspace.sitegen import WebConfig, generate_web
+from repro.util.rng import SeededRng
+from repro.webspace.sitegen import (
+    WebConfig,
+    build_deep_site,
+    generate_surface_sites,
+    generate_web,
+)
+from repro.webspace.web import Web
 
 pytestmark = pytest.mark.smoke
 
@@ -121,6 +132,30 @@ class TestCacheMechanics:
         cache.clear()
         assert cache.stats()["entries"] == 0
 
+    def test_the_tag_memo_is_the_caches_and_bounded_by_it(self):
+        page = '<html><body><p>x</p><a href="/item?id=1">r</a></body></html>'
+        cache = SignatureCache()
+        cache.analyze(page)
+        assert cache._tags['<a href="/item?id=1">'] == (2, "a", "/item?id=1", False)
+        assert cache._tags["</p>"] == (1, "p", "", False)
+        cache.clear()
+        assert cache._tags == {}
+        storeless = SignatureCache(max_entries=0)
+        storeless.analyze(page)
+        assert storeless._tags == {}
+        small = SignatureCache(max_entries=8)
+        for index in range(10):
+            small.analyze(f"<html><body><p id={index}>x</p></body></html>")
+            assert len(small._tags) <= 8
+
+    def test_a_lone_surrogate_is_analyzed_not_raised_on(self):
+        html = "<html><body><p>x\udcff</p></body></html>"
+        signature = SignatureCache().signature(html)
+        assert signature.content_hash == hashlib.sha1(
+            "x\udcff".encode("utf-8", "surrogatepass")
+        ).hexdigest()[:16]
+        assert analyze_html(html).text == "x\udcff"
+
     def test_error_pages_short_circuit(self):
         cache = SignatureCache()
         assert cache.signature("anything", status_ok=False).is_error
@@ -133,7 +168,6 @@ class TestCacheMechanics:
         from repro.pipeline.pipeline import SurfacingPipeline
         from repro.search.crawler import Crawler
         from repro.search.engine import SearchEngine
-        from repro.webspace.web import Web
 
         injected = SignatureCache()
         engine = SearchEngine(signature_cache=injected)
@@ -173,13 +207,18 @@ class TestOneCachePerService:
     def test_two_services_in_one_process_share_nothing(self):
         first = surfaced()
         before = first.engine.signature_cache.stats()
-        assert before["misses"] > 0 and before["hits"] > 0
+        tags_before = dict(first.engine.signature_cache._tags)
+        assert before["misses"] > 0 and before["hits"] > 0 and tags_before
         second = surfaced()
         # Surfacing the same web again neither read nor moved the first
         # service's cache: the second one did all its own misses.
         assert first.engine.signature_cache.stats() == before
         assert second.engine.signature_cache is not first.engine.signature_cache
         assert second.engine.signature_cache.stats() == before
+        # ...and parsed its own tags into a memo of its own.
+        assert first.engine.signature_cache._tags == tags_before
+        assert second.engine.signature_cache._tags is not first.engine.signature_cache._tags
+        assert second.engine.signature_cache._tags == tags_before
 
     def test_every_analysis_of_a_service_goes_through_its_engines_cache(self):
         service = surfaced()
@@ -202,3 +241,52 @@ class TestOneCachePerService:
         assert surfacing_outcome(warm) == surfacing_outcome(cold)
         # ...and the second run really was served from the first one's work.
         assert warm_cache.hits - hits_before > cold.engine.signature_cache.misses // 2
+
+
+def every_domain_web() -> Web:
+    """One deep site per registered domain (with and without browse links)
+    plus a surface portal."""
+    web = Web()
+    rng = SeededRng("every-domain")
+    for index, name in enumerate(domain_names()):
+        web.register(
+            build_deep_site(
+                domain(name), f"{name.replace('_', '')}.test", 60, rng.child(name),
+                browse_link_count=3 if index % 2 else 0,
+            )
+        )
+    web.register_all(generate_surface_sites(WebConfig(surface_site_count=1), rng.child("surface")))
+    return web
+
+
+def test_every_page_of_a_surfacing_run_takes_the_analysis_fast_path(monkeypatch):
+    """Generated markup never needs the DOM path; a generator or scanner
+    change that sends pages there shows here (and in CI's summary)."""
+    from repro.api import DeepWebService, SurfacingConfig
+
+    scanned: list[str] = []
+    fallbacks: list[str] = []
+    fast_scan, dom_scan = informativeness._fast_scan, informativeness._dom_scan
+    monkeypatch.setattr(
+        informativeness, "_fast_scan",
+        lambda html, tags=None: scanned.append(html) or fast_scan(html, tags),
+    )
+    monkeypatch.setattr(
+        informativeness, "_dom_scan", lambda html: fallbacks.append(html) or dom_scan(html)
+    )
+    service = (
+        DeepWebService.build()
+        .web(every_domain_web())
+        .surfacing(SurfacingConfig(max_urls_per_form=60))
+        .create()
+    )
+    service.crawl(max_pages=60)
+    service.surface()
+    service.vertical  # registration analyzes every deep site's homepage
+    domains = {site.domain_name for site in service.web.deep_sites()}
+    # CI greps this line out of a ``-s`` run into the job summary.
+    print(f"\nanalysis fast path: {len(scanned)} pages, {len(fallbacks)} DOM fallbacks")
+    assert domains == set(domain_names())
+    assert service.report().sites_surfaced == len(domains)
+    assert len(scanned) > 500
+    assert fallbacks == []

@@ -8,6 +8,9 @@ must be equal; only the load on the sites may differ, and only downward.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro import DeepWebService, SurfacingConfig, SurfacingPipeline
@@ -230,3 +233,30 @@ def test_fetch_ledger_ratchet():
     assert sum(ledger.values()) == total == sum(result.analysis_load for result in results)
     assert report.analysis_load == total
     assert (ledger, report.urls_indexed) == (RATCHET_STAGE_FETCHES, RATCHET_URLS_INDEXED)
+
+
+# -- the absolute pin ----------------------------------------------------------
+
+#: sha256 of what surfacing ``RATCHET_WEB`` indexes and of every probe
+#: signature it computed.  The other tests here compare two paths of one
+#: build, so a page-analysis change that moves a byte of the index on both
+#: passes them; this pin does not.  A change that means to move the index
+#: re-records both digests and says why in CHANGES.md.
+PINNED_DOCUMENTS_SHA256 = "24f8407aaaebd6100082e1c3f02c6be81ac9baf6c42cf741c35df84c99a2e264"
+PINNED_SIGNATURES_SHA256 = "2903c33ffdad365f545ef9f8d1a173c602bb21f48fee487c9d1cb48cbd6f734e"
+
+
+def _sha256(value: object) -> str:
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+
+def test_surfaced_index_and_probe_signatures_are_pinned():
+    run = surface(generate_web(RATCHET_WEB), SurfacingConfig(max_urls_per_form=200))
+    signatures = sorted(
+        (result.signature.content_hash, result.signature.result_count,
+         sorted(result.signature.record_ids))
+        for result in run["pipeline"].prober._cache.values()
+    )
+    assert len(run["produced"]["documents"]) == RATCHET_URLS_INDEXED
+    assert _sha256(run["produced"]["documents"]) == PINNED_DOCUMENTS_SHA256
+    assert _sha256(signatures) == PINNED_SIGNATURES_SHA256
