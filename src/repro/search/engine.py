@@ -155,14 +155,11 @@ class SearchEngine:
         """Rank documents for a keyword query (BM25).
 
         Empty and whitespace-only queries (anything that tokenizes to
-        nothing) return ``[]`` without touching the backend -- the one
-        empty-query contract shared by ``service.query``, the planner and
-        the serving frontend.
+        nothing) and a non-positive ``k`` return ``[]`` without touching
+        the backend -- the one empty-request contract shared by
+        ``service.query``, the planner and the serving frontend.
         """
-        tokens = tokenize(query)
-        if not tokens:
-            return []
-        return self.materialize(self._backend.search(tokens, limit=k))
+        return self.materialize(self.rank(query, k))
 
     def rank(
         self, query: str, k: int = 10, per_source: bool = False
@@ -174,6 +171,8 @@ class SearchEngine:
         :meth:`~repro.store.backend.StorageBackend.search`); the federated
         executor ranks ids this way and materialises only what it returns.
         """
+        if k <= 0:
+            return []
         tokens = tokenize(query)
         if not tokens:
             return []

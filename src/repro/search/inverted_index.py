@@ -1,16 +1,25 @@
 """A BM25 inverted index.
 
-Scoring is one code path: :meth:`InvertedIndex.accumulate` adds one cached
-``idf * tf_component`` per posting, :func:`rank_accumulator` orders the sums.
+A score is the float sum, in query-token order, of one cached ``idf *
+tf_component`` impact per token, and :func:`rank_accumulator` orders the
+sums.  A top-``limit`` query walks only the postings of the terms that can
+change its answer (MaxScore: Turtle & Flood, IP&M 1995).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections import Counter, defaultdict
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
+
+#: Pruning compares with ``theta * _MARGIN``: a bound is a float sum, which
+#: rounding may leave a few ulps off the value it bounds.
+_MARGIN = 1.0 - 1e-9
+
+#: ``((idf, avgdl, len(postings)), impacts, max impact, {limit: limit-th impact})``
+_TermImpacts = tuple[tuple[float, float, int], dict[int, float], float, dict[int, float]]
 
 
 def rank_accumulator(
@@ -74,6 +83,76 @@ def bm25_idf(document_count: int, document_frequency: int) -> float:
     )
 
 
+def _add_impacts(impact_maps: Iterable[dict[int, float]], accumulator: dict[int, float]) -> None:
+    """Add each ``doc_id -> impact`` map into ``accumulator``, in order."""
+    for impacts in impact_maps:
+        if not accumulator:
+            # ``0.0 + x`` is ``x`` bit for bit: copy in one C-level update.
+            accumulator.update(impacts)
+            continue
+        get = accumulator.get
+        for doc_id, impact in impacts.items():
+            accumulator[doc_id] = get(doc_id, 0.0) + impact
+
+
+def _accumulate_top(
+    walk: list[_TermImpacts], terms: Iterable[_TermImpacts], limit: int, accumulator: dict[int, float]
+) -> None:
+    """MaxScore: put in the empty ``accumulator`` every document that can
+    rank among the ``limit`` best, with its exact score.  ``walk`` has one
+    cache entry per query token, ``terms`` one per distinct term.
+
+    ``theta`` is a score at least ``limit`` documents reach: impacts are
+    positive, so a document scores at least any one of its impacts and any
+    token-order partial sum of them (other orders are off by ulps, which
+    ``_MARGIN`` absorbs).  Survivors are rescored in token order.
+    """
+    theta = 0.0
+    for _key, impacts, top, kth_by_limit in sorted(terms, key=itemgetter(2), reverse=True):
+        if top <= theta:
+            break
+        if len(impacts) >= limit:
+            kth = kth_by_limit.get(limit)
+            if kth is None:
+                kth = kth_by_limit[limit] = heapq.nlargest(limit, impacts.values())[-1]
+            theta = max(theta, kth)
+    # The longest ascending-max prefix of tokens whose summed max stays
+    # below theta cannot rank a document alone: it is never walked.
+    floor = theta * _MARGIN
+    skipped: list[int] = []
+    unfolded = [0.0]  # unfolded[j]: the summed max of skipped[:j]
+    for position in sorted(range(len(walk)), key=lambda i: walk[i][2]):
+        bound = unfolded[-1] + walk[position][2]
+        if bound >= floor:
+            break
+        skipped.append(position)
+        unfolded.append(bound)
+    if not skipped:
+        _add_impacts((entry[1] for entry in walk), accumulator)
+        return
+    partial: dict[int, float] = {}
+    _add_impacts((entry[1] for i, entry in enumerate(walk) if i not in skipped), partial)
+    if len(partial) >= limit:
+        floor = max(theta, heapq.nlargest(limit, partial.values())[-1]) * _MARGIN
+    # A document stays while its partial score plus the max impacts still
+    # to fold in can reach the floor; the largest max is folded in first.
+    cut = floor - unfolded.pop()
+    candidates = {d: p for d, p in partial.items() if p >= cut}
+    for position in reversed(skipped):
+        cut = floor - unfolded.pop()
+        get = walk[position][1].get
+        candidates = {d: q for d, p in candidates.items() if (q := p + get(d, 0.0)) >= cut}
+    if len(candidates) > limit:
+        floor = max(floor, heapq.nlargest(limit, candidates.values())[-1] * _MARGIN)
+        candidates = {d: p for d, p in candidates.items() if p >= floor}
+    impact_maps = [entry[1] for entry in walk]
+    for doc_id in candidates:
+        score = 0.0
+        for impacts in impact_maps:
+            score += impacts.get(doc_id, 0.0)
+        accumulator[doc_id] = score
+
+
 class InvertedIndex:
     """Term -> postings index with BM25 scoring.
 
@@ -83,17 +162,24 @@ class InvertedIndex:
     not produce negative contributions on a small corpus).
 
     Scoring ingredients that depend only on the corpus are precomputed and
-    cached per queried term: its idf, and its *impacts* -- an ``array('d')``
-    of ``idf * tf_component``, one C double per posting, in the posting
-    dict's order.  Each entry carries what it was computed from and is
-    checked on every read: an idf the document count, an impact array the
-    ``(idf, average_length, len(postings))`` triple.  A shard is handed
-    corpus-global idf and average length that move when *another* shard is
-    written, so ``add_document`` clearing the caches (which only bounds
-    their size) cannot be what keeps them correct.  The first matching
-    term of a query is copied into the empty accumulator in one C-level
-    ``update`` -- ``0.0 + x`` is ``x`` bit for bit -- and later terms add
-    in query-token order, so scores equal the textbook loop's exactly.
+    cached per queried term: its idf, and its *impacts* -- a ``doc_id ->
+    idf * tf_component`` dict in posting order -- with the largest impact
+    and a memo of the ``limit``-th largest, filled on first use.  Each
+    entry carries what it was computed from and is checked on every read:
+    an idf the document count, impacts the ``(idf, average_length,
+    len(postings))`` triple.  A shard is handed corpus-global idf and
+    average length that move when *another* shard is written, so
+    ``add_document`` clearing the caches (which only bounds their size)
+    cannot be what keeps them correct.
+
+    A score sums a document's impacts in query-token order, exactly as the
+    textbook loop does.  A top-``limit`` query with no ``group`` and two or
+    more matching terms prunes (MaxScore): any one term's ``limit``-th
+    impact bounds the ``limit``-th score from below, tokens whose summed
+    max impact stays under the bound are only looked up, and documents
+    that cannot reach it are dropped before they are rescored exactly.
+    Shards do not prune: each holds a slice of every posting list, so the
+    bound's fixed cost outweighed its saving there (measured).
     """
 
     def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
@@ -104,8 +190,7 @@ class InvertedIndex:
         self._total_length = 0
         # term -> (document count, idf)
         self._idf_cache: dict[str, tuple[int, float]] = {}
-        # term -> ((idf, average_length, len(postings)), impacts)
-        self._impact_cache: dict[str, tuple[tuple[float, float, int], array]] = {}
+        self._impact_cache: dict[str, _TermImpacts] = {}
 
     def __len__(self) -> int:
         return len(self._doc_lengths)
@@ -182,25 +267,26 @@ class InvertedIndex:
 
     def _impacts(
         self, term: str, postings: dict[int, int], idf: float, average_length: float
-    ) -> array:
-        """``idf * tf_component`` per posting of ``term``, in posting order."""
+    ) -> _TermImpacts:
+        """The cache entry of ``term``: ``idf * tf_component`` per posting."""
         key = (idf, average_length, len(postings))
         cached = self._impact_cache.get(term)
         if cached is not None and cached[0] == key:
-            return cached[1]
+            return cached
         k1 = self.k1
         k1_plus_1 = k1 + 1
         b = self.b
         one_minus_b = 1 - b
         lengths = self._doc_lengths
         # A zero average length (only empty documents) norms every length as average.
-        impacts = array("d", [
-            idf * ((frequency * k1_plus_1) / (frequency + k1 * (one_minus_b + b * (
+        impacts = {
+            doc_id: idf * ((frequency * k1_plus_1) / (frequency + k1 * (one_minus_b + b * (
                 lengths[doc_id] / average_length if average_length else 1.0))))
             for doc_id, frequency in postings.items()
-        ])
-        self._impact_cache[term] = (key, impacts)
-        return impacts
+        }
+        entry = (key, impacts, max(impacts.values()), {})
+        self._impact_cache[term] = entry
+        return entry
 
     def accumulate(
         self,
@@ -208,6 +294,7 @@ class InvertedIndex:
         idf_by_term: Mapping[str, float],
         average_length: float,
         accumulator: dict[int, float],
+        limit: int | None = None,
     ) -> None:
         """Add this index's BM25 contributions into ``accumulator``.
 
@@ -216,18 +303,22 @@ class InvertedIndex:
         accumulating into one dict reproduce a single global index's
         scores exactly: a document lives in one shard, and its per-term
         contributions are added in query-token order.
+
+        Given a positive ``limit`` and an empty ``accumulator``, only
+        documents that can rank among the ``limit`` best (ties included)
+        are added, each with its exact score.
         """
-        for term in query_tokens:
-            postings = self._postings.get(term)
-            if not postings:
-                continue
-            impacts = self._impacts(term, postings, idf_by_term[term], average_length)
-            if not accumulator:
-                accumulator.update(zip(postings, impacts))
-                continue
-            get = accumulator.get
-            for doc_id, impact in zip(postings, impacts):
-                accumulator[doc_id] = get(doc_id, 0.0) + impact
+        postings = self._postings
+        tokens = [term for term in query_tokens if postings.get(term)]
+        entries = {
+            term: self._impacts(term, postings[term], idf_by_term[term], average_length)
+            for term in dict.fromkeys(tokens)
+        }
+        walk = [entries[term] for term in tokens]
+        if limit is not None and limit > 0 and not accumulator and len(entries) > 1:
+            _accumulate_top(walk, entries.values(), limit, accumulator)
+        else:
+            _add_impacts((entry[1] for entry in walk), accumulator)
 
     def score(
         self,
@@ -241,12 +332,14 @@ class InvertedIndex:
         ascending doc id (for determinism).  ``limit`` truncates the list
         (via :func:`rank_accumulator`'s top-k selection, which produces
         exactly the same ordering as the full sort) -- per ``group`` of
-        documents when one is given.
+        documents when one is given.  Without a ``group``, only the
+        postings that can change the top ``limit`` are walked.
         """
         tokens = list(query_tokens)
         idf_by_term = {term: self.idf(term) for term in tokens if term in self._postings}
         accumulator: dict[int, float] = {}
-        self.accumulate(tokens, idf_by_term, self.average_length(), accumulator)
+        pruning_limit = limit if group is None else None
+        self.accumulate(tokens, idf_by_term, self.average_length(), accumulator, pruning_limit)
         return rank_accumulator(accumulator, limit, group)
 
     def matching_documents(self, query_tokens: Iterable[str], require_all: bool = False) -> set[int]:

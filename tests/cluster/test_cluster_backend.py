@@ -258,6 +258,16 @@ class TestClusterStats:
         text = "\n".join(stats.lines())
         assert "4 x 2 replicas" in text
 
+    def test_non_positive_k_never_scatters(self, cluster):
+        """``k <= 0`` asks for nothing: no shard gets a task, so a failing
+        shard cannot count a degraded search either."""
+        engine = SearchEngine(backend=cluster)
+        assert engine.search("used car", k=0) == []
+        assert engine.rank("used car", k=0, per_source=True) == []
+        assert engine.rank("used car", k=-3) == []
+        stats = cluster.cluster_stats()
+        assert (stats.scatters, stats.tasks) == (0, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterBackend(shard_count=0)

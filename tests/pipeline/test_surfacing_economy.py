@@ -18,6 +18,9 @@ from repro.core.form_model import discover_forms
 from repro.core.probe import FormProber
 from repro.pipeline.observer import MetricsObserver, PipelineObserver
 from repro.search.engine import SearchEngine
+from repro.search.inverted_index import rank_accumulator
+from repro.serve.loadgen import WorkloadGenerator
+from repro.util.text import tokenize
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.page import WebPage
 from repro.webspace.sitegen import WebConfig, generate_web
@@ -233,6 +236,36 @@ def test_fetch_ledger_ratchet():
     assert sum(ledger.values()) == total == sum(result.analysis_load for result in results)
     assert report.analysis_load == total
     assert (ledger, report.urls_indexed) == (RATCHET_STAGE_FETCHES, RATCHET_URLS_INDEXED)
+
+
+def test_top_k_scoring_on_the_keyword_population():
+    """Top-k scoring on ``RATCHET_WEB``'s index equals the full sort cut to
+    ``limit`` and computes exact scores only for documents that can rank."""
+    service = (
+        DeepWebService.build()
+        .web(RATCHET_WEB)
+        .surfacing(SurfacingConfig(max_urls_per_form=200))
+        .create()
+    )
+    service.surface()
+    index = service.engine.backend.index
+    queries = [tokenize(query.text) for query in WorkloadGenerator(service.web).population()]
+    exact = matched = 0
+    for tokens in queries:
+        idf_by_term = {term: index.idf(term) for term in tokens if index.document_frequency(term)}
+        full: dict[int, float] = {}
+        top: dict[int, float] = {}
+        index.accumulate(tokens, idf_by_term, index.average_length(), full)
+        index.accumulate(tokens, idf_by_term, index.average_length(), top, limit=10)
+        assert index.score(tokens, limit=10) == rank_accumulator(full)[:10]
+        exact += len(top)
+        matched += len(full)
+    # CI greps this line out of a ``-s`` run into the job summary.
+    print(
+        f"\ntop-k scoring: {len(queries)} queries, "
+        f"exact scores for {exact} of {matched} matched documents"
+    )
+    assert exact < matched
 
 
 # -- the absolute pin ----------------------------------------------------------

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.search import inverted_index
 from repro.search.inverted_index import InvertedIndex
@@ -165,6 +168,109 @@ class TestTopKThroughTies:
         assert index.score(["alpha"], limit=0) == []
         assert index.score(["alpha"], limit=-3) == []
         assert index.score(["nosuchterm"], limit=0) == []
+
+
+COMMON_TERMS = ["book", "recipe", "sale"]
+RARE_TERMS = [f"rare{i}" for i in range(20)]
+
+
+@st.composite
+def skewed_corpora(draw):
+    """A few terms in most documents, many rare ones, every document copied
+    up to three times under interleaved ids (so scores tie), and a query
+    that may repeat its tokens or name an unindexed term."""
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(COMMON_TERMS), max_size=4),
+                st.lists(st.sampled_from(RARE_TERMS), max_size=4),
+                st.integers(min_value=1, max_value=3),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    copies = [common + rare for common, rare, count in shapes for _ in range(count)]
+    docs = dict(enumerate(draw(st.permutations(copies)), start=1))
+    query = draw(
+        st.lists(st.sampled_from(COMMON_TERMS + RARE_TERMS[:8] + ["absent"]), min_size=1, max_size=5)
+    )
+    query += query[: draw(st.integers(min_value=0, max_value=2))]
+    return docs, query
+
+
+class TestPrunedTopK:
+    """A top-``limit`` query on one index walks only the postings that can
+    change its answer; the answer stays the naive ranking bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(skewed_corpora())
+    def test_pruned_top_k_equals_the_naive_ranking(self, corpus):
+        docs, query = corpus
+        index = index_of(docs)
+        naive = naive_score(index, docs, query)
+        idf_by_term = {term: index.idf(term) for term in query if index.document_frequency(term)}
+        full: dict[int, float] = {}
+        index.accumulate(query, idf_by_term, index.average_length(), full)
+        for limit in range(1, len(naive) + 2):
+            assert index.score(query, limit=limit) == naive[:limit]
+            top: dict[int, float] = {}
+            index.accumulate(query, idf_by_term, index.average_length(), top, limit)
+            assert top.items() <= full.items()
+            if limit <= len(naive):
+                kth = naive[limit - 1][1]
+                assert {doc_id for doc_id, score in naive if score >= kth} <= top.keys()
+            else:
+                assert top == full
+
+    def test_pruning_fires_on_a_skewed_corpus(self):
+        docs = {doc_id: ["book"] * (1 + doc_id % 3) for doc_id in range(1, 101)}
+        for doc_id in (7, 40, 41, 93):
+            docs[doc_id] = docs[doc_id] + ["zanzibar"]
+        index = index_of(docs)
+        query = ["book", "zanzibar"]
+        idf_by_term = {term: index.idf(term) for term in query}
+        full: dict[int, float] = {}
+        top: dict[int, float] = {}
+        index.accumulate(query, idf_by_term, index.average_length(), full)
+        index.accumulate(query, idf_by_term, index.average_length(), top, 3)
+        assert top.items() <= full.items()
+        assert len(top) < len(full) == len(docs)
+        assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
+
+
+class TestConcurrentReaders:
+    def test_threads_on_a_cold_index_agree_with_a_serial_reader(self):
+        """Frontend workers fill the per-term impact entries and their
+        ``limit``-th impact memo concurrently; no interleaving may change
+        an answer."""
+        rng = random.Random(41)
+        vocabulary = ["book"] * 8 + ["sale"] * 4 + [f"term{i}" for i in range(60)]
+        docs = {
+            doc_id: [rng.choice(vocabulary) for _ in range(rng.randint(2, 30))]
+            for doc_id in range(1, 301)
+        }
+        queries = [[rng.choice(vocabulary) for _ in range(rng.randint(2, 4))] for _ in range(150)]
+        rng.shuffle(queries)
+        serial = [index_of(docs).score(query, limit=10) for query in queries]
+        shared = index_of(docs)
+        answers: dict[int, list] = {}
+
+        def reader(worker: int) -> None:
+            answers[worker] = [shared.score(query, limit=10) for query in queries]
+
+        threads = [threading.Thread(target=reader, args=(worker,)) for worker in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == {worker: serial for worker in range(8)}
 
 
 class TestAccumulateUnderExternalIngredients:
