@@ -7,7 +7,9 @@
 #
 # The parent's committed files are unpacked (`git archive`) into a temporary
 # directory that is removed on exit; each side's records are gathered into
-# bench/out/pairs-{parent,change}.json and handed to `python -m bench compare`.
+# bench/out/pairs-{parent,change}.json and handed to `python -m bench compare`;
+# after its verdicts a second table counts, per workload and end-to-end
+# metric, the same-seed pairs each side won (a tie counts for neither).
 # Exit status: 1 if any run failed its oracle or could not run, else compare's.
 # A run that wrote no record is named (side, workload, seed) on stderr and
 # nothing is compared.
@@ -83,4 +85,26 @@ if [ "$gathered" = no ]; then
     exit 1
 fi
 python3 -m bench compare bench/out/pairs-parent.json bench/out/pairs-change.json || failures=$((failures + 1))
+
+# Pair wins: the 9-of-10 rule read straight off the run.
+python3 - bench/out/pairs-parent.json bench/out/pairs-change.json <<'EOF'
+import json, sys
+from bench import spec
+
+parent, change = (
+    {(r["workload"], r["seed"]): r["metrics"] for r in json.load(open(path))["runs"]}
+    for path in sys.argv[1:]
+)
+print(f"\n{'workload':16s} {'metric':24s} {'change won':>10s} {'parent won':>10s} {'pairs':>6s}")
+for workload in spec.WORKLOAD_NAMES:
+    seeds = sorted(seed for name, seed in parent if name == workload and (name, seed) in change)
+    for metric in spec.END_TO_END if seeds else ():
+        sign = 1.0 if metric.better == "lower" else -1.0
+        gaps = [
+            sign * (change[key][metric.name]["value"] - parent[key][metric.name]["value"])
+            for key in ((workload, seed) for seed in seeds)
+        ]
+        won, lost = sum(gap < 0 for gap in gaps), sum(gap > 0 for gap in gaps)
+        print(f"{workload:16s} {metric.name:24s} {won:10d} {lost:10d} {len(seeds):6d}")
+EOF
 [ "$failures" -eq 0 ]

@@ -3,14 +3,17 @@
 A score is the float sum, in query-token order, of one cached ``idf *
 tf_component`` impact per token, and :func:`rank_accumulator` orders the
 sums.  A top-``limit`` query walks only the postings of the terms that can
-change its answer (MaxScore: Turtle & Flood, IP&M 1995).
+change its answer (MaxScore: Turtle & Flood, IP&M 1995); after a write it
+bounds a term from the term's last exact build instead of rebuilding it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from collections import Counter, defaultdict
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -18,8 +21,9 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 #: rounding may leave a few ulps off the value it bounds.
 _MARGIN = 1.0 - 1e-9
 
-#: ``((idf, avgdl, len(postings)), impacts, max impact, {limit: limit-th impact})``
-_TermImpacts = tuple[tuple[float, float, int], dict[int, float], float, dict[int, float]]
+#: ``((idf, avgdl, len(postings)), impacts, max impact, {limit: limit-th impact})``;
+#: an entry scaled from an anchor has no impacts and bounds the two impacts.
+_TermImpacts = tuple[tuple[float, float, int], dict[int, float] | None, float, dict[int, float]]
 
 
 def rank_accumulator(
@@ -95,64 +99,6 @@ def _add_impacts(impact_maps: Iterable[dict[int, float]], accumulator: dict[int,
             accumulator[doc_id] = get(doc_id, 0.0) + impact
 
 
-def _accumulate_top(
-    walk: list[_TermImpacts], terms: Iterable[_TermImpacts], limit: int, accumulator: dict[int, float]
-) -> None:
-    """MaxScore: put in the empty ``accumulator`` every document that can
-    rank among the ``limit`` best, with its exact score.  ``walk`` has one
-    cache entry per query token, ``terms`` one per distinct term.
-
-    ``theta`` is a score at least ``limit`` documents reach: impacts are
-    positive, so a document scores at least any one of its impacts and any
-    token-order partial sum of them (other orders are off by ulps, which
-    ``_MARGIN`` absorbs).  Survivors are rescored in token order.
-    """
-    theta = 0.0
-    for _key, impacts, top, kth_by_limit in sorted(terms, key=itemgetter(2), reverse=True):
-        if top <= theta:
-            break
-        if len(impacts) >= limit:
-            kth = kth_by_limit.get(limit)
-            if kth is None:
-                kth = kth_by_limit[limit] = heapq.nlargest(limit, impacts.values())[-1]
-            theta = max(theta, kth)
-    # The longest ascending-max prefix of tokens whose summed max stays
-    # below theta cannot rank a document alone: it is never walked.
-    floor = theta * _MARGIN
-    skipped: list[int] = []
-    unfolded = [0.0]  # unfolded[j]: the summed max of skipped[:j]
-    for position in sorted(range(len(walk)), key=lambda i: walk[i][2]):
-        bound = unfolded[-1] + walk[position][2]
-        if bound >= floor:
-            break
-        skipped.append(position)
-        unfolded.append(bound)
-    if not skipped:
-        _add_impacts((entry[1] for entry in walk), accumulator)
-        return
-    partial: dict[int, float] = {}
-    _add_impacts((entry[1] for i, entry in enumerate(walk) if i not in skipped), partial)
-    if len(partial) >= limit:
-        floor = max(theta, heapq.nlargest(limit, partial.values())[-1]) * _MARGIN
-    # A document stays while its partial score plus the max impacts still
-    # to fold in can reach the floor; the largest max is folded in first.
-    cut = floor - unfolded.pop()
-    candidates = {d: p for d, p in partial.items() if p >= cut}
-    for position in reversed(skipped):
-        cut = floor - unfolded.pop()
-        get = walk[position][1].get
-        candidates = {d: q for d, p in candidates.items() if (q := p + get(d, 0.0)) >= cut}
-    if len(candidates) > limit:
-        floor = max(floor, heapq.nlargest(limit, candidates.values())[-1] * _MARGIN)
-        candidates = {d: p for d, p in candidates.items() if p >= floor}
-    impact_maps = [entry[1] for entry in walk]
-    for doc_id in candidates:
-        score = 0.0
-        for impacts in impact_maps:
-            score += impacts.get(doc_id, 0.0)
-        accumulator[doc_id] = score
-
-
 class InvertedIndex:
     """Term -> postings index with BM25 scoring.
 
@@ -178,8 +124,22 @@ class InvertedIndex:
     impact bounds the ``limit``-th score from below, tokens whose summed
     max impact stays under the bound are only looked up, and documents
     that cannot reach it are dropped before they are rescored exactly.
-    Shards do not prune: each holds a slice of every posting list, so the
-    bound's fixed cost outweighed its saving there (measured).
+
+    A write frees every impact map but keeps each term's *anchor*: the
+    triple, max impact and ``limit``-th memo of its last exact build.  An
+    impact ``idf * w(tf, dl; a)`` moves with the idf in proportion and
+    with the average length ``a`` by a factor within ``[min(1, a/a0),
+    max(1, a/a0)]``, and postings are only appended, so the anchor bounds
+    a stale term's max impact from above (raised to the exact impacts of
+    postings added since) and its ``limit``-th from below.  Top-k rebuilds
+    the map of a term it walks, or of a bounding term whose anchor lacks
+    this ``limit``; a skipped term is looked up for the surviving
+    documents only, by the same impact expression.  Shards and ``group``
+    ranking do not prune: a shard holds a slice of every posting list, so
+    the bound's fixed cost outweighed its saving (measured), and a small
+    group often has fewer than ``limit`` matches, which leaves its bound
+    at 0.  One re-entrant lock serializes writes, scoring and the export,
+    so each answer is the answer after some prefix of the writes.
     """
 
     def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
@@ -191,6 +151,9 @@ class InvertedIndex:
         # term -> (document count, idf)
         self._idf_cache: dict[str, tuple[int, float]] = {}
         self._impact_cache: dict[str, _TermImpacts] = {}
+        # term -> (triple, max impact, limit-th memo) of its last exact build
+        self._anchors: dict[str, tuple[tuple[float, float, int], float, dict[int, float]]] = {}
+        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._doc_lengths)
@@ -214,17 +177,18 @@ class InvertedIndex:
 
     def add_document(self, doc_id: int, tokens: Sequence[str]) -> None:
         """Index a document given its token list (re-adding an id is an error)."""
-        if doc_id in self._doc_lengths:
-            raise ValueError(f"document {doc_id} is already indexed")
-        counts = Counter(tokens)
-        postings = self._postings
-        for term, frequency in counts.items():
-            postings[term][doc_id] = frequency
-        self._doc_lengths[doc_id] = len(tokens)
-        self._total_length += len(tokens)
-        # Entries validate themselves; clearing only drops the stale ones.
-        self._idf_cache.clear()
-        self._impact_cache.clear()
+        with self._lock:
+            if doc_id in self._doc_lengths:
+                raise ValueError(f"document {doc_id} is already indexed")
+            counts = Counter(tokens)
+            postings = self._postings
+            for term, frequency in counts.items():
+                postings[term][doc_id] = frequency
+            self._doc_lengths[doc_id] = len(tokens)
+            self._total_length += len(tokens)
+            # Entries validate themselves; clearing only drops the stale ones.
+            self._idf_cache.clear()
+            self._impact_cache.clear()
 
     def document_terms(self) -> dict[int, list[str]]:
         """Each document's token stream, terms sorted, each term repeated
@@ -238,15 +202,16 @@ class InvertedIndex:
         list), and each list is new, so a caller may keep it as a record's
         tokens.
         """
-        streams: dict[int, list[str]] = {doc_id: [] for doc_id in self._doc_lengths}
-        postings = self._postings
-        for term in sorted(postings):
-            for doc_id, frequency in postings[term].items():
-                if frequency == 1:
-                    streams[doc_id].append(term)
-                else:
-                    streams[doc_id] += [term] * frequency
-        return streams
+        with self._lock:
+            streams: dict[int, list[str]] = {doc_id: [] for doc_id in self._doc_lengths}
+            postings = self._postings
+            for term in sorted(postings):
+                for doc_id, frequency in postings[term].items():
+                    if frequency == 1:
+                        streams[doc_id].append(term)
+                    else:
+                        streams[doc_id] += [term] * frequency
+            return streams
 
     # -- querying -----------------------------------------------------------
 
@@ -265,27 +230,51 @@ class InvertedIndex:
         self._idf_cache[term] = (document_count, value)
         return value
 
-    def _impacts(
-        self, term: str, postings: dict[int, int], idf: float, average_length: float
-    ) -> _TermImpacts:
-        """The cache entry of ``term``: ``idf * tf_component`` per posting."""
-        key = (idf, average_length, len(postings))
-        cached = self._impact_cache.get(term)
-        if cached is not None and cached[0] == key:
-            return cached
+    def _impact_map(
+        self, postings: Iterable[tuple[int, int]], idf: float, average_length: float
+    ) -> dict[int, float]:
+        """``doc_id -> idf * tf_component`` over ``(doc_id, frequency)``
+        pairs: the one impact expression, for posting lists and lookups."""
         k1 = self.k1
         k1_plus_1 = k1 + 1
         b = self.b
         one_minus_b = 1 - b
         lengths = self._doc_lengths
         # A zero average length (only empty documents) norms every length as average.
-        impacts = {
+        return {
             doc_id: idf * ((frequency * k1_plus_1) / (frequency + k1 * (one_minus_b + b * (
                 lengths[doc_id] / average_length if average_length else 1.0))))
-            for doc_id, frequency in postings.items()
+            for doc_id, frequency in postings
         }
+
+    def _impacts(
+        self, term: str, idf: float, average_length: float, limit: int | None = None
+    ) -> _TermImpacts:
+        """The cache entry of ``term``, built if stale -- unless a ``limit``
+        is given and the anchor can bound it: that entry has ``None`` for
+        impacts, a max bound and ``{limit: limit-th bound}`` if memoized."""
+        postings = self._postings[term]
+        key = (idf, average_length, len(postings))
+        cached = self._impact_cache.get(term)
+        if cached is not None and cached[0] == key:
+            return cached
+        anchor = self._anchors.get(term)
+        if limit is not None and anchor is not None and average_length and anchor[0][1]:
+            (idf0, average0, count), top0, kth_by_limit0 = anchor
+            scale = idf / idf0
+            ratio = average_length / average0
+            # Scaled from the anchor, never from a bound: rounding cannot compound.
+            top = top0 * scale * max(1.0, ratio) / _MARGIN
+            if len(postings) > count:  # documents only arrive: the last ones are new
+                appended = islice(reversed(postings.items()), len(postings) - count)
+                top = max(top, *self._impact_map(appended, idf, average_length).values())
+            kth0 = kth_by_limit0.get(limit)
+            kth = {} if kth0 is None else {limit: kth0 * scale * min(1.0, ratio) * _MARGIN}
+            return key, None, top, kth
+        impacts = self._impact_map(postings.items(), idf, average_length)
         entry = (key, impacts, max(impacts.values()), {})
         self._impact_cache[term] = entry
+        self._anchors[term] = (key, entry[2], entry[3])
         return entry
 
     def accumulate(
@@ -308,17 +297,96 @@ class InvertedIndex:
         documents that can rank among the ``limit`` best (ties included)
         are added, each with its exact score.
         """
-        postings = self._postings
-        tokens = [term for term in query_tokens if postings.get(term)]
-        entries = {
-            term: self._impacts(term, postings[term], idf_by_term[term], average_length)
-            for term in dict.fromkeys(tokens)
-        }
+        with self._lock:
+            postings = self._postings
+            tokens = [term for term in query_tokens if postings.get(term)]
+            terms = dict.fromkeys(tokens)
+            if limit is None or limit <= 0 or accumulator or len(terms) < 2:
+                limit = None
+            entries = {
+                term: self._impacts(term, idf_by_term[term], average_length, limit)
+                for term in terms
+            }
+            if limit is None:
+                _add_impacts((entries[term][1] for term in tokens), accumulator)
+                return
+            self._accumulate_top(tokens, entries, idf_by_term, average_length, limit, accumulator)
+
+    def _accumulate_top(
+        self, tokens: list[str], entries: dict[str, _TermImpacts], idf_by_term: Mapping[str, float],
+        average_length: float, limit: int, accumulator: dict[int, float],
+    ) -> None:
+        """MaxScore: put in the empty ``accumulator`` every document that can
+        rank among the ``limit`` best, with its exact score.  ``entries``
+        has one cache entry per distinct term, or its anchor bounds if stale.
+
+        ``theta`` is a score at least ``limit`` documents reach: impacts are
+        positive, so a document scores at least any one of its impacts and any
+        token-order partial sum of them (other orders are off by ulps, which
+        ``_MARGIN`` absorbs).  Survivors are rescored in token order.
+        """
+        theta = 0.0
+        for entry in sorted(entries.values(), key=itemgetter(2), reverse=True):
+            key, impacts, top, kth_by_limit = entry
+            if top <= theta:
+                break
+            if key[2] >= limit:
+                kth = kth_by_limit.get(limit)
+                if kth is None:
+                    if impacts is None:  # stale, and its anchor lacks this limit: build it
+                        term = next(term for term, known in entries.items() if known is entry)
+                        entries[term] = self._impacts(term, idf_by_term[term], average_length)
+                        _key, impacts, _top, kth_by_limit = entries[term]
+                    kth = kth_by_limit[limit] = heapq.nlargest(limit, impacts.values())[-1]
+                theta = max(theta, kth)
+        # The longest ascending-max prefix of tokens whose summed max stays
+        # below theta cannot rank a document alone: it is never walked.
+        floor = theta * _MARGIN
         walk = [entries[term] for term in tokens]
-        if limit is not None and limit > 0 and not accumulator and len(entries) > 1:
-            _accumulate_top(walk, entries.values(), limit, accumulator)
-        else:
-            _add_impacts((entry[1] for entry in walk), accumulator)
+        skipped: list[int] = []
+        unfolded = [0.0]  # unfolded[j]: the summed max of skipped[:j]
+        for position in sorted(range(len(walk)), key=lambda i: walk[i][2]):
+            bound = unfolded[-1] + walk[position][2]
+            if bound >= floor:
+                break
+            skipped.append(position)
+            unfolded.append(bound)
+        impact_maps = [entry[1] for entry in walk]
+        if None in impact_maps:  # a stale term the query walks gets its map
+            for position, term in enumerate(tokens):
+                if impact_maps[position] is None and position not in skipped:
+                    entries[term] = self._impacts(term, idf_by_term[term], average_length)
+                    impact_maps[position] = entries[term][1]
+        if not skipped:
+            _add_impacts(impact_maps, accumulator)
+            return
+        partial: dict[int, float] = {}
+        _add_impacts((m for i, m in enumerate(impact_maps) if i not in skipped), partial)
+        if len(partial) >= limit:
+            floor = max(theta, heapq.nlargest(limit, partial.values())[-1]) * _MARGIN
+        # A document stays while its partial score plus the max impacts still
+        # to fold in can reach the floor; the largest max is folded in first.
+        cut = floor - unfolded.pop()
+        candidates = {d: p for d, p in partial.items() if p >= cut}
+        for position in reversed(skipped):
+            cut = floor - unfolded.pop()
+            impacts = impact_maps[position]
+            if impacts is None:  # stale and skipped: look up the surviving candidates only
+                term = tokens[position]
+                postings = self._postings[term]
+                pairs = ((d, postings[d]) for d in candidates if d in postings)
+                impacts = self._impact_map(pairs, idf_by_term[term], average_length)
+                impact_maps[position] = impacts
+            get = impacts.get
+            candidates = {d: q for d, p in candidates.items() if (q := p + get(d, 0.0)) >= cut}
+        if len(candidates) > limit:
+            floor = max(floor, heapq.nlargest(limit, candidates.values())[-1] * _MARGIN)
+            candidates = {d: p for d, p in candidates.items() if p >= floor}
+        for doc_id in candidates:
+            score = 0.0
+            for impacts in impact_maps:
+                score += impacts.get(doc_id, 0.0)
+            accumulator[doc_id] = score
 
     def score(
         self,
@@ -336,10 +404,11 @@ class InvertedIndex:
         postings that can change the top ``limit`` are walked.
         """
         tokens = list(query_tokens)
-        idf_by_term = {term: self.idf(term) for term in tokens if term in self._postings}
-        accumulator: dict[int, float] = {}
-        pruning_limit = limit if group is None else None
-        self.accumulate(tokens, idf_by_term, self.average_length(), accumulator, pruning_limit)
+        with self._lock:
+            idf_by_term = {term: self.idf(term) for term in tokens if term in self._postings}
+            accumulator: dict[int, float] = {}
+            pruning_limit = limit if group is None else None
+            self.accumulate(tokens, idf_by_term, self.average_length(), accumulator, pruning_limit)
         return rank_accumulator(accumulator, limit, group)
 
     def matching_documents(self, query_tokens: Iterable[str], require_all: bool = False) -> set[int]:

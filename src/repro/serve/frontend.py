@@ -27,11 +27,13 @@ same query and ``k``: the cache stores the ranked tuples verbatim and
 scoring is deterministic, so cached, uncached and concurrent serving are
 byte-identical (``tests/serve/`` pins this).
 
-Thread-safety: serving is read-only on the engine plus CPython-atomic
-lazy-cache fills in the inverted index, so any number of workers may
-serve concurrently.  Writes (crawl/surface/ingest) must not run *during*
-a concurrent batch -- quiesce serving first; the ingest listener then
-invalidates cached results before the next query is answered.
+Thread-safety: any number of workers may serve concurrently.  The
+inverted index locks its writes, scoring and export, so a ranking taken
+during a write is the ranking after some prefix of the writes.  The
+catalog (it registers a document just after indexing it) and the cluster
+coordinator's df and length counters are not covered yet, so writes
+(crawl/surface/ingest) must still not run *during* a concurrent batch;
+the ingest listener invalidates cached results before the next query.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.core.form_model import discover_forms
 from repro.core.probe import FormProber
 from repro.pipeline.observer import MetricsObserver, PipelineObserver
 from repro.search.engine import SearchEngine
-from repro.search.inverted_index import rank_accumulator
+from repro.search.inverted_index import InvertedIndex, rank_accumulator
 from repro.serve.loadgen import WorkloadGenerator
 from repro.util.text import tokenize
 from repro.webspace.loadmeter import AGENT_SURFACER
@@ -266,6 +266,48 @@ def test_top_k_scoring_on_the_keyword_population():
         f"exact scores for {exact} of {matched} matched documents"
     )
     assert exact < matched
+
+
+def test_top_k_after_writes_rebuilds_only_the_walked_maps():
+    """``RATCHET_WEB``'s last fifth re-added one document at a time, with
+    eight population queries after each write: every top-10 answer equals a
+    fresh index's full sort cut to 10, and the impact maps rebuilt cover
+    fewer postings than rebuilding every stale queried term would."""
+    service = (
+        DeepWebService.build()
+        .web(RATCHET_WEB)
+        .surfacing(SurfacingConfig(max_urls_per_form=200))
+        .create()
+    )
+    service.surface()
+    streams = service.engine.backend.index.document_terms()
+    doc_ids = sorted(streams)
+    held_out_from = len(doc_ids) - len(doc_ids) // 5
+    population = [tokenize(query.text) for query in WorkloadGenerator(service.web).population()]
+    index = InvertedIndex()
+    for doc_id in doc_ids[:held_out_from]:
+        index.add_document(doc_id, streams[doc_id])
+    writes = doc_ids[held_out_from:]
+    queries = rebuilt = stale = 0
+    for write, doc_id in enumerate(writes):
+        index.add_document(doc_id, streams[doc_id])
+        fresh = InvertedIndex()
+        for fresh_id in doc_ids[: held_out_from + write + 1]:
+            fresh.add_document(fresh_id, streams[fresh_id])
+        queried: set[str] = set()
+        for tokens in (population[(8 * write + j) % len(population)] for j in range(8)):
+            assert index.score(tokens, limit=10) == fresh.score(tokens)[:10]
+            queried.update(term for term in tokens if index.document_frequency(term))
+            queries += 1
+        # The write emptied the map cache: what it holds now was rebuilt.
+        rebuilt += sum(index.document_frequency(term) for term in index._impact_cache)
+        stale += sum(index.document_frequency(term) for term in queried)
+    # CI greps this line out of a ``-s`` run into the job summary.
+    print(
+        f"\ntop-k after writes: {len(writes)} writes, {queries} queries, "
+        f"impact maps rebuilt over {rebuilt} of {stale} postings"
+    )
+    assert rebuilt < stale
 
 
 # -- the absolute pin ----------------------------------------------------------

@@ -239,6 +239,120 @@ class TestPrunedTopK:
         assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
 
 
+@st.composite
+def writes_between_queries(draw):
+    """A skewed corpus, then adds (new shapes, or copies of a document so
+    scores tie) and queries with a draw that picks the ``limit``."""
+    docs, _query = draw(skewed_corpora())
+    new_document = st.one_of(
+        st.tuples(
+            st.lists(st.sampled_from(COMMON_TERMS), max_size=4),
+            st.lists(st.sampled_from(RARE_TERMS), max_size=4),
+        ).map(lambda shape: shape[0] + shape[1]),
+        st.sampled_from(list(docs.values())),
+    )
+    query = st.lists(
+        st.sampled_from(COMMON_TERMS + RARE_TERMS[:8] + ["absent"]), min_size=1, max_size=5
+    )
+    operations = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), new_document),
+                st.tuples(st.just("query"), query, st.integers(min_value=0, max_value=10**6)),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    return docs, operations
+
+
+class TestTopKAcrossWrites:
+    """A write frees the impact maps but keeps each term's anchor; top-k
+    after it bounds stale terms from the anchor and stays exact."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(writes_between_queries())
+    def test_top_k_after_writes_equals_a_fresh_full_sort(self, case):
+        docs, operations = case
+        docs = dict(docs)
+        index = index_of(docs)
+        for operation in operations:
+            if operation[0] == "add":
+                doc_id = len(docs) + 1
+                docs[doc_id] = list(operation[1])
+                index.add_document(doc_id, docs[doc_id])
+                continue
+            _kind, query, draw = operation
+            full_sort = index_of(docs).score(query)
+            limit = 1 + draw % (len(full_sort) + 1)
+            assert index.score(query, limit=limit) == full_sort[:limit]
+            idf_by_term = {
+                term: index.idf(term) for term in query if index.document_frequency(term)
+            }
+            top: dict[int, float] = {}
+            full: dict[int, float] = {}
+            index.accumulate(query, idf_by_term, index.average_length(), top, limit)
+            index.accumulate(query, idf_by_term, index.average_length(), full)
+            assert top.items() <= full.items()
+            if limit <= len(full_sort):
+                kth = full_sort[limit - 1][1]
+                assert {doc_id for doc_id, score in full_sort if score >= kth} <= top.keys()
+
+    def test_a_query_after_a_write_leaves_a_skipped_terms_map_unbuilt(self):
+        docs = {doc_id: ["book"] * (1 + doc_id % 3) for doc_id in range(1, 101)}
+        for doc_id in (7, 40, 41, 93):
+            docs[doc_id] = docs[doc_id] + ["zanzibar"]
+        index = index_of(docs)
+        query = ["book", "zanzibar"]
+        assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
+        assert {"book", "zanzibar"} <= index._impact_cache.keys()
+        docs[101] = ["book", "book", "filler"]
+        index.add_document(101, docs[101])
+        assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
+        assert "zanzibar" in index._impact_cache
+        assert "book" not in index._impact_cache
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40)
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=0, max_value=4),
+        st.floats(min_value=0.5, max_value=60.0),
+        st.floats(min_value=0.5, max_value=60.0),
+        st.floats(min_value=0.01, max_value=9.0),
+        st.floats(min_value=0.01, max_value=9.0),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_anchor_bounds_hold_for_any_idf_and_average_length(
+        self, shapes, appended, average0, average, idf0, idf, limit
+    ):
+        """Per document ``(tf, filler)``: the scaled anchor max bounds every
+        impact under the new ``(idf, average)`` from above, and the scaled
+        ``limit``-th impact bounds the new ``limit``-th from below."""
+        index = InvertedIndex()
+        anchored = max(1, len(shapes) - appended)
+        for doc_id, (frequency, filler) in enumerate(shapes[:anchored], start=1):
+            index.add_document(doc_id, ["t"] * frequency + ["filler"] * filler)
+        build = index._impacts("t", idf0, average0)
+        if len(build[1]) >= limit:
+            build[3][limit] = sorted(build[1].values())[-limit]
+        for doc_id, (frequency, filler) in enumerate(shapes[anchored:], start=anchored + 1):
+            index.add_document(doc_id, ["t"] * frequency + ["filler"] * filler)
+        index._impact_cache.clear()
+        _key, impacts, top, kth_by_limit = index._impacts("t", idf, average, limit)
+        assert impacts is None
+        actual = sorted(index._impacts("t", idf, average)[1].values())
+        assert actual[-1] <= top
+        if limit in kth_by_limit:
+            assert actual[-limit] >= kth_by_limit[limit]
+
+
 class TestConcurrentReaders:
     def test_threads_on_a_cold_index_agree_with_a_serial_reader(self):
         """Frontend workers fill the per-term impact entries and their
@@ -271,6 +385,77 @@ class TestConcurrentReaders:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert answers == {worker: serial for worker in range(8)}
+
+    def test_a_writer_beside_two_readers_answers_at_some_prefix_of_the_writes(self):
+        """One thread adds documents holding ``book`` while two score it.
+        No read may raise, and each answer is the answer after some prefix
+        of the writes: at least those done before the call, at most those
+        begun before it returned."""
+        rng = random.Random(43)
+        vocabulary = ["book"] * 4 + [f"w{i}" for i in range(40)]
+        docs = {
+            doc_id: [rng.choice(vocabulary) for _ in range(rng.randint(2, 20))]
+            for doc_id in range(1, 3001)
+        }
+        writes = [
+            (3000 + i, ["book"] * (1 + i % 3) + [f"w{i % 9}"] * (i % 2)) for i in range(1, 201)
+        ]
+        queries = [(["book", "w7"], 10), (["book"], 25)]
+        reference = index_of(docs)
+        expected = [[reference.score(query)[:limit] for query, limit in queries]]
+        for doc_id, tokens in writes:
+            reference.add_document(doc_id, tokens)
+            expected.append([reference.score(query)[:limit] for query, limit in queries])
+
+        shared = index_of(docs)
+        started = [0]
+        completed = [0]
+        done = threading.Event()
+        errors: list[Exception] = []
+        logs: list[list] = [[], []]
+
+        def writer() -> None:
+            try:
+                for doc_id, tokens in writes:
+                    started[0] += 1
+                    shared.add_document(doc_id, tokens)
+                    completed[0] += 1
+            except Exception as error:  # reported by the main thread below
+                errors.append(error)
+            finally:
+                done.set()
+
+        def reader(which: int) -> None:
+            query, limit = queries[which]
+            try:
+                while True:
+                    finished = done.is_set()
+                    low = completed[0]
+                    answer = shared.score(query, limit=limit)
+                    logs[which].append((low, started[0], answer))
+                    if finished:
+                        return
+            except Exception as error:  # reported by the main thread below
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(which,)) for which in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for which, log in enumerate(logs):
+            assert log
+            for low, high, answer in log:
+                assert any(expected[count][which] == answer for count in range(low, high + 1))
 
 
 class TestAccumulateUnderExternalIngredients:
