@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro import SurfacingConfig, SurfacingPipeline
 from repro.datagen.domains import domain
+from repro.pipeline import default_stages
 from repro.search.engine import SearchEngine
 from repro.util.rng import SeededRng
 from repro.webspace.sitegen import build_deep_site
@@ -124,7 +125,7 @@ def test_keyword_budget_ablation(benchmark):
 
 
 def test_stage_ablation(benchmark):
-    """Whole-stage ablations through ``SurfacingPipeline.without_stage``.
+    """Whole-stage ablations: the pipeline built with ``stages=`` lacking one.
 
     Dropping correlation detection leaves min/max inputs uncorrelated, so
     the informativeness filter discards most of their templates and the
@@ -139,9 +140,10 @@ def test_stage_ablation(benchmark):
         )
         web = Web()
         web.register(site)
-        pipeline = SurfacingPipeline(web, SearchEngine(), SurfacingConfig(max_urls_per_form=400))
-        if ablate is not None:
-            pipeline.without_stage(ablate)
+        stages = [stage for stage in default_stages() if stage.name != ablate]
+        pipeline = SurfacingPipeline(
+            web, SearchEngine(), SurfacingConfig(max_urls_per_form=400), stages=stages
+        )
         return pipeline.surface_site(site), site
 
     def describe(label, result, site):
@@ -163,7 +165,7 @@ def test_stage_ablation(benchmark):
         describe("without index-pages", no_indexing, site),
     ]
     print_table(
-        "Ablation: whole stages (pipeline.without_stage)",
+        "Ablation: whole stages (stages= without one)",
         rows,
         header=("configuration", "urls generated / indexed", "coverage"),
     )

@@ -17,12 +17,28 @@ baseline -- the gate exists to catch *regressions*, not to chase decimals.
 
     PYTHONPATH=src python scripts/coverage_gate.py            # measure + gate
     python scripts/coverage_gate.py --print-floor             # emit the floor
+
+``--entry`` runs the same tracer over the production entry points instead
+of the tests (``ENTRY_SCRIPTS`` and every bench workload at ``--scale
+tiny``) and lists each ``src/repro`` function none of them executes.  The
+list must equal ``scripts/unreached_functions.txt``: a function missing
+from that file fails the run (reach it from production or delete it), and
+a line whose function is now reached or gone fails it too (delete the
+line), so the file only ever shrinks.
+
+    PYTHONPATH=src python scripts/coverage_gate.py --entry    # reachability ratchet
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import contextlib
+import io
+import os
+import runpy
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -34,6 +50,20 @@ COVERAGE_FLOOR = 93
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_ROOT = REPO_ROOT / "src" / "repro"
+
+#: The production entry points ``--entry`` runs, each as ``__main__`` with
+#: its default arguments; every bench workload at ``--scale tiny`` runs too.
+ENTRY_SCRIPTS = (
+    "examples/quickstart.py",
+    "examples/federated_search.py",
+    "examples/durable_service.py",
+    "examples/cluster_serving.py",
+    "scripts/serve_demo.py",
+)
+#: Seconds each bench workload runs for (it always runs its minimum passes).
+ENTRY_WORKLOAD_SECONDS = 0.1
+#: ``path:qualname  # reason`` per function no entry point executes, sorted.
+UNREACHED_FILE = REPO_ROOT / "scripts" / "unreached_functions.txt"
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -115,6 +145,114 @@ def measure(pytest_args: list[str]) -> tuple[float, list[tuple[str, float, int]]
     return total, rows
 
 
+def function_bodies(path: Path) -> dict[str, set[int]]:
+    """``qualname -> body lines`` of every function defined in ``path``.
+
+    The body starts after the docstring, so a function counts as reached
+    only when one of its statements ran (its ``def`` line runs at import).
+    A nested function's lines count for its parent too, which must have run
+    to define it; a property's getter and setter share one qualname."""
+    bodies: dict[str, set[int]] = {}
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                body = child.body
+                if len(body) > 1 and ast.get_docstring(child) is not None:
+                    body = body[1:]
+                lines = bodies.setdefault(qualname, set())
+                lines.update(range(body[0].lineno, child.end_lineno + 1))
+                visit(child, qualname + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return bodies
+
+
+def all_functions() -> dict[str, set[int]]:
+    """``src/repro/...py:qualname -> body lines`` over the whole package."""
+    return {
+        f"{path.relative_to(REPO_ROOT)}:{qualname}": lines
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        for qualname, lines in function_bodies(path).items()
+    }
+
+
+def read_unreached_file() -> dict[str, str]:
+    """``path:qualname -> reason`` of the committed ratchet file."""
+    entries: dict[str, str] = {}
+    for line in UNREACHED_FILE.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            key, _, reason = line.partition("#")
+            entries[key.strip()] = reason.strip()
+    return entries
+
+
+def run_entry_points() -> dict[str, set[int]]:
+    """Run every production entry point under the collector; executed lines.
+
+    Their output is swallowed and anything they leave in the temporary
+    directory is removed.  The package is imported under the collector, so
+    code that runs at import counts.  Bench workloads run first: a forked
+    pass needs a process with one thread."""
+    sys.path.insert(0, str(REPO_ROOT))
+    collector = LineCollector(SRC_ROOT)
+    affinity = os.sched_getaffinity(0)
+    saved_argv, saved_tempdir = sys.argv, tempfile.tempdir
+    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
+        tempfile.tempdir = scratch
+        collector.install()
+        try:
+            from bench import harness, spec
+
+            for name in spec.WORKLOAD_NAMES:
+                record = harness.run_workload(name, 1, ENTRY_WORKLOAD_SECONDS, False, "tiny")
+                os.sched_setaffinity(0, affinity)  # a pinned workload pins the process
+                if not record.correct:
+                    raise SystemExit(f"entry point failed: bench workload {name}")
+            for script in ENTRY_SCRIPTS:
+                sys.argv = [str(REPO_ROOT / script)]
+                try:
+                    runpy.run_path(sys.argv[0], run_name="__main__")
+                except SystemExit as stop:
+                    if stop.code not in (None, 0):
+                        raise SystemExit(f"entry point failed: {script} exited {stop.code}")
+        finally:
+            collector.uninstall()
+            sys.argv, tempfile.tempdir = saved_argv, saved_tempdir
+    return collector.executed
+
+
+def entry_gate() -> int:
+    """The reachability ratchet: unreached functions against the committed file."""
+    executed = run_entry_points()
+    unreached = sorted(
+        key for key, lines in all_functions().items()
+        if not lines & executed.get(str(REPO_ROOT / key.partition(":")[0]), set())
+    )
+    for key in unreached:
+        print(key)
+    committed = read_unreached_file()
+    new = [key for key in unreached if key not in committed]
+    stale = sorted(set(committed) - set(unreached))
+    print(f"unreached from production: {len(unreached)} functions")
+    for key in new:
+        print(f"new unreached function: {key} (reach it from production or delete it)",
+              file=sys.stderr)
+    for key in stale:
+        print(f"reached or deleted: {key} (delete its line from {UNREACHED_FILE.name})",
+              file=sys.stderr)
+    if new or stale:
+        print("reachability gate: FAIL", file=sys.stderr)
+        return 1
+    print("reachability gate: OK")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -124,10 +262,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--worst", type=int, default=10, help="how many lowest-coverage files to list"
     )
+    parser.add_argument(
+        "--entry", action="store_true",
+        help="trace the production entry points and gate the unreached functions",
+    )
     args, pytest_args = parser.parse_known_args(argv)
     if args.print_floor:
         print(COVERAGE_FLOOR)
         return 0
+    if args.entry:
+        return entry_gate()
 
     total, rows = measure(pytest_args)
     print(f"\n== line coverage over src/repro (settrace) ==")

@@ -33,10 +33,10 @@ The package implements, over a fully simulated web:
 * ``repro.query`` -- the federated query layer: a planner that parses
   keyword vs ``field:value`` queries and emits explicit routed plans,
   an executor with per-route fetch/time budgets and blend provenance.
-* ``repro.serve`` -- the query-serving frontend: worker pool with bounded
-  admission and load shedding, LRU+TTL result cache invalidated on
-  ingest (string queries and plan fingerprints alike), and seeded
-  Zipf/mixed-mode workload generation.
+* ``repro.serve`` -- the query-serving frontend for keyword queries:
+  worker pool with bounded admission and load shedding, LRU+TTL result
+  cache invalidated on ingest, and seeded Zipf/mixed-mode workload
+  generation.
 * ``repro.core`` -- the paper's contribution: surfacing configuration and
   results, plus typed-input recognition, iterative probing, informative
   query templates, correlated inputs, URL generation with an indexability

@@ -38,13 +38,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.pipeline.observer import MetricsObserver, PipelineObserver, ProgressObserver
 from repro.pipeline.pipeline import SurfacingPipeline
 from repro.pipeline.scheduler import SurfacingScheduler
-from repro.pipeline.stages import Stage
 from repro.query.executor import PlannerStats, PlanResult, QueryExecutor
 from repro.query.planner import QueryPlanner
 from repro.search.crawler import CrawlStats, Crawler
@@ -195,7 +194,6 @@ class DeepWebServiceBuilder:
         self._engine: SearchEngine | None = None
         self._store: StorageBackend | None = None
         self._surfacing: SurfacingConfig | None = None
-        self._stages: Sequence[Stage] | None = None
         self._observers: list[PipelineObserver] = []
         self._serving: dict[str, object] = {}
         self._persist_dir: Path | None = None
@@ -225,11 +223,6 @@ class DeepWebServiceBuilder:
 
     def surfacing(self, config: SurfacingConfig) -> "DeepWebServiceBuilder":
         self._surfacing = config
-        return self
-
-    def stages(self, stages: Sequence[Stage]) -> "DeepWebServiceBuilder":
-        """Override the default stage list (ablation studies, custom stages)."""
-        self._stages = list(stages)
         return self
 
     def observer(self, observer: PipelineObserver) -> "DeepWebServiceBuilder":
@@ -324,7 +317,6 @@ class DeepWebServiceBuilder:
             web,
             engine,
             self._surfacing,
-            stages=self._stages,
             observers=[metrics, *self._observers],
         )
         return DeepWebService(
@@ -417,15 +409,12 @@ class DeepWebService:
         :meth:`~DeepWebServiceBuilder.serving`).  A frontend the caller
         closed (e.g. via ``with service.frontend:``) is replaced with a
         fresh one on the next access, so the serving path never sticks
-        in a refused state.  It serves strings (``serve``, answers
-        identical to :meth:`search`) and plans from :attr:`planner`
-        through this service's executor (``serve_plan``); replay a
-        workload with ``serve_workload``."""
+        in a refused state.  It serves keyword strings (``serve``, answers
+        identical to :meth:`search`); replay a workload with
+        ``serve_workload``.  Federated queries go through :meth:`query`."""
         if self._frontend is None or self._frontend.closed:
             self._cache_generation_floor = self.cache_generation
-            self._frontend = QueryFrontend(
-                self.engine, executor=self.executor, **self._serving
-            )
+            self._frontend = QueryFrontend(self.engine, **self._serving)
             self._frontend.cache.advance_generation(self._cache_generation_floor)
         return self._frontend
 
@@ -623,12 +612,6 @@ class DeepWebService:
         misses, degraded searches, dead replicas); ``None`` otherwise."""
         stats_fn = getattr(self.store, "cluster_stats", None)
         return stats_fn() if callable(stats_fn) else None
-
-    def result_for(self, host: str) -> SiteSurfacingResult | None:
-        for result in self.results:
-            if result.host == host:
-                return result
-        return None
 
     def _storage_section(self) -> dict[str, object]:
         """The report's persistence provenance (paths, snapshot age)."""

@@ -31,9 +31,8 @@ Two invariants make it safe to put in front of real traffic:
   (the frontend, the chaos harness) compare it around a search.
 
 Document reads (``get``, ``documents``, ...) are the catalog's; the
-postings reads (``export_records``, ``matching_documents``) are
-coordinator-side and synchronous against replica 0 of each shard --
-replicas are byte-identical by construction, including dead ones, since
+postings read (``export_records``) is coordinator-side and synchronous
+against replica 0 of each shard -- replicas are byte-identical by construction, including dead ones, since
 kill/revive only gates *query* serving.
 """
 
@@ -42,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.cluster.executor import ScatterGatherExecutor
 from repro.cluster.node import ShardNode, shard_of
@@ -132,6 +131,9 @@ class ClusterBackend(DocumentCatalog):
         # Coordinator-held scoring ingredients: exact integer sums kept at
         # ingest time, so degraded merges still score with full-corpus
         # numbers (subset-with-identical-scores, never rescored survivors).
+        # Written and read under ``_lock``, so a search sees all three at
+        # the same write.
+        self._document_count = 0
         self._total_length = 0
         self._df: Counter[str] = Counter()
         self._lock = threading.Lock()
@@ -179,9 +181,11 @@ class ClusterBackend(DocumentCatalog):
         # replica answers with current data (no catch-up protocol).
         for node in self.replica_sets[shard_of(record.url, self.shard_count)]:
             node.add(doc_id, record.tokens)
-        self._total_length += len(record.tokens)
-        for term in set(record.tokens):
-            self._df[term] += 1
+        with self._lock:
+            self._document_count += 1
+            self._total_length += len(record.tokens)
+            for term in set(record.tokens):
+                self._df[term] += 1
 
     def export_records(self) -> list[IngestRecord]:
         """The stored corpus as re-ingestable records, term-sorted streams
@@ -207,14 +211,15 @@ class ClusterBackend(DocumentCatalog):
         index would use.
         """
         tokens = list(query_tokens)
-        document_count = len(self._documents)
-        if not tokens or not document_count:
-            return []
-        average_length = self._total_length / document_count
-        idf_by_term: dict[str, float] = {}
-        for term in tokens:
-            if term not in idf_by_term:
-                idf_by_term[term] = bm25_idf(document_count, self._df.get(term, 0))
+        with self._lock:
+            document_count = self._document_count
+            if not tokens or not document_count:
+                return []
+            average_length = self._total_length / document_count
+            idf_by_term: dict[str, float] = {}
+            for term in tokens:
+                if term not in idf_by_term:
+                    idf_by_term[term] = bm25_idf(document_count, self._df.get(term, 0))
         outcomes = self.executor.scatter(
             lambda node: lambda: node.accumulate(tokens, idf_by_term, average_length)
         )
@@ -238,20 +243,6 @@ class ClusterBackend(DocumentCatalog):
         with self._lock:
             seen, self._degraded_consumed = self._degraded_consumed, self.degraded_searches
             return self.degraded_searches > seen
-
-    def matching_documents(
-        self, query_tokens: Iterable[str], require_all: bool = False
-    ) -> set[int]:
-        # Coordinator-side read of replica 0.  A document lives wholly in
-        # one shard, so per-shard conjunction (or disjunction) followed by
-        # a union is exactly the global answer.
-        tokens = list(query_tokens)
-        matches: set[int] = set()
-        for shard_index in range(self.shard_count):
-            matches |= self.replica_sets[shard_index][0].index.matching_documents(
-                tokens, require_all=require_all
-            )
-        return matches
 
     # -- stats ---------------------------------------------------------------
 

@@ -147,11 +147,6 @@ class ShardNode:
             self._fault_index += 1
             return index
 
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
     def try_submit(self, fn, *args, on_done=None) -> Attempt | None:
         """Run ``fn(*args)`` on this node's worker, or refuse.
 

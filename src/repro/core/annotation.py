@@ -9,17 +9,13 @@ Honda Civic page returned for a Ford Focus query.
 
 The annotation model here is deliberately simple: a bag of key/value pairs
 derived from the form bindings (plus the site's domain), which the search
-engine indexes as additional tokens and an annotation-aware re-ranker can
-use for filtering/boosting.
+engine indexes as additional tokens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-from repro.search.engine import SearchResult, SearchEngine
-from repro.util.text import tokenize
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -36,15 +32,6 @@ class PageAnnotation:
             annotations["domain"] = self.domain
         return annotations
 
-    def tokens(self) -> set[str]:
-        """All annotation value tokens (used for matching against queries)."""
-        collected: set[str] = set()
-        for _, value in self.bindings:
-            collected.update(tokenize(value))
-        if self.domain:
-            collected.update(tokenize(self.domain.replace("_", " ")))
-        return collected
-
 
 def annotation_for_bindings(
     bindings: Mapping[str, str], domain: str = ""
@@ -52,46 +39,3 @@ def annotation_for_bindings(
     """Build a :class:`PageAnnotation` from the bindings used to surface a page."""
     pairs = tuple(sorted((str(key), str(value)) for key, value in bindings.items() if str(value).strip()))
     return PageAnnotation(domain=domain, bindings=pairs)
-
-
-def rerank_with_annotations(
-    engine: SearchEngine,
-    query: str,
-    results: Sequence[SearchResult],
-    boost: float = 0.5,
-    penalty: float = 0.25,
-) -> list[SearchResult]:
-    """Re-rank results using stored page annotations.
-
-    Surfaced pages whose annotation values overlap the query tokens get a
-    multiplicative boost; surfaced pages with annotations that share *no*
-    token with the query get a penalty (they matched only on incidental page
-    text -- the "Honda Civic page mentioning a Ford Focus" case).  Pages
-    without annotations are left untouched.
-    """
-    query_tokens = set(tokenize(query))
-    reranked: list[SearchResult] = []
-    for result in results:
-        document = engine.document(result.doc_id)
-        score = result.score
-        if document.annotations:
-            annotation_tokens: set[str] = set()
-            for value in document.annotations.values():
-                annotation_tokens.update(tokenize(value))
-            overlap = annotation_tokens & query_tokens
-            if overlap:
-                score *= 1.0 + boost * len(overlap)
-            else:
-                score *= 1.0 - penalty
-        reranked.append(
-            SearchResult(
-                doc_id=result.doc_id,
-                url=result.url,
-                host=result.host,
-                title=result.title,
-                score=score,
-                source=result.source,
-            )
-        )
-    reranked.sort(key=lambda item: (-item.score, item.doc_id))
-    return reranked

@@ -10,17 +10,13 @@ are *known* to be generated by deep-web forms.  Two extractors are provided:
 * :func:`extract_detail_record` -- recovers the full attribute/value record
   from a detail page's attribute table.
 
-Both work purely from the HTML; when the form bindings used to surface the
-page are known they can be merged in as additional (input, value) fields,
-which is the paper's observation that generation-time knowledge makes
-extraction easier.
+Both work purely from the HTML.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.htmlparse.dom import DomNode, parse_html
 from repro.htmlparse.tables import extract_tables
@@ -37,18 +33,6 @@ class ExtractedRecord:
     detail_url: str = ""
     record_id: str = ""
     fields: dict[str, str] = field(default_factory=dict)
-
-    def merged_with_bindings(self, bindings: Mapping[str, str]) -> "ExtractedRecord":
-        """A copy enriched with the form bindings that generated the page."""
-        merged = dict(self.fields)
-        for key, value in bindings.items():
-            merged.setdefault(f"form_{key}", str(value))
-        return ExtractedRecord(
-            title=self.title,
-            detail_url=self.detail_url,
-            record_id=self.record_id,
-            fields=merged,
-        )
 
 
 def _record_id_from_url(url_text: str) -> str:
@@ -147,22 +131,3 @@ def extract_detail_record(html: str, page_url: str = "") -> ExtractedRecord | No
             fields=fields,
         )
     return None
-
-
-def extraction_accuracy(
-    extracted: list[ExtractedRecord], truth_rows: list[Mapping[str, object]], key_field: str
-) -> float:
-    """Fraction of extracted records whose ``key_field`` matches a ground-truth row.
-
-    A coarse quality measure used by tests and the extraction example.
-    """
-    if not extracted:
-        return 0.0
-    truth_values = {str(row.get(key_field, "")).strip().lower() for row in truth_rows}
-    hits = sum(
-        1
-        for record in extracted
-        if record.fields.get(key_field, record.title).strip().lower() in truth_values
-        or record.title.strip().lower() in truth_values
-    )
-    return hits / len(extracted)

@@ -68,14 +68,6 @@ class PageSignature:
     def is_empty(self) -> bool:
         return self.result_count == 0 and not self.record_ids
 
-    def distinct_from(self, other: "PageSignature") -> bool:
-        """Whether two signatures correspond to observably different pages."""
-        if self.is_error or other.is_error:
-            return False
-        if self.record_ids or other.record_ids:
-            return self.record_ids != other.record_ids
-        return self.content_hash != other.content_hash
-
 
 ERROR_SIGNATURE = PageSignature(
     content_hash="error", result_count=0, record_ids=frozenset(), is_error=True
@@ -486,8 +478,3 @@ def distinct_signature_fraction(signatures: Sequence[PageSignature]) -> float:
         return 0.0
     distinct_keys = {(sig.record_ids, sig.content_hash) for sig in useful}
     return len(distinct_keys) / len(signatures)
-
-
-def is_informative(signatures: Sequence[PageSignature], threshold: float = 0.25) -> bool:
-    """The informativeness test: enough distinct result pages across probes."""
-    return distinct_signature_fraction(signatures) >= threshold

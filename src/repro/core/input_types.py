@@ -16,7 +16,6 @@ Recognition combines two signals:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -47,11 +46,6 @@ _NAME_HINTS: dict[str, frozenset[str]] = {
 
 _SEARCH_HINTS = frozenset({"q", "query", "search", "keyword", "keywords", "kw", "terms", "text"})
 
-_DATE_RE = re.compile(r"^\d{4}(-\d{2}){0,2}$")
-_ZIP_RE = re.compile(r"^\d{5}$")
-_PRICE_RE = re.compile(r"^\$?\d{1,7}(\.\d{1,2})?$")
-
-
 @dataclass(frozen=True)
 class TypePrediction:
     """Result of classifying one text input."""
@@ -61,22 +55,6 @@ class TypePrediction:
     confidence: float
     by_name: bool = True
     probe_confirmed: bool = False
-
-
-def value_matches_type(value: str, type_name: str) -> bool:
-    """Whether a literal value is well-formed for a common data type."""
-    value = value.strip()
-    if type_name == TYPE_ZIPCODE:
-        return bool(_ZIP_RE.match(value))
-    if type_name == TYPE_DATE:
-        return bool(_DATE_RE.match(value))
-    if type_name == TYPE_PRICE:
-        return bool(_PRICE_RE.match(value))
-    if type_name == TYPE_CITY:
-        return value.title() in vocab.CITY_NAMES or value.lower().replace(" ", "").isalpha()
-    if type_name == TYPE_STATE:
-        return value.upper() in vocab.US_STATES or value.title() in vocab.STATE_NAMES.values()
-    return False
 
 
 class TypedValueLibrary:

@@ -33,10 +33,6 @@ class QueryTemplate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "binding_inputs", tuple(sorted(self.binding_inputs)))
 
-    @property
-    def dimensions(self) -> int:
-        return len(self.binding_inputs)
-
     def extend(self, input_name: str) -> "QueryTemplate":
         if input_name in self.binding_inputs:
             raise ValueError(f"input {input_name!r} is already in the template")

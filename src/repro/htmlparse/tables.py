@@ -40,15 +40,6 @@ class HtmlTable:
             index = name_or_index
         return [row[index] for row in self.rows if index < len(row)]
 
-    def as_records(self) -> list[dict[str, str]]:
-        """Rows as dicts keyed by header (empty when there is no header)."""
-        if not self.header:
-            return []
-        return [
-            {name: row[index] if index < len(row) else "" for index, name in enumerate(self.header)}
-            for row in self.rows
-        ]
-
 
 def _cell_text(cell: DomNode) -> str:
     return cell.text().strip()

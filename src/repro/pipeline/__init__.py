@@ -15,7 +15,7 @@ from repro.pipeline.observer import (
     PipelineObserver,
     ProgressObserver,
 )
-from repro.pipeline.pipeline import SurfacingPipeline, UnknownStageError
+from repro.pipeline.pipeline import SurfacingPipeline
 from repro.pipeline.scheduler import SurfacingScheduler
 from repro.pipeline.stages import (
     SCOPE_FORM,
@@ -38,7 +38,6 @@ __all__ = [
     "ProgressObserver",
     "SurfacingPipeline",
     "SurfacingScheduler",
-    "UnknownStageError",
     "Stage",
     "SCOPE_SITE",
     "SCOPE_FORM",

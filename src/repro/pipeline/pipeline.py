@@ -1,13 +1,11 @@
 """The staged surfacing pipeline composer.
 
 ``SurfacingPipeline`` owns the stage list (the seven paper stages by
-default), the shared services, and the observer list.  Stages can be
-inserted, replaced or ablated by name:
+default), the shared services, and the observer list.  A different stage
+list -- an ablation, a replaced or an extra stage -- is passed whole:
 
-    pipeline = SurfacingPipeline(web, engine, config)
-    pipeline.without_stage("index-pages")            # ablation
-    pipeline.replace_stage("candidate-values", MyValuesStage())
-    pipeline.insert_stage(AuditStage(), after="generate-urls")
+    stages = [s for s in default_stages() if s.name != "index-pages"]
+    pipeline = SurfacingPipeline(web, engine, config, stages=stages)
 
 ``surface_site`` runs one site through the stages and times it
 (``SiteSurfacingResult.elapsed_seconds``); ``surface_many`` adds
@@ -32,10 +30,6 @@ from repro.search.engine import SearchEngine
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.site import DeepWebSite
 from repro.webspace.web import Web
-
-
-class UnknownStageError(KeyError):
-    """Raised when a stage name does not exist in the pipeline."""
 
 
 class SurfacingPipeline:
@@ -74,48 +68,6 @@ class SurfacingPipeline:
     @property
     def coverage_estimator(self):
         return self.context.coverage_estimator
-
-    # -- stage management ---------------------------------------------------
-
-    @property
-    def stage_names(self) -> list[str]:
-        return [stage.name for stage in self.stages]
-
-    def get_stage(self, name: str) -> Stage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise UnknownStageError(name)
-
-    def _index_of(self, name: str) -> int:
-        for position, stage in enumerate(self.stages):
-            if stage.name == name:
-                return position
-        raise UnknownStageError(name)
-
-    def replace_stage(self, name: str, stage: Stage) -> "SurfacingPipeline":
-        """Swap the named stage for another implementation."""
-        self.stages[self._index_of(name)] = stage
-        return self
-
-    def without_stage(self, name: str) -> "SurfacingPipeline":
-        """Ablate (remove) the named stage."""
-        del self.stages[self._index_of(name)]
-        return self
-
-    def insert_stage(
-        self, stage: Stage, before: str | None = None, after: str | None = None
-    ) -> "SurfacingPipeline":
-        """Insert a stage before/after a named stage (appended by default)."""
-        if before is not None and after is not None:
-            raise ValueError("pass at most one of before/after")
-        if before is not None:
-            self.stages.insert(self._index_of(before), stage)
-        elif after is not None:
-            self.stages.insert(self._index_of(after) + 1, stage)
-        else:
-            self.stages.append(stage)
-        return self
 
     def add_observer(self, observer: PipelineObserver) -> "SurfacingPipeline":
         self.observers.append(observer)

@@ -77,14 +77,12 @@ class PlanResult:
 
     ``degraded`` (any route degraded) marks a partial answer: under the
     no-wrong-answers invariant every hit is one the fault-free execution
-    also produces, but some may be missing.  The serving frontend refuses
-    to cache degraded results.
+    also produces, but some may be missing.
     """
 
     plan: QueryPlan
     hits: list[PlanHit] = field(default_factory=list)
     routes: list[RouteOutcome] = field(default_factory=list)
-    cached: bool = False
     #: Pre-blend per-route contributions ``(route name, results)``;
     #: populated only by ``execute(..., keep_raw=True)`` (chaos harness).
     raw: tuple[tuple[str, tuple[SearchResult, ...]], ...] | None = None
@@ -127,7 +125,6 @@ class PlannerStats:
         self._lock = threading.Lock()
         self.plans = 0
         self.empty_plans = 0
-        self.cached_plans = 0
         self.degraded_plans = 0
         self.live_fetches = 0
         self.blended_results = 0
@@ -139,8 +136,6 @@ class PlannerStats:
             self.plans += 1
             if result.plan.is_empty:
                 self.empty_plans += 1
-            if result.cached:
-                self.cached_plans += 1
             if result.degraded:
                 self.degraded_plans += 1
             self.live_fetches += result.live_fetches_spent
@@ -160,7 +155,6 @@ class PlannerStats:
             return {
                 "plans": self.plans,
                 "empty_plans": self.empty_plans,
-                "cached_plans": self.cached_plans,
                 "degraded_plans": self.degraded_plans,
                 "live_fetches": self.live_fetches,
                 "blended_results": self.blended_results,

@@ -3,9 +3,8 @@
 A :class:`QueryPlan` is the planner's entire decision, reified: which
 route operators run, in which order, under which budgets and floors.
 Everything that influences execution is named by the plan's
-``fingerprint``, which is what the serving frontend keys its result
-cache on -- two plans with the same fingerprint over the same corpus
-generation are the same computation by construction.
+``fingerprint`` -- two plans with the same fingerprint over the same
+corpus are the same computation by construction.
 
 Three route operators cover the paper's three complementary systems:
 
@@ -110,9 +109,8 @@ class QueryPlan:
 
     ``generation`` records the store's document count at planning time --
     provenance for replay ("what corpus was this planned against"), not
-    part of the fingerprint (the serving cache already invalidates on
-    every ingest, so a fingerprint must name the computation, not the
-    corpus snapshot).
+    part of the fingerprint (which names the computation, not the corpus
+    snapshot).
     """
 
     query: ParsedQuery
@@ -127,8 +125,9 @@ class QueryPlan:
 
     @property
     def cacheable(self) -> bool:
-        """Plans with a live route are never cacheable: a cached probe
-        would silently serve stale query-time content."""
+        """Whether the plan reads only the materialized store: a live
+        route probes sites at query time, so its answer is not a function
+        of the corpus alone."""
         return all(route.cacheable for route in self.routes)
 
     @property

@@ -17,8 +17,7 @@ time:
   to any harvested schema.
 
 The planner never executes anything: it emits a :class:`QueryPlan`
-whose fingerprint names every decision, so plans are replayable and the
-serving cache can key on them.
+whose fingerprint names every decision, so plans are replayable.
 """
 
 from __future__ import annotations

@@ -111,19 +111,6 @@ class Crawler:
         stats.frontier_exhausted = not frontier
         return stats
 
-    def fetch_and_index(self, url: Url | str, source: str | None = None) -> bool:
-        """Fetch one URL and index it; returns True when it was indexed."""
-        parsed = url if isinstance(url, Url) else Url.parse(url)
-        self._visited.add(str(parsed))
-        try:
-            page = self.web.fetch(parsed, agent=self.agent)
-        except FetchError:
-            return False
-        if not page.ok:
-            return False
-        effective_source = source or self._source_for(parsed.host)
-        return self.ingestor.ingest_page(page, source=effective_source) is not None
-
     def _source_for(self, host: str) -> str:
         try:
             site = self.web.site(host)

@@ -5,8 +5,7 @@ pages and "appear in answers to web-search queries" like any other page --
 the essence of the surfacing approach.  Documents carry a ``source`` tag
 (surface crawl, deep-web crawl, surfaced, and now vertical-integration
 sources and webtables) so experiments can attribute results, and optional
-semantic annotations (Section 5.1 of the paper) that an annotation-aware
-ranker can exploit.
+semantic annotations (Section 5.1 of the paper), indexed as extra tokens.
 
 Storage lives behind :class:`~repro.store.backend.StorageBackend` (the
 in-memory default reproduces the engine's historical behavior byte for
@@ -195,12 +194,6 @@ class SearchEngine:
                 )
             )
         return results
-
-    def matching_documents(self, query: str, require_all: bool = True) -> list[Document]:
-        """Documents containing all (or any) query terms, unranked."""
-        tokens = tokenize(query)
-        ids = self._backend.matching_documents(tokens, require_all=require_all)
-        return [self._backend.get(doc_id) for doc_id in sorted(ids)]
 
     def site_term_frequencies(self, host: str, drop_stopwords: bool = True) -> dict[str, int]:
         """Term counts over all indexed pages of one host.

@@ -161,13 +161,6 @@ class InvertedIndex:
     def __contains__(self, doc_id: int) -> bool:
         return doc_id in self._doc_lengths
 
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self._postings)
-
-    def document_count(self) -> int:
-        return len(self._doc_lengths)
-
     def average_length(self) -> float:
         if not self._doc_lengths:
             return 0.0
@@ -410,34 +403,3 @@ class InvertedIndex:
             pruning_limit = limit if group is None else None
             self.accumulate(tokens, idf_by_term, self.average_length(), accumulator, pruning_limit)
         return rank_accumulator(accumulator, limit, group)
-
-    def matching_documents(self, query_tokens: Iterable[str], require_all: bool = False) -> set[int]:
-        """Doc ids containing any (or all) of the query terms.
-
-        Postings are combined lazily: unions accumulate over the posting
-        dicts directly, and intersections start from the smallest postings
-        list (ascending document frequency) with an empty-result early exit
-        -- no per-term key sets are materialized.
-        """
-        postings_list: list[dict[int, int]] = []
-        for term in query_tokens:
-            postings = self._postings.get(term)
-            if postings is None:
-                if require_all:
-                    return set()
-                continue
-            postings_list.append(postings)
-        if not postings_list:
-            return set()
-        if require_all:
-            postings_list.sort(key=len)
-            result = set(postings_list[0])
-            for postings in postings_list[1:]:
-                result.intersection_update(postings)
-                if not result:
-                    break
-            return result
-        result = set()
-        for postings in postings_list:
-            result.update(postings)
-        return result

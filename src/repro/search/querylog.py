@@ -13,7 +13,6 @@ every tail query).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.util.rng import SeededRng
 from repro.util.text import tokenize
@@ -215,14 +214,3 @@ class QueryLogGenerator:
                 )
             )
         return QueryLog(queries)
-
-
-def expand_to_stream(log: QueryLog) -> Iterable[Query]:
-    """Expand a frequency-weighted log into individual query instances.
-
-    Mostly useful for tests; experiments work with the weighted form to keep
-    run time down.
-    """
-    for query in sorted(log.queries, key=lambda q: q.rank):
-        for _ in range(query.frequency):
-            yield query

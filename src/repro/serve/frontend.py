@@ -8,45 +8,47 @@ reproduction: it sits on top of a :class:`~repro.search.engine.SearchEngine`
 behind it) and provides
 
 * a :class:`~repro.serve.cache.QueryResultCache` -- LRU + TTL, keyed on
-  the normalized query and ``k`` (or a federated plan's fingerprint),
-  stamped with a corpus generation the frontend bumps from an ingest
-  listener, so writes through *any* content layer invalidate cached
-  rankings automatically.  Strings (:meth:`serve`) and plans
-  (:meth:`serve_plan`) share one request core, so the cache, the
-  degraded refusal and the latency booking are written once;
+  the normalized query and ``k``, stamped with a corpus generation the
+  frontend bumps from an ingest listener, so writes through *any*
+  content layer invalidate cached rankings automatically.  A ranking the
+  backend served degraded is never cached;
 * a thread-pool request executor with a bounded admission queue:
   :meth:`submit` sheds load once ``queue_limit`` requests are in flight
   (a production frontend degrades by refusing, not by queueing without
   bound), while :meth:`serve_workload` defaults to blocking backpressure
   so replayed workloads are lossless and deterministic;
-* :class:`ServeStats` -- served/shed/cache-hit counters and latency
-  percentiles over everything served so far.
+* :class:`ServeStats` -- served/shed/cache-hit counts and latency
+  percentiles of one :meth:`serve_workload` replay, counted from that
+  replay's own requests.
+
+Federated queries (``field:value``, tables, live probes) do not pass
+through here: ``DeepWebService.query`` plans and executes them directly.
 
 Results are exactly what :meth:`SearchEngine.search` returns for the
 same query and ``k``: the cache stores the ranked tuples verbatim and
 scoring is deterministic, so cached, uncached and concurrent serving are
 byte-identical (``tests/serve/`` pins this).
 
-Thread-safety: any number of workers may serve concurrently.  The
-inverted index locks its writes, scoring and export, so a ranking taken
-during a write is the ranking after some prefix of the writes.  The
-catalog (it registers a document just after indexing it) and the cluster
-coordinator's df and length counters are not covered yet, so writes
-(crawl/surface/ingest) must still not run *during* a concurrent batch;
-the ingest listener invalidates cached results before the next query.
+Thread-safety: any number of workers may serve while writes
+(crawl/surface/ingest) run.  The inverted index locks its writes,
+scoring and export, and the catalog stores a document before indexing
+it, so every ranked id resolves and a single-store ranking taken during
+a write is the ranking after some prefix of the writes.  The cluster
+coordinator does the same and reads its df and length counters under
+the lock its writes take.  The ingest listener invalidates cached
+results before the next query; a ranking computed across a write is
+stamped with the generation read before it, so it is never served
+again as fresh.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.query.executor import PlanResult, QueryExecutor
-from repro.query.plan import QueryPlan
 from repro.search.engine import SearchEngine, SearchResult
 from repro.serve.cache import QueryResultCache, normalize_query
 from repro.serve.loadgen import WorkloadQuery
@@ -59,8 +61,8 @@ class ServeStats:
     """A snapshot of frontend traffic counters and latency percentiles.
 
     Latencies are seconds per request (cache lookup + ranking), measured
-    with the injected clock; ``qps`` is populated for workload runs
-    (served / wall-clock) and 0.0 on cumulative snapshots.
+    with the injected clock; ``qps`` is served / wall-clock when an
+    elapsed time is given, else 0.0.
     """
 
     served: int
@@ -158,16 +160,12 @@ class QueryFrontend:
         cache_size: int = 1024,
         ttl_seconds: float | None = None,
         queue_limit: int | None = None,
-        latency_window: int = 10_000,
         clock: Callable[[], float] = time.perf_counter,
-        executor: QueryExecutor | None = None,
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         if queue_limit is not None and queue_limit <= 0:
             raise ValueError(f"queue_limit must be positive, got {queue_limit}")
-        if latency_window <= 0:
-            raise ValueError(f"latency_window must be positive, got {latency_window}")
         self.engine = engine
         self.workers = workers
         #: In-flight request bound: submissions beyond this are shed (or
@@ -182,16 +180,6 @@ class QueryFrontend:
         self._pool: ThreadPoolExecutor | None = None
         self._slots = threading.BoundedSemaphore(self.queue_limit)
         self._lock = threading.Lock()
-        self._served = 0
-        self._shed = 0
-        #: Optional federated-plan executor; without one, ``serve_plan``
-        #: refuses (the frontend alone cannot harvest or probe).  Plan
-        #: provenance is counted once, in the executor's ``PlannerStats``.
-        self._plan_executor = executor
-        # Cumulative percentiles cover the most recent window only, so a
-        # long-lived frontend holds a bounded history; workload runs
-        # collect their own exact latencies from the futures.
-        self._latencies: deque[float] = deque(maxlen=latency_window)
         self._closed = False
         engine.ingestor.add_listener(self._on_ingest)
 
@@ -215,44 +203,23 @@ class QueryFrontend:
     def _serve_timed(
         self, query: str, k: int
     ) -> tuple[list[SearchResult], float, str | None]:
-        # The key is the normalized string plus ``k``, computed before
-        # anything is parsed or planned, so a hit does neither.
-        key = normalize_query(query) if k > 0 else ""
-        return self._request(key, k, _answer_query, query)
+        """The one read core: ``(ranking, latency, cache_outcome)``.
 
-    def serve_plan(self, plan: QueryPlan) -> PlanResult:
-        """Serve one federated :class:`QueryPlan`.
-
-        Cacheable plans (no live route) are keyed on the plan
-        fingerprint, generation-stamped exactly like string queries, so
-        any ingest invalidates them before the next serve.  Plans with a
-        live route are *never* cached: every serve runs the budgeted
-        probe, so a fresh query-time result can never be stale-served.
-        Empty plans return an empty result without executing, caching or
-        probing anything.
-        """
-        key = plan.fingerprint() if plan.cacheable and not plan.is_empty else None
-        return self._request(key, plan.k, _answer_plan, plan)[0]
-
-    def _request(self, key: str | None, k: int, answer_with: Callable, request) -> tuple:
-        """The one read core: ``(answer, latency, cache_outcome)``.
-
-        An empty ``key`` is never looked up or stored (an empty request,
-        or a plan with a live route).  ``answer_with(self, request, k,
-        cached)`` returns ``(answer, hits)``: built from ``cached`` on a
-        hit, else computed, ``hits`` being what may be cached (``None``
-        for a partial answer); it is module-level so a hit allocates no
-        bound method.  Workload runs count ``cache_outcome`` (``"hit"``,
-        ``"miss"`` or ``None``) themselves, so traffic through other
-        entry points cannot pollute their stats.
+        Workload runs count ``cache_outcome`` (``"hit"``, ``"miss"`` or
+        ``None`` for an empty request, which is never looked up or stored)
+        themselves, so traffic through other entry points cannot pollute
+        their stats.
         """
         if self._closed:
             # A closed frontend no longer hears ingests, so serving from
             # its cache could silently return stale rankings.
             raise RuntimeError("frontend is closed")
         started = self._clock()
+        # The key is the normalized string plus ``k``, computed before
+        # anything is parsed, so a hit does no tokenizing or scoring.
+        key = normalize_query(query) if k > 0 else ""
         if not key:
-            answer = answer_with(self, request, k, None)[0]
+            results = self.engine.search(query, k=k) if k > 0 else []
             cache_outcome = None
         else:
             # The generation must be read before computing: a write landing
@@ -260,7 +227,7 @@ class QueryFrontend:
             generation = self.cache.generation
             cached = self.cache.get(key, k)
             if cached is not None:
-                answer = answer_with(self, request, k, cached)[0]
+                results = list(cached)
                 cache_outcome = "hit"
             else:
                 # A search the backend served degraded (a cluster that lost
@@ -270,15 +237,11 @@ class QueryFrontend:
                 # concurrent search degraded; a degraded one never gets in.
                 backend = self.engine.backend
                 degraded_before = backend.degraded_searches
-                answer, hits = answer_with(self, request, k, None)
-                if hits is not None and backend.degraded_searches == degraded_before:
-                    self.cache.put(key, k, hits, generation=generation)
+                results = self.engine.search(query, k=k)
+                if backend.degraded_searches == degraded_before:
+                    self.cache.put(key, k, results, generation=generation)
                 cache_outcome = "miss"
-        latency = self._clock() - started
-        with self._lock:
-            self._served += 1
-            self._latencies.append(latency)
-        return answer, latency, cache_outcome
+        return results, self._clock() - started, cache_outcome
 
     def submit(self, query: str, k: int = 10) -> Future | None:
         """Enqueue one query on the worker pool.
@@ -292,12 +255,10 @@ class QueryFrontend:
     def _admit(self, fn, query: str, k: int, block: bool) -> Future | None:
         """Run ``fn(query, k)`` on the pool under an admission slot
         (released on completion).  Without ``block`` a full queue sheds
-        the request -- counted, ``None`` returned -- instead of waiting."""
+        the request -- ``None`` returned -- instead of waiting."""
         if block:
             self._slots.acquire()
         elif not self._slots.acquire(blocking=False):
-            with self._lock:
-                self._shed += 1
             return None
         try:
             future = self._executor().submit(fn, query, k)
@@ -358,24 +319,13 @@ class QueryFrontend:
         results = [outcome[0] if outcome is not None else None for outcome in outcomes]
         return WorkloadOutcome(results=results, stats=stats)
 
-    # -- stats / lifecycle ---------------------------------------------------
+    # -- lifecycle -----------------------------------------------------------
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run (a closed frontend refuses every
         request; build a fresh one to resume serving)."""
         return self._closed
-
-    def stats(self) -> ServeStats:
-        """Cumulative counters since the frontend was created."""
-        with self._lock:
-            return ServeStats.from_counters(
-                served=self._served,
-                shed=self._shed,
-                cache_hits=self.cache.hits,
-                cache_misses=self.cache.misses,
-                latencies=list(self._latencies),
-            )
 
     def _executor(self) -> ThreadPoolExecutor:
         if self._closed:
@@ -406,38 +356,3 @@ class QueryFrontend:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-# -- request kinds (the ``answer_with`` of ``QueryFrontend._request``) ---------
-
-
-def _answer_query(
-    frontend: QueryFrontend, query: str, k: int, cached
-) -> tuple[list[SearchResult], list[SearchResult] | None]:
-    """A string request: the engine's top-k."""
-    if cached is not None:
-        return list(cached), None
-    results = frontend.engine.search(query, k=k) if k > 0 else []
-    return results, results
-
-
-def _answer_plan(
-    frontend: QueryFrontend, plan: QueryPlan, k: int, cached
-) -> tuple[PlanResult, list | None]:
-    """A plan request: the executor's result (which records every plan it
-    runs, the empty one included)."""
-    executor = frontend._plan_executor
-    if executor is None:
-        raise RuntimeError(
-            "this frontend has no plan executor; construct it with "
-            "QueryFrontend(engine, executor=...) or use service.frontend"
-        )
-    if cached is None:
-        outcome = executor.execute(plan)
-        # A degraded outcome lost hits to fetch failures or a lost shard.
-        return outcome, None if outcome.degraded else outcome.hits
-    outcome = PlanResult(plan=plan, hits=list(cached), cached=True)
-    # Cache hits still count as plans in the shared provenance stats
-    # (routes/budgets stay zero: nothing re-ran).
-    executor.stats.record(outcome)
-    return outcome, None

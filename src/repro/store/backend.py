@@ -16,7 +16,7 @@ searches token streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.store.records import Document, IngestRecord
 
@@ -103,12 +103,6 @@ class StorageBackend(Protocol):
         """
         ...
 
-    def matching_documents(
-        self, query_tokens: Iterable[str], require_all: bool = False
-    ) -> set[int]:
-        """Doc ids containing any (or all) of the query terms."""
-        ...
-
     def stats(self) -> StoreStats:
         ...
 
@@ -118,8 +112,9 @@ class DocumentCatalog:
 
     Doc ids are sequential from 1 in ingestion order and a URL is stored
     once.  A subclass provides ``kind``, ``_index`` (put one new
-    document's token stream wherever its postings live), ``search``,
-    ``matching_documents`` and ``export_records``.
+    document's token stream wherever its postings live; called after the
+    document is stored, so every id a search ranks resolves), ``search``
+    and ``export_records``.
     """
 
     #: Searches served from part of the corpus so far.  Only a backend that
@@ -144,8 +139,10 @@ class DocumentCatalog:
         if existing is not None:
             return existing
         doc_id = len(self._documents) + 1
-        self._index(doc_id, record)
+        # Stored before its postings become searchable, so a search running
+        # beside this write never ranks an id ``get()`` cannot resolve.
         self._documents[doc_id] = record.as_document(doc_id)
+        self._index(doc_id, record)
         self._url_to_doc[record.url] = doc_id
         return doc_id
 

@@ -10,7 +10,7 @@ report renderings to the pre-store code
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.search.inverted_index import InvertedIndex
 from repro.store.backend import DocumentCatalog
@@ -44,8 +44,3 @@ class InMemoryBackend(DocumentCatalog):
         return self.index.score(
             query_tokens, limit=limit, group=self._source_of if per_source else None
         )
-
-    def matching_documents(
-        self, query_tokens: Iterable[str], require_all: bool = False
-    ) -> set[int]:
-        return self.index.matching_documents(query_tokens, require_all=require_all)

@@ -41,10 +41,6 @@ class Document:
     source: str
     annotations: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def is_deep_web(self) -> bool:
-        return self.source in DEEP_WEB_SOURCES
-
 
 @dataclass
 class IngestRecord:

@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG, text processing and statistics."""
 
 from repro.util.rng import SeededRng
-from repro.util.text import jaccard, ngrams, normalize, tokenize
+from repro.util.text import jaccard, normalize, tokenize
 from repro.util.zipf import ZipfSampler, fit_power_law
 from repro.util.stats import (
     chapman_estimate,
@@ -15,7 +15,6 @@ __all__ = [
     "SeededRng",
     "tokenize",
     "normalize",
-    "ngrams",
     "jaccard",
     "ZipfSampler",
     "fit_power_law",

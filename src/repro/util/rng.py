@@ -8,7 +8,7 @@ so that experiments are reproducible run-to-run.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -54,10 +54,6 @@ class SeededRng:
         """Uniform float in [low, high]."""
         return self._random.uniform(low, high)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normally distributed float."""
-        return self._random.gauss(mu, sigma)
-
     def choice(self, items: Sequence[T]) -> T:
         """Uniformly pick one element of a non-empty sequence."""
         return self._random.choice(items)
@@ -82,26 +78,6 @@ class SeededRng:
         """Pick one element with probability proportional to its weight."""
         return self._random.choices(list(items), weights=list(weights), k=1)[0]
 
-    def weighted_sample(
-        self, items: Sequence[T], weights: Sequence[float], k: int
-    ) -> list[T]:
-        """Sample ``k`` elements without replacement, weighted.
-
-        Uses the exponential-sort trick so the procedure stays deterministic
-        given the generator state.
-        """
-        if k >= len(items):
-            return list(items)
-        keyed = []
-        for item, weight in zip(items, weights):
-            if weight <= 0:
-                continue
-            # Smaller key == more likely to be picked first.
-            key = -self._random.expovariate(1.0) / weight
-            keyed.append((key, item))
-        keyed.sort(key=lambda pair: pair[0], reverse=True)
-        return [item for _, item in keyed[:k]]
-
     def bounded_int_lognormal(self, mu: float, sigma: float, low: int, high: int) -> int:
         """A log-normal draw rounded to int and clamped into [low, high].
 
@@ -114,15 +90,3 @@ class SeededRng:
     def maybe(self, probability: float) -> bool:
         """Return True with the given probability."""
         return self._random.random() < probability
-
-    def partition(self, items: Iterable[T], probability: float) -> tuple[list[T], list[T]]:
-        """Split items into (selected, rest) where each item is selected
-        independently with ``probability``."""
-        selected: list[T] = []
-        rest: list[T] = []
-        for item in items:
-            if self.maybe(probability):
-                selected.append(item)
-            else:
-                rest.append(item)
-        return selected, rest

@@ -33,17 +33,6 @@ def cumulative_share(values: Sequence[float]) -> list[float]:
     return shares
 
 
-def share_of_top(values: Sequence[float], top: int) -> float:
-    """Share of the total contributed by the ``top`` largest values."""
-    if top <= 0:
-        return 0.0
-    shares = cumulative_share(values)
-    if not shares:
-        return 0.0
-    index = min(top, len(shares)) - 1
-    return shares[index]
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0..100) with linear interpolation.
 
@@ -91,12 +80,6 @@ class CaptureRecaptureEstimate:
     second_sample: int
     recaptured: int
     std_error: float
-
-    def coverage_of(self, observed_unique: int) -> float:
-        """Estimated fraction of the population covered by ``observed_unique`` items."""
-        if self.estimate <= 0:
-            return 0.0
-        return min(1.0, observed_unique / self.estimate)
 
 
 def lincoln_petersen_estimate(
@@ -178,8 +161,3 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     low = (center - margin) / denominator
     high = (center + margin) / denominator
     return (max(0.0, low), min(1.0, high))
-
-
-def harmonic_number(n: int, exponent: float = 1.0) -> float:
-    """Generalized harmonic number; handy for analytic Zipf expectations."""
-    return sum(1.0 / (k**exponent) for k in range(1, n + 1))

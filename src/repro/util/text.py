@@ -4,8 +4,7 @@ the semantic services."""
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -38,15 +37,6 @@ def tokenize(text: str, drop_stopwords: bool = False) -> list[str]:
     return tokens
 
 
-def ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
-    """Contiguous n-grams of a token sequence."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if len(tokens) < n:
-        return []
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
 def jaccard(left: Iterable[str], right: Iterable[str]) -> float:
     """Jaccard similarity of two token collections (0.0 when both empty)."""
     left_set, right_set = set(left), set(right)
@@ -54,14 +44,6 @@ def jaccard(left: Iterable[str], right: Iterable[str]) -> float:
         return 0.0
     union = left_set | right_set
     return len(left_set & right_set) / len(union)
-
-
-def term_frequencies(texts: Iterable[str], drop_stopwords: bool = True) -> Counter:
-    """Aggregate token counts across a collection of texts."""
-    counts: Counter = Counter()
-    for text in texts:
-        counts.update(tokenize(text, drop_stopwords=drop_stopwords))
-    return counts
 
 
 def name_tokens(identifier: str) -> list[str]:

@@ -34,12 +34,6 @@ class FormMapping:
     matches: list[AttributeMatch] = field(default_factory=list)
     domain_score: float = 0.0
 
-    def attribute_for(self, input_name: str) -> str | None:
-        for match in self.matches:
-            if match.input_name == input_name:
-                return match.attribute_name
-        return None
-
     def input_for(self, attribute_name: str) -> str | None:
         best: AttributeMatch | None = None
         for match in self.matches:
@@ -47,14 +41,6 @@ class FormMapping:
                 if best is None or match.score > best.score:
                     best = match
         return best.input_name if best is not None else None
-
-    @property
-    def mapped_fraction(self) -> float:
-        bindable = [spec for spec in self.form.bindable_inputs]
-        if not bindable:
-            return 0.0
-        mapped = {match.input_name for match in self.matches}
-        return len(mapped & {spec.name for spec in bindable}) / len(bindable)
 
 
 class SchemaMatcher:

@@ -13,7 +13,6 @@ Three ingestion paths feed the corpus:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.htmlparse.forms import ParsedForm, extract_forms
 from repro.htmlparse.tables import HtmlTable, extract_tables
@@ -141,22 +140,6 @@ class TableCorpus:
                 admitted += 1
                 self._emit_table_record(corpus_table, position=admitted)
         return admitted
-
-    def add_pages(self, pages: Iterable[WebPage]) -> list[int]:
-        """Admit tables from a batch of pages; returns per-page admit counts.
-
-        One malformed page cannot abort the batch: a page whose ingestion
-        raises contributes a count of 0 (tallied in ``stats.page_errors``)
-        and the remaining pages are still processed.
-        """
-        counts: list[int] = []
-        for page in pages:
-            try:
-                counts.append(self.add_page(page))
-            except Exception:
-                self.stats.page_errors += 1
-                counts.append(0)
-        return counts
 
     def add_form(self, form: ParsedForm) -> None:
         """Record a form's input-name schema and its select-menu values."""

@@ -75,9 +75,6 @@ class ValuesService:
         values = self.corpus.attribute_values(attribute)
         return values if limit is None else values[:limit]
 
-    def value_set(self, attribute: str) -> set[str]:
-        return {value.strip().lower() for value in self.values(attribute)}
-
 
 class PropertyService:
     """Properties plausibly associated with an entity value.

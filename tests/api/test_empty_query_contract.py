@@ -91,22 +91,9 @@ class TestFrontendContract:
                 assert len(frontend.cache) == 0, "empty queries must not occupy cache slots"
                 assert frontend.cache.hits == hits_before
                 assert frontend.cache.misses == misses_before
-                assert frontend.stats().served == 2  # the requests themselves count
         finally:
             del service.engine._backend.search
         assert scored == [], "an empty request must not be scored"
-
-    def test_serve_plan_empty_plan_is_free(self, service):
-        plan = service.planner.plan("")
-        empty_before = service.planner_stats.as_dict()["empty_plans"]
-        with QueryFrontend(
-            service.engine, workers=1, cache_size=64, executor=service.executor
-        ) as frontend:
-            outcome = frontend.serve_plan(plan)
-            assert outcome.results == [] and not outcome.cached
-            assert len(frontend.cache) == 0
-            assert frontend.stats().served == 1
-            assert service.planner_stats.as_dict()["empty_plans"] == empty_before + 1
 
     def test_workload_with_empty_queries_replays_losslessly(self, service):
         queries = ["toyota", "", "city records", "   ", "toyota"]

@@ -71,16 +71,6 @@ class TestBuilder:
             builder.create()
         assert not (tmp_path / "state").exists()  # refused before any file opens
 
-    def test_stage_override_flows_through(self, car_web):
-        built = (
-            DeepWebService.build()
-            .web(car_web)
-            .stages([stage for stage in SurfacingPipeline(car_web).stages
-                     if stage.name != "index-pages"])
-            .create()
-        )
-        assert "index-pages" not in built.pipeline.stage_names
-
 
 class TestOperations:
     def test_surface_exposes_deep_content_to_search(self, service):
@@ -91,11 +81,6 @@ class TestOperations:
         query = " ".join(str(record.get(key, "")) for key in ("title", "city") if record.get(key))
         hits = service.search(query or str(record.get("title", "deep")), k=10)
         assert any(hit.source == SOURCE_SURFACED for hit in hits)
-
-    def test_result_for_finds_hosts(self, service):
-        host = service.results[0].host
-        assert service.result_for(host) is service.results[0]
-        assert service.result_for("nowhere.example.com") is None
 
     def test_per_site_timing_is_populated(self, service):
         assert all(result.elapsed_seconds > 0.0 for result in service.results)

@@ -151,12 +151,6 @@ class TestStorageProtocol:
         assert cluster.documents("crawl") == reference.documents("crawl")
         assert cluster.stats().by_source == reference.stats().by_source
 
-    def test_matching_documents(self, cluster, reference):
-        for require_all in (False, True):
-            assert cluster.matching_documents(
-                ["used", "zanzibar"], require_all=require_all
-            ) == reference.matching_documents(["used", "zanzibar"], require_all=require_all)
-
     def test_stats_shape(self, cluster):
         stats = cluster.stats()
         assert isinstance(stats, StoreStats)

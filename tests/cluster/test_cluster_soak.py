@@ -91,29 +91,19 @@ class TestCleanClusterBehindFacade:
             service.store.close()
 
 
-    @pytest.mark.parametrize("kind", ["plan", "string"])
-    def test_degraded_result_is_served_but_not_cached(self, kind):
-        """Both request kinds share the frontend's one read core: a
-        search that lost a shard is answered but never stored."""
+    def test_degraded_result_is_served_but_not_cached(self):
+        """A search that lost a shard is answered but never stored."""
         service = build_clustered(replicas=1)
         frontend = service.frontend
-        plan = service.planner.plan("used car", k=40)
-        assert plan.cacheable
 
         def serve():
             """``(results, whether the cache answered)``"""
             hits_before = frontend.cache.hits
-            if kind == "plan":
-                results = frontend.serve_plan(plan).results
-            else:
-                results = frontend.serve("used car", k=40)
+            results = frontend.serve("used car", k=40)
             return results, frontend.cache.hits > hits_before
 
         try:
-            if kind == "plan":
-                healthy = service.executor.execute(plan).results
-            else:
-                healthy = service.search("used car", k=40)
+            healthy = service.search("used car", k=40)
             service.store.kill(replica_name(1, 0))
             shrunken, _ = serve()
             assert 0 < len(shrunken) < len(healthy)

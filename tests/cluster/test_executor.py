@@ -443,7 +443,7 @@ class TestConcurrentScatters:
             assert wrong == []
             assert executor.scatters == clients * rounds
             assert executor.tasks == clients * rounds * shards
-            assert all(node.inflight == 0 for replica_set in nodes for node in replica_set)
+            assert all(node._inflight == 0 for replica_set in nodes for node in replica_set)
         finally:
             sys.setswitchinterval(interval)
             close_all(nodes)

@@ -53,14 +53,14 @@ class TestAttempt:
             first = node.try_submit(hold(started, release))
             assert started.wait(WAIT), "the worker never picked the first attempt up"
             queued = node.try_submit(ran.append, "ran", on_done=settled.append)
-            assert node.inflight == 2
+            assert node._inflight == 2
             queued.cancel()
             release.set()
             assert first.result(timeout=WAIT) is True
             assert queued.result(timeout=WAIT) is None
             node.close()  # joins the worker: on_done has been called by now
             assert ran == [] and settled == [queued] and queued.cancelled
-            assert node.inflight == 0
+            assert node._inflight == 0
             # Both slots are back: the limit of 2 admits two more.
             assert all(node.try_submit(int) is not None for _ in range(2))
         finally:
@@ -75,7 +75,7 @@ class TestAttempt:
             assert node.try_submit(int) is None and node.refused == 1  # limit is 1
             release.set()
             node.close()
-            assert node.inflight == 0
+            assert node._inflight == 0
             accepted = node.try_submit(int)
             assert accepted is not None and accepted.result(timeout=WAIT) == 0
         finally:
@@ -95,7 +95,7 @@ class TestAttempt:
         following = node.try_submit(lambda: threading.current_thread())
         assert following is not None and following.result(timeout=WAIT) is worker
         node.close()
-        assert node.inflight == 0
+        assert node._inflight == 0
 
     def test_result_times_out_on_an_unsettled_attempt(self, node):
         release = threading.Event()
@@ -112,7 +112,7 @@ class TestAttempt:
         seen = []
 
         def on_done(attempt):
-            seen.append((threading.current_thread().name, node.inflight, attempt.value))
+            seen.append((threading.current_thread().name, node._inflight, attempt.value))
 
         attempt = node.try_submit(lambda: 7, on_done=on_done)
         node.close()

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.annotation import PageAnnotation, annotation_for_bindings, rerank_with_annotations
+from repro.core.annotation import PageAnnotation, annotation_for_bindings
 from repro.core.coverage import CoverageEstimator, coverage_curve
-from repro.core.extraction import (
-    extract_detail_record,
-    extract_result_records,
-    extraction_accuracy,
-)
-from repro.search.engine import SOURCE_SURFACED, SearchEngine
-from repro.webspace.page import WebPage
+from repro.core.extraction import extract_detail_record, extract_result_records
 from repro.webspace.url import Url
 
 
@@ -81,50 +75,10 @@ class TestAnnotations:
         assert annotation.as_dict["make"] == "Honda"
         assert annotation.as_dict["domain"] == "used_cars"
         assert "empty" not in annotation.as_dict
-        assert {"honda", "02139", "used", "cars"} <= annotation.tokens()
 
     def test_empty_annotation(self):
         annotation = PageAnnotation()
         assert annotation.as_dict == {}
-        assert annotation.tokens() == set()
-
-    def test_rerank_penalizes_incidental_matches(self):
-        engine = SearchEngine()
-        # A surfaced Honda Civic page that *mentions* a Ford Focus in passing.
-        honda_html = (
-            "<html><head><title>Used car listings</title></head><body>"
-            "<p>1993 Honda Civic for sale, better mileage than the Ford Focus</p></body></html>"
-        )
-        ford_html = (
-            "<html><head><title>Used car listings</title></head><body>"
-            "<p>1993 Ford Focus for sale clean title</p></body></html>"
-        )
-        engine.add_page(
-            WebPage(url="http://cars.test/search?make=Honda", html=honda_html),
-            source=SOURCE_SURFACED,
-            annotations={"make": "Honda", "domain": "used_cars"},
-        )
-        engine.add_page(
-            WebPage(url="http://cars.test/search?make=Ford", html=ford_html),
-            source=SOURCE_SURFACED,
-            annotations={"make": "Ford", "domain": "used_cars"},
-        )
-        query = "used ford focus 1993"
-        baseline = engine.search(query, k=2)
-        reranked = rerank_with_annotations(engine, query, baseline)
-        assert reranked[0].url.endswith("make=Ford")
-        ford_rank_change = [result.url for result in reranked].index(
-            "http://cars.test/search?make=Ford"
-        )
-        assert ford_rank_change == 0
-
-    def test_rerank_leaves_unannotated_pages_alone(self):
-        engine = SearchEngine()
-        engine.add_page(WebPage(url="http://plain.test/", html="<html><body><p>ford focus</p></body></html>"))
-        results = engine.search("ford focus")
-        reranked = rerank_with_annotations(engine, "ford focus", results)
-        assert reranked[0].score == results[0].score
-
 
 class TestExtraction:
     def test_extract_result_records_from_site_page(self, car_site, car_web, car_form):
@@ -150,22 +104,14 @@ class TestExtraction:
     def test_extract_detail_record_missing_table(self):
         assert extract_detail_record("<html><body><p>nothing here</p></body></html>") is None
 
-    def test_merged_with_bindings(self):
-        records = extract_result_records(
-            '<html><body><div class="result"><h3><a href="http://s/item?id=1">X</a></h3>'
-            "<p>price: 10</p></div></body></html>"
-        )
-        merged = records[0].merged_with_bindings({"make": "Honda"})
-        assert merged.fields["form_make"] == "Honda"
-        assert merged.fields["price"] == "10"
-
     def test_extraction_accuracy_against_ground_truth(self, car_site, car_web, car_form):
         make_input = car_form.select_inputs[0]
         url = car_form.submission_url({make_input.name: make_input.options[0]})
         page = car_web.fetch(url)
         records = extract_result_records(page.html)
-        truth = list(car_site.database.table("listings"))
-        assert extraction_accuracy(records, truth, key_field="title") > 0.9
+        titles = {str(row["title"]).strip().lower() for row in car_site.database.table("listings")}
+        found = sum(1 for record in records if record.title.strip().lower() in titles)
+        assert found / len(records) > 0.9
 
     def test_wrapper_induction_without_result_class(self):
         html = (

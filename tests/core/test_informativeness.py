@@ -6,7 +6,6 @@ from repro.core.informativeness import (
     PageSignature,
     SignatureCache,
     distinct_signature_fraction,
-    is_informative,
     record_ids_from_links,
 )
 from repro.webspace.page import not_found
@@ -64,15 +63,6 @@ class TestSignatureOf:
         signature = signature_of(html, "http://cars.test/search?make=Toyota")
         assert signature.record_ids == frozenset({"cars.test#4", "cars.test#9", "cars.test#11"})
 
-    def test_distinct_from(self):
-        first = signature_of(RESULTS_HTML)
-        second = signature_of(RESULTS_HTML.replace("id=11", "id=12"))
-        empty = signature_of(EMPTY_HTML)
-        assert first.distinct_from(second)
-        assert not first.distinct_from(first)
-        assert not empty.distinct_from(signature_of(not_found("u").html))
-
-
 class TestInformativeness:
     def _signature(self, ids: set[str], error: bool = False) -> PageSignature:
         return PageSignature(
@@ -85,12 +75,10 @@ class TestInformativeness:
     def test_all_distinct_is_fully_informative(self):
         signatures = [self._signature({f"r{i}"}) for i in range(5)]
         assert distinct_signature_fraction(signatures) == 1.0
-        assert is_informative(signatures)
 
     def test_all_identical_is_barely_informative(self):
         signatures = [self._signature({"r1"}) for _ in range(10)]
         assert distinct_signature_fraction(signatures) == 0.1
-        assert not is_informative(signatures, threshold=0.25)
 
     def test_errors_and_empties_do_not_count(self):
         signatures = [self._signature(set()) for _ in range(4)] + [
@@ -100,14 +88,11 @@ class TestInformativeness:
 
     def test_empty_input(self):
         assert distinct_signature_fraction([]) == 0.0
-        assert not is_informative([])
 
-    def test_threshold_behaviour(self):
+    def test_repeated_pages_count_once(self):
         signatures = [self._signature({"a"}), self._signature({"a"}), self._signature({"b"}), self._signature({"c"})]
         fraction = distinct_signature_fraction(signatures)
         assert fraction == 0.75
-        assert is_informative(signatures, threshold=0.7)
-        assert not is_informative(signatures, threshold=0.8)
 
 
 class TestRecordIdsFromLinks:

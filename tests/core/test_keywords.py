@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.core.keywords import IterativeProber
 from repro.core.probe import FormProber
-from repro.search.crawler import Crawler
 from repro.search.engine import SearchEngine
 
 
@@ -25,9 +24,8 @@ class TestSeedKeywords:
 
     def test_seeds_prefer_indexed_site_pages(self, car_form, car_prober, car_web, car_site):
         engine = SearchEngine()
-        crawler = Crawler(car_web, engine)
-        crawler.fetch_and_index(car_site.detail_url(1))
-        crawler.fetch_and_index(car_site.detail_url(2))
+        engine.add_page(car_web.fetch(car_site.detail_url(1)))
+        engine.add_page(car_web.fetch(car_site.detail_url(2)))
         prober = IterativeProber(car_prober, engine=engine, seed_count=8)
         seeds = prober.seed_keywords(car_form)
         record = car_site.database.table("listings").get(1)

@@ -25,10 +25,6 @@ class TestQueryTemplate:
         assert QueryTemplate(("b", "a")) == QueryTemplate(("a", "b"))
         assert str(QueryTemplate(("b", "a"))) == "a+b"
 
-    def test_dimensions(self):
-        assert QueryTemplate(("a",)).dimensions == 1
-        assert QueryTemplate(("a", "b", "c")).dimensions == 3
-
     def test_extend(self):
         extended = QueryTemplate(("a",)).extend("b")
         assert extended.binding_inputs == ("a", "b")
@@ -115,7 +111,7 @@ class TestLatticeSearch:
             spec.name: list(spec.options) for spec in car_form.select_inputs[:3]
         }
         evaluations = selector(car_prober, max_dimensions=1).select_templates(car_form, value_sets)
-        assert all(evaluation.template.dimensions == 1 for evaluation in evaluations)
+        assert all(len(evaluation.template.binding_inputs) == 1 for evaluation in evaluations)
 
     def test_max_templates_cap(self, car_form, car_prober):
         value_sets = {spec.name: list(spec.options) for spec in car_form.select_inputs}

@@ -138,10 +138,6 @@ class TestTableExtraction:
         assert header_table.column("price") == ["5000", "6000"]
         assert header_table.column(0) == ["Toyota", "Honda"]
 
-    def test_as_records(self):
-        records = extract_tables(TABLE_HTML)[0].as_records()
-        assert records[0] == {"make": "Toyota", "model": "Camry", "price": "5000"}
-
     def test_attribute_value_table(self):
         detail = extract_tables(TABLE_HTML)[1]
         assert not detail.has_header

@@ -1,4 +1,4 @@
-"""Tests for the SurfacingPipeline composer: stage management, observers,
+"""Tests for the SurfacingPipeline composer: stage lists, observers,
 progress events and per-site timing."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import io
 import pytest
 
 from repro import MetricsObserver, ProgressObserver, SurfacingConfig, SurfacingPipeline
-from repro.pipeline import SCOPE_FORM, UnknownStageError
+from repro.pipeline import SCOPE_FORM, default_stages
 from repro.pipeline.observer import PipelineObserver
 from repro.search.engine import SOURCE_SURFACED, SearchEngine
 
@@ -48,47 +48,22 @@ class TallyStage:
         return ctx
 
 
-class TestStageManagement:
-    def test_without_stage_ablates_indexing(self, car_web, car_site):
-        pipeline = SurfacingPipeline(car_web, SearchEngine(), SurfacingConfig())
-        pipeline.without_stage("index-pages")
+class TestStageLists:
+    def test_a_stage_list_without_indexing_ablates_it(self, car_web, car_site):
+        stages = [stage for stage in default_stages() if stage.name != "index-pages"]
+        pipeline = SurfacingPipeline(car_web, SearchEngine(), SurfacingConfig(), stages=stages)
         result = pipeline.surface_site(car_site)
         assert result.forms_surfaced == 1
         assert result.form_results[0].urls_kept > 0
         assert result.urls_indexed == 0
         assert pipeline.engine.documents(source=SOURCE_SURFACED) == []
 
-    def test_replace_stage_swaps_implementation(self, car_web, car_site):
-        pipeline = SurfacingPipeline(car_web, SearchEngine(), SurfacingConfig())
+    def test_a_custom_stage_runs_in_place_of_a_default(self, car_web, car_site):
         tally = TallyStage()
-        pipeline.replace_stage("index-pages", tally)
+        stages = [tally if stage.name == "index-pages" else stage for stage in default_stages()]
+        pipeline = SurfacingPipeline(car_web, SearchEngine(), SurfacingConfig(), stages=stages)
         pipeline.surface_site(car_site)
         assert tally.runs == 1
-        assert "index-pages" not in pipeline.stage_names
-
-    def test_insert_stage_positions(self, car_web):
-        pipeline = SurfacingPipeline(car_web)
-        pipeline.insert_stage(TallyStage(), after="generate-urls")
-        names = pipeline.stage_names
-        assert names.index("tally") == names.index("generate-urls") + 1
-
-        before = TallyStage()
-        before.name = "tally-before"
-        pipeline.insert_stage(before, before="classify-inputs")
-        names = pipeline.stage_names
-        assert names.index("tally-before") == names.index("classify-inputs") - 1
-
-    def test_unknown_stage_raises(self, car_web):
-        pipeline = SurfacingPipeline(car_web)
-        with pytest.raises(UnknownStageError):
-            pipeline.without_stage("no-such-stage")
-        with pytest.raises(UnknownStageError):
-            pipeline.get_stage("no-such-stage")
-
-    def test_before_and_after_are_exclusive(self, car_web):
-        pipeline = SurfacingPipeline(car_web)
-        with pytest.raises(ValueError):
-            pipeline.insert_stage(TallyStage(), before="index-pages", after="generate-urls")
 
 
 class TestObserversAndProgress:

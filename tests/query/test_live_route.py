@@ -13,7 +13,6 @@ import pytest
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.query.plan import ROUTE_LIVE_VERTICAL, LiveVerticalRoute, SOURCE_LIVE_VERTICAL
-from repro.serve.frontend import QueryFrontend
 from repro.webspace.loadmeter import AGENT_VIRTUAL
 from repro.webspace.sitegen import WebConfig
 
@@ -76,23 +75,17 @@ class TestLiveNeverCached:
         plan = live_plan(service, budget=3)
         assert not plan.cacheable
 
-    def test_every_serve_runs_a_fresh_probe(self, service):
+    def test_every_execution_runs_a_fresh_probe(self, service):
         plan = live_plan(service, budget=3)
-        with QueryFrontend(
-            service.engine, workers=1, cache_size=512, executor=service.executor
-        ) as frontend:
-            entries_before = len(frontend.cache)
-            before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
-            first = frontend.serve_plan(plan)
-            mid = service.web.load_meter.total(agent=AGENT_VIRTUAL)
-            second = frontend.serve_plan(plan)
-            after = service.web.load_meter.total(agent=AGENT_VIRTUAL)
-            assert mid > before, "first serve must probe"
-            assert after > mid, "second serve must probe again, never cache-hit"
-            assert not first.cached and not second.cached
-            assert len(frontend.cache) == entries_before, "no cache entry for live plans"
-            # Deterministic world: the fresh probe reproduces the answer.
-            assert second.results == first.results
+        before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
+        first = service.executor.execute(plan)
+        mid = service.web.load_meter.total(agent=AGENT_VIRTUAL)
+        second = service.executor.execute(plan)
+        after = service.web.load_meter.total(agent=AGENT_VIRTUAL)
+        assert mid > before, "first execution must probe"
+        assert after > mid, "second execution must probe again"
+        # Deterministic world: the fresh probe reproduces the answer.
+        assert second.results == first.results
 
     def test_live_hits_carry_live_provenance(self, service):
         plan = live_plan(service, budget=5)

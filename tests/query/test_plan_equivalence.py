@@ -4,9 +4,7 @@
   (ids, scores, order) to the pre-planner ``search_all`` algorithm,
   replicated inline below, at every ``min_per_source`` parity -- that
   read is now ``service.query(q, k, min_per_source,
-  include_webtables=False)``;
-* frontend-served plans are byte-identical to direct executor runs,
-  including after a mid-workload ingest invalidates the plan cache.
+  include_webtables=False)``.
 """
 
 from __future__ import annotations
@@ -15,9 +13,6 @@ import pytest
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
-from repro.serve.frontend import QueryFrontend
-from repro.serve.loadgen import WorkloadGenerator
-from repro.store.records import IngestRecord
 from repro.util.text import tokenize
 from repro.webspace.sitegen import WebConfig
 
@@ -96,59 +91,3 @@ class TestIndexedPlanEquivalence:
         assert outcome.hits, "corpus-derived query must match"
         assert all(hit.route == "indexed" for hit in outcome.hits)
         assert outcome.routes_taken() == ("indexed",)
-
-
-class TestFrontendPlanEquivalence:
-    def _plans(self, service, count: int, seed: str):
-        stream = WorkloadGenerator(service.web, seed=seed).mixed_stream(count, k=10)
-        return [service.planner.plan(query.text, k=query.k, min_per_source=2) for query in stream]
-
-    def test_served_plans_match_direct_executor_runs(self, service):
-        plans = self._plans(service, 150, seed="plan-equiv")
-        direct = [service.executor.execute(plan).results for plan in plans]
-        recorded = service.planner_stats.as_dict()["plans"]
-        with QueryFrontend(
-            service.engine, workers=1, cache_size=512, executor=service.executor
-        ) as frontend:
-            served = [frontend.serve_plan(plan).results for plan in plans]
-            assert served == direct
-            assert frontend.stats().served == len(plans)
-            assert service.planner_stats.as_dict()["plans"] == recorded + len(plans)
-            assert frontend.cache.hits > 0, "repeated plans must hit the fingerprint cache"
-
-    def test_mid_workload_ingest_invalidates_served_plans(self, service):
-        plans = self._plans(service, 80, seed="plan-invalidate")
-        half = len(plans) // 2
-        with QueryFrontend(
-            service.engine, workers=1, cache_size=512, executor=service.executor
-        ) as frontend:
-            first_direct = [service.executor.execute(plan).results for plan in plans[:half]]
-            assert [frontend.serve_plan(p).results for p in plans[:half]] == first_direct
-
-            text = "midworkload planner listing city bedrooms special"
-            service.engine.ingest_records(
-                [
-                    IngestRecord(
-                        url="http://ingest.planner.example.com/1",
-                        host="ingest.planner.example.com",
-                        title="planner midworkload",
-                        text=text,
-                        tokens=tokenize(text),
-                        source="surfaced",
-                    )
-                ]
-            )
-
-            second_direct = [service.executor.execute(plan).results for plan in plans[half:]]
-            assert [frontend.serve_plan(p).results for p in plans[half:]] == second_direct
-
-    def test_cached_plan_serves_identical_hits_with_provenance(self, service):
-        plan = service.planner.plan(sample_queries(service, 1)[0], k=8, min_per_source=2)
-        with QueryFrontend(
-            service.engine, workers=1, cache_size=64, executor=service.executor
-        ) as frontend:
-            cold = frontend.serve_plan(plan)
-            warm = frontend.serve_plan(plan)
-            assert not cold.cached and warm.cached
-            assert warm.hits == cold.hits  # provenance survives the cache
-            assert warm.results == cold.results

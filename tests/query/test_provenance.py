@@ -12,7 +12,6 @@ import pytest
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.query.plan import ROUTE_INDEXED, ROUTE_WEBTABLES
-from repro.query.executor import QueryExecutor
 from repro.serve.frontend import QueryFrontend, ServeStats
 from repro.webspace.sitegen import WebConfig
 
@@ -65,30 +64,9 @@ class TestServiceReport:
 
 
 class TestOneOwnerPerPlanCounter:
-    def test_cached_serves_run_no_route(self, service):
-        """Plan provenance lives in the executor's ``PlannerStats`` alone:
-        a cached serve counts as a plan and a cached plan, never as a
-        route taken (nothing re-ran)."""
-        plan = service.planner.plan("records listings", k=5, include_webtables=False)
-        executor = QueryExecutor(service.engine)
-        with QueryFrontend(
-            service.engine, workers=1, cache_size=32, executor=executor
-        ) as frontend:
-            for _ in range(5):
-                frontend.serve_plan(plan)
-            served = frontend.stats()
-        planning = executor.stats.as_dict()
-        assert planning["plans"] == 5 and planning["cached_plans"] == 4
-        assert planning["routes_taken"] == {ROUTE_INDEXED: 1}
-        assert served.served == 5 and served.cache_hits == 4
-
     def test_serve_stats_hold_serving_facts_only(self, service):
-        with QueryFrontend(
-            service.engine, workers=1, cache_size=32, executor=service.executor
-        ) as frontend:
-            frontend.serve("records", k=3)
-            frontend.serve_plan(service.planner.plan("records listings", k=5))
-            stats = frontend.stats()
+        with QueryFrontend(service.engine, workers=1, cache_size=32) as frontend:
+            stats = frontend.serve_workload(["records"], default_k=3).stats
         assert {f.name for f in fields(ServeStats)} == SERVING_FACTS
-        assert stats.served == 2
+        assert stats.served == 1
         assert not any(line.startswith("plans:") for line in stats.lines())

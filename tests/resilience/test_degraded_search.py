@@ -3,8 +3,8 @@
 The contract under test is the no-wrong-answers invariant -- a faulted
 execution may return *fewer* results than the fault-free twin, but every
 result it does return must be one the fault-free run also produces --
-plus the provenance trail (RouteOutcome/PlanResult degraded flags,
-planner stats, the serving frontend's refusal to cache partial answers).
+plus the provenance trail (RouteOutcome/PlanResult degraded flags and
+planner stats).
 """
 
 from __future__ import annotations
@@ -146,41 +146,21 @@ class TestOnePlanCounterOwner:
     def test_report_reads_the_planner_stats_after_mixed_traffic(
         self, clean_service, chaos_factory
     ):
-        """Direct executions and frontend serves -- a cached, two empty and
-        two degraded plans among them -- land in one ``PlannerStats``; the
-        report is that owner's snapshot and the frontend keeps none."""
+        """Executions -- a clean, two empty and two degraded plans among
+        them -- land in one ``PlannerStats``; the report is that owner's
+        snapshot."""
         degraded_plan, live_route = first_live_plan(clean_service)
         cacheable = next(plan for plan in plan_workload(clean_service) if plan.cacheable)
+        # Every routed live host is hard-down: both executions degrade for sure.
         service = chaos_factory(hosts_down(live_route.hosts))
-        frontend = service.frontend
         service.executor.execute(cacheable)
-        assert not frontend.serve_plan(cacheable).cached
-        assert frontend.serve_plan(cacheable).cached
-        frontend.serve_plan(service.planner.plan("   "))
+        service.executor.execute(service.planner.plan("   "))
         service.executor.execute(service.planner.plan(""))
-        assert frontend.serve_plan(degraded_plan).degraded
+        assert service.executor.execute(degraded_plan).degraded
         assert service.executor.execute(degraded_plan).degraded
 
         planning = service.planner_stats.as_dict()
         assert service.report().query_planning == planning
-        assert planning["plans"] == 7
-        assert (
-            planning["cached_plans"], planning["empty_plans"], planning["degraded_plans"]
-        ) == (1, 2, 2)
-        plan_fields = {"plans_served", "live_fetches", "routes", "degraded_plans"}
-        assert not plan_fields & set(vars(frontend.stats()))
-
-
-class TestFrontendNeverCachesDegraded:
-    def test_degraded_serves_counted_and_uncached(self, clean_service, chaos_factory):
-        degraded_plan, live_route = first_live_plan(clean_service)
-        # Every routed live host is hard-down: both serves degrade for sure.
-        service = chaos_factory(hosts_down(live_route.hosts))
-        frontend = service.frontend
-        first = frontend.serve_plan(degraded_plan)
-        second = frontend.serve_plan(degraded_plan)
-        assert service.planner_stats.as_dict()["degraded_plans"] == 2
-        # Neither serve was answered from cache: a shrunken answer must
-        # never outlive the fault that shrank it.
-        assert not first.cached and not second.cached
+        assert planning["plans"] == 5
+        assert (planning["empty_plans"], planning["degraded_plans"]) == (2, 2)
         assert "degraded plans: 2 (partial results, never cached)" in service.report().lines()

@@ -487,32 +487,3 @@ class TestAccumulateUnderExternalIngredients:
         once: dict[int, float] = {}
         index.accumulate([term], idf_by_term, 20.0, once)
         assert all(accumulator[doc_id] == once[doc_id] + once[doc_id] for doc_id in once)
-
-
-class TestMatchingDocuments:
-    def test_union_and_intersection_match_reference(self, indexed_corpus):
-        index, docs, vocabulary = indexed_corpus
-        rng = random.Random(37)
-        for _ in range(100):
-            query = [rng.choice(vocabulary) for _ in range(rng.randint(1, 4))]
-            per_term = [
-                {doc_id for doc_id, tokens in docs.items() if term in tokens}
-                for term in query
-            ]
-            union = set().union(*per_term)
-            intersection = set.intersection(*per_term)
-            assert index.matching_documents(query) == union
-            assert index.matching_documents(query, require_all=True) == intersection
-
-    def test_missing_term_short_circuits_intersection(self, indexed_corpus):
-        index, _docs, vocabulary = indexed_corpus
-        assert index.matching_documents([vocabulary[0], "nosuchterm"], require_all=True) == set()
-        assert index.matching_documents(["nosuchterm"]) == set()
-        assert index.matching_documents([], require_all=True) == set()
-        assert index.matching_documents([]) == set()
-
-    def test_result_sets_are_fresh_copies(self, indexed_corpus):
-        index, _docs, vocabulary = indexed_corpus
-        first = index.matching_documents([vocabulary[0]])
-        first.add(-1)
-        assert -1 not in index.matching_documents([vocabulary[0]])

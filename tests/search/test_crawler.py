@@ -52,13 +52,6 @@ class TestCrawl:
         after = car_web.load_meter.total(host=car_site.host, agent=AGENT_CRAWLER)
         assert after == before, "second crawl must skip already-visited homepage"
 
-    def test_fetch_and_index_single_url(self, car_web, car_site):
-        engine = SearchEngine()
-        crawler = Crawler(car_web, engine)
-        assert crawler.fetch_and_index(car_site.detail_url(1))
-        assert not crawler.fetch_and_index(car_site.detail_url(10**9))
-        assert engine.store_stats().by_source.get(SOURCE_DEEP_CRAWLED) == 1
-
     def test_error_pages_counted(self, car_web, car_site):
         engine = SearchEngine()
         crawler = Crawler(car_web, engine)

@@ -44,7 +44,6 @@ class TestIngestion:
         doc = engine.document_for_url("http://gov.com/doc")
         assert doc.host == "gov.com"
         assert doc.source == SOURCE_SURFACED
-        assert doc.is_deep_web
         assert doc.annotations["domain"] == "government"
 
     def test_count_by_source(self):
@@ -87,11 +86,6 @@ class TestSearch:
         engine = build_engine()
         results = engine.search("government water")
         assert results and results[0].host == "gov.com"
-
-    def test_matching_documents_require_all(self):
-        engine = build_engine()
-        docs = engine.matching_documents("toyota camry", require_all=True)
-        assert [doc.url for doc in docs] == ["http://cars.com/1"]
 
     def test_site_term_frequencies(self):
         frequencies = build_engine().site_term_frequencies("cars.com")

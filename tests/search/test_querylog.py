@@ -9,7 +9,6 @@ from repro.search.querylog import (
     QueryLogConfig,
     QueryLogGenerator,
     Query,
-    expand_to_stream,
 )
 from repro.util.rng import SeededRng
 from repro.util.zipf import fit_power_law, tail_mass
@@ -97,19 +96,6 @@ class TestGeneratedLog:
         log = QueryLogGenerator(Web(), SeededRng(1)).generate(QueryLogConfig(total_volume=100))
         assert len(log) == 0
         assert log.total_volume == 0
-
-
-class TestStreamExpansion:
-    def test_expansion_matches_frequencies(self):
-        log = QueryLog(
-            [
-                Query(text="a", kind=KIND_HEAD, frequency=3, rank=1),
-                Query(text="b", kind=KIND_TAIL, frequency=1, rank=2),
-            ]
-        )
-        stream = list(expand_to_stream(log))
-        assert len(stream) == 4
-        assert sum(1 for query in stream if query.text == "a") == 3
 
 
 class TestLogBoundaries:

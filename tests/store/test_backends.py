@@ -104,13 +104,12 @@ class TestBackendContract:
         assert [d.doc_id for d in backend.documents_for_host("h.test")] == [1, 2]
         assert backend.documents_for_host("other.test") == []
 
-    def test_search_and_matching(self, backend):
+    def test_search(self, backend):
         backend.add(record("u://1", "toyota camry austin"))
         backend.add(record("u://2", "honda civic austin"))
         ranked = backend.search(["toyota"])
         assert [doc_id for doc_id, _ in ranked] == [1]
-        assert backend.matching_documents(["austin"]) == {1, 2}
-        assert backend.matching_documents(["austin", "toyota"], require_all=True) == {1}
+        assert [doc_id for doc_id, _ in backend.search(["austin"])] == [1, 2]
         assert backend.search(["nosuchterm"]) == []
 
     def test_count_by_source_is_sorted(self, backend):
@@ -128,6 +127,70 @@ class TestBackendContract:
             backend.add(record(f"u://{index % 25}", "x", source=sources[index % 3]))
         stats = backend.stats()
         assert sum(stats.by_source.values()) == stats.documents == len(backend) == 25
+
+    def test_empty_backend_reads_are_empty(self, backend):
+        assert len(backend) == 0
+        assert "u://1" not in backend
+        assert backend.documents() == []
+        assert backend.export_records() == []
+        assert backend.search(["alpha"]) == []
+        assert backend.search([], limit=3) == []
+        assert backend.stats().documents == 0
+
+    def test_ranking_is_score_descending_then_id_ascending(self, backend):
+        # Three identical documents tie; a shorter match outranks them.
+        for index in range(3):
+            backend.add(record(f"u://tie/{index}", "alpha filler filler filler"))
+        backend.add(record("u://short", "alpha"))
+        ranked = backend.search(["alpha"])
+        assert [doc_id for doc_id, _ in ranked] == [4, 1, 2, 3]
+        assert ranked[1][1] == ranked[2][1] == ranked[3][1] < ranked[0][1]
+
+    def test_matching_more_query_terms_ranks_first(self, backend):
+        backend.add(record("u://1", "toyota austin"))
+        backend.add(record("u://2", "toyota dallas"))
+        backend.add(record("u://3", "honda austin"))
+        ranked = backend.search(["toyota", "austin"])
+        assert [doc_id for doc_id, _ in ranked][0] == 1
+        assert sorted(doc_id for doc_id, _ in ranked) == [1, 2, 3]
+
+    def test_limit_keeps_a_prefix_of_the_full_ranking(self, backend):
+        for index in range(12):
+            backend.add(record(f"u://{index}", "alpha " + "pad " * index))
+        full = backend.search(["alpha"])
+        assert len(full) == 12
+        for limit in (1, 5, 12, 50):
+            assert backend.search(["alpha"], limit=limit) == full[:limit]
+
+    def test_per_source_limit_keeps_each_sources_best(self, backend):
+        sources = (SOURCE_SURFACE, SOURCE_SURFACED, SOURCE_WEBTABLE)
+        for index in range(15):
+            backend.add(
+                record(f"u://{index}", "alpha " + "pad " * index, source=sources[index % 3])
+            )
+        full = backend.search(["alpha"])
+        seen: dict[str, int] = {}
+        expected = []
+        for doc_id, score in full:
+            source = backend.get(doc_id).source
+            seen[source] = seen.get(source, 0) + 1
+            if seen[source] <= 2:
+                expected.append((doc_id, score))
+        kept = backend.search(["alpha"], limit=2, per_source=True)
+        assert kept == expected
+        assert kept[:2] == full[:2]
+
+    def test_export_records_rebuild_the_same_store(self, backend):
+        for index in range(10):
+            backend.add(
+                record(f"u://{index}", f"alpha shared token{index}", source=f"s{index % 2}")
+            )
+        rebuilt = InMemoryBackend()
+        for item in backend.export_records():
+            rebuilt.add(item)
+        assert [d.url for d in rebuilt.documents()] == [d.url for d in backend.documents()]
+        assert rebuilt.stats().by_source == backend.stats().by_source
+        assert rebuilt.search(["alpha", "token3"]) == backend.search(["alpha", "token3"])
 
 
 class TestShardedSpecifics:
@@ -159,7 +222,6 @@ class TestShardedSpecifics:
 
     def test_empty_store_search(self, cluster_of):
         assert cluster_of(4).search(["anything"]) == []
-        assert cluster_of(4).matching_documents(["x"], require_all=True) == set()
 
 
 class TestShardedBoundaries:
@@ -192,8 +254,6 @@ class TestShardedBoundaries:
         # contributes nothing rather than poisoning the ranking.
         mixed = backend.search(["toyota", "zzz-unknown"])
         assert [doc_id for doc_id, _ in mixed] == [1]
-        assert backend.matching_documents([]) == set()
-        assert backend.matching_documents([], require_all=True) == set()
 
     def test_export_records_round_trip_at_single_shard(self, cluster_of):
         single = cluster_of(1)
@@ -256,7 +316,7 @@ class TestIngestor:
         ingestor.ingest_page(
             page("u://1", "T", "body"), annotations={"domain": "government"}
         )
-        assert backend.matching_documents(["government"]) == {1}
+        assert [doc_id for doc_id, _ in backend.search(["government"])] == [1]
         assert backend.get(1).annotations == {"domain": "government"}
 
     def test_listeners_fire_only_for_new_documents(self):

@@ -119,10 +119,8 @@ class Interleaving:
             self.op_ingest_fresh()
         elif roll < 0.55:
             self.op_ingest_duplicate()
-        elif roll < 0.85:
-            self.op_search()
         elif roll < 0.95:
-            self.op_matching_documents()
+            self.op_search()
         else:
             self.op_stats()
 
@@ -164,20 +162,6 @@ class Interleaving:
                 for r in engine.search(query, k=k)
             ]
             assert got == expected, f"top-{k} diverged for {query!r}"
-
-    def op_matching_documents(self) -> None:
-        query = random_query(self.rng)
-        require_all = self.rng.maybe(0.5)
-        expected = [
-            d.doc_id
-            for d in self.reference.matching_documents(query, require_all=require_all)
-        ]
-        for engine in self.others:
-            got = [
-                d.doc_id
-                for d in engine.matching_documents(query, require_all=require_all)
-            ]
-            assert got == expected
 
     def op_stats(self) -> None:
         reference = self.reference

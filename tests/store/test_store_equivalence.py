@@ -71,10 +71,6 @@ class LegacyEngine:
             for doc_id, score in ranked
         ]
 
-    def matching_documents(self, query: str, require_all: bool = True) -> list[int]:
-        ids = self._index.matching_documents(tokenize(query), require_all=require_all)
-        return sorted(ids)
-
     def count_by_source(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for doc in self._documents.values():
@@ -170,15 +166,6 @@ class TestPreVsPostRefactor:
                 compared += sum(1 for _ in expected)
         assert compared > 100, "query sample must actually produce results"
 
-    def test_matching_documents_identical(self, corpus, engines):
-        _, queries = corpus
-        legacy, memory, _, _ = engines
-        for query in queries[:40]:
-            for require_all in (True, False):
-                expected = legacy.matching_documents(query, require_all=require_all)
-                got = [d.doc_id for d in memory.matching_documents(query, require_all=require_all)]
-                assert got == expected
-
     def test_metrics_identical(self, engines):
         legacy, memory, _, _ = engines
         assert memory.store_stats().by_source == legacy.count_by_source()
@@ -215,14 +202,8 @@ class TestMemoryVsSharded:
                 == memory.backend.search(tokens, limit=None)
             )
 
-    def test_matching_and_reads_identical(self, corpus, engines):
-        _, queries = corpus
+    def test_reads_identical(self, engines):
         _, memory, sharded4, _ = engines
-        for query in queries[:30]:
-            assert (
-                sharded4.backend.matching_documents(tokenize(query), require_all=True)
-                == memory.backend.matching_documents(tokenize(query), require_all=True)
-            )
         assert [d.doc_id for d in sharded4.documents()] == [d.doc_id for d in memory.documents()]
         assert sharded4.store_stats().by_source == memory.store_stats().by_source
 

@@ -30,6 +30,37 @@ class TestDeterminism:
     def test_seed_property(self):
         assert SeededRng(11).seed == 11
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.random(),
+            lambda rng: rng.randint(0, 10**9),
+            lambda rng: rng.uniform(-5.0, 5.0),
+            lambda rng: rng.choice(list(range(1000))),
+            lambda rng: rng.sample(list(range(1000)), 5),
+            lambda rng: rng.sample_indices(10**6, 5),
+            lambda rng: rng.shuffle(list(range(50))),
+            lambda rng: rng.weighted_choice(list(range(100)), [1.0] * 100),
+            lambda rng: rng.bounded_int_lognormal(6.0, 2.0, 1, 10**6),
+            lambda rng: [rng.maybe(0.5) for _ in range(64)],
+        ],
+        ids=[
+            "random",
+            "randint",
+            "uniform",
+            "choice",
+            "sample",
+            "sample_indices",
+            "shuffle",
+            "weighted_choice",
+            "bounded_int_lognormal",
+            "maybe",
+        ],
+    )
+    def test_every_draw_replays_from_its_seed(self, draw):
+        first, second = SeededRng("replay"), SeededRng("replay")
+        assert [draw(first) for _ in range(3)] == [draw(second) for _ in range(3)]
+
 
 class TestSampling:
     def test_choice_returns_member(self, rng):
@@ -38,6 +69,15 @@ class TestSampling:
 
     def test_sample_is_clamped(self, rng):
         assert sorted(rng.sample([1, 2, 3], 10)) == [1, 2, 3]
+
+    def test_sample_indices_distinct_and_in_range(self, rng):
+        result = rng.sample_indices(10**9, 50)
+        assert len(result) == len(set(result)) == 50
+        assert all(0 <= index < 10**9 for index in result)
+
+    def test_sample_indices_is_clamped(self, rng):
+        assert sorted(rng.sample_indices(4, 10)) == [0, 1, 2, 3]
+        assert rng.sample_indices(0, 3) == []
 
     def test_sample_distinct(self, rng):
         result = rng.sample(list(range(100)), 20)
@@ -53,14 +93,6 @@ class TestSampling:
         picks = {rng.weighted_choice(["a", "b"], [1.0, 0.0]) for _ in range(50)}
         assert picks == {"a"}
 
-    def test_weighted_sample_size(self, rng):
-        result = rng.weighted_sample(list(range(10)), [1.0] * 10, 4)
-        assert len(result) == 4
-        assert len(set(result)) == 4
-
-    def test_weighted_sample_returns_all_when_k_large(self, rng):
-        assert sorted(rng.weighted_sample([1, 2, 3], [1, 1, 1], 5)) == [1, 2, 3]
-
     def test_bounded_int_lognormal_respects_bounds(self, rng):
         values = [rng.bounded_int_lognormal(4.0, 1.0, 10, 100) for _ in range(200)]
         assert all(10 <= value <= 100 for value in values)
@@ -68,10 +100,6 @@ class TestSampling:
     def test_maybe_extremes(self, rng):
         assert not any(rng.maybe(0.0) for _ in range(20))
         assert all(rng.maybe(1.0) for _ in range(20))
-
-    def test_partition_covers_all_items(self, rng):
-        selected, rest = rng.partition(range(50), 0.5)
-        assert sorted(selected + rest) == list(range(50))
 
 
 class TestPropertyBased:

@@ -9,10 +9,8 @@ from repro.util.stats import (
     chapman_estimate,
     cumulative_share,
     gini,
-    harmonic_number,
     lincoln_petersen_estimate,
     percentile,
-    share_of_top,
     wilson_interval,
 )
 
@@ -29,6 +27,12 @@ class TestPercentile:
         values = [5.0, 1.0, 9.0, 3.0]
         assert percentile(values, 0) == 1.0
         assert percentile(values, 100) == 9.0
+
+    @pytest.mark.parametrize(
+        "q, expected", [(0, 10.0), (25, 20.0), (50, 30.0), (62.5, 35.0), (99, 49.6)]
+    )
+    def test_linear_inclusive_convention(self, q, expected):
+        assert percentile([50, 10, 40, 20, 30], q) == pytest.approx(expected)
 
     def test_single_value(self):
         assert percentile([7.0], 99) == 7.0
@@ -68,11 +72,6 @@ class TestCumulativeShare:
     def test_all_zero(self):
         assert cumulative_share([0, 0]) == [0.0, 0.0]
 
-    def test_share_of_top(self):
-        assert share_of_top([10, 5, 5], 1) == 0.5
-        assert share_of_top([10, 5, 5], 10) == 1.0
-        assert share_of_top([10, 5, 5], 0) == 0.0
-
 
 class TestGini:
     def test_perfect_equality(self):
@@ -110,11 +109,6 @@ class TestCaptureRecapture:
         with pytest.raises(ValueError):
             chapman_estimate(-1, 5, 0)
 
-    def test_coverage_of(self):
-        estimate = chapman_estimate(50, 40, 20)
-        assert 0.0 < estimate.coverage_of(60) <= 1.0
-        assert estimate.coverage_of(10**9) == 1.0
-
 
 class TestWilsonInterval:
     def test_contains_proportion(self):
@@ -137,15 +131,6 @@ class TestWilsonInterval:
         low_small, high_small = wilson_interval(5, 10)
         low_big, high_big = wilson_interval(500, 1000)
         assert (high_big - low_big) < (high_small - low_small)
-
-
-class TestHarmonicNumber:
-    def test_first_values(self):
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(2) == pytest.approx(1.5)
-
-    def test_generalized(self):
-        assert harmonic_number(3, exponent=2.0) == pytest.approx(1 + 0.25 + 1 / 9)
 
 
 class TestProperties:

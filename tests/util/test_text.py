@@ -9,10 +9,8 @@ from repro.util.text import (
     edit_distance,
     jaccard,
     name_tokens,
-    ngrams,
     normalize,
     string_similarity,
-    term_frequencies,
     tokenize,
 )
 
@@ -42,18 +40,6 @@ class TestNormalize:
         assert normalize("   ") == ""
 
 
-class TestNgrams:
-    def test_bigrams(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-
-    def test_n_larger_than_sequence(self):
-        assert ngrams(["a"], 3) == []
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
-
-
 class TestJaccard:
     def test_identical_sets(self):
         assert jaccard(["a", "b"], ["b", "a"]) == 1.0
@@ -81,6 +67,13 @@ class TestNameTokens:
     def test_plain_name(self):
         assert name_tokens("make") == ["make"]
 
+    @pytest.mark.parametrize(
+        "identifier",
+        ["minPrice", "min_price", "min-price", "min.price", "MIN_PRICE", "min__price"],
+    )
+    def test_spellings_of_one_name_agree(self, identifier):
+        assert name_tokens(identifier) == ["min", "price"]
+
 
 class TestEditDistance:
     def test_identical(self):
@@ -92,6 +85,19 @@ class TestEditDistance:
     def test_empty_strings(self):
         assert edit_distance("", "abc") == 3
         assert edit_distance("abc", "") == 3
+
+    @pytest.mark.parametrize(
+        "left, right, distance",
+        [
+            ("kitten", "sitting", 3),
+            ("flaw", "lawn", 2),
+            ("zip", "zipcode", 4),
+            ("price", "prices", 1),
+            ("abc", "cab", 2),
+        ],
+    )
+    def test_known_distances(self, left, right, distance):
+        assert edit_distance(left, right) == distance
 
     def test_symmetry(self):
         assert edit_distance("zipcode", "zip") == edit_distance("zip", "zipcode")
@@ -106,17 +112,6 @@ class TestStringSimilarity:
 
     def test_similar_strings_high(self):
         assert string_similarity("zipcode", "zip_code") > 0.7
-
-
-class TestTermFrequencies:
-    def test_counts_across_texts(self):
-        counts = term_frequencies(["red car", "red house"])
-        assert counts["red"] == 2
-        assert counts["car"] == 1
-
-    def test_stopwords_dropped(self):
-        counts = term_frequencies(["the red the car"])
-        assert "the" not in counts
 
 
 class TestProperties:

@@ -103,7 +103,8 @@ class TestCorpusIngestion:
 
     def test_schemata_and_attributes(self):
         corpus = TableCorpus()
-        corpus.add_pages([HEADER_TABLE_PAGE, DETAIL_PAGE])
+        for page in (HEADER_TABLE_PAGE, DETAIL_PAGE):
+            corpus.add_page(page)
         corpus.add_form(sample_form())
         assert len(corpus.schemata()) == 3
         assert "zipcode" in corpus.attributes()
@@ -145,7 +146,8 @@ class TestAcsDb:
 
     def test_from_corpus(self):
         corpus = TableCorpus()
-        corpus.add_pages([HEADER_TABLE_PAGE, DETAIL_PAGE])
+        for page in (HEADER_TABLE_PAGE, DETAIL_PAGE):
+            corpus.add_page(page)
         acsdb = AcsDb.from_corpus(corpus)
         assert acsdb.schema_count == 2
         assert acsdb.frequency("make") == 2
@@ -158,27 +160,13 @@ class TestAcsDb:
 
 
 class TestBatchHardening:
-    """One malformed page or table must not abort a whole batch."""
+    """One malformed table must not abort the rest of its page."""
 
-    def test_add_pages_returns_per_page_admit_counts(self):
+    def test_add_page_returns_its_admit_count(self):
         corpus = TableCorpus()
-        counts = corpus.add_pages([HEADER_TABLE_PAGE, LOW_QUALITY_PAGE, DETAIL_PAGE])
+        pages = (HEADER_TABLE_PAGE, LOW_QUALITY_PAGE, DETAIL_PAGE)
+        counts = [corpus.add_page(page) for page in pages]
         assert counts == [1, 0, 1]
-        assert len(corpus) == 2
-
-    def test_add_pages_survives_a_page_that_raises(self, monkeypatch):
-        corpus = TableCorpus()
-        original = corpus.add_page
-
-        def exploding_add_page(page):
-            if page.url == "http://junk.test/":
-                raise RuntimeError("malformed page")
-            return original(page)
-
-        monkeypatch.setattr(corpus, "add_page", exploding_add_page)
-        counts = corpus.add_pages([HEADER_TABLE_PAGE, LOW_QUALITY_PAGE, DETAIL_PAGE])
-        assert counts == [1, 0, 1]
-        assert corpus.stats.page_errors == 1
         assert len(corpus) == 2
 
     def test_add_page_survives_a_table_that_raises(self, monkeypatch):
@@ -195,7 +183,7 @@ class TestBatchHardening:
             return original_admit(self, table, source_url)
 
         monkeypatch.setattr(corpus_module.TableCorpus, "_admit", exploding_admit)
-        counts = corpus.add_pages([HEADER_TABLE_PAGE, DETAIL_PAGE])
+        counts = [corpus.add_page(page) for page in (HEADER_TABLE_PAGE, DETAIL_PAGE)]
         # First table blew up but the batch kept going.
         assert counts == [0, 1]
         assert corpus.stats.table_errors == 1
@@ -203,7 +191,8 @@ class TestBatchHardening:
 
     def test_error_page_counts_as_zero(self):
         corpus = TableCorpus()
-        counts = corpus.add_pages([WebPage(url="u", html="x", status=500), DETAIL_PAGE])
+        error_page = WebPage(url="u", html="x", status=500)
+        counts = [corpus.add_page(page) for page in (error_page, DETAIL_PAGE)]
         assert counts == [0, 1]
 
 
@@ -221,7 +210,8 @@ class TestCorpusStoreEmission:
 
         backend, ingestor = self._store()
         corpus = TableCorpus(ingestor=ingestor)
-        corpus.add_pages([HEADER_TABLE_PAGE, LOW_QUALITY_PAGE, DETAIL_PAGE])
+        for page in (HEADER_TABLE_PAGE, LOW_QUALITY_PAGE, DETAIL_PAGE):
+            corpus.add_page(page)
         docs = backend.documents(source=SOURCE_WEBTABLE)
         assert len(docs) == 2  # the low-quality table is not admitted
         assert docs[0].url == "http://data.test/t1#table-1"

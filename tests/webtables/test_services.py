@@ -95,9 +95,6 @@ class TestValuesService:
     def test_limit(self, corpus):
         assert len(ValuesService(corpus).values("make", limit=1)) == 1
 
-    def test_value_set_lowercases(self, corpus):
-        assert "toyota" in ValuesService(corpus).value_set("make")
-
 
 class TestPropertyService:
     def test_entity_resolves_to_properties(self, corpus, acsdb):
