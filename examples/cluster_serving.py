@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Cluster serving demo: scatter-gather shards, hedging, kill/revive.
+"""Cluster serving demo: scatter-gather shards, failover, kill/revive.
 
 Builds a small deep-web world twice -- once on the default in-memory
 store, once on the cluster tier (N shards x R replicas behind the
-scatter-gather executor) -- and walks the tier's contract:
+scatter-gather executor, which walks the shards in the calling thread)
+-- and walks the tier's contract:
 
 * clean-path rankings are byte-identical to the single-index service;
 * killing one replica per shard changes nothing (failover);
@@ -37,7 +38,7 @@ def build(args: argparse.Namespace, clustered: bool) -> DeepWebService:
     )
     if clustered:
         # A generous deadline: the demo shows semantics, not tail-latency
-        # tuning; see README "Cluster serving" for the hedging cost model.
+        # tuning; see README "Cluster serving" for the cost model.
         builder = builder.store(
             ClusterBackend(
                 shard_count=args.shards, replicas=args.replicas, deadline_seconds=10.0

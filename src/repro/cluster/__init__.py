@@ -1,12 +1,13 @@
 """Scatter-gather cluster serving: replicated shard nodes behind one backend.
 
 The cluster tier is the one hash-partitioned backend: documents route by
-a stable CRC32 of their URL to N shards, each a set of replica nodes on
-their own worker threads, with per-shard deadlines, hedged duplicate
-requests for stragglers and per-node admission control -- while keeping
-clean-path rankings
-byte-identical to :class:`~repro.store.memory.InMemoryBackend` and
-degrading to exact-score subsets (the PR 7 invariant) under failure.
+a stable CRC32 of their URL to N shards, each a set of replica nodes.  A
+search walks the shards in the calling thread (the tier starts no thread
+of its own) under a per-scatter deadline, with replica failover, hedged
+duplicates for injected stragglers and per-node admission control --
+while keeping clean-path rankings byte-identical to
+:class:`~repro.store.memory.InMemoryBackend` and degrading to exact-score
+subsets (fewer hits, never wrong ones) under failure.
 """
 
 from repro.cluster.backend import ClusterBackend, ClusterStats

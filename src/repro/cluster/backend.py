@@ -6,9 +6,9 @@ and doc ids live in the coordinator's
 stream routes to a shard by a stable CRC32 hash of its URL
 (:func:`~repro.cluster.node.shard_of`) and is indexed by *every* replica
 of that shard, and searches scatter one accumulate task per shard through a
-:class:`~repro.cluster.executor.ScatterGatherExecutor` (deadlines,
-hedged duplicates, replica failover) and merge the partial accumulators
-back into one ranked list.
+:class:`~repro.cluster.executor.ScatterGatherExecutor` (walked in the
+calling thread under a deadline, with replica failover and injected-fault
+hedging) and merge the partial accumulators back into one ranked list.
 
 Two invariants make it safe to put in front of real traffic:
 
@@ -102,7 +102,6 @@ class ClusterBackend(DocumentCatalog):
         k1: float = 1.5,
         b: float = 0.75,
         deadline_seconds: float = 0.25,
-        hedge_after_seconds: float = 0.05,
         inflight_limit: int = 8,
         fault_plan: FaultPlan | ScriptedFaults | None = None,
     ) -> None:
@@ -122,12 +121,7 @@ class ClusterBackend(DocumentCatalog):
             ]
             for shard in range(shard_count)
         ]
-        self.executor = ScatterGatherExecutor(
-            self.replica_sets,
-            deadline_seconds=deadline_seconds,
-            hedge_after_seconds=hedge_after_seconds,
-            fault_plan=fault_plan,
-        )
+        self.executor = ScatterGatherExecutor(self.replica_sets, deadline_seconds, fault_plan)
         # Coordinator-held scoring ingredients: exact integer sums kept at
         # ingest time, so degraded merges still score with full-corpus
         # numbers (subset-with-identical-scores, never rescored survivors).
@@ -147,25 +141,15 @@ class ClusterBackend(DocumentCatalog):
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        for replica_set in self.replica_sets:
-            for node in replica_set:
-                node.close()
-
-    def __enter__(self) -> "ClusterBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        # Nothing to release: the nodes run in the caller's thread.  Kept
+        # so a cluster closes like any other backend.
+        pass
 
     # -- replica management ----------------------------------------------------
 
     def node(self, name: str) -> ShardNode:
         """Look a replica up by its ``shard{i}/replica{j}`` name."""
-        for replica_set in self.replica_sets:
-            for candidate in replica_set:
-                if candidate.name == name:
-                    return candidate
-        raise KeyError(name)
+        return {node.name: node for nodes in self.replica_sets for node in nodes}[name]
 
     def kill(self, name: str) -> None:
         self.node(name).kill()
@@ -278,9 +262,3 @@ class ClusterBackend(DocumentCatalog):
                     node.name: node.tasks_served for node in nodes if node.tasks_served
                 },
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ClusterBackend shards={self.shard_count} replicas={self.replicas} "
-            f"docs={len(self)}>"
-        )

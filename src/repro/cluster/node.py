@@ -1,24 +1,15 @@
-"""One shard replica: a mailbox worker over a shard's postings.
+"""One shard replica: a postings index behind an admission counter.
 
 A :class:`ShardNode` is the process-level model of one shard server.  It
 owns a private :class:`~repro.search.inverted_index.InvertedIndex` over
 its shard's token streams -- postings only; the documents themselves
-live in the coordinator's catalog -- and runs its query work on its
-*own* daemon thread, started by the first submit, which drains one
-``SimpleQueue`` inbox in order (no node ever touches another node's
-state: promoting a node to a real process would not change any caller).
-Admission control
-is an in-flight counter checked against ``inflight_limit`` under the
-node's lock: past it the node refuses new work instead of queueing
-without bound, the same degradation contract the
-:class:`~repro.serve.frontend.QueryFrontend` applies at the top of the
-stack.
-
-Accepted work comes back as an :class:`Attempt`, which the worker settles
-exactly once -- ran, raised, or cancelled before the worker reached it
-(then ``fn`` never runs) -- in this order: value or exception stored,
-admission slot returned, ``result()`` unblocked, ``on_done(attempt)``
-called on the worker thread.
+live in the coordinator's catalog.  Query work runs in the calling
+thread (the scatter-gather executor's): the node has no thread of its
+own.  Admission control is an in-flight counter checked against
+``inflight_limit`` under the node's lock: past it the node refuses new
+work instead of queueing without bound, the same degradation contract
+the :class:`~repro.serve.frontend.QueryFrontend` applies at the top of
+the stack.
 
 ``kill()`` / ``revive()`` model replica failure for chaos soaks: a dead
 node refuses query work.  The *write* path deliberately keeps every
@@ -28,10 +19,9 @@ are out of scope), so a revived replica serves current data immediately.
 
 from __future__ import annotations
 
-import queue
 import threading
 import zlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.search.inverted_index import InvertedIndex
 
@@ -50,39 +40,8 @@ def replica_name(shard_index: int, replica_index: int) -> str:
     return f"shard{shard_index}/replica{replica_index}"
 
 
-class Attempt:
-    """One accepted unit of work on a node's worker (see the module docstring)."""
-
-    __slots__ = ("node", "fn", "args", "on_done", "value", "error", "cancelled", "_settled")
-
-    def __init__(self, node: "ShardNode", fn: Callable[..., object], args: tuple, on_done) -> None:
-        self.node = node
-        self.fn = fn
-        self.args = args
-        self.on_done = on_done
-        self.value: object | None = None
-        self.error: BaseException | None = None
-        self.cancelled = False
-        # Held from birth, released once by the worker: the settled flag.
-        self._settled = threading.Lock()
-        self._settled.acquire()
-
-    def cancel(self) -> None:
-        """Ask the worker to skip this attempt if it has not started it."""
-        self.cancelled = True
-
-    def result(self, timeout: float | None = None) -> object:
-        """The value ``fn`` returned (``None`` if skipped), or its exception."""
-        if not self._settled.acquire(timeout=-1 if timeout is None else timeout):
-            raise TimeoutError(f"{self.node.name}: no result within {timeout}s")
-        self._settled.release()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
 class ShardNode:
-    """One replica of one shard: a postings index + a private worker."""
+    """One replica of one shard: a postings index + admission control."""
 
     def __init__(
         self,
@@ -100,10 +59,6 @@ class ShardNode:
         self.index = InvertedIndex(k1=k1, b=b)
         self.inflight_limit = inflight_limit
         self._lock = threading.Lock()
-        #: The worker thread and the inbox it drains; both ``None`` until
-        #: the first submit and again after ``close()``.
-        self._worker: threading.Thread | None = None
-        self._inbox: queue.SimpleQueue | None = None
         self._alive = True
         self._inflight = 0
         #: Per-replica fault-plan index (consumed only for governed tasks,
@@ -125,15 +80,6 @@ class ShardNode:
     def revive(self) -> None:
         self._alive = True
 
-    def close(self) -> None:
-        """Finish what the inbox holds, then stop and join the worker."""
-        with self._lock:
-            worker, self._worker = self._worker, None
-            inbox, self._inbox = self._inbox, None
-        if worker is not None:
-            inbox.put(None)
-            worker.join()
-
     # -- write path (coordinator thread; replicas stay byte-identical) -------
 
     def add(self, doc_id: int, tokens: Sequence[str]) -> None:
@@ -147,47 +93,22 @@ class ShardNode:
             self._fault_index += 1
             return index
 
-    def try_submit(self, fn, *args, on_done=None) -> Attempt | None:
-        """Run ``fn(*args)`` on this node's worker, or refuse.
-
-        Returns ``None`` when the node is dead or its admission limit is
-        reached -- the caller (the scatter-gather executor) treats both
-        as this replica failing the request and falls over to another.
-        """
+    def admit(self) -> bool:
+        """Take an admission slot (given back by :meth:`release`) or refuse:
+        ``False`` when dead or at ``inflight_limit`` (counted in ``refused``)."""
         if not self._alive:
-            return None
-        attempt = Attempt(self, fn, args, on_done)
-        # Posted under the lock, so an attempt can never land behind the
-        # stop sentinel of a concurrent ``close()``.
+            return False
         with self._lock:
             if self._inflight >= self.inflight_limit:
                 self.refused += 1
-                return None
-            if self._worker is None:
-                inbox: queue.SimpleQueue = queue.SimpleQueue()
-                worker = threading.Thread(
-                    target=self._drain, args=(inbox,), name=self.name, daemon=True
-                )
-                worker.start()  # before any book-keeping: a failed start leaks nothing
-                self._worker, self._inbox = worker, inbox
+                return False
             self._inflight += 1
             self.tasks_served += 1
-            self._inbox.put(attempt)
-        return attempt
+        return True
 
-    def _drain(self, inbox: queue.SimpleQueue) -> None:
-        """The worker loop: settle attempts in arrival order until ``None``."""
-        while (attempt := inbox.get()) is not None:
-            if not attempt.cancelled:
-                try:
-                    attempt.value = attempt.fn(*attempt.args)
-                except BaseException as error:  # re-raised by Attempt.result()
-                    attempt.error = error
-            with self._lock:
-                self._inflight -= 1
-            attempt._settled.release()
-            if attempt.on_done is not None:
-                attempt.on_done(attempt)
+    def release(self) -> None:
+        with self._lock:
+            self._inflight -= 1
 
     def accumulate(
         self,
@@ -204,7 +125,3 @@ class ShardNode:
         partial: dict[int, float] = {}
         self.index.accumulate(tokens, idf_by_term, average_length, partial)
         return partial
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self._alive else "dead"
-        return f"<ShardNode {self.name} {state} docs={len(self.index)}>"

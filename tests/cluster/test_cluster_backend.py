@@ -14,6 +14,8 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cluster import ClusterBackend, ShardNode, replica_name, shard_of
@@ -88,14 +90,12 @@ def reference() -> InMemoryBackend:
 class TestCleanPathIdentity:
     @pytest.mark.parametrize("shards,replicas", [(1, 1), (4, 1), (4, 2), (8, 3)])
     def test_rankings_byte_identical_to_memory(self, reference, shards, replicas):
-        with ClusterBackend(
-            shard_count=shards, replicas=replicas, deadline_seconds=DEADLINE
-        ) as backend:
-            filled(backend)
-            for query in QUERIES:
-                for limit in (None, 5, 1):
-                    assert backend.search(query, limit) == reference.search(query, limit)
-            assert not backend.consume_degraded()
+        backend = ClusterBackend(shard_count=shards, replicas=replicas, deadline_seconds=DEADLINE)
+        filled(backend)
+        for query in QUERIES:
+            for limit in (None, 5, 1):
+                assert backend.search(query, limit) == reference.search(query, limit)
+        assert not backend.consume_degraded()
 
     def test_doc_ids_assigned_globally_in_ingest_order(self, cluster):
         assert [doc.doc_id for doc in cluster.documents()] == list(
@@ -110,14 +110,14 @@ class TestCleanPathIdentity:
 
 class TestEmptyAndUnknown:
     def test_empty_cluster_searches_empty(self):
-        with ClusterBackend(shard_count=4, replicas=2, deadline_seconds=DEADLINE) as backend:
-            assert backend.search(["anything"], 10) == []
-            assert backend.search([], 10) == []
-            assert len(backend) == 0
-            assert backend.documents() == []
-            assert backend.export_records() == []
-            # An empty-corpus search never scatters, so it cannot degrade.
-            assert not backend.consume_degraded()
+        backend = ClusterBackend(shard_count=4, replicas=2, deadline_seconds=DEADLINE)
+        assert backend.search(["anything"], 10) == []
+        assert backend.search([], 10) == []
+        assert len(backend) == 0
+        assert backend.documents() == []
+        assert backend.export_records() == []
+        # An empty-corpus search never scatters, so it cannot degrade.
+        assert not backend.consume_degraded()
 
     def test_blank_and_unknown_queries(self, cluster):
         assert cluster.search([], 10) == []
@@ -172,14 +172,14 @@ class TestStorageProtocol:
 
 class TestReplicasAndDegradation:
     def test_writes_reach_every_replica_even_dead_ones(self):
-        with ClusterBackend(shard_count=2, replicas=2, deadline_seconds=DEADLINE) as backend:
-            backend.kill(replica_name(0, 0))
-            backend.kill(replica_name(1, 1))
-            filled(backend)
-            for replica_set in backend.replica_sets:
-                first, second = replica_set
-                assert len(first.index) > 0
-                assert first.index.document_terms() == second.index.document_terms()
+        backend = ClusterBackend(shard_count=2, replicas=2, deadline_seconds=DEADLINE)
+        backend.kill(replica_name(0, 0))
+        backend.kill(replica_name(1, 1))
+        filled(backend)
+        for replica_set in backend.replica_sets:
+            first, second = replica_set
+            assert len(first.index) > 0
+            assert first.index.document_terms() == second.index.document_terms()
 
     def test_one_dead_replica_keeps_byte_identity(self, cluster, reference):
         cluster.kill(replica_name(2, 0))
@@ -269,6 +269,21 @@ class TestClusterStats:
             ClusterBackend(replicas=0)
         with pytest.raises(ValueError):
             ClusterBackend(deadline_seconds=0.0)
+
+
+class TestInline:
+    def test_the_cluster_starts_no_thread(self):
+        before = threading.active_count()
+        backend = ClusterBackend(4, replicas=2, deadline_seconds=DEADLINE)
+        for index in range(200):
+            backend.add(record(index, f"used car number {index % 17} for sale"))
+        for index in range(50):
+            assert backend.search(["car", str(index % 17)], 10)
+        backend.kill(replica_name(1, 0))
+        assert backend.search(["used", "car"], None) and not backend.consume_degraded()
+        assert backend.cluster_stats().failovers == 0  # the dead replica is never tried
+        backend.revive(replica_name(1, 0))
+        assert threading.active_count() == before
 
 
 class TestShardRouting:

@@ -1,12 +1,10 @@
 """ScatterGatherExecutor: hedging, deadlines, failover, admission, routing.
 
-Timing-sensitive behaviour is pinned without real stalls wherever
-possible: injected ``timeout`` faults model stragglers deterministically
-(the attempt never completes, so the next replica tried *is* the hedge),
-and deadline misses are driven by a fake clock.  The wall-clock tests
-(a genuinely slow primary being out-hedged, a shard stuck to its deadline
-beside a sibling that needs a hedge or a failover) use events, not
-sleeps, on the assertion path.
+The executor walks the shards in the calling thread, so everything here
+is deterministic: injected ``timeout`` faults model stragglers (the
+attempt never answers, so the next replica tried *is* the hedge),
+deadline misses are driven by a fake clock, and the admission tests hold
+a replica's slot from a second client thread that waits on an event.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from repro.cluster import (
     REASON_DOWN,
     REASON_ERROR,
     REASON_REFUSED,
+    REASON_STALLED,
     ScatterGatherExecutor,
     ShardNode,
     replica_name,
@@ -37,6 +36,8 @@ from repro.resilience.faults import (
 )
 
 DEADLINE = 10.0
+#: Upper bound on every event wait and thread join in here.
+WAIT = 10.0
 
 ERROR = FaultDecision(kind=KIND_ERROR)
 TIMEOUT = FaultDecision(kind=KIND_TIMEOUT)
@@ -53,61 +54,55 @@ def build_nodes(shards: int, replicas: int, inflight_limit: int = 8):
     ]
 
 
-def close_all(replica_sets) -> None:
-    for replica_set in replica_sets:
-        for node in replica_set:
-            node.close()
-
-
 def name_task(node: ShardNode):
     """Task factory whose result records which replica served it."""
     return lambda: node.name
+
+
+def all_slots_free(nodes) -> bool:
+    return all(node._inflight == 0 for replica_set in nodes for node in replica_set)
 
 
 class TestScatterBasics:
     def test_one_value_per_shard_in_order(self):
         nodes = build_nodes(4, 1)
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
-        try:
-            outcomes = executor.scatter(name_task)
-            assert [o.shard for o in outcomes] == [0, 1, 2, 3]
-            assert all(o.ok for o in outcomes)
-            assert [o.value for o in outcomes] == [
-                replica_name(shard, 0) for shard in range(4)
-            ]
-            assert executor.tasks == 4
-        finally:
-            close_all(nodes)
+        outcomes = executor.scatter(name_task)
+        assert [o.shard for o in outcomes] == [0, 1, 2, 3]
+        assert all(o.ok for o in outcomes)
+        assert [o.value for o in outcomes] == [replica_name(shard, 0) for shard in range(4)]
+        assert executor.tasks == 4
+
+    def test_every_task_runs_in_the_calling_thread(self):
+        nodes = build_nodes(4, 2)
+        executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
+        for _ in range(2):  # both replicas of every shard
+            outcomes = executor.scatter(lambda node: threading.get_ident)
+            assert [o.value for o in outcomes] == [threading.get_ident()] * 4
 
     def test_validation(self):
         nodes = build_nodes(1, 1)
-        try:
-            with pytest.raises(ValueError):
-                ScatterGatherExecutor([])
-            with pytest.raises(ValueError):
-                ScatterGatherExecutor([[]])
-            with pytest.raises(ValueError):
-                ScatterGatherExecutor(nodes, deadline_seconds=0.0)
-            with pytest.raises(ValueError):
-                ScatterGatherExecutor(nodes, hedge_after_seconds=-1.0)
-        finally:
-            close_all(nodes)
+        with pytest.raises(ValueError):
+            ScatterGatherExecutor([])
+        with pytest.raises(ValueError):
+            ScatterGatherExecutor([[]])
+        with pytest.raises(ValueError):
+            ScatterGatherExecutor(nodes, deadline_seconds=0.0)
+        with pytest.raises(ValueError):
+            ShardNode(0, 0, inflight_limit=0)
 
 
 class TestRouting:
     def test_round_robin_alternates_replicas(self):
         nodes = build_nodes(1, 2)
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
-        try:
-            served = [executor.scatter(name_task)[0].value for _ in range(4)]
-            assert served == [
-                replica_name(0, 0),
-                replica_name(0, 1),
-                replica_name(0, 0),
-                replica_name(0, 1),
-            ]
-        finally:
-            close_all(nodes)
+        served = [executor.scatter(name_task)[0].value for _ in range(4)]
+        assert served == [
+            replica_name(0, 0),
+            replica_name(0, 1),
+            replica_name(0, 0),
+            replica_name(0, 1),
+        ]
 
 
 class TestFailover:
@@ -115,25 +110,19 @@ class TestFailover:
         nodes = build_nodes(1, 2)
         nodes[0][0].kill()
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
-        try:
-            for _ in range(3):
-                outcome = executor.scatter(name_task)[0]
-                assert outcome.ok and outcome.value == replica_name(0, 1)
-            assert executor.failovers == 0  # dead node never tried
-        finally:
-            close_all(nodes)
+        for _ in range(3):
+            outcome = executor.scatter(name_task)[0]
+            assert outcome.ok and outcome.value == replica_name(0, 1)
+        assert executor.failovers == 0  # dead node never tried
 
     def test_all_replicas_dead_is_a_down_outcome(self):
         nodes = build_nodes(2, 2)
         for node in nodes[1]:
             node.kill()
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
-        try:
-            outcomes = executor.scatter(name_task)
-            assert outcomes[0].ok
-            assert not outcomes[1].ok and outcomes[1].reason == REASON_DOWN
-        finally:
-            close_all(nodes)
+        outcomes = executor.scatter(name_task)
+        assert outcomes[0].ok
+        assert not outcomes[1].ok and outcomes[1].reason == REASON_DOWN
 
     def test_raising_task_fails_over_then_errors_out(self):
         nodes = build_nodes(1, 2)
@@ -145,63 +134,94 @@ class TestFailover:
 
             return run
 
-        try:
-            outcome = executor.scatter(task)[0]
-            assert not outcome.ok and outcome.reason == REASON_ERROR
-            assert outcome.attempts == 2  # both replicas were tried
-            assert executor.failovers == 1
-        finally:
-            close_all(nodes)
+        outcome = executor.scatter(task)[0]
+        assert not outcome.ok and outcome.reason == REASON_ERROR
+        assert outcome.attempts == 2  # both replicas were tried
+        assert executor.failovers == 1
+        assert all_slots_free(nodes)
 
     def test_raising_primary_recovers_on_replica(self):
-        nodes = build_nodes(1, 2)
+        nodes = build_nodes(1, 2, inflight_limit=1)
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
+        raised = []
 
         def task(node: ShardNode):
             def run():
-                if node.replica_index == 0:
+                if node.replica_index == 0 and not raised:
+                    raised.append(node.name)
                     raise RuntimeError("primary down")
                 return node.name
 
             return run
 
-        try:
-            outcome = executor.scatter(task)[0]
-            assert outcome.ok and outcome.value == replica_name(0, 1)
-            assert outcome.attempts == 2
-        finally:
-            close_all(nodes)
+        outcome = executor.scatter(task)[0]
+        assert outcome.ok and outcome.value == replica_name(0, 1)
+        assert outcome.attempts == 2 and executor.failovers == 1
+        # The raising task gave its only slot back: replica 0 serves on.
+        assert [executor.scatter(task)[0].value for _ in range(2)] == [
+            replica_name(0, 0),
+            replica_name(0, 1),
+        ]
+        assert raised == [replica_name(0, 0)] and all_slots_free(nodes)
 
 
 class TestAdmissionControl:
+    """A second client, on its own executor over the same nodes, holds
+    replicas' only slots inside tasks that wait on an event."""
+
+    def hold(self, nodes, replicas):
+        """Start one holder thread per replica of shard 0, in order; return
+        once every holder is inside its task."""
+        release = threading.Event()
+        holder = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
+        inside = {replica: threading.Event() for replica in range(replicas)}
+
+        def task(node: ShardNode):
+            def run():
+                inside[node.replica_index].set()
+                return release.wait(WAIT)
+
+            return run
+
+        threads = []
+        for replica in range(replicas):
+            thread = threading.Thread(target=holder.scatter, args=(task,))
+            thread.start()
+            threads.append(thread)
+            assert inside[replica].wait(WAIT), "the holder never got its slot"
+        return release, threads
+
+    def let_go(self, release, threads) -> None:
+        release.set()
+        for thread in threads:
+            thread.join(timeout=WAIT)
+        assert not any(thread.is_alive() for thread in threads)
+
     def test_saturated_replica_refuses_and_fails_over(self):
         nodes = build_nodes(1, 2, inflight_limit=1)
-        release = threading.Event()
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
+        release, threads = self.hold(nodes, 1)
         try:
-            blocked = nodes[0][0].try_submit(release.wait, DEADLINE)
-            assert blocked is not None
             outcome = executor.scatter(name_task)[0]
-            assert outcome.ok and outcome.value == replica_name(0, 1)
-            release.set()
-            assert nodes[0][0].refused == 1
         finally:
-            release.set()
-            close_all(nodes)
+            self.let_go(release, threads)
+        assert outcome.ok and outcome.value == replica_name(0, 1)
+        assert nodes[0][0].refused == 1 and nodes[0][1].refused == 0
+        assert outcome.attempts == 2 and executor.failovers == 1
+        assert all_slots_free(nodes)
 
     def test_every_replica_saturated_is_a_refused_outcome(self):
         nodes = build_nodes(1, 2, inflight_limit=1)
-        release = threading.Event()
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
+        release, threads = self.hold(nodes, 2)
         try:
-            held = [node.try_submit(release.wait, DEADLINE) for node in nodes[0]]
-            assert all(future is not None for future in held)
             outcome = executor.scatter(name_task)[0]
-            assert not outcome.ok and outcome.reason == REASON_REFUSED
-            release.set()
         finally:
-            release.set()
-            close_all(nodes)
+            self.let_go(release, threads)
+        assert not outcome.ok and outcome.reason == REASON_REFUSED
+        assert [node.refused for node in nodes[0]] == [1, 1]
+        assert executor.tasks == 0
+        assert all_slots_free(nodes)
 
 
 class TestDeadlines:
@@ -225,10 +245,33 @@ class TestDeadlines:
             assert not outcomes[0].ok and outcomes[0].reason == REASON_DEADLINE
             assert not outcomes[1].ok and outcomes[1].reason == REASON_DEADLINE
             assert executor.deadline_misses == 2
-            release.set()
         finally:
             release.set()
-            close_all(nodes)
+
+    @pytest.mark.parametrize("slow", [0, 1, 2, 3])
+    def test_the_shard_that_runs_late_is_kept_and_later_ones_dropped(self, slow):
+        """The slow shard's task moves the clock past the deadline: it is
+        never interrupted, so it answers; every later shard's turn comes
+        too late."""
+        nodes = build_nodes(4, 1)
+        now = [0.0]
+        executor = ScatterGatherExecutor(nodes, deadline_seconds=1.0, clock=lambda: now[0])
+
+        def task(node: ShardNode):
+            def run():
+                if node.shard_index == slow:
+                    now[0] = 5.0
+                return node.name
+
+            return run
+
+        outcomes = executor.scatter(task)
+        assert [o.ok for o in outcomes] == [shard <= slow for shard in range(4)]
+        assert [o.value for o in outcomes[: slow + 1]] == [
+            replica_name(shard, 0) for shard in range(slow + 1)
+        ]
+        assert all(o.reason == REASON_DEADLINE for o in outcomes[slow + 1 :])
+        assert executor.deadline_misses == 3 - slow and executor.tasks == slow + 1
 
 
 class TestInjectedFaults:
@@ -242,12 +285,9 @@ class TestInjectedFaults:
             deadline_seconds=DEADLINE,
             fault_plan=self.plan({replica_name(0, 0): [OUTAGE]}),
         )
-        try:
-            outcome = executor.scatter(name_task)[0]
-            assert outcome.ok and outcome.value == replica_name(0, 1)
-            assert executor.injected == {KIND_OUTAGE: 1}
-        finally:
-            close_all(nodes)
+        outcome = executor.scatter(name_task)[0]
+        assert outcome.ok and outcome.value == replica_name(0, 1)
+        assert executor.injected == {KIND_OUTAGE: 1}
 
     def test_injected_timeout_is_a_hedged_straggler(self):
         nodes = build_nodes(1, 2)
@@ -256,15 +296,12 @@ class TestInjectedFaults:
             deadline_seconds=DEADLINE,
             fault_plan=self.plan({replica_name(0, 0): [TIMEOUT]}),
         )
-        try:
-            outcome = executor.scatter(name_task)[0]
-            assert outcome.ok and outcome.value == replica_name(0, 1)
-            assert outcome.hedged, "a stalled primary makes the retry a hedge"
-            assert executor.hedges == 1
-            assert executor.failovers == 0, "a hedge is not a replica failure"
-            assert executor.injected == {KIND_TIMEOUT: 1}
-        finally:
-            close_all(nodes)
+        outcome = executor.scatter(name_task)[0]
+        assert outcome.ok and outcome.value == replica_name(0, 1)
+        assert outcome.hedged, "a stalled primary makes the retry a hedge"
+        assert executor.hedges == 1 and executor.hedge_wins == 1
+        assert executor.failovers == 0, "a hedge is not a replica failure"
+        assert executor.injected == {KIND_TIMEOUT: 1}
 
     def test_injected_error_on_every_replica_fails_the_shard(self):
         nodes = build_nodes(1, 2)
@@ -275,28 +312,56 @@ class TestInjectedFaults:
                 {replica_name(0, 0): [ERROR], replica_name(0, 1): [ERROR]}
             ),
         )
-        try:
-            outcome = executor.scatter(name_task)[0]
-            assert not outcome.ok and outcome.reason == REASON_ERROR
-            assert executor.injected == {KIND_ERROR: 2}
-        finally:
-            close_all(nodes)
+        outcome = executor.scatter(name_task)[0]
+        assert not outcome.ok and outcome.reason == REASON_ERROR
+        assert executor.injected == {KIND_ERROR: 2}
+
+    #: Verdicts for replicas 0, 1, 2 of one shard (``None`` = answers) ->
+    #: (reason, hedged, hedges, hedge_wins, failovers).  A failover is an
+    #: attempt that replaces a ``down``, ``refused`` or ``error`` one; an
+    #: attempt after a straggler is a hedge, counted only when admitted.
+    SEQUENCES = {
+        "stall-error-answer": ((TIMEOUT, ERROR, None), (None, True, 1, 1, 1)),
+        "outage-stall-answer": ((OUTAGE, TIMEOUT, None), (None, True, 1, 1, 1)),
+        "error-stall-answer": ((ERROR, TIMEOUT, None), (None, True, 1, 1, 1)),
+        "stall-stall-answer": ((TIMEOUT, TIMEOUT, None), (None, True, 1, 1, 0)),
+        "stall-everywhere": ((TIMEOUT, TIMEOUT, TIMEOUT), (REASON_STALLED, True, 0, 0, 0)),
+        "error-outage-answer": ((ERROR, OUTAGE, None), (None, False, 0, 0, 2)),
+        "outage-everywhere": ((OUTAGE, OUTAGE, OUTAGE), (REASON_DOWN, False, 0, 0, 2)),
+    }
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_fault_sequences_count_hedges_and_failovers(self, name):
+        verdicts, expected = self.SEQUENCES[name]
+        nodes = build_nodes(1, 3)
+        script = {
+            replica_name(0, replica): [verdict]
+            for replica, verdict in enumerate(verdicts)
+            if verdict is not None
+        }
+        executor = ScatterGatherExecutor(
+            nodes, deadline_seconds=DEADLINE, fault_plan=self.plan(script)
+        )
+        outcome = executor.scatter(name_task)[0]
+        assert outcome.attempts == 3
+        assert outcome.value == (replica_name(0, 2) if outcome.ok else None)
+        assert (
+            outcome.reason,
+            outcome.hedged,
+            executor.hedges,
+            executor.hedge_wins,
+            executor.failovers,
+        ) == expected
+        assert executor.tasks == (1 if outcome.ok else 0)
 
     def test_ungoverned_agent_neither_faults_nor_consumes_indices(self):
         nodes = build_nodes(1, 1)
-        plan = ScriptedFaults(
-            {replica_name(0, 0): [OUTAGE, OUTAGE]}, agents=("virtual",)
-        )
-        executor = ScatterGatherExecutor(
-            nodes, deadline_seconds=DEADLINE, fault_plan=plan
-        )
-        try:
-            for _ in range(3):
-                assert executor.scatter(name_task)[0].ok
-            assert nodes[0][0]._fault_index == 0
-            assert executor.injected == {}
-        finally:
-            close_all(nodes)
+        plan = ScriptedFaults({replica_name(0, 0): [OUTAGE, OUTAGE]}, agents=("virtual",))
+        executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE, fault_plan=plan)
+        for _ in range(3):
+            assert executor.scatter(name_task)[0].ok
+        assert nodes[0][0]._fault_index == 0
+        assert executor.injected == {}
 
     def test_outage_window_kills_then_revives_deterministically(self):
         nodes = build_nodes(1, 1)
@@ -305,123 +370,21 @@ class TestInjectedFaults:
             hosts={replica_name(0, 0): FaultSpec(outages=((1, 3),))},
             agents=(AGENT_CLUSTER,),
         )
-        executor = ScatterGatherExecutor(
-            nodes, deadline_seconds=DEADLINE, fault_plan=plan
-        )
-        try:
-            results = [executor.scatter(name_task)[0].ok for _ in range(5)]
-            assert results == [True, False, False, True, True]
-        finally:
-            close_all(nodes)
-
-
-class TestWallClockHedge:
-    def test_slow_primary_is_out_hedged(self):
-        nodes = build_nodes(1, 2)
-        release = threading.Event()
-        executor = ScatterGatherExecutor(
-            nodes, deadline_seconds=DEADLINE, hedge_after_seconds=0.01
-        )
-
-        def task(node: ShardNode):
-            def run():
-                if node.replica_index == 0:
-                    assert release.wait(DEADLINE)
-                return node.name
-
-            return run
-
-        try:
-            outcome = executor.scatter(task)[0]
-            assert outcome.ok and outcome.value == replica_name(0, 1)
-            assert outcome.hedged and outcome.hedge_won
-            assert executor.hedges == 1 and executor.hedge_wins == 1
-            assert executor.failovers == 0, "a hedge is not a replica failure"
-            release.set()
-        finally:
-            release.set()
-            close_all(nodes)
-
-
-class TestStalledShardDoesNotStarveItsSiblings:
-    """Shard 0 never answers; shard 1 must still get its hedge / failover.
-
-    The deadline is real wall-clock here (shard 0 has to miss it), but the
-    stall itself is an event and nothing on the assertion path sleeps.
-    """
-
-    DEADLINE_SECONDS = 0.3
-
-    def test_sibling_is_hedged_while_an_earlier_shard_is_stuck(self):
-        nodes = build_nodes(2, 2)
-        release = threading.Event()
-        executor = ScatterGatherExecutor(
-            nodes, deadline_seconds=self.DEADLINE_SECONDS, hedge_after_seconds=0.01
-        )
-
-        def task(node: ShardNode):
-            def run():
-                if node.shard_index == 0 or node.replica_index == 0:
-                    assert release.wait(DEADLINE)
-                return node.name
-
-            return run
-
-        try:
-            stuck, hedged = executor.scatter(task)
-            assert not stuck.ok and stuck.reason == REASON_DEADLINE and stuck.hedged
-            assert hedged.ok and hedged.value == replica_name(1, 1)
-            assert hedged.hedged and hedged.hedge_won
-            assert executor.hedges == 2 and executor.hedge_wins == 1
-            assert executor.deadline_misses == 1 and executor.failovers == 0
-        finally:
-            release.set()
-            close_all(nodes)
-
-    def test_sibling_fails_over_while_an_earlier_shard_is_stuck(self):
-        nodes = build_nodes(2, 2)
-        release = threading.Event()
-        # No hedging in this one: the window is the whole deadline.
-        executor = ScatterGatherExecutor(
-            nodes,
-            deadline_seconds=self.DEADLINE_SECONDS,
-            hedge_after_seconds=self.DEADLINE_SECONDS,
-        )
-
-        def task(node: ShardNode):
-            def run():
-                if node.shard_index == 0:
-                    assert release.wait(DEADLINE)
-                elif node.replica_index == 0:
-                    raise RuntimeError("primary down")
-                return node.name
-
-            return run
-
-        try:
-            stuck, recovered = executor.scatter(task)
-            assert not stuck.ok and stuck.reason == REASON_DEADLINE
-            assert recovered.ok and recovered.value == replica_name(1, 1)
-            assert recovered.attempts == 2 and not recovered.hedged
-            assert executor.failovers == 1 and executor.hedges == 0
-        finally:
-            release.set()
-            close_all(nodes)
+        executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE, fault_plan=plan)
+        results = [executor.scatter(name_task)[0].ok for _ in range(5)]
+        assert results == [True, False, False, True, True]
 
 
 class TestConcurrentScatters:
     def test_replies_never_cross_scatters(self):
         """Client threads sharing one executor each gather their own values.
 
-        More clients than cores and a shortened switch interval, so worker
-        replies of different scatters interleave as finely as they can.
+        More clients than cores and a shortened switch interval, so the
+        scatters of different clients interleave as finely as they can.
         """
         clients, rounds, shards = 6, 150, 4
         nodes = build_nodes(shards, 2, inflight_limit=clients)
-        # Hedge window = deadline: a slow box must not add duplicate tasks.
-        executor = ScatterGatherExecutor(
-            nodes, deadline_seconds=DEADLINE, hedge_after_seconds=DEADLINE
-        )
+        executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
         wrong: list[object] = []
 
         def client(tag: int) -> None:
@@ -439,11 +402,10 @@ class TestConcurrentScatters:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert wrong == []
-            assert executor.scatters == clients * rounds
-            assert executor.tasks == clients * rounds * shards
-            assert all(node._inflight == 0 for replica_set in nodes for node in replica_set)
         finally:
             sys.setswitchinterval(interval)
-            close_all(nodes)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert executor.scatters == clients * rounds
+        assert executor.tasks == clients * rounds * shards
+        assert all_slots_free(nodes)

@@ -7,9 +7,6 @@ function-scoped and cheap to build.
 
 from __future__ import annotations
 
-import re
-import threading
-
 import pytest
 
 from repro.analysis.experiments import build_query_log, build_world, surface_world
@@ -22,18 +19,6 @@ from repro.util.rng import SeededRng
 from repro.webspace.site import DeepWebSite
 from repro.webspace.sitegen import WebConfig, build_deep_site, generate_web
 from repro.webspace.web import Web
-
-
-# An unclosed cluster fails here, not modules later in test_node.py's thread counts.
-@pytest.fixture(scope="module", autouse=True)
-def no_leaked_shard_workers():
-    yield
-    leaked = sorted(
-        thread.name
-        for thread in threading.enumerate()
-        if re.fullmatch(r"shard\d+/replica\d+", thread.name)
-    )
-    assert not leaked, f"shard workers still alive (a cluster was not closed): {leaked}"
 
 
 @pytest.fixture

@@ -212,19 +212,19 @@ def test_cluster_snapshot_restores_into_memory_and_into_another_cluster(tmp_path
     """A cluster exports its shards' postings as term-sorted streams: a 4 x 2
     snapshot restores into the default store and into a 3 x 1 cluster with
     the same ids, rankings and scores."""
-    with ClusterBackend(4, 2, deadline_seconds=30) as cluster:
-        service = DeepWebService.build().web(WEB).surfacing(SURFACING).store(cluster).create()
-        service.crawl(max_pages=100)
-        service.surface()
-        service.harvest_tables()
-        expected = answers(service)
-        path = service.snapshot(tmp_path / "cluster.json")
-        assert cluster.degraded_searches == 0
-    with ClusterBackend(3, 1, deadline_seconds=30) as other:
-        for restored in (DeepWebService.restore(path), DeepWebService.restore(path, store=other)):
-            assert answers(restored) == expected
-            assert normalized_index(restored.engine) == normalized_index(service.engine)
-        assert restored.store is other and other.degraded_searches == 0
+    cluster = ClusterBackend(4, 2, deadline_seconds=30)
+    service = DeepWebService.build().web(WEB).surfacing(SURFACING).store(cluster).create()
+    service.crawl(max_pages=100)
+    service.surface()
+    service.harvest_tables()
+    expected = answers(service)
+    path = service.snapshot(tmp_path / "cluster.json")
+    assert cluster.degraded_searches == 0
+    other = ClusterBackend(3, 1, deadline_seconds=30)
+    for restored in (DeepWebService.restore(path), DeepWebService.restore(path, store=other)):
+        assert answers(restored) == expected
+        assert normalized_index(restored.engine) == normalized_index(service.engine)
+    assert restored.store is other and other.degraded_searches == 0
 
 
 @pytest.mark.parametrize("failing", ["write", "replace"])

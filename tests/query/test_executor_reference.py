@@ -188,30 +188,30 @@ class TestDeadShard:
         reference = InMemoryBackend()
         for record in corpus():
             reference.add(record)
-        with cluster(4) as backend:
-            engine = SearchEngine(backend=backend)
-            engine.ingest_records(corpus())
-            fast, naive = QueryExecutor(engine), NaiveExecutor(engine)
-            backend.kill("shard2/replica0")
-            lost = {
-                doc.doc_id for doc in engine.documents() if shard_of(doc.url, 4) == 2
-            }
-            for query in QUERIES[:5]:
-                plan = plan_for(query, 5, 3, 8)
-                degraded = outcome(fast, plan)
-                assert backend.consume_degraded()
-                assert degraded == outcome(naive, plan)
-                assert backend.consume_degraded()
-                # What the dead shard held is gone; every survivor keeps
-                # the score the healthy single index gives it.
-                healthy = dict(reference.search(plan.query.text.split()))
-                assert lost & set(healthy)
-                # Pre-blend contributions: blending renormalises scores.
-                survivors = [r for _route, results in degraded[2] for r in results]
-                assert survivors
-                for result in survivors:
-                    assert result.doc_id not in lost
-                    assert healthy[result.doc_id] == result.score
+        backend = cluster(4)
+        engine = SearchEngine(backend=backend)
+        engine.ingest_records(corpus())
+        fast, naive = QueryExecutor(engine), NaiveExecutor(engine)
+        backend.kill("shard2/replica0")
+        lost = {
+            doc.doc_id for doc in engine.documents() if shard_of(doc.url, 4) == 2
+        }
+        for query in QUERIES[:5]:
+            plan = plan_for(query, 5, 3, 8)
+            degraded = outcome(fast, plan)
+            assert backend.consume_degraded()
+            assert degraded == outcome(naive, plan)
+            assert backend.consume_degraded()
+            # What the dead shard held is gone; every survivor keeps
+            # the score the healthy single index gives it.
+            healthy = dict(reference.search(plan.query.text.split()))
+            assert lost & set(healthy)
+            # Pre-blend contributions: blending renormalises scores.
+            survivors = [r for _route, results in degraded[2] for r in results]
+            assert survivors
+            for result in survivors:
+                assert result.doc_id not in lost
+                assert healthy[result.doc_id] == result.score
 
 
 class TestWorkIsBoundedByWhatIsReturned:

@@ -135,14 +135,13 @@ def engines(corpus):
     memory = SearchEngine()
     memory.ingest_records(records)
     # Identity is asserted, so the deadline is beyond any loaded box.
-    with ClusterBackend(4, deadline_seconds=30) as four, ClusterBackend(
-        7, deadline_seconds=30
-    ) as seven:
-        sharded4 = SearchEngine(backend=four)
-        sharded4.ingest_records(records)
-        sharded7 = SearchEngine(backend=seven)
-        sharded7.ingest_records(records)
-        yield legacy, memory, sharded4, sharded7
+    four = ClusterBackend(4, deadline_seconds=30)
+    seven = ClusterBackend(7, deadline_seconds=30)
+    sharded4 = SearchEngine(backend=four)
+    sharded4.ingest_records(records)
+    sharded7 = SearchEngine(backend=seven)
+    sharded7.ingest_records(records)
+    yield legacy, memory, sharded4, sharded7
 
 
 class TestPreVsPostRefactor:
@@ -231,14 +230,14 @@ class TestWriteToOneShardReachesEveryShard:
             text="late", tokens=[term, term, "latecomer", "padding"], source="surface",
         )
         memory = InMemoryBackend()
-        with ClusterBackend(4, replicas=replicas, deadline_seconds=30) as fanned:
-            for record in records:
-                assert fanned.add(record) == memory.add(record)
-            warm = memory.search([term], limit=None)
-            for _ in range(4):  # round-robin: every replica of every shard caches the term
-                assert fanned.search([term], limit=None) == warm
-            assert fanned.add(late) == memory.add(late)
-            assert memory.search([term], limit=None) != warm
-            for _ in range(4):
-                for limit in (None, 1, 10):
-                    assert fanned.search([term], limit=limit) == memory.search([term], limit=limit)
+        fanned = ClusterBackend(4, replicas=replicas, deadline_seconds=30)
+        for record in records:
+            assert fanned.add(record) == memory.add(record)
+        warm = memory.search([term], limit=None)
+        for _ in range(4):  # round-robin: every replica of every shard caches the term
+            assert fanned.search([term], limit=None) == warm
+        assert fanned.add(late) == memory.add(late)
+        assert memory.search([term], limit=None) != warm
+        for _ in range(4):
+            for limit in (None, 1, 10):
+                assert fanned.search([term], limit=limit) == memory.search([term], limit=limit)
