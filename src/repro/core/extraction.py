@@ -38,9 +38,11 @@ class ExtractedRecord:
 def _record_id_from_url(url_text: str) -> str:
     if not url_text:
         return ""
-    url = Url.parse(url_text)
-    record_id = url.param("id")
-    return record_id or ""
+    try:
+        url = Url.parse(url_text)
+    except ValueError:  # a malformed detail href (``http://[x/...``) names no record
+        return ""
+    return url.param("id") or ""
 
 
 def _parse_summary(summary: str) -> dict[str, str]:

@@ -32,7 +32,8 @@ def resolve_links(hrefs: Iterable[str], page_url: str | Url | None = None) -> li
     """Resolve raw hrefs to absolute URL strings, de-duplicated in order.
 
     Relative links (``/item?id=3``) are resolved against ``page_url``'s
-    host and dropped when no base is available.
+    host and dropped when no base is available; an href :meth:`Url.parse`
+    rejects is dropped too, so one hostile link cannot end a crawl.
     """
     base: Url | None = None
     if page_url is not None:
@@ -58,11 +59,15 @@ def extract_links(html_or_dom: str | DomNode, page_url: str | Url | None = None)
 
 def _resolve(href: str, base: Url | None) -> str | None:
     if "://" in href:
-        return str(Url.parse(href))
-    if base is None:
+        text = href
+    elif base is None:
         return None
-    if href.startswith("/"):
-        return str(Url.parse(f"http://{base.host}{href}"))
-    # Relative path without a leading slash: resolve against the base directory.
-    directory = base.path.rsplit("/", 1)[0]
-    return str(Url.parse(f"http://{base.host}{directory}/{href}"))
+    elif href.startswith("/"):
+        text = f"http://{base.host}{href}"
+    else:
+        # Relative path without a leading slash: resolve against the base directory.
+        text = f"http://{base.host}{base.path.rsplit('/', 1)[0]}/{href}"
+    try:
+        return str(Url.parse(text))
+    except ValueError:  # not a URL at all (``http://[x/``): not a link
+        return None

@@ -15,7 +15,10 @@ vertical registration) can never serve a stale result list.  Expiry is
 lazy: bumping the generation is O(1) regardless of cache size, which
 matters during bulk ingestion (a crawl bumps it once per page).
 
-Time is injected (``clock``) so TTL behavior is deterministic in tests.
+Time is injected (``clock``) so TTL behavior is deterministic in tests;
+without a TTL the cache never reads it.  The frontend maps each raw
+request text to its key once, so a hit reaches :meth:`QueryResultCache.get`
+without tokenizing.
 """
 
 from __future__ import annotations
@@ -105,13 +108,14 @@ class QueryResultCache:
 
     def get(self, query_key: str, k: int) -> tuple[SearchResult, ...] | None:
         """The cached ranking, or ``None`` on miss/stale/expired."""
+        entry_key = (query_key, k)
         with self._lock:
-            entry = self._entries.get((query_key, k))
+            entry = self._entries.get(entry_key)
             if entry is None:
                 self.misses += 1
                 return None
             if entry.generation != self._generation:
-                del self._entries[(query_key, k)]
+                del self._entries[entry_key]
                 self.invalidations += 1
                 self.misses += 1
                 return None
@@ -119,11 +123,11 @@ class QueryResultCache:
                 self.ttl_seconds is not None
                 and self._clock() - entry.stored_at > self.ttl_seconds
             ):
-                del self._entries[(query_key, k)]
+                del self._entries[entry_key]
                 self.expirations += 1
                 self.misses += 1
                 return None
-            self._entries.move_to_end((query_key, k))
+            self._entries.move_to_end(entry_key)
             self.hits += 1
             return entry.results
 
@@ -147,7 +151,8 @@ class QueryResultCache:
             self._entries[(query_key, k)] = _Entry(
                 results=tuple(results),
                 generation=self._generation if generation is None else generation,
-                stored_at=self._clock(),
+                # Only TTL expiry reads the stored time.
+                stored_at=self._clock() if self.ttl_seconds is not None else 0.0,
             )
             self._entries.move_to_end((query_key, k))
             while len(self._entries) > self.max_entries:

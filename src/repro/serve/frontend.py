@@ -19,7 +19,14 @@ behind it) and provides
   so replayed workloads are lossless and deterministic;
 * :class:`ServeStats` -- served/shed/cache-hit counts and latency
   percentiles of one :meth:`serve_workload` replay, counted from that
-  replay's own requests.
+  replay's own requests.  Timing belongs to the replay: :meth:`serve`
+  reads no clock.
+
+A hit does four things: the closed check, one lookup in the frontend's
+alias map (raw request text -> normalized key, at most ``cache_size``
+texts, cleared wholesale when full), one locked LRU lookup and one list
+copy.  It does not tokenize, score, read the clock or read the
+generation; a text the alias map has not seen is normalized as on a miss.
 
 Federated queries (``field:value``, tables, live probes) do not pass
 through here: ``DeepWebService.query`` plans and executes them directly.
@@ -177,6 +184,8 @@ class QueryFrontend:
             max_entries=cache_size, ttl_seconds=ttl_seconds, clock=clock
         )
         self._clock = clock
+        #: Raw request text -> normalized key, at most ``cache_size`` texts.
+        self._aliases: dict[str, str] = {}
         self._pool: ThreadPoolExecutor | None = None
         self._slots = threading.BoundedSemaphore(self.queue_limit)
         self._lock = threading.Lock()
@@ -197,13 +206,21 @@ class QueryFrontend:
         """Answer one query synchronously (cache first, then the engine).
 
         An empty query or a non-positive ``k`` is answered ``[]`` without
-        a cache lookup, a stored entry or any scoring."""
-        return self._serve_timed(query, k)[0]
+        a cache lookup, a stored entry or any scoring.  Nothing here reads
+        the clock; :meth:`serve_workload` times its requests itself."""
+        return self._answer(query, k)[0]
 
     def _serve_timed(
         self, query: str, k: int
     ) -> tuple[list[SearchResult], float, str | None]:
-        """The one read core: ``(ranking, latency, cache_outcome)``.
+        """:meth:`_answer` timed on the injected clock, for
+        :meth:`serve_workload`: ``(ranking, latency, cache_outcome)``."""
+        started = self._clock()
+        results, cache_outcome = self._answer(query, k)
+        return results, self._clock() - started, cache_outcome
+
+    def _answer(self, query: str, k: int) -> tuple[list[SearchResult], str | None]:
+        """The one read core: ``(ranking, cache_outcome)``.
 
         Workload runs count ``cache_outcome`` (``"hit"``, ``"miss"`` or
         ``None`` for an empty request, which is never looked up or stored)
@@ -214,34 +231,36 @@ class QueryFrontend:
             # A closed frontend no longer hears ingests, so serving from
             # its cache could silently return stale rankings.
             raise RuntimeError("frontend is closed")
-        started = self._clock()
-        # The key is the normalized string plus ``k``, computed before
-        # anything is parsed, so a hit does no tokenizing or scoring.
-        key = normalize_query(query) if k > 0 else ""
-        if not key:
-            results = self.engine.search(query, k=k) if k > 0 else []
-            cache_outcome = None
-        else:
-            # The generation must be read before computing: a write landing
-            # mid-search would otherwise stamp a pre-write ranking as fresh.
-            generation = self.cache.generation
-            cached = self.cache.get(key, k)
-            if cached is not None:
-                results = list(cached)
-                cache_outcome = "hit"
-            else:
-                # A search the backend served degraded (a cluster that lost
-                # a shard) is partial; caching it would keep serving the
-                # shrunken answer after the replicas recover.  With several
-                # workers a healthy answer may go uncached because a
-                # concurrent search degraded; a degraded one never gets in.
-                backend = self.engine.backend
-                degraded_before = backend.degraded_searches
-                results = self.engine.search(query, k=k)
-                if backend.degraded_searches == degraded_before:
-                    self.cache.put(key, k, results, generation=generation)
-                cache_outcome = "miss"
-        return results, self._clock() - started, cache_outcome
+        # The key is the normalized string plus ``k``.  A request text seen
+        # before maps to its key in one dict lookup, so a hit does no
+        # tokenizing or scoring.
+        key = self._aliases.get(query)
+        if key is None:
+            key = normalize_query(query)
+            with self._lock:
+                if len(self._aliases) >= self.cache.max_entries:
+                    self._aliases.clear()  # wholesale at the cap, as Url's parse memo
+                else:
+                    self._aliases[query] = key
+        if not key or k <= 0:
+            return [], None
+        cached = self.cache.get(key, k)
+        if cached is not None:
+            return list(cached), "hit"
+        # The generation must be read before computing: a write landing
+        # mid-search would otherwise stamp a pre-write ranking as fresh.
+        generation = self.cache.generation
+        # A search the backend served degraded (a cluster that lost a
+        # shard) is partial; caching it would keep serving the shrunken
+        # answer after the replicas recover.  With several workers a
+        # healthy answer may go uncached because a concurrent search
+        # degraded; a degraded one never gets in.
+        backend = self.engine.backend
+        degraded_before = backend.degraded_searches
+        results = self.engine.search(query, k=k)
+        if backend.degraded_searches == degraded_before:
+            self.cache.put(key, k, results, generation=generation)
+        return results, "miss"
 
     def submit(self, query: str, k: int = 10) -> Future | None:
         """Enqueue one query on the worker pool.
@@ -347,6 +366,7 @@ class QueryFrontend:
         self._closed = True
         self.engine.ingestor.remove_listener(self._on_ingest)
         self.cache.clear()
+        self._aliases.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None

@@ -123,3 +123,15 @@ class TestExtraction:
         records = extract_result_records(html)
         assert len(records) == 2
         assert {record.title for record in records} == {"First", "Second"}
+
+    def test_a_detail_href_that_is_not_a_url_names_no_record(self):
+        html = (
+            '<div class="result"><a href="http://[x/item?id=1">Bad</a><p>price: 5</p></div>'
+            '<div class="result"><a href="/item?id=2">Good</a><p>price: 7</p></div>'
+        )
+        records = extract_result_records(html)
+        assert [(record.title, record.record_id) for record in records] == [
+            ("Bad", ""),
+            ("Good", "2"),
+        ]
+        assert records[0].detail_url == "http://[x/item?id=1"

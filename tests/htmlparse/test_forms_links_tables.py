@@ -111,6 +111,16 @@ class TestLinkExtraction:
         links = extract_links(LINK_HTML)
         assert links == ["http://other.com/page"]
 
+    def test_an_href_that_is_not_a_url_is_dropped_not_raised(self):
+        """``Url.parse`` rejects an unclosed IPv6 bracket; the page's other
+        links still resolve, exactly as without the hostile one."""
+        hostile = '<a href="http://[x/">x</a><a href="/[y">y</a>'
+        page = "http://h.example.com/"
+        assert extract_links(hostile, page) == ["http://h.example.com/[y"]
+        assert extract_links(hostile + LINK_HTML, page) == extract_links(
+            '<a href="/[y">y</a>' + LINK_HTML, page
+        )
+
 
 TABLE_HTML = """
 <html><body>

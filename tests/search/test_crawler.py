@@ -5,7 +5,28 @@ from __future__ import annotations
 from repro.search.crawler import Crawler
 from repro.search.engine import SOURCE_DEEP_CRAWLED, SOURCE_SURFACE, SearchEngine
 from repro.webspace.loadmeter import AGENT_CRAWLER
+from repro.webspace.page import WebPage
 from repro.webspace.url import Url
+from repro.webspace.web import Web
+
+
+class HostileLinkSite:
+    """A two-page site whose homepage also links to ``http://[x/``, an
+    href ``Url.parse`` rejects."""
+
+    host = "hostile.example.com"
+    kind = "surface"
+
+    def homepage_url(self) -> Url:
+        return Url.build(self.host, "/")
+
+    def handle(self, url: Url) -> WebPage:
+        if url.path == "/":
+            html = ('<html><title>home</title><body>welcome '
+                    '<a href="http://[x/">bad</a> <a href="/next">next</a></body></html>')
+        else:
+            html = "<html><title>next</title><body>second page</body></html>"
+        return WebPage(url=str(url), html=html)
 
 
 class TestCrawl:
@@ -51,6 +72,13 @@ class TestCrawl:
         crawler.crawl(max_pages=5)
         after = car_web.load_meter.total(host=car_site.host, agent=AGENT_CRAWLER)
         assert after == before, "second crawl must skip already-visited homepage"
+
+    def test_a_hostile_href_is_skipped_and_the_crawl_goes_on(self):
+        web = Web()
+        web.register(HostileLinkSite())
+        engine = SearchEngine()
+        stats = Crawler(web, engine).crawl(max_pages=10)
+        assert (stats.fetched, stats.indexed) == (2, 2)
 
     def test_error_pages_counted(self, car_web, car_site):
         engine = SearchEngine()

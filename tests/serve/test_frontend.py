@@ -6,10 +6,13 @@ import threading
 
 import pytest
 
+import repro.serve.frontend as frontend_module
 from repro.search.engine import SearchEngine
 from repro.serve.frontend import QueryFrontend, ServeStats
 from repro.store.records import IngestRecord
+from repro.util.rng import SeededRng
 from repro.util.text import tokenize
+from repro.util.zipf import ZipfSampler
 
 
 def record(doc_id: int, text: str) -> IngestRecord:
@@ -100,6 +103,88 @@ class TestServe:
         assert frontend.cache.generation == generation, (
             "a closed frontend must not stay subscribed to ingests"
         )
+
+
+class TestHitPath:
+    """A hit costs one alias lookup and one cache lookup: no tokenizing, no
+    clock read."""
+
+    @pytest.fixture
+    def normalizations(self, monkeypatch) -> list[str]:
+        calls: list[str] = []
+        normalize = frontend_module.normalize_query
+
+        def counting(query: str) -> str:
+            calls.append(query)
+            return normalize(query)
+
+        monkeypatch.setattr(frontend_module, "normalize_query", counting)
+        return calls
+
+    def test_a_repeated_request_is_normalized_once(self, engine, normalizations):
+        with QueryFrontend(engine, workers=1) as frontend:
+            first = frontend.serve("Red  TOYOTA, Camry!", k=3)
+            assert frontend.serve("Red  TOYOTA, Camry!", k=3) == first
+            assert frontend.serve("Red  TOYOTA, Camry!", k=2) == first[:2]
+        assert normalizations == ["Red  TOYOTA, Camry!"]
+
+    def test_hit_path_normalizes_each_distinct_request_once(self, engine, normalizations):
+        """A fixed Zipf stream over twelve spellings (two of them empty):
+        every request after a text's first is answered without tokenizing."""
+        spellings = [
+            "red toyota", "Red  TOYOTA!", "honda civic", "ford", "toyota", "TOYOTA",
+            "camry", "mustang convertible", "low mileage", "blue honda", "", "  ,  ",
+        ]
+        rng, ranks = SeededRng("hit-path"), ZipfSampler(len(spellings))
+        stream = [spellings[ranks.sample_rank(rng) - 1] for _ in range(600)]
+        with QueryFrontend(engine, workers=1) as frontend:
+            for text in stream:
+                assert frontend.serve(text, k=3) == engine.search(text, k=3)
+        assert sorted(normalizations) == sorted(set(stream))
+        print(f"frontend hit path: {len(stream)} serves, {len(normalizations)} normalizations")
+
+    def test_two_spellings_of_one_query_share_one_entry(self, engine):
+        with QueryFrontend(engine, workers=1) as frontend:
+            first = frontend.serve("Red  TOYOTA, Camry!", k=3)
+            assert frontend.serve("red toyota camry", k=3) == first
+            assert (frontend.cache.hits, frontend.cache.misses, len(frontend.cache)) == (1, 1, 1)
+
+    @pytest.mark.parametrize("cache_size", [0, 1, 8])
+    def test_the_alias_map_holds_at_most_the_cache_capacity(self, engine, cache_size):
+        with QueryFrontend(engine, workers=1, cache_size=cache_size) as frontend:
+            for index in range(3 * max(cache_size, 1)):
+                frontend.serve(f"toyota {index}", k=2)
+                assert len(frontend._aliases) <= cache_size
+
+    def test_serve_reads_no_clock_and_serve_workload_still_times(self, engine):
+        armed = [False]
+        ticks = [0.0]
+
+        def clock() -> float:
+            if armed[0]:
+                raise AssertionError("serve() read the clock")
+            ticks[0] += 1.0
+            return ticks[0]
+
+        with QueryFrontend(engine, workers=1, clock=clock) as frontend:
+            armed[0] = True
+            miss = frontend.serve("toyota", k=2)  # miss, stored
+            assert frontend.serve("Toyota!", k=2) == miss  # hit
+            assert frontend.serve("", k=2) == []
+            armed[0] = False
+            stats = frontend.serve_workload(["toyota", "honda"], default_k=2).stats
+        # One worker, and the replaying thread reads the clock only before
+        # submitting and after gathering: each request reads it twice in a row.
+        assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+        assert stats.latency_p50 == stats.latency_max == 1.0
+
+    def test_an_ingest_between_two_serves_makes_the_second_a_miss(self, engine):
+        with QueryFrontend(engine, workers=1) as frontend:
+            before = frontend.serve("Toyota!", k=10)
+            engine.ingest_records([record(7, "toyota hilux workhorse")])
+            after = frontend.serve("Toyota!", k=10)
+            assert after == engine.search("toyota", k=10) != before
+            assert (frontend.cache.hits, frontend.cache.misses) == (0, 2)
 
 
 class TestAdmissionControl:
