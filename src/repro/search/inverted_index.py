@@ -4,7 +4,7 @@ A score is the float sum, in query-token order, of one cached ``idf *
 tf_component`` impact per token, and :func:`rank_accumulator` orders the
 sums.  A top-``limit`` query walks only the postings of the terms that can
 change its answer (MaxScore: Turtle & Flood, IP&M 1995); after a write it
-bounds a term from the term's last exact build instead of rebuilding it.
+prunes on each term's last exact impact map and rescores only the survivors.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 #: rounding may leave a few ulps off the value it bounds.
 _MARGIN = 1.0 - 1e-9
 
-#: ``((idf, avgdl, len(postings)), impacts, max impact, {limit: limit-th impact})``;
-#: an entry scaled from an anchor has no impacts and bounds the two impacts.
-_TermImpacts = tuple[tuple[float, float, int], dict[int, float] | None, float, dict[int, float]]
+#: ``((idf, avgdl, len(postings)), impacts, max impact, {limit: limit-th impact})``
+_TermImpacts = tuple[tuple[float, float, int], dict[int, float], float, dict[int, float]]
 
 
 def rank_accumulator(
@@ -114,9 +113,8 @@ class InvertedIndex:
     entry carries what it was computed from and is checked on every read:
     an idf the document count, impacts the ``(idf, average_length,
     len(postings))`` triple.  A shard is handed corpus-global idf and
-    average length that move when *another* shard is written, so
-    ``add_document`` clearing the caches (which only bounds their size)
-    cannot be what keeps them correct.
+    average length that move when *another* shard is written, so a check
+    on read, not a clear on write, is what keeps them correct.
 
     A score sums a document's impacts in query-token order, exactly as the
     textbook loop does.  A top-``limit`` query with no ``group`` and two or
@@ -125,21 +123,22 @@ class InvertedIndex:
     max impact stays under the bound are only looked up, and documents
     that cannot reach it are dropped before they are rescored exactly.
 
-    A write frees every impact map but keeps each term's *anchor*: the
-    triple, max impact and ``limit``-th memo of its last exact build.  An
+    A write frees no impact map: each term keeps the entry of its last
+    exact build, which a read with other ingredients finds stale.  An
     impact ``idf * w(tf, dl; a)`` moves with the idf in proportion and
     with the average length ``a`` by a factor within ``[min(1, a/a0),
-    max(1, a/a0)]``, and postings are only appended, so the anchor bounds
-    a stale term's max impact from above (raised to the exact impacts of
-    postings added since) and its ``limit``-th from below.  Top-k rebuilds
-    the map of a term it walks, or of a bounding term whose anchor lacks
-    this ``limit``; a skipped term is looked up for the surviving
-    documents only, by the same impact expression.  Shards and ``group``
-    ranking do not prune: a shard holds a slice of every posting list, so
-    the bound's fixed cost outweighed its saving (measured), and a small
-    group often has fewer than ``limit`` matches, which leaves its bound
-    at 0.  One re-entrant lock serializes writes, scoring and the export,
-    so each answer is the answer after some prefix of the writes.
+    max(1, a/a0)]``, and postings are only appended.  So a top-k query
+    that finds a term stale runs MaxScore over the old maps, keeps every
+    document within the factors' spread of the old ``limit``-th score
+    plus every document appended to a stale term since its build, and
+    rescores those exactly; a term whose postings doubled since its
+    build is rebuilt instead.  Queries that walk every posting rebuild
+    what they find stale.  Shards and ``group`` ranking do not prune: a
+    shard holds a slice of every posting list, so the bound's fixed cost
+    outweighed its saving (measured), and a small group often has fewer
+    than ``limit`` matches, which leaves its bound at 0.  One re-entrant
+    lock serializes writes, scoring and the export, so each answer is the
+    answer after some prefix of the writes.
     """
 
     def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
@@ -150,9 +149,8 @@ class InvertedIndex:
         self._total_length = 0
         # term -> (document count, idf)
         self._idf_cache: dict[str, tuple[int, float]] = {}
+        # term -> its last exact build, current while its triple is the read's
         self._impact_cache: dict[str, _TermImpacts] = {}
-        # term -> (triple, max impact, limit-th memo) of its last exact build
-        self._anchors: dict[str, tuple[tuple[float, float, int], float, dict[int, float]]] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -179,9 +177,8 @@ class InvertedIndex:
                 postings[term][doc_id] = frequency
             self._doc_lengths[doc_id] = len(tokens)
             self._total_length += len(tokens)
-            # Entries validate themselves; clearing only drops the stale ones.
+            # Entries validate themselves; a stale impact entry still bounds.
             self._idf_cache.clear()
-            self._impact_cache.clear()
 
     def document_terms(self) -> dict[int, list[str]]:
         """Each document's token stream, terms sorted, each term repeated
@@ -241,33 +238,30 @@ class InvertedIndex:
         }
 
     def _impacts(
-        self, term: str, idf: float, average_length: float, limit: int | None = None
+        self, term: str, idf: float, average_length: float,
+        stale: dict[str, tuple[float, float]] | None = None,
     ) -> _TermImpacts:
-        """The cache entry of ``term``, built if stale -- unless a ``limit``
-        is given and the anchor can bound it: that entry has ``None`` for
-        impacts, a max bound and ``{limit: limit-th bound}`` if memoized."""
+        """The last exact build of ``term``, rebuilt if stale -- unless
+        ``stale`` is given and the build can bound it: then the build is
+        returned and ``stale[term]`` is ``(low, high)``, the factors each of
+        its impacts has moved by at least and at most since."""
         postings = self._postings[term]
         key = (idf, average_length, len(postings))
         cached = self._impact_cache.get(term)
-        if cached is not None and cached[0] == key:
-            return cached
-        anchor = self._anchors.get(term)
-        if limit is not None and anchor is not None and average_length and anchor[0][1]:
-            (idf0, average0, count), top0, kth_by_limit0 = anchor
-            scale = idf / idf0
-            ratio = average_length / average0
-            # Scaled from the anchor, never from a bound: rounding cannot compound.
-            top = top0 * scale * max(1.0, ratio) / _MARGIN
-            if len(postings) > count:  # documents only arrive: the last ones are new
-                appended = islice(reversed(postings.items()), len(postings) - count)
-                top = max(top, *self._impact_map(appended, idf, average_length).values())
-            kth0 = kth_by_limit0.get(limit)
-            kth = {} if kth0 is None else {limit: kth0 * scale * min(1.0, ratio) * _MARGIN}
-            return key, None, top, kth
+        if cached is not None:
+            if cached[0] == key:
+                return cached
+            idf0, average0, count = cached[0]
+            # Appended documents are rescored on every query: past as many
+            # as the build holds, one rebuild costs less.
+            if stale is not None and average_length and average0 and len(postings) < 2 * count:
+                scale = idf / idf0
+                ratio = average_length / average0
+                stale[term] = (scale * min(1.0, ratio), scale * max(1.0, ratio))
+                return cached
         impacts = self._impact_map(postings.items(), idf, average_length)
         entry = (key, impacts, max(impacts.values()), {})
         self._impact_cache[term] = entry
-        self._anchors[term] = (key, entry[2], entry[3])
         return entry
 
     def accumulate(
@@ -296,28 +290,76 @@ class InvertedIndex:
             terms = dict.fromkeys(tokens)
             if limit is None or limit <= 0 or accumulator or len(terms) < 2:
                 limit = None
+            stale: dict[str, tuple[float, float]] | None = None if limit is None else {}
             entries = {
-                term: self._impacts(term, idf_by_term[term], average_length, limit)
+                term: self._impacts(term, idf_by_term[term], average_length, stale)
                 for term in terms
             }
             if limit is None:
                 _add_impacts((entries[term][1] for term in tokens), accumulator)
-                return
-            self._accumulate_top(tokens, entries, idf_by_term, average_length, limit, accumulator)
+            elif not stale:
+                self._accumulate_top(tokens, entries, limit, accumulator)
+            else:
+                self._accumulate_stale(
+                    tokens, entries, stale, idf_by_term, average_length, limit, accumulator
+                )
 
-    def _accumulate_top(
-        self, tokens: list[str], entries: dict[str, _TermImpacts], idf_by_term: Mapping[str, float],
+    def _accumulate_stale(
+        self, tokens: list[str], entries: dict[str, _TermImpacts],
+        stale: dict[str, tuple[float, float]], idf_by_term: Mapping[str, float],
         average_length: float, limit: int, accumulator: dict[int, float],
     ) -> None:
+        """Top-k when the ``stale`` terms' ``entries`` are builds from before
+        some writes.  A document held by every build it appears in scores
+        between ``low`` and ``high`` times its build-time score, so the
+        ``limit`` best build-time scores put the ``limit``-th score at or
+        above ``low`` times the build-time ``limit``-th, and a document
+        below ``low / high`` times that cannot reach it.  The rest, and
+        every document appended to a stale term since its build, are
+        rescored exactly, in token order.
+        """
+        low = min(factors[0] for factors in stale.values())
+        high = max(factors[1] for factors in stale.values())
+        if len(stale) < len(entries):  # a fresh term moves by a factor of 1
+            low, high = min(low, 1.0), max(high, 1.0)
+        slack = low / high
+        built: dict[int, float] = {}
+        self._accumulate_top(tokens, entries, limit, built, slack)
+        floor = heapq.nlargest(limit, built.values())[-1] * _MARGIN * slack
+        candidates = {doc_id for doc_id, score in built.items() if score >= floor}
+        postings = self._postings
+        for term in stale:
+            appended = len(postings[term]) - entries[term][0][2]
+            candidates.update(islice(reversed(postings[term]), appended))
+        impact_maps = {
+            term: self._impact_map(
+                ((doc_id, postings[term][doc_id]) for doc_id in candidates
+                 if doc_id in postings[term]),
+                idf_by_term[term], average_length,
+            )
+            for term in entries
+        }
+        for doc_id in candidates:
+            score = 0.0
+            for term in tokens:
+                score += impact_maps[term].get(doc_id, 0.0)
+            accumulator[doc_id] = score
+
+    def _accumulate_top(
+        self, tokens: list[str], entries: dict[str, _TermImpacts], limit: int,
+        accumulator: dict[int, float], slack: float = 1.0,
+    ) -> None:
         """MaxScore: put in the empty ``accumulator`` every document that can
-        rank among the ``limit`` best, with its exact score.  ``entries``
-        has one cache entry per distinct term, or its anchor bounds if stale.
+        rank among the ``limit`` best, with its exact score, given one cache
+        entry per distinct term in ``entries``.  With ``slack`` below 1, every
+        document that reaches ``slack`` times the ``limit``-th score.
 
         ``theta`` is a score at least ``limit`` documents reach: impacts are
         positive, so a document scores at least any one of its impacts and any
         token-order partial sum of them (other orders are off by ulps, which
         ``_MARGIN`` absorbs).  Survivors are rescored in token order.
         """
+        margin = _MARGIN * slack
         theta = 0.0
         for entry in sorted(entries.values(), key=itemgetter(2), reverse=True):
             key, impacts, top, kth_by_limit = entry
@@ -326,15 +368,11 @@ class InvertedIndex:
             if key[2] >= limit:
                 kth = kth_by_limit.get(limit)
                 if kth is None:
-                    if impacts is None:  # stale, and its anchor lacks this limit: build it
-                        term = next(term for term, known in entries.items() if known is entry)
-                        entries[term] = self._impacts(term, idf_by_term[term], average_length)
-                        _key, impacts, _top, kth_by_limit = entries[term]
                     kth = kth_by_limit[limit] = heapq.nlargest(limit, impacts.values())[-1]
                 theta = max(theta, kth)
         # The longest ascending-max prefix of tokens whose summed max stays
         # below theta cannot rank a document alone: it is never walked.
-        floor = theta * _MARGIN
+        floor = theta * margin
         walk = [entries[term] for term in tokens]
         skipped: list[int] = []
         unfolded = [0.0]  # unfolded[j]: the summed max of skipped[:j]
@@ -345,35 +383,23 @@ class InvertedIndex:
             skipped.append(position)
             unfolded.append(bound)
         impact_maps = [entry[1] for entry in walk]
-        if None in impact_maps:  # a stale term the query walks gets its map
-            for position, term in enumerate(tokens):
-                if impact_maps[position] is None and position not in skipped:
-                    entries[term] = self._impacts(term, idf_by_term[term], average_length)
-                    impact_maps[position] = entries[term][1]
         if not skipped:
             _add_impacts(impact_maps, accumulator)
             return
         partial: dict[int, float] = {}
         _add_impacts((m for i, m in enumerate(impact_maps) if i not in skipped), partial)
         if len(partial) >= limit:
-            floor = max(theta, heapq.nlargest(limit, partial.values())[-1]) * _MARGIN
+            floor = max(theta, heapq.nlargest(limit, partial.values())[-1]) * margin
         # A document stays while its partial score plus the max impacts still
         # to fold in can reach the floor; the largest max is folded in first.
         cut = floor - unfolded.pop()
         candidates = {d: p for d, p in partial.items() if p >= cut}
         for position in reversed(skipped):
             cut = floor - unfolded.pop()
-            impacts = impact_maps[position]
-            if impacts is None:  # stale and skipped: look up the surviving candidates only
-                term = tokens[position]
-                postings = self._postings[term]
-                pairs = ((d, postings[d]) for d in candidates if d in postings)
-                impacts = self._impact_map(pairs, idf_by_term[term], average_length)
-                impact_maps[position] = impacts
-            get = impacts.get
+            get = impact_maps[position].get
             candidates = {d: q for d, p in candidates.items() if (q := p + get(d, 0.0)) >= cut}
         if len(candidates) > limit:
-            floor = max(floor, heapq.nlargest(limit, candidates.values())[-1] * _MARGIN)
+            floor = max(floor, heapq.nlargest(limit, candidates.values())[-1] * margin)
             candidates = {d: p for d, p in candidates.items() if p >= floor}
         for doc_id in candidates:
             score = 0.0

@@ -268,11 +268,12 @@ def test_top_k_scoring_on_the_keyword_population():
     assert exact < matched
 
 
-def test_top_k_after_writes_rebuilds_only_the_walked_maps():
+def test_top_k_after_writes_recomputes_fewer_impacts_than_the_stale_postings():
     """``RATCHET_WEB``'s last fifth re-added one document at a time, with
     eight population queries after each write: every top-10 answer equals a
-    fresh index's full sort cut to 10, and the impact maps rebuilt cover
-    fewer postings than rebuilding every stale queried term would."""
+    fresh index's full sort cut to 10, and the impacts recomputed -- maps
+    rebuilt plus candidates rescored -- are fewer than the postings of the
+    stale queried terms, which rebuilding every one of them would cost."""
     service = (
         DeepWebService.build()
         .web(RATCHET_WEB)
@@ -287,6 +288,15 @@ def test_top_k_after_writes_rebuilds_only_the_walked_maps():
     index = InvertedIndex()
     for doc_id in doc_ids[:held_out_from]:
         index.add_document(doc_id, streams[doc_id])
+    impact_map = index._impact_map
+    recomputed = [0]
+
+    def counting(postings, idf, average_length):
+        impacts = impact_map(postings, idf, average_length)
+        recomputed[0] += len(impacts)
+        return impacts
+
+    index._impact_map = counting
     writes = doc_ids[held_out_from:]
     queries = rebuilt = stale = 0
     for write, doc_id in enumerate(writes):
@@ -294,20 +304,25 @@ def test_top_k_after_writes_rebuilds_only_the_walked_maps():
         fresh = InvertedIndex()
         for fresh_id in doc_ids[: held_out_from + write + 1]:
             fresh.add_document(fresh_id, streams[fresh_id])
+        built = dict(index._impact_cache)
         queried: set[str] = set()
         for tokens in (population[(8 * write + j) % len(population)] for j in range(8)):
             assert index.score(tokens, limit=10) == fresh.score(tokens)[:10]
             queried.update(term for term in tokens if index.document_frequency(term))
             queries += 1
-        # The write emptied the map cache: what it holds now was rebuilt.
-        rebuilt += sum(index.document_frequency(term) for term in index._impact_cache)
+        # An entry that is not the one held before the queries was rebuilt.
+        rebuilt += sum(
+            len(entry[1]) for term, entry in index._impact_cache.items()
+            if built.get(term) is not entry
+        )
         stale += sum(index.document_frequency(term) for term in queried)
+    rescored = recomputed[0] - rebuilt
     # CI greps this line out of a ``-s`` run into the job summary.
     print(
-        f"\ntop-k after writes: {len(writes)} writes, {queries} queries, "
-        f"impact maps rebuilt over {rebuilt} of {stale} postings"
+        f"\ntop-k after writes: {len(writes)} writes, {queries} queries, impacts recomputed "
+        f"{rebuilt} maps + {rescored} rescored of {stale} stale postings"
     )
-    assert rebuilt < stale
+    assert rebuilt + rescored < stale
 
 
 # -- the absolute pin ----------------------------------------------------------

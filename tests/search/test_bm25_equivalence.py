@@ -267,9 +267,35 @@ def writes_between_queries(draw):
     return docs, operations
 
 
+@st.composite
+def long_write_runs(draw):
+    """A corpus of 60-160 documents, then 50-150 writes -- new shapes,
+    empty documents and copies of earlier documents, at least one of each
+    -- and queries of two to five terms, one repeated, with a ``limit``
+    from 1 to 12."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    vocabulary = COMMON_TERMS * 4 + RARE_TERMS
+
+    def shape() -> list[str]:
+        return [rng.choice(vocabulary) for _ in range(rng.randint(1, 8))]
+
+    docs = {doc_id: shape() for doc_id in range(1, draw(st.integers(60, 160)) + 1)}
+    writes: list[list[str]] = [[], list(docs[rng.randint(1, len(docs))])]
+    for _ in range(draw(st.integers(50, 150)) - len(writes)):
+        kind = rng.random()
+        written = list(docs.values()) + writes
+        writes.append([] if kind < 0.15 else list(rng.choice(written)) if kind < 0.5 else shape())
+    rng.shuffle(writes)
+    queries = []
+    for _ in range(draw(st.integers(3, 8))):
+        query = [rng.choice(vocabulary) for _ in range(rng.randint(1, 4))]
+        queries.append((query + [rng.choice(query)], draw(st.integers(1, 12))))
+    return docs, writes, queries
+
+
 class TestTopKAcrossWrites:
-    """A write frees the impact maps but keeps each term's anchor; top-k
-    after it bounds stale terms from the anchor and stays exact."""
+    """A write frees no impact map; top-k after it prunes on each stale
+    term's last exact build, rescores only the survivors and stays exact."""
 
     @settings(max_examples=100, deadline=None)
     @given(writes_between_queries())
@@ -299,19 +325,73 @@ class TestTopKAcrossWrites:
                 kth = full_sort[limit - 1][1]
                 assert {doc_id for doc_id, score in full_sort if score >= kth} <= top.keys()
 
-    def test_a_query_after_a_write_leaves_a_skipped_terms_map_unbuilt(self):
+    def test_a_query_after_a_write_rebuilds_neither_terms_map(self):
         docs = {doc_id: ["book"] * (1 + doc_id % 3) for doc_id in range(1, 101)}
         for doc_id in (7, 40, 41, 93):
             docs[doc_id] = docs[doc_id] + ["zanzibar"]
         index = index_of(docs)
         query = ["book", "zanzibar"]
         assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
-        assert {"book", "zanzibar"} <= index._impact_cache.keys()
+        built = {term: index._impact_cache[term][1] for term in query}
         docs[101] = ["book", "book", "filler"]
         index.add_document(101, docs[101])
         assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
-        assert "zanzibar" in index._impact_cache
-        assert "book" not in index._impact_cache
+        assert all(index._impact_cache[term][1] is built[term] for term in query)
+
+    def test_a_post_write_query_recomputes_only_its_candidates(self, monkeypatch):
+        """Both terms are walked; after a write, the impacts recomputed are
+        at most the candidates' lookups, not the two posting lists."""
+        docs = {
+            doc_id: ["alpha"] * (1 + doc_id % 5) + ["beta"] * (1 + doc_id % 7)
+            + ["x"] * (doc_id % 3)
+            for doc_id in range(1, 201)
+        }
+        index = index_of(docs)
+        query = ["alpha", "beta", "alpha"]
+        assert index.score(query, limit=5) == naive_score(index, docs, query, 5)
+        docs[201] = ["alpha", "beta", "beta", "x"]
+        index.add_document(201, docs[201])
+        recomputed: list[int] = []
+        impact_map = index._impact_map
+
+        def counting(postings, idf, average_length):
+            impacts = impact_map(postings, idf, average_length)
+            recomputed.append(len(impacts))
+            return impacts
+
+        monkeypatch.setattr(index, "_impact_map", counting)
+        idf_by_term = {term: index.idf(term) for term in query}
+        top: dict[int, float] = {}
+        index.accumulate(query, idf_by_term, index.average_length(), top, 5)
+        assert 0 < sum(recomputed) <= len(top) * len(set(query)) < len(docs)
+        assert index.score(query, limit=5) == naive_score(index, docs, query, 5)
+
+    def test_a_term_holds_one_map_its_last_build(self, monkeypatch):
+        """A post-write query bounds from the very dict the term's last build
+        made, not a copy, and a rebuild replaces that dict: nothing in the
+        index holds the old one any more."""
+        docs = {
+            doc_id: ["book"] * (1 + doc_id % 3) + ["sale"] * (doc_id % 2) for doc_id in range(1, 61)
+        }
+        index = index_of(docs)
+        query = ["book", "sale"]
+        index.score(query, limit=3)
+        old = index._impact_cache["book"][1]
+        index.add_document(61, ["book", "sale", "sale"])
+        bounded_from: list[dict[int, float]] = []
+        accumulate_top = index._accumulate_top
+
+        def spying(tokens, entries, *rest):
+            bounded_from.append(entries["book"][1])
+            accumulate_top(tokens, entries, *rest)
+
+        monkeypatch.setattr(index, "_accumulate_top", spying)
+        index.score(query, limit=3)
+        assert bounded_from.pop() is old is index._impact_cache["book"][1]
+        index.score(query)  # a full walk rebuilds every stale term
+        assert index._impact_cache["book"][1] is not old
+        assert len(index._impact_cache["book"][1]) == 61
+        assert sys.getrefcount(old) == 2  # ``old`` and the argument
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -327,30 +407,57 @@ class TestTopKAcrossWrites:
         st.floats(min_value=0.5, max_value=60.0),
         st.floats(min_value=0.01, max_value=9.0),
         st.floats(min_value=0.01, max_value=9.0),
-        st.integers(min_value=1, max_value=6),
     )
     def test_anchor_bounds_hold_for_any_idf_and_average_length(
-        self, shapes, appended, average0, average, idf0, idf, limit
+        self, shapes, appended, average0, average, idf0, idf
     ):
-        """Per document ``(tf, filler)``: the scaled anchor max bounds every
-        impact under the new ``(idf, average)`` from above, and the scaled
-        ``limit``-th impact bounds the new ``limit``-th from below."""
+        """Per document ``(tf, filler)``: each impact of the last build,
+        scaled by the ``(low, high)`` factors of the new ``(idf, average)``,
+        bounds that document's new impact from below and above."""
         index = InvertedIndex()
-        anchored = max(1, len(shapes) - appended)
+        # Fewer appended postings than the build holds, so the build bounds.
+        anchored = len(shapes) - min(appended, (len(shapes) - 1) // 2)
         for doc_id, (frequency, filler) in enumerate(shapes[:anchored], start=1):
             index.add_document(doc_id, ["t"] * frequency + ["filler"] * filler)
         build = index._impacts("t", idf0, average0)
-        if len(build[1]) >= limit:
-            build[3][limit] = sorted(build[1].values())[-limit]
         for doc_id, (frequency, filler) in enumerate(shapes[anchored:], start=anchored + 1):
             index.add_document(doc_id, ["t"] * frequency + ["filler"] * filler)
-        index._impact_cache.clear()
-        _key, impacts, top, kth_by_limit = index._impacts("t", idf, average, limit)
-        assert impacts is None
-        actual = sorted(index._impacts("t", idf, average)[1].values())
-        assert actual[-1] <= top
-        if limit in kth_by_limit:
-            assert actual[-limit] >= kth_by_limit[limit]
+        stale: dict[str, tuple[float, float]] = {}
+        assert index._impacts("t", idf, average, stale) is build
+        low, high = stale.get("t", (1.0, 1.0))  # nothing moved: the build is current
+        postings = index._postings["t"]
+        current = index._impact_map(postings.items(), idf, average)
+        margin = inverted_index._MARGIN
+        for doc_id, impact in build[1].items():
+            assert low * impact * margin <= current[doc_id] <= high * impact / margin
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(long_write_runs())
+    def test_top_k_after_a_long_run_of_writes_equals_the_naive_sort(self, case):
+        """Anchors built once, then 50-150 writes (empty documents move the
+        average length down, copies tie at the k-th) before queries that may
+        repeat a term, under every ``limit`` from 1 to 12."""
+        docs, writes, queries = case
+        docs = dict(docs)
+        index = index_of(docs)
+        index.score(COMMON_TERMS + RARE_TERMS)  # every term's map is built
+        for tokens in writes:
+            docs[len(docs) + 1] = tokens
+            index.add_document(len(docs), tokens)
+        for query, limit in queries:
+            full_sort = naive_score(index, docs, query)
+            assert index.score(query, limit=limit) == full_sort[:limit]
+            idf_by_term = {
+                term: index.idf(term) for term in query if index.document_frequency(term)
+            }
+            top: dict[int, float] = {}
+            full: dict[int, float] = {}
+            index.accumulate(query, idf_by_term, index.average_length(), top, limit)
+            index.accumulate(query, idf_by_term, index.average_length(), full)
+            assert top.items() <= full.items()
+            if limit <= len(full_sort):
+                kth = full_sort[limit - 1][1]
+                assert {doc_id for doc_id, score in full_sort if score >= kth} <= top.keys()
 
 
 class TestConcurrentReaders:
