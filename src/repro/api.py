@@ -487,10 +487,7 @@ class DeepWebService:
             path = self.persist_dir / "snapshot.json"
         from repro.persist.snapshot import snapshot_service
 
-        written = snapshot_service(self, path)
-        self._snapshot_path = written
-        self._snapshot_created_at = time.time()
-        return written
+        return snapshot_service(self, path)
 
     @classmethod
     def restore(
@@ -501,12 +498,12 @@ class DeepWebService:
     ) -> "DeepWebService":
         """Rebuild a service from a :meth:`snapshot` file.
 
-        The simulated web regenerates deterministically from the
-        snapshotted :class:`WebConfig` (pass ``web=`` when the original
-        service was built from an explicit :class:`Web`); the stored
-        corpus replays through the shared ingestor into ``store`` (a
-        fresh in-memory backend by default).  Search rankings, scores and
-        doc ids are identical to the snapshotted service, and serving
+        The web's site list is regenerated from the snapshotted
+        :class:`WebConfig`, each site's database built on first fetch
+        (pass ``web=`` for a service built from an explicit :class:`Web`);
+        the stored corpus replays through the shared ingestor into
+        ``store`` (a fresh in-memory backend by default).  Rankings, scores
+        and doc ids are identical to the snapshotted service, and serving
         starts without re-crawling, re-surfacing or re-harvesting."""
         from repro.persist.snapshot import restore_service
 

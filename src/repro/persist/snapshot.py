@@ -13,10 +13,10 @@ stream ``export_records`` rebuilds from the postings -- are stored as
 token.  Every token in the tree comes from ``tokenize`` (``[a-z0-9]+``);
 an empty token or one holding a space, which would split back
 differently, is refused with :class:`SnapshotError`.  The simulated web
-itself is *not* serialized: it regenerates deterministically from its
-:class:`~repro.webspace.sitegen.WebConfig` (services built from an
-explicit :class:`~repro.webspace.web.Web` must pass ``web=`` to
-:func:`restore_service`).
+is *not* serialized: its site list is regenerated from its
+:class:`~repro.webspace.sitegen.WebConfig`; each site's database is built
+on first fetch, so a restore that fetches nothing builds none (services
+built from an explicit :class:`~repro.webspace.web.Web` pass ``web=``).
 
 The file is written to ``<name>.tmp`` and renamed over the target
 (no fsync); a write or rename that fails removes the scratch file,
@@ -206,6 +206,9 @@ def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
         raise SnapshotError(
             f"{target}: snapshot not written ({error}); any previous snapshot is unchanged"
         ) from error
+    # The writer ages its snapshot from the file's stamp, as a restore does.
+    service._snapshot_path = target
+    service._snapshot_created_at = snapshot.created_at
     return target
 
 

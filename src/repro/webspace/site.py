@@ -1,7 +1,8 @@
 """Deep-web sites: an HTML form front-end over a relational backend.
 
 A :class:`DeepWebSite` owns a :class:`~repro.relational.database.Database`
-and one or more :class:`FormTemplate` objects.  It serves:
+and one or more :class:`FormTemplate` objects, built together on the first
+read of either (a site that is never fetched never builds them).  It serves:
 
 * ``/`` -- the homepage carrying the rendered HTML form(s).  Deep-web
   content is *not* linked from here (that is what makes it deep); sites can
@@ -18,9 +19,11 @@ applied to POST forms.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
+from repro.datagen.domains import DomainSpec
 from repro.relational.database import Database
 from repro.relational.predicate import (
     And,
@@ -33,6 +36,7 @@ from repro.relational.predicate import (
 )
 from repro.relational.query import Query
 from repro.relational.schema import DataType
+from repro.util.rng import SeededRng
 from repro.webspace import html as markup
 from repro.webspace.forms_markup import render_form
 from repro.webspace.page import WebPage, method_not_allowed, not_found
@@ -92,29 +96,38 @@ class FormTemplate:
 
 
 class DeepWebSite:
-    """A simulated deep-web site."""
+    """A simulated deep-web site.  Its rows come from ``rng.child("data")``
+    and its form from ``rng.child("form")``: a child stream is a pure
+    function of its name, so building on first read, in any order of
+    sites, draws nothing differently."""
 
     kind = "deep"
+    #: Serializes first builds.  One lock for every site: a build is Python
+    #: work the GIL serializes anyway, and a class attribute is not pickled.
+    _build_lock = threading.Lock()
 
     def __init__(
         self,
         host: str,
         title: str,
-        database: Database,
-        forms: Iterable[FormTemplate],
-        domain_name: str = "",
+        spec: DomainSpec,
+        record_count: int,
+        rng: SeededRng,
+        method: str = "get",
+        results_per_page: int = 10,
+        range_value_count: int = 10,
         description: str = "",
         language: str = "en",
         browse_link_count: int = 0,
     ) -> None:
         self.host = host
         self.title = title
-        self.database = database
-        self.forms = list(forms)
-        self.domain_name = domain_name
+        self.domain_name = spec.name
         self.description = description
         self.language = language
         self.browse_link_count = browse_link_count
+        self._inputs = (spec, record_count, rng, method, results_per_page, range_value_count)
+        self._backend: tuple[Database, list[FormTemplate]] | None = None
         # (table, primary key) -> rendered result_item fragment.  The same
         # record appears on many result pages (overlapping queries), and the
         # relational layer has no row-update API, so the fragment is a pure
@@ -130,6 +143,28 @@ class DeepWebSite:
             "".join([self._results_heading, markup.no_results_banner(), self._back_link]),
             self.language,
         )
+
+    @property
+    def database(self) -> Database:
+        return (self._backend or self._build_backend())[0]
+
+    @property
+    def forms(self) -> list[FormTemplate]:
+        return (self._backend or self._build_backend())[1]
+
+    def _build_backend(self) -> tuple[Database, list[FormTemplate]]:
+        """Build the database and the form over it once; all callers get that pair."""
+        from repro.webspace.sitegen import build_database, build_form  # sitegen imports site
+
+        with self._build_lock:
+            if self._backend is None:
+                spec, records, rng, method, per_page, range_values = self._inputs
+                database = build_database(spec, records, rng.child("data"))
+                form = build_form(
+                    spec, database, rng.child("form"), method, per_page, range_values
+                )
+                self._backend = (database, [form])
+            return self._backend
 
     # -- URL helpers --------------------------------------------------------
 

@@ -9,6 +9,8 @@
   which is where most head-query traffic lands.
 
 Everything is driven by a single seed so experiments are reproducible.
+Generation draws each deep site's domain, size, method and browse links;
+its database and form are built on the site's first fetch.
 """
 
 from __future__ import annotations
@@ -213,16 +215,8 @@ def build_deep_site(
     browse_link_count: int = 0,
     language: str = "en",
 ) -> DeepWebSite:
-    """Build one complete deep-web site for a domain."""
-    database = build_database(spec, record_count, rng.child("data"))
-    form = build_form(
-        spec,
-        database,
-        rng.child("form"),
-        method=method,
-        results_per_page=results_per_page,
-        range_value_count=range_value_count,
-    )
+    """Build one deep-web site for a domain; its database and form are
+    built on the site's first fetch (see :class:`DeepWebSite`)."""
     title = _site_title(spec, host, rng.child("title"))
     description = (
         f"{title}: {spec.description} Search {record_count} {spec.entity_name} records."
@@ -230,9 +224,12 @@ def build_deep_site(
     return DeepWebSite(
         host=host,
         title=title,
-        database=database,
-        forms=[form],
-        domain_name=spec.name,
+        spec=spec,
+        record_count=record_count,
+        rng=rng,
+        method=method,
+        results_per_page=results_per_page,
+        range_value_count=range_value_count,
         description=description,
         language=language,
         browse_link_count=browse_link_count,

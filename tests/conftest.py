@@ -86,17 +86,12 @@ class OrSite(DeepWebSite):
 @pytest.fixture
 def or_site_of():
     """``or_site_of(site)``: the same site, its form ORing its inputs (what
-    the prober's conjunctive-form assumption must notice by itself)."""
+    the prober's conjunctive-form assumption must notice by itself).  It is
+    built from the site's own generation inputs, so its rows and form are
+    equal to the site's."""
 
     def build(site: DeepWebSite) -> OrSite:
-        return OrSite(
-            host=site.host,
-            title=site.title,
-            database=site.database,
-            forms=site.forms,
-            domain_name=site.domain_name,
-            description=site.description,
-        )
+        return OrSite(site.host, site.title, *site._inputs, description=site.description)
 
     return build
 

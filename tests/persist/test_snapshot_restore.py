@@ -13,8 +13,10 @@ pre-snapshot ranking as fresh).
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,8 @@ from repro.core.surfacer import SurfacingConfig
 from repro.persist import SnapshotError, SqliteBackend
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
+from repro.serve.loadgen import WorkloadGenerator
+from repro.webspace import sitegen
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.sitegen import WebConfig, generate_web
 
@@ -128,6 +132,61 @@ def test_report_storage_section(round_trip):
         f"storage: memory backend, {len(service.store)} documents "
         "(restored from snapshot)"
     ]
+
+
+def test_writer_and_restored_service_age_the_snapshot_from_one_stamp(tmp_path, monkeypatch):
+    """The service that wrote a snapshot and one restored from it report the
+    snapshot's age from the same ``created_at``: the stamp in the file."""
+    readings: list[float] = []
+
+    def clock() -> float:  # strictly increasing, one second per reading
+        readings.append(1000.0 + len(readings))
+        return readings[-1]
+
+    service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
+    monkeypatch.setattr(time, "time", clock)
+    path = service.snapshot(tmp_path / "snapshot.json")
+    stamp = json.loads(path.read_text())["created_at"]
+    restored = DeepWebService.restore(path)
+    for reader in (service, restored):
+        age = reader._storage_section()["snapshot_age_seconds"]
+        assert age == readings[-1] - stamp
+
+
+@pytest.mark.smoke
+def test_restore_builds_no_deep_site_database(tmp_path, monkeypatch):
+    """A restored service answers from its index: 200 searches on the
+    restored fetch-ledger ratchet world build no site's database."""
+    world = WebConfig(total_deep_sites=4, surface_site_count=1, max_records=120, seed=24)
+    service = (
+        DeepWebService.build()
+        .web(world)
+        .surfacing(SurfacingConfig(max_urls_per_form=200))
+        .create()
+    )
+    service.surface()
+    population = [query.text for query in WorkloadGenerator(service.web).population()]
+    texts = list(itertools.islice(itertools.cycle(population), 200))
+    path = service.snapshot(tmp_path / "snapshot.json")
+    built = []
+    build_database = sitegen.build_database
+
+    def counted(*args):
+        built.append(args)
+        return build_database(*args)
+
+    monkeypatch.setattr(sitegen, "build_database", counted)
+    restored = DeepWebService.restore(path)
+    answers = [restored.search(text, k=10) for text in texts]
+    sites = len(restored.web.deep_sites())
+    # CI greps this line out of a ``-s`` run into the job summary.
+    print(
+        f"\nrestore: {len(built)} of {sites} deep-site databases built "
+        f"after {len(texts)} searches"
+    )
+    assert built == []
+    assert answers == [service.search(text, k=10) for text in texts]
+    assert any(answers)
 
 
 def test_restored_cache_generation_never_serves_stale_rankings(round_trip):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+import threading
+import time
+
 import pytest
 
 from repro.datagen.domains import domain, domain_names
 from repro.htmlparse import extract_forms
 from repro.util.rng import SeededRng
+from repro.webspace import sitegen
 from repro.webspace.sitegen import (
     WebConfig,
     build_deep_site,
@@ -116,3 +121,77 @@ class TestGenerateWeb:
         )
         sites = generate_deep_sites(config, SeededRng(8))
         assert {site.domain_name for site in sites} <= {"books", "jobs"}
+
+
+def backend(site):
+    """What a site's first fetch builds, and what its homepage renders."""
+    return site.database.all_rows(), site.forms, site.handle(site.homepage_url()).html
+
+
+@pytest.fixture
+def database_builds(monkeypatch):
+    """Every ``build_database`` call, recorded as it returns."""
+    built = []
+    build_database = sitegen.build_database
+
+    def counted(*args):
+        time.sleep(0.005)  # widen the window for two threads to race a build
+        built.append(build_database(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sitegen, "build_database", counted)
+    return built
+
+
+class TestBuiltOnFirstUse:
+    CONFIG = WebConfig(total_deep_sites=6, surface_site_count=1, max_records=80, seed=31)
+
+    def test_generating_a_web_builds_no_database(self, database_builds):
+        web = generate_web(self.CONFIG)
+        assert len(web.deep_sites()) == 6
+        assert database_builds == []
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_build_order_changes_no_row_form_or_homepage(self, order):
+        forward = generate_web(self.CONFIG).deep_sites()
+        other = generate_web(self.CONFIG).deep_sites()
+        touched = (
+            other[::-1] if order == "reversed" else SeededRng(order).shuffle(other)
+        )
+        assert [site.host for site in touched] != [site.host for site in forward]
+        expected = {site.host: backend(site) for site in forward}
+        assert {site.host: backend(site) for site in touched} == expected
+
+    def test_concurrent_first_reads_share_one_build(self, database_builds):
+        site = generate_web(self.CONFIG).deep_sites()[0]
+        start = threading.Barrier(8, timeout=10)
+        seen = [None] * 8
+
+        def first_touch(index: int) -> None:
+            start.wait()
+            if index % 2:  # half the threads read the forms first
+                forms = site.forms
+                database = site.database
+            else:
+                database = site.database
+                forms = site.forms
+            seen[index] = (forms, database)
+
+        threads = [threading.Thread(target=first_touch, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(database_builds) == 1
+        forms, database = seen[0]
+        assert database is database_builds[0]
+        assert all(pair[0] is forms and pair[1] is database for pair in seen)
+
+    @pytest.mark.parametrize("touched", [False, True])
+    def test_a_site_pickles_before_and_after_its_build(self, touched):
+        site = generate_web(self.CONFIG).deep_sites()[1]
+        if touched:
+            backend(site)
+        copy = pickle.loads(pickle.dumps(site))
+        assert backend(copy) == backend(site)
