@@ -12,8 +12,8 @@ Most users need only the top-level facade:
 The package implements, over a fully simulated web:
 
 * ``repro.api`` -- the :class:`DeepWebService` facade (build / crawl /
-  surface / search / query / report) with one scheduler seam; ``query``
-  is the federated cross-corpus read.
+  surface / search / query / report); ``query`` is the federated
+  cross-corpus read.
 * ``repro.store`` -- the unified content store: the ``IngestRecord``
   write model, the ``Ingestor`` seam every content layer produces
   through, the ``DocumentCatalog`` every backend keeps its documents in,
@@ -21,7 +21,9 @@ The package implements, over a fully simulated web:
   hash-partitioned replicated one in ``repro.cluster``).
 * ``repro.pipeline`` -- the staged surfacing pipeline: seven pluggable
   stages, a shared context, observer hooks for metrics and progress, and
-  the :class:`SurfacingScheduler` seam the facade surfaces through.
+  ``SurfacingPipeline.surface_many``, the one per-site loop every site is
+  surfaced through (straight into the store, one sqlite transaction per
+  site under ``persist()``).
 * ``repro.relational`` -- the in-memory relational engine backing every
   deep-web site.
 * ``repro.datagen`` -- seeded synthetic data for ~10 content domains.

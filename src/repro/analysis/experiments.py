@@ -5,7 +5,7 @@ a web, crawl it, surface it, build a query log.  ``build_world`` and
 ``surface_world`` provide that once, with named scales so the expensive
 pieces stay proportionate to where they are used (unit tests vs. benchmark
 runs).  Everything runs through the :class:`repro.api.DeepWebService`
-facade, so worlds carry the service (scheduler, pipeline, stage metrics)
+facade, so worlds carry the service (pipeline, stage metrics)
 alongside the raw web and engine.
 """
 
@@ -61,16 +61,6 @@ class ExperimentWorld:
     surfacing_results: list[SiteSurfacingResult] = field(default_factory=list)
     query_log: QueryLog | None = None
 
-    @property
-    def surfaced_urls(self) -> int:
-        return sum(result.urls_indexed for result in self.surfacing_results)
-
-    def result_for(self, host: str) -> SiteSurfacingResult | None:
-        for result in self.surfacing_results:
-            if result.host == host:
-                return result
-        return None
-
 
 def build_world(
     scale: str = "small",
@@ -99,7 +89,7 @@ def surface_world(
     """Run the surfacing pipeline over every deep-web site of a world.
 
     A fresh, freshly-seeded service is built per call and attached to the
-    world so callers can reach the scheduler, pipeline and stage metrics
+    world so callers can reach the pipeline and stage metrics
     afterwards.
     """
     builder = (

@@ -18,9 +18,10 @@ fluent builder:
     print(service.report())
 
 All site surfacing -- ``surface()`` and ``surface_many()`` -- goes
-through a single :class:`~repro.pipeline.scheduler.SurfacingScheduler`
-seam: serial by default, checkpointed per site and resumable for services
-built with ``persist()``.
+through one loop, :meth:`~repro.pipeline.pipeline.SurfacingPipeline.surface_many`,
+which writes every site straight into the shared index; for services
+built with ``persist()`` each site is also one sqlite transaction, so a
+run is checkpointed per site and resumable.
 
 Storage is pluggable through the unified content store: pass
 ``.store(ClusterBackend(shard_count=4))`` to the builder to hash-partition
@@ -43,7 +44,6 @@ from typing import IO, TYPE_CHECKING, Iterable, Mapping
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.pipeline.observer import MetricsObserver, PipelineObserver, ProgressObserver
 from repro.pipeline.pipeline import SurfacingPipeline
-from repro.pipeline.scheduler import SurfacingScheduler
 from repro.query.executor import PlannerStats, PlanResult, QueryExecutor
 from repro.query.planner import QueryPlanner
 from repro.search.crawler import CrawlStats, Crawler
@@ -238,14 +238,16 @@ class DeepWebServiceBuilder:
 
         The content store becomes a
         :class:`~repro.persist.SqliteBackend` at ``<path>/store.sqlite3``,
-        surfacing runs through a
-        :class:`~repro.persist.ResumableSurfacingScheduler` that records
-        each completed site in that same file, and ``service.snapshot()``
-        defaults to ``<path>/snapshot.json``.  Reopening the same
-        directory resumes: stored documents reload, and an interrupted
-        ``surface_many`` skips the completed sites with output identical
-        to an uninterrupted run.  Mutually exclusive with :meth:`engine`
-        and :meth:`store` (persistence must own the storage backend)."""
+        surfacing writes each site straight into it inside one sqlite
+        transaction that also records the completed site in that same
+        file, and ``service.snapshot()`` defaults to
+        ``<path>/snapshot.json``.  Reopening the same directory resumes:
+        stored documents reload, and an interrupted ``surface_many``
+        skips the completed sites with output identical to an
+        uninterrupted run.  An exception anywhere inside a site rolls
+        that site off disk and retires the store until the directory is
+        reopened.  Mutually exclusive with :meth:`engine` and
+        :meth:`store` (persistence must own the storage backend)."""
         self._persist_dir = Path(path)
         return self
 
@@ -304,13 +306,12 @@ class DeepWebServiceBuilder:
             web = ResilientWeb(web, policy=policy, breakers=breakers)
         if sum(part is not None for part in (self._engine, self._store, self._persist_dir)) > 1:
             raise ValueError("pass at most one of engine(), store(), persist()")
-        store, scheduler = self._store, SurfacingScheduler()
+        store = self._store
         if self._persist_dir is not None:
             # Imported lazily: repro.persist builds on this module.
-            from repro.persist import ResumableSurfacingScheduler, SqliteBackend
+            from repro.persist import SqliteBackend
 
             store = SqliteBackend(self._persist_dir / "store.sqlite3")
-            scheduler = ResumableSurfacingScheduler(store)
         engine = self._engine if self._engine is not None else SearchEngine(backend=store)
         metrics = MetricsObserver()
         pipeline = SurfacingPipeline(
@@ -321,7 +322,6 @@ class DeepWebServiceBuilder:
         )
         return DeepWebService(
             pipeline=pipeline,
-            scheduler=scheduler,
             metrics=metrics,
             serving=self._serving,
             web_config=self._web_config,
@@ -335,14 +335,12 @@ class DeepWebService:
     def __init__(
         self,
         pipeline: SurfacingPipeline,
-        scheduler: SurfacingScheduler | None = None,
         metrics: MetricsObserver | None = None,
         serving: Mapping[str, object] | None = None,
         web_config: WebConfig | None = None,
         persist_dir: Path | None = None,
     ) -> None:
         self.pipeline = pipeline
-        self.scheduler = scheduler or SurfacingScheduler()
         self.metrics = metrics or MetricsObserver()
         if self.metrics not in self.pipeline.observers:
             self.pipeline.add_observer(self.metrics)
@@ -522,33 +520,38 @@ class DeepWebService:
         """Surface every deep-web site (or the supplied subset), replacing
         previously stored results (and their stage metrics) once the run
         has succeeded; a run that raises leaves both as they were.  Under
-        :meth:`~DeepWebServiceBuilder.persist`, a run that raises inside a
-        site's commit also retires the store: reopen the directory to resume."""
+        :meth:`~DeepWebServiceBuilder.persist`, a run that raises anywhere
+        inside a site also rolls that site off disk and retires the store:
+        reopen the directory to resume."""
         targets = list(sites) if sites is not None else self.web.deep_sites()
         kept = self.metrics.totals
         self.metrics.reset()
         try:
-            self.results = self.scheduler.run(self.pipeline, targets)
+            self.results = self._surface(targets)
         except BaseException:
             self.metrics.totals = kept
             raise
         return self.results
 
     def surface_many(self, sites: Iterable[DeepWebSite]) -> list[SiteSurfacingResult]:
-        """Surface a batch of sites through the scheduler, accumulating
-        onto previously stored results (progress indices stay global)."""
+        """Surface a batch of sites, accumulating onto previously stored
+        results (progress indices stay global)."""
         targets = list(sites)
-        batch_results = self.scheduler.run(
-            self.pipeline,
-            targets,
-            start_index=len(self.results),
-            total=len(self.results) + len(targets),
+        batch_results = self._surface(
+            targets, start_index=len(self.results), total=len(self.results) + len(targets)
         )
         self.results.extend(batch_results)
         return batch_results
 
+    def _surface(
+        self, sites: list[DeepWebSite], start_index: int = 0, total: int | None = None
+    ) -> list[SiteSurfacingResult]:
+        # Only persist() owns a sqlite store, and with it the resume record.
+        store = self.store if self.persist_dir is not None else None
+        return self.pipeline.surface_many(sites, start_index, total, store=store)
+
     def surface_site(self, site: DeepWebSite) -> SiteSurfacingResult:
-        """Surface a single site (scheduled as a batch of one)."""
+        """Surface a single site (a batch of one)."""
         return self.surface_many([site])[0]
 
     def search(self, query: str, k: int = 10) -> list[SearchResult]:

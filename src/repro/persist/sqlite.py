@@ -18,18 +18,22 @@ silently renumbering a corpus.
 The same file is the surfacing resume record.  A ``sites`` table holds
 one row per completed site, in completion order: its host and its
 :class:`~repro.core.surfacer.SiteSurfacingResult`, written by
-:mod:`repro.persist.codec`.  :meth:`SqliteBackend.commit_site` commits a
-site's documents and its row in one transaction, so the file holds
-either both or neither, and :meth:`SqliteBackend.bind_config` pins the
-surfacing configuration the rows were produced under.
+:mod:`repro.persist.codec`.  :meth:`SqliteBackend.commit_site` runs a
+site's surfacing -- which writes its documents straight into this store
+-- and inserts its row in one transaction, so the file holds either
+both or neither, and :meth:`SqliteBackend.bind_config` pins the
+surfacing configuration the rows were produced under.  Nothing commits
+inside that transaction: :meth:`~SqliteBackend.export_records` reads the
+pending rows through the same connection instead of flushing them.
 
 Writes commit at the end of each site and on :meth:`~SqliteBackend.flush`
 / :meth:`~SqliteBackend.close`; outside ``persist()``'s per-site commits
 (a store passed through ``.store(...)``, direct use) durability is at
-``flush()`` / ``close()`` only.  A write that fails rolls back what is
-pending and retires the backend: the in-memory index may then hold
-documents the file does not, so every later write, flush and resume
-lookup raises :class:`SqliteStoreError` until the file is reopened.
+``flush()`` / ``close()`` only.  A write that fails, or an exception
+anywhere inside a site's transaction, rolls back what is pending and
+retires the backend: the in-memory index may then hold documents the
+file does not, so every later write, flush and resume lookup raises
+:class:`SqliteStoreError` until the file is reopened.
 The format and the BM25 parameters are
 pinned in a ``meta`` table so a file cannot be reopened by a build that
 lays it out differently, or under scoring parameters different from the
@@ -43,7 +47,7 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.persist.codec import decode, encode
@@ -193,12 +197,15 @@ class SqliteBackend(InMemoryBackend):
 
         Overrides the index-reconstruction in the base class: the sqlite
         rows keep the original order, so exports round-trip verbatim.
+        The read goes through the writing connection, so it sees pending
+        writes without committing them (it may run inside a site's
+        transaction).
         """
-        self.flush()
-        rows = self._connection.execute(
-            f"SELECT {_RECORD_COLUMNS} FROM documents ORDER BY doc_id"
-        )
-        return [_record_from_row(*row) for row in rows]
+        with self._guarded() as connection:
+            rows = connection.execute(
+                f"SELECT {_RECORD_COLUMNS} FROM documents ORDER BY doc_id"
+            )
+            return [_record_from_row(*row) for row in rows]
 
     def flush(self) -> None:
         """Commit pending writes to disk."""
@@ -268,20 +275,22 @@ class SqliteBackend(InMemoryBackend):
                 f"result layout ({error})"
             ) from error
 
-    @contextmanager
-    def commit_site(self, host: str, result: SiteSurfacingResult) -> Iterator[None]:
-        """Write one completed site in one transaction.
+    def commit_site(
+        self, host: str, surface: Callable[[], SiteSurfacingResult]
+    ) -> SiteSurfacingResult:
+        """Surface one site and write it in one transaction.
 
-        Commits what is pending, runs the body (which ingests the site's
-        documents), then inserts the site's row and commits the two
-        together.  If anything in between raises, the transaction rolls
-        back and the file holds nothing of the site.  The in-memory index
-        keeps what the body added, so the backend retires: every later
-        write, flush and resume lookup raises until the file is reopened.
+        Commits what is pending, calls ``surface`` (which indexes the
+        site's documents straight into this store), then inserts the
+        site's row and commits the two together.  If anything in between
+        raises, the transaction rolls back and the file holds nothing of
+        the site.  The in-memory index keeps what ``surface`` added, so
+        the backend retires: every later write, flush and resume lookup
+        raises until the file is reopened.
         """
         self.flush()
         try:
-            yield
+            result = surface()
             payload = json.dumps(encode(SiteSurfacingResult, result), sort_keys=True)
             with self._guarded() as connection:
                 connection.execute(
@@ -292,3 +301,4 @@ class SqliteBackend(InMemoryBackend):
             with self._lock:
                 self._retire()
             raise
+        return result

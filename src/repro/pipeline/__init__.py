@@ -5,8 +5,9 @@ stages (see :mod:`repro.pipeline.stages` for the paper mapping) composed by
 :class:`~repro.pipeline.pipeline.SurfacingPipeline`.  Stages share a
 :class:`~repro.pipeline.context.PipelineContext` and can be instrumented
 through :class:`~repro.pipeline.observer.PipelineObserver` hooks; the
-facade hands a set of sites to the pipeline through
-:class:`~repro.pipeline.scheduler.SurfacingScheduler`.
+facade hands every set of sites to
+:meth:`~repro.pipeline.pipeline.SurfacingPipeline.surface_many`, the one
+per-site loop.
 """
 
 from repro.pipeline.context import PipelineContext
@@ -16,7 +17,6 @@ from repro.pipeline.observer import (
     ProgressObserver,
 )
 from repro.pipeline.pipeline import SurfacingPipeline
-from repro.pipeline.scheduler import SurfacingScheduler
 from repro.pipeline.stages import (
     SCOPE_FORM,
     SCOPE_SITE,
@@ -37,7 +37,6 @@ __all__ = [
     "MetricsObserver",
     "ProgressObserver",
     "SurfacingPipeline",
-    "SurfacingScheduler",
     "Stage",
     "SCOPE_SITE",
     "SCOPE_FORM",

@@ -8,14 +8,15 @@ list -- an ablation, a replaced or an extra stage -- is passed whole:
     pipeline = SurfacingPipeline(web, engine, config, stages=stages)
 
 ``surface_site`` runs one site through the stages and times it
-(``SiteSurfacingResult.elapsed_seconds``); ``surface_many`` adds
-deterministic per-site progress events.
+(``SiteSurfacingResult.elapsed_seconds``); ``surface_many`` is the one
+per-site loop: it adds deterministic per-site progress events and, given
+the persisted service's sqlite store, commits each site whole.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.form_model import SurfacingForm
 from repro.core.surfacer import (
@@ -30,6 +31,9 @@ from repro.search.engine import SearchEngine
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.site import DeepWebSite
 from repro.webspace.web import Web
+
+if TYPE_CHECKING:
+    from repro.persist.sqlite import SqliteBackend
 
 
 class SurfacingPipeline:
@@ -161,20 +165,33 @@ class SurfacingPipeline:
         sites: Iterable[DeepWebSite],
         start_index: int = 0,
         total: int | None = None,
+        store: SqliteBackend | None = None,
     ) -> list[SiteSurfacingResult]:
         """Surface a batch of sites with progress events and timings.
 
-        ``start_index``/``total`` let a scheduler report batch-local work
-        against the global progress bar.
+        ``start_index``/``total`` let a caller that accumulates batches
+        report against the global progress bar.  With a ``store`` (what
+        ``persist()`` hands in), the batch is bound to this configuration,
+        a site the store has completed is read back from its row without
+        a fetch (site events only: its stages did not run), and a fresh
+        site is surfaced inside :meth:`SqliteBackend.commit_site`, so the
+        file gets all of it or, if anything raises, none of it.
         """
         targets = list(sites)
         total = total if total is not None else start_index + len(targets)
+        if store is not None:
+            store.bind_config(self.config)
         results: list[SiteSurfacingResult] = []
         for offset, site in enumerate(targets):
             index = start_index + offset
             for observer in self.observers:
                 observer.on_site_start(site, index, total)
-            result = self.surface_site(site)
+            if store is None:
+                result = self.surface_site(site)
+            else:
+                result = store.site_result(site.host) or store.commit_site(
+                    site.host, lambda: self.surface_site(site)
+                )
             results.append(result)
             for observer in self.observers:
                 observer.on_site_end(site, result, index, total)

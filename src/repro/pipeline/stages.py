@@ -66,7 +66,7 @@ class FormDiscoveryStage:
             homepage = ctx.web.fetch(ctx.site.homepage_url(), agent=AGENT_SURFACER)
         except FetchError:
             # An unreachable homepage degrades the site to "no forms found";
-            # the scheduler records the skip and moves on.  Only fetch
+            # the pipeline records the skip and moves on.  Only fetch
             # errors are absorbed -- parser bugs must propagate.
             ctx.homepage_ok = False
             return ctx

@@ -12,7 +12,7 @@ in-memory default reproduces the engine's historical behavior byte for
 byte; the cluster backend scatters searches over shard replicas and
 merges identical top-k lists back), and every write flows through one
 :class:`~repro.store.ingest.Ingestor`, which the crawler, the surfacing
-scheduler, the virtual-integration registry and the table corpus share.
+pipeline, the virtual-integration registry and the table corpus share.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class SearchEngine:
         return self._ingestor.ingest_page(page, source=source, annotations=annotations)
 
     def ingest_records(self, records: Iterable[IngestRecord]) -> list[int]:
-        """Batch-write prepared records (the scheduler replay path)."""
+        """Batch-write prepared records (the snapshot replay path)."""
         return self._ingestor.ingest_batch(records)
 
     # -- lookup ---------------------------------------------------------------
@@ -139,9 +139,6 @@ class SearchEngine:
 
     def documents(self, source: str | None = None) -> list[Document]:
         return self._backend.documents(source=source)
-
-    def documents_for_host(self, host: str) -> list[Document]:
-        return self._backend.documents_for_host(host)
 
     def store_stats(self) -> StoreStats:
         """The backend's aggregate stats: doc counts in total, per source

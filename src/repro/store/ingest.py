@@ -4,9 +4,8 @@ Every content layer produces through an :class:`Ingestor`:
 
 * the :class:`~repro.search.engine.SearchEngine` (``add_page`` /
   ``ingest_records``) and the :class:`~repro.search.crawler.Crawler`;
-* the surfacing pipeline's indexing stage, and the resumable scheduler,
-  which replays each site's staged batch through
-  :meth:`Ingestor.ingest_batch`;
+* the surfacing pipeline's indexing stage, and the snapshot restore,
+  which replays the stored corpus through :meth:`Ingestor.ingest_batch`;
 * the virtual-integration registry and the WebTables corpus, which emit
   :class:`~repro.store.records.IngestRecord` objects directly.
 
@@ -77,7 +76,7 @@ class Ingestor:
         return doc_id
 
     def ingest_batch(self, records: Iterable[IngestRecord]) -> list[int]:
-        """Write a batch in order (the scheduler replay path)."""
+        """Write a batch in order (the snapshot replay path)."""
         return [self.ingest(record) for record in records]
 
     def ingest_page(

@@ -175,8 +175,9 @@ class DeepWebSite:
         return Url.build(self.host, "/item", {"id": record_id})
 
     def size(self) -> int:
-        """Number of records in the backend database."""
-        return self.database.total_rows()
+        """Number of records in the backend database: the record count it is
+        generated with (rows are ids 1..count), so the database is not built."""
+        return self._inputs[1]
 
     def ground_truth_ids(self) -> set[tuple[str, object]]:
         """Every (table, primary key) pair -- ground truth for coverage."""

@@ -106,10 +106,7 @@ class TestExperimentHarness:
 
     def test_surface_world_populates_results(self, surfaced_world):
         assert surfaced_world.surfacing_results
-        assert surfaced_world.surfaced_urls > 0
-        host = surfaced_world.surfacing_results[0].host
-        assert surfaced_world.result_for(host) is surfaced_world.surfacing_results[0]
-        assert surfaced_world.result_for("missing.host") is None
+        assert sum(result.urls_indexed for result in surfaced_world.surfacing_results) > 0
 
     def test_query_log_attached(self, surfaced_world):
         assert surfaced_world.query_log is not None

@@ -1,4 +1,4 @@
-"""Tests for the DeepWebService facade, its builder and the scheduler seam."""
+"""Tests for the DeepWebService facade, its builder and its surfacing runs."""
 
 from __future__ import annotations
 
@@ -171,20 +171,19 @@ class TestScheduler:
         """The index still holds the first run's pages, so the report must
         still describe them (it read 0 sites before) -- every counter the
         metrics observer holds, although the failed run moved them all."""
-        from repro.pipeline.scheduler import SurfacingScheduler
+        from repro.pipeline.observer import PipelineObserver
 
-        class FailsSecondRun(SurfacingScheduler):
-            runs = 0
+        class FailsSecondRun(PipelineObserver):
+            """Raises as the second run reaches its second site."""
 
-            def run(self, pipeline, sites, start_index=0, total=None):
-                self.runs += 1
-                if self.runs > 1:
-                    super().run(pipeline, list(sites)[:1], start_index, total)
+            starts = 0
+
+            def on_site_start(self, site, index, total):
+                self.starts += 1
+                if self.starts == total + 2:
                     raise RuntimeError("gave up after the first site")
-                return super().run(pipeline, sites, start_index, total)
 
-        built = DeepWebService.build().web(SMALL_WEB).create()
-        built.scheduler = FailsSecondRun()
+        built = DeepWebService.build().web(SMALL_WEB).observer(FailsSecondRun()).create()
         built.surface()
         before = built.report()
         with pytest.raises(RuntimeError):

@@ -3,14 +3,16 @@
 The contract: interrupt ``surface_many`` partway, reopen the same
 ``persist()`` directory and resume, and the final output -- per-site
 results, stored documents, rankings -- is byte-identical to a run that
-was never interrupted, with no completed site fetched again.  A site's
-documents and its ``sites`` row commit in one sqlite transaction, so the
-crash sweep below stops the one writer at every point of a site and
-checks that the file holds all of that site or none of it, and that a
-store whose site transaction rolled back refuses further use until it
-is reopened (its in-memory index no longer matches the file).  Resuming
-under a different surfacing config, or over a site row this build
-cannot decode, is refused.
+was never interrupted, with no completed site fetched again.  A site is
+surfaced straight into the store, and its documents and its ``sites``
+row commit in one sqlite transaction, so the crash sweep below stops the
+run at every point of a site -- between sites, in the middle of its
+surfacing, and at each kind of write -- and checks that the file holds
+all of that site or none of it, and that a store whose site transaction
+rolled back refuses further use until it is reopened (its in-memory
+index no longer matches the file).  Resuming under a different
+surfacing config, or over a site row this build cannot decode, is
+refused.
 """
 
 from __future__ import annotations
@@ -50,6 +52,27 @@ class CrashAt(PipelineObserver):
         if index == self.index:
             self.index = None
             raise RuntimeError(f"simulated crash at site {index} ({site.host})")
+
+
+class CrashInsideSite(PipelineObserver):
+    """Raises once, when the site at ``index`` ends an index-pages stage
+    having indexed at least one document (a crash in mid-surfacing)."""
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.current = None
+
+    def on_site_start(self, site, index, total) -> None:
+        self.current = index
+
+    def on_stage_end(self, stage_name, ctx, elapsed) -> None:
+        if (
+            self.current == self.index
+            and stage_name == "index-pages"
+            and ctx.form_result.urls_indexed
+        ):
+            self.index = None
+            raise RuntimeError(f"simulated crash inside site {ctx.site.host}")
 
 
 class EventLog(PipelineObserver):
@@ -127,29 +150,41 @@ class CrashingConnection:
 
 
 @pytest.mark.parametrize(
-    "statement, crash_after",
+    "point, crash_after",
     [
-        (None, None),
+        ("site-start", None),
+        ("index-pages", None),
         ("INSERT INTO documents", 1),
         ("INSERT INTO documents", 25),
         ("INSERT INTO documents", 51),
         ("INSERT INTO sites", 1),
     ],
-    ids=["site-start", "first-record", "middle-record", "last-record", "site-row"],
+    ids=[
+        "site-start",
+        "inside-site",
+        "first-record",
+        "middle-record",
+        "last-record",
+        "site-row",
+    ],
 )
-def test_crash_point_sweep(tmp_path, clean_run, statement, crash_after):
+def test_crash_point_sweep(tmp_path, clean_run, point, crash_after):
     expected_results, expected_index, expected_search = clean_run
     state = tmp_path / "state"
-    crashed = build_service(state, observer=CrashAt(CRASH_SITE) if statement is None else None)
+    observer = {"site-start": CrashAt, "index-pages": CrashInsideSite}.get(point)
+    crashed = build_service(state, observer=observer and observer(CRASH_SITE))
     sites = crashed.web.deep_sites()
     host = sites[CRASH_SITE].host
-    if statement is not None:
-        assert sum(row[2] == host for row in expected_index) == 51
+    site_documents = sum(row[2] == host for row in expected_index)
+    assert site_documents == 51
+    if crash_after is not None:
         crashed.store._connection = CrashingConnection(
-            crashed.store._connection, statement, host, crash_after
+            crashed.store._connection, point, host, crash_after
         )
     with pytest.raises(RuntimeError, match="simulated crash"):
         crashed.surface()
+    if point == "index-pages":
+        assert crashed.store.documents_for_host(host)  # some were indexed
 
     # What a kill leaves: the file, read beside the still-open service,
     # holds the completed sites whole and nothing of the crashed one.
@@ -159,8 +194,11 @@ def test_crash_point_sweep(tmp_path, clean_run, statement, crash_after):
         assert stored.fetchall() == [row[:3] for row in expected_index if row[2] in completed]
         rows = reader.execute("SELECT host FROM sites ORDER BY seq").fetchall()
         assert [row[0] for row in rows] == completed
+        (left_on_disk,) = reader.execute(
+            "SELECT COUNT(*) FROM documents WHERE host = ?", (host,)
+        ).fetchone()
 
-    if statement is None:
+    if point == "site-start":
         # Outside a site's transaction nothing was written: retrying on the
         # same service finishes the clean run.
         assert normalized_results(crashed.surface()) == expected_results
@@ -188,9 +226,17 @@ def test_crash_point_sweep(tmp_path, clean_run, statement, crash_after):
         for site in sites
         if resumed.web.load_meter.total(host=site.host, agent=AGENT_SURFACER)
     ]
-    assert refetched == ([] if statement is None else [s.host for s in sites[CRASH_SITE:]])
+    assert refetched == (
+        [] if point == "site-start" else [s.host for s in sites[CRASH_SITE:]]
+    )
     assert resumed.report().storage["completed_sites"] == len(sites)
     resumed.store.close()
+    if point == "index-pages":
+        # CI greps this line out of a ``-s`` run into the job summary.
+        print(
+            f"\nresume: crash inside site {CRASH_SITE} left {left_on_disk} of its "
+            f"{site_documents} documents on disk; resumed run equals the clean run"
+        )
 
 
 def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run, serial_observed):
@@ -200,10 +246,10 @@ def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run, serial_obser
     first_log = EventLog()
     first = build_service(state, observer=first_log)
     first.surface()
-    # On a fresh store the staged worker reports live: same events, same
-    # order, and a ctx-reading observer sees the same mid-run state as
-    # under the serial scheduler (nothing indexed yet when index-pages
-    # starts -- not the site's end-of-run totals).
+    # On a fresh store surfacing reports live: same events, same order,
+    # and a ctx-reading observer sees the same mid-run state as in memory
+    # (nothing indexed yet when index-pages starts -- not the site's
+    # end-of-run totals).
     assert first_log.events == serial_events
     assert ("stage-start", "index-pages", 0) in first_log.events
     assert any(
@@ -214,7 +260,7 @@ def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run, serial_obser
     for kind, _, _ in first_log.events:
         open_sites += {"site-start": 1, "site-end": -1}.get(kind, 0)
         assert open_sites == 1 or kind == "site-end"  # stages only inside a site
-    # The worker's probe-cache counters fold into the shared prober.
+    # The probe-cache counters are the shared prober's, as in memory.
     report = first.report()
     for counter in ("hits", "misses"):
         assert report.probe_cache[counter] == serial_report.probe_cache[counter]
@@ -264,8 +310,9 @@ def test_site_result_of_another_layout_is_refused(tmp_path, tamper, complaint):
     error, never a bare TypeError / KeyError when the site is resumed."""
     path = tmp_path / "store.sqlite3"
     with SqliteBackend(path) as store:
-        with store.commit_site("host.example.com", SiteSurfacingResult("host.example.com", "auto")):
-            pass
+        store.commit_site(
+            "host.example.com", lambda: SiteSurfacingResult("host.example.com", "auto")
+        )
     with closing(sqlite3.connect(path)) as raw, raw:
         (payload,) = raw.execute("SELECT result FROM sites").fetchone()
         result = json.loads(payload)
@@ -276,7 +323,7 @@ def test_site_result_of_another_layout_is_refused(tmp_path, tamper, complaint):
             store.site_result("host.example.com")
 
 
-# -- what a stored site carries, and what staging sees ------------------------
+# -- what a stored site carries, and what surfacing sees ----------------------
 
 
 def test_fault_accounting_survives_resume(tmp_path):
@@ -313,10 +360,10 @@ class TermViews(PipelineObserver):
         self.views.append((ctx.site.host, stage_name, tuple(sorted(counts.items()))))
 
 
-def test_staging_over_a_crawled_store_matches_the_serial_run(tmp_path):
+def test_surfacing_over_a_crawled_store_matches_the_memory_run(tmp_path):
     """The identity tests above start from an empty store.  Here every deep
     host already has crawled documents, which keyword seeding counts and
-    URL dedup must see: the scratch engine is preloaded with them."""
+    URL dedup must see in the persisted store exactly as in memory."""
 
     def crawl_then_surface(state=None):
         views = TermViews()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.pipeline.observer import MetricsObserver, PipelineObserver
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex, rank_accumulator
 from repro.serve.loadgen import WorkloadGenerator
+from repro.util.rng import SeededRng
 from repro.util.text import tokenize
 from repro.webspace.loadmeter import AGENT_SURFACER
 from repro.webspace.page import WebPage
@@ -236,6 +238,50 @@ def test_fetch_ledger_ratchet():
     assert sum(ledger.values()) == total == sum(result.analysis_load for result in results)
     assert report.analysis_load == total
     assert (ledger, report.urls_indexed) == (RATCHET_STAGE_FETCHES, RATCHET_URLS_INDEXED)
+
+
+def _surface_in_order(order: str) -> tuple[list[str], dict[str, tuple]]:
+    """Surface the ratchet world's sites in ``order``: the hosts in the
+    order run, and per host its documents and its result (timing zeroed)."""
+    service = (
+        DeepWebService.build()
+        .web(RATCHET_WEB)
+        .surfacing(SurfacingConfig(max_urls_per_form=200))
+        .create()
+    )
+    sites = service.web.deep_sites()
+    ordered = {
+        "forward": sites,
+        "reversed": sites[::-1],
+        "shuffled": SeededRng("site order").shuffle(sites),
+    }[order]
+    results = service.surface(ordered)
+    by_host = {
+        result.host: (
+            [
+                (doc.url, doc.title, doc.text, sorted(doc.annotations.items()))
+                for doc in service.engine.documents()
+                if doc.host == result.host
+            ],
+            replace(result, elapsed_seconds=0.0),
+        )
+        for result in results
+    }
+    return [site.host for site in ordered], by_host
+
+
+def test_each_site_surfaces_the_same_in_any_site_order():
+    """No state shared across sites (probe cache, signature cache, keyword
+    population, the index) changes what a site surfaces: sites are
+    independent work."""
+    forward_hosts, forward = _surface_in_order("forward")
+    assert all(documents for documents, _ in forward.values())
+    orders = [forward_hosts]
+    for order in ("reversed", "shuffled"):
+        hosts, by_host = _surface_in_order(order)
+        assert hosts not in orders
+        orders.append(hosts)
+        assert by_host == forward
 
 
 def test_top_k_scoring_on_the_keyword_population():

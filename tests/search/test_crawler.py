@@ -41,7 +41,7 @@ class TestCrawl:
         engine = SearchEngine()
         Crawler(car_web, engine).crawl(max_pages=50)
         # Only the homepage is reachable: the form results are behind the form.
-        assert len(engine.documents_for_host(car_site.host)) == 1
+        assert len(engine.backend.documents_for_host(car_site.host)) == 1
 
     def test_crawl_discovers_seeded_deep_urls(self, car_web, car_site):
         engine = SearchEngine()

@@ -63,7 +63,7 @@ class TestIngestion:
     def test_documents_filter_by_source_and_host(self):
         engine = build_engine()
         assert len(engine.documents(source=SOURCE_SURFACED)) == 1
-        assert len(engine.documents_for_host("cars.com")) == 2
+        assert len(engine.backend.documents_for_host("cars.com")) == 2
 
 
 class TestSearch:

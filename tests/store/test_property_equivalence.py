@@ -169,9 +169,9 @@ class Interleaving:
             assert len(reference) == len(engine)
             assert reference.store_stats().by_source == engine.store_stats().by_source
         host = f"site{self.rng.randint(0, 5)}.example.com"
-        expected = [d.doc_id for d in reference.documents_for_host(host)]
+        expected = [d.doc_id for d in reference.backend.documents_for_host(host)]
         for engine in self.others:
-            assert [d.doc_id for d in engine.documents_for_host(host)] == expected
+            assert [d.doc_id for d in engine.backend.documents_for_host(host)] == expected
 
     # -- final-state checks --------------------------------------------------
 

@@ -151,6 +151,13 @@ class TestBuiltOnFirstUse:
         assert len(web.deep_sites()) == 6
         assert database_builds == []
 
+    def test_counting_records_builds_no_database(self, database_builds):
+        web = generate_web(self.CONFIG)
+        total = web.total_deep_records()
+        assert database_builds == []
+        assert total == sum(site.database.total_rows() for site in web.deep_sites())
+        assert len(database_builds) == len(web.deep_sites())
+
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_build_order_changes_no_row_form_or_homepage(self, order):
         forward = generate_web(self.CONFIG).deep_sites()
