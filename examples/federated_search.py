@@ -8,7 +8,10 @@ store, then answers queries through the federated planner:
   plan (byte-identical to the classic cross-corpus read);
 * ``service.planner.plan(...)`` / ``service.executor.execute(...)`` --
   an explicit multi-route plan (indexed + webtables + a budgeted live
-  probe) with per-hit provenance and per-route budget accounting.
+  probe) with per-hit provenance and per-route budget accounting;
+* ``service.query(q, live=True)`` on keywords -- the planner routes the
+  query by each form's vocabulary and the live probe reformulates it
+  into each routed form's inputs.
 
     PYTHONPATH=src python examples/federated_search.py [--sites 3]
         [--seed 41] [--live-budget 6]
@@ -20,6 +23,7 @@ import argparse
 
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
+from repro.query.plan import ROUTE_LIVE_VERTICAL
 from repro.webspace.sitegen import WebConfig
 
 
@@ -45,18 +49,18 @@ def main(argv: list[str] | None = None) -> int:
     print(f"index ready: {len(service.engine)} documents")
 
     # Route 1: the classic cross-corpus read (indexed-only plan).
-    keyword_query = "records listings search"
-    hits = service.query(keyword_query, k=5, min_per_source=3, include_webtables=False).results
-    print(f"\nquery({keyword_query!r}, include_webtables=False) -> {len(hits)} hits")
+    keyword_text = "records listings search"
+    hits = service.query(keyword_text, k=5, min_per_source=3, include_webtables=False).results
+    print(f"\nquery({keyword_text!r}, include_webtables=False) -> {len(hits)} hits")
     for hit in hits[:5]:
         print(f"  [{hit.source:<12s}] {hit.score:6.2f}  {hit.title[:60]}")
 
     # Route 2: an explicit federated plan over a structured query.
-    structured_query = "city:portland records"
+    structured_text = "city:portland records"
     plan = service.planner.plan(
-        structured_query, k=8, live=True, live_fetch_budget=args.live_budget
+        structured_text, k=8, live=True, live_fetch_budget=args.live_budget
     )
-    print(f"\nplan({structured_query!r}):")
+    print(f"\nplan({structured_text!r}):")
     print(f"  routes: {' + '.join(plan.route_names)}")
     print(f"  cacheable: {plan.cacheable}")
     print(f"  fingerprint: {plan.fingerprint()}")
@@ -68,6 +72,18 @@ def main(argv: list[str] | None = None) -> int:
     for route in outcome.routes:
         state = "skipped" if route.skipped else f"produced {route.produced}, kept {route.kept}"
         print(f"  route {route.route}: {state}, {route.fetches_spent} fetches")
+
+    # Route 3: a keyword query probed live.  Select options ("ford",
+    # "coupe") and a bare number bind form inputs; leftovers go to each
+    # routed form's search box.
+    live_query = "ford coupe 30"
+    outcome = service.query(live_query, k=8, live=True, live_fetch_budget=args.live_budget)
+    live_routes = [route for route in outcome.plan.routes if route.name == ROUTE_LIVE_VERTICAL]
+    hosts = live_routes[0].hosts if live_routes else ()
+    print(f"\nquery({live_query!r}, live=True): routed to {', '.join(hosts) or 'no form'}")
+    for route in outcome.routes:
+        print(f"  route {route.route}: produced {route.produced}, kept {route.kept}, "
+              f"{route.fetches_spent} fetches")
 
     print("\nservice report (tail):")
     for line in service.report().lines():

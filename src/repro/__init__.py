@@ -44,7 +44,8 @@ The package implements, over a fully simulated web:
   query templates, correlated inputs, URL generation with an indexability
   criterion, coverage estimation, annotation and extraction.
 * ``repro.virtual`` -- the virtual-integration baseline (mediated schemas,
-  form matching, routing, reformulation, wrappers, vertical search).
+  form matching, routing vocabularies, reformulation, wrappers), reached
+  only as the live route of ``service.query(..., live=True)``.
 * ``repro.webtables`` -- the WebTables-style corpus and semantic services.
 * ``repro.analysis`` -- long-tail impact analysis and experiment harnesses.
 * ``repro.resilience`` -- deterministic fault injection (seeded per-host

@@ -428,7 +428,7 @@ class DeepWebService:
     def vertical(self) -> VerticalSearchEngine:
         """The live virtual-integration engine over this service's web.
 
-        Created on first access -- building the routing table registers
+        Created on first access -- building its source registry registers
         every deep site (homepage fetches under the ``virtual`` agent)
         and lands accepted sources in the shared store as
         ``vertical-source`` documents, so only plans that opted into
@@ -442,12 +442,12 @@ class DeepWebService:
 
     @property
     def planner(self) -> QueryPlanner:
-        """The federated query planner (router scores, store stats and
+        """The federated query planner (routing scores, store stats and
         corpus statistics in; explicit, replayable plans out)."""
         if self._planner is None:
             self._planner = QueryPlanner(
                 self.engine,
-                router_provider=lambda: self.vertical.router,
+                vertical_provider=lambda: self.vertical,
                 corpus_provider=lambda: self.corpus,
             )
         return self._planner
@@ -578,8 +578,8 @@ class DeepWebService:
         include_webtables: bool | None = None,
     ) -> PlanResult:
         """The federated read: :attr:`planner` plans ``query`` (keywords
-        vs ``field:value`` filters, routed on router, store and corpus
-        signals) and :attr:`executor` runs the plan under its budgets,
+        vs ``field:value`` filters, routed on the vertical registry, store
+        and corpus signals) and :attr:`executor` runs the plan under its budgets,
         recording provenance for :meth:`report`.  ``live=True`` allows a
         budgeted query-time probe of routed form sites;
         ``include_webtables=None`` lets corpus statistics decide the

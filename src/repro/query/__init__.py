@@ -4,8 +4,9 @@ The paper's central claim is that surfacing, virtual integration and
 WebTables are *complementary* routes to deep-web content.  This package
 makes that claim executable: a :class:`QueryPlanner` parses an incoming
 query (keyword vs ``field:value`` structured filters), consults the
-source-routing signals a serving stack realistically has (router
-vocabulary scores, store composition stats, corpus generation) and emits
+source-routing signals a serving stack realistically has (the
+vertical registry's routing vocabulary scores, store composition
+stats, corpus generation) and emits
 an explicit :class:`QueryPlan` -- a list of route operators plus a
 deterministic blended merge -- which a :class:`QueryExecutor` runs under
 per-route time/fetch budgets, returning a :class:`PlanResult` that

@@ -100,17 +100,6 @@ class PlanResult:
     def degraded(self) -> bool:
         return any(outcome.degraded for outcome in self.routes)
 
-    @property
-    def failed_hosts(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for outcome in self.routes:
-            for host in outcome.failed_hosts:
-                if host not in seen:
-                    seen.append(host)
-        return tuple(seen)
-
-    def routes_taken(self) -> tuple[str, ...]:
-        return tuple(outcome.route for outcome in self.routes if not outcome.skipped)
 
 
 class PlannerStats:

@@ -4,11 +4,12 @@ The planner decides *which* of the three complementary systems answer a
 query, using only signals a serving stack realistically has at plan
 time:
 
-* **router vocabulary scores** -- the virtual-integration
-  :class:`~repro.virtual.routing.Router` ranks registered sources by
-  how much of the query their schema/option/description vocabulary
-  covers; only plausibly relevant hosts earn a live probe (and only
-  when the caller opted into query-time load);
+* **routing vocabulary scores** -- the sources registered with the
+  virtual-integration :class:`~repro.virtual.vertical.VerticalSearchEngine`
+  are ranked by how much of the query their schema/option/description
+  vocabulary covers (structured queries: how many filter attributes
+  their form mapping binds); only plausibly relevant hosts earn a live
+  probe (and only when the caller opted into query-time load);
 * **store composition stats** -- ``store_stats().by_source`` says
   whether the webtables route has any documents to rank at all;
 * **corpus attribute statistics** -- the
@@ -33,11 +34,13 @@ from repro.query.plan import (
     WebTablesRoute,
 )
 from repro.store.records import SOURCE_WEBTABLE
+from repro.util.text import tokenize
+from repro.virtual.routing import MIN_ROUTING_SCORE, routing_score
 from repro.webtables.acsdb import AcsDb
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
     from repro.search.engine import SearchEngine
-    from repro.virtual.routing import Router
+    from repro.virtual.vertical import VerticalSearchEngine
     from repro.webtables.corpus import TableCorpus
 
 #: Most form sites one live route probes.
@@ -49,19 +52,20 @@ DEFAULT_LIVE_BUDGET = 8
 class QueryPlanner:
     """Parses queries and emits routed, budgeted :class:`QueryPlan` s.
 
-    The router and corpus arrive through providers so that planning a
-    pure-indexed query never forces the expensive layers into existence
-    (building the routing table registers sources, which fetches pages).
+    The vertical engine and corpus arrive through providers so that
+    planning a pure-indexed query never forces the expensive layers into
+    existence (building the vertical's registry registers sources, which
+    fetches pages).
     """
 
     def __init__(
         self,
         engine: "SearchEngine",
-        router_provider: Callable[[], "Router | None"] | None = None,
+        vertical_provider: Callable[[], "VerticalSearchEngine | None"] | None = None,
         corpus_provider: Callable[[], "TableCorpus | None"] | None = None,
     ) -> None:
         self._engine = engine
-        self._router_provider = router_provider
+        self._vertical_provider = vertical_provider
         self._corpus_provider = corpus_provider
         # AcsDb rebuilt lazily, keyed on corpus size (schema admission is
         # append-only, so equal counts mean an identical statistics set).
@@ -90,9 +94,9 @@ class QueryPlanner:
         plan: no routes, no harvest, no probing, answered as ``[]`` and
         never cached.  ``include_webtables=None`` lets the corpus
         statistics decide (structured filters or an all-attribute
-        keyword query unlock the route); ``live=True`` consults the
-        router and adds a budgeted live probe when any registered source
-        plausibly covers the query.  ``live_fetch_budget=None`` means
+        keyword query unlock the route); ``live=True`` ranks the
+        vertical engine's registered sources and adds a budgeted live
+        probe when any of them plausibly covers the query.  ``live_fetch_budget=None`` means
         :data:`DEFAULT_LIVE_BUDGET`; ``0`` means no load on the form
         sites, so no live route is planned (and the plan stays
         cacheable).  A negative budget raises ``ValueError``.
@@ -165,24 +169,28 @@ class QueryPlanner:
 
         Structured filters rank sources by how many filter attributes
         their form mapping can bind (sources binding none are excluded);
-        keyword queries use the router's vocabulary scores.  No router
-        (or no plausible source) means no live route.
+        keyword queries by their routing vocabulary score (sources below
+        :data:`~repro.virtual.routing.MIN_ROUTING_SCORE` are excluded).
+        The host name breaks ties, so truncation keeps the best sources.
+        No vertical engine (or no plausible source) means no live route.
         """
-        router = self._router_provider() if self._router_provider else None
-        if router is None:
+        vertical = self._vertical_provider() if self._vertical_provider else None
+        if vertical is None:
             return ()
+        scored = []
         if parsed.filters:
-            scored = []
-            for source in router.sources():
+            for host, source in vertical.registry.items():
                 bindable = sum(
                     1
                     for attribute, _value in parsed.filters
                     if source.mapping.input_for(attribute) is not None
                 )
                 if bindable:
-                    scored.append((-bindable, source.host))
-            # Most filter attributes bound first; host name breaks ties,
-            # so truncation keeps the most-capable sources.
-            return tuple(host for _neg, host in sorted(scored)[:MAX_LIVE_SOURCES])
-        decision = router.route(parsed.keyword_text(), max_sources=MAX_LIVE_SOURCES)
-        return tuple(decision.selected_hosts(MAX_LIVE_SOURCES))
+                    scored.append((-bindable, host))
+        else:
+            tokens = tokenize(parsed.keyword_text(), drop_stopwords=True)
+            for host, source in vertical.registry.items():
+                score = routing_score(tokens, source.vocabulary)
+                if score >= MIN_ROUTING_SCORE:
+                    scored.append((-score, host))
+        return tuple(host for _neg, host in sorted(scored)[:MAX_LIVE_SOURCES])

@@ -152,7 +152,9 @@ def compare_degraded(
         comparison.faulted_hits += len(faulted.hits)
         if faulted.degraded:
             comparison.degraded_plans += 1
-        comparison.failed_host_events += len(faulted.failed_hosts)
+        comparison.failed_host_events += len(
+            {host for outcome in faulted.routes for host in outcome.failed_hosts}
+        )
         if plan.cacheable:
             comparison.cacheable_plans += 1
             if faulted.hits == clean.hits:

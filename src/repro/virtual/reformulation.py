@@ -11,8 +11,6 @@ it is inherently lossy, which is what the comparison experiments measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.form_model import SurfacingForm
 from repro.util.text import name_tokens, tokenize
 from repro.virtual.matching import FormMapping
@@ -22,118 +20,86 @@ _SEARCH_BOX_HINTS = frozenset({"q", "query", "search", "keyword", "keywords", "k
 _YEAR_RANGE = (1900, 2030)
 
 
-@dataclass
-class Reformulation:
-    """The outcome of reformulating one query against one form."""
-
-    bindings: dict[str, str] = field(default_factory=dict)
-    used_tokens: set[str] = field(default_factory=set)
-    unbound_tokens: list[str] = field(default_factory=list)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.bindings
-
-
-class Reformulator:
-    """Translates keyword queries into per-form bindings."""
-
-    def __init__(self, bind_leftovers_to_search_box: bool = True) -> None:
-        self.bind_leftovers_to_search_box = bind_leftovers_to_search_box
-
-    def reformulate(self, query: str, mapping: FormMapping) -> Reformulation:
-        """Build bindings for ``query`` against the mapped form."""
-        form = mapping.form
-        tokens = tokenize(query)
-        reformulation = Reformulation()
-        remaining: list[str] = []
-
-        # Generic domain words ("used", "jobs", "recipe", ...) describe the
-        # vertical, not the content being sought; binding them to the search
-        # box would only shrink recall.
-        domain_words: frozenset[str] = frozenset()
-        try:
-            domain_words = frozenset(
-                token
-                for keyword in schema_for_domain(mapping.domain).keywords
-                for token in tokenize(keyword)
-            )
-        except KeyError:
-            pass
-
-        select_options = self._select_option_index(form)
-        for token in tokens:
-            if token in domain_words:
-                reformulation.used_tokens.add(token)
+def reformulate(query: str, mapping: FormMapping) -> dict[str, str]:
+    """The form bindings (input name -> value) for ``query`` against the
+    mapped form; empty when nothing binds."""
+    form = mapping.form
+    bindings: dict[str, str] = {}
+    remaining: list[str] = []
+    # Generic domain words ("used", "jobs", "recipe", ...) describe the
+    # vertical, not the content being sought; binding them to the search
+    # box would only shrink recall.
+    domain_words = frozenset(
+        token
+        for keyword in schema_for_domain(mapping.domain).keywords
+        for token in tokenize(keyword)
+    )
+    select_options = _select_option_index(form)
+    for token in tokenize(query):
+        if token in domain_words:
+            continue
+        # 1. Token matches a select option -> bind that select.
+        input_name = next(
+            (
+                name
+                for name, options in select_options.items()
+                if name not in bindings and token in options
+            ),
+            None,
+        )
+        if input_name is not None:
+            bindings[input_name] = select_options[input_name][token]
+            continue
+        # 2. Numeric token -> bind a numeric-looking input (year first).
+        if token.isdigit():
+            input_name = _numeric_input(form, int(token))
+            if input_name is not None and input_name not in bindings:
+                bindings[input_name] = token
                 continue
-            bound = False
-            # 1. Token matches a select option -> bind that select.
-            for input_name, options in select_options.items():
-                if input_name in reformulation.bindings:
-                    continue
-                if token in options:
-                    reformulation.bindings[input_name] = options[token]
-                    reformulation.used_tokens.add(token)
-                    bound = True
-                    break
-            if bound:
-                continue
-            # 2. Numeric token -> bind a numeric-looking input (year first).
-            if token.isdigit():
-                input_name = self._numeric_input(form, int(token))
-                if input_name is not None and input_name not in reformulation.bindings:
-                    reformulation.bindings[input_name] = token
-                    reformulation.used_tokens.add(token)
-                    continue
-            remaining.append(token)
+        remaining.append(token)
+    if remaining:
+        search_box = _search_box(form)
+        if search_box is not None:
+            bindings[search_box] = " ".join(remaining)
+    return bindings
 
-        reformulation.unbound_tokens = remaining
-        if remaining and self.bind_leftovers_to_search_box:
-            search_box = self._search_box(form)
-            if search_box is not None:
-                reformulation.bindings[search_box] = " ".join(remaining)
-                reformulation.used_tokens.update(remaining)
-        return reformulation
 
-    # -- helpers ---------------------------------------------------------------
+def _select_option_index(form: SurfacingForm) -> dict[str, dict[str, str]]:
+    """Per-select mapping from lower-cased option token to the original option."""
+    index: dict[str, dict[str, str]] = {}
+    for spec in form.select_inputs:
+        options: dict[str, str] = {}
+        for option in spec.options:
+            for token in tokenize(str(option)):
+                options.setdefault(token, str(option))
+        if options:
+            index[spec.name] = options
+    return index
 
-    @staticmethod
-    def _select_option_index(form: SurfacingForm) -> dict[str, dict[str, str]]:
-        """Per-select mapping from lower-cased option token to the original option."""
-        index: dict[str, dict[str, str]] = {}
-        for spec in form.select_inputs:
-            options: dict[str, str] = {}
-            for option in spec.options:
-                for token in tokenize(str(option)):
-                    options.setdefault(token, str(option))
-            if options:
-                index[spec.name] = options
-        return index
 
-    @staticmethod
-    def _numeric_input(form: SurfacingForm, value: int) -> str | None:
-        """Choose an input for a bare number (years to year-ish inputs, the
-        rest to price-ish inputs)."""
-        year_like = _YEAR_RANGE[0] <= value <= _YEAR_RANGE[1]
-        year_inputs, price_inputs = [], []
-        for spec in form.bindable_inputs:
-            tokens = set(name_tokens(spec.name))
-            if "year" in tokens or "date" in tokens:
-                year_inputs.append(spec.name)
-            if tokens & {"price", "rent", "salary", "cost"}:
-                price_inputs.append(spec.name)
-        if year_like and year_inputs:
-            return year_inputs[0]
-        if price_inputs:
-            return price_inputs[0]
-        return None
+def _numeric_input(form: SurfacingForm, value: int) -> str | None:
+    """Choose an input for a bare number (years to year-ish inputs, the
+    rest to price-ish inputs)."""
+    year_like = _YEAR_RANGE[0] <= value <= _YEAR_RANGE[1]
+    year_inputs, price_inputs = [], []
+    for spec in form.bindable_inputs:
+        tokens = set(name_tokens(spec.name))
+        if "year" in tokens or "date" in tokens:
+            year_inputs.append(spec.name)
+        if tokens & {"price", "rent", "salary", "cost"}:
+            price_inputs.append(spec.name)
+    if year_like and year_inputs:
+        return year_inputs[0]
+    if price_inputs:
+        return price_inputs[0]
+    return None
 
-    @staticmethod
-    def _search_box(form: SurfacingForm) -> str | None:
-        for spec in form.text_inputs:
-            if spec.name in _SEARCH_BOX_HINTS or set(name_tokens(spec.name)) & _SEARCH_BOX_HINTS:
-                return spec.name
-        # Fall back to any text input.
-        for spec in form.text_inputs:
+
+def _search_box(form: SurfacingForm) -> str | None:
+    for spec in form.text_inputs:
+        if spec.name in _SEARCH_BOX_HINTS or set(name_tokens(spec.name)) & _SEARCH_BOX_HINTS:
             return spec.name
-        return None
+    # Fall back to any text input.
+    for spec in form.text_inputs:
+        return spec.name
+    return None

@@ -3,93 +3,49 @@
 The paper's argument against web-scale virtual integration is that routing
 keyword queries to the right handful of forms requires per-form models of
 "all possible search-engine queries with results in the underlying content",
-and that imprecise models either miss answers or overload sites.  The router
+and that imprecise models either miss answers or overload sites.  Routing
 here uses the practical signals a routing layer realistically has: the
 mediated-schema keywords of the form's domain, the form's select-option
 values, and the site's own description text -- but *not* the site's full
 content, which is exactly why fortuitous queries get missed.
+
+Each registered source keeps its vocabulary; the query planner scores
+sources with :func:`routing_score` and keeps those at or above
+:data:`MIN_ROUTING_SCORE`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.util.text import tokenize
 from repro.virtual.matching import FormMapping
 from repro.virtual.mediated_schema import schema_for_domain
 
-
-@dataclass
-class RoutedSource:
-    """One registered deep-web source known to the router."""
-
-    host: str
-    domain: str
-    mapping: FormMapping
-    description: str = ""
-    vocabulary: set[str] = field(default_factory=set)
-
-    def build_vocabulary(self) -> None:
-        """Assemble the routing vocabulary from schema keywords, option values
-        and the site description."""
-        vocabulary: set[str] = set()
-        try:
-            schema = schema_for_domain(self.domain)
-            vocabulary.update(schema.keywords)
-            for attribute in schema.attributes:
-                vocabulary.update(tokenize(attribute.name.replace("_", " ")))
-                for value in attribute.sample_values:
-                    vocabulary.update(tokenize(str(value)))
-        except KeyError:
-            pass
-        for input_spec in self.mapping.form.select_inputs:
-            for option in input_spec.options:
-                vocabulary.update(tokenize(str(option)))
-        vocabulary.update(tokenize(self.description, drop_stopwords=True))
-        self.vocabulary = vocabulary
+#: Least fraction of a query's tokens a source's vocabulary must cover for
+#: the source to be routed (inclusive).
+MIN_ROUTING_SCORE = 0.15
 
 
-@dataclass(frozen=True)
-class RoutingDecision:
-    """The router's scored choice of sources for one query."""
+def routing_vocabulary(mapping: FormMapping, description: str) -> frozenset[str]:
+    """Schema keywords, attribute names and sample values of the form's
+    domain, its select-option values and the site description."""
+    vocabulary: set[str] = set()
+    schema = schema_for_domain(mapping.domain)
+    vocabulary.update(schema.keywords)
+    for attribute in schema.attributes:
+        vocabulary.update(tokenize(attribute.name.replace("_", " ")))
+        for value in attribute.sample_values:
+            vocabulary.update(tokenize(str(value)))
+    for input_spec in mapping.form.select_inputs:
+        for option in input_spec.options:
+            vocabulary.update(tokenize(str(option)))
+    vocabulary.update(tokenize(description, drop_stopwords=True))
+    return frozenset(vocabulary)
 
-    query: str
-    ranked_sources: tuple[tuple[str, float], ...]  # (host, score), best first
 
-    def selected_hosts(self, limit: int, min_score: float = 0.0) -> list[str]:
-        return [host for host, score in self.ranked_sources[:limit] if score > min_score]
-
-
-class Router:
-    """Scores registered sources against keyword queries."""
-
-    def __init__(self, min_score: float = 0.15) -> None:
-        self.min_score = min_score
-        self._sources: dict[str, RoutedSource] = {}
-
-    def register(self, source: RoutedSource) -> None:
-        source.build_vocabulary()
-        self._sources[source.host] = source
-
-    def sources(self) -> list[RoutedSource]:
-        return list(self._sources.values())
-
-    def source(self, host: str) -> RoutedSource:
-        return self._sources[host]
-
-    def score(self, query: str, source: RoutedSource) -> float:
-        """Fraction of query tokens covered by the source's routing vocabulary."""
-        tokens = [token for token in tokenize(query, drop_stopwords=True)]
-        if not tokens:
-            return 0.0
-        hits = sum(1 for token in tokens if token in source.vocabulary)
-        return hits / len(tokens)
-
-    def route(self, query: str, max_sources: int = 5) -> RoutingDecision:
-        """Rank sources for a query and keep the plausible ones."""
-        scored = sorted(
-            ((source.host, self.score(query, source)) for source in self._sources.values()),
-            key=lambda item: (-item[1], item[0]),
-        )
-        filtered = tuple((host, score) for host, score in scored if score >= self.min_score)
-        return RoutingDecision(query=query, ranked_sources=filtered[:max_sources])
+def routing_score(tokens: Sequence[str], vocabulary: frozenset[str]) -> float:
+    """Fraction of the query's (stopword-free) tokens the vocabulary covers."""
+    if not tokens:
+        return 0.0
+    return sum(1 for token in tokens if token in vocabulary) / len(tokens)

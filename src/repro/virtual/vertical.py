@@ -1,14 +1,16 @@
 """A vertical search engine built with the virtual-integration approach.
 
-``VerticalSearchEngine`` ties the pieces together for one domain (or a small
-set of domains): it registers deep-web sources by analyzing their forms,
-routes incoming queries to the relevant sources, reformulates the query per
-source, issues the form submissions *at query time* (metered with the
-``virtual`` agent so query-time load is measurable), extracts results via
-per-source wrappers, and merges them.  Structured queries (attribute
-filters) are supported in addition to keyword queries -- that richer
-slice-and-dice experience is exactly where the paper says the virtual
-approach shines.
+``VerticalSearchEngine`` is the registry of integrated deep-web sources:
+it registers a site by analyzing its form (domain classification, the
+form-to-schema mapping, a result wrapper and the routing vocabulary), and
+:meth:`~VerticalSearchEngine.probe` issues form submissions *at query
+time* (metered with the ``virtual`` agent so query-time load is
+measurable) on hosts the query planner picked, extracting and merging the
+results.  Queries reach it only through ``service.query(..., live=True)``:
+keyword queries are reformulated per source, and structured queries
+(attribute filters) bind each source's mapped inputs -- the richer
+slice-and-dice experience where the paper says the virtual approach
+shines.
 """
 
 from __future__ import annotations
@@ -16,26 +18,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.core.form_model import SurfacingForm, discover_forms
+from repro.core.form_model import discover_forms
 from repro.htmlparse.dom import DomNode, parse_html
 from repro.htmlparse.links import extract_links
 from repro.store.ingest import Ingestor
 from repro.store.records import SOURCE_VERTICAL, IngestRecord
 from repro.util.text import tokenize
-from repro.virtual.matching import FormMapping, SchemaMatcher
-from repro.virtual.reformulation import Reformulator
-from repro.virtual.routing import RoutedSource, Router, RoutingDecision
+from repro.virtual.matching import FormMapping, classify_domain
+from repro.virtual.reformulation import reformulate
+from repro.virtual.routing import routing_vocabulary
 from repro.virtual.wrappers import ResultWrapper, WrappedRecord, matches_filters
-from repro.virtual.mediated_schema import schema_for_domain
 from repro.webspace.loadmeter import AGENT_VIRTUAL
 from repro.webspace.site import DeepWebSite
 from repro.webspace.url import Url
 from repro.webspace.web import FetchError, Web
 
+#: Most result pages one source's form submission is paged through.
+MAX_PAGES_PER_SOURCE = 3
+
 
 @dataclass
 class VerticalAnswer:
-    """The merged answer to one vertical-search query.
+    """The merged answer to one live probe.
 
     ``failed_hosts`` lists sources that were contacted but lost at least one
     query-time fetch to a :class:`FetchError` (records extracted before the
@@ -43,16 +47,10 @@ class VerticalAnswer:
     partial, never wrong.
     """
 
-    query: str
     records: list[WrappedRecord] = field(default_factory=list)
     sources_contacted: list[str] = field(default_factory=list)
     fetches_issued: int = 0
-    routing: RoutingDecision | None = None
     failed_hosts: list[str] = field(default_factory=list)
-
-    @property
-    def answered(self) -> bool:
-        return bool(self.records)
 
     @property
     def degraded(self) -> bool:
@@ -61,47 +59,35 @@ class VerticalAnswer:
 
 @dataclass
 class RegisteredSource:
-    """Internal bookkeeping for one integrated source."""
+    """One integrated source: its form mapping, result wrapper and the
+    routing vocabulary keyword queries are scored against."""
 
     site: DeepWebSite
-    form: SurfacingForm
     mapping: FormMapping
     wrapper: ResultWrapper
+    vocabulary: frozenset[str]
 
 
 class VerticalSearchEngine:
-    """A mediator over deep-web sources in one (or a few) domains."""
+    """A mediator over the deep-web sources of every domain."""
 
-    def __init__(
-        self,
-        web: Web,
-        domain: str | None = None,
-        max_sources_per_query: int = 5,
-        max_pages_per_source: int = 3,
-        ingestor: Ingestor | None = None,
-    ) -> None:
+    def __init__(self, web: Web, ingestor: Ingestor | None = None) -> None:
         self.web = web
-        self.domain = domain
-        self.max_sources_per_query = max_sources_per_query
-        self.max_pages_per_source = max_pages_per_source
-        self.matcher = SchemaMatcher()
-        self.reformulator = Reformulator()
-        self.router = Router()
         # When wired to the shared content store, every accepted source is
         # also written there as a ``vertical-source`` document, so the
         # virtual route contributes to the same searchable index the
         # surfacing and WebTables routes feed (the paper's closing point).
         self._ingestor = ingestor
-        self._sources: dict[str, RegisteredSource] = {}
+        #: Registered sources by host, in registration order.
+        self.registry: dict[str, RegisteredSource] = {}
 
     # -- source registration ----------------------------------------------------
 
     def register_site(self, site: DeepWebSite) -> FormMapping | None:
         """Analyze a site's form and register it as an integrated source.
 
-        Returns the mapping, or None when the site has no usable GET form or
-        (when the engine is domain-restricted) the form classifies into a
-        different domain.
+        Returns the mapping, or None when the site is unreachable or has
+        no usable GET form.
         """
         try:
             homepage = self.web.fetch(site.homepage_url(), agent=AGENT_VIRTUAL)
@@ -114,28 +100,12 @@ class VerticalSearchEngine:
         forms = [form for form in discover_forms(homepage, host=site.host) if form.is_get]
         if not forms:
             return None
-        form = forms[0]
-        if self.domain is not None:
-            mapping = self.matcher.map_form(form, schema_for_domain(self.domain))
-            classified = self.matcher.classify_domain(form)
-            if classified.domain != self.domain:
-                return None
-        else:
-            mapping = self.matcher.classify_domain(form)
-        source = RegisteredSource(
+        mapping = classify_domain(forms[0])
+        self.registry[site.host] = RegisteredSource(
             site=site,
-            form=form,
             mapping=mapping,
             wrapper=ResultWrapper(mapping),
-        )
-        self._sources[site.host] = source
-        self.router.register(
-            RoutedSource(
-                host=site.host,
-                domain=mapping.domain,
-                mapping=mapping,
-                description=site.description,
-            )
+            vocabulary=routing_vocabulary(mapping, site.description),
         )
         self._emit_source_record(site, homepage.html, mapping)
         return mapping
@@ -172,72 +142,33 @@ class VerticalSearchEngine:
                 accepted += 1
         return accepted
 
-    @property
-    def source_count(self) -> int:
-        return len(self._sources)
-
-    def sources(self) -> list[RegisteredSource]:
-        return list(self._sources.values())
-
     # -- query answering -----------------------------------------------------------
-
-    def keyword_query(
-        self, query: str, max_results: int = 20, fetch_budget: int | None = None
-    ) -> VerticalAnswer:
-        """Answer a keyword query by routing + reformulation + extraction.
-
-        ``fetch_budget`` caps the query-time ``Web.fetch`` calls across
-        all contacted sources (``None`` keeps the per-source page limit
-        as the only cap).
-        """
-        decision = self.router.route(query, max_sources=self.max_sources_per_query)
-        answer = self.probe(
-            decision.selected_hosts(self.max_sources_per_query),
-            query=query,
-            fetch_budget=fetch_budget,
-            max_results=max_results,
-        )
-        answer.routing = decision
-        return answer
-
-    def structured_query(
-        self,
-        filters: dict[str, str],
-        max_results: int = 50,
-        fetch_budget: int | None = None,
-    ) -> VerticalAnswer:
-        """Answer a structured query expressed over mediated-schema attributes."""
-        return self.probe(
-            list(self._sources),
-            filters=filters,
-            fetch_budget=fetch_budget,
-            max_results=max_results,
-        )
 
     def probe(
         self,
         hosts: Sequence[str],
+        *,
+        fetch_budget: int,
         query: str = "",
         filters: Mapping[str, str] | None = None,
-        fetch_budget: int | None = None,
         max_results: int = 20,
     ) -> VerticalAnswer:
         """The query-time probing seam: submit forms on explicit hosts.
 
-        This is what a federated executor drives directly -- the caller
-        (router, planner) has already decided *which* sources to
-        contact; this method only spends the fetch budget.  With
-        ``filters`` each host's form mapping binds the filter attributes
-        it can express (hosts binding none are skipped free of charge);
-        otherwise the keyword ``query`` is reformulated per host.
-        ``fetch_budget`` is a hard cap on ``Web.fetch`` calls across the
-        whole probe: pagination stops mid-source when it runs out, and
-        remaining hosts are not contacted.
+        This is what the federated executor drives -- the planner has
+        already decided *which* sources to contact; this method only
+        spends the fetch budget.  With ``filters`` each host's form
+        mapping binds the filter attributes it can express (hosts binding
+        none are skipped free of charge); otherwise the keyword ``query``
+        is reformulated per host.  ``fetch_budget`` is a hard cap on
+        ``Web.fetch`` calls across the whole probe: pagination stops
+        mid-source when it runs out, and remaining hosts are not
+        contacted.
         """
-        answer = VerticalAnswer(query=query or str(dict(filters or {})))
+        answer = VerticalAnswer()
         remaining = fetch_budget
         for host in hosts:
-            source = self._sources.get(host)
+            source = self.registry.get(host)
             if source is None:
                 continue
             if filters:
@@ -247,17 +178,13 @@ class VerticalSearchEngine:
                     if input_name is not None:
                         bindings[input_name] = str(value)
             else:
-                reformulation = self.reformulator.reformulate(query, source.mapping)
-                bindings = {} if reformulation.is_empty else reformulation.bindings
+                bindings = reformulate(query, source.mapping)
             if not bindings:
                 continue
-            if remaining is not None and remaining <= 0:
+            if remaining <= 0:
                 break
-            records, fetches, failed = self._fetch_records(
-                source, bindings, budget=remaining
-            )
-            if remaining is not None:
-                remaining -= fetches
+            records, fetches, failed = self._fetch_records(source, bindings, remaining)
+            remaining -= fetches
             answer.fetches_issued += fetches
             answer.sources_contacted.append(host)
             if failed:
@@ -282,27 +209,20 @@ class VerticalSearchEngine:
     # -- internals ---------------------------------------------------------------------
 
     def _fetch_records(
-        self,
-        source: RegisteredSource,
-        bindings: dict[str, str],
-        budget: int | None = None,
+        self, source: RegisteredSource, bindings: dict[str, str], budget: int
     ) -> tuple[list[WrappedRecord], int, bool]:
         """Submit a form at query time and wrap the result pages.
 
-        ``budget`` caps the fetches this submission may issue (pagination
-        stops once it is exhausted); ``None`` leaves only the engine's
-        per-source page limit.  A fetch that raises :class:`FetchError`
-        (injected fault, exhausted retries, open breaker) ends the
-        submission early: records already extracted are kept and the third
-        return value reports the failure.
+        At most ``budget`` fetches and :data:`MAX_PAGES_PER_SOURCE` pages.
+        A fetch that raises :class:`FetchError` (injected fault, exhausted
+        retries, open breaker) ends the submission early: records already
+        extracted are kept and the third return value reports the failure.
         """
         records: list[WrappedRecord] = []
         fetches = 0
         failed = False
-        url = source.form.submission_url(bindings)
-        for _page_index in range(self.max_pages_per_source):
-            if budget is not None and fetches >= budget:
-                break
+        url = source.mapping.form.submission_url(bindings)
+        for _page_index in range(min(MAX_PAGES_PER_SOURCE, budget)):
             try:
                 page = self.web.fetch(url, agent=AGENT_VIRTUAL)
             except FetchError:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.longtail import deep_web_impact
+from repro.api import DeepWebService
+from repro.query.plan import ROUTE_LIVE_VERTICAL, LiveVerticalRoute
 from repro.search.crawler import Crawler
 from repro.search.engine import SOURCE_DEEP_CRAWLED, SOURCE_SURFACE, SOURCE_SURFACED, SearchEngine
 from repro.search.querylog import KIND_TAIL
-from repro.virtual.vertical import VerticalSearchEngine
 from repro.webspace.loadmeter import AGENT_SURFACER, AGENT_VIRTUAL
 from repro.webtables.semantic_server import SemanticServer
 
@@ -80,33 +81,42 @@ class TestSurfacingStory:
 
 
 class TestSurfacingVsVirtualIntegration:
-    @pytest.fixture(scope="class")
-    def vertical(self, surfaced_world):
-        engine = VerticalSearchEngine(surfaced_world.web, domain="used_cars")
-        engine.register_sites(surfaced_world.web.deep_sites())
-        return engine
+    """Virtual integration through the federated read's live route."""
 
-    def test_query_time_load_profile(self, surfaced_world, vertical):
+    @pytest.fixture(scope="class")
+    def live_service(self, surfaced_world):
+        """A service over the world's web with a store of its own, so source
+        registration lands no ``vertical-source`` documents in the shared
+        world's index."""
+        service = DeepWebService.build().web(surfaced_world.web).create()
+        service.vertical  # noqa: B018 - registration fetches come first
+        return service
+
+    def test_query_time_load_profile(self, surfaced_world, live_service):
         """Surfacing loads sites off-line; virtual integration loads them at
         query time."""
         web = surfaced_world.web
-        if vertical.source_count == 0:
-            pytest.skip("no used-car site in this world")
         virtual_before = web.load_meter.total(agent=AGENT_VIRTUAL)
+        spent = 0
         for _ in range(5):
-            vertical.keyword_query("used toyota")
+            result = live_service.query("used toyota", live=True, live_fetch_budget=9)
+            assert ROUTE_LIVE_VERTICAL in [outcome.route for outcome in result.routes]
+            spent += result.live_fetches_spent
         virtual_after = web.load_meter.total(agent=AGENT_VIRTUAL)
-        assert virtual_after > virtual_before
+        assert virtual_after - virtual_before == spent > 0
         # Surfacer load was spent before any query arrived and does not grow
         # with the query stream.
         surfacer_before = web.load_meter.total(agent=AGENT_SURFACER)
         surfaced_world.engine.search("used toyota")
         assert web.load_meter.total(agent=AGENT_SURFACER) == surfacer_before
 
-    def test_vertical_supports_structured_slicing(self, surfaced_world, vertical):
-        if vertical.source_count == 0:
-            pytest.skip("no used-car site in this world")
-        answer = vertical.structured_query({"color": "red"})
+    def test_vertical_supports_structured_slicing(self, live_service):
+        plan = live_service.planner.plan("color:red", live=True)
+        route = next(r for r in plan.routes if isinstance(r, LiveVerticalRoute))
+        answer = live_service.vertical.probe(
+            route.hosts, filters={"color": "red"}, fetch_budget=route.fetch_budget
+        )
+        assert answer.records
         assert all(record.get("color") == "red" for record in answer.records)
 
 

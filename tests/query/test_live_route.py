@@ -1,4 +1,5 @@
-"""Live-route guarantees: fetch budgets hold and probes are never stale-served.
+"""Live-route guarantees: fetch budgets hold, probes are never stale-served,
+and host selection is pinned.
 
 The acceptance pin: :class:`LiveVerticalRoute` respects its per-plan
 ``Web.fetch`` budget -- asserted via the :class:`LoadMeter`, which
@@ -13,6 +14,10 @@ import pytest
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.query.plan import ROUTE_LIVE_VERTICAL, LiveVerticalRoute, SOURCE_LIVE_VERTICAL
+from repro.search.engine import SOURCE_SURFACED
+from repro.search.querylog import KIND_TAIL, QueryLogConfig, QueryLogGenerator
+from repro.util.rng import SeededRng
+from repro.virtual.vertical import MAX_PAGES_PER_SOURCE
 from repro.webspace.loadmeter import AGENT_VIRTUAL
 from repro.webspace.sitegen import WebConfig
 
@@ -27,18 +32,18 @@ def service() -> DeepWebService:
     )
     service.crawl(max_pages=80)
     service.surface()
-    service.vertical  # build the routing table up front (metered separately)
+    service.vertical  # register the sources up front (metered separately)
     return service
 
 
 def live_plan(service, budget: int):
-    """A plan whose router-selected live route probes under ``budget``."""
-    # Pick a query the router will route: the first source's domain words.
-    source = service.vertical.sources()[0]
+    """A plan whose live route probes the routed hosts under ``budget``."""
+    # Pick a query that routes: the first source's domain words.
+    source = next(iter(service.vertical.registry.values()))
     query = f"{source.mapping.domain.replace('_', ' ')} records"
     plan = service.planner.plan(query, k=10, live=True, live_fetch_budget=budget)
     if ROUTE_LIVE_VERTICAL not in plan.route_names:
-        pytest.skip("router did not route the probe query in this world")
+        pytest.skip("the probe query routed to no host in this world")
     return plan
 
 
@@ -54,7 +59,7 @@ class TestFetchBudget:
 
     def test_probe_seam_enforces_budget_mid_pagination(self, service):
         vertical = service.vertical
-        hosts = [entry.site.host for entry in vertical.sources()]
+        hosts = list(vertical.registry)
         before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
         answer = vertical.probe(hosts, query="records search listings", fetch_budget=1)
         spent = service.web.load_meter.total(agent=AGENT_VIRTUAL) - before
@@ -63,11 +68,12 @@ class TestFetchBudget:
 
     def test_unbudgeted_probe_still_bounded_by_page_limit(self, service):
         vertical = service.vertical
-        hosts = [entry.site.host for entry in vertical.sources()][:1]
+        hosts = list(vertical.registry)[:1]
         before = service.web.load_meter.total(agent=AGENT_VIRTUAL)
-        vertical.probe(hosts, query="records search listings", fetch_budget=None)
+        # A budget far above the page limit leaves the limit as the cap.
+        vertical.probe(hosts, query="records search listings", fetch_budget=1000)
         spent = service.web.load_meter.total(agent=AGENT_VIRTUAL) - before
-        assert spent <= vertical.max_pages_per_source
+        assert spent <= MAX_PAGES_PER_SOURCE
 
 
 class TestLiveNeverCached:
@@ -98,11 +104,11 @@ class TestLiveNeverCached:
         assert live_outcomes and not live_outcomes[0].skipped
 
     def test_time_budget_skips_the_live_route(self, service):
-        source = service.vertical.sources()[0]
+        source = next(iter(service.vertical.registry.values()))
         query = f"{source.mapping.domain.replace('_', ' ')} records"
         base = service.planner.plan(query, k=10, live=True, live_fetch_budget=3)
         if ROUTE_LIVE_VERTICAL not in base.route_names:
-            pytest.skip("router did not route the probe query in this world")
+            pytest.skip("the probe query routed to no host in this world")
         # A zero wall-clock budget is always exceeded by the indexed route.
         routes = tuple(
             LiveVerticalRoute(
@@ -123,4 +129,61 @@ class TestLiveNeverCached:
         assert service.web.load_meter.total(agent=AGENT_VIRTUAL) == before
         skipped = [o for o in outcome.routes if o.route == ROUTE_LIVE_VERTICAL]
         assert skipped and skipped[0].skipped
-        assert ROUTE_LIVE_VERTICAL not in outcome.routes_taken()
+        assert ROUTE_LIVE_VERTICAL not in [o.route for o in outcome.routes if not o.skipped]
+
+
+class TestLiveRoutePin:
+    """One keyword and one structured live query on this world.
+
+    The host tuples were recorded before routing moved from a separate
+    router registry into the vertical engine's: a change that moves one
+    changed which sites a live plan probes.
+    """
+
+    PINNED_HOSTS = {
+        "jobs engineer": ("jobs2.example.com",),
+        "genre:fiction city:portland": (
+            "jobs2.example.com",
+            "mediacatalog0.example.com",
+            "mediacatalog1.example.com",
+        ),
+    }
+
+    @pytest.mark.parametrize("query", sorted(PINNED_HOSTS))
+    def test_live_route_hosts_spend_and_rows(self, service, query):
+        budget = 6
+        plan = service.planner.plan(query, k=10, live=True, live_fetch_budget=budget)
+        route = next(r for r in plan.routes if isinstance(r, LiveVerticalRoute))
+        assert route.hosts == self.PINNED_HOSTS[query]
+        result = service.executor.execute(plan, keep_raw=True)
+        outcome = next(o for o in result.routes if o.route == ROUTE_LIVE_VERTICAL)
+        assert 0 < outcome.fetches_spent <= budget
+        live_rows = dict(result.raw)[ROUTE_LIVE_VERTICAL]
+        assert len(live_rows) == outcome.produced > 0
+        assert all(row.host in route.hosts for row in live_rows)
+
+    def test_tail_queries_live_vs_surfacing(self, service):
+        """The paper's comparison through the production read: surfaced
+        rows answer at least as many tail queries as live probing, which
+        pays query-time fetches for its answers."""
+        log = QueryLogGenerator(service.web, SeededRng(17)).generate(
+            QueryLogConfig(total_volume=2000)
+        )
+        tail = log.by_kind(KIND_TAIL)[:30]
+        surfaced = live = fetches = 0
+        for query in tail:
+            if any(hit.source == SOURCE_SURFACED for hit in service.search(query.text, k=10)):
+                surfaced += 1
+            result = service.query(
+                query.text, live=True, live_fetch_budget=9, include_webtables=False
+            )
+            if any(o.route == ROUTE_LIVE_VERTICAL and o.produced for o in result.routes):
+                live += 1
+            fetches += result.live_fetches_spent
+        print(
+            f"\nlive vs surfacing: {len(tail)} tail queries, {surfaced} answered by "
+            f"surfaced rows, {live} by live rows, {fetches} live fetches"
+        )
+        assert len(tail) == 30
+        assert surfaced >= live > 0
+        assert fetches > 0

@@ -90,4 +90,4 @@ class TestIndexedPlanEquivalence:
         outcome = service.executor.execute(plan)
         assert outcome.hits, "corpus-derived query must match"
         assert all(hit.route == "indexed" for hit in outcome.hits)
-        assert outcome.routes_taken() == ("indexed",)
+        assert [o.route for o in outcome.routes if not o.skipped] == ["indexed"]

@@ -34,12 +34,12 @@ def service() -> DeepWebService:
 
 
 class TestPlanShapes:
-    def test_keyword_query_plans_indexed_only(self, service):
+    def test_keyword_search_plans_indexed_only(self, service):
         plan = service.planner.plan("used toyota camry")
         assert plan.route_names == (ROUTE_INDEXED,)
         assert plan.cacheable
 
-    def test_structured_query_adds_webtables_route(self, service):
+    def test_structured_search_adds_webtables_route(self, service):
         plan = service.planner.plan("make:toyota color:red")
         assert plan.route_names == (ROUTE_INDEXED, ROUTE_WEBTABLES)
 
@@ -52,11 +52,11 @@ class TestPlanShapes:
         plan = service.planner.plan("city bedrooms")
         assert ROUTE_WEBTABLES in plan.route_names
 
-    def test_live_plan_consults_the_router(self, service):
+    def test_live_plan_consults_the_routing_scores(self, service):
         plan = service.planner.plan("software engineer jobs", live=True)
         assert plan.route_names == (ROUTE_INDEXED, ROUTE_LIVE_VERTICAL)
         live = plan.routes[-1]
-        assert live.hosts, "router must select at least one plausible host"
+        assert live.hosts, "routing must select at least one plausible host"
         assert not plan.cacheable
 
     def test_live_plan_without_plausible_source_stays_offline(self, service):
@@ -135,7 +135,7 @@ class TestPlannerValidation:
             # Checked before anything else, the empty plan included.
             service.planner.plan("", **{argument: -3})
 
-    def test_planner_without_router_never_plans_live(self):
+    def test_planner_without_vertical_never_plans_live(self):
         planner = QueryPlanner(SearchEngine())
         plan = planner.plan("toyota", live=True)
         assert plan.route_names == (ROUTE_INDEXED,)
@@ -144,6 +144,6 @@ class TestPlannerValidation:
         plan = service.planner.plan("city:portland", live=True)
         live = [r for r in plan.routes if isinstance(r, LiveVerticalRoute)]
         assert live, "a registered form binds the `city` attribute"
-        router = service.vertical.router
+        registry = service.vertical.registry
         for host in live[0].hosts:
-            assert router.source(host).mapping.input_for("city") is not None
+            assert registry[host].mapping.input_for("city") is not None

@@ -7,7 +7,7 @@ import pytest
 from repro.core.form_model import SurfacingForm
 from repro.datagen.domains import domain_names
 from repro.htmlparse.forms import ParsedForm, ParsedInput
-from repro.virtual.matching import SchemaMatcher
+from repro.virtual.matching import classify_domain, map_form, match_input
 from repro.virtual.mediated_schema import all_schemas, schema_for_domain
 
 
@@ -34,25 +34,22 @@ class TestMediatedSchemas:
         assert all(schema.keywords for schema in schemas)
 
 
-class TestSchemaMatcher:
+class TestSchemaMatching:
     def test_input_name_similarity(self):
-        matcher = SchemaMatcher()
         schema = schema_for_domain("used_cars")
         zip_input = ParsedInput(name="zip_code", kind="text")
-        assert matcher.match_input(zip_input, schema.attribute("zipcode")) > 0.6
-        assert matcher.match_input(zip_input, schema.attribute("make")) < 0.3
+        assert match_input(zip_input, schema.attribute("zipcode")) > 0.6
+        assert match_input(zip_input, schema.attribute("make")) < 0.3
 
     def test_value_overlap_matches_opaque_names(self):
-        matcher = SchemaMatcher()
         schema = schema_for_domain("used_cars")
         opaque = ParsedInput(
             name="field12", kind="select", options=("Toyota", "Honda", "Ford", "BMW")
         )
-        assert matcher.match_input(opaque, schema.attribute("make")) > 0.3
+        assert match_input(opaque, schema.attribute("make")) > 0.3
 
     def test_map_form_maps_most_inputs(self, car_form):
-        matcher = SchemaMatcher()
-        mapping = matcher.map_form(car_form, schema_for_domain("used_cars"))
+        mapping = map_form(car_form, schema_for_domain("used_cars"))
         assert mapping.domain == "used_cars"
         mapped = {match.input_name for match in mapping.matches}
         bindable = {spec.name for spec in car_form.bindable_inputs}
@@ -60,7 +57,7 @@ class TestSchemaMatcher:
         assert mapping.input_for("make") == "make"
 
     def test_classify_domain_picks_used_cars_for_car_form(self, car_form):
-        mapping = SchemaMatcher().classify_domain(car_form)
+        mapping = classify_domain(car_form)
         assert mapping.domain == "used_cars"
 
     def test_classify_domain_picks_government_for_gov_form(self, gov_site):
@@ -70,11 +67,11 @@ class TestSchemaMatcher:
         web = Web()
         web.register(gov_site)
         form = discover_forms(web.fetch(gov_site.homepage_url()))[0]
-        mapping = SchemaMatcher().classify_domain(form)
+        mapping = classify_domain(form)
         assert mapping.domain == "government"
 
     def test_mapping_on_empty_form(self):
         parsed = ParsedForm(action="/s", method="get", inputs=())
         form = SurfacingForm(host="x.test", parsed=parsed)
-        mapping = SchemaMatcher().map_form(form, schema_for_domain("books"))
+        mapping = map_form(form, schema_for_domain("books"))
         assert mapping.matches == []

@@ -1,15 +1,21 @@
-"""Tests for the vertical search engine (virtual integration end-to-end)."""
+"""Tests for the vertical search engine (virtual integration end-to-end).
+
+The engine is driven the way the executor drives it -- ``probe`` on
+explicit hosts -- and keyword queries go through the production read,
+``service.query(..., live=True)``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import DeepWebService
 from repro.core.extraction import extract_result_records
 from repro.datagen.domains import domain
 from repro.htmlparse.dom import parse_html
 from repro.search.engine import SearchEngine
+from repro.query.plan import ROUTE_LIVE_VERTICAL
 from repro.util.rng import SeededRng
-from repro.virtual.matching import SchemaMatcher
 from repro.virtual.vertical import VerticalSearchEngine
 from repro.virtual.wrappers import ResultWrapper, matches_filters
 from repro.webspace.loadmeter import AGENT_VIRTUAL
@@ -19,50 +25,48 @@ from repro.webspace.web import Web
 
 @pytest.fixture
 def car_vertical():
-    """A two-source used-car vertical."""
+    """Two used-car sources and a books source."""
     web = Web()
     sites = [
         build_deep_site(domain("used_cars"), f"cars{i}.vertical.test", 50, SeededRng(f"v{i}"))
         for i in range(2)
     ]
     web.register_all(sites)
-    # A books site that must be rejected by the domain-restricted vertical.
     books = build_deep_site(domain("books"), "books.vertical.test", 30, SeededRng("vb"))
     web.register(books)
-    engine = VerticalSearchEngine(web, domain="used_cars")
+    engine = VerticalSearchEngine(web)
     accepted = engine.register_sites(web.deep_sites())
     return web, engine, sites, accepted
 
 
-class TestRegistration:
-    def test_only_domain_sites_accepted(self, car_vertical):
-        _web, engine, sites, accepted = car_vertical
-        assert accepted == len(sites)
-        assert engine.source_count == len(sites)
+def probe_all(engine: VerticalSearchEngine, filters: dict[str, str]):
+    """A structured probe of every registered source, budget to spare."""
+    return engine.probe(list(engine.registry), filters=filters, fetch_budget=100, max_results=50)
 
+
+class TestRegistration:
     def test_post_only_site_rejected(self):
         web = Web()
         site = build_deep_site(domain("used_cars"), "post.vertical.test", 20, SeededRng(1), method="post")
         web.register(site)
-        engine = VerticalSearchEngine(web, domain="used_cars")
-        assert engine.register_site(site) is None
-
-    def test_unrestricted_engine_accepts_all_domains(self):
-        web = Web()
-        cars = build_deep_site(domain("used_cars"), "c.any.test", 20, SeededRng(2))
-        books = build_deep_site(domain("books"), "b.any.test", 20, SeededRng(3))
-        web.register_all([cars, books])
         engine = VerticalSearchEngine(web)
-        assert engine.register_sites([cars, books]) == 2
+        assert engine.register_site(site) is None
+        assert engine.registry == {}
+
+    def test_sites_of_every_domain_are_accepted(self, car_vertical):
+        _web, engine, sites, accepted = car_vertical
+        assert accepted == len(engine.registry) == len(sites) + 1
+        assert engine.registry["books.vertical.test"].mapping.domain == "books"
+        assert {engine.registry[site.host].mapping.domain for site in sites} == {"used_cars"}
 
 
 class TestWrappers:
     def test_wrapper_normalizes_fields(self, car_vertical):
         web, engine, sites, _accepted = car_vertical
-        source = engine.sources()[0]
+        source = engine.registry[sites[0].host]
         template = sites[0].forms[0]
         make_input = next(spec for spec in template.inputs if spec.column == "make")
-        url = source.form.submission_url({make_input.name: make_input.options[0]})
+        url = source.mapping.form.submission_url({make_input.name: make_input.options[0]})
         page = web.fetch(url)
         records = source.wrapper.wrap_page(page.html)
         assert records
@@ -85,7 +89,7 @@ class TestWrappers:
         for module in (repro.virtual.vertical, repro.core.extraction, repro.htmlparse.links):
             monkeypatch.setattr(module, "parse_html", counting_parse)
         before = web.load_meter.total(agent=AGENT_VIRTUAL)
-        answer = engine.structured_query({"color": "red"})
+        answer = probe_all(engine, {"color": "red"})
         fetched = web.load_meter.total(agent=AGENT_VIRTUAL) - before
         assert answer.records and answer.fetches_issued == fetched
         assert fetched > len(answer.sources_contacted)  # pagination happened
@@ -93,10 +97,10 @@ class TestWrappers:
 
     def test_extraction_accepts_a_parsed_page(self, car_vertical):
         web, engine, sites, _accepted = car_vertical
-        source = engine.sources()[0]
+        source = engine.registry[sites[0].host]
         template = sites[0].forms[0]
         make_input = next(spec for spec in template.inputs if spec.column == "make")
-        url = source.form.submission_url({make_input.name: make_input.options[0]})
+        url = source.mapping.form.submission_url({make_input.name: make_input.options[0]})
         html = web.fetch(url).html
         from_markup = extract_result_records(html)
         assert from_markup
@@ -114,43 +118,54 @@ class TestWrappers:
 
 
 class TestStructuredQueries:
-    def test_structured_query_returns_matching_records(self, car_vertical):
+    def test_structured_probe_returns_matching_records(self, car_vertical):
         _web, engine, sites, _accepted = car_vertical
         make = sites[0].database.table("listings").get(1)["make"]
-        answer = engine.structured_query({"make": make})
-        assert answer.answered
+        answer = probe_all(engine, {"make": make})
+        assert answer.records
         assert all(record.get("make").lower() == make.lower() for record in answer.records)
-        assert len(answer.sources_contacted) == engine.source_count
+        # The books source binds no ``make`` input, so it is skipped free.
+        assert answer.sources_contacted == [site.host for site in sites]
 
-    def test_structured_query_slices_by_color(self, car_vertical):
-        _web, engine, sites, _accepted = car_vertical
-        answer = engine.structured_query({"color": "red"})
+    def test_structured_probe_slices_by_color(self, car_vertical):
+        _web, engine, _sites, _accepted = car_vertical
+        answer = probe_all(engine, {"color": "red"})
+        assert answer.records
         assert all(record.get("color") == "red" for record in answer.records)
 
 
 class TestKeywordQueries:
-    def test_keyword_query_answers_domain_query(self, car_vertical):
-        _web, engine, sites, _accepted = car_vertical
+    """Keyword queries through the federated read's live route."""
+
+    @staticmethod
+    def live_query(web: Web, query: str):
+        service = DeepWebService.build().web(web).create()
+        service.vertical  # registration fetches are not query-time load
+        before = web.load_meter.total(agent=AGENT_VIRTUAL)
+        result = service.query(query, live=True, live_fetch_budget=100, include_webtables=False)
+        fetched = web.load_meter.total(agent=AGENT_VIRTUAL) - before
+        live = [outcome for outcome in result.routes if outcome.route == ROUTE_LIVE_VERTICAL]
+        rows = [hit.result for hit in result.hits if hit.route == ROUTE_LIVE_VERTICAL]
+        return live, rows, fetched
+
+    def test_live_keyword_search_answers_domain_query(self, car_vertical):
+        web, _engine, sites, _accepted = car_vertical
         record = sites[0].database.table("listings").get(1)
-        answer = engine.keyword_query(f"used {record['make']} {record['model']}")
-        assert answer.routing is not None
-        assert answer.sources_contacted
-        assert answer.answered
-        titles = " ".join(record_.title.lower() for record_ in answer.records)
+        live, rows, _fetched = self.live_query(web, f"used {record['make']} {record['model']}")
+        assert live and live[0].produced
+        titles = " ".join(row.title.lower() for row in rows)
         assert record["make"].lower() in titles
 
     def test_query_time_load_is_metered(self, car_vertical):
-        web, engine, sites, _accepted = car_vertical
-        before = web.load_meter.total(agent=AGENT_VIRTUAL)
-        engine.keyword_query("used toyota")
-        after = web.load_meter.total(agent=AGENT_VIRTUAL)
-        assert after > before, "virtual integration fetches sites at query time"
+        web, _engine, _sites, _accepted = car_vertical
+        live, _rows, fetched = self.live_query(web, "used toyota")
+        assert fetched == live[0].fetches_spent > 0, "virtual integration fetches sites at query time"
 
     def test_off_domain_query_is_not_answered(self, car_vertical):
-        _web, engine, _sites, _accepted = car_vertical
-        answer = engine.keyword_query("moroccan chickpea stew recipe")
-        assert not answer.answered
-        assert answer.fetches_issued == 0
+        web, _engine, _sites, _accepted = car_vertical
+        live, rows, fetched = self.live_query(web, "moroccan chickpea stew recipe")
+        assert live == [] and rows == []
+        assert fetched == 0
 
 
 class TestStoreEmission:
@@ -163,9 +178,7 @@ class TestStoreEmission:
         site = build_deep_site(domain("used_cars"), "cars.store.test", 40, SeededRng("vs"))
         web.register(site)
         search_engine = SearchEngine()
-        vertical = VerticalSearchEngine(
-            web, domain="used_cars", ingestor=search_engine.ingestor
-        )
+        vertical = VerticalSearchEngine(web, ingestor=search_engine.ingestor)
         assert vertical.register_site(site) is not None
         docs = search_engine.documents(source=SOURCE_VERTICAL)
         assert len(docs) == 1
@@ -178,13 +191,13 @@ class TestStoreEmission:
         from repro.store.records import SOURCE_VERTICAL
 
         web = Web()
-        books = build_deep_site(domain("books"), "books.store.test", 20, SeededRng("vb2"))
-        web.register(books)
-        search_engine = SearchEngine()
-        vertical = VerticalSearchEngine(
-            web, domain="used_cars", ingestor=search_engine.ingestor
+        site = build_deep_site(
+            domain("used_cars"), "post.store.test", 20, SeededRng("vb2"), method="post"
         )
-        assert vertical.register_site(books) is None
+        web.register(site)
+        search_engine = SearchEngine()
+        vertical = VerticalSearchEngine(web, ingestor=search_engine.ingestor)
+        assert vertical.register_site(site) is None
         assert search_engine.documents(source=SOURCE_VERTICAL) == []
 
     def test_unwired_engine_stays_storeless(self, car_vertical):
@@ -201,15 +214,11 @@ class TestStoreEmission:
         search_engine = SearchEngine()
         homepage = web.fetch(site.homepage_url(), agent=AGENT_CRAWLER)
         search_engine.add_page(homepage)  # the crawl got there first
-        vertical = VerticalSearchEngine(
-            web, domain="used_cars", ingestor=search_engine.ingestor
-        )
+        vertical = VerticalSearchEngine(web, ingestor=search_engine.ingestor)
         assert vertical.register_site(site) is not None
         docs = search_engine.documents(source=SOURCE_VERTICAL)
         assert len(docs) == 1  # distinct record URL: registration still lands
         # Re-registration dedups to the same record.
-        vertical2 = VerticalSearchEngine(
-            web, domain="used_cars", ingestor=search_engine.ingestor
-        )
+        vertical2 = VerticalSearchEngine(web, ingestor=search_engine.ingestor)
         vertical2.register_site(site)
         assert len(search_engine.documents(source=SOURCE_VERTICAL)) == 1
