@@ -218,7 +218,7 @@ class ClusterBackend(DocumentCatalog):
             with self._lock:
                 self.degraded_searches += 1
         return rank_accumulator(
-            accumulator, limit, self._source_of if per_source else None
+            accumulator, limit, self._sources.__getitem__ if per_source else None
         )
 
     def consume_degraded(self) -> bool:

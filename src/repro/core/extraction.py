@@ -114,8 +114,8 @@ def extract_detail_record(html: str, page_url: str = "") -> ExtractedRecord | No
     Detail pages render the record as a two-column attribute/value table;
     the first table that parses that way wins.
     """
-    tables = extract_tables(html, page_url=page_url)
-    for table in tables:
+    root = parse_html(html)
+    for table in extract_tables(root, page_url=page_url):
         if table.header:
             continue
         if not table.rows or any(len(row) < 2 for row in table.rows):
@@ -123,7 +123,6 @@ def extract_detail_record(html: str, page_url: str = "") -> ExtractedRecord | No
         fields = {row[0].strip().lower().replace(" ", "_"): row[1].strip() for row in table.rows}
         if not fields:
             continue
-        root = parse_html(html)
         heading = root.find_first("h1")
         title = heading.text() if heading is not None else fields.get("title", "")
         return ExtractedRecord(

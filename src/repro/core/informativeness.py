@@ -18,10 +18,12 @@ organised around two ideas:
   the same analysis instead of re-parsing the page.
 * For the well-formed markup the synthetic web emits, the parse itself is
   one ``re.split`` into text and tag pieces (:func:`_fast_scan`), each
-  distinct tag string parsed once per :class:`SignatureCache`; anything it
-  does not fully understand (script/style CDATA, malformed tags, a ``>``
-  inside a quoted value or a comment) falls back to the stdlib DOM path.
-  Both paths produce byte-identical analyses (``tests/core/`` fuzzes them).
+  distinct tag string parsed once per :class:`SignatureCache`.  The split
+  and the tag grammar live in :mod:`repro.htmlparse.dom`, whose tree
+  builder reads the same memo; anything the grammar refuses (script/style
+  CDATA, malformed tags, a ``>`` inside a quoted value or a comment) falls
+  back to the stdlib DOM path.  Both paths produce byte-identical analyses
+  (``tests/core/`` fuzzes them).
 * :class:`SignatureCache` keys analyses by a fast content hash of the raw
   HTML, so identical result pages -- empty-results pages and error pages
   repeat constantly across probes, templates and sites -- are never parsed
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from html import unescape
 from typing import Iterable, Sequence
 
-from repro.htmlparse.dom import _VOID_TAGS, parse_html
+from repro.htmlparse.dom import _TAG_SPLIT_RE, _TreeBuilder, _parse_tag
 from repro.htmlparse.links import keep_href, raw_hrefs, resolve_links
 from repro.htmlparse.text import SKIP_TAGS, extract_text, extract_title
 from repro.util.text import normalize
@@ -149,71 +151,6 @@ def content_key(html: str) -> str:
 # return ``None`` and the DOM path runs instead, so correctness never
 # depends on the fast path.
 
-# Elements whose content the stdlib parser treats as raw text (CDATA); the
-# fast path refuses them rather than replicating that mode.
-_CDATA_TAGS = frozenset({"script", "style"})
-
-# Text pieces at even indices, tag pieces (``<`` to the first ``>``) at odd ones.
-_TAG_SPLIT_RE = re.compile(r"(<[^<>]*>)")
-
-# The grammar a whole tag piece must match.  Groups: 1 = end-tag name, 2 =
-# start-tag name, 3 = attribute string, 4 = self-closing slash.
-# ``match.lastindex`` dispatches: None for comments / doctype, 1 for end
-# tags, 4 for start tags (groups 3 and 4 always participate, even empty).
-_FAST_TOKEN_RE = re.compile(
-    r"<!--.*?-->"
-    r"|<![Dd][Oo][Cc][Tt][Yy][Pp][Ee][^>]*>"
-    r"|</([a-zA-Z][a-zA-Z0-9-]*)\s*>"
-    r"|<([a-zA-Z][a-zA-Z0-9-]*)"
-    r"((?:\s+[a-zA-Z][a-zA-Z0-9_:.-]*"
-    r"(?:\s*=\s*(?:\"[^\"<]*\"|'[^'<]*'|[^\s<>'\"`=]+))?)*)"
-    r"\s*(/?)>",
-    re.DOTALL,
-)
-
-_FAST_ATTR_RE = re.compile(
-    r"\s+([a-zA-Z][a-zA-Z0-9_:.-]*)(?:\s*=\s*(\"[^\"<]*\"|'[^'<]*'|[^\s<>'\"`=]+))?"
-)
-
-
-def _fast_href(attrs: str) -> str:
-    """The kept anchor target from a start tag's attribute string, or ``""``.
-
-    Mirrors the DOM path: last ``href`` wins (dict semantics), values are
-    entity-unescaped, then stripped and filtered through :func:`keep_href`.
-    """
-    href = None
-    for match in _FAST_ATTR_RE.finditer(attrs):
-        if match.group(1).lower() != "href":
-            continue
-        value = match.group(2)
-        if value is None:
-            href = ""
-            continue
-        if value[0] in "\"'":
-            value = value[1:-1]
-        href = unescape(value) if "&" in value else value
-    if href:
-        href = href.strip()
-        if keep_href(href):
-            return href
-    return ""
-
-
-def _parse_tag(piece: str) -> "tuple[int, str, str, bool] | None":
-    """``(kind, lower-cased name, kept href, self-closing)`` of a tag piece,
-    kind 0 = ignored, 1 = end tag, 2 = start tag; ``None`` to fall back."""
-    match = _FAST_TOKEN_RE.fullmatch(piece)
-    if match is None:
-        return None
-    tag = (match.group(1) or match.group(2) or "").lower()  # "" for a comment / doctype
-    if match.lastindex != 4:  # not a start tag
-        return (1 if tag and tag not in _VOID_TAGS else 0, tag, "", False)
-    if tag in _CDATA_TAGS:
-        return None
-    href = _fast_href(match.group(3)) if tag == "a" else ""
-    return (2, tag, href, match.group(4) == "/" or tag in _VOID_TAGS)
-
 
 def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[str, ...]] | None":
     """Split-scan equivalent of :func:`_dom_scan`, or ``None`` to fall back.
@@ -222,8 +159,9 @@ def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[st
     compute them.  Piece ordering follows ``DomNode._collect_text`` (a
     node's own text chunks precede its children's), which the scanner
     reproduces by folding each element's chunks into its parent at close.
-    ``tags`` memoizes :func:`_parse_tag` (a cache passes its own).  A text
-    piece holding ``<``, a tag outside the grammar and script / style refuse.
+    ``tags`` memoizes :func:`~repro.htmlparse.dom._parse_tag` (a cache passes
+    its own).  It refuses what the split tree build refuses, and a first
+    ``<body>`` inside a skipped subtree.
     """
     tags = {} if tags is None else tags
     # Frame: [tag, own_chunks, subtree_pieces, role] with role 1 = the
@@ -234,6 +172,7 @@ def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[st
     title_seen = False
     body_seen = False
     body_pieces: list[str] | None = None
+    raw = ""  # the open title / textarea: only its end tag may follow
 
     def fold() -> None:
         nonlocal title, body_pieces
@@ -262,7 +201,11 @@ def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[st
             parsed = tags[piece] = _parse_tag(piece)
             if parsed is None:
                 return None
-        kind, tag, href, selfclose = parsed
+        kind, tag, attrs, selfclose = parsed
+        if raw:
+            if kind != 1 or tag != raw:
+                return None  # the split tree refuses it too
+            raw = ""
         if not kind:
             continue
         if kind == 1:
@@ -275,10 +218,12 @@ def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[st
                         fold()
                     break
             continue
-        if href:
-            hrefs.append(href)
-        if title_seen and title is None and tag in SKIP_TAGS:
-            return None  # the open title's text includes what the fold skips
+        if tag == "a":
+            href = attrs.get("href")
+            if href:  # last ``href`` wins, stripped and filtered as ``raw_hrefs`` does
+                href = href.strip()
+                if keep_href(href):
+                    hrefs.append(href)
         role = 0
         if tag == "title" and not title_seen:
             title_seen = True
@@ -299,6 +244,8 @@ def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[st
                 role = 2
         if not selfclose:
             stack.append([tag, [], [], role])
+            if kind == 3:
+                raw = tag
     while len(stack) > 1:
         fold()
     if body_seen:
@@ -310,8 +257,8 @@ def _fast_scan(html: str, tags: dict | None = None) -> "tuple[str, str, tuple[st
 
 
 def _dom_scan(html: str) -> tuple[str, str, tuple[str, ...]]:
-    """The reference path: one DOM build read by the ``htmlparse`` extractors."""
-    dom = parse_html(html)
+    """The reference path: one ``HTMLParser`` tree read by the ``htmlparse`` extractors."""
+    dom = _TreeBuilder.build(html)
     return (extract_title(dom), extract_text(dom, include_title=False), tuple(raw_hrefs(dom)))
 
 
@@ -370,7 +317,7 @@ class SignatureCache:
         # content_key -> {(base_host, base_dir) -> signature}; bucketed per
         # content so eviction drops exactly one page's derived signatures.
         self._signatures: dict[str, dict[tuple[str, str], PageSignature]] = {}
-        self._tags: dict[str, tuple | None] = {}  # the scanner's memo, emptied past max_entries
+        self._tags: dict[str, tuple | None] = {}  # the tag memo, emptied past max_entries
         self.hits = 0
         self.misses = 0
 
@@ -396,6 +343,12 @@ class SignatureCache:
         self._tags.clear()
         self.hits = 0
         self.misses = 0
+
+    def tag_memo(self) -> dict[str, tuple | None]:
+        """The tag memo for ``parse_html``, emptied once past ``max_entries``."""
+        if len(self._tags) > self.max_entries:
+            self._tags.clear()
+        return self._tags
 
     # -- lookups ----------------------------------------------------------
 

@@ -125,6 +125,10 @@ class DocumentCatalog:
     def __init__(self) -> None:
         self._documents: dict[int, Document] = {}
         self._url_to_doc: dict[str, int] = {}
+        #: Each document's source tag by doc id (slot 0 unused): its
+        #: ``__getitem__`` is the C-level ``group`` a ``per_source`` search
+        #: hands ``rank_accumulator``.
+        self._sources: list[str] = [""]
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -140,8 +144,10 @@ class DocumentCatalog:
             return existing
         doc_id = len(self._documents) + 1
         # Stored before its postings become searchable, so a search running
-        # beside this write never ranks an id ``get()`` cannot resolve.
+        # beside this write never ranks an id ``get()`` or ``_sources``
+        # cannot resolve.
         self._documents[doc_id] = record.as_document(doc_id)
+        self._sources.append(record.source)
         self._index(doc_id, record)
         self._url_to_doc[record.url] = doc_id
         return doc_id
@@ -156,10 +162,6 @@ class DocumentCatalog:
 
     def get(self, doc_id: int) -> Document:
         return self._documents[doc_id]
-
-    def _source_of(self, doc_id: int) -> str:
-        """The ``group`` a ``per_source`` search hands ``rank_accumulator``."""
-        return self._documents[doc_id].source
 
     def document_for_url(self, url: str) -> Document | None:
         doc_id = self._url_to_doc.get(url)

@@ -42,5 +42,5 @@ class InMemoryBackend(DocumentCatalog):
         per_source: bool = False,
     ) -> list[tuple[int, float]]:
         return self.index.score(
-            query_tokens, limit=limit, group=self._source_of if per_source else None
+            query_tokens, limit=limit, group=self._sources.__getitem__ if per_source else None
         )

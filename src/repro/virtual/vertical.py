@@ -222,6 +222,9 @@ class VerticalSearchEngine:
         fetches = 0
         failed = False
         url = source.mapping.form.submission_url(bindings)
+        # Result pages parse through the store's tag memo, as analysis does.
+        ingestor = self._ingestor
+        tags = ingestor.signature_cache.tag_memo() if ingestor is not None else None
         for _page_index in range(min(MAX_PAGES_PER_SOURCE, budget)):
             try:
                 page = self.web.fetch(url, agent=AGENT_VIRTUAL)
@@ -236,7 +239,7 @@ class VerticalSearchEngine:
             if not page.ok:
                 break
             # One DOM per fetched page, read by the wrapper and the pager.
-            root = parse_html(page.html)
+            root = parse_html(page.html, tags)
             records.extend(source.wrapper.wrap_page(root))
             next_url = self._next_page_url(root, url)
             if next_url is None:

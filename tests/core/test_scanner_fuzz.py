@@ -1,9 +1,11 @@
-"""Differential fuzz of the page scanner, and of whitespace normalization.
+"""Differential fuzz of the split scanner and tree, and of whitespace normalization.
 
 The split scanner (``_fast_scan``) may refuse any page, but a page it
-accepts must come out exactly as the DOM path (``_dom_scan``) reads it, and
-a tag memo warmed by other pages must change nothing.  Markup is drawn from
-a small inventory of the constructs that could tell the two apart.
+accepts must come out exactly as the DOM path (``_dom_scan``) reads it; a
+page the split tree build (``_split_tree``) accepts must build exactly the
+``HTMLParser`` tree; both refuse by one grammar, and a tag memo warmed by
+other pages must change nothing.  Markup is drawn from a small inventory of
+the constructs that could tell the paths apart.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import re
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.informativeness import _dom_scan, _fast_scan
+from repro.htmlparse.dom import DomNode, _split_tree, _TreeBuilder, parse_html
+from repro.htmlparse.text import SKIP_TAGS
 from repro.util.text import normalize
 
 TAGS = [
@@ -33,6 +37,12 @@ TAGS = [
     # raw-text and skipped elements
     "<script>", "</script>", "<style>", "</style>", "<noscript>", "</noscript>",
     "<select name=make>", "</select>", "<option value=1>", "</option>",
+    # form markup: selected options, textarea, labels, a repeated attribute
+    # in mixed case, entity-escaped unquoted values
+    "<option selected>", "<option value=2 SELECTED=selected>", "<textarea name=notes>",
+    "</textarea>", "<textarea/>", "<label for=q>", "</label>", "<form action=/s method=get>",
+    "</form>", "<input Name=a NAME='b' name=\"c\">", "<input value=a&amp;b>",
+    "<a href=/p&amp;q>", "<img alt=&lt;x&gt;>",
     # ordinary, mis-nested and unclosed elements
     "<div>", "</div>", "<span>", "</span>", "<p>", "</p>", "<td>", "</td>", "<h3>", "</h3>",
     '<p class="result-count">', "</nosuchtag>",
@@ -62,6 +72,56 @@ def test_a_warm_tag_memo_scans_like_a_cold_one(pages):
     memo: dict = {}
     for html in pages + pages:
         assert _fast_scan(html, memo) == _fast_scan(html)
+
+
+def tree(node: DomNode) -> tuple:
+    """Everything a node holds, in order, its children's parent links checked."""
+    assert all(child.parent is node for child in node.children)
+    return (node.tag, list(node.attrs.items()), node.text_chunks,
+            [tree(child) for child in node.children])
+
+
+@settings(max_examples=400, deadline=None)
+@given(markup)
+@example("<title><b>x</b></title>")  # newer stdlib parsers read a title's tags as text
+@example("<textarea>a<!-- c -->b</textarea>")
+@example("<div><span>a</div>b</span>c")
+def test_an_accepted_page_builds_exactly_the_stdlib_tree(html):
+    split = _split_tree(html, {})
+    reference = tree(_TreeBuilder.build(html))
+    assert split is None or tree(split) == reference
+    assert tree(parse_html(html)) == reference
+
+
+def first_body_in_a_skipped_subtree(root: DomNode) -> bool:
+    body = root.find_first("body")
+    while body is not None:
+        body = body.parent
+        if body is not None and body.tag in SKIP_TAGS:
+            return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(markup)
+@example("<noscript><body>x</body></noscript>")
+def test_the_scanner_and_the_tree_refuse_by_one_grammar(html):
+    """The scanner refuses what the tree build refuses, and beyond that only
+    a first ``<body>`` inside a skipped subtree, which its fold cannot read."""
+    split = _split_tree(html, {})
+    refused = split is None or first_body_in_a_skipped_subtree(split)
+    assert (_fast_scan(html) is None) == refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(markup, min_size=1, max_size=4))
+def test_a_warm_memo_shared_with_the_scanner_builds_like_a_cold_one(pages):
+    memo: dict = {}
+    for html in pages + pages:
+        _fast_scan(html, memo)
+        warm, cold = _split_tree(html, memo), _split_tree(html, {})
+        assert (warm is None) == (cold is None)
+        assert warm is None or tree(warm) == tree(cold)
 
 
 def test_the_split_cuts_what_the_grammar_would_have_read_whole():

@@ -136,8 +136,9 @@ class TestCacheMechanics:
         page = '<html><body><p>x</p><a href="/item?id=1">r</a></body></html>'
         cache = SignatureCache()
         cache.analyze(page)
-        assert cache._tags['<a href="/item?id=1">'] == (2, "a", "/item?id=1", False)
-        assert cache._tags["</p>"] == (1, "p", "", False)
+        assert cache._tags['<a href="/item?id=1">'] == (2, "a", {"href": "/item?id=1"}, False)
+        assert cache._tags["</p>"] == (1, "p", None, False)
+        assert cache.tag_memo() is cache._tags
         cache.clear()
         assert cache._tags == {}
         storeless = SignatureCache(max_entries=0)
@@ -260,19 +261,32 @@ def every_domain_web() -> Web:
 
 
 def test_every_page_of_a_surfacing_run_takes_the_analysis_fast_path(monkeypatch):
-    """Generated markup never needs the DOM path; a generator or scanner
-    change that sends pages there shows here (and in CI's summary)."""
+    """Generated markup never needs the stdlib parser: neither the analysis
+    nor a DOM build (forms, tables, live result pages) falls back to it; a
+    generator or grammar change that sends pages there shows here (and in
+    CI's summary)."""
     from repro.api import DeepWebService, SurfacingConfig
+    from repro.htmlparse import dom
 
     scanned: list[str] = []
     fallbacks: list[str] = []
+    builds: list[str] = []
+    stdlib_trees: list[str] = []
     fast_scan, dom_scan = informativeness._fast_scan, informativeness._dom_scan
+    split_tree, stdlib_tree = dom._split_tree, dom._TreeBuilder.build
     monkeypatch.setattr(
         informativeness, "_fast_scan",
         lambda html, tags=None: scanned.append(html) or fast_scan(html, tags),
     )
     monkeypatch.setattr(
         informativeness, "_dom_scan", lambda html: fallbacks.append(html) or dom_scan(html)
+    )
+    # ``parse_html`` tries the split first, so every DOM build passes here.
+    monkeypatch.setattr(
+        dom, "_split_tree", lambda html, tags: builds.append(html) or split_tree(html, tags)
+    )
+    monkeypatch.setattr(
+        dom._TreeBuilder, "build", lambda html: stdlib_trees.append(html) or stdlib_tree(html)
     )
     service = (
         DeepWebService.build()
@@ -283,10 +297,17 @@ def test_every_page_of_a_surfacing_run_takes_the_analysis_fast_path(monkeypatch)
     service.crawl(max_pages=60)
     service.surface()
     service.vertical  # registration analyzes every deep site's homepage
+    # A live query parses its result pages (and harvests the tables first).
+    answer = service.query("make:toyota", k=5, live=True)
     domains = {site.domain_name for site in service.web.deep_sites()}
     # CI greps this line out of a ``-s`` run into the job summary.
-    print(f"\nanalysis fast path: {len(scanned)} pages, {len(fallbacks)} DOM fallbacks")
+    print(
+        f"\nanalysis fast path: {len(scanned)} pages, {len(fallbacks)} DOM fallbacks; "
+        f"{len(builds)} DOM builds, {len(stdlib_trees)} stdlib-tree fallbacks"
+    )
     assert domains == set(domain_names())
     assert service.report().sites_surfaced == len(domains)
     assert len(scanned) > 500
     assert fallbacks == []
+    assert answer.live_fetches_spent > 0 and len(builds) > answer.live_fetches_spent
+    assert stdlib_trees == []

@@ -180,6 +180,14 @@ class TestBackendContract:
         assert kept == expected
         assert kept[:2] == full[:2]
 
+    def test_the_source_group_resolves_every_stored_id(self, backend):
+        """``per_source`` groups by the catalog's source list, so after every
+        add it must name ``get(d).source`` for each id (slot 0 is unused)."""
+        sources = (SOURCE_SURFACE, SOURCE_SURFACED, SOURCE_WEBTABLE)
+        for index in range(12):
+            backend.add(record(f"u://{index % 10}", "alpha", source=sources[index % 3]))
+            assert_source_group_matches(backend)
+
     def test_export_records_rebuild_the_same_store(self, backend):
         for index in range(10):
             backend.add(
@@ -191,6 +199,71 @@ class TestBackendContract:
         assert [d.url for d in rebuilt.documents()] == [d.url for d in backend.documents()]
         assert rebuilt.stats().by_source == backend.stats().by_source
         assert rebuilt.search(["alpha", "token3"]) == backend.search(["alpha", "token3"])
+
+
+def assert_source_group_matches(backend) -> None:
+    group = backend._sources.__getitem__
+    assert len(backend._sources) == len(backend) + 1
+    for doc in backend.documents():
+        assert group(doc.doc_id) == backend.get(doc.doc_id).source
+
+
+def mixed_source_corpus() -> list[IngestRecord]:
+    sources = (SOURCE_SURFACE, SOURCE_SURFACED, SOURCE_WEBTABLE, "vertical-source")
+    words = ("alpha", "bravo", "charlie", "delta")
+    return [
+        record(
+            f"u://mixed/{index}",
+            " ".join(words[(index * step) % 4] for step in range(1, 2 + index % 5)),
+            source=sources[(index * 7) % 4],
+        )
+        for index in range(60)
+    ]
+
+
+class TestSourceGroup:
+    """The source list behind ``per_source`` rankings, on every write path."""
+
+    def test_a_sqlite_reopen_replays_the_source_list(self, tmp_path):
+        path = tmp_path / "store.sqlite3"
+        with SqliteBackend(path) as written:
+            for item in mixed_source_corpus():
+                written.add(item)
+        with SqliteBackend(path) as reopened:
+            assert len(reopened) == 60
+            assert_source_group_matches(reopened)
+
+    def test_a_snapshot_restore_rebuilds_the_source_list(self, tmp_path):
+        from repro.api import DeepWebService, SurfacingConfig, WebConfig
+
+        service = (
+            DeepWebService.build()
+            .web(WebConfig(total_deep_sites=2, surface_site_count=1, max_records=30, seed=2))
+            .surfacing(SurfacingConfig(max_urls_per_form=30))
+            .create()
+        )
+        service.crawl(max_pages=30)
+        service.surface()
+        service.vertical  # noqa: B018 -- lands vertical-source documents too
+        restored = DeepWebService.restore(service.snapshot(tmp_path / "snapshot.json"))
+        backend = restored.engine.backend
+        assert len(backend.stats().by_source) >= 3
+        assert_source_group_matches(backend)
+
+    def test_per_source_rankings_agree_across_memory_and_cluster(self, cluster_of):
+        memory = InMemoryBackend()
+        clusters = [cluster_of(1), cluster_of(4)]
+        for item in mixed_source_corpus():
+            for backend in (memory, *clusters):
+                backend.add(item)
+        for cluster in clusters:
+            assert_source_group_matches(cluster)
+        for tokens in (["alpha"], ["bravo", "delta"], ["charlie", "alpha", "delta"]):
+            for limit in (1, 2, 5):
+                expected = memory.search(tokens, limit=limit, per_source=True)
+                assert len(expected) > limit
+                for cluster in clusters:
+                    assert cluster.search(tokens, limit=limit, per_source=True) == expected
 
 
 class TestShardedSpecifics:

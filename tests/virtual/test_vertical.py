@@ -82,9 +82,9 @@ class TestWrappers:
         web, engine, _sites, _accepted = car_vertical
         parses = []
 
-        def counting_parse(html):
+        def counting_parse(html, tags=None):
             parses.append(html)
-            return parse_html(html)
+            return parse_html(html, tags)
 
         for module in (repro.virtual.vertical, repro.core.extraction, repro.htmlparse.links):
             monkeypatch.setattr(module, "parse_html", counting_parse)
