@@ -104,7 +104,7 @@ def test_fortuitous_queries_favor_surfacing(surfaced_bench_world):
     for result in world.surfacing_results:
         if result.urls_indexed == 0:
             continue
-        table = next(iter(world.web.site(result.host).database.tables()))
+        table = world.web.site(result.host).table
         for key in table.primary_keys()[:5]:
             record = table.get(key)
             words = [word for word in str(record["description"]).split() if len(word) > 4][:3]

@@ -1,6 +1,6 @@
 """Quickstart: surface a simulated deep web and search it.
 
-Builds a small simulated web (deep-web sites backed by relational databases,
+Builds a small simulated web (deep-web sites, each one form over one table,
 plus surface sites), runs the baseline crawl, runs the staged surfacing
 pipeline, and shows that content hidden behind HTML forms now answers
 keyword queries -- all through the :class:`repro.DeepWebService` facade.
@@ -52,7 +52,7 @@ def main() -> None:
     #    record of the first successfully surfaced site.
     surfaced_hosts = {result.host for result in results if result.urls_indexed > 0}
     sample_site = next(site for site in web.deep_sites() if site.host in surfaced_hosts)
-    sample_table = next(iter(sample_site.database.tables()))
+    sample_table = sample_site.table
     record = sample_table.get(1)
     title_words = str(record.get("title", "")).split()[:4]
     extra = str(record.get("city") or record.get("category") or record.get("state") or "")

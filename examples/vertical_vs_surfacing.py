@@ -59,7 +59,7 @@ def main() -> None:
 
     # Keyword query answered by both approaches.
     if cars:
-        sample = cars[0].database.table("listings").get(1)
+        sample = cars[0].table.get(1)
         query = f"used {sample['make']} {sample['model']}"
         rows, fetches = live_answer(service, query)
         surfaced_hits = [

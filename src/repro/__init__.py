@@ -24,10 +24,10 @@ The package implements, over a fully simulated web:
   ``SurfacingPipeline.surface_many``, the one per-site loop every site is
   surfaced through (straight into the store, one sqlite transaction per
   site under ``persist()``).
-* ``repro.relational`` -- the in-memory relational engine backing every
-  deep-web site.
+* ``repro.relational`` -- the one immutable table behind each deep-web
+  site and the conjunctive predicates its form compiles to.
 * ``repro.datagen`` -- seeded synthetic data for ~10 content domains.
-* ``repro.webspace`` -- deep-web sites (HTML forms + backend databases),
+* ``repro.webspace`` -- deep-web sites (one HTML form over one table each),
   surface-web sites, and the ``Web`` fetch interface with load metering.
 * ``repro.htmlparse`` -- DOM construction and form/link/table extraction.
 * ``repro.search`` -- an inverted-index (BM25) search engine, a crawler and

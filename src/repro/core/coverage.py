@@ -113,11 +113,7 @@ class CoverageEstimator:
         backend, but the statistical statement is identical.
         """
         all_ids = [
-            f"{site.host}#{record_id}"
-            for _table, record_id in sorted(
-                ((table, rid) for table, rid in site.ground_truth_ids()),
-                key=lambda pair: str(pair[1]),
-            )
+            f"{site.host}#{record_id}" for record_id in sorted(site.ground_truth_ids(), key=str)
         ]
         if not all_ids:
             return (0.0, 1.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.relational.schema import Column, DataType, TableSchema
+from repro.relational import Column, DataType, TableSchema
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class DomainSpec:
         return exposed
 
 
-def _col(name: str, dtype: DataType, searchable: bool = False) -> Column:
-    return Column(name=name, dtype=dtype, searchable=searchable)
-
-
 _DOMAINS: dict[str, DomainSpec] = {}
 
 
@@ -70,19 +66,19 @@ USED_CARS = _register(
         table_name="listings",
         entity_name="listing",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("make", DataType.CATEGORY),
-            _col("model", DataType.CATEGORY),
-            _col("year", DataType.INTEGER),
-            _col("price", DataType.INTEGER),
-            _col("mileage", DataType.INTEGER),
-            _col("color", DataType.CATEGORY),
-            _col("body_style", DataType.CATEGORY),
-            _col("city", DataType.CATEGORY),
-            _col("state", DataType.CATEGORY),
-            _col("zipcode", DataType.ZIPCODE),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("make", DataType.CATEGORY),
+            Column("model", DataType.CATEGORY),
+            Column("year", DataType.INTEGER),
+            Column("price", DataType.INTEGER),
+            Column("mileage", DataType.INTEGER),
+            Column("color", DataType.CATEGORY),
+            Column("body_style", DataType.CATEGORY),
+            Column("city", DataType.CATEGORY),
+            Column("state", DataType.CATEGORY),
+            Column("zipcode", DataType.ZIPCODE),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("make", "color", "body_style"),
@@ -101,17 +97,17 @@ REAL_ESTATE = _register(
         table_name="properties",
         entity_name="property",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("property_type", DataType.CATEGORY),
-            _col("bedrooms", DataType.INTEGER),
-            _col("bathrooms", DataType.INTEGER),
-            _col("price", DataType.INTEGER),
-            _col("sqft", DataType.INTEGER),
-            _col("city", DataType.CATEGORY),
-            _col("state", DataType.CATEGORY),
-            _col("zipcode", DataType.ZIPCODE),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("property_type", DataType.CATEGORY),
+            Column("bedrooms", DataType.INTEGER),
+            Column("bathrooms", DataType.INTEGER),
+            Column("price", DataType.INTEGER),
+            Column("sqft", DataType.INTEGER),
+            Column("city", DataType.CATEGORY),
+            Column("state", DataType.CATEGORY),
+            Column("zipcode", DataType.ZIPCODE),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("property_type", "bedrooms"),
@@ -130,17 +126,17 @@ APARTMENTS = _register(
         table_name="rentals",
         entity_name="rental",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("bedrooms", DataType.INTEGER),
-            _col("rent", DataType.INTEGER),
-            _col("sqft", DataType.INTEGER),
-            _col("pet_friendly", DataType.CATEGORY),
-            _col("amenity", DataType.CATEGORY),
-            _col("city", DataType.CATEGORY),
-            _col("state", DataType.CATEGORY),
-            _col("zipcode", DataType.ZIPCODE),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("bedrooms", DataType.INTEGER),
+            Column("rent", DataType.INTEGER),
+            Column("sqft", DataType.INTEGER),
+            Column("pet_friendly", DataType.CATEGORY),
+            Column("amenity", DataType.CATEGORY),
+            Column("city", DataType.CATEGORY),
+            Column("state", DataType.CATEGORY),
+            Column("zipcode", DataType.ZIPCODE),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("bedrooms", "pet_friendly", "amenity"),
@@ -159,15 +155,15 @@ JOBS = _register(
         table_name="postings",
         entity_name="posting",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("company", DataType.TEXT, searchable=True),
-            _col("category", DataType.CATEGORY),
-            _col("city", DataType.CATEGORY),
-            _col("state", DataType.CATEGORY),
-            _col("salary", DataType.INTEGER),
-            _col("posted_date", DataType.DATE),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("company", DataType.TEXT),
+            Column("category", DataType.CATEGORY),
+            Column("city", DataType.CATEGORY),
+            Column("state", DataType.CATEGORY),
+            Column("salary", DataType.INTEGER),
+            Column("posted_date", DataType.DATE),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("category", "state"),
@@ -186,13 +182,13 @@ RECIPES = _register(
         table_name="recipes",
         entity_name="recipe",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("cuisine", DataType.CATEGORY),
-            _col("main_ingredient", DataType.CATEGORY),
-            _col("prep_minutes", DataType.INTEGER),
-            _col("calories", DataType.INTEGER),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("cuisine", DataType.CATEGORY),
+            Column("main_ingredient", DataType.CATEGORY),
+            Column("prep_minutes", DataType.INTEGER),
+            Column("calories", DataType.INTEGER),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("cuisine", "main_ingredient"),
@@ -211,14 +207,14 @@ BOOKS = _register(
         table_name="books",
         entity_name="book",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("author", DataType.TEXT, searchable=True),
-            _col("genre", DataType.CATEGORY),
-            _col("year", DataType.INTEGER),
-            _col("price", DataType.INTEGER),
-            _col("isbn", DataType.TEXT),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("author", DataType.TEXT),
+            Column("genre", DataType.CATEGORY),
+            Column("year", DataType.INTEGER),
+            Column("price", DataType.INTEGER),
+            Column("isbn", DataType.TEXT),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("genre",),
@@ -237,15 +233,15 @@ EVENTS = _register(
         table_name="events",
         entity_name="event",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("category", DataType.CATEGORY),
-            _col("venue", DataType.TEXT, searchable=True),
-            _col("city", DataType.CATEGORY),
-            _col("state", DataType.CATEGORY),
-            _col("event_date", DataType.DATE),
-            _col("price", DataType.INTEGER),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("category", DataType.CATEGORY),
+            Column("venue", DataType.TEXT),
+            Column("city", DataType.CATEGORY),
+            Column("state", DataType.CATEGORY),
+            Column("event_date", DataType.DATE),
+            Column("price", DataType.INTEGER),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("category",),
@@ -264,14 +260,14 @@ GOVERNMENT = _register(
         table_name="documents",
         entity_name="document",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("agency", DataType.CATEGORY),
-            _col("topic", DataType.CATEGORY),
-            _col("kind", DataType.CATEGORY),
-            _col("state", DataType.CATEGORY),
-            _col("year", DataType.INTEGER),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("agency", DataType.CATEGORY),
+            Column("topic", DataType.CATEGORY),
+            Column("kind", DataType.CATEGORY),
+            Column("state", DataType.CATEGORY),
+            Column("year", DataType.INTEGER),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("agency", "topic", "kind"),
@@ -293,14 +289,14 @@ STORE_LOCATOR = _register(
         table_name="stores",
         entity_name="store",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("category", DataType.CATEGORY),
-            _col("city", DataType.CATEGORY),
-            _col("state", DataType.CATEGORY),
-            _col("zipcode", DataType.ZIPCODE),
-            _col("phone", DataType.TEXT),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("category", DataType.CATEGORY),
+            Column("city", DataType.CATEGORY),
+            Column("state", DataType.CATEGORY),
+            Column("zipcode", DataType.ZIPCODE),
+            Column("phone", DataType.TEXT),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("category",),
@@ -319,14 +315,14 @@ MEDIA_CATALOG = _register(
         table_name="items",
         entity_name="item",
         columns=(
-            _col("id", DataType.INTEGER),
-            _col("title", DataType.TEXT, searchable=True),
-            _col("category", DataType.CATEGORY),
-            _col("genre", DataType.CATEGORY),
-            _col("creator", DataType.TEXT, searchable=True),
-            _col("year", DataType.INTEGER),
-            _col("price", DataType.INTEGER),
-            _col("description", DataType.TEXT, searchable=True),
+            Column("id", DataType.INTEGER),
+            Column("title", DataType.TEXT),
+            Column("category", DataType.CATEGORY),
+            Column("genre", DataType.CATEGORY),
+            Column("creator", DataType.TEXT),
+            Column("year", DataType.INTEGER),
+            Column("price", DataType.INTEGER),
+            Column("description", DataType.TEXT),
         ),
         title_column="title",
         select_inputs=("category",),

@@ -134,28 +134,25 @@ class QueryLogGenerator:
         rng = self.rng.child(f"tail/{site.host}")
         queries: list[Query] = []
         templates = _TAIL_TEMPLATES.get(site.domain_name, [])
-        for table in site.database.tables():
-            keys = table.primary_keys()
-            sample_size = min(
-                config.max_tail_per_site,
-                max(1, int(len(keys) * config.tail_record_fraction)),
-            )
-            for key in rng.sample(keys, sample_size):
-                row = table.get(key)
-                if row is None:
-                    continue
-                text = self._render_tail_query(row, templates, rng)
-                if not text:
-                    continue
-                queries.append(
-                    Query(
-                        text=text,
-                        kind=KIND_TAIL,
-                        target_host=site.host,
-                        target_table=table.name,
-                        target_record_id=key,
-                    )
+        table = site.table
+        keys = table.primary_keys()
+        sample_size = min(
+            config.max_tail_per_site,
+            max(1, int(len(keys) * config.tail_record_fraction)),
+        )
+        for key in rng.sample(keys, sample_size):
+            text = self._render_tail_query(table.get(key), templates, rng)
+            if not text:
+                continue
+            queries.append(
+                Query(
+                    text=text,
+                    kind=KIND_TAIL,
+                    target_host=site.host,
+                    target_table=table.name,
+                    target_record_id=key,
                 )
+            )
         return queries
 
     @staticmethod

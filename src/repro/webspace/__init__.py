@@ -1,8 +1,8 @@
 """The simulated web.
 
 A :class:`~repro.webspace.web.Web` holds deep-web sites
-(:class:`~repro.webspace.site.DeepWebSite` -- an HTML form front-end over a
-relational backend) and surface-web sites
+(:class:`~repro.webspace.site.DeepWebSite` -- one HTML form over one
+backend table) and surface-web sites
 (:class:`~repro.webspace.surface_site.SurfaceSite` -- heavily interlinked
 static pages for popular head topics).  Everything is fetched through
 ``Web.fetch`` which meters per-site load, so the paper's load arguments

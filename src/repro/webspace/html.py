@@ -8,7 +8,7 @@ extraction code -- has realistic structure to work against.
 from __future__ import annotations
 
 from html import escape
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 def render_page(title: str, body: str, language: str = "en") -> str:
@@ -45,23 +45,6 @@ def definition_table(record: Mapping[str, object], css_class: str = "record") ->
         if value is not None
     )
     return f'<table class="{escape(css_class)}">{rows}</table>'
-
-
-def data_table(
-    columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    css_class: str = "results",
-) -> str:
-    """A header row plus data rows -- the structure WebTables extraction expects."""
-    header = "".join(f"<th>{escape(str(column))}</th>" for column in columns)
-    body_rows = []
-    for row in rows:
-        cells = "".join(f"<td>{escape(str(value))}</td>" for value in row)
-        body_rows.append(f"<tr>{cells}</tr>")
-    return (
-        f'<table class="{escape(css_class)}">'
-        f"<tr>{header}</tr>{''.join(body_rows)}</table>"
-    )
 
 
 def result_item(detail_url: str, title: str, summary: str) -> str:

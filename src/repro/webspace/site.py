@@ -1,15 +1,15 @@
-"""Deep-web sites: an HTML form front-end over a relational backend.
+"""Deep-web sites: one HTML form over one backend table.
 
-A :class:`DeepWebSite` owns a :class:`~repro.relational.database.Database`
-and one or more :class:`FormTemplate` objects, built together on the first
-read of either (a site that is never fetched never builds them).  It serves:
+A :class:`DeepWebSite` owns one :class:`~repro.relational.Table` and the one
+:class:`FormTemplate` over it, built together on the first read of either (a
+site that is never fetched never builds them).  It serves:
 
-* ``/`` -- the homepage carrying the rendered HTML form(s).  Deep-web
-  content is *not* linked from here (that is what makes it deep); sites can
+* ``/`` -- the homepage carrying the rendered HTML form.  Deep-web content
+  is *not* linked from here (that is what makes it deep); sites can
   optionally expose a few "browse" links to mimic partially-linked content.
-* the form action path (e.g. ``/search``) -- executes the form submission
-  compiled into a relational query and renders a paginated results page with
-  links to detail pages.
+* the form action path (e.g. ``/search``) -- compiles the submission into a
+  conjunctive predicate and renders one page of the matching rows, ordered
+  by title, with links to detail pages.
 * ``/item`` -- a detail page for a single record.
 
 POST-only forms return ``405 Method Not Allowed`` for GET requests against
@@ -24,18 +24,17 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.datagen.domains import DomainSpec
-from repro.relational.database import Database
-from repro.relational.predicate import (
+from repro.relational import (
     And,
     Contains,
+    DataType,
     Eq,
     Predicate,
     Prefix,
     Range,
+    Table,
     TruePredicate,
 )
-from repro.relational.query import Query
-from repro.relational.schema import DataType
 from repro.util.rng import SeededRng
 from repro.webspace import html as markup
 from repro.webspace.forms_markup import render_form
@@ -66,12 +65,11 @@ class FormInputSpec:
 
 @dataclass
 class FormTemplate:
-    """A form over one backend table."""
+    """The form over a site's table."""
 
     form_id: str
     action_path: str
     method: str
-    table: str
     inputs: list[FormInputSpec] = field(default_factory=list)
     search_columns: tuple[str, ...] = ()
     results_per_page: int = 10
@@ -85,14 +83,6 @@ class FormTemplate:
     @property
     def is_get(self) -> bool:
         return self.method.lower() == "get"
-
-    @property
-    def text_inputs(self) -> list[FormInputSpec]:
-        return [spec for spec in self.inputs if spec.kind == "text"]
-
-    @property
-    def select_inputs(self) -> list[FormInputSpec]:
-        return [spec for spec in self.inputs if spec.kind == "select"]
 
 
 class DeepWebSite:
@@ -127,12 +117,11 @@ class DeepWebSite:
         self.language = language
         self.browse_link_count = browse_link_count
         self._inputs = (spec, record_count, rng, method, results_per_page, range_value_count)
-        self._backend: tuple[Database, list[FormTemplate]] | None = None
-        # (table, primary key) -> rendered result_item fragment.  The same
-        # record appears on many result pages (overlapping queries), and the
-        # relational layer has no row-update API, so the fragment is a pure
-        # function of the key.
-        self._fragment_cache: dict[tuple[str, object], str] = {}
+        self._backend: tuple[Table, list[FormTemplate]] | None = None
+        # primary key -> rendered result_item fragment.  The same record
+        # appears on many result pages (overlapping queries), and the table
+        # is immutable, so the fragment is a pure function of the key.
+        self._fragment_cache: dict[object, str] = {}
         # Constant per site: every results page repeats these.
         self._results_heading = markup.heading(f"{self.title} search results")
         self._back_link = markup.link(str(self.homepage_url()), f"Back to {self.title}")
@@ -145,25 +134,23 @@ class DeepWebSite:
         )
 
     @property
-    def database(self) -> Database:
+    def table(self) -> Table:
         return (self._backend or self._build_backend())[0]
 
     @property
     def forms(self) -> list[FormTemplate]:
         return (self._backend or self._build_backend())[1]
 
-    def _build_backend(self) -> tuple[Database, list[FormTemplate]]:
-        """Build the database and the form over it once; all callers get that pair."""
-        from repro.webspace.sitegen import build_database, build_form  # sitegen imports site
+    def _build_backend(self) -> tuple[Table, list[FormTemplate]]:
+        """Build the table and the form over it once; all callers get that pair."""
+        from repro.webspace.sitegen import build_form, build_table  # sitegen imports site
 
         with self._build_lock:
             if self._backend is None:
                 spec, records, rng, method, per_page, range_values = self._inputs
-                database = build_database(spec, records, rng.child("data"))
-                form = build_form(
-                    spec, database, rng.child("form"), method, per_page, range_values
-                )
-                self._backend = (database, [form])
+                table = build_table(spec, records, rng.child("data"))
+                form = build_form(spec, table, rng.child("form"), method, per_page, range_values)
+                self._backend = (table, [form])
             return self._backend
 
     # -- URL helpers --------------------------------------------------------
@@ -175,16 +162,13 @@ class DeepWebSite:
         return Url.build(self.host, "/item", {"id": record_id})
 
     def size(self) -> int:
-        """Number of records in the backend database: the record count it is
-        generated with (rows are ids 1..count), so the database is not built."""
+        """Number of records in the backend table: the record count it is
+        generated with (rows are ids 1..count), so the table is not built."""
         return self._inputs[1]
 
-    def ground_truth_ids(self) -> set[tuple[str, object]]:
-        """Every (table, primary key) pair -- ground truth for coverage."""
-        return {
-            (table_name, row[self.database.table(table_name).schema.primary_key])
-            for table_name, row in self.database.all_rows()
-        }
+    def ground_truth_ids(self) -> set[object]:
+        """Every primary key -- ground truth for coverage."""
+        return set(self.table.primary_keys())
 
     # -- request handling ---------------------------------------------------
 
@@ -213,18 +197,11 @@ class DeepWebSite:
             parts.append(render_form(form))
         if self.browse_link_count > 0:
             parts.append(markup.heading("Featured", level=2))
-            featured = []
-            for form in self.forms[:1]:
-                table = self.database.table(form.table)
-                keys = table.primary_keys()[: self.browse_link_count]
-                title_column = self._title_column(form.table)
-                for key in keys:
-                    row = table.get(key)
-                    if row is None:
-                        continue
-                    featured.append(
-                        markup.link(str(self.detail_url(key)), str(row.get(title_column, key)))
-                    )
+            table = self.table
+            featured = [
+                markup.link(str(self.detail_url(key)), str(table.get(key).get(table.order_by, key)))
+                for key in table.primary_keys()[: self.browse_link_count]
+            ]
             if featured:
                 parts.append(markup.unordered_list(featured))
         body = "".join(parts)
@@ -233,34 +210,27 @@ class DeepWebSite:
     def _results_page(self, form: FormTemplate, url: Url) -> WebPage:
         predicate = self.compile_predicate(form, url.param_dict)
         page_number = self._page_number(url)
-        title_column = self._title_column(form.table)
-        query = Query(
-            table=form.table,
-            predicate=predicate,
-            order_by=title_column,
-            limit=form.results_per_page,
-            offset=(page_number - 1) * form.results_per_page,
-        )
-        result = self.database.execute(query)
-        if result.total_matches == 0:
+        offset = (page_number - 1) * form.results_per_page
+        table = self.table
+        rows, total = table.page(predicate, offset, form.results_per_page)
+        if total == 0:
             return WebPage(url=str(url), html=self._empty_results_html)
         parts = [self._results_heading]
-        schema = self.database.table(form.table).schema
-        primary_key = schema.primary_key
+        primary_key = table.schema.primary_key
         fragment_cache = self._fragment_cache
-        parts.append(markup.result_count_banner(result.total_matches))
-        for row in result.rows:
+        parts.append(markup.result_count_banner(total))
+        for row in rows:
             key = row[primary_key]
-            fragment = fragment_cache.get((form.table, key))
+            fragment = fragment_cache.get(key)
             if fragment is None:
                 fragment = markup.result_item(
                     str(self.detail_url(key)),
-                    str(row.get(title_column, key)),
-                    self._summary(form.table, row),
+                    str(row.get(table.order_by, key)),
+                    self._summary(row),
                 )
-                fragment_cache[(form.table, key)] = fragment
+                fragment_cache[key] = fragment
             parts.append(fragment)
-        if result.has_more:
+        if offset + len(rows) < total:
             next_url = url.with_params(page=page_number + 1)
             parts.append(markup.paragraph("More results:"))
             parts.append(markup.link(str(next_url), "Next page"))
@@ -273,11 +243,15 @@ class DeepWebSite:
         raw_id = url.param("id")
         if raw_id is None:
             return not_found(str(url))
-        record, table_name = self._find_record(raw_id)
+        record_id: object = raw_id
+        try:
+            record_id = int(raw_id)
+        except ValueError:
+            pass
+        record = self.table.get(record_id)
         if record is None:
             return not_found(str(url))
-        title_column = self._title_column(table_name)
-        title = str(record.get(title_column, raw_id))
+        title = str(record.get(self.table.order_by, raw_id))
         visible = {key: value for key, value in record.items() if key != "id"}
         body = "".join(
             [
@@ -292,13 +266,12 @@ class DeepWebSite:
     # -- form submission compilation ------------------------------------------
 
     def compile_predicate(self, form: FormTemplate, params: Mapping[str, str]) -> Predicate:
-        """Translate submitted form parameters into a relational predicate.
+        """Translate submitted form parameters into a conjunctive predicate.
 
         Unknown parameters are ignored (as real backends do); empty values
         mean "any".  Min/max pairs over the same column are combined into a
         single :class:`Range`.
         """
-        table = self.database.table(form.table)
         parts: list[Predicate] = []
         range_bounds: dict[str, dict[str, float]] = {}
         for name, raw_value in params.items():
@@ -309,14 +282,11 @@ class DeepWebSite:
             if not value:
                 continue
             if spec.role == "search_box":
-                columns = form.search_columns or tuple(
-                    column.name for column in table.schema.searchable_columns
-                )
-                parts.append(Contains(columns, value))
+                parts.append(Contains(form.search_columns, value))
             elif spec.role in ("select", "typed_text", "hidden"):
                 if spec.column is None:
                     continue
-                parts.append(self._value_predicate(form.table, spec.column, value))
+                parts.append(self._value_predicate(spec.column, value))
             elif spec.role in ("range_min", "range_max"):
                 if spec.column is None:
                     continue
@@ -338,8 +308,8 @@ class DeepWebSite:
             return parts[0]
         return And(parts)
 
-    def _value_predicate(self, table_name: str, column: str, value: str) -> Predicate:
-        dtype = self.database.table(table_name).schema.column(column).dtype
+    def _value_predicate(self, column: str, value: str) -> Predicate:
+        dtype = self.table.schema.column(column).dtype
         if dtype is DataType.ZIPCODE:
             # Locator-style backends return results near the submitted zip;
             # the simulator models "near" as the 3-digit regional prefix.
@@ -360,32 +330,15 @@ class DeepWebSite:
 
     # -- small helpers --------------------------------------------------------
 
-    def _title_column(self, table_name: str) -> str:
-        schema = self.database.table(table_name).schema
-        return "title" if schema.has_column("title") else schema.primary_key
-
-    def _summary(self, table_name: str, row: Mapping[str, object]) -> str:
-        schema = self.database.table(table_name).schema
+    def _summary(self, row: Mapping[str, object]) -> str:
         pieces = []
-        for column in schema.column_names:
+        for column in self.table.schema.column_names:
             if column in ("id", "title", "description"):
                 continue
             value = row.get(column)
             if value is not None:
                 pieces.append(f"{column}: {value}")
         return " | ".join(pieces[:6])
-
-    def _find_record(self, raw_id: str) -> tuple[dict | None, str]:
-        for table in self.database.tables():
-            key: object = raw_id
-            try:
-                key = int(raw_id)
-            except ValueError:
-                pass
-            record = table.get(key)
-            if record is not None:
-                return record, table.name
-        return None, ""
 
     @staticmethod
     def _page_number(url: Url) -> int:

@@ -10,7 +10,7 @@
 
 Everything is driven by a single seed so experiments are reproducible.
 Generation draws each deep site's domain, size, method and browse links;
-its database and form are built on the site's first fetch.
+its one table and the one form over it are built on the site's first fetch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.datagen import vocab
 from repro.datagen.domains import DomainSpec, domain_names, iter_domains
 from repro.datagen.generators import generate_rows
-from repro.relational.database import Database
+from repro.relational import Table
 from repro.util.rng import SeededRng
 from repro.webspace.site import DeepWebSite, FormInputSpec, FormTemplate
 from repro.webspace.surface_site import SurfaceSite, SurfaceTopic
@@ -82,16 +82,11 @@ class WebConfig:
 # ---------------------------------------------------------------------------
 
 
-def build_database(spec: DomainSpec, record_count: int, rng: SeededRng) -> Database:
-    """Create and populate the backend database for one site."""
-    database = Database(name=f"{spec.name}_db")
-    table = database.create_table(spec.schema())
+def build_table(spec: DomainSpec, record_count: int, rng: SeededRng) -> Table:
+    """The backend table of one site: generated rows, ordered by title, with
+    an index on every select-menu column."""
     rows = generate_rows(spec.name, record_count, rng)
-    table.insert_many(rows)
-    for column in spec.select_inputs:
-        if table.schema.has_column(column):
-            table.create_index(column)
-    return database
+    return Table(spec.schema(), rows, spec.select_inputs, spec.title_column)
 
 
 def _range_options(low: float, high: float, count: int) -> tuple[str, ...]:
@@ -109,7 +104,7 @@ def _range_options(low: float, high: float, count: int) -> tuple[str, ...]:
 
 def build_form(
     spec: DomainSpec,
-    database: Database,
+    table: Table,
     rng: SeededRng,
     method: str = "get",
     results_per_page: int = 10,
@@ -117,7 +112,6 @@ def build_form(
     action_path: str | None = None,
 ) -> FormTemplate:
     """Build the form template a site exposes for its domain."""
-    table = database.table(spec.table_name)
     inputs: list[FormInputSpec] = []
 
     if spec.has_search_box:
@@ -197,7 +191,6 @@ def build_form(
         form_id=f"{spec.name}_form",
         action_path=action_path or rng.choice(ACTION_PATHS),
         method=method,
-        table=spec.table_name,
         inputs=inputs,
         search_columns=spec.search_columns,
         results_per_page=results_per_page,
@@ -215,8 +208,8 @@ def build_deep_site(
     browse_link_count: int = 0,
     language: str = "en",
 ) -> DeepWebSite:
-    """Build one deep-web site for a domain; its database and form are
-    built on the site's first fetch (see :class:`DeepWebSite`)."""
+    """Build one deep-web site for a domain; its table and form are built
+    on the site's first fetch (see :class:`DeepWebSite`)."""
     title = _site_title(spec, host, rng.child("title"))
     description = (
         f"{title}: {spec.description} Search {record_count} {spec.entity_name} records."

@@ -355,11 +355,7 @@ def harvest_web(
                 for form in extract_forms(homepage.html, page_url=homepage.url):
                     corpus.add_form(form)
         budget = detail_pages_per_site - state.detail_counts.get(site.host, 0)
-        detail_urls = (
-            str(site.detail_url(key))
-            for table in site.database.tables()
-            for key in table.primary_keys()
-        )
+        detail_urls = (str(site.detail_url(key)) for key in site.table.primary_keys())
         for url in detail_urls:
             if budget <= 0:
                 break

@@ -119,7 +119,7 @@ class TestHarvestShortCircuit:
 
         cross_corpus(service, "anything", k=1, min_per_source=3)  # settled
         site = service.web.deep_sites()[0]
-        table = next(iter(site.database.tables()))
+        table = site.table
         url = str(site.detail_url(table.primary_keys()[0]))
         page = service.web.fetch(url, agent=AGENT_WEBTABLES)
         # Land a page the harvest has not seen under a fresh URL.

@@ -77,7 +77,7 @@ class TestOperations:
         assert service.results
         assert all(result.urls_indexed > 0 for result in service.results)
         site = service.web.deep_sites()[0]
-        record = next(iter(site.database.tables())).get(1)
+        record = site.table.get(1)
         query = " ".join(str(record.get(key, "")) for key in ("title", "city") if record.get(key))
         hits = service.search(query or str(record.get("title", "deep")), k=10)
         assert any(hit.source == SOURCE_SURFACED for hit in hits)

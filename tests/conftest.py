@@ -13,7 +13,7 @@ from repro.analysis.experiments import build_query_log, build_world, surface_wor
 from repro.core.form_model import discover_forms
 from repro.core.probe import FormProber
 from repro.datagen.domains import domain
-from repro.relational.predicate import And, Or
+from repro.relational import And
 from repro.search.engine import SearchEngine
 from repro.util.rng import SeededRng
 from repro.webspace.site import DeepWebSite
@@ -73,6 +73,16 @@ def media_site():
     return build_deep_site(
         domain("media_catalog"), "media.test.example.com", 80, SeededRng("media-fixture")
     )
+
+
+class Or:
+    """A disjunction: no site form compiles one, so it lives here."""
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def matches(self, row):
+        return any(part.matches(row) for part in self.parts)
 
 
 class OrSite(DeepWebSite):

@@ -95,7 +95,7 @@ class TestExtraction:
     def test_extract_detail_record(self, car_site, car_web):
         page = car_web.fetch(car_site.detail_url(5))
         record = extract_detail_record(page.html, page_url=page.url)
-        truth = car_site.database.table("listings").get(5)
+        truth = car_site.table.get(5)
         assert record is not None
         assert record.record_id == "5"
         assert record.fields["make"] == truth["make"]
@@ -109,7 +109,7 @@ class TestExtraction:
         url = car_form.submission_url({make_input.name: make_input.options[0]})
         page = car_web.fetch(url)
         records = extract_result_records(page.html)
-        titles = {str(row["title"]).strip().lower() for row in car_site.database.table("listings")}
+        titles = {str(row["title"]).strip().lower() for row in car_site.table.rows}
         found = sum(1 for record in records if record.title.strip().lower() in titles)
         assert found / len(records) > 0.9
 

@@ -28,7 +28,7 @@ class TestSeedKeywords:
         engine.add_page(car_web.fetch(car_site.detail_url(2)))
         prober = IterativeProber(car_prober, engine=engine, seed_count=8)
         seeds = prober.seed_keywords(car_form)
-        record = car_site.database.table("listings").get(1)
+        record = car_site.table.get(1)
         record_tokens = set(str(record["description"]).lower().split()) | {record["make"].lower()}
         assert set(seeds) & record_tokens, "seeds should reflect indexed site content"
 

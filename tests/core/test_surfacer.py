@@ -45,7 +45,7 @@ class TestSurfaceSite:
     def test_surfaced_content_is_searchable(self, car_world):
         web, engine, site = car_world
         SurfacingPipeline(web, engine).surface_site(site)
-        record = site.database.table("listings").get(1)
+        record = site.table.get(1)
         query = f"{record['year']} {record['make']} {record['model']}"
         results = engine.search(query, k=5)
         assert results

@@ -126,7 +126,7 @@ class TestConjunctiveWorld:
         vocabulary = sorted(
             {
                 text
-                for _table, row in list(site.database.all_rows())[:15]
+                for row in site.table.rows[:15]
                 for value in row.values()
                 for text in (str(value), *tokenize(str(value)))
             }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datagen.domains import domain, domain_names, iter_domains
-from repro.relational.schema import DataType
+from repro.relational import DataType
 
 
 class TestRegistry:
@@ -31,21 +31,21 @@ class TestSpecConsistency:
     def test_schema_builds(self, name):
         schema = domain(name).schema()
         assert schema.primary_key == "id"
-        assert schema.has_column("id")
+        assert "id" in schema.column_names
 
     @pytest.mark.parametrize("name", domain_names())
     def test_form_columns_exist_in_schema(self, name):
         spec = domain(name)
         schema = spec.schema()
         for column in spec.form_columns:
-            assert schema.has_column(column), f"{name}: {column} not in schema"
+            assert column in schema.column_names, f"{name}: {column} not in schema"
 
     @pytest.mark.parametrize("name", domain_names())
     def test_search_columns_are_searchable_text(self, name):
         spec = domain(name)
         schema = spec.schema()
         for column in spec.search_columns:
-            assert schema.column(column).searchable
+            assert schema.column(column).dtype is DataType.TEXT
 
     @pytest.mark.parametrize("name", domain_names())
     def test_range_inputs_are_numeric(self, name):
@@ -57,7 +57,7 @@ class TestSpecConsistency:
     @pytest.mark.parametrize("name", domain_names())
     def test_title_column_exists(self, name):
         spec = domain(name)
-        assert spec.schema().has_column(spec.title_column)
+        assert spec.title_column in spec.schema().column_names
 
     def test_used_cars_has_expected_shape(self):
         spec = domain("used_cars")

@@ -59,7 +59,7 @@ class TestSurfacingStory:
             for result in surfaced_world.surfacing_results
             if result.urls_indexed > 0
         )
-        table = next(iter(site.database.tables()))
+        table = site.table
         record = table.get(table.primary_keys()[0])
         # Use distinctive content words from the record's description.
         words = [word for word in str(record["description"]).split() if len(word) > 4][:3]

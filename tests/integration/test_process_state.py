@@ -18,7 +18,7 @@ from repro.serve.loadgen import WorkloadGenerator
 #: Bounded memos of pure functions (each clears or stops filling at a cap).
 ALLOWED = {
     ("repro.webspace.url", "_PARSE_CACHE"),
-    ("repro.relational.predicate", "_TOKEN_SET_CACHE"),
+    ("repro.relational", "_TOKEN_SET_CACHE"),
     ("repro.webspace.html", "_BANNER_CACHE"),
 }
 

@@ -169,13 +169,13 @@ def test_restore_builds_no_deep_site_database(tmp_path, monkeypatch):
     texts = list(itertools.islice(itertools.cycle(population), 200))
     path = service.snapshot(tmp_path / "snapshot.json")
     built = []
-    build_database = sitegen.build_database
+    build_table = sitegen.build_table
 
     def counted(*args):
         built.append(args)
-        return build_database(*args)
+        return build_table(*args)
 
-    monkeypatch.setattr(sitegen, "build_database", counted)
+    monkeypatch.setattr(sitegen, "build_table", counted)
     restored = DeepWebService.restore(path)
     answers = [restored.search(text, k=10) for text in texts]
     sites = len(restored.web.deep_sites())

@@ -44,7 +44,8 @@ class TestPopulation:
         tail = generator.tail_population(QueryLogConfig())
         query = tail[0]
         site = small_web.site(query.target_host)
-        row = site.database.table(query.target_table).get(query.target_record_id)
+        assert query.target_table == site.table.name
+        row = site.table.get(query.target_record_id)
         row_text = " ".join(str(value).lower() for value in row.values())
         assert any(token in row_text for token in query.text.split())
 

@@ -65,7 +65,7 @@ class TestRanking:
         """Routing only sees schema and select-option vocabulary, not page
         content, so a content-specific query with no domain words is not
         routed -- the failure mode the paper contrasts with surfacing."""
-        record = car_site.database.table("listings").get(1)
+        record = car_site.table.get(1)
         # Query by a content detail (the mileage figure) with no car words.
         hosts = live_hosts(vertical, f"{record['mileage']} excellent verified")
         assert car_site.host not in hosts

@@ -120,7 +120,7 @@ class TestWrappers:
 class TestStructuredQueries:
     def test_structured_probe_returns_matching_records(self, car_vertical):
         _web, engine, sites, _accepted = car_vertical
-        make = sites[0].database.table("listings").get(1)["make"]
+        make = sites[0].table.get(1)["make"]
         answer = probe_all(engine, {"make": make})
         assert answer.records
         assert all(record.get("make").lower() == make.lower() for record in answer.records)
@@ -150,7 +150,7 @@ class TestKeywordQueries:
 
     def test_live_keyword_search_answers_domain_query(self, car_vertical):
         web, _engine, sites, _accepted = car_vertical
-        record = sites[0].database.table("listings").get(1)
+        record = sites[0].table.get(1)
         live, rows, _fetched = self.live_query(web, f"used {record['make']} {record['model']}")
         assert live and live[0].produced
         titles = " ".join(row.title.lower() for row in rows)

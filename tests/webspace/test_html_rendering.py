@@ -35,12 +35,6 @@ class TestMarkupHelpers:
         assert ("make", "Toyota") in table.rows
         assert all(row[0] != "color" for row in table.rows)
 
-    def test_data_table_round_trip(self):
-        html = markup.data_table(["a", "b"], [[1, 2], [3, 4]])
-        table = extract_tables(html)[0]
-        assert table.header == ("a", "b")
-        assert table.rows == (("1", "2"), ("3", "4"))
-
     def test_result_banners(self):
         assert "1 result found" in markup.result_count_banner(1)
         assert "5 results found" in markup.result_count_banner(5)
@@ -53,7 +47,6 @@ class TestFormMarkup:
             form_id="f1",
             action_path="/search",
             method="get",
-            table="listings",
             inputs=[
                 FormInputSpec(name="q", kind="text", role="search_box", label="Keywords"),
                 FormInputSpec(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.datagen.domains import domain
 from repro.htmlparse import extract_forms, extract_links, extract_text
-from repro.relational.predicate import And, Contains, Eq, Range, TruePredicate
+from repro.relational import And, Contains, Eq, Range, TruePredicate
 from repro.util.rng import SeededRng
 from repro.webspace.sitegen import build_deep_site
 from repro.webspace.url import Url
@@ -50,7 +50,7 @@ class TestResultsPage:
         url = Url.build(car_site.host, template.action_path, {make_input.name: value})
         page = car_site.handle(url)
         assert page.ok
-        expected = car_site.database.table(template.table).count(Eq("make", value))
+        expected = sum(Eq("make", value).matches(row) for row in car_site.table.rows)
         assert f"{expected} result" in extract_text(page.html)
 
     def test_no_results_page(self, car_site):
@@ -97,7 +97,7 @@ class TestDetailPage:
     def test_detail_page_renders_record(self, car_site):
         page = car_site.handle(car_site.detail_url(1))
         assert page.ok
-        record = car_site.database.table("listings").get(1)
+        record = car_site.table.get(1)
         assert record["make"] in page.html
 
     def test_missing_record_is_404(self, car_site):
@@ -152,7 +152,8 @@ class TestPredicateCompilation:
         template = site.forms[0]
         bedrooms = next(spec for spec in template.inputs if spec.column == "bedrooms")
         predicate = site.compile_predicate(template, {bedrooms.name: bedrooms.options[0]})
-        matched = site.database.table(template.table).scan(predicate)
+        matched, total = site.table.page(predicate, 0, 30)
+        assert total == len(matched) > 0
         assert all(row["bedrooms"] == int(bedrooms.options[0]) for row in matched)
 
     def test_non_numeric_value_on_numeric_column_matches_nothing(self, car_site):

@@ -10,45 +10,45 @@ import pytest
 
 from repro.datagen.domains import domain, domain_names
 from repro.htmlparse import extract_forms
+from repro.relational import Eq
 from repro.util.rng import SeededRng
 from repro.webspace import sitegen
 from repro.webspace.sitegen import (
     WebConfig,
     build_deep_site,
     build_form,
-    build_database,
+    build_table,
     generate_deep_sites,
     generate_web,
 )
 
 
-class TestBuildDatabase:
-    def test_database_has_requested_rows(self):
-        database = build_database(domain("books"), 35, SeededRng(1))
-        assert database.total_rows() == 35
+class TestBuildTable:
+    def test_table_has_requested_rows(self):
+        table = build_table(domain("books"), 35, SeededRng(1))
+        assert table.primary_keys() == list(range(1, 36))
 
     def test_select_columns_are_indexed(self):
-        database = build_database(domain("used_cars"), 20, SeededRng(1))
-        # Index presence is observable through correct equality answers.
-        table = database.table("listings")
+        table = build_table(domain("used_cars"), 20, SeededRng(1))
         make = table.distinct_values("make")[0]
-        from repro.relational.predicate import Eq
-
-        assert all(row["make"] == make for row in table.scan(Eq("make", make)))
+        rows, total = table.page(Eq("make", make), 0, 20)
+        assert total == len(rows) == sum(row["make"] == make for row in table.rows)
+        assert all(row["make"] == make for row in rows)
+        assert sorted(table._indexes) == ["body_style", "color", "make"]
 
 
 class TestBuildForm:
     def test_form_covers_domain_inputs(self):
         spec = domain("used_cars")
-        database = build_database(spec, 40, SeededRng(2))
-        form = build_form(spec, database, SeededRng(3))
+        table = build_table(spec, 40, SeededRng(2))
+        form = build_form(spec, table, SeededRng(3))
         roles = {input_spec.role for input_spec in form.inputs}
         assert {"search_box", "select", "typed_text", "range_min", "range_max"} <= roles
 
     def test_range_inputs_share_options(self):
         spec = domain("used_cars")
-        database = build_database(spec, 40, SeededRng(2))
-        form = build_form(spec, database, SeededRng(3), range_value_count=10)
+        table = build_table(spec, 40, SeededRng(2))
+        form = build_form(spec, table, SeededRng(3), range_value_count=10)
         price_inputs = [spec_ for spec_ in form.inputs if spec_.column == "price"]
         assert len(price_inputs) == 2
         assert price_inputs[0].options == price_inputs[1].options
@@ -56,10 +56,10 @@ class TestBuildForm:
 
     def test_select_options_come_from_data(self):
         spec = domain("books")
-        database = build_database(spec, 40, SeededRng(4))
-        form = build_form(spec, database, SeededRng(5))
+        table = build_table(spec, 40, SeededRng(4))
+        form = build_form(spec, table, SeededRng(5))
         genre_input = next(spec_ for spec_ in form.inputs if spec_.column == "genre")
-        table_values = {str(value) for value in database.table("books").distinct_values("genre")}
+        table_values = {str(value) for value in table.distinct_values("genre")}
         assert set(genre_input.options) == table_values
 
     def test_form_renders_and_parses_back(self):
@@ -125,38 +125,38 @@ class TestGenerateWeb:
 
 def backend(site):
     """What a site's first fetch builds, and what its homepage renders."""
-    return site.database.all_rows(), site.forms, site.handle(site.homepage_url()).html
+    return site.table.rows, site.forms, site.handle(site.homepage_url()).html
 
 
 @pytest.fixture
-def database_builds(monkeypatch):
-    """Every ``build_database`` call, recorded as it returns."""
+def table_builds(monkeypatch):
+    """Every ``build_table`` call, recorded as it returns."""
     built = []
-    build_database = sitegen.build_database
+    build_table = sitegen.build_table
 
     def counted(*args):
         time.sleep(0.005)  # widen the window for two threads to race a build
-        built.append(build_database(*args))
+        built.append(build_table(*args))
         return built[-1]
 
-    monkeypatch.setattr(sitegen, "build_database", counted)
+    monkeypatch.setattr(sitegen, "build_table", counted)
     return built
 
 
 class TestBuiltOnFirstUse:
     CONFIG = WebConfig(total_deep_sites=6, surface_site_count=1, max_records=80, seed=31)
 
-    def test_generating_a_web_builds_no_database(self, database_builds):
+    def test_generating_a_web_builds_no_table(self, table_builds):
         web = generate_web(self.CONFIG)
         assert len(web.deep_sites()) == 6
-        assert database_builds == []
+        assert table_builds == []
 
-    def test_counting_records_builds_no_database(self, database_builds):
+    def test_counting_records_builds_no_table(self, table_builds):
         web = generate_web(self.CONFIG)
         total = web.total_deep_records()
-        assert database_builds == []
-        assert total == sum(site.database.total_rows() for site in web.deep_sites())
-        assert len(database_builds) == len(web.deep_sites())
+        assert table_builds == []
+        assert total == sum(len(site.table.rows) for site in web.deep_sites())
+        assert len(table_builds) == len(web.deep_sites())
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_build_order_changes_no_row_form_or_homepage(self, order):
@@ -169,7 +169,7 @@ class TestBuiltOnFirstUse:
         expected = {site.host: backend(site) for site in forward}
         assert {site.host: backend(site) for site in touched} == expected
 
-    def test_concurrent_first_reads_share_one_build(self, database_builds):
+    def test_concurrent_first_reads_share_one_build(self, table_builds):
         site = generate_web(self.CONFIG).deep_sites()[0]
         start = threading.Barrier(8, timeout=10)
         seen = [None] * 8
@@ -178,11 +178,11 @@ class TestBuiltOnFirstUse:
             start.wait()
             if index % 2:  # half the threads read the forms first
                 forms = site.forms
-                database = site.database
+                table = site.table
             else:
-                database = site.database
+                table = site.table
                 forms = site.forms
-            seen[index] = (forms, database)
+            seen[index] = (forms, table)
 
         threads = [threading.Thread(target=first_touch, args=(i,)) for i in range(8)]
         for thread in threads:
@@ -190,10 +190,10 @@ class TestBuiltOnFirstUse:
         for thread in threads:
             thread.join(timeout=10)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(database_builds) == 1
-        forms, database = seen[0]
-        assert database is database_builds[0]
-        assert all(pair[0] is forms and pair[1] is database for pair in seen)
+        assert len(table_builds) == 1
+        forms, table = seen[0]
+        assert table is table_builds[0]
+        assert all(pair[0] is forms and pair[1] is table for pair in seen)
 
     @pytest.mark.parametrize("touched", [False, True])
     def test_a_site_pickles_before_and_after_its_build(self, touched):

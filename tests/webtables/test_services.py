@@ -153,11 +153,7 @@ class TestSemanticServer:
         from repro.webspace.sitegen import WebConfig, generate_web
 
         config = WebConfig(total_deep_sites=5, surface_site_count=1, max_records=60, seed=9)
-        # The premise that lets a per-site detail budget stand in for
-        # from_web's old per-table one.
         sampled = generate_web(config)
-        assert all(len(list(site.database.tables())) == 1 for site in sampled.deep_sites())
-
         server = SemanticServer.from_web(sampled, detail_pages_per_site=7)
         service = DeepWebService.build().web(config).create()
         admitted = service.harvest_tables(detail_pages_per_site=7)
