@@ -3,8 +3,9 @@
 A score is the float sum, in query-token order, of one cached ``idf *
 tf_component`` impact per token, and :func:`rank_accumulator` orders the
 sums.  A top-``limit`` query walks only the postings of the terms that can
-change its answer (MaxScore: Turtle & Flood, IP&M 1995); after a write it
-prunes on each term's last exact impact map and rescores only the survivors.
+change its answer (MaxScore: Turtle & Flood, IP&M 1995) -- inside each
+group when the ``limit`` applies per group; after a write it prunes on each
+term's last exact impact map and rescores only the survivors.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ _MARGIN = 1.0 - 1e-9
 
 #: ``((idf, avgdl, len(postings)), impacts, max impact, {limit: limit-th impact})``
 _TermImpacts = tuple[tuple[float, float, int], dict[int, float], float, dict[int, float]]
+
+#: A term's cached build: its ``_TermImpacts`` plus the build's split by
+#: group -- empty until the build's first grouped read, then ``[group,
+#: {group key: _TermImpacts over that group's postings}]``.
+_TermEntry = tuple[tuple[float, float, int], dict[int, float], float, dict[int, float], list]
 
 
 def rank_accumulator(
@@ -46,7 +52,9 @@ def rank_accumulator(
     its group, so every entry is visited; the walk therefore orders the
     ids with two stable C-level sorts (ascending id, then descending
     score -- the order the key below spells out) instead of one Python
-    key call per entry.
+    key call per entry.  Only the cluster's merge ranks by group here: a
+    single index prunes inside each group instead
+    (:meth:`InvertedIndex.score`) and ranks each group's survivors alone.
     """
     items: Iterable[tuple[int, float]] = accumulator.items()
     if limit is not None and limit < len(accumulator):
@@ -117,11 +125,16 @@ class InvertedIndex:
     on read, not a clear on write, is what keeps them correct.
 
     A score sums a document's impacts in query-token order, exactly as the
-    textbook loop does.  A top-``limit`` query with no ``group`` and two or
-    more matching terms prunes (MaxScore): any one term's ``limit``-th
-    impact bounds the ``limit``-th score from below, tokens whose summed
-    max impact stays under the bound are only looked up, and documents
-    that cannot reach it are dropped before they are rescored exactly.
+    textbook loop does.  A top-``limit`` query with two or more matching
+    terms prunes (MaxScore): any one term's ``limit``-th impact bounds the
+    ``limit``-th score from below, tokens whose summed max impact stays
+    under the bound are only looked up, and documents that cannot reach it
+    are dropped before they are rescored exactly.  With a ``group``, the
+    same pass runs once per group over the build's split by group (made on
+    the build's first grouped read, sharing its floats, freed with it); a
+    group whose maps are all shorter than ``limit`` has no bound and is
+    walked whole.  A split is kept while reads pass an equal ``group``
+    callable, so a document's group must never change.
 
     A write frees no impact map: each term keeps the entry of its last
     exact build, which a read with other ingredients finds stale.  An
@@ -133,10 +146,9 @@ class InvertedIndex:
     plus every document appended to a stale term since its build, and
     rescores those exactly; a term whose postings doubled since its
     build is rebuilt instead.  Queries that walk every posting rebuild
-    what they find stale.  Shards and ``group`` ranking do not prune: a
+    what they find stale, and so do grouped reads.  Shards do not prune: a
     shard holds a slice of every posting list, so the bound's fixed cost
-    outweighed its saving (measured), and a small group often has fewer
-    than ``limit`` matches, which leaves its bound at 0.  One re-entrant
+    outweighed its saving (measured).  One re-entrant
     lock serializes writes, scoring and the export, so each answer is the
     answer after some prefix of the writes.
     """
@@ -150,14 +162,11 @@ class InvertedIndex:
         # term -> (document count, idf)
         self._idf_cache: dict[str, tuple[int, float]] = {}
         # term -> its last exact build, current while its triple is the read's
-        self._impact_cache: dict[str, _TermImpacts] = {}
+        self._impact_cache: dict[str, _TermEntry] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._doc_lengths)
-
-    def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._doc_lengths
 
     def average_length(self) -> float:
         if not self._doc_lengths:
@@ -240,7 +249,7 @@ class InvertedIndex:
     def _impacts(
         self, term: str, idf: float, average_length: float,
         stale: dict[str, tuple[float, float]] | None = None,
-    ) -> _TermImpacts:
+    ) -> _TermEntry:
         """The last exact build of ``term``, rebuilt if stale -- unless
         ``stale`` is given and the build can bound it: then the build is
         returned and ``stale[term]`` is ``(low, high)``, the factors each of
@@ -260,9 +269,34 @@ class InvertedIndex:
                 stale[term] = (scale * min(1.0, ratio), scale * max(1.0, ratio))
                 return cached
         impacts = self._impact_map(postings.items(), idf, average_length)
-        entry = (key, impacts, max(impacts.values()), {})
+        entry = (key, impacts, max(impacts.values()), {}, [])
         self._impact_cache[term] = entry
         return entry
+
+    @staticmethod
+    def _split(
+        entry: _TermEntry, group: Callable[[int], Hashable]
+    ) -> dict[Hashable, _TermImpacts]:
+        """``entry``'s build split by ``group``: per group key, the impacts
+        of that group's documents (the build's own float objects, in posting
+        order), their max and a fresh ``limit``-th memo.  Made once per build
+        and ``group``; a read with an unequal callable makes it again."""
+        split = entry[4]
+        if split and split[0] == group:
+            return split[1]
+        by_group: dict[Hashable, dict[int, float]] = {}
+        for doc_id, impact in entry[1].items():
+            key = group(doc_id)
+            impacts = by_group.get(key)
+            if impacts is None:
+                impacts = by_group[key] = {}
+            impacts[doc_id] = impact
+        idf, average_length, _count = entry[0]
+        split[:] = group, {
+            key: ((idf, average_length, len(impacts)), impacts, max(impacts.values()), {})
+            for key, impacts in by_group.items()
+        }
+        return split[1]
 
     def accumulate(
         self,
@@ -362,13 +396,13 @@ class InvertedIndex:
         margin = _MARGIN * slack
         theta = 0.0
         for entry in sorted(entries.values(), key=itemgetter(2), reverse=True):
-            key, impacts, top, kth_by_limit = entry
-            if top <= theta:
+            if entry[2] <= theta:
                 break
-            if key[2] >= limit:
+            if entry[0][2] >= limit:
+                kth_by_limit = entry[3]
                 kth = kth_by_limit.get(limit)
                 if kth is None:
-                    kth = kth_by_limit[limit] = heapq.nlargest(limit, impacts.values())[-1]
+                    kth = kth_by_limit[limit] = heapq.nlargest(limit, entry[1].values())[-1]
                 theta = max(theta, kth)
         # The longest ascending-max prefix of tokens whose summed max stays
         # below theta cannot rank a document alone: it is never walked.
@@ -419,13 +453,47 @@ class InvertedIndex:
         ascending doc id (for determinism).  ``limit`` truncates the list
         (via :func:`rank_accumulator`'s top-k selection, which produces
         exactly the same ordering as the full sort) -- per ``group`` of
-        documents when one is given.  Without a ``group``, only the
-        postings that can change the top ``limit`` are walked.
+        documents when one is given, and then only the postings that can
+        change a group's top ``limit`` are walked, group by group.  A
+        document's ``group`` must never change (see the class docstring).
         """
         tokens = list(query_tokens)
+        grouped = group is not None and limit is not None and limit > 0
         with self._lock:
             idf_by_term = {term: self.idf(term) for term in tokens if term in self._postings}
-            accumulator: dict[int, float] = {}
-            pruning_limit = limit if group is None else None
-            self.accumulate(tokens, idf_by_term, self.average_length(), accumulator, pruning_limit)
-        return rank_accumulator(accumulator, limit, group)
+            average_length = self.average_length()
+            if grouped:
+                tops = self._accumulate_groups(tokens, idf_by_term, average_length, limit, group)
+            else:
+                accumulator: dict[int, float] = {}
+                self.accumulate(tokens, idf_by_term, average_length, accumulator, limit)
+        if not grouped:
+            # No positive limit, or no group: a group would change nothing.
+            return rank_accumulator(accumulator, limit)
+        # Ranked outside the lock, as an ungrouped read is: a reader that
+        # takes the lock again at once starved a waiting writer (measured).
+        # Each group's best, merged by (-score, doc_id), is the grouped rank.
+        ranked = [pair for top in tops for pair in rank_accumulator(top, limit)]
+        ranked.sort(key=lambda item: (-item[1], item[0]))
+        return ranked
+
+    def _accumulate_groups(
+        self, tokens: list[str], idf_by_term: Mapping[str, float], average_length: float,
+        limit: int, group: Callable[[int], Hashable],
+    ) -> list[dict[int, float]]:
+        """Per group with postings for a query term, the documents that can
+        rank among the group's ``limit`` best, with their exact scores:
+        MaxScore over that group's split of each term's build.  Stale terms
+        are rebuilt first, as a full walk would: a split is always of an
+        exact build."""
+        splits = {
+            term: self._split(self._impacts(term, idf, average_length), group)
+            for term, idf in idf_by_term.items()
+        }
+        tops = []
+        for key in dict.fromkeys(key for split in splits.values() for key in split):
+            entries = {term: split[key] for term, split in splits.items() if key in split}
+            top: dict[int, float] = {}
+            self._accumulate_top([term for term in tokens if term in entries], entries, limit, top)
+            tops.append(top)
+        return tops

@@ -127,7 +127,10 @@ class DocumentCatalog:
         self._url_to_doc: dict[str, int] = {}
         #: Each document's source tag by doc id (slot 0 unused): its
         #: ``__getitem__`` is the C-level ``group`` a ``per_source`` search
-        #: hands ``rank_accumulator``.
+        #: hands the index, which prunes inside each source, or the
+        #: cluster's merge (``rank_accumulator``).  Append-only, so a
+        #: document's group never changes -- the index keeps each term's
+        #: split by source while reads pass this list's ``__getitem__``.
         self._sources: list[str] = [""]
 
     def __len__(self) -> int:

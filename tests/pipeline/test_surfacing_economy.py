@@ -314,6 +314,47 @@ def test_top_k_scoring_on_the_keyword_population():
     assert exact < matched
 
 
+def test_per_source_top_k_on_the_keyword_population():
+    """Per-source top-10 on ``RATCHET_WEB``'s index after a table harvest
+    (so surfaced and webtable documents share it) equals the
+    grouped rank of every match, and the MaxScore pass inside each source
+    computes exact scores only for documents that can rank in it."""
+    service = (
+        DeepWebService.build()
+        .web(RATCHET_WEB)
+        .surfacing(SurfacingConfig(max_urls_per_form=200))
+        .create()
+    )
+    service.surface()
+    service.harvest_tables()
+    backend = service.engine.backend
+    index = backend.index
+    group = backend._sources.__getitem__
+    assert set(backend.stats().by_source) == {"surfaced", "webtable"}
+    exact = [0]
+    accumulate_top = index._accumulate_top
+
+    def counting(tokens, entries, limit, accumulator, *rest):
+        accumulate_top(tokens, entries, limit, accumulator, *rest)
+        exact[0] += len(accumulator)
+
+    index._accumulate_top = counting
+    queries = [tokenize(query.text) for query in WorkloadGenerator(service.web).population()]
+    matched = 0
+    for tokens in queries:
+        idf_by_term = {term: index.idf(term) for term in tokens if index.document_frequency(term)}
+        full: dict[int, float] = {}
+        index.accumulate(tokens, idf_by_term, index.average_length(), full)
+        assert index.score(tokens, limit=10, group=group) == rank_accumulator(full, 10, group)
+        matched += len(full)
+    # CI greps this line out of a ``-s`` run into the job summary.
+    print(
+        f"\nper-source top-k: {len(queries)} queries, "
+        f"exact scores for {exact[0]} of {matched} matched documents"
+    )
+    assert exact[0] < matched
+
+
 def test_top_k_after_writes_recomputes_fewer_impacts_than_the_stale_postings():
     """``RATCHET_WEB``'s last fifth re-added one document at a time, with
     eight population queries after each write: every top-10 answer equals a

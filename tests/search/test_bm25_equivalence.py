@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.search import inverted_index
 from repro.search.inverted_index import InvertedIndex
+from test_inverted_index import brute_force_grouped
 
 
 def naive_accumulate(index: InvertedIndex, docs, query, idf_by_term, average_length):
@@ -369,14 +370,20 @@ class TestTopKAcrossWrites:
     def test_a_term_holds_one_map_its_last_build(self, monkeypatch):
         """A post-write query bounds from the very dict the term's last build
         made, not a copy, and a rebuild replaces that dict: nothing in the
-        index holds the old one any more."""
+        index holds the old one, or the old build's split by group, any
+        more."""
         docs = {
             doc_id: ["book"] * (1 + doc_id % 3) + ["sale"] * (doc_id % 2) for doc_id in range(1, 61)
         }
         index = index_of(docs)
         query = ["book", "sale"]
+        labels = [None] + ["even" if doc_id % 2 == 0 else "odd" for doc_id in range(1, 62)]
         index.score(query, limit=3)
+        index.score(query, limit=3, group=labels.__getitem__)
         old = index._impact_cache["book"][1]
+        old_split = index._impact_cache["book"][4][1]
+        old_odd = old_split["odd"][1]
+        assert all(old_odd[doc_id] is old[doc_id] for doc_id in old_odd)  # shared floats
         index.add_document(61, ["book", "sale", "sale"])
         bounded_from: list[dict[int, float]] = []
         accumulate_top = index._accumulate_top
@@ -391,7 +398,14 @@ class TestTopKAcrossWrites:
         index.score(query)  # a full walk rebuilds every stale term
         assert index._impact_cache["book"][1] is not old
         assert len(index._impact_cache["book"][1]) == 61
+        assert index._impact_cache["book"][4] == []  # no split until a grouped read
         assert sys.getrefcount(old) == 2  # ``old`` and the argument
+        assert sys.getrefcount(old_split) == 2
+        assert sys.getrefcount(old_odd) == 3  # ``old_odd``, ``old_split``'s entry, the argument
+        del old_split
+        assert sys.getrefcount(old_odd) == 2
+        index.score(query, limit=3, group=labels.__getitem__)
+        assert len(index._impact_cache["book"][4][1]["odd"][1]) == 31
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -460,6 +474,137 @@ class TestTopKAcrossWrites:
                 assert {doc_id for doc_id, score in full_sort if score >= kth} <= top.keys()
 
 
+@st.composite
+def source_lists(draw, count: int) -> list:
+    """A group label per doc id 1..``count`` (slot 0 unused, as in the
+    catalog's source list): one group, every document its own group, or
+    two groups and a small one of at most two documents -- fewer matches
+    than most limits."""
+    kind = draw(st.sampled_from(["one", "singletons", "few"]))
+    if kind == "one":
+        return [None] + ["all"] * count
+    if kind == "singletons":
+        return [None] + list(range(1, count + 1))
+    labels = draw(st.lists(st.sampled_from(["a", "b"]), min_size=count, max_size=count))
+    for position in draw(st.sets(st.integers(0, count - 1), max_size=2)):
+        labels[position] = "small"
+    return [None] + labels
+
+
+@st.composite
+def grouped_corpora(draw):
+    docs, query = draw(skewed_corpora())
+    return docs, query, draw(source_lists(len(docs)))
+
+
+@st.composite
+def grouped_writes_between_queries(draw):
+    """``writes_between_queries`` with a source list, and a label per
+    operation for the document an add appends (``"own"``: a group of its
+    own)."""
+    docs, operations = draw(writes_between_queries())
+    labels = draw(source_lists(len(docs)))
+    appended = draw(
+        st.lists(
+            st.sampled_from(["a", "b", "small", "own"]),
+            min_size=len(operations), max_size=len(operations),
+        )
+    )
+    return docs, operations, labels, appended
+
+
+class TestGroupedTopK:
+    """A grouped top-``limit`` query runs MaxScore inside each group; its
+    answer stays the brute-force grouped rank of the naive scores."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_corpora())
+    def test_every_limit_equals_the_brute_force_grouped_rank(self, case):
+        docs, query, labels = case
+        index = index_of(docs)
+        naive = dict(naive_score(index, docs, query))
+        for limit in [None, *range(0, len(naive) + 2)]:
+            expected = brute_force_grouped(naive, limit, labels)
+            assert index.score(query, limit, labels.__getitem__) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_writes_between_queries())
+    def test_grouped_top_k_across_writes_equals_the_brute_force_grouped_rank(self, case):
+        """Adds between queries leave builds stale; plain top-k reads keep
+        pruning on them, grouped reads rebuild them, in either order."""
+        docs, operations, labels, appended = case
+        docs = dict(docs)
+        labels = list(labels)
+        index = index_of(docs)
+        for operation, label in zip(operations, appended):
+            if operation[0] == "add":
+                doc_id = len(docs) + 1
+                docs[doc_id] = list(operation[1])
+                labels.append(doc_id if label == "own" else label)
+                index.add_document(doc_id, docs[doc_id])
+                continue
+            _kind, query, draw = operation
+            full_sort = naive_score(index, docs, query)
+            limit = 1 + draw % (len(full_sort) + 1)
+            grouped = brute_force_grouped(dict(full_sort), limit, labels)
+            reads = [
+                lambda: index.score(query, limit) == full_sort[:limit],
+                lambda: index.score(query, limit, labels.__getitem__) == grouped,
+            ]
+            for read in reads if draw % 2 else reads[::-1]:
+                assert read()
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_corpora(), st.data())
+    def test_two_groupings_called_alternately(self, case, data):
+        """A build's split is of the ``group`` it was made with: a read
+        with another grouping must not be answered from it."""
+        docs, query, first = case
+        second = data.draw(source_lists(len(docs)))
+        index = index_of(docs)
+        naive = dict(naive_score(index, docs, query))
+        for limit in range(1, len(naive) + 2):
+            for labels in (first, second, first):
+                expected = brute_force_grouped(naive, limit, labels)
+                assert index.score(query, limit, labels.__getitem__) == expected
+
+    def test_one_group_then_singletons_on_one_index(self):
+        docs = {
+            doc_id: ["book"] * (1 + doc_id % 4) + ["sale"] * (doc_id % 3) for doc_id in range(1, 13)
+        }
+        index = index_of(docs)
+        query = ["book", "sale"]
+        naive = dict(naive_score(index, docs, query))
+        one = [None] + ["all"] * len(docs)
+        singletons = [None] + list(docs)
+        for labels, pairs in ((one, 1), (singletons, 12), (one, 1), (singletons, 12)):
+            answer = index.score(query, 1, labels.__getitem__)
+            assert answer == brute_force_grouped(naive, 1, labels)
+            assert len(answer) == pairs
+
+    def test_pruning_fires_inside_each_group(self, monkeypatch):
+        """Two large groups: each ranks only the documents that can reach
+        its own top 3, not every match."""
+        docs = {doc_id: ["book"] * (1 + doc_id % 3) for doc_id in range(1, 201)}
+        for doc_id in (7, 40, 41, 93, 150, 151, 188):
+            docs[doc_id] = docs[doc_id] + ["zanzibar"]
+        labels = [None] + ["even" if doc_id % 2 == 0 else "odd" for doc_id in docs]
+        index = index_of(docs)
+        query = ["book", "zanzibar"]
+        ranked: list[int] = []
+        accumulate_top = index._accumulate_top
+
+        def counting(tokens, entries, limit, accumulator, *rest):
+            accumulate_top(tokens, entries, limit, accumulator, *rest)
+            ranked.append(len(accumulator))
+
+        monkeypatch.setattr(index, "_accumulate_top", counting)
+        answer = index.score(query, 3, labels.__getitem__)
+        assert answer == brute_force_grouped(dict(naive_score(index, docs, query)), 3, labels)
+        assert len(ranked) == 2
+        assert sum(ranked) < len(docs) // 2
+
+
 class TestConcurrentReaders:
     def test_threads_on_a_cold_index_agree_with_a_serial_reader(self):
         """Frontend workers fill the per-term impact entries and their
@@ -493,11 +638,12 @@ class TestConcurrentReaders:
         assert not any(thread.is_alive() for thread in threads)
         assert answers == {worker: serial for worker in range(8)}
 
-    def test_a_writer_beside_two_readers_answers_at_some_prefix_of_the_writes(self):
-        """One thread adds documents holding ``book`` while two score it.
-        No read may raise, and each answer is the answer after some prefix
-        of the writes: at least those done before the call, at most those
-        begun before it returned."""
+    def test_a_writer_beside_three_readers_answers_at_some_prefix_of_the_writes(self):
+        """One thread adds documents holding ``book`` while three score it,
+        the third per group of a source list the writer appends to before
+        each add (as the catalog does).  No read may raise, and each answer
+        is the answer after some prefix of the writes: at least those done
+        before the call, at most those begun before it returned."""
         rng = random.Random(43)
         vocabulary = ["book"] * 4 + [f"w{i}" for i in range(40)]
         docs = {
@@ -507,24 +653,38 @@ class TestConcurrentReaders:
         writes = [
             (3000 + i, ["book"] * (1 + i % 3) + [f"w{i % 9}"] * (i % 2)) for i in range(1, 201)
         ]
-        queries = [(["book", "w7"], 10), (["book"], 25)]
+        sources = ("surface", "surfaced", "webtable", "vertical-source")
+        labels = [None] + [rng.choice(sources) for _ in docs]
+        every_label = labels + [sources[i % 4] for i in range(1, 201)]
+        queries = [
+            (["book", "w7"], 10, None), (["book"], 25, None), (["w7", "book", "w3"], 3, labels)
+        ]
         reference = index_of(docs)
-        expected = [[reference.score(query)[:limit] for query, limit in queries]]
+
+        def answers() -> list:
+            return [
+                reference.score(query)[:limit] if grouping is None
+                else brute_force_grouped(dict(reference.score(query)), limit, every_label)
+                for query, limit, grouping in queries
+            ]
+
+        expected = [answers()]
         for doc_id, tokens in writes:
             reference.add_document(doc_id, tokens)
-            expected.append([reference.score(query)[:limit] for query, limit in queries])
+            expected.append(answers())
 
         shared = index_of(docs)
         started = [0]
         completed = [0]
         done = threading.Event()
         errors: list[Exception] = []
-        logs: list[list] = [[], []]
+        logs: list[list] = [[], [], []]
 
         def writer() -> None:
             try:
                 for doc_id, tokens in writes:
                     started[0] += 1
+                    labels.append(every_label[doc_id])
                     shared.add_document(doc_id, tokens)
                     completed[0] += 1
             except Exception as error:  # reported by the main thread below
@@ -533,12 +693,13 @@ class TestConcurrentReaders:
                 done.set()
 
         def reader(which: int) -> None:
-            query, limit = queries[which]
+            query, limit, grouping = queries[which]
+            group = None if grouping is None else grouping.__getitem__
             try:
                 while True:
                     finished = done.is_set()
                     low = completed[0]
-                    answer = shared.score(query, limit=limit)
+                    answer = shared.score(query, limit=limit, group=group)
                     logs[which].append((low, started[0], answer))
                     if finished:
                         return
@@ -546,7 +707,7 @@ class TestConcurrentReaders:
                 errors.append(error)
 
         threads = [threading.Thread(target=writer)] + [
-            threading.Thread(target=reader, args=(which,)) for which in range(2)
+            threading.Thread(target=reader, args=(which,)) for which in range(len(queries))
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

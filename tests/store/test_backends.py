@@ -265,6 +265,42 @@ class TestSourceGroup:
                 for cluster in clusters:
                     assert cluster.search(tokens, limit=limit, per_source=True) == expected
 
+    def test_per_source_rankings_agree_across_writes_and_a_reopen(self, tmp_path, cluster_of):
+        """Writes land between per-source searches (each one leaves the
+        queried terms' builds stale): memory, sqlite before and after a
+        reopen, and the 1x1 and 4x1 clusters -- which merge every match
+        by group instead of pruning inside each -- answer alike."""
+        corpus = mixed_source_corpus()
+        corpus += [
+            record(f"u://more/{item.url}", " ".join(reversed(item.tokens)), source=item.source)
+            for item in corpus[::3]
+        ]
+        queries = (["alpha"], ["bravo", "delta"], ["charlie", "alpha", "delta"])
+        path = tmp_path / "store.sqlite3"
+        memory = InMemoryBackend()
+        clusters = [cluster_of(1), cluster_of(4)]
+        stored = SqliteBackend(path)
+        searched = 0
+        for position, item in enumerate(corpus, start=1):
+            if position == 41:
+                stored.close()
+                stored = SqliteBackend(path)
+                assert len(stored) == 40
+            for backend in (memory, stored, *clusters):
+                backend.add(item)
+            if position % 7:
+                continue
+            for tokens in queries:
+                for limit in (1, 2, 5):
+                    expected = memory.search(tokens, limit=limit, per_source=True)
+                    assert stored.search(tokens, limit=limit, per_source=True) == expected
+                    for cluster in clusters:
+                        assert cluster.search(tokens, limit=limit, per_source=True) == expected
+                    searched += bool(expected)
+        stored.close()
+        assert searched > 60
+        assert_source_group_matches(memory)
+
 
 class TestShardedSpecifics:
     def test_shard_count_validation(self):
