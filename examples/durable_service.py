@@ -10,7 +10,7 @@ completed site into the same file, and ``service.snapshot()`` writes
   (the load meter proves zero surfacer fetches);
 * **resume** -- a second service opened on the same directory reads the
   completed sites from the store instead of refetching, so an interrupted
-  ``surface_many`` would continue exactly where it stopped.
+  ``surface()`` would continue exactly where it stopped.
 
 Run:  python examples/durable_service.py [state_dir]
 """

@@ -17,6 +17,7 @@ from typing import Sequence
 from repro.api import DeepWebService
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.pipeline.observer import PipelineObserver
+from repro.pipeline.pipeline import SurfacingPipeline
 from repro.search.crawler import CrawlStats
 from repro.search.engine import SearchEngine
 from repro.search.querylog import QueryLog, QueryLogConfig, QueryLogGenerator
@@ -92,15 +93,10 @@ def surface_world(
     world so callers can reach the pipeline and stage metrics
     afterwards.
     """
-    builder = (
-        DeepWebService.build()
-        .web(world.web)
-        .engine(world.engine)
-        .surfacing(surfacing_config or SurfacingConfig())
+    pipeline = SurfacingPipeline(
+        world.web, world.engine, surfacing_config, observers=observers
     )
-    for observer in observers:
-        builder = builder.observer(observer)
-    service = builder.create()
+    service = DeepWebService(pipeline=pipeline)
     service.crawl_stats = world.crawl_stats
     world.service = service
     world.surfacing_results = service.surface()

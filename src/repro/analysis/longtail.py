@@ -138,10 +138,6 @@ class HeadTailSplit:
     head_rate: float
     tail_rate: float
 
-    @property
-    def tail_dominates(self) -> bool:
-        return self.tail_rate > self.head_rate
-
 
 def head_tail_split(report: ImpactReport) -> HeadTailSplit:
     return HeadTailSplit(head_rate=report.head_impact_rate, tail_rate=report.tail_impact_rate)

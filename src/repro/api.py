@@ -17,9 +17,9 @@ fluent builder:
     hits = service.search("red toyota camry")
     print(service.report())
 
-All site surfacing -- ``surface()`` and ``surface_many()`` -- goes
-through one loop, :meth:`~repro.pipeline.pipeline.SurfacingPipeline.surface_many`,
-which writes every site straight into the shared index; for services
+Site surfacing -- ``surface()`` -- goes through one loop,
+:meth:`~repro.pipeline.pipeline.SurfacingPipeline.surface_many`, which
+writes every site straight into the shared index; for services
 built with ``persist()`` each site is also one sqlite transaction, so a
 run is checkpointed per site and resumable.
 
@@ -191,7 +191,6 @@ class DeepWebServiceBuilder:
     def __init__(self) -> None:
         self._web: Web | None = None
         self._web_config: WebConfig | None = None
-        self._engine: SearchEngine | None = None
         self._store: StorageBackend | None = None
         self._surfacing: SurfacingConfig | None = None
         self._observers: list[PipelineObserver] = []
@@ -210,14 +209,10 @@ class DeepWebServiceBuilder:
             raise TypeError(f"web() expects a Web or WebConfig, got {type(web).__name__}")
         return self
 
-    def engine(self, engine: SearchEngine) -> "DeepWebServiceBuilder":
-        self._engine = engine
-        return self
-
     def store(self, backend: StorageBackend) -> "DeepWebServiceBuilder":
         """Back the service's search engine with a specific storage
         backend (``SqliteBackend(path)``, ``ClusterBackend(...)``); mutually
-        exclusive with :meth:`engine` and :meth:`persist`."""
+        exclusive with :meth:`persist`."""
         self._store = backend
         return self
 
@@ -242,12 +237,12 @@ class DeepWebServiceBuilder:
         transaction that also records the completed site in that same
         file, and ``service.snapshot()`` defaults to
         ``<path>/snapshot.json``.  Reopening the same directory resumes:
-        stored documents reload, and an interrupted ``surface_many``
-        skips the completed sites with output identical to an
-        uninterrupted run.  An exception anywhere inside a site rolls
-        that site off disk and retires the store until the directory is
-        reopened.  Mutually exclusive with :meth:`engine` and
-        :meth:`store` (persistence must own the storage backend)."""
+        stored documents reload, and an interrupted ``surface()`` skips
+        the completed sites with output identical to an uninterrupted
+        run.  An exception anywhere inside a site rolls that site off
+        disk and retires the store until the directory is reopened.
+        Mutually exclusive with :meth:`store` (persistence must own the
+        storage backend)."""
         self._persist_dir = Path(path)
         return self
 
@@ -304,19 +299,18 @@ class DeepWebServiceBuilder:
         if self._resilience is not None:
             policy, breakers = self._resilience
             web = ResilientWeb(web, policy=policy, breakers=breakers)
-        if sum(part is not None for part in (self._engine, self._store, self._persist_dir)) > 1:
-            raise ValueError("pass at most one of engine(), store(), persist()")
+        if self._store is not None and self._persist_dir is not None:
+            raise ValueError("pass at most one of store(), persist()")
         store = self._store
         if self._persist_dir is not None:
             # Imported lazily: repro.persist builds on this module.
             from repro.persist import SqliteBackend
 
             store = SqliteBackend(self._persist_dir / "store.sqlite3")
-        engine = self._engine if self._engine is not None else SearchEngine(backend=store)
         metrics = MetricsObserver()
         pipeline = SurfacingPipeline(
             web,
-            engine,
+            SearchEngine(backend=store),
             self._surfacing,
             observers=[metrics, *self._observers],
         )
@@ -343,7 +337,7 @@ class DeepWebService:
         self.pipeline = pipeline
         self.metrics = metrics or MetricsObserver()
         if self.metrics not in self.pipeline.observers:
-            self.pipeline.add_observer(self.metrics)
+            self.pipeline.observers.append(self.metrics)
         self.results: list[SiteSurfacingResult] = []
         self.crawl_stats: CrawlStats | None = None
         self._corpus: TableCorpus | None = None
@@ -524,35 +518,16 @@ class DeepWebService:
         inside a site also rolls that site off disk and retires the store:
         reopen the directory to resume."""
         targets = list(sites) if sites is not None else self.web.deep_sites()
+        # Only persist() owns a sqlite store, and with it the resume record.
+        store = self.store if self.persist_dir is not None else None
         kept = self.metrics.totals
         self.metrics.reset()
         try:
-            self.results = self._surface(targets)
+            self.results = self.pipeline.surface_many(targets, store=store)
         except BaseException:
             self.metrics.totals = kept
             raise
         return self.results
-
-    def surface_many(self, sites: Iterable[DeepWebSite]) -> list[SiteSurfacingResult]:
-        """Surface a batch of sites, accumulating onto previously stored
-        results (progress indices stay global)."""
-        targets = list(sites)
-        batch_results = self._surface(
-            targets, start_index=len(self.results), total=len(self.results) + len(targets)
-        )
-        self.results.extend(batch_results)
-        return batch_results
-
-    def _surface(
-        self, sites: list[DeepWebSite], start_index: int = 0, total: int | None = None
-    ) -> list[SiteSurfacingResult]:
-        # Only persist() owns a sqlite store, and with it the resume record.
-        store = self.store if self.persist_dir is not None else None
-        return self.pipeline.surface_many(sites, start_index, total, store=store)
-
-    def surface_site(self, site: DeepWebSite) -> SiteSurfacingResult:
-        """Surface a single site (a batch of one)."""
-        return self.surface_many([site])[0]
 
     def search(self, query: str, k: int = 10) -> list[SearchResult]:
         """Query the shared index (crawled + surfaced documents, plus

@@ -30,7 +30,7 @@ from repro.core.urlgen import IndexabilityCriterion, UrlGenerator
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.core.coverage import CoverageEstimator, CoverageReport
 from repro.core.annotation import PageAnnotation, annotation_for_bindings
-from repro.core.extraction import extract_detail_record, extract_result_records
+from repro.core.extraction import extract_result_records
 
 __all__ = [
     "SurfacingForm",
@@ -55,5 +55,4 @@ __all__ = [
     "PageAnnotation",
     "annotation_for_bindings",
     "extract_result_records",
-    "extract_detail_record",
 ]

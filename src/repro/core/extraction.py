@@ -1,16 +1,11 @@
 """Extraction of structured records from surfaced pages (Section 5.1).
 
 The paper poses the challenge of recovering relational data from pages that
-are *known* to be generated by deep-web forms.  Two extractors are provided:
-
-* :func:`extract_result_records` -- recovers one record per result entry on
-  a results page by exploiting the repeated entry structure (a heading link
-  plus an attribute summary), i.e. lightweight wrapper induction over the
-  page's repeated DOM pattern.
-* :func:`extract_detail_record` -- recovers the full attribute/value record
-  from a detail page's attribute table.
-
-Both work purely from the HTML.
+are *known* to be generated by deep-web forms.
+:func:`extract_result_records` recovers one record per result entry on a
+results page by exploiting the repeated entry structure (a heading link
+plus an attribute summary), i.e. lightweight wrapper induction over the
+page's repeated DOM pattern.  It works purely from the HTML.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 from repro.htmlparse.dom import DomNode, parse_html
-from repro.htmlparse.tables import extract_tables
 from repro.webspace.url import Url
 
 _SUMMARY_FIELD_RE = re.compile(r"\s*([\w ]+):\s*(.+?)\s*$")
@@ -106,29 +100,3 @@ def extract_result_records(html_or_dom: str | DomNode) -> list[ExtractedRecord]:
             )
         )
     return records
-
-
-def extract_detail_record(html: str, page_url: str = "") -> ExtractedRecord | None:
-    """Extract the full record from a surfaced detail page.
-
-    Detail pages render the record as a two-column attribute/value table;
-    the first table that parses that way wins.
-    """
-    root = parse_html(html)
-    for table in extract_tables(root, page_url=page_url):
-        if table.header:
-            continue
-        if not table.rows or any(len(row) < 2 for row in table.rows):
-            continue
-        fields = {row[0].strip().lower().replace(" ", "_"): row[1].strip() for row in table.rows}
-        if not fields:
-            continue
-        heading = root.find_first("h1")
-        title = heading.text() if heading is not None else fields.get("title", "")
-        return ExtractedRecord(
-            title=title,
-            detail_url=page_url,
-            record_id=_record_id_from_url(page_url),
-            fields=fields,
-        )
-    return None

@@ -58,9 +58,6 @@ class SurfacingForm:
         """A stable identifier for the form (host + action)."""
         return f"{self.host}{self.action_path}"
 
-    def input_named(self, name: str) -> ParsedInput | None:
-        return self.parsed.input_named(name)
-
     def submission_url(self, bindings: Mapping[str, str]) -> Url:
         """The GET URL for a submission with the given input bindings.
 

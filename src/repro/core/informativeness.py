@@ -305,8 +305,7 @@ class SignatureCache:
     the uncached analysis to compare cached results against.
 
     The cache is safe to share across threads: analyses are pure functions
-    of content, so a race at worst duplicates work (hit/miss counters are
-    best-effort under concurrency).
+    of content, so a race at worst duplicates work.
     """
 
     def __init__(self, max_entries: int = 8192) -> None:
@@ -318,31 +317,11 @@ class SignatureCache:
         # content so eviction drops exactly one page's derived signatures.
         self._signatures: dict[str, dict[tuple[str, str], PageSignature]] = {}
         self._tags: dict[str, tuple | None] = {}  # the tag memo, emptied past max_entries
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._analyses)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "entries": len(self._analyses),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
     def clear(self) -> None:
         self._analyses.clear()
         self._signatures.clear()
         self._tags.clear()
-        self.hits = 0
-        self.misses = 0
 
     def tag_memo(self) -> dict[str, tuple | None]:
         """The tag memo for ``parse_html``, emptied once past ``max_entries``."""
@@ -357,9 +336,7 @@ class SignatureCache:
         key = content_key(html)
         cached = self._analyses.get(key)
         if cached is not None:
-            self.hits += 1
             return cached
-        self.misses += 1
         analysis = analyze_html(html, key, self._tags)
         if len(self._tags) > self.max_entries:
             self._tags.clear()

@@ -89,13 +89,6 @@ class TypedValueLibrary:
         pool = ["zzqx", "qqqqq", "xyzzy42", "nosuchvalue", "zzzzz9"]
         return pool[:count]
 
-    def extend(self, type_name: str, values: Sequence[str]) -> None:
-        """Add externally discovered values (e.g. from the semantic server)."""
-        existing = self._values.setdefault(type_name, [])
-        for value in values:
-            if value not in existing:
-                existing.append(value)
-
 
 @dataclass
 class InputTypeClassifier:

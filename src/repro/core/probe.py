@@ -90,9 +90,6 @@ class ProbeCache:
         #: than for one of its sub-bindings; nothing is inferred for them.
         self.non_monotone: set[str] = set()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @staticmethod
     def key(form: SurfacingForm, bindings: Mapping[str, str]) -> BindingKey:
         return (form.identity, frozenset(bindings.items()))
@@ -161,13 +158,6 @@ class ProbeCache:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self.non_monotone.clear()
-        self.hits = 0
-        self.misses = 0
-        self.inferred = 0
-
 
 class FormProber:
     """Submits form bindings and caches the signatures of the result pages."""
@@ -183,9 +173,7 @@ class FormProber:
         self._cache: dict[str, ProbeResult] = {}
         #: The content-keyed analysis cache; a pipeline passes its engine's,
         #: so a probed page is not parsed again when it is indexed.
-        self.signature_cache = (  # ``is None``: an empty cache is falsy
-            signature_cache if signature_cache is not None else SignatureCache()
-        )
+        self.signature_cache = signature_cache or SignatureCache()
         self.probe_count = 0
         self.probe_cache = ProbeCache()
 
@@ -288,14 +276,3 @@ class FormProber:
             self._cache[key] = result
         self.probe_cache.put(binding_key, result)
         return result
-
-    def fetch(self, url: Url) -> WebPage:
-        """Fetch an arbitrary URL with the surfacer agent (uncached).
-
-        Fetch failures degrade to a synthetic 503 page, mirroring
-        :meth:`probe`."""
-        self.probe_count += 1
-        try:
-            return self.web.fetch(url, agent=self.agent)
-        except FetchError as exc:
-            return service_unavailable(str(url), str(exc))

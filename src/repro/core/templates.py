@@ -154,9 +154,7 @@ class TemplateSelector:
     # -- lattice search ---------------------------------------------------------------
 
     def select_templates(
-        self,
-        form: SurfacingForm,
-        value_sets: "Mapping[str, Sequence[str]] | ValuePool",
+        self, form: SurfacingForm, value_sets: Mapping[str, Sequence[str]]
     ) -> list[TemplateEvaluation]:
         """Incremental search for informative templates.
 
@@ -165,7 +163,7 @@ class TemplateSelector:
         informative template of dimension *d-1*.  Returns the evaluations of
         every informative template found (all dimensions).
         """
-        pool = ValuePool.wrap(value_sets)
+        pool = ValuePool(value_sets)
         # One sorted pass over the inputs: the old code re-sorted ``available``
         # for every frontier template at every dimension.
         available = sorted(name for name, values in value_sets.items() if values)

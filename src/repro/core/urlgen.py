@@ -36,9 +36,6 @@ class IndexabilityCriterion:
     min_results: int = 1
     max_results: int = 200
 
-    def accepts(self, result_count: int) -> bool:
-        return self.min_results <= result_count <= self.max_results
-
     def classify(self, result_count: int) -> str:
         if result_count < self.min_results:
             return "too_few"

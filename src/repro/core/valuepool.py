@@ -9,7 +9,7 @@ per form and hands out the same tuples to every template.
 
 from __future__ import annotations
 
-from typing import ItemsView, Iterable, KeysView, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class ValuePool:
@@ -33,30 +33,6 @@ class ValuePool:
         if isinstance(value_sets, ValuePool):
             return value_sets
         return cls(value_sets)
-
-    # -- mapping passthroughs (pools substitute for the raw mapping) ---------
-
-    @property
-    def raw(self) -> Mapping[str, Sequence[str]]:
-        return self._raw
-
-    def keys(self) -> KeysView[str]:
-        return self._raw.keys()
-
-    def items(self) -> ItemsView[str, Sequence[str]]:
-        return self._raw.items()
-
-    def get(self, name: str, default: Sequence[str] = ()) -> Sequence[str]:
-        return self._raw.get(name, default)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._raw
-
-    def __iter__(self) -> Iterable[str]:
-        return iter(self._raw)
-
-    def __len__(self) -> int:
-        return len(self._raw)
 
     # -- normalized views ------------------------------------------------------
 

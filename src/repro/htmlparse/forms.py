@@ -64,12 +64,6 @@ class ParsedForm:
     def select_inputs(self) -> tuple[ParsedInput, ...]:
         return tuple(spec for spec in self.inputs if spec.is_select)
 
-    def input_named(self, name: str) -> ParsedInput | None:
-        for spec in self.inputs:
-            if spec.name == name:
-                return spec
-        return None
-
 
 def _extract_select(node: DomNode) -> ParsedInput:
     options = []

@@ -30,16 +30,6 @@ class HtmlTable:
             return len(self.header)
         return len(self.rows[0]) if self.rows else 0
 
-    def column(self, name_or_index: str | int) -> list[str]:
-        """Values of one column, by header name or 0-based index."""
-        if isinstance(name_or_index, str):
-            if name_or_index not in self.header:
-                raise KeyError(f"table has no column {name_or_index!r}")
-            index = self.header.index(name_or_index)
-        else:
-            index = name_or_index
-        return [row[index] for row in self.rows if index < len(row)]
-
 
 def _cell_text(cell: DomNode) -> str:
     return cell.text().strip()

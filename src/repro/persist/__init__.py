@@ -10,7 +10,7 @@ die with the process.  This package gives the service a lifecycle:
   sqlite rows for durability, the inherited inverted index for reads).
   The same file is the surfacing resume record: under ``persist()``
   each site is surfaced straight into the store inside one transaction
-  that also writes its row, so an interrupted ``surface_many`` continues
+  that also writes its row, so an interrupted ``surface()`` continues
   where it stopped and still produces the same final output as an
   uninterrupted run.  An exception anywhere inside a site rolls that
   site off disk and retires the store until the file is reopened;

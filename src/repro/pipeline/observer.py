@@ -77,18 +77,6 @@ class MetricsObserver(PipelineObserver):
         """Zero the counters (when the results they belong to are replaced)."""
         self.totals = StageTotals()
 
-    @property
-    def stage_runs(self) -> Counter[str]:
-        return self.totals.stage_runs
-
-    @property
-    def stage_seconds(self) -> Counter[str]:
-        return self.totals.stage_seconds
-
-    @property
-    def stage_fetches(self) -> Counter[str]:
-        return self.totals.stage_fetches
-
     @staticmethod
     def _site_load(ctx: "PipelineContext") -> int:
         return ctx.web.load_meter.total(host=ctx.site.host, agent=AGENT_SURFACER)

@@ -73,10 +73,6 @@ class SurfacingPipeline:
     def coverage_estimator(self):
         return self.context.coverage_estimator
 
-    def add_observer(self, observer: PipelineObserver) -> "SurfacingPipeline":
-        self.observers.append(observer)
-        return self
-
     # -- execution ----------------------------------------------------------
 
     def _site_stages(self) -> list[Stage]:
@@ -163,27 +159,23 @@ class SurfacingPipeline:
     def surface_many(
         self,
         sites: Iterable[DeepWebSite],
-        start_index: int = 0,
-        total: int | None = None,
         store: SqliteBackend | None = None,
     ) -> list[SiteSurfacingResult]:
         """Surface a batch of sites with progress events and timings.
 
-        ``start_index``/``total`` let a caller that accumulates batches
-        report against the global progress bar.  With a ``store`` (what
-        ``persist()`` hands in), the batch is bound to this configuration,
-        a site the store has completed is read back from its row without
-        a fetch (site events only: its stages did not run), and a fresh
-        site is surfaced inside :meth:`SqliteBackend.commit_site`, so the
-        file gets all of it or, if anything raises, none of it.
+        With a ``store`` (what ``persist()`` hands in), the batch is bound
+        to this configuration, a site the store has completed is read back
+        from its row without a fetch (site events only: its stages did not
+        run), and a fresh site is surfaced inside
+        :meth:`SqliteBackend.commit_site`, so the file gets all of it or,
+        if anything raises, none of it.
         """
         targets = list(sites)
-        total = total if total is not None else start_index + len(targets)
+        total = len(targets)
         if store is not None:
             store.bind_config(self.config)
         results: list[SiteSurfacingResult] = []
-        for offset, site in enumerate(targets):
-            index = start_index + offset
+        for index, site in enumerate(targets):
             for observer in self.observers:
                 observer.on_site_start(site, index, total)
             if store is None:

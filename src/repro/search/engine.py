@@ -101,9 +101,6 @@ class SearchEngine:
     def __len__(self) -> int:
         return len(self._backend)
 
-    def __contains__(self, url: str) -> bool:
-        return url in self._backend
-
     # -- ingestion ----------------------------------------------------------
 
     def _on_ingest(self, record: IngestRecord, doc_id: int) -> None:
@@ -130,12 +127,6 @@ class SearchEngine:
         return self._ingestor.ingest_batch(records)
 
     # -- lookup ---------------------------------------------------------------
-
-    def document(self, doc_id: int) -> Document:
-        return self._backend.get(doc_id)
-
-    def document_for_url(self, url: str) -> Document | None:
-        return self._backend.document_for_url(url)
 
     def documents(self, source: str | None = None) -> list[Document]:
         return self._backend.documents(source=source)

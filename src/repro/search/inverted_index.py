@@ -214,9 +214,6 @@ class InvertedIndex:
 
     # -- querying -----------------------------------------------------------
 
-    def document_frequency(self, term: str) -> int:
-        return len(self._postings.get(term, ()))
-
     def idf(self, term: str) -> float:
         """BM25 idf with a small floor to keep scores non-negative."""
         document_count = len(self._doc_lengths)

@@ -77,14 +77,6 @@ class QueryLog:
     def by_kind(self, kind: str) -> list[Query]:
         return [query for query in self.queries if query.kind == kind]
 
-    def head(self, count: int) -> list[Query]:
-        """The ``count`` most frequent queries."""
-        return sorted(self.queries, key=lambda q: q.rank)[:count]
-
-    def tail(self, skip: int) -> list[Query]:
-        """Every query ranked below ``skip``."""
-        return sorted(self.queries, key=lambda q: q.rank)[skip:]
-
 
 @dataclass(frozen=True)
 class QueryLogConfig:

@@ -80,9 +80,6 @@ class QueryResultCache:
         self.expirations = 0
         self.invalidations = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def generation(self) -> int:
         """The corpus generation new entries are stamped with."""

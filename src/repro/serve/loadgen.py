@@ -136,6 +136,7 @@ class WorkloadGenerator:
     ) -> None:
         self.web = web
         self.config = config or WorkloadConfig()
+        self._seed = seed
         self._rng = SeededRng(seed)
         self._population: list[WorkloadQuery] | None = None
         self._stream_rng: SeededRng | None = None
@@ -237,7 +238,7 @@ class WorkloadGenerator:
             for host in rng.child("outages").sample(hosts, outage_hosts):
                 specs[host] = replace(specs[host], outages=((start, stop),))
         return FaultPlan(
-            seed=f"{self._rng.seed}/faults",
+            seed=f"{self._seed}/faults",
             hosts=specs,
             agents=agents,
         )
@@ -285,7 +286,7 @@ class WorkloadGenerator:
         for name in rng.child("outages").sample(roster, kill):
             specs[name] = replace(specs[name], outages=((start, stop),))
         return FaultPlan(
-            seed=f"{self._rng.seed}/replica-faults",
+            seed=f"{self._seed}/replica-faults",
             hosts=specs,
             agents=(AGENT_CLUSTER,),
         )

@@ -44,10 +44,6 @@ class StorageBackend(Protocol):
         """Number of stored documents."""
         ...
 
-    def __contains__(self, url: str) -> bool:
-        """Whether a document with this URL is stored."""
-        ...
-
     def add(self, record: IngestRecord) -> int:
         """Store a record, assign and return its doc id.
 
@@ -60,9 +56,6 @@ class StorageBackend(Protocol):
 
     def get(self, doc_id: int) -> Document:
         """The stored document (raises ``KeyError`` for unknown ids)."""
-        ...
-
-    def document_for_url(self, url: str) -> Document | None:
         ...
 
     def documents(self, source: str | None = None) -> list[Document]:
@@ -136,9 +129,6 @@ class DocumentCatalog:
     def __len__(self) -> int:
         return len(self._documents)
 
-    def __contains__(self, url: str) -> bool:
-        return url in self._url_to_doc
-
     # -- writes --------------------------------------------------------------
 
     def add(self, record: IngestRecord) -> int:
@@ -165,10 +155,6 @@ class DocumentCatalog:
 
     def get(self, doc_id: int) -> Document:
         return self._documents[doc_id]
-
-    def document_for_url(self, url: str) -> Document | None:
-        doc_id = self._url_to_doc.get(url)
-        return self._documents.get(doc_id) if doc_id is not None else None
 
     def documents(self, source: str | None = None) -> list[Document]:
         # Insertion order is ascending doc id (ids are sequential).

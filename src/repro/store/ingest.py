@@ -45,9 +45,7 @@ class Ingestor:
         #: The analysis cache page preparation reads.  Whatever fetches
         #: pages for this store (crawler, prober, vertical registry)
         #: analyzes them through it, so ingestion never re-parses them.
-        self.signature_cache = (  # ``is None``: an empty cache is falsy
-            signature_cache if signature_cache is not None else SignatureCache()
-        )
+        self.signature_cache = signature_cache or SignatureCache()
         self._listeners: list[IngestListener] = []
 
     def add_listener(self, listener: IngestListener) -> None:

@@ -27,11 +27,6 @@ class SeededRng:
         self._seed = seed
         self._random = random.Random(seed)
 
-    @property
-    def seed(self) -> int | str:
-        """The seed this generator was created with."""
-        return self._seed
-
     def child(self, name: str) -> "SeededRng":
         """Derive an independent generator keyed by ``name``.
 

@@ -60,17 +60,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return low_value * (1.0 - fraction) + high_value * fraction
 
 
-def gini(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative distribution (0 = equal, ->1 = concentrated)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    total = sum(ordered)
-    if n == 0 or total == 0:
-        return 0.0
-    weighted = sum((index + 1) * value for index, value in enumerate(ordered))
-    return (2.0 * weighted) / (n * total) - (n + 1.0) / n
-
-
 @dataclass(frozen=True)
 class CaptureRecaptureEstimate:
     """Population-size estimate from two capture occasions."""
@@ -80,36 +69,6 @@ class CaptureRecaptureEstimate:
     second_sample: int
     recaptured: int
     std_error: float
-
-
-def lincoln_petersen_estimate(
-    first_sample: int, second_sample: int, recaptured: int
-) -> CaptureRecaptureEstimate:
-    """Classic Lincoln-Petersen estimator ``N = n1 * n2 / m``.
-
-    Raises ``ValueError`` when there are no recaptures (the estimator is
-    undefined); callers should fall back to :func:`chapman_estimate` which
-    tolerates zero recaptures.
-    """
-    if recaptured <= 0:
-        raise ValueError("Lincoln-Petersen requires at least one recapture")
-    estimate = first_sample * second_sample / recaptured
-    variance = (
-        first_sample
-        * second_sample
-        * (first_sample - recaptured)
-        * (second_sample - recaptured)
-        / (recaptured**3)
-        if recaptured > 0
-        else float("inf")
-    )
-    return CaptureRecaptureEstimate(
-        estimate=estimate,
-        first_sample=first_sample,
-        second_sample=second_sample,
-        recaptured=recaptured,
-        std_error=math.sqrt(max(0.0, variance)),
-    )
 
 
 def chapman_estimate(

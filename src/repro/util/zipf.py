@@ -35,13 +35,6 @@ class ZipfSampler:
         # Guard against floating point drift on the last bucket.
         self._cumulative[-1] = 1.0
 
-    def probability(self, rank: int) -> float:
-        """Probability mass of a 1-based rank."""
-        if rank < 1 or rank > self.n:
-            raise ValueError(f"rank out of range: {rank}")
-        previous = self._cumulative[rank - 2] if rank > 1 else 0.0
-        return self._cumulative[rank - 1] - previous
-
     def sample_rank(self, rng: SeededRng) -> int:
         """Draw one 1-based rank."""
         value = rng.random()

@@ -46,12 +46,6 @@ class AcsDb:
         """Number of schemata containing the attribute."""
         return self.attribute_counts.get(normalize_attribute(attribute), 0)
 
-    def probability(self, attribute: str) -> float:
-        """Fraction of schemata containing the attribute."""
-        if self.schema_count == 0:
-            return 0.0
-        return self.frequency(attribute) / self.schema_count
-
     def cooccurrence(self, left: str, right: str) -> int:
         """Number of schemata containing both attributes."""
         return self.pair_counts.get(normalize_attribute(left), Counter()).get(

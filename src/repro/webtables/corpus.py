@@ -40,10 +40,6 @@ class CorpusTable:
     source_url: str = ""
     source_kind: str = "html_table"  # 'html_table' | 'detail_page' | 'form'
 
-    @property
-    def row_count(self) -> int:
-        return len(self.values)
-
     def column_values(self, attribute: str) -> list[str]:
         if attribute not in self.attributes:
             return []

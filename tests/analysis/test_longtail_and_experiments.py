@@ -49,7 +49,6 @@ class TestImpactReportUnits:
         split = head_tail_split(self._report())
         assert split.head_rate == pytest.approx(0.25)
         assert split.tail_rate == pytest.approx(5 / 6)
-        assert split.tail_dominates
 
     def test_rates_with_zero_queries(self):
         empty = ImpactReport()

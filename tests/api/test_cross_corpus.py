@@ -8,7 +8,6 @@ import pytest
 from repro import (
     DeepWebService,
     InMemoryBackend,
-    SearchEngine,
     SurfacingConfig,
     WebConfig,
 )
@@ -46,16 +45,6 @@ class TestBuilderStore:
         service = DeepWebService.build().web(SMALL_WEB).store(backend).create()
         assert service.store is backend
         assert service.engine.backend is backend
-
-    def test_store_and_engine_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            (
-                DeepWebService.build()
-                .web(SMALL_WEB)
-                .engine(SearchEngine())
-                .store(InMemoryBackend())
-                .create()
-            )
 
 
 class TestSearchAll:

@@ -88,7 +88,8 @@ class TestFrontendContract:
                 hits_before, misses_before = frontend.cache.hits, frontend.cache.misses
                 assert frontend.serve(query, k=k) == []
                 assert frontend.serve(query, k=k) == []  # repeat: still no cache traffic
-                assert len(frontend.cache) == 0, "empty queries must not occupy cache slots"
+                entries = frontend.cache.stats()["entries"]
+                assert entries == 0, "empty queries must not occupy cache slots"
                 assert frontend.cache.hits == hits_before
                 assert frontend.cache.misses == misses_before
         finally:

@@ -49,25 +49,18 @@ class TestBuilder:
         with pytest.raises(TypeError):
             DeepWebService.build().web("example.com")
 
-    def test_engine_is_shared_with_pipeline(self):
+    def test_an_injected_engine_is_shared_with_pipeline(self):
         engine = SearchEngine()
-        built = DeepWebService.build().web(SMALL_WEB).engine(engine).create()
+        built = DeepWebService(pipeline=SurfacingPipeline(generate_web(SMALL_WEB), engine))
         assert built.engine is engine
-        assert built.pipeline.engine is engine
+        assert built.pipeline.prober.signature_cache is engine.signature_cache
+        built.surface(built.web.deep_sites()[:1])
+        assert len(engine) == built.report().urls_indexed > 0
 
-    @pytest.mark.parametrize(
-        "pair", [("engine", "store"), ("engine", "persist"), ("store", "persist")], ids="-".join
-    )
-    def test_storage_is_chosen_once(self, pair, tmp_path):
+    def test_storage_is_chosen_once(self, tmp_path):
         builder = DeepWebService.build().web(SMALL_WEB)
-        choose = {
-            "engine": lambda: builder.engine(SearchEngine()),
-            "store": lambda: builder.store(InMemoryBackend()),
-            "persist": lambda: builder.persist(tmp_path / "state"),
-        }
-        for part in pair:
-            choose[part]()
-        with pytest.raises(ValueError, match=r"at most one of engine\(\), store\(\), persist\(\)"):
+        builder.store(InMemoryBackend()).persist(tmp_path / "state")
+        with pytest.raises(ValueError, match=r"at most one of store\(\), persist\(\)"):
             builder.create()
         assert not (tmp_path / "state").exists()  # refused before any file opens
 
@@ -133,23 +126,13 @@ class TestScheduler:
         built.surface()
         assert events == [(0, 3), (1, 3), (2, 3)]
 
-    def test_surface_many_accumulates_and_surface_replaces(self):
+    def test_surface_replaces_previous_results(self):
         built = DeepWebService.build().web(SMALL_WEB).create()
         sites = built.web.deep_sites()
-        built.surface_many(sites[:1])
-        built.surface_many(sites[1:2])
+        built.surface(sites[:2])
         assert [result.host for result in built.results] == [site.host for site in sites[:2]]
         built.surface(sites[:1])
         assert [result.host for result in built.results] == [sites[0].host]
-
-    def test_accumulating_batches_keep_progress_global(self):
-        stream = io.StringIO()
-        built = DeepWebService.build().web(SMALL_WEB).progress(stream).create()
-        sites = built.web.deep_sites()
-        built.surface_many(sites[:2])
-        built.surface_many(sites[2:])
-        starts = [line for line in stream.getvalue().splitlines() if "surfacing" in line]
-        assert [line.split("]")[0] + "]" for line in starts] == ["[1/2]", "[2/2]", "[3/3]"]
 
     def test_surface_resets_metrics_with_results(self):
         built = DeepWebService.build().web(SMALL_WEB).create()
@@ -159,13 +142,13 @@ class TestScheduler:
         assert report.stage_metrics["stage_runs"]["discover-forms"] == report.sites_total
 
     def test_explicit_metrics_observer_is_wired(self):
-        from repro import MetricsObserver, SurfacingPipeline
+        from repro import MetricsObserver
 
         web = generate_web(SMALL_WEB)
         metrics = MetricsObserver()
         built = DeepWebService(SurfacingPipeline(web), metrics=metrics)
         built.surface(web.deep_sites()[:1])
-        assert metrics.stage_runs["discover-forms"] == 1
+        assert metrics.as_dict()["stage_runs"]["discover-forms"] == 1
 
     def test_a_surface_that_raises_keeps_results_and_metrics(self):
         """The index still holds the first run's pages, so the report must

@@ -127,19 +127,16 @@ class TestEmptyAndUnknown:
         with pytest.raises(KeyError):
             cluster.get(10_000)
         assert cluster.doc_id_for_url("http://nowhere.test/") is None
-        assert cluster.document_for_url("http://nowhere.test/") is None
 
 
 class TestStorageProtocol:
     def test_satisfies_storage_backend(self, cluster):
         assert isinstance(cluster, StorageBackend)
 
-    def test_contains_and_lookup(self, cluster):
+    def test_lookup_by_url(self, cluster):
         rec = corpus()[3]
-        assert rec.url in cluster
-        doc = cluster.document_for_url(rec.url)
-        assert doc is not None and doc.url == rec.url
-        assert cluster.get(doc.doc_id) == doc
+        doc = cluster.get(cluster.doc_id_for_url(rec.url))
+        assert doc.url == rec.url
 
     def test_documents_for_host_ordered(self, cluster, reference):
         for host in ("site0.test", "site3.test", "missing.test"):

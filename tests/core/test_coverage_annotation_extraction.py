@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.annotation import PageAnnotation, annotation_for_bindings
 from repro.core.coverage import CoverageEstimator, coverage_curve
-from repro.core.extraction import extract_detail_record, extract_result_records
+from repro.core.extraction import extract_result_records
+from repro.webspace.page import WebPage
 from repro.webspace.url import Url
+from repro.webtables.corpus import TableCorpus
 
 
 class TestCoverageEstimator:
@@ -92,17 +94,20 @@ class TestExtraction:
             assert record.record_id
             assert record.fields.get("make", "").lower() == make_input.options[0].lower()
 
-    def test_extract_detail_record(self, car_site, car_web):
+    def test_detail_page_harvests_its_record(self, car_site, car_web):
         page = car_web.fetch(car_site.detail_url(5))
-        record = extract_detail_record(page.html, page_url=page.url)
+        corpus = TableCorpus()
+        assert corpus.add_page(page) == 1
+        table = corpus.tables[0]
+        record = dict(zip(table.attributes, table.values[0]))
         truth = car_site.table.get(5)
-        assert record is not None
-        assert record.record_id == "5"
-        assert record.fields["make"] == truth["make"]
-        assert int(record.fields["price"]) == truth["price"]
+        assert table.source_kind == "detail_page"
+        assert record["make"] == truth["make"]
+        assert int(record["price"]) == truth["price"]
 
-    def test_extract_detail_record_missing_table(self):
-        assert extract_detail_record("<html><body><p>nothing here</p></body></html>") is None
+    def test_page_without_a_table_harvests_nothing(self):
+        html = "<html><body><p>nothing here</p></body></html>"
+        assert TableCorpus().add_page(WebPage(url="http://cars.test/", html=html)) == 0
 
     def test_extraction_accuracy_against_ground_truth(self, car_site, car_web, car_form):
         make_input = car_form.select_inputs[0]

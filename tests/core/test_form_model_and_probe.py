@@ -24,11 +24,6 @@ class TestDiscoverForms:
     def test_identity_is_host_plus_action(self, car_form, car_site):
         assert car_form.identity == f"{car_site.host}{car_form.action_path}"
 
-    def test_input_named(self, car_form):
-        first = car_form.bindable_inputs[0]
-        assert car_form.input_named(first.name) is first
-        assert car_form.input_named("missing") is None
-
 
 class TestSubmissionUrl:
     def test_bindings_become_params(self, car_form, car_site):

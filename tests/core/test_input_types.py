@@ -54,13 +54,6 @@ class TestTypedValueLibrary:
     def test_nonsense_values(self):
         assert len(TypedValueLibrary().nonsense_values(3)) == 3
 
-    def test_extend_adds_new_values(self):
-        library = TypedValueLibrary()
-        library.extend(TYPE_CITY, ["Springfield", "Boston"])
-        values = library.values_for(TYPE_CITY)
-        assert "Springfield" in values
-        assert values.count("Boston") == 1
-
     def test_unknown_type_returns_empty(self):
         assert TypedValueLibrary().values_for("unknown_type") == []
 

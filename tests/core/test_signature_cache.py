@@ -36,6 +36,18 @@ def corpus_pages():
     return pages
 
 
+@pytest.fixture
+def analyzed(monkeypatch):
+    """Every page a ``SignatureCache`` analyzed (its misses), in order."""
+    calls: list[str] = []
+    monkeypatch.setattr(
+        informativeness,
+        "analyze_html",
+        lambda html, *args: calls.append(html) or analyze_html(html, *args),
+    )
+    return calls
+
+
 class TestSinglePassAnalysis:
     def test_matches_legacy_extractors_on_generated_pages(self):
         for page in corpus_pages():
@@ -64,17 +76,20 @@ class TestSinglePassAnalysis:
 
 
 class TestCachedVsUncachedSignatures:
-    def test_identical_signatures_for_every_page_and_base(self):
+    def test_identical_signatures_for_every_page_and_base(self, analyzed):
         cache = SignatureCache()
         uncached = SignatureCache(max_entries=0)
-        for page in corpus_pages():
+        pages = corpus_pages()
+        for page in pages:
             for base in (None, page.url):
                 first = cache.signature(page.html, page_url=base)
                 second = cache.signature(page.html, page_url=base)  # cache hit
                 fresh = uncached.signature(page.html, page_url=base)
                 assert first == second == fresh
-        assert cache.hits > 0
-        assert len(uncached) == 0
+                assert second is first
+        # The cache analyzed each distinct page once; the storeless one
+        # analyzed every call.
+        assert len(analyzed) == len({page.html for page in pages}) + 2 * len(pages)
 
     def test_signatures_with_and_without_a_base_agree_on_absolute_links(self):
         cache = SignatureCache()
@@ -103,9 +118,12 @@ class TestCachedVsUncachedSignatures:
 class TestCacheMechanics:
     def test_eviction_bounds_entries(self):
         cache = SignatureCache(max_entries=4)
-        for index in range(10):
-            cache.analyze(f"<html><body>page {index}</body></html>")
-        assert len(cache) <= 4
+        pages = [f"<html><body>page {index}</body></html>" for index in range(10)]
+        first = [cache.analyze(page) for page in pages]
+        # The last four stay cached (hits first: a miss would evict one)...
+        assert all(cache.analyze(page) is seen for page, seen in zip(pages[6:], first[6:]))
+        # ...and the first six were evicted.
+        assert not any(cache.analyze(page) is seen for page, seen in zip(pages[:6], first[:6]))
 
     def test_eviction_preserves_other_signatures(self):
         # Evicting one page's analysis must not wipe the signatures derived
@@ -115,22 +133,19 @@ class TestCacheMechanics:
             f'<html><body><a href="/item?id={index}">r</a></body></html>'
             for index in range(3)
         ]
-        for page in pages:
-            cache.signature(page, page_url="http://h.test/search")
+        signatures = [cache.signature(page, page_url="http://h.test/search") for page in pages]
         cache.analyze("<html><body>a fourth page</body></html>")  # evicts one
-        hits_before = cache.hits
         survivor = cache.signature(pages[-1], page_url="http://h.test/search")
         assert survivor.record_ids == {"h.test#2"}
-        assert cache.hits == hits_before + 1  # served from cache, not re-derived
+        assert survivor is signatures[-1]  # served from cache, not re-derived
 
-    def test_stats_and_clear(self):
+    def test_a_repeat_is_a_hit_until_clear(self, analyzed):
         cache = SignatureCache()
-        cache.analyze("<html><body>x</body></html>")
-        cache.analyze("<html><body>x</body></html>")
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        first = cache.analyze("<html><body>x</body></html>")
+        assert cache.analyze("<html><body>x</body></html>") is first
         cache.clear()
-        assert cache.stats()["entries"] == 0
+        assert cache.analyze("<html><body>x</body></html>") is not first
+        assert len(analyzed) == 2
 
     def test_the_tag_memo_is_the_caches_and_bounded_by_it(self):
         page = '<html><body><p>x</p><a href="/item?id=1">r</a></body></html>'
@@ -157,14 +172,14 @@ class TestCacheMechanics:
         ).hexdigest()[:16]
         assert analyze_html(html).text == "x\udcff"
 
-    def test_error_pages_short_circuit(self):
+    def test_error_pages_short_circuit(self, analyzed):
         cache = SignatureCache()
         assert cache.signature("anything", status_ok=False).is_error
-        assert cache.stats()["misses"] == 0  # nothing was analyzed
+        assert analyzed == []  # nothing was analyzed
 
     def test_injected_empty_cache_is_not_mistaken_for_missing(self):
-        # An empty cache is falsy (len == 0); the seam must still honor it
-        # instead of silently building its own.
+        # Every seam honors an injected cache, empty or not, instead of
+        # silently building its own.
         from repro.core.probe import FormProber
         from repro.pipeline.pipeline import SurfacingPipeline
         from repro.search.crawler import Crawler
@@ -184,9 +199,9 @@ SMALL_WEB = WebConfig(total_deep_sites=2, surface_site_count=1, max_records=40, 
 
 def surfaced(engine=None):
     from repro.api import DeepWebService
+    from repro.pipeline.pipeline import SurfacingPipeline
 
-    builder = DeepWebService.build().web(SMALL_WEB)
-    service = (builder.engine(engine) if engine is not None else builder).create()
+    service = DeepWebService(pipeline=SurfacingPipeline(generate_web(SMALL_WEB), engine))
     service.crawl(max_pages=40)
     service.surface()
     return service
@@ -205,43 +220,43 @@ def surfacing_outcome(service):
 
 
 class TestOneCachePerService:
-    def test_two_services_in_one_process_share_nothing(self):
+    def test_two_services_in_one_process_share_nothing(self, analyzed):
         first = surfaced()
-        before = first.engine.signature_cache.stats()
+        misses = len(analyzed)
         tags_before = dict(first.engine.signature_cache._tags)
-        assert before["misses"] > 0 and before["hits"] > 0 and tags_before
+        assert misses > 0 and tags_before
         second = surfaced()
-        # Surfacing the same web again neither read nor moved the first
-        # service's cache: the second one did all its own misses.
-        assert first.engine.signature_cache.stats() == before
+        # Surfacing the same web again did not read the first service's
+        # cache: the second one did all its own misses.
+        assert len(analyzed) == 2 * misses
         assert second.engine.signature_cache is not first.engine.signature_cache
-        assert second.engine.signature_cache.stats() == before
         # ...and parsed its own tags into a memo of its own.
         assert first.engine.signature_cache._tags == tags_before
         assert second.engine.signature_cache._tags is not first.engine.signature_cache._tags
         assert second.engine.signature_cache._tags == tags_before
 
-    def test_every_analysis_of_a_service_goes_through_its_engines_cache(self):
+    def test_every_analysis_of_a_service_goes_through_its_engines_cache(self, monkeypatch):
         service = surfaced()
         cache = service.engine.signature_cache
         assert service.pipeline.prober.signature_cache is cache
         assert service.engine.ingestor.signature_cache is cache
-        lookups = cache.hits + cache.misses
+        lookups: list[str] = []
+        analyze = cache.analyze
+        monkeypatch.setattr(cache, "analyze", lambda html: lookups.append(html) or analyze(html))
         service.vertical  # registration analyzes every deep site's homepage
-        assert cache.hits + cache.misses >= lookups + len(service.web.deep_sites())
+        assert len(lookups) >= len(service.web.deep_sites())
 
-    def test_warm_cache_surfaces_the_same_as_cold(self):
+    def test_warm_cache_surfaces_the_same_as_cold(self, analyzed):
         """What ``surface_cold``'s in-process verify meant while the cache
         was process-global: content already analyzed changes nothing."""
         from repro.search.engine import SearchEngine
 
         cold = surfaced()
-        warm_cache = cold.engine.signature_cache
-        hits_before = warm_cache.hits
-        warm = surfaced(SearchEngine(signature_cache=warm_cache))
+        cold_misses = len(analyzed)
+        warm = surfaced(SearchEngine(signature_cache=cold.engine.signature_cache))
         assert surfacing_outcome(warm) == surfacing_outcome(cold)
         # ...and the second run really was served from the first one's work.
-        assert warm_cache.hits - hits_before > cold.engine.signature_cache.misses // 2
+        assert len(analyzed) - cold_misses < cold_misses // 2
 
 
 def every_domain_web() -> Web:

@@ -10,12 +10,11 @@ from repro.core.urlgen import GeneratedUrl, IndexabilityCriterion, UrlGenerator
 
 
 class TestIndexabilityCriterion:
-    def test_accepts_within_band(self):
+    def test_band_bounds_are_inclusive(self):
         criterion = IndexabilityCriterion(min_results=1, max_results=50)
-        assert criterion.accepts(1)
-        assert criterion.accepts(50)
-        assert not criterion.accepts(0)
-        assert not criterion.accepts(51)
+        assert [criterion.classify(n) for n in (0, 1, 50, 51)] == [
+            "too_few", "indexable", "indexable", "too_many"
+        ]
 
     def test_classify(self):
         criterion = IndexabilityCriterion(min_results=2, max_results=10)

@@ -50,18 +50,19 @@ class TestFormExtraction:
 
     def test_select_options_and_default(self):
         form = extract_forms(FORM_HTML)[0]
-        make = form.input_named("make")
+        make = {spec.name: spec for spec in form.inputs}["make"]
         assert make.options == ("Toyota", "Honda")
         assert make.default == "Honda"
 
     def test_submit_buttons_excluded(self):
         form = extract_forms(FORM_HTML)[0]
-        assert form.input_named("Go") is None
+        assert "Go" not in {spec.name for spec in form.inputs}
 
     def test_labels_attached(self):
         form = extract_forms(FORM_HTML)[0]
-        assert "Keywords" in form.input_named("q").label
-        assert "Make" in form.input_named("make").label
+        labels = {spec.name: spec.label for spec in form.inputs}
+        assert "Keywords" in labels["q"]
+        assert "Make" in labels["make"]
 
     def test_bindable_inputs_exclude_hidden(self):
         form = extract_forms(FORM_HTML)[0]
@@ -70,7 +71,7 @@ class TestFormExtraction:
     def test_post_form_and_textarea(self):
         form = extract_forms(FORM_HTML)[1]
         assert not form.is_get
-        assert form.input_named("notes").kind == "text"
+        assert ("notes", "text") in [(spec.name, spec.kind) for spec in form.inputs]
 
     def test_page_url_recorded(self):
         forms = extract_forms(FORM_HTML, page_url="http://a.com/")
@@ -144,9 +145,8 @@ class TestTableExtraction:
         tables = extract_tables(TABLE_HTML)
         header_table = tables[0]
         assert header_table.header == ("make", "model", "price")
-        assert header_table.row_count == 2
-        assert header_table.column("price") == ["5000", "6000"]
-        assert header_table.column(0) == ["Toyota", "Honda"]
+        assert header_table.rows == (("Toyota", "Camry", "5000"), ("Honda", "Civic", "6000"))
+        assert (header_table.row_count, header_table.column_count) == (2, 3)
 
     def test_attribute_value_table(self):
         detail = extract_tables(TABLE_HTML)[1]
@@ -157,15 +157,6 @@ class TestTableExtraction:
     def test_headerless_single_cell_table(self):
         plain = extract_tables(TABLE_HTML)[2]
         assert plain.rows == (("lonely",),)
-
-    def test_column_errors(self):
-        table = extract_tables(TABLE_HTML)[0]
-        try:
-            table.column("missing")
-        except KeyError:
-            pass
-        else:  # pragma: no cover - defensive
-            raise AssertionError("expected KeyError")
 
     def test_css_class_and_page_url(self):
         tables = extract_tables(TABLE_HTML, page_url="http://x.com/p")

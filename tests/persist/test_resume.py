@@ -1,6 +1,6 @@
 """Resume-aware surfacing: interrupted runs finish byte-identical.
 
-The contract: interrupt ``surface_many`` partway, reopen the same
+The contract: interrupt ``surface()`` partway, reopen the same
 ``persist()`` directory and resume, and the final output -- per-site
 results, stored documents, rankings -- is byte-identical to a run that
 was never interrupted, with no completed site fetched again.  A site is
@@ -282,7 +282,7 @@ def test_fully_journaled_run_refetches_nothing(tmp_path, clean_run, serial_obser
 
 def test_resume_under_different_config_is_refused(tmp_path):
     service = build_service(tmp_path / "state")
-    service.surface_many(service.web.deep_sites()[:1])
+    service.surface(service.web.deep_sites()[:1])
     service.store.close()
 
     drifted = (
@@ -293,7 +293,7 @@ def test_resume_under_different_config_is_refused(tmp_path):
         .create()
     )
     with pytest.raises(SqliteStoreError, match="different"):
-        drifted.surface_many(drifted.web.deep_sites()[1:2])
+        drifted.surface(drifted.web.deep_sites()[1:2])
     drifted.store.close()
 
 

@@ -60,10 +60,8 @@ def test_protocol_surface(tmp_path):
         # URL-keyed dedup returns the existing id, stores nothing new.
         assert backend.add(first) == 1
         assert len(backend) == 2
-        assert first.url in backend
         assert backend.doc_id_for_url(first.url) == 1
         assert backend.get(1).url == first.url
-        assert backend.document_for_url(first.url).doc_id == 1
         assert [d.doc_id for d in backend.documents()] == [1, 2]
         assert [d.doc_id for d in backend.documents_for_host("durable.example.com")] == [1, 2]
         assert backend.stats().by_source == {"surfaced": 2}

@@ -87,16 +87,16 @@ class TestObserversAndProgress:
             "index-pages",
         ]
 
-    def test_surface_many_reports_global_indices(self, small_web):
+    def test_surface_many_reports_batch_indices(self, small_web):
         observer = RecordingObserver()
         pipeline = SurfacingPipeline(small_web, observers=[observer])
         sites = small_web.deep_sites()[:3]
-        pipeline.surface_many(sites, start_index=5, total=11)
+        pipeline.surface_many(sites)
         starts = [event for event in observer.events if event[0] == "site-start"]
         assert [(index, total) for _kind, _host, index, total in starts] == [
-            (5, 11),
-            (6, 11),
-            (7, 11),
+            (0, 3),
+            (1, 3),
+            (2, 3),
         ]
 
     def test_progress_observer_prints_deterministic_lines(self, car_web, car_site):
@@ -114,17 +114,19 @@ class TestObserversAndProgress:
         metrics = MetricsObserver()
         pipeline = SurfacingPipeline(car_web, observers=[metrics])
         result = pipeline.surface_many([car_site])[0]
-        assert metrics.stage_runs["discover-forms"] == 1
-        assert metrics.stage_runs["index-pages"] == 1
-        assert set(metrics.stage_seconds) == set(metrics.stage_runs)
+        counters = metrics.as_dict()
+        runs, fetches = counters["stage_runs"], counters["stage_fetches"]
+        assert runs["discover-forms"] == 1
+        assert runs["index-pages"] == 1
+        assert runs["generate-urls"] == 1
+        assert set(counters["stage_seconds"]) == set(runs)
         # Stage counters only: site totals have one owner, the results.
-        assert set(metrics.as_dict()) == {"stage_runs", "stage_seconds", "stage_fetches"}
-        assert metrics.as_dict()["stage_runs"]["generate-urls"] == 1
+        assert set(counters) == {"stage_runs", "stage_seconds", "stage_fetches"}
         # Every surfacer fetch happens inside a stage, so the ledger adds up.
-        assert set(metrics.stage_fetches) == set(metrics.stage_runs)
-        assert metrics.stage_fetches["discover-forms"] == 1
-        assert metrics.stage_fetches["index-pages"] == 0
-        assert sum(metrics.stage_fetches.values()) == result.analysis_load
+        assert set(fetches) == set(runs)
+        assert fetches["discover-forms"] == 1
+        assert fetches["index-pages"] == 0
+        assert sum(fetches.values()) == result.analysis_load
 
     def test_per_site_timing_is_recorded(self, car_web, car_site):
         pipeline = SurfacingPipeline(car_web)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -199,7 +200,7 @@ def test_a_zero_keyword_budget_probes_no_keyword(request, site_fixture, field):
     zero, default = run(SurfacingConfig(**{field: 0})), run(SurfacingConfig())
     assert keyword_urls(default), "with a budget the search box is used"
     assert keyword_urls(zero) == []
-    assert zero["metrics"].stage_fetches["candidate-values"] == 0
+    assert zero["metrics"].as_dict()["stage_fetches"]["candidate-values"] == 0
     assert zero["fetches"] < default["fetches"]
 
 
@@ -298,7 +299,7 @@ def test_top_k_scoring_on_the_keyword_population():
     queries = [tokenize(query.text) for query in WorkloadGenerator(service.web).population()]
     exact = matched = 0
     for tokens in queries:
-        idf_by_term = {term: index.idf(term) for term in tokens if index.document_frequency(term)}
+        idf_by_term = {term: index.idf(term) for term in tokens}
         full: dict[int, float] = {}
         top: dict[int, float] = {}
         index.accumulate(tokens, idf_by_term, index.average_length(), full)
@@ -342,7 +343,7 @@ def test_per_source_top_k_on_the_keyword_population():
     queries = [tokenize(query.text) for query in WorkloadGenerator(service.web).population()]
     matched = 0
     for tokens in queries:
-        idf_by_term = {term: index.idf(term) for term in tokens if index.document_frequency(term)}
+        idf_by_term = {term: index.idf(term) for term in tokens}
         full: dict[int, float] = {}
         index.accumulate(tokens, idf_by_term, index.average_length(), full)
         assert index.score(tokens, limit=10, group=group) == rank_accumulator(full, 10, group)
@@ -385,9 +386,12 @@ def test_top_k_after_writes_recomputes_fewer_impacts_than_the_stale_postings():
 
     index._impact_map = counting
     writes = doc_ids[held_out_from:]
+    # Each term's document frequency in ``index``, from the streams it was fed.
+    df = Counter(term for doc_id in doc_ids[:held_out_from] for term in set(streams[doc_id]))
     queries = rebuilt = stale = 0
     for write, doc_id in enumerate(writes):
         index.add_document(doc_id, streams[doc_id])
+        df.update(set(streams[doc_id]))
         fresh = InvertedIndex()
         for fresh_id in doc_ids[: held_out_from + write + 1]:
             fresh.add_document(fresh_id, streams[fresh_id])
@@ -395,14 +399,14 @@ def test_top_k_after_writes_recomputes_fewer_impacts_than_the_stale_postings():
         queried: set[str] = set()
         for tokens in (population[(8 * write + j) % len(population)] for j in range(8)):
             assert index.score(tokens, limit=10) == fresh.score(tokens)[:10]
-            queried.update(term for term in tokens if index.document_frequency(term))
+            queried.update(term for term in tokens if df[term])
             queries += 1
         # An entry that is not the one held before the queries was rebuilt.
         rebuilt += sum(
             len(entry[1]) for term, entry in index._impact_cache.items()
             if built.get(term) is not entry
         )
-        stale += sum(index.document_frequency(term) for term in queried)
+        stale += sum(df[term] for term in queried)
     rescored = recomputed[0] - rebuilt
     # CI greps this line out of a ``-s`` run into the job summary.
     print(

@@ -210,7 +210,7 @@ class TestPrunedTopK:
         docs, query = corpus
         index = index_of(docs)
         naive = naive_score(index, docs, query)
-        idf_by_term = {term: index.idf(term) for term in query if index.document_frequency(term)}
+        idf_by_term = {term: index.idf(term) for term in query}
         full: dict[int, float] = {}
         index.accumulate(query, idf_by_term, index.average_length(), full)
         for limit in range(1, len(naive) + 2):
@@ -314,9 +314,7 @@ class TestTopKAcrossWrites:
             full_sort = index_of(docs).score(query)
             limit = 1 + draw % (len(full_sort) + 1)
             assert index.score(query, limit=limit) == full_sort[:limit]
-            idf_by_term = {
-                term: index.idf(term) for term in query if index.document_frequency(term)
-            }
+            idf_by_term = {term: index.idf(term) for term in query}
             top: dict[int, float] = {}
             full: dict[int, float] = {}
             index.accumulate(query, idf_by_term, index.average_length(), top, limit)
@@ -461,9 +459,7 @@ class TestTopKAcrossWrites:
         for query, limit in queries:
             full_sort = naive_score(index, docs, query)
             assert index.score(query, limit=limit) == full_sort[:limit]
-            idf_by_term = {
-                term: index.idf(term) for term in query if index.document_frequency(term)
-            }
+            idf_by_term = {term: index.idf(term) for term in query}
             top: dict[int, float] = {}
             full: dict[int, float] = {}
             index.accumulate(query, idf_by_term, index.average_length(), top, limit)

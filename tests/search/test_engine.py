@@ -27,7 +27,7 @@ class TestIngestion:
     def test_add_and_count(self):
         engine = build_engine()
         assert len(engine) == 3
-        assert "http://cars.com/1" in engine
+        assert "http://cars.com/1" in [doc.url for doc in engine.documents()]
 
     def test_error_pages_not_indexed(self, empty_engine):
         assert empty_engine.add_page(WebPage(url="u", html="x", status=404)) is None
@@ -41,7 +41,7 @@ class TestIngestion:
 
     def test_document_metadata(self):
         engine = build_engine()
-        doc = engine.document_for_url("http://gov.com/doc")
+        (doc,) = engine.backend.documents_for_host("gov.com")
         assert doc.host == "gov.com"
         assert doc.source == SOURCE_SURFACED
         assert doc.annotations["domain"] == "government"

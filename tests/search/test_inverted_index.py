@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.search.inverted_index import InvertedIndex, rank_accumulator
+from repro.search.inverted_index import InvertedIndex, bm25_idf, rank_accumulator
 from repro.util.text import tokenize
 
 
@@ -43,10 +43,10 @@ class TestConstruction:
 
 
 class TestStatistics:
-    def test_document_frequency(self):
+    def test_idf_counts_the_documents_holding_a_term(self):
         index = build_index()
-        assert index.document_frequency("toyota") == 2
-        assert index.document_frequency("missing") == 0
+        assert index.idf("toyota") == bm25_idf(5, 2)
+        assert index.idf("missing") == 0.0
 
     def test_idf_rarer_terms_score_higher(self):
         index = build_index()

@@ -73,18 +73,13 @@ class TestGeneratedLog:
 
     def test_head_ranks_are_mostly_head_queries(self, small_web):
         log = make_log(small_web)
-        top = log.head(10)
+        top = [query for query in log if query.rank <= 10]
         head_share = sum(1 for query in top if query.kind == KIND_HEAD) / len(top)
         assert head_share >= 0.5
 
     def test_by_kind_partitions_log(self, small_web):
         log = make_log(small_web)
         assert len(log.by_kind(KIND_HEAD)) + len(log.by_kind(KIND_TAIL)) == len(log)
-
-    def test_head_tail_accessors(self, small_web):
-        log = make_log(small_web)
-        assert len(log.head(5)) == 5
-        assert len(log.tail(5)) == len(log) - 5
 
     def test_generation_is_deterministic(self, small_web):
         first = QueryLogGenerator(small_web, SeededRng(7)).generate(QueryLogConfig(total_volume=1000))
@@ -110,24 +105,6 @@ class TestLogBoundaries:
         ]
         return QueryLog(queries)
 
-    def test_head_zero_is_empty(self):
-        assert self._log().head(0) == []
-
-    def test_head_beyond_length_returns_everything(self):
-        log = self._log()
-        assert [q.text for q in log.head(99)] == ["alpha", "bravo", "charlie"]
-
-    def test_tail_skip_equal_to_length_is_empty(self):
-        log = self._log()
-        assert log.tail(len(log)) == []
-
-    def test_tail_skip_beyond_length_is_empty(self):
-        assert self._log().tail(100) == []
-
-    def test_tail_zero_returns_everything_in_rank_order(self):
-        log = self._log()
-        assert [q.text for q in log.tail(0)] == ["alpha", "bravo", "charlie"]
-
     def test_by_kind_unknown_kind_is_empty(self):
         assert self._log().by_kind("no-such-kind") == []
 
@@ -136,11 +113,27 @@ class TestLogBoundaries:
         assert [q.text for q in log.by_kind(KIND_HEAD)] == ["alpha"]
         assert [q.text for q in log.by_kind(KIND_TAIL)] == ["bravo", "charlie"]
 
+    def test_iteration_and_length_follow_the_stored_queries(self):
+        log = self._log()
+        assert len(log) == 3
+        assert [q.text for q in log] == ["alpha", "bravo", "charlie"]
+
+    def test_total_volume_sums_frequencies(self):
+        assert self._log().total_volume == 16
+
+    def test_frequencies_are_in_rank_order(self):
+        shuffled = QueryLog(
+            [
+                Query(text="charlie", kind=KIND_TAIL, frequency=1, rank=3),
+                Query(text="alpha", kind=KIND_HEAD, frequency=10, rank=1),
+                Query(text="bravo", kind=KIND_TAIL, frequency=5, rank=2),
+            ]
+        )
+        assert shuffled.frequencies() == [10, 5, 1]
+
     def test_empty_log_boundaries(self):
         empty = QueryLog([])
-        assert empty.head(0) == []
-        assert empty.head(5) == []
-        assert empty.tail(0) == []
-        assert empty.tail(5) == []
         assert empty.by_kind(KIND_HEAD) == []
         assert empty.total_volume == 0
+        assert empty.frequencies() == []
+        assert list(empty) == []

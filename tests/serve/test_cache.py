@@ -66,7 +66,7 @@ class TestLru:
     def test_zero_capacity_disables_storage(self):
         cache = QueryResultCache(max_entries=0)
         cache.put("q", 10, (result(1),))
-        assert len(cache) == 0
+        assert cache.stats()["entries"] == 0
         assert cache.get("q", 10) is None
 
     def test_negative_capacity_rejected(self):

@@ -77,7 +77,7 @@ class TestServe:
             frontend.submit("toyota")
         with pytest.raises(RuntimeError):
             frontend.serve("toyota", k=2)
-        assert len(frontend.cache) == 0
+        assert frontend.cache.stats()["entries"] == 0
 
     def test_ttl_uses_the_injected_clock(self, engine):
         now = [0.0]
@@ -147,7 +147,8 @@ class TestHitPath:
         with QueryFrontend(engine, workers=1) as frontend:
             first = frontend.serve("Red  TOYOTA, Camry!", k=3)
             assert frontend.serve("red toyota camry", k=3) == first
-            assert (frontend.cache.hits, frontend.cache.misses, len(frontend.cache)) == (1, 1, 1)
+            stats = frontend.cache.stats()
+            assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
 
     @pytest.mark.parametrize("cache_size", [0, 1, 8])
     def test_the_alias_map_holds_at_most_the_cache_capacity(self, engine, cache_size):

@@ -79,18 +79,28 @@ class TestBackendContract:
         assert backend.add(record("u://2", "bravo")) == 2
         assert backend.add(record("u://1", "alpha again")) == 1  # dedup by URL
         assert len(backend) == 2
-        assert "u://1" in backend and "u://3" not in backend
         assert backend.doc_id_for_url("u://2") == 2
         assert backend.doc_id_for_url("u://nope") is None
 
-    def test_get_and_document_for_url(self, backend):
+    def test_get(self, backend):
         backend.add(record("u://1", "alpha"))
         doc = backend.get(1)
         assert doc.doc_id == 1 and doc.url == "u://1" and doc.text == "alpha"
-        assert backend.document_for_url("u://1").doc_id == 1
-        assert backend.document_for_url("u://nope") is None
         with pytest.raises(KeyError):
             backend.get(99)
+
+    def test_doc_id_for_url_resolves_through_get(self, backend):
+        urls = [f"u://{index}" for index in range(12)]
+        for url in urls:
+            backend.add(record(url, "alpha"))
+        assert [backend.get(backend.doc_id_for_url(url)).url for url in urls] == urls
+
+    def test_a_readded_url_keeps_its_first_document(self, backend):
+        backend.add(record("u://1", "alpha"))
+        assert backend.add(record("u://1", "bravo")) == 1
+        assert backend.get(1).text == "alpha"
+        assert backend.search(["bravo"]) == []
+        assert [doc_id for doc_id, _ in backend.search(["alpha"])] == [1]
 
     def test_documents_are_doc_id_ordered(self, backend):
         for index in range(20):
@@ -130,7 +140,7 @@ class TestBackendContract:
 
     def test_empty_backend_reads_are_empty(self, backend):
         assert len(backend) == 0
-        assert "u://1" not in backend
+        assert backend.doc_id_for_url("u://1") is None
         assert backend.documents() == []
         assert backend.export_records() == []
         assert backend.search(["alpha"]) == []

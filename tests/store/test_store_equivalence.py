@@ -115,7 +115,8 @@ def corpus(surfaced_world):
     """Records + query sample from the seeded, surfaced tiny world."""
     records = record_stream(surfaced_world.engine)
     assert len(records) > 200, "seeded corpus should be non-trivial"
-    queries = [query.text for query in surfaced_world.query_log.head(40)]
+    # A generated log lists its queries in rank order: these are the top 40.
+    queries = [query.text for query in surfaced_world.query_log.queries[:40]]
     queries += [query.text for query in surfaced_world.query_log.by_kind("tail")[:60]]
     assert len(queries) >= 80
     return records, queries

@@ -27,8 +27,18 @@ class TestDeterminism:
         base = SeededRng(3)
         assert base.child("x").randint(0, 10**9) != base.child("y").randint(0, 10**9)
 
-    def test_seed_property(self):
-        assert SeededRng(11).seed == 11
+    def test_child_depends_on_the_parent_seed(self):
+        assert SeededRng(1).child("x").random() != SeededRng(2).child("x").random()
+
+    def test_deriving_a_child_leaves_the_parent_stream_alone(self):
+        parent = SeededRng(4)
+        parent.child("x").random()
+        assert parent.random() == SeededRng(4).random()
+
+    def test_nested_children_are_deterministic(self):
+        first = SeededRng(5).child("a").child("b").randint(0, 10**9)
+        assert SeededRng(5).child("a").child("b").randint(0, 10**9) == first
+        assert SeededRng(5).child("b").child("a").randint(0, 10**9) != first
 
     @pytest.mark.parametrize(
         "draw",

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from repro.util.stats import (
     chapman_estimate,
     cumulative_share,
-    gini,
-    lincoln_petersen_estimate,
     percentile,
     wilson_interval,
 )
@@ -73,35 +71,28 @@ class TestCumulativeShare:
         assert cumulative_share([0, 0]) == [0.0, 0.0]
 
 
-class TestGini:
-    def test_perfect_equality(self):
-        assert gini([5, 5, 5, 5]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_concentration_is_higher(self):
-        assert gini([100, 1, 1, 1]) > gini([30, 28, 25, 20])
-
-    def test_empty_and_zero(self):
-        assert gini([]) == 0.0
-        assert gini([0, 0]) == 0.0
-
-
 class TestCaptureRecapture:
-    def test_lincoln_petersen_exact(self):
-        estimate = lincoln_petersen_estimate(50, 40, 20)
-        assert estimate.estimate == pytest.approx(100.0)
-
-    def test_lincoln_petersen_requires_recaptures(self):
-        with pytest.raises(ValueError):
-            lincoln_petersen_estimate(10, 10, 0)
-
-    def test_chapman_close_to_lincoln_petersen(self):
-        chapman = chapman_estimate(50, 40, 20)
-        lincoln = lincoln_petersen_estimate(50, 40, 20)
-        assert chapman.estimate == pytest.approx(lincoln.estimate, rel=0.05)
+    def test_chapman_exact(self):
+        # (n1 + 1)(n2 + 1)/(m + 1) - 1, within 5% of n1 * n2 / m = 100.
+        assert chapman_estimate(50, 40, 20).estimate == pytest.approx(51 * 41 / 21 - 1)
 
     def test_chapman_handles_zero_recaptures(self):
         estimate = chapman_estimate(10, 10, 0)
         assert estimate.estimate == pytest.approx(120.0)
+
+    def test_full_recapture_estimates_the_sample_exactly(self):
+        estimate = chapman_estimate(10, 10, 10)
+        assert estimate.estimate == pytest.approx(10.0)
+        assert estimate.std_error == 0.0
+
+    def test_more_recaptures_lower_the_estimate(self):
+        estimates = [chapman_estimate(40, 40, m).estimate for m in (5, 10, 20, 40)]
+        assert estimates == sorted(estimates, reverse=True)
+
+    def test_estimate_echoes_its_samples(self):
+        estimate = chapman_estimate(50, 40, 20)
+        assert (estimate.first_sample, estimate.second_sample, estimate.recaptured) == (50, 40, 20)
+        assert estimate.std_error > 0
 
     def test_chapman_validates_inputs(self):
         with pytest.raises(ValueError):

@@ -10,16 +10,6 @@ from repro.util.zipf import PowerLawFit, ZipfSampler, fit_power_law, tail_mass
 
 
 class TestZipfSampler:
-    def test_probabilities_sum_to_one(self):
-        sampler = ZipfSampler(n=50, exponent=1.1)
-        total = sum(sampler.probability(rank) for rank in range(1, 51))
-        assert total == pytest.approx(1.0)
-
-    def test_rank_one_is_most_probable(self):
-        sampler = ZipfSampler(n=20)
-        probabilities = [sampler.probability(rank) for rank in range(1, 21)]
-        assert probabilities == sorted(probabilities, reverse=True)
-
     def test_sample_rank_in_range(self):
         sampler = ZipfSampler(n=10)
         rng = SeededRng(1)
@@ -37,18 +27,31 @@ class TestZipfSampler:
         counts = sampler.sample_counts(SeededRng(3), 5000)
         assert sum(counts[:10]) > sum(counts[50:60])
 
+    def test_rank_one_is_sampled_most_often(self):
+        counts = ZipfSampler(n=20).sample_counts(SeededRng(5), 4000)
+        assert counts[0] == max(counts)
+        assert counts[0] > 2 * counts[4]
+
+    def test_single_rank_always_samples_one(self):
+        sampler = ZipfSampler(n=1, exponent=2.0)
+        rng = SeededRng(6)
+        assert {sampler.sample_rank(rng) for _ in range(50)} == {1}
+
+    def test_steeper_exponent_concentrates_on_the_head(self):
+        shallow = ZipfSampler(n=50, exponent=0.5).sample_counts(SeededRng(7), 4000)
+        steep = ZipfSampler(n=50, exponent=2.0).sample_counts(SeededRng(7), 4000)
+        assert steep[0] > shallow[0]
+        assert sum(steep[25:]) < sum(shallow[25:])
+
+    def test_sampling_replays_from_its_seed(self):
+        sampler = ZipfSampler(n=40, exponent=1.1)
+        assert sampler.sample_counts(SeededRng(8), 300) == sampler.sample_counts(SeededRng(8), 300)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ZipfSampler(n=0)
         with pytest.raises(ValueError):
             ZipfSampler(n=5, exponent=0)
-
-    def test_probability_out_of_range(self):
-        sampler = ZipfSampler(n=5)
-        with pytest.raises(ValueError):
-            sampler.probability(0)
-        with pytest.raises(ValueError):
-            sampler.probability(6)
 
 
 class TestFitPowerLaw:
@@ -93,12 +96,15 @@ class TestTailMass:
 
 class TestProperties:
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(min_value=2, max_value=200), exponent=st.floats(min_value=0.5, max_value=2.0))
-    def test_probability_mass_is_valid(self, n, exponent):
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        exponent=st.floats(min_value=0.5, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_sampled_ranks_stay_in_range(self, n, exponent, seed):
         sampler = ZipfSampler(n=n, exponent=exponent)
-        masses = [sampler.probability(rank) for rank in range(1, n + 1)]
-        assert all(mass > 0 for mass in masses)
-        assert sum(masses) == pytest.approx(1.0)
+        rng = SeededRng(seed)
+        assert all(1 <= sampler.sample_rank(rng) <= n for _ in range(20))
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -62,10 +62,11 @@ class TestFormMarkup:
         assert parsed.action == "/search"
         assert parsed.is_get
         assert parsed.form_id == "f1"
-        assert parsed.input_named("q").kind == "text"
-        assert parsed.input_named("make").options == ("Toyota", "Honda")
-        assert parsed.input_named("lang").kind == "hidden"
-        assert parsed.input_named("lang").default == "en"
+        inputs = {spec.name: spec for spec in parsed.inputs}
+        assert inputs["q"].kind == "text"
+        assert inputs["make"].options == ("Toyota", "Honda")
+        assert inputs["lang"].kind == "hidden"
+        assert inputs["lang"].default == "en"
 
     def test_select_has_any_option(self):
         html = render_input(self._template().inputs[1])
@@ -73,12 +74,13 @@ class TestFormMarkup:
 
     def test_labels_round_trip(self):
         parsed = extract_forms(render_form(self._template()))[0]
-        assert "Keywords" in parsed.input_named("q").label
-        assert "Make" in parsed.input_named("make").label
+        labels = {spec.name: spec.label for spec in parsed.inputs}
+        assert "Keywords" in labels["q"]
+        assert "Make" in labels["make"]
 
     def test_option_values_escaped(self):
         spec = FormInputSpec(
             name="category", kind="select", role="select", options=('a"b<c',), label="c"
         )
         parsed = extract_forms(f'<form action="/s" method="get">{render_input(spec)}</form>')[0]
-        assert parsed.input_named("category").options == ('a"b<c',)
+        assert parsed.inputs[0].options == ('a"b<c',)

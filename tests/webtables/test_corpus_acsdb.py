@@ -42,6 +42,19 @@ LOW_QUALITY_PAGE = WebPage(
 )
 
 
+def header_table_page(columns: int, rows: int) -> WebPage:
+    """One header table: ``columns`` named columns over ``rows`` data rows."""
+    header = "".join(f"<th>c{column}</th>" for column in range(columns))
+    body = "".join(
+        "<tr>" + "".join(f"<td>v{row}.{column}</td>" for column in range(columns)) + "</tr>"
+        for row in range(rows)
+    )
+    return WebPage(
+        url=f"http://data.test/{columns}x{rows}",
+        html=f"<html><body><table><tr>{header}</tr>{body}</table></body></html>",
+    )
+
+
 def sample_form() -> ParsedForm:
     return ParsedForm(
         action="/s",
@@ -69,7 +82,7 @@ class TestCorpusIngestion:
         assert corpus.add_page(HEADER_TABLE_PAGE) == 1
         table = corpus.tables[0]
         assert table.attributes == ("make", "model", "price")
-        assert table.row_count == 2
+        assert len(table.values) == 2
         assert table.column_values("price") == ["5000", "6000"]
 
     def test_detail_page_becomes_schema_instance(self):
@@ -78,7 +91,19 @@ class TestCorpusIngestion:
         table = corpus.tables[0]
         assert table.source_kind == "detail_page"
         assert set(table.attributes) == {"make", "model", "price", "zipcode"}
-        assert table.row_count == 1
+        assert len(table.values) == 1
+
+    @pytest.mark.parametrize(
+        "columns, rows, admitted",
+        [(1, 2, 0), (31, 2, 0), (2, 2, 1), (30, 2, 1), (3, 1, 0)],
+        ids=["1-column", "31-columns", "2-columns", "30-columns", "1-data-row"],
+    )
+    def test_header_table_bounds(self, columns, rows, admitted):
+        """The default filter admits a header table of 2..30 columns and
+        at least two data rows."""
+        corpus = TableCorpus()
+        assert corpus.add_page(header_table_page(columns, rows)) == admitted
+        assert [len(table.attributes) for table in corpus.tables] == [columns] * admitted
 
     def test_low_quality_table_rejected(self):
         corpus = TableCorpus()
@@ -127,7 +152,6 @@ class TestAcsDb:
         acsdb = self._acsdb()
         assert acsdb.schema_count == 5
         assert acsdb.frequency("make") == 3
-        assert acsdb.probability("make") == pytest.approx(0.6)
         assert acsdb.frequency("unknown") == 0
 
     def test_cooccurrence_and_conditional(self):
