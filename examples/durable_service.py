@@ -3,7 +3,8 @@
 Builds a service with a durable home directory (``.persist(dir)``):
 the content store lands in ``store.sqlite3``, surfacing checkpoints every
 completed site into the same file, and ``service.snapshot()`` writes
-``snapshot.json``.  The demo then shows the two payoffs:
+``snapshot.sqlite3``, a standalone file in the same layout.  The demo
+then shows the two payoffs:
 
 * **warm restart** -- ``DeepWebService.restore(path)`` answers the same
   queries byte-identically without re-crawling or re-surfacing a thing

@@ -70,8 +70,8 @@ def main(argv: list[str] | None = None) -> int:
     for hit in outcome.hits[:8]:
         print(f"  [{hit.route:<13s}] {hit.result.score:6.3f}  {hit.result.title[:55]}")
     for route in outcome.routes:
-        state = "skipped" if route.skipped else f"produced {route.produced}, kept {route.kept}"
-        print(f"  route {route.route}: {state}, {route.fetches_spent} fetches")
+        print(f"  route {route.route}: produced {route.produced}, kept {route.kept}, "
+              f"{route.fetches_spent} fetches")
 
     # Route 3: a keyword query probed live.  Select options ("ford",
     # "coupe") and a bare number bind form inputs; leftovers go to each

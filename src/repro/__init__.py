@@ -34,7 +34,7 @@ The package implements, over a fully simulated web:
   a power-law query-log generator.
 * ``repro.query`` -- the federated query layer: a planner that parses
   keyword vs ``field:value`` queries and emits explicit routed plans,
-  an executor with per-route fetch/time budgets and blend provenance.
+  an executor with per-route fetch budgets and blend provenance.
 * ``repro.serve`` -- the query-serving frontend for keyword queries:
   worker pool with bounded admission and load shedding, LRU+TTL result
   cache invalidated on ingest, and seeded Zipf/mixed-mode workload

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.search.engine import SearchEngine
-from repro.search.querylog import KIND_HEAD, KIND_TAIL, Query, QueryLog
+from repro.search.querylog import KIND_HEAD, KIND_TAIL, QueryLog
 from repro.util.stats import cumulative_share
 
 

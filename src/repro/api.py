@@ -236,7 +236,7 @@ class DeepWebServiceBuilder:
         surfacing writes each site straight into it inside one sqlite
         transaction that also records the completed site in that same
         file, and ``service.snapshot()`` defaults to
-        ``<path>/snapshot.json``.  Reopening the same directory resumes:
+        ``<path>/snapshot.sqlite3``.  Reopening the same directory resumes:
         stored documents reload, and an interrupted ``surface()`` skips
         the completed sites with output identical to an uninterrupted
         run.  An exception anywhere inside a site rolls that site off
@@ -466,8 +466,9 @@ class DeepWebService:
         stats, WebTables corpus (and therefore the AcsDb), harvest
         bookkeeping and the serving-cache generation.
 
-        With no ``path`` the snapshot lands at
-        ``<persist_dir>/snapshot.json`` (services built with
+        The snapshot is a standalone sqlite file in the store's own
+        layout, written atomically.  With no ``path`` it lands at
+        ``<persist_dir>/snapshot.sqlite3`` (services built with
         ``persist()``).  Restore with :meth:`restore`; the restored
         service serves queries immediately with zero re-surfacing."""
         if path is None:
@@ -476,7 +477,7 @@ class DeepWebService:
                     "snapshot() needs an explicit path unless the service "
                     "was built with persist()"
                 )
-            path = self.persist_dir / "snapshot.json"
+            path = self.persist_dir / "snapshot.sqlite3"
         from repro.persist.snapshot import snapshot_service
 
         return snapshot_service(self, path)
@@ -494,7 +495,8 @@ class DeepWebService:
         :class:`WebConfig`, each site's database built on first fetch
         (pass ``web=`` for a service built from an explicit :class:`Web`);
         the stored corpus replays through the shared ingestor into
-        ``store`` (a fresh in-memory backend by default).  Rankings, scores
+        ``store`` (a fresh in-memory backend by default), which must score
+        with the snapshot's BM25 ``k1`` / ``b``.  Rankings, scores
         and doc ids are identical to the snapshotted service, and serving
         starts without re-crawling, re-surfacing or re-harvesting."""
         from repro.persist.snapshot import restore_service

@@ -15,7 +15,7 @@ surfacing algorithms provide no such guarantee.  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.util.rng import SeededRng

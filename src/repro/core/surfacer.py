@@ -53,7 +53,6 @@ class SurfacingConfig:
     use_typed_values: bool = True
     range_aware: bool = True
     db_selection_aware: bool = True
-    index_pages: bool = True
 
     def __post_init__(self) -> None:
         problems: list[str] = []

@@ -18,7 +18,7 @@ paper are implemented here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.correlations import RangePair

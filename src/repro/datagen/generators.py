@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.datagen import vocab
-from repro.datagen.domains import DomainSpec, domain
+from repro.datagen.domains import domain
 from repro.util.rng import SeededRng
 
 Row = dict[str, object]

@@ -9,7 +9,7 @@ inputs, correlated inputs) real problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.htmlparse.dom import DomNode, parse_html
 

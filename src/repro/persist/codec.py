@@ -1,4 +1,4 @@
-"""The durable tier's one codec: the dataclass definitions are the layout.
+"""The durable tier's dataclass codec: the dataclass definitions are the layout.
 
 ``encode(tp, value)`` / ``decode(tp, payload)`` compile an annotation once
 into a pair of closures: dataclass <-> dict of its ``init`` fields (an

@@ -1,38 +1,38 @@
 """Whole-service snapshot/restore: warm restarts with zero re-surfacing.
 
-A snapshot is one JSON document capturing everything a
-:class:`~repro.api.DeepWebService` accumulated that is expensive to
-recompute; :class:`ServiceSnapshot` lists it, field for field, and
-:mod:`repro.persist.codec` writes and reads it from the dataclass
-definitions -- a field added to a result object round-trips without an
-edit here.  Only the per-document pair :func:`encode_record` /
-:func:`decode_record` is hand-written (it runs once per stored document
-on every snapshot and restore): a document's tokens -- the term-sorted
-stream ``export_records`` rebuilds from the postings -- are stored as
-*one* space-joined string, one JSON string per document rather than per
-token.  Every token in the tree comes from ``tokenize`` (``[a-z0-9]+``);
-an empty token or one holding a space, which would split back
-differently, is refused with :class:`SnapshotError`.  The simulated web
-is *not* serialized: its site list is regenerated from its
-:class:`~repro.webspace.sitegen.WebConfig`; each site's database is built
-on first fetch, so a restore that fetches nothing builds none (services
-built from an explicit :class:`~repro.webspace.web.Web` pass ``web=``).
+A snapshot is a standalone sqlite file in the store's own layout
+(:mod:`repro.persist.sqlite`), its ``kind`` pinned to ``snapshot``: the
+content store goes into ``documents`` (``export_records`` through the
+one document row encoding), the surfacing results into ``sites``, and
+the rest of what a :class:`~repro.api.DeepWebService` accumulated that
+is expensive to recompute into ``meta``, one row per field of
+:class:`ServiceSnapshot`, written by :mod:`repro.persist.codec` from the
+dataclass definitions -- a field added to a result object round-trips
+without an edit here.  The simulated web is *not* serialized: its site
+list is regenerated from its :class:`~repro.webspace.sitegen.WebConfig`;
+each site's database is built on first fetch, so a restore that fetches
+nothing builds none (services built from an explicit
+:class:`~repro.webspace.web.Web` pass ``web=``).  Postings are not
+stored either: a restore re-indexes the documents.
 
-The file is written to ``<name>.tmp`` and renamed over the target
-(no fsync); a write or rename that fails removes the scratch file,
-leaves any previous snapshot as it was and raises :class:`SnapshotError`.
+The file is written to ``<name>.tmp`` (journal and sync off, no fsync)
+and renamed over the target; a failure at any step removes the scratch
+file, leaves any previous snapshot as it was and raises
+:class:`SnapshotError`.
 
-Restore decodes the stored documents one at a time as the service's
-shared :class:`~repro.store.ingest.Ingestor` pulls them -- no token list
+Restore reads the stored documents through the same reader the store
+uses when it reopens a file, one row at a time as the service's shared
+:class:`~repro.store.ingest.Ingestor` pulls them -- no token list
 outlives its own ``add``, and ingest listeners (host-term caches,
 cache-generation bumps) fire exactly as live writes would -- and checks
-that the sequential id assigner reproduces ids 1..N.  A document entry
-of another layout is a :class:`SnapshotError`; like a failed id check,
-it may be found after part of the corpus went into a caller-supplied
-``store``.  A restored service answers ``search`` and ``query()``
-immediately: the default (non-live) planner never probes, the harvest
-bookkeeping marks the corpus settled, and the regenerated web's load
-meter shows zero surfacing work (``tests/persist`` pins all of this).
+that the sequential id assigner reproduces ids 1..N.  A row or ``meta``
+entry of another layout is a :class:`SnapshotError`; like a failed id
+check, it may be found after part of the corpus went into a
+caller-supplied ``store``, whose BM25 parameters must be the snapshot's.
+A restored service answers ``search`` and ``query()`` immediately: the
+default (non-live) planner never probes, the harvest bookkeeping marks
+the corpus settled, and the regenerated web's load meter shows zero
+surfacing work (``tests/persist`` pins all of this).
 
 The cache generation is restored *advanced by one* past the snapshotted
 value, so any ranking stamped with a pre-snapshot generation can never
@@ -44,14 +44,19 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import time
-from contextlib import suppress
-from dataclasses import dataclass, fields
+from contextlib import closing, suppress
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
+from repro.core.surfacer import SurfacingConfig
 from repro.persist.codec import decode, encode
+from repro.persist.sqlite import (
+    INSERT_DOCUMENT, INSERT_META, INSERT_SITE, SQLITE_FORMAT, create_schema, mismatches, pins,
+    read_records, read_site, record_row, site_payload,
+)
 from repro.search.crawler import CrawlStats
 from repro.store.records import IngestRecord
 from repro.webspace.sitegen import WebConfig, generate_web
@@ -61,13 +66,6 @@ from repro.webtables.corpus import CorpusStats, CorpusTable, HarvestState
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports lazily)
     from repro.api import DeepWebService
     from repro.store.backend import StorageBackend
-
-#: Bumped when the snapshot payload changes incompatibly (a renamed or
-#: retyped field of any dataclass under :class:`ServiceSnapshot` does;
-#: ``tests/persist/test_layout_guard.py`` notices; format 4 stores each
-#: document's tokens as one space-joined string).
-SNAPSHOT_FORMAT = 4
-SNAPSHOT_KIND = "deepweb-service-snapshot"
 
 
 class SnapshotError(RuntimeError):
@@ -86,103 +84,38 @@ class CorpusState:
 
 @dataclass
 class ServiceSnapshot:
-    """The snapshot file, field for field."""
+    """A snapshot's ``meta`` rows beside the pins, field for field; the
+    AcsDb and every semantic service derive from ``corpus``."""
 
-    kind: str
-    format: int
     created_at: float
     web_config: WebConfig | None
     surfacing_config: SurfacingConfig
     serving: dict[str, object]
-    #: The content store in doc-id order (``export_records`` through
-    #: :func:`encode_record`); the AcsDb and every semantic service
-    #: derive from ``corpus``.
-    documents: list[object]
-    results: list[SiteSurfacingResult]
     crawl: CrawlStats | None
     corpus: CorpusState | None
     harvest: HarvestState
     cache_generation: int
 
 
-_RECORD_FIELDS = frozenset(spec.name for spec in fields(IngestRecord))
+#: The ``meta`` keys that say what the file is; every other row is a field.
+PINNED = frozenset(pins("snapshot", 0.0, 0.0))
 
 
-def encode_record(record: IngestRecord) -> dict[str, Any]:
-    tokens = record.tokens
-    joined = " ".join(tokens)
-    # n tokens joined by n - 1 spaces: any other count means one held a space.
-    if tokens and (joined.count(" ") != len(tokens) - 1 or "" in tokens):
-        raise SnapshotError(
-            f"{record.url}: a token is empty or holds a space, so the "
-            "document's tokens cannot be stored as one space-joined string"
-        )
-    return {
-        "url": record.url,
-        "host": record.host,
-        "title": record.title,
-        "text": record.text,
-        "tokens": joined,
-        "source": record.source,
-        "annotations": dict(record.annotations),
-    }
-
-
-def decode_record(payload: dict[str, Any]) -> IngestRecord:
-    """The inverse of :func:`encode_record`; an entry of another layout
-    raises ``ValueError`` / ``TypeError``, as :func:`~repro.persist.codec.decode` does."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"IngestRecord: expected an object, got {type(payload).__name__}")
-    if payload.keys() != _RECORD_FIELDS:
-        raise ValueError(
-            f"IngestRecord: unknown {sorted(payload.keys() - _RECORD_FIELDS)}, "
-            f"missing {sorted(_RECORD_FIELDS - payload.keys())}"
-        )
-    tokens = payload["tokens"]
-    if not isinstance(tokens, str):
-        raise ValueError(
-            f"IngestRecord: tokens must be one space-joined string, got {type(tokens).__name__}"
-        )
-    return IngestRecord(
-        url=payload["url"],
-        host=payload["host"],
-        title=payload["title"],
-        text=payload["text"],
-        tokens=tokens.split(" ") if tokens else [],
-        source=payload["source"],
-        annotations=dict(payload["annotations"]),
-    )
-
-
-def _layout_error(source: Path, error: Exception) -> SnapshotError:
+def _layout_error(source: Path, error: object) -> SnapshotError:
     return SnapshotError(f"{source}: snapshot does not match this build's layout ({error})")
-
-
-def _decoded(source: Path, documents: list[object]) -> Iterator[IngestRecord]:
-    """The stored documents, decoded one at a time as ingest pulls them."""
-    for entry in documents:
-        try:
-            record = decode_record(entry)
-        except (TypeError, ValueError) as error:
-            raise _layout_error(source, error) from error
-        yield record
 
 
 # -- snapshot write ---------------------------------------------------------
 
 
 def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
-    """Serialize the service to ``path`` (written atomically); returns it."""
+    """Write the service to ``path`` (atomically); returns it."""
     corpus = service._corpus
     snapshot = ServiceSnapshot(
-        kind=SNAPSHOT_KIND,
-        format=SNAPSHOT_FORMAT,
         created_at=time.time(),
         web_config=service.web_config,
         surfacing_config=service.config,
         serving=service._serving,
-        documents=[encode_record(r) for r in service.store.export_records()],
-        results=service.results,
         crawl=service.crawl_stats,
         corpus=None
         if corpus is None
@@ -190,17 +123,26 @@ def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
         harvest=service._harvest,
         cache_generation=service.cache_generation,
     )
-    try:
-        text = json.dumps(encode(ServiceSnapshot, snapshot), sort_keys=True)
-    except (TypeError, ValueError) as error:
-        raise SnapshotError(f"snapshot payload is not serializable: {error}") from error
     target = Path(path)
     scratch = target.with_name(target.name + ".tmp")
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        scratch.write_text(text + "\n")
+        scratch.unlink(missing_ok=True)
+        with closing(sqlite3.connect(scratch)) as connection:
+            connection.execute("PRAGMA journal_mode = OFF")
+            connection.execute("PRAGMA synchronous = OFF")
+            create_schema(connection, pins("snapshot", service.engine.k1, service.engine.b))
+            records = enumerate(service.store.export_records(), 1)
+            connection.executemany(INSERT_DOCUMENT, ((i, *record_row(r)) for i, r in records))
+            connection.executemany(INSERT_SITE, ((r.host, site_payload(r)) for r in service.results))
+            connection.executemany(
+                INSERT_META,
+                ((key, json.dumps(value, sort_keys=True))
+                 for key, value in encode(ServiceSnapshot, snapshot).items()),
+            )
+            connection.commit()
         os.replace(scratch, target)
-    except OSError as error:
+    except (OSError, sqlite3.Error, TypeError, ValueError) as error:
         with suppress(OSError):
             scratch.unlink(missing_ok=True)
         raise SnapshotError(
@@ -215,6 +157,18 @@ def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
 # -- snapshot restore -------------------------------------------------------
 
 
+def _open(source: Path) -> tuple[sqlite3.Connection, dict[str, str]]:
+    """A read-only connection to the snapshot file, and its ``meta`` rows."""
+    connection = None
+    try:
+        connection = sqlite3.connect(f"{source.resolve().as_uri()}?mode=ro", uri=True)
+        return connection, dict(connection.execute("SELECT key, value FROM meta"))
+    except sqlite3.Error as error:
+        if connection is not None:
+            connection.close()
+        raise SnapshotError(f"{source}: unreadable snapshot ({error})") from error
+
+
 def restore_service(
     path: str | Path,
     web: Web | None = None,
@@ -224,50 +178,55 @@ def restore_service(
     from repro.api import DeepWebService
 
     source = Path(path)
-    try:
-        payload = json.loads(source.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise SnapshotError(f"{source}: unreadable snapshot ({error})") from error
-    if not isinstance(payload, dict) or payload.get("kind") != SNAPSHOT_KIND:
-        raise SnapshotError(f"{source}: not a service snapshot")
-    if payload.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(
-            f"{source}: snapshot format {payload.get('format')!r} is not "
-            f"supported (this build reads format {SNAPSHOT_FORMAT})"
-        )
-    try:
-        snapshot: ServiceSnapshot = decode(ServiceSnapshot, payload)
-    except (TypeError, ValueError) as error:
-        raise _layout_error(source, error) from error
-
-    if web is None:
-        if snapshot.web_config is None:
+    connection, stored = _open(source)
+    with closing(connection):
+        if stored.get("kind") != "snapshot":
+            raise SnapshotError(f"{source}: not a service snapshot")
+        if stored.get("format") != str(SQLITE_FORMAT):
             raise SnapshotError(
-                f"{source}: snapshot was taken from an explicit Web (no "
-                "WebConfig recorded); pass web= to restore against it"
+                f"{source}: snapshot format {stored.get('format')!r} is not "
+                f"supported (this build reads format {SQLITE_FORMAT})"
             )
-        web = generate_web(snapshot.web_config)
+        try:
+            state = {key: json.loads(value) for key, value in stored.items() if key not in PINNED}
+            snapshot: ServiceSnapshot = decode(ServiceSnapshot, state)
+            results = [read_site(payload) for (payload,) in connection.execute(
+                "SELECT result FROM sites ORDER BY seq")]
+        except (sqlite3.Error, TypeError, ValueError) as error:
+            raise _layout_error(source, error) from error
 
-    builder = DeepWebService.build().web(web).surfacing(snapshot.surfacing_config)
-    if store is not None:
-        builder = builder.store(store)
-    if snapshot.serving:
-        builder = builder.serving(**snapshot.serving)
-    service = builder.create()
-    service.web_config = snapshot.web_config
+        if web is None:
+            if snapshot.web_config is None:
+                raise SnapshotError(
+                    f"{source}: snapshot was taken from an explicit Web (no "
+                    "WebConfig recorded); pass web= to restore against it"
+                )
+            web = generate_web(snapshot.web_config)
 
-    # Replay the corpus through the shared ingestor (listeners fire as on
-    # live writes).  A fresh store must reproduce ids 1..N; a caller-
-    # supplied store already holding the corpus (e.g. the reopened sqlite
-    # file) dedups by URL onto those same ids -- and must hold nothing else.
-    ids = service.engine.ingest_records(_decoded(source, snapshot.documents))
+        builder = DeepWebService.build().web(web).surfacing(snapshot.surfacing_config)
+        if store is not None:
+            builder = builder.store(store)
+        if snapshot.serving:
+            builder = builder.serving(**snapshot.serving)
+        service = builder.create()
+        service.web_config = snapshot.web_config
+        # The tables, and the BM25 parameters the corpus was scored under.
+        mismatched = mismatches(connection, pins("snapshot", service.engine.k1, service.engine.b))
+        if mismatched:
+            raise _layout_error(source, "; ".join(mismatched))
+
+        # Replay the corpus through the shared ingestor (listeners fire as on
+        # live writes).  A fresh store must reproduce ids 1..N; a caller-
+        # supplied store already holding the corpus (e.g. the reopened sqlite
+        # file) dedups by URL onto those same ids -- and must hold nothing else.
+        ids = service.engine.ingest_records(_decoded(source, connection))
     if ids != list(range(1, len(ids) + 1)) or len(service.store) != len(ids):
         raise SnapshotError(
             f"{source}: restored store did not reproduce snapshot doc ids "
             "(restore needs an empty store, or one holding exactly this corpus)"
         )
 
-    service.results = snapshot.results
+    service.results = results
     service.crawl_stats = snapshot.crawl
     if snapshot.corpus is not None:
         corpus = service.corpus  # created wired to the shared ingestor
@@ -284,3 +243,12 @@ def restore_service(
     service._snapshot_path = source
     service._snapshot_created_at = snapshot.created_at
     return service
+
+
+def _decoded(source: Path, connection: sqlite3.Connection) -> Iterator[IngestRecord]:
+    """The stored documents as ingest pulls them; a row of another layout
+    is a :class:`SnapshotError`."""
+    try:
+        yield from read_records(connection)
+    except (sqlite3.Error, TypeError, ValueError) as error:
+        raise _layout_error(source, error) from error

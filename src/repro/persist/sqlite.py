@@ -1,30 +1,39 @@
-"""The one file of a persisted service: its documents and its resume record.
+"""The durable tier's one container: a sqlite file and what reads and writes it.
+
+Every file the tier writes -- the ``persist()`` store and a service
+snapshot -- has the same three tables: ``meta`` (key/value rows),
+``documents`` (one row per stored document, keyed by doc id) and
+``sites`` (one :class:`~repro.core.surfacer.SiteSurfacingResult` per
+completed site, in completion order, written by
+:mod:`repro.persist.codec`).  Four ``meta`` rows pin what the file is:
+its ``kind`` (``store`` or ``snapshot``, and each opener refuses the
+other's), the format, and the BM25 ``k1`` / ``b`` its corpus was scored
+under.  :func:`record_row` / :func:`read_records` are the one document
+row encoding: a document's tokens are stored as *one* space-joined
+string.  Every token in the tree comes from ``tokenize`` (``[a-z0-9]+``);
+an empty token or one holding a space, which would split back
+differently, is refused.
 
 :class:`SqliteBackend` is a write-through durable backend: every accepted
-record is appended to a sqlite ``documents`` table (stdlib ``sqlite3``,
-no new dependency) *and* indexed by the inherited
+record is appended to ``documents`` *and* indexed by the inherited
 :class:`~repro.store.memory.InMemoryBackend` machinery, which keeps
 serving every read.  Rankings, scores and doc ids are therefore
 bit-identical to the in-memory default by construction -- the inverted
 index is literally the same object
 (``tests/store/test_property_equivalence.py`` pins this op for op).
-
 Reopening the file replays the stored rows, in doc-id order, through the
-in-memory ``add`` path; the stored ids must come back out of the
-sequential assigner unchanged (ids are contiguous from 1), otherwise the
-file is corrupt and opening raises :class:`SqliteStoreError` instead of
+in-memory ``add`` path; the stored ids must run 1..N, otherwise the file
+is corrupt and opening raises :class:`SqliteStoreError` instead of
 silently renumbering a corpus.
 
-The same file is the surfacing resume record.  A ``sites`` table holds
-one row per completed site, in completion order: its host and its
-:class:`~repro.core.surfacer.SiteSurfacingResult`, written by
-:mod:`repro.persist.codec`.  :meth:`SqliteBackend.commit_site` runs a
-site's surfacing -- which writes its documents straight into this store
--- and inserts its row in one transaction, so the file holds either
-both or neither, and :meth:`SqliteBackend.bind_config` pins the
-surfacing configuration the rows were produced under.  Nothing commits
-inside that transaction: :meth:`~SqliteBackend.export_records` reads the
-pending rows through the same connection instead of flushing them.
+The same file is the surfacing resume record.
+:meth:`SqliteBackend.commit_site` runs a site's surfacing -- which
+writes its documents straight into this store -- and inserts its
+``sites`` row in one transaction, so the file holds either both or
+neither, and :meth:`SqliteBackend.bind_config` pins the surfacing
+configuration the rows were produced under.  Nothing commits inside that
+transaction: :meth:`~SqliteBackend.export_records` reads the pending
+rows through the same connection instead of flushing them.
 
 Writes commit at the end of each site and on :meth:`~SqliteBackend.flush`
 / :meth:`~SqliteBackend.close`; outside ``persist()``'s per-site commits
@@ -34,10 +43,6 @@ anywhere inside a site's transaction, rolls back what is pending and
 retires the backend: the in-memory index may then hold documents the
 file does not, so every later write, flush and resume lookup raises
 :class:`SqliteStoreError` until the file is reopened.
-The format and the BM25 parameters are
-pinned in a ``meta`` table so a file cannot be reopened by a build that
-lays it out differently, or under scoring parameters different from the
-ones its corpus was built with.
 """
 
 from __future__ import annotations
@@ -54,21 +59,91 @@ from repro.persist.codec import decode, encode
 from repro.store.memory import InMemoryBackend
 from repro.store.records import IngestRecord
 
-#: Bumped when the on-disk layout changes incompatibly (a renamed or
-#: retyped field under :class:`SiteSurfacingResult` does;
-#: ``tests/persist/test_layout_guard.py`` notices).
-SQLITE_FORMAT = 2
-#: The ``documents`` columns of a record, in :class:`IngestRecord` field order.
-_RECORD_COLUMNS = "url, host, title, text, tokens, source, annotations"
+#: Bumped when the file layout changes incompatibly: the tables, the
+#: document row encoding, or a renamed or retyped field of a persisted
+#: dataclass (``tests/persist/test_layout_guard.py`` notices; format 3
+#: made the snapshot a file of this layout and joined tokens by spaces).
+SQLITE_FORMAT = 3
+_SCHEMA = (
+    "CREATE TABLE documents (doc_id INTEGER PRIMARY KEY, url TEXT NOT NULL UNIQUE, "
+    "host TEXT NOT NULL, title TEXT NOT NULL, text TEXT NOT NULL, tokens TEXT NOT NULL, "
+    "source TEXT NOT NULL, annotations TEXT NOT NULL)",
+    "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)",
+    "CREATE TABLE sites (seq INTEGER PRIMARY KEY, host TEXT NOT NULL, result TEXT NOT NULL)",
+)
+INSERT_DOCUMENT = "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
+INSERT_META = "INSERT INTO meta (key, value) VALUES (?, ?)"
+INSERT_SITE = "INSERT INTO sites (host, result) VALUES (?, ?)"
 
 
 class SqliteStoreError(RuntimeError):
     """A sqlite store file that cannot be (re)opened or resumed safely."""
 
 
-def _record_from_row(url, host, title, text, tokens, source, annotations) -> IngestRecord:
-    """One ``documents`` row, selected as :data:`_RECORD_COLUMNS`, as a record."""
-    return IngestRecord(url, host, title, text, json.loads(tokens), source, json.loads(annotations))
+def pins(kind: str, k1: float, b: float) -> dict[str, str]:
+    """The ``meta`` rows that say what a file is, as a ``kind`` file scored
+    under ``k1`` / ``b`` must carry them."""
+    return {"kind": kind, "format": str(SQLITE_FORMAT), "k1": repr(float(k1)), "b": repr(float(b))}
+
+
+def create_schema(connection: sqlite3.Connection, pinned: dict[str, str]) -> None:
+    for statement in _SCHEMA:
+        connection.execute(statement)
+    connection.executemany(INSERT_META, sorted(pinned.items()))
+
+
+def mismatches(connection: sqlite3.Connection, pinned: dict[str, str]) -> list[str]:
+    """How the file differs from ``pinned`` and from this build's tables."""
+    stored = dict(connection.execute("SELECT key, value FROM meta"))
+    found = [
+        f"{key}: file has {stored.get(key)!r}, caller wants {value!r}"
+        for key, value in pinned.items()
+        if stored.get(key) != value
+    ]
+    tables = connection.execute("SELECT sql FROM sqlite_master WHERE type = 'table' ORDER BY name")
+    if [sql for (sql,) in tables] != list(_SCHEMA):
+        found.append("tables: not the ones this build writes")
+    return found
+
+
+def record_row(record: IngestRecord) -> tuple:
+    """``record`` as its ``documents`` columns after ``doc_id``; a token
+    that would not split back out of the joined string is a ``ValueError``."""
+    tokens = record.tokens
+    joined = " ".join(tokens)
+    # n tokens joined by n - 1 spaces: any other count means one held a space.
+    if tokens and (joined.count(" ") != len(tokens) - 1 or "" in tokens):
+        raise ValueError(
+            f"{record.url}: a token is empty or holds a space, so the "
+            "document's tokens cannot be stored as one space-joined string"
+        )
+    annotations = json.dumps(dict(record.annotations), sort_keys=True)
+    return record.url, record.host, record.title, record.text, joined, record.source, annotations
+
+
+def read_records(connection: sqlite3.Connection) -> Iterator[IngestRecord]:
+    """The ``documents`` rows in doc-id order, decoded one at a time as the
+    caller pulls them; a row of another layout, or doc ids that do not run
+    1..N, raise ``ValueError`` / ``TypeError``."""
+    rows = connection.execute("SELECT * FROM documents ORDER BY doc_id")
+    for expected, (doc_id, url, host, title, text, tokens, source, annotations) in enumerate(rows, 1):
+        if doc_id != expected:
+            raise ValueError(f"stored doc ids are not contiguous (row {doc_id} is number {expected})")
+        if not isinstance(tokens, str):
+            raise ValueError(f"tokens must be one space-joined string, got {type(tokens).__name__}")
+        tokens = tokens.split(" ") if tokens else []
+        yield IngestRecord(url, host, title, text, tokens, source, dict(json.loads(annotations)))
+
+
+def site_payload(result: SiteSurfacingResult) -> str:
+    """A ``sites`` row's ``result`` column."""
+    return json.dumps(encode(SiteSurfacingResult, result), sort_keys=True)
+
+
+def read_site(payload: str) -> SiteSurfacingResult:
+    """The inverse of :func:`site_payload`; a payload of another layout
+    raises ``ValueError`` / ``TypeError``."""
+    return decode(SiteSurfacingResult, json.loads(payload))
 
 
 class SqliteBackend(InMemoryBackend):
@@ -86,66 +161,23 @@ class SqliteBackend(InMemoryBackend):
         self._failed = False
         self._connection = sqlite3.connect(str(self.path), check_same_thread=False)
         try:
-            self._init_schema()
-            self._load()
+            pinned = pins("store", k1, b)
+            with self._connection:
+                if not self._connection.execute("SELECT 1 FROM sqlite_master").fetchone():
+                    create_schema(self._connection, pinned)
+            mismatched = mismatches(self._connection, pinned)
+            if mismatched:
+                raise SqliteStoreError(
+                    f"{self.path}: incompatible store file ({'; '.join(mismatched)})"
+                )
+            try:
+                for record in read_records(self._connection):
+                    super().add(record)
+            except (TypeError, ValueError) as error:
+                raise SqliteStoreError(f"{self.path}: unreadable document row ({error})") from error
         except BaseException:
             self._connection.close()
             raise
-
-    # -- file lifecycle ------------------------------------------------------
-
-    def _init_schema(self) -> None:
-        with self._connection:
-            self._connection.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                "key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-            )
-        expected = {
-            "format": str(SQLITE_FORMAT),
-            "k1": repr(float(self.k1)),
-            "b": repr(float(self.b)),
-        }
-        stored = dict(self._connection.execute("SELECT key, value FROM meta"))
-        mismatched = [
-            f"{key}: file has {stored.get(key)!r}, caller wants {value!r}"
-            for key, value in expected.items()
-            if stored and stored.get(key) != value
-        ]
-        if mismatched:
-            raise SqliteStoreError(
-                f"{self.path}: incompatible store file ({'; '.join(mismatched)})"
-            )
-        with self._connection:
-            self._connection.execute(
-                "CREATE TABLE IF NOT EXISTS documents ("
-                "doc_id INTEGER PRIMARY KEY, url TEXT NOT NULL UNIQUE, "
-                "host TEXT NOT NULL, title TEXT NOT NULL, text TEXT NOT NULL, "
-                "tokens TEXT NOT NULL, source TEXT NOT NULL, "
-                "annotations TEXT NOT NULL)"
-            )
-            self._connection.execute(
-                "CREATE TABLE IF NOT EXISTS sites ("
-                "seq INTEGER PRIMARY KEY, host TEXT NOT NULL UNIQUE, "
-                "result TEXT NOT NULL)"
-            )
-            if not stored:
-                self._connection.executemany(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    sorted(expected.items()),
-                )
-
-    def _load(self) -> None:
-        """Replay stored rows through the in-memory add path, id-checked."""
-        rows = self._connection.execute(
-            f"SELECT doc_id, {_RECORD_COLUMNS} FROM documents ORDER BY doc_id"
-        )
-        for doc_id, *row in rows:
-            assigned = super().add(_record_from_row(*row))
-            if assigned != doc_id:
-                raise SqliteStoreError(
-                    f"{self.path}: stored doc ids are not contiguous "
-                    f"(row {doc_id} replayed as {assigned})"
-                )
 
     # -- writes --------------------------------------------------------------
 
@@ -171,25 +203,15 @@ class SqliteBackend(InMemoryBackend):
         self._connection.rollback()
 
     def add(self, record: IngestRecord) -> int:
+        # Encoded first: a token the row cannot hold is refused before the
+        # record reaches the index, and does not retire the store.
+        row = record_row(record)
         with self._guarded() as connection:
             existing = self._url_to_doc.get(record.url)
             if existing is not None:
                 return existing
             doc_id = super().add(record)
-            connection.execute(
-                f"INSERT INTO documents (doc_id, {_RECORD_COLUMNS}) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    doc_id,
-                    record.url,
-                    record.host,
-                    record.title,
-                    record.text,
-                    json.dumps(list(record.tokens)),
-                    record.source,
-                    json.dumps(dict(record.annotations), sort_keys=True),
-                ),
-            )
+            connection.execute(INSERT_DOCUMENT, (doc_id, *row))
             return doc_id
 
     def export_records(self) -> list[IngestRecord]:
@@ -202,10 +224,7 @@ class SqliteBackend(InMemoryBackend):
         transaction).
         """
         with self._guarded() as connection:
-            rows = connection.execute(
-                f"SELECT {_RECORD_COLUMNS} FROM documents ORDER BY doc_id"
-            )
-            return [_record_from_row(*row) for row in rows]
+            return list(read_records(connection))
 
     def flush(self) -> None:
         """Commit pending writes to disk."""
@@ -239,10 +258,7 @@ class SqliteBackend(InMemoryBackend):
                 "SELECT value FROM meta WHERE key = 'surfacing_config'"
             ).fetchone()
             if row is None:
-                connection.execute(
-                    "INSERT INTO meta (key, value) VALUES ('surfacing_config', ?)",
-                    (encoded,),
-                )
+                connection.execute(INSERT_META, ("surfacing_config", encoded))
                 connection.commit()
         # Refused outside the guard: a drifted config is the caller's
         # mistake, not a failed write, and must not retire the store.
@@ -268,7 +284,7 @@ class SqliteBackend(InMemoryBackend):
         if row is None:
             return None
         try:
-            return decode(SiteSurfacingResult, json.loads(row[0]))
+            return read_site(row[0])
         except (TypeError, ValueError) as error:
             raise SqliteStoreError(
                 f"{self.path}: site {host!r} does not match this build's "
@@ -291,11 +307,9 @@ class SqliteBackend(InMemoryBackend):
         self.flush()
         try:
             result = surface()
-            payload = json.dumps(encode(SiteSurfacingResult, result), sort_keys=True)
+            payload = site_payload(result)
             with self._guarded() as connection:
-                connection.execute(
-                    "INSERT INTO sites (host, result) VALUES (?, ?)", (host, payload)
-                )
+                connection.execute(INSERT_SITE, (host, payload))
                 connection.commit()
         except BaseException:
             with self._lock:

@@ -225,9 +225,8 @@ class IndexingStage:
     def run(self, ctx: PipelineContext) -> PipelineContext:
         for candidate in ctx.kept:
             ctx.form_result.record_sets.append(candidate.records)
-            if ctx.config.index_pages:
-                if _index_url(ctx, candidate):
-                    ctx.form_result.urls_indexed += 1
+            if _index_url(ctx, candidate):
+                ctx.form_result.urls_indexed += 1
         return ctx
 
 

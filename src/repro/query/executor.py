@@ -2,12 +2,11 @@
 
 The :class:`QueryExecutor` is the single place a :class:`QueryPlan`
 turns into results.  Each route operator runs in plan order under its
-own budget (live probes are capped by an explicit ``Web.fetch`` budget
-and an optional wall-clock budget), its raw output is blended by the
-deterministic :class:`BlendedRanker`, and the returned
-:class:`PlanResult` carries provenance: which route produced each hit,
-how many hits each route contributed and kept, and what each route
-spent.
+own budget (live probes are capped by an explicit ``Web.fetch`` budget),
+its raw output is blended by the deterministic :class:`BlendedRanker`,
+and the returned :class:`PlanResult` carries provenance: which route
+produced each hit, how many hits each route contributed and kept, and
+what each route spent.
 
 Equivalence guarantee: a plan holding a single :class:`IndexedRoute`
 bypasses normalization entirely -- its results (ids, scores, order) are
@@ -65,7 +64,6 @@ class RouteOutcome:
     kept: int
     fetches_spent: int
     seconds: float
-    skipped: bool = False
     degraded: bool = False
     failed_hosts: tuple[str, ...] = ()
     error: str = ""
@@ -130,10 +128,7 @@ class PlannerStats:
             self.live_fetches += result.live_fetches_spent
             self.blended_results += len(result.hits)
             for outcome in result.routes:
-                if not outcome.skipped:
-                    self.routes_taken[outcome.route] = (
-                        self.routes_taken.get(outcome.route, 0) + 1
-                    )
+                self.routes_taken[outcome.route] = self.routes_taken.get(outcome.route, 0) + 1
                 self.hits_by_route[outcome.route] = (
                     self.hits_by_route.get(outcome.route, 0) + outcome.kept
                 )
@@ -255,17 +250,15 @@ class QueryExecutor:
             result = PlanResult(plan=plan)
             self.stats.record(result)
             return result
-        started = self._clock()
         if self._refresh is not None:
             self._refresh()
         contributions: list[tuple[str, list[SearchResult], int]] = []
-        raw: list[tuple[str, int, int, float, bool, tuple[str, ...], str]] = []
+        raw: list[tuple[str, int, int, float, tuple[str, ...], str]] = []
         #: Per-execution memo so the indexed floor path and the webtables
         #: route share one store search instead of ranking the corpus twice.
         shared: dict[str, _SourceRanking] = {}
         for route in plan.routes:
             route_started = self._clock()
-            skipped = False
             fetches = 0
             failed_hosts: tuple[str, ...] = ()
             error = ""
@@ -274,15 +267,7 @@ class QueryExecutor:
             elif isinstance(route, WebTablesRoute):
                 results = self._run_webtables(plan, route, shared)
             elif isinstance(route, LiveVerticalRoute):
-                if (
-                    route.time_budget_seconds is not None
-                    and self._clock() - started > route.time_budget_seconds
-                ):
-                    # The plan already spent its wall-clock allowance on
-                    # the offline routes; don't pile load onto live sites.
-                    results, skipped = [], True
-                else:
-                    results, fetches, failed_hosts, error = self._run_live(plan, route)
+                results, fetches, failed_hosts, error = self._run_live(plan, route)
             else:  # pragma: no cover - the Route union is closed
                 raise TypeError(f"unknown route operator {route!r}")
             contributions.append((route.name, results, getattr(route, "floor", 0)))
@@ -292,7 +277,6 @@ class QueryExecutor:
                     len(results),
                     fetches,
                     self._clock() - route_started,
-                    skipped,
                     failed_hosts,
                     error,
                 )
@@ -308,12 +292,11 @@ class QueryExecutor:
                 kept=kept.get(name, 0),
                 fetches_spent=fetches,
                 seconds=seconds,
-                skipped=skipped,
                 degraded=bool(failed_hosts) or bool(error),
                 failed_hosts=failed_hosts,
                 error=error,
             )
-            for name, produced, fetches, seconds, skipped, failed_hosts, error in raw
+            for name, produced, fetches, seconds, failed_hosts, error in raw
         ]
         result = PlanResult(plan=plan, hits=hits, routes=outcomes)
         if keep_raw:

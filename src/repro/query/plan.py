@@ -62,27 +62,21 @@ class LiveVerticalRoute:
 
     ``fetch_budget`` caps the route's ``Web.fetch`` calls for one plan
     execution (routing itself is free; only form submissions and result
-    pagination spend budget).  ``time_budget_seconds`` is checked before
-    the route starts: a plan that has already run longer skips the live
-    probe rather than piling query-time load onto sites.
+    pagination spend budget).
     """
 
     hosts: tuple[str, ...] = ()
     fetch_budget: int = 8
     max_results: int = 20
     floor: int = 2
-    time_budget_seconds: float | None = None
 
     name = ROUTE_LIVE_VERTICAL
     cacheable = False
 
     def describe(self) -> str:
-        time_part = (
-            f",time={self.time_budget_seconds:g}" if self.time_budget_seconds else ""
-        )
         return (
             f"live(hosts={','.join(self.hosts)},budget={self.fetch_budget},"
-            f"max={self.max_results},floor={self.floor}{time_part})"
+            f"max={self.max_results},floor={self.floor})"
         )
 
 
@@ -105,18 +99,11 @@ Route = IndexedRoute | LiveVerticalRoute | WebTablesRoute
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """One routed read, fully described.
-
-    ``generation`` records the store's document count at planning time --
-    provenance for replay ("what corpus was this planned against"), not
-    part of the fingerprint (which names the computation, not the corpus
-    snapshot).
-    """
+    """One routed read, fully described."""
 
     query: ParsedQuery
     k: int
     routes: tuple[Route, ...] = ()
-    generation: int = 0
 
     @property
     def is_empty(self) -> bool:

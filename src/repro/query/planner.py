@@ -109,7 +109,7 @@ class QueryPlanner:
             )
         parsed = parse_query(query)
         if parsed.is_empty or k <= 0:
-            return QueryPlan(query=parsed, k=max(k, 0), generation=len(self._engine))
+            return QueryPlan(query=parsed, k=max(k, 0))
         routes: list[Route] = [IndexedRoute(k=k, min_per_source=min_per_source)]
         if include_webtables is None:
             include_webtables = parsed.is_structured or self._is_table_lookup(parsed)
@@ -120,7 +120,7 @@ class QueryPlanner:
             if hosts:
                 routes.append(LiveVerticalRoute(hosts=hosts, fetch_budget=live_fetch_budget))
         return QueryPlan(
-            query=parsed, k=k, routes=tuple(routes), generation=len(self._engine)
+            query=parsed, k=k, routes=tuple(routes)
         )
 
     # -- signals -------------------------------------------------------------

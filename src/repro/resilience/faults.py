@@ -16,7 +16,7 @@ recording every failure in the shared :class:`LoadMeter`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from repro.util.rng import SeededRng

@@ -18,7 +18,6 @@ from repro.util.rng import SeededRng
 from repro.util.text import tokenize
 from repro.util.zipf import ZipfSampler
 from repro.webspace.site import DeepWebSite
-from repro.webspace.surface_site import SurfaceSite
 from repro.webspace.web import Web
 
 KIND_HEAD = "head"

@@ -1,8 +1,9 @@
-"""The persisted dataclasses, found by walking the two on-disk roots.
+"""The persisted dataclasses, found by walking the on-disk roots.
 
-The snapshot root is :class:`ServiceSnapshot`; the sqlite store persists
-:class:`SiteSurfacingResult` per completed site and binds
-:class:`SurfacingConfig`.  Everything below a root is found through
+A file's ``sites`` rows hold :class:`SiteSurfacingResult`; its ``meta``
+rows hold :class:`SurfacingConfig` (bound by the store) or, in a
+snapshot, every field of :class:`ServiceSnapshot`.  Everything below a
+root is found through
 ``fields`` + ``get_type_hints``, so a dataclass added under a result
 object joins the codec tests and the layout guard on its own.
 """
@@ -12,13 +13,10 @@ from __future__ import annotations
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_type_hints
 
-from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
+from repro.core.surfacer import SiteSurfacingResult
 from repro.persist.snapshot import ServiceSnapshot
 
-ROOTS = {
-    "snapshot": (ServiceSnapshot,),
-    "sqlite": (SiteSurfacingResult, SurfacingConfig),
-}
+ROOTS = (ServiceSnapshot, SiteSurfacingResult)
 
 
 def persisted_dataclasses(*roots: type) -> list[type]:

@@ -29,6 +29,6 @@ def test_durable_example_runs_end_to_end(tmp_path, capsys):
     assert "with 0 surfacer fetches" in out
     # One container per persisted service: the store and the snapshot.
     assert sorted(path.name for path in (tmp_path / "state").iterdir()) == [
-        "snapshot.json",
+        "snapshot.sqlite3",
         "store.sqlite3",
     ]

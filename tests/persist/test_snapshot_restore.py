@@ -14,17 +14,19 @@ from __future__ import annotations
 
 import errno
 import itertools
-import json
 import os
+import shutil
+import sqlite3
 import time
-from pathlib import Path
+from contextlib import closing
 
 import pytest
 
 from repro.api import DeepWebService
 from repro.cluster import ClusterBackend
 from repro.core.surfacer import SurfacingConfig
-from repro.persist import SnapshotError, SqliteBackend
+from repro.persist import SnapshotError, SqliteBackend, SqliteStoreError
+from repro.store import InMemoryBackend, IngestRecord
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.serve.loadgen import WorkloadGenerator
@@ -79,7 +81,7 @@ def round_trip(tmp_path_factory):
     expected = answers(service)
     # Serve through the frontend so the cache has stamped generations.
     service.frontend.serve("toyota dealer", k=10)
-    path = service.snapshot(tmp_path_factory.mktemp("snap") / "snapshot.json")
+    path = service.snapshot(tmp_path_factory.mktemp("snap") / "snapshot.sqlite3")
     restored = DeepWebService.restore(path)
     return service, restored, expected, path
 
@@ -145,8 +147,10 @@ def test_writer_and_restored_service_age_the_snapshot_from_one_stamp(tmp_path, m
 
     service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
     monkeypatch.setattr(time, "time", clock)
-    path = service.snapshot(tmp_path / "snapshot.json")
-    stamp = json.loads(path.read_text())["created_at"]
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
+    with closing(sqlite3.connect(path)) as raw:
+        (stamp,) = raw.execute("SELECT value FROM meta WHERE key = 'created_at'").fetchone()
+    stamp = float(stamp)
     restored = DeepWebService.restore(path)
     for reader in (service, restored):
         age = reader._storage_section()["snapshot_age_seconds"]
@@ -167,7 +171,7 @@ def test_restore_builds_no_deep_site_database(tmp_path, monkeypatch):
     service.surface()
     population = [query.text for query in WorkloadGenerator(service.web).population()]
     texts = list(itertools.islice(itertools.cycle(population), 200))
-    path = service.snapshot(tmp_path / "snapshot.json")
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
     built = []
     build_table = sitegen.build_table
 
@@ -178,11 +182,12 @@ def test_restore_builds_no_deep_site_database(tmp_path, monkeypatch):
     monkeypatch.setattr(sitegen, "build_table", counted)
     restored = DeepWebService.restore(path)
     answers = [restored.search(text, k=10) for text in texts]
-    sites = len(restored.web.deep_sites())
+    sites, documents = len(restored.web.deep_sites()), len(restored.store)
     # CI greps this line out of a ``-s`` run into the job summary.
     print(
         f"\nrestore: {len(built)} of {sites} deep-site databases built "
-        f"after {len(texts)} searches"
+        f"after {len(texts)} searches; snapshot of {documents} documents, "
+        f"{path.stat().st_size / documents:.0f} bytes per document"
     )
     assert built == []
     assert answers == [service.search(text, k=10) for text in texts]
@@ -232,7 +237,7 @@ def test_cache_generation_floor_survives_a_closed_frontend(tmp_path):
     stamped = service.frontend.cache.generation
     assert stamped >= 30
     service.frontend.close()
-    restored = DeepWebService.restore(service.snapshot(tmp_path / "closed.json"))
+    restored = DeepWebService.restore(service.snapshot(tmp_path / "closed.sqlite3"))
     with restored.frontend, service.frontend:
         assert restored.frontend.cache.generation == stamped + 1
         assert service.frontend.cache.generation == stamped
@@ -255,7 +260,7 @@ def test_restore_into_reopened_sqlite_store(tmp_path):
     expected = [
         (r.doc_id, r.url, r.score) for r in service.search("toyota dealer", k=20)
     ]
-    path = service.snapshot(tmp_path / "snapshot.json")
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
     service.store.close()
 
     restored = DeepWebService.restore(path, store=SqliteBackend(tmp_path / "store.sqlite3"))
@@ -277,7 +282,7 @@ def test_cluster_snapshot_restores_into_memory_and_into_another_cluster(tmp_path
     service.surface()
     service.harvest_tables()
     expected = answers(service)
-    path = service.snapshot(tmp_path / "cluster.json")
+    path = service.snapshot(tmp_path / "cluster.sqlite3")
     assert cluster.degraded_searches == 0
     other = ClusterBackend(3, 1, deadline_seconds=30)
     for restored in (DeepWebService.restore(path), DeepWebService.restore(path, store=other)):
@@ -286,34 +291,95 @@ def test_cluster_snapshot_restores_into_memory_and_into_another_cluster(tmp_path
     assert restored.store is other and other.degraded_searches == 0
 
 
-@pytest.mark.parametrize("failing", ["write", "replace"])
-def test_a_failed_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch, failing):
-    """A write that runs out of space part-way, or a rename that is refused,
-    is a SnapshotError: the scratch file is gone and the snapshot already
-    at the path is byte-for-byte what it was."""
+#: Which statement of the snapshot writer fails, by step.
+FAILING_STATEMENT = {
+    "schema": lambda sql, rows: sql.startswith("CREATE TABLE"),
+    "documents": lambda sql, rows: sql.startswith("INSERT INTO documents"),
+    "sites": lambda sql, rows: sql.startswith("INSERT INTO sites"),
+    "service-state": lambda sql, rows: sql.startswith("INSERT INTO meta") and "created_at" in dict(rows),
+}
+
+
+class FailingConnection:
+    """A sqlite connection that runs every statement, then fails the one
+    the step names -- part of its rows may already be in the file."""
+
+    def __init__(self, connection: sqlite3.Connection, step: str) -> None:
+        self.connection, self.step = connection, step
+
+    def _run(self, method, sql, rows):
+        method(sql, rows)
+        if self.step in FAILING_STATEMENT and FAILING_STATEMENT[self.step](sql, rows):
+            raise sqlite3.OperationalError("database or disk is full")
+
+    def execute(self, sql, parameters=()):
+        self._run(self.connection.execute, sql, parameters)
+
+    def executemany(self, sql, rows):
+        self._run(self.connection.executemany, sql, list(rows))
+
+    def commit(self):
+        if self.step == "commit":
+            raise sqlite3.OperationalError("disk I/O error")
+        self.connection.commit()
+
+    def close(self):
+        self.connection.close()
+        if self.step == "close":
+            raise sqlite3.OperationalError("disk I/O error")
+
+
+@pytest.mark.parametrize(
+    "step", ["connect", *FAILING_STATEMENT, "commit", "close", "rename", "unrepresentable-token"]
+)
+def test_a_failed_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch, step):
+    """A failure at any step of the writer -- opening the scratch file, each
+    table's rows, the commit, the close, the rename, or a token the one
+    document row encoding cannot hold -- is a SnapshotError: the scratch
+    file is gone and the snapshot already at the path is byte-for-byte
+    what it was."""
     service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
     service.crawl(max_pages=30)
-    path = service.snapshot(tmp_path / "snapshot.json")
+    service.surface(service.web.deep_sites()[:1])
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
     before = path.read_bytes()
     service.crawl(max_pages=60)
-    if failing == "write":
-        write_text = Path.write_text
+    connect = sqlite3.connect
+    if step == "connect":
 
-        def write_half_then_fail(self, text, *args, **kwargs):
-            write_text(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device")
+        def refuse_to_open(*args, **kwargs):
+            raise sqlite3.OperationalError("unable to open database file")
 
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    else:
+        monkeypatch.setattr(sqlite3, "connect", refuse_to_open)
+    elif step == "rename":
 
         def refuse(source, target):
             raise OSError(errno.EACCES, "Permission denied")
 
         monkeypatch.setattr(os, "replace", refuse)
+    elif step == "unrepresentable-token":
+        record = IngestRecord(url="http://odd.example.com/", host="odd.example.com",
+                              title="", text="", tokens=["two words"])
+        service.engine.ingest_records([record])
+    else:
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *args: FailingConnection(connect(*args), step)
+        )
     with pytest.raises(SnapshotError, match="not written.*previous snapshot is unchanged"):
         service.snapshot(path)
     assert path.read_bytes() == before
-    assert [entry.name for entry in tmp_path.iterdir()] == ["snapshot.json"]
+    assert [entry.name for entry in tmp_path.iterdir()] == ["snapshot.sqlite3"]
+
+
+def test_a_site_surfaced_twice_keeps_both_results(tmp_path):
+    """``surface()`` lists a site passed twice twice; a snapshot's ``sites``
+    rows are its results in order, repeats included."""
+    service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
+    site = service.web.deep_sites()[0]
+    service.surface([site, site])
+    restored = DeepWebService.restore(service.snapshot(tmp_path / "twice.sqlite3"))
+    assert [r.host for r in restored.results] == [site.host, site.host]
+    assert normalized_results(restored.results) == normalized_results(service.results)
 
 
 def test_restore_refuses_a_store_holding_more_than_the_snapshot(tmp_path):
@@ -326,7 +392,7 @@ def test_restore_refuses_a_store_holding_more_than_the_snapshot(tmp_path):
         DeepWebService.build().web(WEB).surfacing(SURFACING).store(SqliteBackend(store_path)).create()
     )
     service.crawl(max_pages=40)
-    path = service.snapshot(tmp_path / "snapshot.json")
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
     service.surface()
     assert len(service.store) > 40
     service.store.close()
@@ -346,7 +412,7 @@ def test_snapshot_defaults_to_persist_dir(tmp_path):
     )
     service.crawl(max_pages=50)
     written = service.snapshot()
-    assert written == tmp_path / "state" / "snapshot.json"
+    assert written == tmp_path / "state" / "snapshot.sqlite3"
     assert written.exists()
     service.store.close()
 
@@ -357,27 +423,64 @@ def test_snapshot_without_persist_dir_needs_a_path():
         service.snapshot()
 
 
-def test_restore_rejects_foreign_and_future_files(tmp_path):
-    not_a_snapshot = tmp_path / "other.json"
-    not_a_snapshot.write_text(json.dumps({"kind": "something-else"}))
-    with pytest.raises(SnapshotError, match="not a service snapshot"):
-        DeepWebService.restore(not_a_snapshot)
+def test_restore_refuses_unreadable_foreign_and_future_files(tmp_path):
+    """A missing file, a file that is not sqlite (a JSON snapshot of an
+    earlier build) and a sqlite file without the layout are unreadable; a
+    store file is not a snapshot; another format is refused by number."""
+    legacy = tmp_path / "snapshot.json"
+    legacy.write_text('{"kind": "deepweb-service-snapshot", "format": 4}')
+    with closing(sqlite3.connect(tmp_path / "empty.sqlite3")) as empty:
+        empty.execute("CREATE TABLE other (x)")
+    for unreadable, complaint in [
+        (tmp_path / "missing.sqlite3", "unable to open"),
+        (legacy, "not a database"),
+        (tmp_path / "empty.sqlite3", "no such table: meta"),
+    ]:
+        with pytest.raises(SnapshotError, match=f"unreadable snapshot .*{complaint}"):
+            DeepWebService.restore(unreadable)
+    assert not (tmp_path / "missing.sqlite3").exists()
 
     service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
-    path = service.snapshot(tmp_path / "snap.json")
-    payload = json.loads(path.read_text())
-    payload["format"] = 99
-    future = tmp_path / "future.json"
-    future.write_text(json.dumps(payload))
-    with pytest.raises(SnapshotError, match="format 99"):
+    path = service.snapshot(tmp_path / "snap.sqlite3")
+    future = tampered(path, tmp_path, "UPDATE meta SET value = '99' WHERE key = 'format'")
+    with pytest.raises(SnapshotError, match="format '99' is not supported"):
         DeepWebService.restore(future)
+
+
+def test_a_snapshot_and_a_store_file_refuse_each_others_opener(tmp_path):
+    """The ``kind`` pin: a snapshot is not opened as a store, nor a store
+    file restored as a snapshot, and neither file changes on the way."""
+    store_path = tmp_path / "store.sqlite3"
+    service = build_service_on(SqliteBackend(store_path))
+    service.crawl(max_pages=30)
+    snapshot = service.snapshot(tmp_path / "snapshot.sqlite3")
+    service.store.close()
+    files = {path: path.read_bytes() for path in (store_path, snapshot)}
+    with pytest.raises(SqliteStoreError, match="kind: file has 'snapshot', caller wants 'store'"):
+        SqliteBackend(snapshot)
+    with pytest.raises(SnapshotError, match="not a service snapshot"):
+        DeepWebService.restore(store_path)
+    assert {path: path.read_bytes() for path in files} == files
+
+
+def test_restore_refuses_a_store_scoring_under_other_bm25_parameters(tmp_path):
+    """The k1/b ``meta`` pin: a snapshot's corpus restores only into a
+    store scoring under the parameters it was written with."""
+    service = build_service_on(InMemoryBackend(k1=1.2))
+    service.crawl(max_pages=30)
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
+    with pytest.raises(SnapshotError, match="k1: file has '1.2', caller wants '1.5'"):
+        DeepWebService.restore(path)
+    restored = DeepWebService.restore(path, store=InMemoryBackend(k1=1.2))
+    assert normalized_index(restored.engine) == normalized_index(service.engine)
+    assert restored.search("toyota dealer") == service.search("toyota dealer")
 
 
 def test_explicit_web_snapshot_requires_web_on_restore(tmp_path):
     web = generate_web(WEB)
     service = DeepWebService.build().web(web).surfacing(SURFACING).create()
     service.crawl(max_pages=50)
-    path = service.snapshot(tmp_path / "snap.json")
+    path = service.snapshot(tmp_path / "snap.sqlite3")
     with pytest.raises(SnapshotError, match="pass web="):
         DeepWebService.restore(path)
     restored = DeepWebService.restore(path, web=generate_web(WEB))
@@ -389,9 +492,9 @@ def test_cache_generation_keeps_rising_across_hops_that_never_serve(round_trip, 
     frontend never built: the second restored frontend must still start
     past the first one's generation, not beside it."""
     _, first, _, _ = round_trip
-    untouched = DeepWebService.restore(first.snapshot(tmp_path / "hop1.json"))
+    untouched = DeepWebService.restore(first.snapshot(tmp_path / "hop1.sqlite3"))
     assert untouched._frontend is None
-    second = DeepWebService.restore(untouched.snapshot(tmp_path / "hop2.json"))
+    second = DeepWebService.restore(untouched.snapshot(tmp_path / "hop2.sqlite3"))
     generations = [
         service.frontend.cache.generation for service in (first, untouched, second)
     ]
@@ -412,43 +515,57 @@ def test_fault_accounting_survives_restore(tmp_path):
         .create()
     )
     service.surface()
-    restored = DeepWebService.restore(service.snapshot(tmp_path / "faulted.json"))
+    restored = DeepWebService.restore(service.snapshot(tmp_path / "faulted.sqlite3"))
     assert any(r.fetch_errors and r.fetch_retries and r.degraded for r in service.results)
     assert fault_accounting(restored) == fault_accounting(service)
 
 
+def tampered(path, tmp_path, *statements):
+    """A copy of the snapshot at ``path`` with ``statements`` run on it."""
+    copy = tmp_path / f"tampered-{len(list(tmp_path.iterdir()))}.sqlite3"
+    shutil.copyfile(path, copy)
+    with closing(sqlite3.connect(copy)) as raw, raw:
+        for statement in statements:
+            raw.execute(statement)
+    return copy
+
+
+def build_service_on(store) -> DeepWebService:
+    return DeepWebService.build().web(WEB).surfacing(SURFACING).store(store).create()
+
+
 @pytest.mark.parametrize(
-    "tamper, complaint",
+    "statement, complaint",
     [
-        (lambda payload: payload["results"][0].update(surprise=1), "unknown .'surprise'."),
-        (lambda payload: payload["results"][0].pop("host"), "missing .'host'."),
-        (lambda payload: payload.update(surprise=1), "unknown .'surprise'."),
-        (lambda payload: payload["surfacing_config"].update(max_urls_per_form=0), "positive"),
-        (lambda payload: payload["documents"][0].pop("tokens"), "missing .'tokens'."),
-        (lambda payload: payload["documents"][0].update(tokens=7), "string, got int"),
-        (lambda payload: payload["documents"][-1].update(surprise=1), "unknown .'surprise'."),
-        (
-            lambda payload: payload["documents"][0].update(
-                tokens=payload["documents"][0]["tokens"].split(" ")
-            ),
-            "string, got list",
-        ),
-        (lambda payload: payload["documents"].append("a document"), "expected an object"),
+        ("UPDATE sites SET result = json_set(result, '$.surprise', 1) WHERE seq = 1",
+         "unknown .'surprise'."),
+        ("UPDATE sites SET result = json_remove(result, '$.host') WHERE seq = 1",
+         "missing .'host'."),
+        ("INSERT INTO meta VALUES ('surprise', '1')", "unknown .'surprise'."),
+        ("DELETE FROM meta WHERE key = 'harvest'", "missing .'harvest'."),
+        ("UPDATE meta SET value = json_set(value, '$.max_urls_per_form', 0) "
+         "WHERE key = 'surfacing_config'", "positive"),
+        ("UPDATE meta SET value = '{' WHERE key = 'crawl'", "Expecting property name"),
+        ("UPDATE meta SET value = '1.2' WHERE key = 'k1'", "k1: file has '1.2'"),
+        ("ALTER TABLE documents DROP COLUMN tokens", "tables: not the ones"),
+        ("ALTER TABLE documents ADD COLUMN surprise TEXT", "tables: not the ones"),
+        ("DROP TABLE sites", "no such table: sites"),
+        ("UPDATE documents SET tokens = X'61' WHERE doc_id = 1", "string, got bytes"),
+        ("UPDATE documents SET annotations = '7' WHERE doc_id = 2", "not iterable"),
+        ("DELETE FROM documents WHERE doc_id = 2", "not contiguous .row 3 is number 2."),
     ],
     ids=[
-        "unknown-result-key", "missing-result-field", "unknown-top-level-key", "invalid-config",
-        "document-without-tokens", "document-tokens-not-a-string", "unknown-document-key",
-        "format-3-token-list", "document-not-an-object",
+        "unknown-result-key", "missing-result-field", "unknown-meta-key", "missing-meta-entry",
+        "invalid-config", "meta-value-not-json", "other-bm25-k1", "document-without-tokens",
+        "unknown-document-column", "no-sites-table", "document-tokens-not-a-string",
+        "annotations-not-an-object", "doc-ids-not-contiguous",
     ],
 )
-def test_restore_refuses_a_payload_of_another_layout(round_trip, tmp_path, tamper, complaint):
-    """An undeclared key, a missing required field and an invalid value are
-    snapshot errors, never a bare TypeError / KeyError from a constructor --
-    in the stored documents too, whichever entry holds them."""
+def test_restore_refuses_a_file_of_another_layout(round_trip, tmp_path, statement, complaint):
+    """An undeclared key, a missing required field, an invalid value, a
+    table of other columns and a row that will not decode are snapshot
+    errors, never a bare TypeError / KeyError / sqlite3 error -- in the
+    ``meta`` and ``sites`` rows and in the stored documents alike."""
     _, _, _, path = round_trip
-    payload = json.loads(path.read_text())
-    tamper(payload)
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(payload))
     with pytest.raises(SnapshotError, match=f"layout.*{complaint}"):
-        DeepWebService.restore(tampered)
+        DeepWebService.restore(tampered(path, tmp_path, statement))

@@ -184,7 +184,7 @@ def test_file_of_another_format_is_refused(tmp_path):
         raw.execute("UPDATE meta SET value = '1' WHERE key = 'format'")
         raw.execute("DROP TABLE sites")
     raw.close()
-    with pytest.raises(SqliteStoreError, match="format: file has '1', caller wants '2'"):
+    with pytest.raises(SqliteStoreError, match="format: file has '1', caller wants '3'"):
         SqliteBackend(path)
     with sqlite3.connect(str(path)) as raw:
         tables = {name for (name,) in raw.execute("SELECT name FROM sqlite_master")}
@@ -203,6 +203,16 @@ def test_non_contiguous_doc_ids_are_refused(tmp_path):
     raw.close()
     with pytest.raises(SqliteStoreError, match="not contiguous"):
         SqliteBackend(path)
+
+
+def test_a_token_the_row_cannot_hold_is_refused_before_it_is_indexed(tmp_path):
+    """Tokens are stored space-joined, so an empty token or one holding a
+    space is refused; the store keeps working."""
+    with SqliteBackend(tmp_path / "tokens.sqlite3") as backend:
+        with pytest.raises(ValueError, match="empty or holds a space"):
+            backend.add(make_record(1, tokens=["alpha", "two words"]))
+        assert len(backend) == 0 and backend.search(["alpha"]) == []
+        assert backend.add(make_record(1)) == 1
 
 
 def test_backend_is_not_memory_subclass_in_kind_only(tmp_path):

@@ -136,14 +136,6 @@ class TestIndexingStage:
         assert len(surfaced) == ctx.form_result.urls_indexed
         assert len(ctx.form_result.record_sets) == ctx.form_result.urls_kept
 
-    def test_index_pages_flag_disables_indexing(self, site_ctx):
-        site_ctx.config = SurfacingConfig(index_pages=False, max_urls_per_form=200)
-        ctx = run_through(site_ctx.for_form(site_ctx.forms[0]), IndexingStage)
-        assert ctx.form_result.urls_indexed == 0
-        assert ctx.engine.documents(source=SOURCE_SURFACED) == []
-        # Record bookkeeping still happens, so coverage stays measurable.
-        assert ctx.form_result.record_sets
-
 
 def test_default_stages_cover_the_paper_order():
     names = [stage.name for stage in default_stages()]

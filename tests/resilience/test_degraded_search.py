@@ -108,7 +108,7 @@ class TestDegradedDeterminism:
                 # the one field allowed to differ between identical runs.
                 routes = tuple(
                     (o.route, o.produced, o.kept, o.fetches_spent,
-                     o.skipped, o.degraded, o.failed_hosts, o.error)
+                     o.degraded, o.failed_hosts, o.error)
                     for o in result.routes
                 )
                 outputs.append((result.hits, result.degraded, routes))
