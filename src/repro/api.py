@@ -80,9 +80,10 @@ class ServiceReport:
     crawl: CrawlStats | None = None
     #: The per-site results every total above is summed from.
     sites: list[SiteSurfacingResult] = field(default_factory=list)
-    #: Cross-stage probe memo counters (hits/misses/inferred/hit_rate and the
-    #: number of non-monotone forms); rendered only when probes were
-    #: actually issued, keeping probe-free reports stable.
+    #: The prober's counters over every site (hits/misses/inferred/hit_rate
+    #: and the number of non-monotone forms; the memos themselves are
+    #: per-site and dropped); rendered only when probes were actually
+    #: issued, keeping probe-free reports stable.
     probe_cache: dict[str, float] = field(default_factory=dict)
     stage_metrics: dict[str, object] = field(default_factory=dict)
     #: Federated-read provenance: plans executed, routes taken, hits kept
@@ -672,7 +673,7 @@ class DeepWebService:
             elapsed_seconds=sum(result.elapsed_seconds for result in self.results),
             crawl=self.crawl_stats,
             sites=list(self.results),
-            probe_cache=self.pipeline.prober.probe_cache.stats(),
+            probe_cache=self.pipeline.prober.stats(),
             stage_metrics=self.metrics.as_dict(),
             query_planning=self.planner_stats.as_dict(),
             store=self.engine.store_stats(),

@@ -206,13 +206,13 @@ class UrlGenerator:
         template search reuse the memoized submission URL (its string is
         cached) instead of re-building and re-rendering it.
         """
-        probe_cache = prober.probe_cache if prober is not None else None
+        memo = prober.memo if prober is not None else None
         seen: set[str] = set()
         urls: list[GeneratedUrl] = []
         for binding in bindings:
             url = None
-            if probe_cache is not None:
-                memoized = probe_cache.peek(form, binding)
+            if memo is not None:
+                memoized = memo.peek(form, binding)
                 if memoized is not None:
                     url = memoized.url
             if url is None:
@@ -265,14 +265,16 @@ class UrlGenerator:
         Every candidate still counts as an issued probe (the stat is part of
         the compared pipeline output), but candidates whose bindings were
         already probed -- during template search or an earlier template's
-        enumeration -- resolve from the binding-keyed :class:`ProbeCache`
+        enumeration -- resolve from the prober's binding memo
         without re-materializing the submission URL.
         """
         stats = stats if stats is not None else UrlGenerationStats()
         kept: list[GeneratedUrl] = []
         covered: set[str] = set()
         for candidate in candidates:
-            result = self.prober_probe(prober, form, candidate)
+            # The candidate's URL was materialized from these exact
+            # bindings, so a memo miss skips rebuilding it.
+            result = prober.probe(form, candidate.bindings, candidate.url)
             stats.probes_issued += 1
             candidate.result_count = result_count = result.result_count
             candidate.records = result.signature.record_ids
@@ -288,9 +290,3 @@ class UrlGenerator:
         stats.kept = len(kept)
         stats.records_covered = len(covered)
         return kept
-
-    @staticmethod
-    def prober_probe(prober: FormProber, form: SurfacingForm, candidate: GeneratedUrl):
-        # The candidate's URL was materialized from these exact bindings, so
-        # the prober can skip rebuilding it on a cache miss.
-        return prober.probe_prepared(form, candidate.bindings, candidate.url)

@@ -175,8 +175,10 @@ class SqliteBackend(InMemoryBackend):
                     super().add(record)
             except (TypeError, ValueError) as error:
                 raise SqliteStoreError(f"{self.path}: unreadable document row ({error})") from error
-        except BaseException:
+        except BaseException as error:
             self._connection.close()
+            if isinstance(error, sqlite3.DatabaseError):
+                raise SqliteStoreError(f"{self.path}: unreadable store file ({error})") from error
             raise
 
     # -- writes --------------------------------------------------------------

@@ -5,8 +5,10 @@ A :class:`PipelineContext` carries two kinds of state:
 * *services* -- the web, the search engine, the config and the seeded
   helpers (prober, classifier, correlation detector, coverage estimator)
   that every stage shares.  They are created once per pipeline and reused
-  across sites, so typed-value draws and probe caches carry over from
-  one site to the next;
+  across sites, so typed-value draws carry over from one site to the
+  next; the prober's binding memo does not (each site gets a fresh one,
+  since its keys begin with the form identity and never match another
+  site's);
 * *scoped work state* -- the site currently being surfaced (homepage HTML,
   discovered forms, the accumulating :class:`SiteSurfacingResult`) and the
   form currently flowing through the form-scoped stages (type predictions,

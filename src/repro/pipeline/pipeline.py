@@ -19,6 +19,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.form_model import SurfacingForm
+from repro.core.probe import ProbeCache
 from repro.core.surfacer import (
     FormSurfacingResult,
     SiteSurfacingResult,
@@ -92,11 +93,24 @@ class SurfacingPipeline:
         return ctx
 
     def surface_site(self, site: DeepWebSite) -> SiteSurfacingResult:
-        """Run the full staged pipeline for one site."""
+        """Run the full staged pipeline for one site.
+
+        The site gets a probe memo of its own: nothing one site's probes
+        learn is of use to another, so the memo opens when the site starts
+        and is dropped when it ends, also when it raises.
+        """
+        prober = self.prober
+        prober.memo = ProbeCache()
+        try:
+            return self._surface_site(site)
+        finally:
+            prober.memo = ProbeCache()
+
+    def _surface_site(self, site: DeepWebSite) -> SiteSurfacingResult:
         started = time.perf_counter()
         meter = self.web.load_meter
         load_before = meter.total(host=site.host, agent=AGENT_SURFACER)
-        probes_before = self.prober.probe_count
+        probes_before = self.prober.misses
         errors_before = meter.errors(host=site.host, agent=AGENT_SURFACER)
         retries_before = meter.retries(host=site.host, agent=AGENT_SURFACER)
 
@@ -137,7 +151,7 @@ class SurfacingPipeline:
                 result.urls_generated += form_result.urls_generated
                 result.urls_indexed += form_result.urls_indexed
 
-        result.probes_issued = self.prober.probe_count - probes_before
+        result.probes_issued = self.prober.misses - probes_before
         result.analysis_load = (
             meter.total(host=site.host, agent=AGENT_SURFACER) - load_before
         )

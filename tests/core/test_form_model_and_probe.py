@@ -60,7 +60,7 @@ class TestFormProber:
         load_after_first = car_web.load_meter.total(host=car_site.host, agent=AGENT_SURFACER)
         prober.probe(car_form, bindings)
         assert car_web.load_meter.total(host=car_site.host, agent=AGENT_SURFACER) == load_after_first
-        assert prober.probe_count == 1
+        assert prober.misses == 1
 
     def test_nonsense_probe_has_no_results(self, car_form, car_prober):
         search_box = next(

@@ -46,18 +46,18 @@ class TestInference:
 
         assert result.inferred and result.ok and not result.has_results
         assert _surfacer_load(car_web, car_site) == load
-        assert prober.probe_count == 1
+        assert prober.misses == 1
         # It is the page a fetch would have returned, under its own URL.
         url = car_form.submission_url(bindings)
         real = car_web.fetch(url)
         assert (result.url, result.page) == (url, real)
         assert result.signature == prober.signature_cache.signature(real.html)
         # Its own counter: neither a hit nor a miss; afterwards it is a memo hit.
-        stats = prober.probe_cache.stats()
+        stats = prober.stats()
         assert (stats["hits"], stats["misses"], stats["inferred"]) == (0, 1, 1)
         assert prober.probe(car_form, bindings) is result
-        assert prober.probe_cache.stats()["hits"] == 1
-        assert prober.probe_cache.stats()["non_monotone_forms"] == 0
+        assert prober.stats()["hits"] == 1
+        assert prober.stats()["non_monotone_forms"] == 0
 
     def test_prepared_probes_infer_too_and_inferred_results_are_evidence(
         self, car_form, car_web, car_site
@@ -67,10 +67,10 @@ class TestInference:
         first, second = car_form.select_inputs[0], car_form.select_inputs[1]
         prober.probe(car_form, {box: NONSENSE})
         pair = {box: NONSENSE, first.name: first.options[0]}
-        assert prober.probe_prepared(car_form, pair, car_form.submission_url(pair)).inferred
+        assert prober.probe(car_form, pair, car_form.submission_url(pair)).inferred
         triple = {**pair, second.name: second.options[0]}
         assert prober.probe(car_form, triple).inferred
-        assert prober.probe_count == 1
+        assert prober.misses == 1
 
     def test_nothing_is_inferred_from_non_empty_or_unrelated_bindings(
         self, car_form, car_web, car_site
@@ -85,8 +85,8 @@ class TestInference:
             car_form, {first.name: first.options[0], second.name: second.options[0]}
         )
         assert not result.inferred
-        assert prober.probe_count == 3
-        assert prober.probe_cache.inferred == 0
+        assert prober.misses == 3
+        assert prober.inferred == 0
 
     def test_a_degraded_sub_binding_is_never_evidence(self, car_form, car_web, car_site):
         """A 503 stand-in page counts zero results but proves nothing."""
@@ -103,7 +103,7 @@ class TestInference:
             car_form, {select.name: select.options[0], other.name: other.options[0]}
         )
         assert result.ok and not result.inferred
-        assert prober.probe_count == 2 and prober.probe_cache.inferred == 0
+        assert prober.misses == 2 and prober.inferred == 0
 
     def test_an_error_page_is_never_evidence(self, car_web, car_site):
         """A memoized non-ok page (404/405) counts zero results as well."""
@@ -137,14 +137,14 @@ class TestSelfCheck:
         both = prober.probe(form, {first.name: first.options[0], second.name: second.options[0]})
         assert both.result_count > one.result_count
         assert not prober.conjunctive(form)
-        assert prober.probe_cache.stats()["non_monotone_forms"] == 1
+        assert prober.stats()["non_monotone_forms"] == 1
 
         prober.probe(form, {box: NONSENSE})
         load = _surfacer_load(web, site)
         result = prober.probe(form, {box: NONSENSE, first.name: first.options[0]})
         assert not result.inferred and result.has_results
         assert _surfacer_load(web, site) == load + 1
-        assert prober.probe_cache.inferred == 0
+        assert prober.inferred == 0
 
     def test_flagging_forgets_what_was_inferred_for_that_form(self, or_world):
         web, _site, form = or_world
@@ -171,7 +171,7 @@ class TestSelfCheck:
         confirmed = prober.confirm(car_form, bindings, inferred)
         assert not confirmed.inferred and confirmed.page == inferred.page
         assert prober.probe(car_form, bindings) is confirmed
-        assert prober.probe_count == 2 and prober.conjunctive(car_form)
+        assert prober.misses == 2 and prober.conjunctive(car_form)
 
         web, _site, form = or_world
         prober = FormProber(web)

@@ -11,8 +11,8 @@ surfacing, and at each kind of write -- and checks that the file holds
 all of that site or none of it, and that a store whose site transaction
 rolled back refuses further use until it is reopened (its in-memory
 index no longer matches the file).  Resuming under a different
-surfacing config, or over a site row this build cannot decode, is
-refused.
+surfacing config, over a site row this build cannot decode, or from a
+file that is not sqlite at all, is refused.
 """
 
 from __future__ import annotations
@@ -321,6 +321,16 @@ def test_site_result_of_another_layout_is_refused(tmp_path, tamper, complaint):
     with SqliteBackend(path) as store:
         with pytest.raises(SqliteStoreError, match=f"result layout.*{complaint}"):
             store.site_result("host.example.com")
+
+
+def test_a_file_that_is_not_sqlite_is_refused(tmp_path):
+    """A store path holding some other file is a store error, never a bare
+    ``sqlite3.DatabaseError``, and the file is left as it was."""
+    path = tmp_path / "store.sqlite3"
+    path.write_text("not a database\n" * 100)
+    with pytest.raises(SqliteStoreError, match="unreadable store file.*not a database"):
+        SqliteBackend(path)
+    assert path.read_text() == "not a database\n" * 100
 
 
 # -- what a stored site carries, and what surfacing sees ----------------------

@@ -8,8 +8,10 @@ must be equal; only the load on the sites may differ, and only downward.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -38,10 +40,23 @@ class AlwaysFetchProber(FormProber):
         return False
 
     def _resolve(self, form, binding_key, bindings, url):
-        self.probe_cache.misses += 1
+        self.misses += 1
         if url is None:
             url = form.submission_url(bindings)
-        return self._probe_url(form, binding_key, url)
+        return self._fetch(binding_key, url)
+
+
+class RecordingProber(FormProber):
+    """A prober that keeps every result it fetched, in fetch order."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.fetched = []
+
+    def _fetch(self, binding_key, url):
+        result = super()._fetch(binding_key, url)
+        self.fetched.append(result)
+        return result
 
 
 class Decisions(PipelineObserver):
@@ -114,9 +129,9 @@ def test_inference_changes_the_load_and_nothing_else(seed):
     assert real["fetches"] < naive["fetches"]
     for (probes, load), (naive_probes, naive_load) in zip(real["loads"], naive["loads"]):
         assert probes <= naive_probes and load <= naive_load
-    cache = real["pipeline"].prober.probe_cache
-    assert cache.inferred > 0 and not cache.non_monotone
-    assert naive["pipeline"].prober.probe_cache.inferred == 0
+    prober = real["pipeline"].prober
+    assert prober.inferred > 0 and prober.non_monotone_forms == 0
+    assert naive["pipeline"].prober.inferred == 0
 
 
 def test_indexed_pages_are_always_pages_the_site_served():
@@ -135,7 +150,7 @@ def test_indexed_pages_are_always_pages_the_site_served():
     web.fetch = recording_fetch
     run = surface(web, config)
     documents = list(run["pipeline"].engine.documents())
-    assert run["pipeline"].prober.probe_cache.inferred > 0
+    assert run["pipeline"].prober.inferred > 0
     assert {doc.url for doc in documents} <= set(served)
     assert sum("No results found" in served[doc.url] for doc in documents) > 0
     reference = SearchEngine()
@@ -161,10 +176,8 @@ def test_a_form_that_ors_its_inputs_runs_as_if_nothing_were_ever_inferred(car_si
 
     real = surface(world(), config)
     naive = surface(world(), config, AlwaysFetchProber)
-    cache = real["pipeline"].prober.probe_cache
-    form = discover_forms(world().fetch(car_site.homepage_url()), host=car_site.host)[0]
-    assert cache.non_monotone == {form.identity}
-    assert cache.inferred == 0
+    prober = real["pipeline"].prober
+    assert (prober.non_monotone_forms, prober.inferred) == (1, 0)
     assert real["produced"] == naive["produced"]
     assert real["loads"] == naive["loads"]
     lines = DeepWebService(real["pipeline"]).report().lines()
@@ -283,6 +296,102 @@ def test_each_site_surfaces_the_same_in_any_site_order():
         assert hosts not in orders
         orders.append(hosts)
         assert by_host == forward
+
+
+PROBE_COUNTERS = ("hits", "misses", "inferred")
+
+
+def _ratchet_service() -> DeepWebService:
+    return (
+        DeepWebService.build()
+        .web(RATCHET_WEB)
+        .surfacing(SurfacingConfig(max_urls_per_form=200))
+        .create()
+    )
+
+
+def _surface_alone(site_index: int) -> list[int]:
+    """The probe counters of a fresh service that surfaces only one of the
+    ratchet world's sites."""
+    service = _ratchet_service()
+    service.surface(service.web.deep_sites()[site_index : site_index + 1])
+    stats = service.report().probe_cache
+    return [stats[counter] for counter in PROBE_COUNTERS]
+
+
+def test_no_probe_state_outlives_its_site():
+    """Each site probes through a memo of its own: it is empty when the site
+    starts, the prober holds no page of any site once surfacing returns, and
+    the service's probe counters are the sum of each site surfaced alone."""
+    service = _ratchet_service()
+    prober = service.pipeline.prober
+    memo_sizes = []
+
+    class MemoAtSiteStart(PipelineObserver):
+        def on_site_start(self, site, index, total) -> None:
+            memo_sizes.append(len(prober.memo.entries) + len(prober.memo.non_monotone))
+
+    service.pipeline.observers.append(MemoAtSiteStart())
+    results = service.surface()
+    assert memo_sizes == [0] * len(results)
+    assert not prober.memo.entries and not prober.memo.non_monotone
+    stats = service.report().probe_cache
+    assert set(stats) == {*PROBE_COUNTERS, "non_monotone_forms", "hit_rate"}
+    assert stats["misses"] == sum(result.probes_issued for result in results)
+    alone = [_surface_alone(index) for index in range(len(results))]
+    assert [stats[counter] for counter in PROBE_COUNTERS] == [sum(col) for col in zip(*alone)]
+    assert stats["hits"] > 0 and stats["inferred"] > 0
+
+
+def test_a_site_that_raises_leaves_no_probe_state():
+    """The memo goes with the site also when surfacing it raises part-way."""
+    held = []
+
+    class CrashAfterTemplates(PipelineObserver):
+        def on_stage_end(self, stage_name, ctx, elapsed) -> None:
+            if stage_name == "select-templates":
+                held.append(len(ctx.prober.memo.entries))
+                raise RuntimeError("simulated crash in mid-surfacing")
+
+    web = generate_web(RATCHET_WEB)
+    pipeline = SurfacingPipeline(
+        web, SearchEngine(), SurfacingConfig(max_urls_per_form=200),
+        observers=[CrashAfterTemplates()],
+    )
+    with pytest.raises(RuntimeError, match="mid-surfacing"):
+        pipeline.surface_many(web.deep_sites())
+    assert held and held[0] > 0, "the site had probed before it raised"
+    assert not pipeline.prober.memo.entries and not pipeline.prober.memo.non_monotone
+
+
+def test_retained_memory_per_surfaced_document():
+    """What a service keeps after ``surface()`` on ``RATCHET_WEB``, per
+    indexed document.  The world's tables and forms are built before
+    tracing starts, and a first surfacing of the same world fills the
+    process-wide memos of pure functions (URL parses, token sets), so the
+    number counts what surfacing adds and does not depend on test order."""
+    _ratchet_service().surface()
+    service = _ratchet_service()
+    for site in service.web.deep_sites():
+        site.forms  # builds the site's table and form
+    gc.collect()
+    tracemalloc.start()
+    try:
+        service.surface()
+        gc.collect()
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    documents = service.report().urls_indexed
+    # CI greps this line out of a ``-s`` run into the job summary.
+    print(
+        f"\nretained: {retained / 1024 / documents:.1f} KB per document "
+        f"({documents} documents, {retained / 2**20:.1f} MB)"
+    )
+    assert documents == RATCHET_URLS_INDEXED
+    assert not service.pipeline.prober.memo.entries
+    # About 7 KB; a probe cache kept for the service's life made it 11.8 KB.
+    assert retained < documents * 10 * 1024
 
 
 def test_top_k_scoring_on_the_keyword_population():
@@ -432,11 +541,16 @@ def _sha256(value: object) -> str:
 
 
 def test_surfaced_index_and_probe_signatures_are_pinned():
-    run = surface(generate_web(RATCHET_WEB), SurfacingConfig(max_urls_per_form=200))
+    run = surface(
+        generate_web(RATCHET_WEB), SurfacingConfig(max_urls_per_form=200), RecordingProber
+    )
+    fetched = run["pipeline"].prober.fetched
+    urls = [str(result.url) for result in fetched]
+    assert len(set(urls)) == len(urls), "no URL is fetched twice"
     signatures = sorted(
         (result.signature.content_hash, result.signature.result_count,
          sorted(result.signature.record_ids))
-        for result in run["pipeline"].prober._cache.values()
+        for result in fetched
     )
     assert len(run["produced"]["documents"]) == RATCHET_URLS_INDEXED
     assert _sha256(run["produced"]["documents"]) == PINNED_DOCUMENTS_SHA256
