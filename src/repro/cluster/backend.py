@@ -31,9 +31,10 @@ Two invariants make it safe to put in front of real traffic:
   (the frontend, the chaos harness) compare it around a search.
 
 Document reads (``get``, ``documents``, ...) are the catalog's; the
-postings read (``export_records``) is coordinator-side and synchronous
-against replica 0 of each shard -- replicas are byte-identical by construction, including dead ones, since
-kill/revive only gates *query* serving.
+postings reads (``export_records``, ``dump_index``) are coordinator-side
+and synchronous against replica 0 of each shard -- replicas are
+byte-identical by construction, including dead ones, since kill/revive
+only gates *query* serving.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from typing import Sequence
 from repro.cluster.executor import ScatterGatherExecutor
 from repro.cluster.node import ShardNode, shard_of
 from repro.resilience.faults import FaultPlan, ScriptedFaults
-from repro.search.inverted_index import bm25_idf, rank_accumulator
-from repro.store.backend import DocumentCatalog, StoreStats
+from repro.search.inverted_index import InvertedIndex, bm25_idf, rank_accumulator
+from repro.store.backend import DocumentCatalog, StoreStats, records_from_terms
 from repro.store.records import IngestRecord
 
 
@@ -177,7 +178,16 @@ class ClusterBackend(DocumentCatalog):
         streams: dict[int, list[str]] = {}
         for replica_set in self.replica_sets:
             streams.update(replica_set[0].index.document_terms())
-        return self._records_from_terms(streams)
+        return list(records_from_terms(self._documents.values(), streams))
+
+    def dump_index(self) -> tuple[list[int], list[tuple[str, bytes, bytes]]]:
+        """The dump of one index over the whole corpus: the exported records
+        re-added to a scratch index, which builds exactly those postings."""
+        index = InvertedIndex(self.k1, self.b)
+        for doc_id, record in enumerate(self.export_records(), 1):
+            index.add_document(doc_id, record.tokens)
+        lengths, postings = index.dump()
+        return list(lengths.values()), postings
 
     # -- querying ------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Everything the reproduction builds -- the surfaced index, the WebTables
 corpus (and therefore the AcsDb), crawl output -- used to live in RAM and
 die with the process.  This package gives the service a lifecycle, in
-one container: a sqlite file with ``meta``, ``documents`` and ``sites``
-tables, one format number and one document row encoding.
+one container: a sqlite file with ``meta``, ``documents``, ``postings``
+and ``sites`` tables and one format number.
 
 * :mod:`repro.persist.sqlite` -- the layout, and :class:`SqliteBackend`,
   an on-disk :class:`~repro.store.backend.StorageBackend` whose rankings,
@@ -17,8 +17,9 @@ tables, one format number and one document row encoding.
   an uninterrupted run.  An exception anywhere inside a site rolls that
   site off disk and retires the store until the file is reopened;
 * :mod:`repro.persist.snapshot` -- whole-service snapshot/restore to a
-  standalone file of the same layout, so a warm restart serves queries
-  immediately with zero re-surfacing.
+  standalone file of the same layout that holds the index's postings, so
+  a warm restart loads the index and serves queries immediately, with
+  zero re-surfacing and zero re-indexing.
 
 Both write their dataclasses through one internal, type-driven codec
 (:mod:`repro.persist.codec`): the persisted dataclasses are the on-disk

@@ -2,8 +2,9 @@
 
 A snapshot is a standalone sqlite file in the store's own layout
 (:mod:`repro.persist.sqlite`), its ``kind`` pinned to ``snapshot``: the
-content store goes into ``documents`` (``export_records`` through the
-one document row encoding), the surfacing results into ``sites``, and
+content store goes into ``documents`` (one row per document, tokens
+left empty) and ``postings`` (the index itself, one row per term, from
+the store's ``dump_index``), the surfacing results into ``sites``, and
 the rest of what a :class:`~repro.api.DeepWebService` accumulated that
 is expensive to recompute into ``meta``, one row per field of
 :class:`ServiceSnapshot`, written by :mod:`repro.persist.codec` from the
@@ -12,27 +13,38 @@ without an edit here.  The simulated web is *not* serialized: its site
 list is regenerated from its :class:`~repro.webspace.sitegen.WebConfig`;
 each site's database is built on first fetch, so a restore that fetches
 nothing builds none (services built from an explicit
-:class:`~repro.webspace.web.Web` pass ``web=``).  Postings are not
-stored either: a restore re-indexes the documents.
+:class:`~repro.webspace.web.Web` pass ``web=``).  The snapshot pins the
+world it was taken over (:func:`world_digest`), and a restore refuses a
+web whose site list differs.
 
 The file is written to ``<name>.tmp`` (journal and sync off, no fsync)
 and renamed over the target; a failure at any step removes the scratch
 file, leaves any previous snapshot as it was and raises
 :class:`SnapshotError`.
 
-Restore reads the stored documents through the same reader the store
-uses when it reopens a file, one row at a time as the service's shared
-:class:`~repro.store.ingest.Ingestor` pulls them -- no token list
-outlives its own ``add``, and ingest listeners (host-term caches,
-cache-generation bumps) fire exactly as live writes would -- and checks
-that the sequential id assigner reproduces ids 1..N.  A row or ``meta``
-entry of another layout is a :class:`SnapshotError`; like a failed id
-check, it may be found after part of the corpus went into a
-caller-supplied ``store``, whose BM25 parameters must be the snapshot's.
-A restored service answers ``search`` and ``query()`` immediately: the
-default (non-live) planner never probes, the harvest bookkeeping marks
-the corpus settled, and the regenerated web's load meter shows zero
-surfacing work (``tests/persist`` pins all of this).
+Restore loads the index instead of re-indexing: the documents fill the
+fresh in-memory store's catalog and the postings and lengths its
+:class:`~repro.search.inverted_index.InvertedIndex`
+(:meth:`~repro.store.memory.InMemoryBackend.load`, which refuses doc ids
+that do not run 1..N, a repeated URL and postings no indexing could
+leave).  That bypasses the ingestor, and skips no listener with state:
+at restore time the engine's host-term cache is empty, and neither the
+serving frontend nor the table corpus exists yet.  A restore into a
+caller-supplied ``store`` (the reopened sqlite file, another cluster)
+loads a scratch in-memory backend first, so it refuses what the default
+restore refuses before the store takes a record, rebuilds each
+document's term-sorted token stream from it and drops it; the records
+then stream through the shared ingestor, one at a time, and must
+reproduce ids 1..N: a store already holding the corpus dedups by URL
+onto those same ids, and must hold nothing else.  Its BM25 parameters
+must be the snapshot's, and it may refuse a record (a sqlite store, a
+token holding a space); such a refusal, like a failed id check, is
+found after part of the corpus went into the store.  A row or ``meta``
+entry of another layout is a :class:`SnapshotError`.  A restored service answers ``search`` and
+``query()`` immediately: the default (non-live) planner never probes,
+the harvest bookkeeping marks the corpus settled, and the regenerated
+web's load meter shows zero surfacing work (``tests/persist`` pins all
+of this).
 
 The cache generation is restored *advanced by one* past the snapshotted
 value, so any ranking stamped with a pre-snapshot generation can never
@@ -42,6 +54,7 @@ snapshot/restore hops, whether or not a hop ever built its frontend.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -49,17 +62,20 @@ import time
 from contextlib import closing, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.surfacer import SurfacingConfig
 from repro.persist.codec import decode, encode
 from repro.persist.sqlite import (
-    INSERT_DOCUMENT, INSERT_META, INSERT_SITE, SQLITE_FORMAT, create_schema, mismatches, pins,
-    read_records, read_site, record_row, site_payload,
+    INSERT_DOCUMENT, INSERT_META, INSERT_POSTINGS, INSERT_SITE, SQLITE_FORMAT, create_schema,
+    document_row, mismatches, pins, read_documents, read_site, site_payload,
 )
 from repro.search.crawler import CrawlStats
-from repro.store.records import IngestRecord
+from repro.store.backend import records_from_terms
+from repro.store.memory import InMemoryBackend
+from repro.webspace.site import DeepWebSite
 from repro.webspace.sitegen import WebConfig, generate_web
+from repro.webspace.surface_site import SurfaceSite
 from repro.webspace.web import Web
 from repro.webtables.corpus import CorpusStats, CorpusTable, HarvestState
 
@@ -89,6 +105,8 @@ class ServiceSnapshot:
 
     created_at: float
     web_config: WebConfig | None
+    #: :func:`world_digest` of the web the service ran over.
+    world: str
     surfacing_config: SurfacingConfig
     serving: dict[str, object]
     crawl: CrawlStats | None
@@ -105,35 +123,56 @@ def _layout_error(source: Path, error: object) -> SnapshotError:
     return SnapshotError(f"{source}: snapshot does not match this build's layout ({error})")
 
 
+def world_digest(web: Web) -> str:
+    """A digest of ``web``'s site list: kind and host per site, in
+    registration order, and for the generated kinds also ``size()`` and a
+    deep site's form method -- all inputs its generator fixed, so no
+    site's database is built to read them.  Any other site contributes
+    what the :class:`~repro.webspace.web.Site` protocol guarantees."""
+    lines = []
+    for site in web.sites():
+        line = f"{site.kind} {site.host}"
+        if isinstance(site, (SurfaceSite, DeepWebSite)):
+            line += f" {site.size()}"
+        if isinstance(site, DeepWebSite):
+            line += f" {site.method}"
+        lines.append(line)
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
 # -- snapshot write ---------------------------------------------------------
 
 
 def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
     """Write the service to ``path`` (atomically); returns it."""
     corpus = service._corpus
-    snapshot = ServiceSnapshot(
-        created_at=time.time(),
-        web_config=service.web_config,
-        surfacing_config=service.config,
-        serving=service._serving,
-        crawl=service.crawl_stats,
-        corpus=None
-        if corpus is None
-        else CorpusState(corpus.tables, corpus.form_schemas, corpus.form_values, corpus.stats),
-        harvest=service._harvest,
-        cache_generation=service.cache_generation,
-    )
     target = Path(path)
     scratch = target.with_name(target.name + ".tmp")
     try:
+        snapshot = ServiceSnapshot(
+            created_at=time.time(),
+            web_config=service.web_config,
+            world=world_digest(service.web),
+            surfacing_config=service.config,
+            serving=service._serving,
+            crawl=service.crawl_stats,
+            corpus=None
+            if corpus is None
+            else CorpusState(corpus.tables, corpus.form_schemas, corpus.form_values, corpus.stats),
+            harvest=service._harvest,
+            cache_generation=service.cache_generation,
+        )
         target.parent.mkdir(parents=True, exist_ok=True)
         scratch.unlink(missing_ok=True)
         with closing(sqlite3.connect(scratch)) as connection:
             connection.execute("PRAGMA journal_mode = OFF")
             connection.execute("PRAGMA synchronous = OFF")
             create_schema(connection, pins("snapshot", service.engine.k1, service.engine.b))
-            records = enumerate(service.store.export_records(), 1)
-            connection.executemany(INSERT_DOCUMENT, ((i, *record_row(r)) for i, r in records))
+            lengths, postings = service.store.dump_index()
+            # Ascending doc id: the dump's documents are the first ones.
+            documents = service.store.documents()[: len(lengths)]
+            connection.executemany(INSERT_DOCUMENT, map(document_row, documents, lengths))
+            connection.executemany(INSERT_POSTINGS, postings)
             connection.executemany(INSERT_SITE, ((r.host, site_payload(r)) for r in service.results))
             connection.executemany(
                 INSERT_META,
@@ -202,6 +241,12 @@ def restore_service(
                     "WebConfig recorded); pass web= to restore against it"
                 )
             web = generate_web(snapshot.web_config)
+        world = world_digest(web)
+        if world != snapshot.world:
+            raise SnapshotError(
+                f"{source}: snapshot was taken over another world (site list "
+                f"{snapshot.world}, this web's {world})"
+            )
 
         builder = DeepWebService.build().web(web).surfacing(snapshot.surfacing_config)
         if store is not None:
@@ -215,16 +260,36 @@ def restore_service(
         if mismatched:
             raise _layout_error(source, "; ".join(mismatched))
 
-        # Replay the corpus through the shared ingestor (listeners fire as on
-        # live writes).  A fresh store must reproduce ids 1..N; a caller-
-        # supplied store already holding the corpus (e.g. the reopened sqlite
-        # file) dedups by URL onto those same ids -- and must hold nothing else.
-        ids = service.engine.ingest_records(_decoded(source, connection))
-    if ids != list(range(1, len(ids) + 1)) or len(service.store) != len(ids):
-        raise SnapshotError(
-            f"{source}: restored store did not reproduce snapshot doc ids "
-            "(restore needs an empty store, or one holding exactly this corpus)"
-        )
+        try:
+            documents, lengths = read_documents(connection)
+            postings = connection.execute("SELECT * FROM postings")
+            if store is None:
+                # The builder's fresh in-memory backend: load it.
+                service.store.load(documents, lengths, postings)
+            else:
+                # A scratch backend refuses what the default restore refuses
+                # before the store takes a record; only the token streams it
+                # rebuilds outlive it.
+                scratch = InMemoryBackend()
+                scratch.load(documents, lengths, postings)
+                streams = scratch.index.document_terms()
+                del scratch
+        except (sqlite3.Error, TypeError, ValueError) as error:
+            raise _layout_error(source, error) from error
+    if store is not None:
+        # A caller-supplied store takes the corpus through the shared
+        # ingestor, one record at a time, and must reproduce ids 1..N; one
+        # already holding the corpus (e.g. the reopened sqlite file) dedups
+        # by URL onto those same ids -- and must hold nothing else.
+        try:
+            ids = service.engine.ingest_records(records_from_terms(documents, streams))
+        except ValueError as error:  # a record the store cannot hold
+            raise SnapshotError(f"{source}: the store refused the corpus ({error})") from error
+        if ids != list(range(1, len(ids) + 1)) or len(service.store) != len(ids):
+            raise SnapshotError(
+                f"{source}: restored store did not reproduce snapshot doc ids "
+                "(restore needs an empty store, or one holding exactly this corpus)"
+            )
 
     service.results = results
     service.crawl_stats = snapshot.crawl
@@ -244,11 +309,3 @@ def restore_service(
     service._snapshot_created_at = snapshot.created_at
     return service
 
-
-def _decoded(source: Path, connection: sqlite3.Connection) -> Iterator[IngestRecord]:
-    """The stored documents as ingest pulls them; a row of another layout
-    is a :class:`SnapshotError`."""
-    try:
-        yield from read_records(connection)
-    except (sqlite3.Error, TypeError, ValueError) as error:
-        raise _layout_error(source, error) from error

@@ -1,18 +1,29 @@
 """The durable tier's one container: a sqlite file and what reads and writes it.
 
 Every file the tier writes -- the ``persist()`` store and a service
-snapshot -- has the same three tables: ``meta`` (key/value rows),
-``documents`` (one row per stored document, keyed by doc id) and
-``sites`` (one :class:`~repro.core.surfacer.SiteSurfacingResult` per
-completed site, in completion order, written by
-:mod:`repro.persist.codec`).  Four ``meta`` rows pin what the file is:
-its ``kind`` (``store`` or ``snapshot``, and each opener refuses the
-other's), the format, and the BM25 ``k1`` / ``b`` its corpus was scored
-under.  :func:`record_row` / :func:`read_records` are the one document
-row encoding: a document's tokens are stored as *one* space-joined
-string.  Every token in the tree comes from ``tokenize`` (``[a-z0-9]+``);
-an empty token or one holding a space, which would split back
-differently, is refused.
+snapshot -- has the same four tables: ``meta`` (key/value rows),
+``documents`` (one row per stored document, keyed by doc id),
+``postings`` (one row per term) and ``sites`` (one
+:class:`~repro.core.surfacer.SiteSurfacingResult` per completed site, in
+completion order, written by :mod:`repro.persist.codec`).  Four ``meta``
+rows pin what the file is: its ``kind`` (``store`` or ``snapshot``, and
+each opener refuses the other's), the format, and the BM25 ``k1`` / ``b``
+its corpus was scored under.
+
+The two kinds hold their index differently.  A store appends a site at a
+time, so each document row keeps its tokens (:func:`record_row` /
+:func:`read_records`, the store's row encoding: *one* space-joined
+string; every token in the tree comes from ``tokenize`` (``[a-z0-9]+``),
+and an empty token or one holding a space, which would split back
+differently, is refused) and ``postings`` stays empty.  A snapshot is
+written once, whole, so its document rows keep empty tokens and
+``postings`` holds the index itself (:func:`document_row` /
+:func:`read_documents`, and the index's own ``dump`` / ``load``): per
+term, its doc ids and term frequencies as ``array('i')`` blobs in
+ascending doc id.  The blobs are native C ints, so a snapshot also pins
+its ``byteorder`` and is refused on a host of the other one.  Both kinds
+store each document's token count in ``length``.  A URL is stored once
+by the catalog that wrote the rows; both readers refuse a repeated one.
 
 :class:`SqliteBackend` is a write-through durable backend: every accepted
 record is appended to ``documents`` *and* indexed by the inherited
@@ -22,9 +33,9 @@ bit-identical to the in-memory default by construction -- the inverted
 index is literally the same object
 (``tests/store/test_property_equivalence.py`` pins this op for op).
 Reopening the file replays the stored rows, in doc-id order, through the
-in-memory ``add`` path; the stored ids must run 1..N, otherwise the file
-is corrupt and opening raises :class:`SqliteStoreError` instead of
-silently renumbering a corpus.
+in-memory ``add`` path; the stored ids must run 1..N and each URL must
+be stored once, otherwise the file is corrupt and opening raises
+:class:`SqliteStoreError` instead of silently renumbering a corpus.
 
 The same file is the surfacing resume record.
 :meth:`SqliteBackend.commit_site` runs a site's surfacing -- which
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,23 +69,31 @@ from typing import Callable, Iterator
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.persist.codec import decode, encode
 from repro.store.memory import InMemoryBackend
-from repro.store.records import IngestRecord
+from repro.store.records import Document, IngestRecord
 
 #: Bumped when the file layout changes incompatibly: the tables, the
 #: document row encoding, or a renamed or retyped field of a persisted
 #: dataclass (``tests/persist/test_layout_guard.py`` notices; format 3
-#: made the snapshot a file of this layout and joined tokens by spaces).
-SQLITE_FORMAT = 3
+#: made the snapshot a file of this layout and joined tokens by spaces,
+#: format 4 put the index into a snapshot's ``postings`` and pinned its
+#: world).
+SQLITE_FORMAT = 4
 _SCHEMA = (
-    "CREATE TABLE documents (doc_id INTEGER PRIMARY KEY, url TEXT NOT NULL UNIQUE, "
+    "CREATE TABLE documents (doc_id INTEGER PRIMARY KEY, url TEXT NOT NULL, "
     "host TEXT NOT NULL, title TEXT NOT NULL, text TEXT NOT NULL, tokens TEXT NOT NULL, "
-    "source TEXT NOT NULL, annotations TEXT NOT NULL)",
+    "length INTEGER NOT NULL, source TEXT NOT NULL, annotations TEXT NOT NULL)",
     "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)",
+    "CREATE TABLE postings (term TEXT NOT NULL, doc_ids BLOB NOT NULL, tfs BLOB NOT NULL)",
     "CREATE TABLE sites (seq INTEGER PRIMARY KEY, host TEXT NOT NULL, result TEXT NOT NULL)",
 )
-INSERT_DOCUMENT = "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
+INSERT_DOCUMENT = "INSERT INTO documents VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
 INSERT_META = "INSERT INTO meta (key, value) VALUES (?, ?)"
+INSERT_POSTINGS = "INSERT INTO postings VALUES (?, ?, ?)"
 INSERT_SITE = "INSERT INTO sites (host, result) VALUES (?, ?)"
+
+#: A document's annotations as its row stores them (one encoder for every
+#: row; ``json.dumps`` would build a new one per call).
+_encode_annotations = json.JSONEncoder(sort_keys=True).encode
 
 
 class SqliteStoreError(RuntimeError):
@@ -82,8 +102,12 @@ class SqliteStoreError(RuntimeError):
 
 def pins(kind: str, k1: float, b: float) -> dict[str, str]:
     """The ``meta`` rows that say what a file is, as a ``kind`` file scored
-    under ``k1`` / ``b`` must carry them."""
-    return {"kind": kind, "format": str(SQLITE_FORMAT), "k1": repr(float(k1)), "b": repr(float(b))}
+    under ``k1`` / ``b`` must carry them.  A snapshot also pins the byte
+    order its postings blobs were packed in (native C ints)."""
+    pinned = {"kind": kind, "format": str(SQLITE_FORMAT), "k1": repr(float(k1)), "b": repr(float(b))}
+    if kind == "snapshot":
+        pinned["byteorder"] = sys.byteorder
+    return pinned
 
 
 def create_schema(connection: sqlite3.Connection, pinned: dict[str, str]) -> None:
@@ -117,22 +141,52 @@ def record_row(record: IngestRecord) -> tuple:
             f"{record.url}: a token is empty or holds a space, so the "
             "document's tokens cannot be stored as one space-joined string"
         )
-    annotations = json.dumps(dict(record.annotations), sort_keys=True)
-    return record.url, record.host, record.title, record.text, joined, record.source, annotations
+    annotations = _encode_annotations(dict(record.annotations))
+    return (record.url, record.host, record.title, record.text, joined, len(tokens),
+            record.source, annotations)
+
+
+def document_row(document: Document, length: int) -> tuple:
+    """A snapshot's ``documents`` row: the stored ``document`` of ``length``
+    tokens, which ``postings`` holds (the ``tokens`` column stays empty)."""
+    return (document.doc_id, document.url, document.host, document.title, document.text, "",
+            length, document.source, _encode_annotations(document.annotations))
+
+
+def _rows(connection: sqlite3.Connection) -> Iterator[tuple]:
+    """The ``documents`` rows in doc-id order; doc ids that do not run 1..N
+    raise ``ValueError``."""
+    rows = connection.execute("SELECT * FROM documents ORDER BY doc_id")
+    for expected, row in enumerate(rows, 1):
+        if row[0] != expected:
+            raise ValueError(f"stored doc ids are not contiguous (row {row[0]} is number {expected})")
+        yield row
 
 
 def read_records(connection: sqlite3.Connection) -> Iterator[IngestRecord]:
-    """The ``documents`` rows in doc-id order, decoded one at a time as the
-    caller pulls them; a row of another layout, or doc ids that do not run
-    1..N, raise ``ValueError`` / ``TypeError``."""
-    rows = connection.execute("SELECT * FROM documents ORDER BY doc_id")
-    for expected, (doc_id, url, host, title, text, tokens, source, annotations) in enumerate(rows, 1):
-        if doc_id != expected:
-            raise ValueError(f"stored doc ids are not contiguous (row {doc_id} is number {expected})")
+    """A store's ``documents`` rows in doc-id order, decoded one at a time
+    as the caller pulls them; a row of another layout, or doc ids that do
+    not run 1..N, raise ``ValueError`` / ``TypeError``."""
+    for _doc_id, url, host, title, text, tokens, _length, source, annotations in _rows(connection):
         if not isinstance(tokens, str):
             raise ValueError(f"tokens must be one space-joined string, got {type(tokens).__name__}")
         tokens = tokens.split(" ") if tokens else []
         yield IngestRecord(url, host, title, text, tokens, source, dict(json.loads(annotations)))
+
+
+def read_documents(connection: sqlite3.Connection) -> tuple[list[Document], list[int]]:
+    """A snapshot's ``documents`` rows: the stored documents, ascending doc
+    id, and their lengths.  Each row's doc id is the one int object its
+    :class:`Document` and the loaded index share.  A row of another
+    layout, or doc ids that do not run 1..N, raise ``ValueError`` /
+    ``TypeError``."""
+    documents: list[Document] = []
+    lengths: list[int] = []
+    loads = json.loads
+    for doc_id, url, host, title, text, _tokens, length, source, annotations in _rows(connection):
+        documents.append(Document(doc_id, url, host, title, text, source, dict(loads(annotations))))
+        lengths.append(length)
+    return documents, lengths
 
 
 def site_payload(result: SiteSurfacingResult) -> str:
@@ -171,8 +225,12 @@ class SqliteBackend(InMemoryBackend):
                     f"{self.path}: incompatible store file ({'; '.join(mismatched)})"
                 )
             try:
-                for record in read_records(self._connection):
-                    super().add(record)
+                for doc_id, record in enumerate(read_records(self._connection), 1):
+                    # A repeated URL would dedup onto its first row and
+                    # renumber every later document.
+                    stored = super().add(record)
+                    if stored != doc_id:
+                        raise ValueError(f"row {doc_id} repeats the URL of row {stored}")
             except (TypeError, ValueError) as error:
                 raise SqliteStoreError(f"{self.path}: unreadable document row ({error})") from error
         except BaseException as error:

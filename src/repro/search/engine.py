@@ -123,7 +123,8 @@ class SearchEngine:
         return self._ingestor.ingest_page(page, source=source, annotations=annotations)
 
     def ingest_records(self, records: Iterable[IngestRecord]) -> list[int]:
-        """Batch-write prepared records (the snapshot replay path)."""
+        """Batch-write prepared records (how a snapshot restore fills a
+        caller-supplied store)."""
         return self._ingestor.ingest_batch(records)
 
     # -- lookup ---------------------------------------------------------------

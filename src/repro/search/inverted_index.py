@@ -16,6 +16,7 @@ import threading
 from collections import Counter, defaultdict
 from itertools import islice
 from operator import itemgetter
+from struct import pack
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 #: Pruning compares with ``theta * _MARGIN``: a bound is a float sum, which
@@ -149,8 +150,8 @@ class InvertedIndex:
     what they find stale, and so do grouped reads.  Shards do not prune: a
     shard holds a slice of every posting list, so the bound's fixed cost
     outweighed its saving (measured).  One re-entrant
-    lock serializes writes, scoring and the export, so each answer is the
-    answer after some prefix of the writes.
+    lock serializes writes, scoring, the exports and the load, so each
+    answer is the answer after some prefix of the writes.
     """
 
     def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
@@ -196,7 +197,7 @@ class InvertedIndex:
         The index stores token *counts*, not token order; a term-sorted
         stream re-indexes to bit-identical state -- :meth:`add_document`
         only reads the ``Counter`` and the stream length.  This is the
-        export seam persistence snapshots serialize the corpus through;
+        seam ``export_records`` rebuilds re-ingestable records through;
         every id of the index has an entry (an empty document an empty
         list), and each list is new, so a caller may keep it as a record's
         tokens.
@@ -211,6 +212,77 @@ class InvertedIndex:
                     else:
                         streams[doc_id] += [term] * frequency
             return streams
+
+    def dump(self) -> tuple[dict[int, int], list[tuple[str, bytes, bytes]]]:
+        """The index as a snapshot stores it: each document's length by doc
+        id, and per term, in term order, its doc ids and term frequencies in
+        posting order -- ascending doc id, as documents are added -- each
+        list packed as native C ints, the bytes of an ``array('i')``.
+        :meth:`load` is the inverse."""
+        with self._lock:
+            return dict(self._doc_lengths), [
+                (term, pack(f"{len(posting)}i", *posting),
+                 pack(f"{len(posting)}i", *posting.values()))
+                for term, posting in sorted(self._postings.items())
+                if posting
+            ]
+
+    def load(
+        self,
+        doc_ids: Sequence[int],
+        lengths: Sequence[int],
+        postings: Iterable[tuple[str, bytes, bytes]],
+    ) -> None:
+        """Fill this empty index with documents ``doc_ids`` of ``lengths``
+        tokens and each term's ``(term, doc ids, term frequencies)`` as
+        :meth:`dump` packs them, without re-indexing: the state equals
+        adding the same documents in ``doc_ids`` order, posting for posting.
+
+        A posting's doc id is looked up in ``doc_ids``, so every posting of
+        a document holds the caller's int object for it, as indexing
+        leaves them.  Anything that state could not be -- an unknown or
+        repeated doc id or term, doc ids and frequencies of other lengths, a
+        frequency below 1, a negative length, a frequency total other than
+        the length total -- is a ``ValueError``, a list that is not bytes of
+        whole ints a ``TypeError``, and the index stays empty.
+        """
+        with self._lock:
+            if self._doc_lengths:
+                raise ValueError("only an empty index can be loaded")
+            doc_lengths = dict(zip(doc_ids, lengths, strict=True))
+            if len(doc_lengths) != len(doc_ids) or (lengths and min(lengths) < 0):
+                raise ValueError("document ids repeat or a length is negative")
+            key = dict(zip(doc_ids, doc_ids)).__getitem__
+            loaded: dict[str, dict[int, int]] = {}
+            terms = frequency_total = 0
+            for term, packed_ids, packed_frequencies in postings:
+                ids = memoryview(packed_ids).cast("i")
+                frequencies = memoryview(packed_frequencies).cast("i")
+                if len(ids) != len(frequencies) or not ids:
+                    raise ValueError(
+                        f"term {term!r}: {len(ids)} doc ids for {len(frequencies)} frequencies"
+                    )
+                if min(frequencies) < 1:
+                    raise ValueError(f"term {term!r}: a term frequency is below 1")
+                try:
+                    posting = loaded[term] = dict(zip(map(key, ids), frequencies))
+                except KeyError as error:
+                    raise ValueError(f"term {term!r}: posting for unknown doc id {error}") from None
+                if len(posting) != len(ids):
+                    raise ValueError(f"term {term!r}: a doc id repeats")
+                terms += 1
+                frequency_total += sum(frequencies)
+            if len(loaded) != terms:
+                raise ValueError("a term repeats")
+            total_length = sum(lengths)
+            if frequency_total != total_length:
+                raise ValueError(
+                    f"term frequencies total {frequency_total}, document lengths {total_length}"
+                )
+            self._doc_lengths.update(doc_lengths)
+            self._postings.update(loaded)
+            self._total_length = total_length
+            self._idf_cache.clear()
 
     # -- querying -----------------------------------------------------------
 

@@ -16,9 +16,35 @@ searches token streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.store.records import Document, IngestRecord
+
+
+def records_from_terms(
+    documents: Iterable[Document], streams: dict[int, list[str]]
+) -> Iterator[IngestRecord]:
+    """Re-ingestable records of ``documents``, made one at a time as the
+    caller pulls them.
+
+    ``streams`` is :meth:`InvertedIndex.document_terms` output (merged
+    across shards): token *order* is not retained (an index keeps
+    per-term counts), so each record takes its document's term-sorted
+    stream as is; re-adding the records to an empty backend reproduces
+    doc ids, postings and therefore rankings and scores bit for bit
+    (indexing is order-insensitive by construction).  Each stream is
+    popped from ``streams`` as its record is made.
+    """
+    for doc in documents:
+        yield IngestRecord(
+            url=doc.url,
+            host=doc.host,
+            title=doc.title,
+            text=doc.text,
+            tokens=streams.pop(doc.doc_id),
+            source=doc.source,
+            annotations=dict(doc.annotations),
+        )
 
 
 @dataclass(frozen=True)
@@ -75,9 +101,17 @@ class StorageBackend(Protocol):
         based -- so the index-backed stores hand out the term-sorted
         streams :meth:`~repro.search.inverted_index.InvertedIndex.document_terms`
         builds from their postings in one pass (sqlite returns its stored
-        rows verbatim).  This is the seam whole-service snapshots
-        serialize through.
+        rows verbatim).
         """
+        ...
+
+    def dump_index(self) -> tuple[list[int], list[tuple[str, bytes, bytes]]]:
+        """The postings as a snapshot stores them: each document's length,
+        ascending doc id from 1, and per term, in term order, its doc ids
+        (ascending) and term frequencies packed as ``array('i')`` bytes
+        (:meth:`~repro.search.inverted_index.InvertedIndex.dump`).  Loading it
+        (:meth:`~repro.store.memory.InMemoryBackend.load`) reproduces the
+        index that re-adding :meth:`export_records` builds."""
         ...
 
     def search(
@@ -106,8 +140,8 @@ class DocumentCatalog:
     Doc ids are sequential from 1 in ingestion order and a URL is stored
     once.  A subclass provides ``kind``, ``_index`` (put one new
     document's token stream wherever its postings live; called after the
-    document is stored, so every id a search ranks resolves), ``search``
-    and ``export_records``.
+    document is stored, so every id a search ranks resolves), ``search``,
+    ``export_records`` and ``dump_index``.
     """
 
     #: Searches served from part of the corpus so far.  Only a backend that
@@ -165,29 +199,6 @@ class DocumentCatalog:
 
     def documents_for_host(self, host: str) -> list[Document]:
         return [doc for doc in self._documents.values() if doc.host == host]
-
-    def _records_from_terms(self, streams: Mapping[int, list[str]]) -> list[IngestRecord]:
-        """Re-ingestable records from per-document token streams.
-
-        ``streams`` is :meth:`InvertedIndex.document_terms` output (merged
-        across shards): token *order* is not retained (an index keeps
-        per-term counts), so each record takes its document's term-sorted
-        stream as is; re-adding the records to an empty backend reproduces
-        doc ids, postings and therefore rankings and scores bit for bit
-        (indexing is order-insensitive by construction).
-        """
-        return [
-            IngestRecord(
-                url=doc.url,
-                host=doc.host,
-                title=doc.title,
-                text=doc.text,
-                tokens=streams[doc_id],
-                source=doc.source,
-                annotations=dict(doc.annotations),
-            )
-            for doc_id, doc in self._documents.items()
-        ]
 
     # -- stats ---------------------------------------------------------------
 

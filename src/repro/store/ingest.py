@@ -4,8 +4,10 @@ Every content layer produces through an :class:`Ingestor`:
 
 * the :class:`~repro.search.engine.SearchEngine` (``add_page`` /
   ``ingest_records``) and the :class:`~repro.search.crawler.Crawler`;
-* the surfacing pipeline's indexing stage, and the snapshot restore,
-  which replays the stored corpus through :meth:`Ingestor.ingest_batch`;
+* the surfacing pipeline's indexing stage, and a snapshot restore into a
+  caller-supplied store, which replays the corpus through
+  :meth:`Ingestor.ingest_batch` (the default restore loads the index
+  into a fresh store instead, before any listener exists);
 * the virtual-integration registry and the WebTables corpus, which emit
   :class:`~repro.store.records.IngestRecord` objects directly.
 
@@ -74,7 +76,8 @@ class Ingestor:
         return doc_id
 
     def ingest_batch(self, records: Iterable[IngestRecord]) -> list[int]:
-        """Write a batch in order (the snapshot replay path)."""
+        """Write a batch in order (a snapshot restore into a caller-supplied
+        store)."""
         return [self.ingest(record) for record in records]
 
     def ingest_page(

@@ -166,6 +166,11 @@ class DeepWebSite:
         generated with (rows are ids 1..count), so the table is not built."""
         return self._inputs[1]
 
+    @property
+    def method(self) -> str:
+        """The method its form submits with, read without building it."""
+        return self._inputs[3]
+
     def ground_truth_ids(self) -> set[object]:
         """Every primary key -- ground truth for coverage."""
         return set(self.table.primary_keys())

@@ -93,7 +93,7 @@ def test_document_row_round_trips_tokenized_streams(record):
     row = record_row(record)
     payload = encode(IngestRecord, record)
     assert row == (*(payload[name] for name in ("url", "host", "title", "text")),
-                   " ".join(record.tokens), record.source,
+                   " ".join(record.tokens), len(record.tokens), record.source,
                    json.dumps(payload["annotations"], sort_keys=True))
     with sqlite3.connect(":memory:") as connection:
         create_schema(connection, {})

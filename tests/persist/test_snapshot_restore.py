@@ -17,8 +17,11 @@ import itertools
 import os
 import shutil
 import sqlite3
+import struct
+import sys
 import time
 from contextlib import closing
+from dataclasses import replace
 
 import pytest
 
@@ -29,10 +32,13 @@ from repro.persist import SnapshotError, SqliteBackend, SqliteStoreError
 from repro.store import InMemoryBackend, IngestRecord
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
+from repro.search.inverted_index import InvertedIndex
 from repro.serve.loadgen import WorkloadGenerator
 from repro.webspace import sitegen
 from repro.webspace.loadmeter import AGENT_SURFACER
+from repro.webspace.page import WebPage
 from repro.webspace.sitegen import WebConfig, generate_web
+from repro.webspace.url import Url
 
 from reference_normalizers import fault_accounting, normalized_index, normalized_results
 
@@ -159,8 +165,9 @@ def test_writer_and_restored_service_age_the_snapshot_from_one_stamp(tmp_path, m
 
 @pytest.mark.smoke
 def test_restore_builds_no_deep_site_database(tmp_path, monkeypatch):
-    """A restored service answers from its index: 200 searches on the
-    restored fetch-ledger ratchet world build no site's database."""
+    """A restored service answers from its index: the restore loads the
+    postings (no document is re-indexed), and 200 searches on the restored
+    fetch-ledger ratchet world build no site's database."""
     world = WebConfig(total_deep_sites=4, surface_site_count=1, max_records=120, seed=24)
     service = (
         DeepWebService.build()
@@ -180,16 +187,27 @@ def test_restore_builds_no_deep_site_database(tmp_path, monkeypatch):
         return build_table(*args)
 
     monkeypatch.setattr(sitegen, "build_table", counted)
+    indexed = []
+    add_document = InvertedIndex.add_document
+
+    def counted_add(index, doc_id, tokens):
+        indexed.append(doc_id)
+        return add_document(index, doc_id, tokens)
+
+    monkeypatch.setattr(InvertedIndex, "add_document", counted_add)
     restored = DeepWebService.restore(path)
+    reindexed = len(indexed)
     answers = [restored.search(text, k=10) for text in texts]
     sites, documents = len(restored.web.deep_sites()), len(restored.store)
     # CI greps this line out of a ``-s`` run into the job summary.
     print(
         f"\nrestore: {len(built)} of {sites} deep-site databases built "
         f"after {len(texts)} searches; snapshot of {documents} documents, "
-        f"{path.stat().st_size / documents:.0f} bytes per document"
+        f"{path.stat().st_size / documents:.0f} bytes per document, "
+        f"{reindexed} documents re-indexed"
     )
     assert built == []
+    assert reindexed == 0
     assert answers == [service.search(text, k=10) for text in texts]
     assert any(answers)
 
@@ -291,10 +309,114 @@ def test_cluster_snapshot_restores_into_memory_and_into_another_cluster(tmp_path
     assert restored.store is other and other.degraded_searches == 0
 
 
+def reindexed(store) -> InvertedIndex:
+    """The index a restore built by re-indexing: ``store``'s exported
+    records added to an empty backend in doc-id order."""
+    backend = InMemoryBackend()
+    for record in store.export_records():
+        backend.add(record)
+    return backend.index
+
+
+@pytest.mark.parametrize("source", ["memory", "sqlite-store", "cluster-4x2"])
+def test_a_loaded_index_equals_the_reindexed_one(tmp_path, source):
+    """A restore loads the postings: field for field the index that
+    re-indexing the source's export builds -- each term's postings in the
+    same (ascending doc id) order, the lengths, the total -- and each
+    document's id is one int object, shared by every posting of it, its
+    length entry and its catalog entry, as indexing leaves them."""
+    store = {
+        "memory": InMemoryBackend,
+        "sqlite-store": lambda: SqliteBackend(tmp_path / "store.sqlite3"),
+        "cluster-4x2": lambda: ClusterBackend(4, 2, deadline_seconds=30),
+    }[source]()
+    service = build_service_on(store)
+    service.crawl(max_pages=150)
+    service.surface()
+    restored = DeepWebService.restore(service.snapshot(tmp_path / "snapshot.sqlite3"))
+    loaded, expected = restored.store.index, reindexed(service.store)
+    assert len(loaded) > 256  # past the interpreter's cached small ints
+    assert {term: list(posting.items()) for term, posting in loaded._postings.items()} == {
+        term: list(posting.items()) for term, posting in expected._postings.items()
+    }
+    assert list(loaded._doc_lengths.items()) == list(expected._doc_lengths.items())
+    assert loaded._total_length == expected._total_length
+    shared = {doc_id: doc_id for doc_id in loaded._doc_lengths}
+    assert all(shared[doc_id] is doc_id
+               for posting in loaded._postings.values() for doc_id in posting)
+    assert all(shared[document.doc_id] is document.doc_id
+               for document in restored.store.documents())
+    assert all(shared[doc_id] is doc_id for doc_id in restored.store._url_to_doc.values())
+    if source == "sqlite-store":
+        service.store.close()
+
+
+def test_the_default_restore_bypasses_no_listener_with_state(round_trip):
+    """The default restore loads the index without the ingestor, which is
+    safe only while no ingest listener holds state: the engine's host-term
+    cache is the one listener, still empty, and no frontend exists."""
+    _, _, _, path = round_trip
+    restored = DeepWebService.restore(path)
+    assert restored.engine.ingestor._listeners == [restored.engine._on_ingest]
+    assert restored.engine._host_terms == {}
+    assert restored._frontend is None
+
+
+def test_restore_refuses_a_snapshot_of_another_world(tmp_path):
+    """The snapshot pins its world's site list (kind, host, size and form
+    method per site): a restore against another explicit web, or against a
+    regenerated web the recorded config no longer draws, is refused."""
+    service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
+    service.crawl(max_pages=30)
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
+    for other in (replace(WEB, seed=4), replace(WEB, max_records=61)):
+        with pytest.raises(SnapshotError, match="taken over another world"):
+            DeepWebService.restore(path, web=generate_web(other))
+    drifted = tampered(path, tmp_path, "UPDATE meta SET value = '\"0\"' WHERE key = 'world'")
+    with pytest.raises(SnapshotError, match="another world .site list 0, this web's"):
+        DeepWebService.restore(drifted)
+    restored = DeepWebService.restore(path, web=generate_web(WEB))
+    assert normalized_index(restored.engine) == normalized_index(service.engine)
+
+
+class ProtocolOnlySite:
+    """A site with only what the ``Site`` protocol declares: no ``size()``."""
+
+    host = "plain.example.com"
+    kind = "surface"
+
+    def homepage_url(self) -> Url:
+        return Url.build(self.host, "/")
+
+    def handle(self, url: Url) -> WebPage:
+        return WebPage(url=str(url), html="<html><title>plain</title><body>plain toyota</body></html>")
+
+
+def test_a_web_with_a_protocol_only_site_snapshots_and_restores(tmp_path):
+    """The world digest reads ``size()`` only of the generated site kinds,
+    so a web holding a site with nothing beyond the protocol snapshots,
+    restores against the same site list and is refused against another."""
+
+    def web():
+        built = generate_web(WEB)
+        built.register(ProtocolOnlySite())
+        return built
+
+    service = DeepWebService.build().web(web()).surfacing(SURFACING).create()
+    service.crawl(max_pages=50)
+    assert any(document.host == ProtocolOnlySite.host for document in service.store.documents())
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
+    restored = DeepWebService.restore(path, web=web())
+    assert normalized_index(restored.engine) == normalized_index(service.engine)
+    with pytest.raises(SnapshotError, match="taken over another world"):
+        DeepWebService.restore(path, web=generate_web(WEB))
+
+
 #: Which statement of the snapshot writer fails, by step.
 FAILING_STATEMENT = {
     "schema": lambda sql, rows: sql.startswith("CREATE TABLE"),
     "documents": lambda sql, rows: sql.startswith("INSERT INTO documents"),
+    "postings": lambda sql, rows: sql.startswith("INSERT INTO postings"),
     "sites": lambda sql, rows: sql.startswith("INSERT INTO sites"),
     "service-state": lambda sql, rows: sql.startswith("INSERT INTO meta") and "created_at" in dict(rows),
 }
@@ -330,14 +452,13 @@ class FailingConnection:
 
 
 @pytest.mark.parametrize(
-    "step", ["connect", *FAILING_STATEMENT, "commit", "close", "rename", "unrepresentable-token"]
+    "step", ["connect", *FAILING_STATEMENT, "commit", "close", "rename", "unencodable-term"]
 )
 def test_a_failed_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypatch, step):
     """A failure at any step of the writer -- opening the scratch file, each
-    table's rows, the commit, the close, the rename, or a token the one
-    document row encoding cannot hold -- is a SnapshotError: the scratch
-    file is gone and the snapshot already at the path is byte-for-byte
-    what it was."""
+    table's rows, the commit, the close, the rename, or a term no TEXT
+    column can hold -- is a SnapshotError: the scratch file is gone and the
+    snapshot already at the path is byte-for-byte what it was."""
     service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
     service.crawl(max_pages=30)
     service.surface(service.web.deep_sites()[:1])
@@ -357,9 +478,10 @@ def test_a_failed_snapshot_write_keeps_the_previous_snapshot(tmp_path, monkeypat
             raise OSError(errno.EACCES, "Permission denied")
 
         monkeypatch.setattr(os, "replace", refuse)
-    elif step == "unrepresentable-token":
+    elif step == "unencodable-term":
+        # A lone surrogate has no UTF-8 form.
         record = IngestRecord(url="http://odd.example.com/", host="odd.example.com",
-                              title="", text="", tokens=["two words"])
+                              title="", text="", tokens=["\ud800"])
         service.engine.ingest_records([record])
     else:
         monkeypatch.setattr(
@@ -399,6 +521,21 @@ def test_restore_refuses_a_store_holding_more_than_the_snapshot(tmp_path):
 
     with SqliteBackend(store_path) as store:
         with pytest.raises(SnapshotError, match="exactly this corpus"):
+            DeepWebService.restore(path, store=store)
+
+
+def test_restore_refuses_a_corpus_the_store_cannot_hold(tmp_path):
+    """A snapshot stores any term, but a sqlite store joins a document's
+    tokens by spaces: a restore into one of a token holding a space is a
+    SnapshotError, never the store's bare ValueError."""
+    service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
+    service.engine.ingest_records([IngestRecord(
+        url="http://odd.example.com/", host="odd.example.com", title="", text="",
+        tokens=["two words"])])
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
+    assert DeepWebService.restore(path).store.index.dump() == service.store.index.dump()
+    with SqliteBackend(tmp_path / "store.sqlite3") as store:
+        with pytest.raises(SnapshotError, match="store refused the corpus .*holds a space"):
             DeepWebService.restore(path, store=store)
 
 
@@ -442,9 +579,10 @@ def test_restore_refuses_unreadable_foreign_and_future_files(tmp_path):
 
     service = DeepWebService.build().web(WEB).surfacing(SURFACING).create()
     path = service.snapshot(tmp_path / "snap.sqlite3")
-    future = tampered(path, tmp_path, "UPDATE meta SET value = '99' WHERE key = 'format'")
-    with pytest.raises(SnapshotError, match="format '99' is not supported"):
-        DeepWebService.restore(future)
+    for number in ("3", "99"):
+        other = tampered(path, tmp_path, f"UPDATE meta SET value = '{number}' WHERE key = 'format'")
+        with pytest.raises(SnapshotError, match=f"format '{number}' is not supported"):
+            DeepWebService.restore(other)
 
 
 def test_a_snapshot_and_a_store_file_refuse_each_others_opener(tmp_path):
@@ -530,6 +668,14 @@ def tampered(path, tmp_path, *statements):
     return copy
 
 
+def c_int(value: int) -> str:
+    """``value`` as the hex of one native C int, as a postings blob holds it."""
+    return struct.pack("i", value).hex()
+
+
+OTHER_BYTEORDER = "big" if sys.byteorder == "little" else "little"
+
+
 def build_service_on(store) -> DeepWebService:
     return DeepWebService.build().web(WEB).surfacing(SURFACING).store(store).create()
 
@@ -550,22 +696,42 @@ def build_service_on(store) -> DeepWebService:
         ("ALTER TABLE documents DROP COLUMN tokens", "tables: not the ones"),
         ("ALTER TABLE documents ADD COLUMN surprise TEXT", "tables: not the ones"),
         ("DROP TABLE sites", "no such table: sites"),
-        ("UPDATE documents SET tokens = X'61' WHERE doc_id = 1", "string, got bytes"),
+        ("UPDATE postings SET doc_ids = CAST(doc_ids || X'00' AS BLOB) WHERE rowid = 1",
+         "not a multiple of itemsize"),
+        (f"UPDATE postings SET doc_ids = CAST(X'{c_int(2**31 - 1)}' || substr(doc_ids, 5) AS BLOB) "
+         "WHERE rowid = 1", "posting for unknown doc id 2147483647"),
+        (f"UPDATE postings SET doc_ids = CAST(X'{c_int(-1)}' || substr(doc_ids, 5) AS BLOB) "
+         "WHERE rowid = 1", "posting for unknown doc id -1"),
+        (f"UPDATE postings SET tfs = CAST(tfs || X'{c_int(1)}' AS BLOB) WHERE rowid = 1",
+         "doc ids for .* frequencies"),
+        (f"UPDATE meta SET value = '{OTHER_BYTEORDER}' WHERE key = 'byteorder'",
+         f"byteorder: file has '{OTHER_BYTEORDER}', caller wants '{sys.byteorder}'"),
+        ("UPDATE documents SET length = length + 1 WHERE doc_id = 1",
+         "term frequencies total .*, document lengths"),
+        ("UPDATE postings SET tfs = zeroblob(length(tfs)) WHERE rowid = 1", "below 1"),
+        ("INSERT INTO postings SELECT * FROM postings WHERE rowid = 1", "a term repeats"),
+        ("UPDATE postings SET doc_ids = 'ids' WHERE rowid = 1", "bytes-like object"),
+        ("UPDATE documents SET url = (SELECT url FROM documents WHERE doc_id = 1) "
+         "WHERE doc_id = 2", "1 stored URLs repeat"),
         ("UPDATE documents SET annotations = '7' WHERE doc_id = 2", "not iterable"),
         ("DELETE FROM documents WHERE doc_id = 2", "not contiguous .row 3 is number 2."),
     ],
     ids=[
         "unknown-result-key", "missing-result-field", "unknown-meta-key", "missing-meta-entry",
         "invalid-config", "meta-value-not-json", "other-bm25-k1", "document-without-tokens",
-        "unknown-document-column", "no-sites-table", "document-tokens-not-a-string",
-        "annotations-not-an-object", "doc-ids-not-contiguous",
+        "unknown-document-column", "no-sites-table", "postings-blob-ragged",
+        "posting-id-past-n", "posting-id-negative", "postings-blob-lengths-differ",
+        "other-byteorder",
+        "tf-total-not-length-total", "tf-below-one", "term-repeated", "postings-blob-not-bytes",
+        "url-repeated", "annotations-not-an-object", "doc-ids-not-contiguous",
     ],
 )
 def test_restore_refuses_a_file_of_another_layout(round_trip, tmp_path, statement, complaint):
     """An undeclared key, a missing required field, an invalid value, a
-    table of other columns and a row that will not decode are snapshot
-    errors, never a bare TypeError / KeyError / sqlite3 error -- in the
-    ``meta`` and ``sites`` rows and in the stored documents alike."""
+    table of other columns, a row that will not decode and postings no
+    indexing could leave are snapshot errors, never a bare TypeError /
+    KeyError / sqlite3 error -- in the ``meta`` and ``sites`` rows and in
+    the stored documents and postings alike."""
     _, _, _, path = round_trip
     with pytest.raises(SnapshotError, match=f"layout.*{complaint}"):
         DeepWebService.restore(tampered(path, tmp_path, statement))

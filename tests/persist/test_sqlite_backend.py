@@ -12,6 +12,7 @@ cannot see (reopen, commits, format and parameter pinning, corruption).
 from __future__ import annotations
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -184,7 +185,7 @@ def test_file_of_another_format_is_refused(tmp_path):
         raw.execute("UPDATE meta SET value = '1' WHERE key = 'format'")
         raw.execute("DROP TABLE sites")
     raw.close()
-    with pytest.raises(SqliteStoreError, match="format: file has '1', caller wants '3'"):
+    with pytest.raises(SqliteStoreError, match="format: file has '1', caller wants '4'"):
         SqliteBackend(path)
     with sqlite3.connect(str(path)) as raw:
         tables = {name for (name,) in raw.execute("SELECT name FROM sqlite_master")}
@@ -202,6 +203,21 @@ def test_non_contiguous_doc_ids_are_refused(tmp_path):
         raw.execute("DELETE FROM documents WHERE doc_id = 1")
     raw.close()
     with pytest.raises(SqliteStoreError, match="not contiguous"):
+        SqliteBackend(path)
+
+
+def test_a_repeated_url_is_refused_on_reopen(tmp_path):
+    """``documents.url`` carries no UNIQUE constraint, so the reopen refuses
+    a repeated URL itself: the in-memory ``add`` would dedup it onto the
+    first row and renumber every later document."""
+    path = tmp_path / "repeat.sqlite3"
+    with SqliteBackend(path) as backend:
+        for n in (1, 2, 3):
+            backend.add(make_record(n))
+    with closing(sqlite3.connect(path)) as raw, raw:
+        raw.execute("UPDATE documents SET url = (SELECT url FROM documents WHERE doc_id = 1) "
+                    "WHERE doc_id = 2")
+    with pytest.raises(SqliteStoreError, match="row 2 repeats the URL of row 1"):
         SqliteBackend(path)
 
 

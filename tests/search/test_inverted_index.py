@@ -36,6 +36,17 @@ class TestConstruction:
         index = build_index()
         assert index.average_length() > 0
 
+    def test_dump_loads_into_an_equal_index_and_only_into_an_empty_one(self):
+        index = build_index()
+        lengths, postings = index.dump()
+        loaded = InvertedIndex()
+        loaded.load(list(lengths), list(lengths.values()), postings)
+        assert loaded._postings == index._postings
+        assert loaded._doc_lengths == index._doc_lengths
+        assert loaded.score(["toyota", "austin"]) == index.score(["toyota", "austin"])
+        with pytest.raises(ValueError, match="only an empty index"):
+            loaded.load(list(lengths), list(lengths.values()), postings)
+
     def test_empty_index(self):
         index = InvertedIndex()
         assert index.average_length() == 0.0
