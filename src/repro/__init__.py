@@ -16,9 +16,10 @@ The package implements, over a fully simulated web:
   cross-corpus read.
 * ``repro.store`` -- the unified content store: the ``IngestRecord``
   write model, the ``Ingestor`` seam every content layer produces
-  through, the ``DocumentCatalog`` every backend keeps its documents in,
-  and the in-memory backend (sqlite lives in ``repro.persist``, the
-  hash-partitioned replicated one in ``repro.cluster``).
+  through, the ``StorageBackend`` base class every backend keeps its
+  documents in, and the in-memory backend (sqlite lives in
+  ``repro.persist``, the hash-partitioned replicated one in
+  ``repro.cluster``).
 * ``repro.pipeline`` -- the staged surfacing pipeline: seven pluggable
   stages, a shared context, observer hooks for metrics and progress, and
   ``SurfacingPipeline.surface_many``, the one per-site loop every site is

@@ -484,27 +484,20 @@ class DeepWebService:
         return snapshot_service(self, path)
 
     @classmethod
-    def restore(
-        cls,
-        path: str | Path,
-        web: Web | None = None,
-        store: StorageBackend | None = None,
-    ) -> "DeepWebService":
+    def restore(cls, path: str | Path, web: Web | None = None) -> "DeepWebService":
         """Rebuild a service from a :meth:`snapshot` file.
 
         The web's site list is regenerated from the snapshotted
         :class:`WebConfig`, each site's database built on first fetch
         (pass ``web=`` for a service built from an explicit :class:`Web`),
         and must be the site list the snapshot pins.  The stored index is
-        loaded, not re-indexed, into a fresh in-memory backend; a
-        caller-supplied ``store`` then takes the corpus through the shared
-        ingestor, and must score with the snapshot's BM25 ``k1`` / ``b``.
-        Rankings, scores and doc ids are identical to the snapshotted
-        service, and serving starts without re-crawling, re-surfacing,
-        re-harvesting or re-indexing."""
+        loaded, not re-indexed, into a fresh in-memory backend.  Rankings,
+        scores and doc ids are identical to the snapshotted service, and
+        serving starts without re-crawling, re-surfacing, re-harvesting or
+        re-indexing."""
         from repro.persist.snapshot import restore_service
 
-        return restore_service(path, web=web, store=store)
+        return restore_service(path, web=web)
 
     # -- operations ---------------------------------------------------------
 

@@ -1,14 +1,15 @@
-"""The cluster coordinator: a StorageBackend over replicated shard nodes.
+"""The cluster coordinator: a storage backend over replicated shard nodes.
 
 :class:`ClusterBackend` is the one hash-partitioned backend.  Documents
-and doc ids live in the coordinator's
-:class:`~repro.store.backend.DocumentCatalog`; each document's token
-stream routes to a shard by a stable CRC32 hash of its URL
-(:func:`~repro.cluster.node.shard_of`) and is indexed by *every* replica
-of that shard, and searches scatter one accumulate task per shard through a
-:class:`~repro.cluster.executor.ScatterGatherExecutor` (walked in the
-calling thread under a deadline, with replica failover and injected-fault
-hedging) and merge the partial accumulators back into one ranked list.
+and doc ids live in the coordinator, as the
+:class:`~repro.store.backend.StorageBackend` base class keeps them; each
+document's token stream routes to a shard by a stable CRC32 hash of its
+URL (:func:`~repro.cluster.node.shard_of`) and is indexed by *every*
+replica of that shard, and searches scatter one accumulate task per
+shard through a :class:`~repro.cluster.executor.ScatterGatherExecutor`
+(walked in the calling thread under a deadline, with replica failover
+and injected-fault hedging) and merge the partial accumulators back into
+one ranked list.
 
 Two invariants make it safe to put in front of real traffic:
 
@@ -48,7 +49,7 @@ from repro.cluster.executor import ScatterGatherExecutor
 from repro.cluster.node import ShardNode, shard_of
 from repro.resilience.faults import FaultPlan, ScriptedFaults
 from repro.search.inverted_index import InvertedIndex, bm25_idf, rank_accumulator
-from repro.store.backend import DocumentCatalog, StoreStats, records_from_terms
+from repro.store.backend import StorageBackend, StoreStats, records_from_terms
 from repro.store.records import IngestRecord
 
 
@@ -91,7 +92,7 @@ class ClusterStats:
         return lines
 
 
-class ClusterBackend(DocumentCatalog):
+class ClusterBackend(StorageBackend):
     """Replicated scatter-gather storage with single-index semantics."""
 
     kind = "cluster"
@@ -100,8 +101,6 @@ class ClusterBackend(DocumentCatalog):
         self,
         shard_count: int = 8,
         replicas: int = 1,
-        k1: float = 1.5,
-        b: float = 0.75,
         deadline_seconds: float = 0.25,
         inflight_limit: int = 8,
         fault_plan: FaultPlan | ScriptedFaults | None = None,
@@ -113,11 +112,9 @@ class ClusterBackend(DocumentCatalog):
         super().__init__()
         self.shard_count = shard_count
         self.replicas = replicas
-        self.k1 = k1
-        self.b = b
         self.replica_sets: list[list[ShardNode]] = [
             [
-                ShardNode(shard, replica, k1=k1, b=b, inflight_limit=inflight_limit)
+                ShardNode(shard, replica, inflight_limit=inflight_limit)
                 for replica in range(replicas)
             ]
             for shard in range(shard_count)
@@ -178,12 +175,12 @@ class ClusterBackend(DocumentCatalog):
         streams: dict[int, list[str]] = {}
         for replica_set in self.replica_sets:
             streams.update(replica_set[0].index.document_terms())
-        return list(records_from_terms(self._documents.values(), streams))
+        return records_from_terms(self._documents.values(), streams)
 
     def dump_index(self) -> tuple[list[int], list[tuple[str, bytes, bytes]]]:
         """The dump of one index over the whole corpus: the exported records
         re-added to a scratch index, which builds exactly those postings."""
-        index = InvertedIndex(self.k1, self.b)
+        index = InvertedIndex()
         for doc_id, record in enumerate(self.export_records(), 1):
             index.add_document(doc_id, record.tokens)
         lengths, postings = index.dump()

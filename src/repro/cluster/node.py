@@ -47,8 +47,6 @@ class ShardNode:
         self,
         shard_index: int,
         replica_index: int,
-        k1: float = 1.5,
-        b: float = 0.75,
         inflight_limit: int = 8,
     ) -> None:
         if inflight_limit <= 0:
@@ -56,7 +54,7 @@ class ShardNode:
         self.shard_index = shard_index
         self.replica_index = replica_index
         self.name = replica_name(shard_index, replica_index)
-        self.index = InvertedIndex(k1=k1, b=b)
+        self.index = InvertedIndex()
         self.inflight_limit = inflight_limit
         self._lock = threading.Lock()
         self._alive = True

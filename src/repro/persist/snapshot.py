@@ -22,25 +22,16 @@ and renamed over the target; a failure at any step removes the scratch
 file, leaves any previous snapshot as it was and raises
 :class:`SnapshotError`.
 
-Restore loads the index instead of re-indexing: the documents fill the
-fresh in-memory store's catalog and the postings and lengths its
-:class:`~repro.search.inverted_index.InvertedIndex`
+Every restore loads the index into the builder's fresh in-memory store
+instead of re-indexing: the documents fill its catalog and the postings
+and lengths its :class:`~repro.search.inverted_index.InvertedIndex`
 (:meth:`~repro.store.memory.InMemoryBackend.load`, which refuses doc ids
 that do not run 1..N, a repeated URL and postings no indexing could
 leave).  That bypasses the ingestor, and skips no listener with state:
 at restore time the engine's host-term cache is empty, and neither the
-serving frontend nor the table corpus exists yet.  A restore into a
-caller-supplied ``store`` (the reopened sqlite file, another cluster)
-loads a scratch in-memory backend first, so it refuses what the default
-restore refuses before the store takes a record, rebuilds each
-document's term-sorted token stream from it and drops it; the records
-then stream through the shared ingestor, one at a time, and must
-reproduce ids 1..N: a store already holding the corpus dedups by URL
-onto those same ids, and must hold nothing else.  Its BM25 parameters
-must be the snapshot's, and it may refuse a record (a sqlite store, a
-token holding a space); such a refusal, like a failed id check, is
-found after part of the corpus went into the store.  A row or ``meta``
-entry of another layout is a :class:`SnapshotError`.  A restored service answers ``search`` and
+serving frontend nor the table corpus exists yet.  A file pinned to
+other BM25 parameters, and a row or ``meta`` entry of another layout,
+is a :class:`SnapshotError`.  A restored service answers ``search`` and
 ``query()`` immediately: the default (non-live) planner never probes,
 the harvest bookkeeping marks the corpus settled, and the regenerated
 web's load meter shows zero surfacing work (``tests/persist`` pins all
@@ -71,8 +62,6 @@ from repro.persist.sqlite import (
     document_row, mismatches, pins, read_documents, read_site, site_payload,
 )
 from repro.search.crawler import CrawlStats
-from repro.store.backend import records_from_terms
-from repro.store.memory import InMemoryBackend
 from repro.webspace.site import DeepWebSite
 from repro.webspace.sitegen import WebConfig, generate_web
 from repro.webspace.surface_site import SurfaceSite
@@ -81,7 +70,6 @@ from repro.webtables.corpus import CorpusStats, CorpusTable, HarvestState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports lazily)
     from repro.api import DeepWebService
-    from repro.store.backend import StorageBackend
 
 
 class SnapshotError(RuntimeError):
@@ -116,7 +104,7 @@ class ServiceSnapshot:
 
 
 #: The ``meta`` keys that say what the file is; every other row is a field.
-PINNED = frozenset(pins("snapshot", 0.0, 0.0))
+PINNED = frozenset(pins("snapshot"))
 
 
 def _layout_error(source: Path, error: object) -> SnapshotError:
@@ -167,7 +155,7 @@ def snapshot_service(service: "DeepWebService", path: str | Path) -> Path:
         with closing(sqlite3.connect(scratch)) as connection:
             connection.execute("PRAGMA journal_mode = OFF")
             connection.execute("PRAGMA synchronous = OFF")
-            create_schema(connection, pins("snapshot", service.engine.k1, service.engine.b))
+            create_schema(connection, pins("snapshot"))
             lengths, postings = service.store.dump_index()
             # Ascending doc id: the dump's documents are the first ones.
             documents = service.store.documents()[: len(lengths)]
@@ -208,11 +196,7 @@ def _open(source: Path) -> tuple[sqlite3.Connection, dict[str, str]]:
         raise SnapshotError(f"{source}: unreadable snapshot ({error})") from error
 
 
-def restore_service(
-    path: str | Path,
-    web: Web | None = None,
-    store: "StorageBackend | None" = None,
-) -> "DeepWebService":
+def restore_service(path: str | Path, web: Web | None = None) -> "DeepWebService":
     """Rebuild a service from a snapshot; see :meth:`DeepWebService.restore`."""
     from repro.api import DeepWebService
 
@@ -249,47 +233,20 @@ def restore_service(
             )
 
         builder = DeepWebService.build().web(web).surfacing(snapshot.surfacing_config)
-        if store is not None:
-            builder = builder.store(store)
         if snapshot.serving:
             builder = builder.serving(**snapshot.serving)
         service = builder.create()
         service.web_config = snapshot.web_config
         # The tables, and the BM25 parameters the corpus was scored under.
-        mismatched = mismatches(connection, pins("snapshot", service.engine.k1, service.engine.b))
+        mismatched = mismatches(connection, pins("snapshot"))
         if mismatched:
             raise _layout_error(source, "; ".join(mismatched))
 
         try:
             documents, lengths = read_documents(connection)
-            postings = connection.execute("SELECT * FROM postings")
-            if store is None:
-                # The builder's fresh in-memory backend: load it.
-                service.store.load(documents, lengths, postings)
-            else:
-                # A scratch backend refuses what the default restore refuses
-                # before the store takes a record; only the token streams it
-                # rebuilds outlive it.
-                scratch = InMemoryBackend()
-                scratch.load(documents, lengths, postings)
-                streams = scratch.index.document_terms()
-                del scratch
+            service.store.load(documents, lengths, connection.execute("SELECT * FROM postings"))
         except (sqlite3.Error, TypeError, ValueError) as error:
             raise _layout_error(source, error) from error
-    if store is not None:
-        # A caller-supplied store takes the corpus through the shared
-        # ingestor, one record at a time, and must reproduce ids 1..N; one
-        # already holding the corpus (e.g. the reopened sqlite file) dedups
-        # by URL onto those same ids -- and must hold nothing else.
-        try:
-            ids = service.engine.ingest_records(records_from_terms(documents, streams))
-        except ValueError as error:  # a record the store cannot hold
-            raise SnapshotError(f"{source}: the store refused the corpus ({error})") from error
-        if ids != list(range(1, len(ids) + 1)) or len(service.store) != len(ids):
-            raise SnapshotError(
-                f"{source}: restored store did not reproduce snapshot doc ids "
-                "(restore needs an empty store, or one holding exactly this corpus)"
-            )
 
     service.results = results
     service.crawl_stats = snapshot.crawl

@@ -42,9 +42,7 @@ The same file is the surfacing resume record.
 writes its documents straight into this store -- and inserts its
 ``sites`` row in one transaction, so the file holds either both or
 neither, and :meth:`SqliteBackend.bind_config` pins the surfacing
-configuration the rows were produced under.  Nothing commits inside that
-transaction: :meth:`~SqliteBackend.export_records` reads the pending
-rows through the same connection instead of flushing them.
+configuration the rows were produced under.
 
 Writes commit at the end of each site and on :meth:`~SqliteBackend.flush`
 / :meth:`~SqliteBackend.close`; outside ``persist()``'s per-site commits
@@ -68,6 +66,7 @@ from typing import Callable, Iterator
 
 from repro.core.surfacer import SiteSurfacingResult, SurfacingConfig
 from repro.persist.codec import decode, encode
+from repro.search.inverted_index import B, K1
 from repro.store.memory import InMemoryBackend
 from repro.store.records import Document, IngestRecord
 
@@ -100,11 +99,12 @@ class SqliteStoreError(RuntimeError):
     """A sqlite store file that cannot be (re)opened or resumed safely."""
 
 
-def pins(kind: str, k1: float, b: float) -> dict[str, str]:
-    """The ``meta`` rows that say what a file is, as a ``kind`` file scored
-    under ``k1`` / ``b`` must carry them.  A snapshot also pins the byte
-    order its postings blobs were packed in (native C ints)."""
-    pinned = {"kind": kind, "format": str(SQLITE_FORMAT), "k1": repr(float(k1)), "b": repr(float(b))}
+def pins(kind: str) -> dict[str, str]:
+    """The ``meta`` rows that say what a file is, as a ``kind`` file of
+    this build must carry them: its corpus scored under the index's BM25
+    ``K1`` / ``B``.  A snapshot also pins the byte order its postings
+    blobs were packed in (native C ints)."""
+    pinned = {"kind": kind, "format": str(SQLITE_FORMAT), "k1": repr(K1), "b": repr(B)}
     if kind == "snapshot":
         pinned["byteorder"] = sys.byteorder
     return pinned
@@ -201,12 +201,12 @@ def read_site(payload: str) -> SiteSurfacingResult:
 
 
 class SqliteBackend(InMemoryBackend):
-    """Durable :class:`~repro.store.backend.StorageBackend` over one sqlite file."""
+    """Durable storage backend over one sqlite file."""
 
     kind = "sqlite"
 
-    def __init__(self, path: str | Path, k1: float = 1.5, b: float = 0.75) -> None:
-        super().__init__(k1=k1, b=b)
+    def __init__(self, path: str | Path) -> None:
+        super().__init__()
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One lock around the connection; index reads stay lock-free on the
@@ -215,7 +215,7 @@ class SqliteBackend(InMemoryBackend):
         self._failed = False
         self._connection = sqlite3.connect(str(self.path), check_same_thread=False)
         try:
-            pinned = pins("store", k1, b)
+            pinned = pins("store")
             with self._connection:
                 if not self._connection.execute("SELECT 1 FROM sqlite_master").fetchone():
                     create_schema(self._connection, pinned)
@@ -273,18 +273,6 @@ class SqliteBackend(InMemoryBackend):
             doc_id = super().add(record)
             connection.execute(INSERT_DOCUMENT, (doc_id, *row))
             return doc_id
-
-    def export_records(self) -> list[IngestRecord]:
-        """Exact stored token streams, ascending doc id.
-
-        Overrides the index-reconstruction in the base class: the sqlite
-        rows keep the original order, so exports round-trip verbatim.
-        The read goes through the writing connection, so it sees pending
-        writes without committing them (it may run inside a site's
-        transaction).
-        """
-        with self._guarded() as connection:
-            return list(read_records(connection))
 
     def flush(self) -> None:
         """Commit pending writes to disk."""

@@ -7,7 +7,7 @@ the essence of the surfacing approach.  Documents carry a ``source`` tag
 sources and webtables) so experiments can attribute results, and optional
 semantic annotations (Section 5.1 of the paper), indexed as extra tokens.
 
-Storage lives behind :class:`~repro.store.backend.StorageBackend` (the
+Storage lives behind a :class:`~repro.store.backend.StorageBackend` (the
 in-memory default reproduces the engine's historical behavior byte for
 byte; the cluster backend scatters searches over shard replicas and
 merges identical top-k lists back), and every write flows through one
@@ -54,8 +54,6 @@ class SearchEngine:
 
     def __init__(
         self,
-        k1: float = 1.5,
-        b: float = 0.75,
         signature_cache: SignatureCache | None = None,
         backend: StorageBackend | None = None,
     ) -> None:
@@ -65,13 +63,7 @@ class SearchEngine:
             # is mid-execution whenever this module loads first.
             from repro.store.memory import InMemoryBackend
 
-            backend = InMemoryBackend(k1=k1, b=b)
-        # An explicit backend already owns its scoring parameters; mirror
-        # them so the engine's k1/b always describe the ranking in effect
-        # (passing different k1/b alongside a backend would otherwise be
-        # silently ignored).
-        self.k1 = getattr(backend, "k1", k1)
-        self.b = getattr(backend, "b", b)
+            backend = InMemoryBackend()
         self._backend = backend
         self._ingestor = Ingestor(backend, signature_cache=signature_cache)
         self._ingestor.add_listener(self._on_ingest)
@@ -123,9 +115,9 @@ class SearchEngine:
         return self._ingestor.ingest_page(page, source=source, annotations=annotations)
 
     def ingest_records(self, records: Iterable[IngestRecord]) -> list[int]:
-        """Batch-write prepared records (how a snapshot restore fills a
-        caller-supplied store)."""
-        return self._ingestor.ingest_batch(records)
+        """Write prepared records in order; returns their doc ids."""
+        ingest = self._ingestor.ingest
+        return [ingest(record) for record in records]
 
     # -- lookup ---------------------------------------------------------------
 

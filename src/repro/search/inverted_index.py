@@ -19,6 +19,11 @@ from operator import itemgetter
 from struct import pack
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
+#: The BM25 parameters every index in the tree scores with; a persisted
+#: file pins them (:func:`repro.persist.sqlite.pins`).
+K1 = 1.5
+B = 0.75
+
 #: Pruning compares with ``theta * _MARGIN``: a bound is a float sum, which
 #: rounding may leave a few ulps off the value it bounds.
 _MARGIN = 1.0 - 1e-9
@@ -112,8 +117,9 @@ class InvertedIndex:
 
     Documents are integer ids managed by the caller.  The index stores term
     frequencies per document and document lengths; scoring uses the standard
-    Okapi BM25 formula with a non-negative idf floor (so very common terms do
-    not produce negative contributions on a small corpus).
+    Okapi BM25 formula (:data:`K1`, :data:`B`) with a non-negative idf floor
+    (so very common terms do not produce negative contributions on a small
+    corpus).
 
     Scoring ingredients that depend only on the corpus are precomputed and
     cached per queried term: its idf, and its *impacts* -- a ``doc_id ->
@@ -154,9 +160,7 @@ class InvertedIndex:
     answer is the answer after some prefix of the writes.
     """
 
-    def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
-        self.k1 = k1
-        self.b = b
+    def __init__(self) -> None:
         self._postings: dict[str, dict[int, int]] = defaultdict(dict)
         self._doc_lengths: dict[int, int] = {}
         self._total_length = 0
@@ -303,9 +307,9 @@ class InvertedIndex:
     ) -> dict[int, float]:
         """``doc_id -> idf * tf_component`` over ``(doc_id, frequency)``
         pairs: the one impact expression, for posting lists and lookups."""
-        k1 = self.k1
+        k1 = K1
         k1_plus_1 = k1 + 1
-        b = self.b
+        b = B
         one_minus_b = 1 - b
         lengths = self._doc_lengths
         # A zero average length (only empty documents) norms every length as average.

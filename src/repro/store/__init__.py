@@ -8,9 +8,8 @@ index's storage layer:
   the stored :class:`Document`, and the canonical ``source`` tags;
 * :mod:`repro.store.ingest` -- the :class:`Ingestor` write-path seam all
   content layers produce through;
-* :mod:`repro.store.backend` -- the :class:`StorageBackend` protocol and
-  the :class:`DocumentCatalog` (documents, URL dedup, doc ids) every
-  backend shares;
+* :mod:`repro.store.backend` -- :class:`StorageBackend`, the base class
+  every backend subclasses (documents, URL dedup, doc ids);
 * :mod:`repro.store.memory` -- :class:`InMemoryBackend`, byte-identical
   to the storage that used to live inside ``SearchEngine``.
 

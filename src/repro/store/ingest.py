@@ -4,10 +4,8 @@ Every content layer produces through an :class:`Ingestor`:
 
 * the :class:`~repro.search.engine.SearchEngine` (``add_page`` /
   ``ingest_records``) and the :class:`~repro.search.crawler.Crawler`;
-* the surfacing pipeline's indexing stage, and a snapshot restore into a
-  caller-supplied store, which replays the corpus through
-  :meth:`Ingestor.ingest_batch` (the default restore loads the index
-  into a fresh store instead, before any listener exists);
+* the surfacing pipeline's indexing stage (a snapshot restore loads the
+  index into a fresh store instead, before any listener exists);
 * the virtual-integration registry and the WebTables corpus, which emit
   :class:`~repro.store.records.IngestRecord` objects directly.
 
@@ -22,7 +20,7 @@ matter which layer produced it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from repro.core.informativeness import SignatureCache
 from repro.store.backend import StorageBackend
@@ -74,11 +72,6 @@ class Ingestor:
         for listener in self._listeners:
             listener(record, doc_id)
         return doc_id
-
-    def ingest_batch(self, records: Iterable[IngestRecord]) -> list[int]:
-        """Write a batch in order (a snapshot restore into a caller-supplied
-        store)."""
-        return [self.ingest(record) for record in records]
 
     def ingest_page(
         self,

@@ -1,7 +1,7 @@
 """The single-process backend: one inverted index over the shared catalog.
 
 Sequential doc ids starting at 1 and URL-keyed deduplication come from
-:class:`~repro.store.backend.DocumentCatalog`; this class adds one
+:class:`~repro.store.backend.StorageBackend`; this class adds one
 :class:`~repro.search.inverted_index.InvertedIndex` over every token
 stream, so seeded runs produce byte-identical doc ids, rankings and
 report renderings to the pre-store code
@@ -13,27 +13,25 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.search.inverted_index import InvertedIndex
-from repro.store.backend import DocumentCatalog, records_from_terms
+from repro.store.backend import StorageBackend, records_from_terms
 from repro.store.records import Document, IngestRecord
 
 
-class InMemoryBackend(DocumentCatalog):
+class InMemoryBackend(StorageBackend):
     """Default storage: everything in dicts, scored by one global index."""
 
     kind = "memory"
 
-    def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.k1 = k1
-        self.b = b
-        self.index = InvertedIndex(k1=k1, b=b)
+        self.index = InvertedIndex()
 
     def _index(self, doc_id: int, record: IngestRecord) -> None:
         self.index.add_document(doc_id, record.tokens)
 
     def export_records(self) -> list[IngestRecord]:
         """The stored corpus as re-ingestable records, term-sorted streams."""
-        return list(records_from_terms(self._documents.values(), self.index.document_terms()))
+        return records_from_terms(self._documents.values(), self.index.document_terms())
 
     def dump_index(self) -> tuple[list[int], list[tuple[str, bytes, bytes]]]:
         lengths, postings = self.index.dump()

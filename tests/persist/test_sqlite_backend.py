@@ -19,6 +19,7 @@ import pytest
 from repro.api import DeepWebService
 from repro.core.surfacer import SurfacingConfig
 from repro.persist import SqliteBackend, SqliteStoreError
+from repro.search.inverted_index import B, K1
 from repro.store import IngestRecord, InMemoryBackend
 from repro.webspace.sitegen import WebConfig
 
@@ -126,14 +127,41 @@ def normalized_index_of_backend(backend) -> list[tuple]:
     ]
 
 
-def test_export_records_round_trips_tokens_verbatim(tmp_path):
+def test_export_records_are_term_sorted_streams_of_the_stored_tokens(tmp_path):
+    """A sqlite store exports through its index, live and after a reopen:
+    each record holds its document's tokens as a term-sorted stream, with
+    its annotations, and re-adding the export scores the same."""
     tokens = ["zeta", "alpha", "alpha", "mid"]  # deliberately unsorted
-    with SqliteBackend(tmp_path / "export.sqlite3") as backend:
+    path = tmp_path / "export.sqlite3"
+    with SqliteBackend(path) as backend:
         backend.add(make_record(1, tokens=tokens))
-        exported = backend.export_records()
-    assert len(exported) == 1
-    assert exported[0].tokens == tokens
-    assert exported[0].annotations == {"n": "1"}
+        backend.add(make_record(2))
+        live = backend.export_records()
+    with SqliteBackend(path) as backend:
+        reopened = backend.export_records()
+        expected = backend.search(["alpha", "zeta"])
+    assert reopened == live
+    assert [record.tokens for record in live] == [sorted(tokens), ["alpha", "beta", "page2"]]
+    assert [record.annotations for record in live] == [{"n": "1"}, {"n": "2"}]
+    rebuilt = InMemoryBackend()
+    for record in live:
+        rebuilt.add(record)
+    assert rebuilt.search(["alpha", "zeta"]) == expected
+
+
+def test_a_file_pins_the_module_bm25_parameters(tmp_path):
+    """A store file and a snapshot both carry ``k1`` / ``b`` ``meta`` rows
+    holding the index's module constants, the parameters its scores were
+    computed under."""
+    service = build_service(SqliteBackend(tmp_path / "store.sqlite3"))
+    service.crawl(max_pages=20)
+    service.store.flush()
+    snapshot = service.snapshot(tmp_path / "snapshot.sqlite3")
+    service.store.close()
+    for path in (tmp_path / "store.sqlite3", snapshot):
+        with closing(sqlite3.connect(str(path))) as raw:
+            stored = dict(raw.execute("SELECT key, value FROM meta WHERE key IN ('k1', 'b')"))
+        assert stored == {"k1": repr(K1), "b": repr(B)} == {"k1": "1.5", "b": "0.75"}
 
 
 # -- commits -------------------------------------------------------------------
@@ -164,15 +192,21 @@ def test_writes_commit_at_flush_and_close(tmp_path):
 
 
 def test_reopen_with_different_bm25_parameters_is_refused(tmp_path):
+    """A file whose ``k1`` / ``b`` pin is not this build's BM25 parameters
+    (written under others, or edited) is refused on reopen."""
     path = tmp_path / "params.sqlite3"
-    with SqliteBackend(path, k1=1.5, b=0.75) as backend:
+    with SqliteBackend(path) as backend:
         backend.add(make_record(1))
-    with pytest.raises(SqliteStoreError, match="incompatible store file"):
-        SqliteBackend(path, k1=1.2, b=0.75)
-    with pytest.raises(SqliteStoreError, match="incompatible store file"):
-        SqliteBackend(path, k1=1.5, b=0.5)
+    for key, other in (("k1", "1.2"), ("b", "0.5")):
+        with closing(sqlite3.connect(str(path))) as raw, raw:
+            original = raw.execute("SELECT value FROM meta WHERE key = ?", (key,)).fetchone()[0]
+            raw.execute("UPDATE meta SET value = ? WHERE key = ?", (other, key))
+        with pytest.raises(SqliteStoreError, match=f"incompatible store file .*{key}: file has '{other}'"):
+            SqliteBackend(path)
+        with closing(sqlite3.connect(str(path))) as raw, raw:
+            raw.execute("UPDATE meta SET value = ? WHERE key = ?", (original, key))
     # The original parameters still open fine.
-    SqliteBackend(path, k1=1.5, b=0.75).close()
+    SqliteBackend(path).close()
 
 
 def test_file_of_another_format_is_refused(tmp_path):

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.search import inverted_index
-from repro.search.inverted_index import InvertedIndex
+from repro.search.inverted_index import B, K1, InvertedIndex
 from test_inverted_index import brute_force_grouped
 
 
-def naive_accumulate(index: InvertedIndex, docs, query, idf_by_term, average_length):
+def naive_accumulate(docs, query, idf_by_term, average_length):
     """The textbook per-posting loop under the given idf / avgdl: no
     cache, everything recomputed per hit."""
     accumulator = defaultdict(float)
@@ -25,15 +25,15 @@ def naive_accumulate(index: InvertedIndex, docs, query, idf_by_term, average_len
             frequency = tokens.count(term)
             if not frequency:
                 continue
-            length_norm = 1 - index.b + index.b * (
+            length_norm = 1 - B + B * (
                 len(tokens) / average_length if average_length else 1.0
             )
-            tf = (frequency * (index.k1 + 1)) / (frequency + index.k1 * length_norm)
+            tf = (frequency * (K1 + 1)) / (frequency + K1 * length_norm)
             accumulator[doc_id] += idf_by_term[term] * tf
     return dict(accumulator)
 
 
-def naive_score(index: InvertedIndex, docs: dict[int, list[str]], query, limit=None):
+def naive_score(docs: dict[int, list[str]], query, limit=None):
     """The textbook (seed) implementation: no idf cache, no impact cache,
     full sort, everything recomputed per hit."""
     n = len(docs)
@@ -43,7 +43,7 @@ def naive_score(index: InvertedIndex, docs: dict[int, list[str]], query, limit=N
         df = sum(1 for tokens in docs.values() if term in tokens)
         if df:
             idf_by_term[term] = max(0.01, math.log((n - df + 0.5) / (df + 0.5) + 1.0))
-    accumulator = naive_accumulate(index, docs, query, idf_by_term, average_length)
+    accumulator = naive_accumulate(docs, query, idf_by_term, average_length)
     ranked = sorted(accumulator.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:limit] if limit is not None else ranked
 
@@ -73,7 +73,7 @@ class TestOptimizedVsNaive:
         for _ in range(150):
             query = [rng.choice(vocabulary) for _ in range(rng.randint(1, 5))]
             limit = rng.choice([None, 1, 3, 10, 500])
-            assert index.score(query, limit=limit) == naive_score(index, docs, query, limit)
+            assert index.score(query, limit=limit) == naive_score(docs, query, limit)
 
     def test_topk_equals_truncated_full_sort(self, indexed_corpus):
         index, _docs, vocabulary = indexed_corpus
@@ -83,7 +83,7 @@ class TestOptimizedVsNaive:
     def test_duplicate_query_terms_contribute_twice(self, indexed_corpus):
         index, docs, _vocabulary = indexed_corpus
         term = next(iter(docs[1]))
-        assert index.score([term, term]) == naive_score(index, docs, [term, term])
+        assert index.score([term, term]) == naive_score(docs, [term, term])
 
     def test_caches_invalidated_on_mutation(self, indexed_corpus):
         index, docs, _vocabulary = indexed_corpus
@@ -93,8 +93,8 @@ class TestOptimizedVsNaive:
         index.add_document(999, docs[999])
         after = index.score([term])
         assert after != before
-        assert after == naive_score(index, docs, [term])
-        assert index.score(["freshterm"]) == naive_score(index, docs, ["freshterm"])
+        assert after == naive_score(docs, [term])
+        assert index.score(["freshterm"]) == naive_score(docs, ["freshterm"])
         # idf of an unseen term stays 0 and is not poisoned by the cache
         assert index.idf("never-indexed") == 0.0
 
@@ -104,11 +104,11 @@ class TestOptimizedVsNaive:
         fresh = index_of(docs)
         query = [vocabulary[3], vocabulary[11], vocabulary[3]]
         cold = fresh.score(query, limit=10)
-        assert cold == fresh.score(query, limit=10) == naive_score(fresh, docs, query, 10)
+        assert cold == fresh.score(query, limit=10) == naive_score(docs, query, 10)
         docs[5000] = [vocabulary[3], "padding", "padding"]
         fresh.add_document(5000, docs[5000])
         after_write = fresh.score(query, limit=10)
-        assert after_write == naive_score(fresh, docs, query, 10)
+        assert after_write == naive_score(docs, query, 10)
         assert index_of(docs).score(query, limit=10) == after_write  # shares no cache
 
     def test_stale_idf_is_not_cached_across_a_concurrent_write(self, indexed_corpus, monkeypatch):
@@ -136,7 +136,7 @@ class TestOptimizedVsNaive:
         n = len(docs)
         df = sum(1 for tokens in docs.values() if term in tokens)
         assert index.idf(term) == max(0.01, math.log((n - df + 0.5) / (df + 0.5) + 1.0))
-        assert index.score([term]) == naive_score(index, docs, [term])
+        assert index.score([term]) == naive_score(docs, [term])
 
 
 def tie_heavy_corpus():
@@ -157,7 +157,7 @@ class TestTopKThroughTies:
     @pytest.mark.parametrize("query", [["alpha"], ["alpha", "beta"], ["gamma", "alpha", "delta"]])
     def test_every_limit_matches_the_truncated_full_sort(self, query):
         index, docs = tie_heavy_corpus()
-        full = naive_score(index, docs, query)
+        full = naive_score(docs, query)
         scores = [score for _doc_id, score in full]
         assert len(set(scores)) < len(scores) / 3, "the corpus must actually tie"
         assert index.score(query) == full
@@ -209,7 +209,7 @@ class TestPrunedTopK:
     def test_pruned_top_k_equals_the_naive_ranking(self, corpus):
         docs, query = corpus
         index = index_of(docs)
-        naive = naive_score(index, docs, query)
+        naive = naive_score(docs, query)
         idf_by_term = {term: index.idf(term) for term in query}
         full: dict[int, float] = {}
         index.accumulate(query, idf_by_term, index.average_length(), full)
@@ -237,7 +237,7 @@ class TestPrunedTopK:
         index.accumulate(query, idf_by_term, index.average_length(), top, 3)
         assert top.items() <= full.items()
         assert len(top) < len(full) == len(docs)
-        assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
+        assert index.score(query, limit=3) == naive_score(docs, query, 3)
 
 
 @st.composite
@@ -330,11 +330,11 @@ class TestTopKAcrossWrites:
             docs[doc_id] = docs[doc_id] + ["zanzibar"]
         index = index_of(docs)
         query = ["book", "zanzibar"]
-        assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
+        assert index.score(query, limit=3) == naive_score(docs, query, 3)
         built = {term: index._impact_cache[term][1] for term in query}
         docs[101] = ["book", "book", "filler"]
         index.add_document(101, docs[101])
-        assert index.score(query, limit=3) == naive_score(index, docs, query, 3)
+        assert index.score(query, limit=3) == naive_score(docs, query, 3)
         assert all(index._impact_cache[term][1] is built[term] for term in query)
 
     def test_a_post_write_query_recomputes_only_its_candidates(self, monkeypatch):
@@ -347,7 +347,7 @@ class TestTopKAcrossWrites:
         }
         index = index_of(docs)
         query = ["alpha", "beta", "alpha"]
-        assert index.score(query, limit=5) == naive_score(index, docs, query, 5)
+        assert index.score(query, limit=5) == naive_score(docs, query, 5)
         docs[201] = ["alpha", "beta", "beta", "x"]
         index.add_document(201, docs[201])
         recomputed: list[int] = []
@@ -363,7 +363,7 @@ class TestTopKAcrossWrites:
         top: dict[int, float] = {}
         index.accumulate(query, idf_by_term, index.average_length(), top, 5)
         assert 0 < sum(recomputed) <= len(top) * len(set(query)) < len(docs)
-        assert index.score(query, limit=5) == naive_score(index, docs, query, 5)
+        assert index.score(query, limit=5) == naive_score(docs, query, 5)
 
     def test_a_term_holds_one_map_its_last_build(self, monkeypatch):
         """A post-write query bounds from the very dict the term's last build
@@ -457,7 +457,7 @@ class TestTopKAcrossWrites:
             docs[len(docs) + 1] = tokens
             index.add_document(len(docs), tokens)
         for query, limit in queries:
-            full_sort = naive_score(index, docs, query)
+            full_sort = naive_score(docs, query)
             assert index.score(query, limit=limit) == full_sort[:limit]
             idf_by_term = {term: index.idf(term) for term in query}
             top: dict[int, float] = {}
@@ -518,7 +518,7 @@ class TestGroupedTopK:
     def test_every_limit_equals_the_brute_force_grouped_rank(self, case):
         docs, query, labels = case
         index = index_of(docs)
-        naive = dict(naive_score(index, docs, query))
+        naive = dict(naive_score(docs, query))
         for limit in [None, *range(0, len(naive) + 2)]:
             expected = brute_force_grouped(naive, limit, labels)
             assert index.score(query, limit, labels.__getitem__) == expected
@@ -540,7 +540,7 @@ class TestGroupedTopK:
                 index.add_document(doc_id, docs[doc_id])
                 continue
             _kind, query, draw = operation
-            full_sort = naive_score(index, docs, query)
+            full_sort = naive_score(docs, query)
             limit = 1 + draw % (len(full_sort) + 1)
             grouped = brute_force_grouped(dict(full_sort), limit, labels)
             reads = [
@@ -558,7 +558,7 @@ class TestGroupedTopK:
         docs, query, first = case
         second = data.draw(source_lists(len(docs)))
         index = index_of(docs)
-        naive = dict(naive_score(index, docs, query))
+        naive = dict(naive_score(docs, query))
         for limit in range(1, len(naive) + 2):
             for labels in (first, second, first):
                 expected = brute_force_grouped(naive, limit, labels)
@@ -570,7 +570,7 @@ class TestGroupedTopK:
         }
         index = index_of(docs)
         query = ["book", "sale"]
-        naive = dict(naive_score(index, docs, query))
+        naive = dict(naive_score(docs, query))
         one = [None] + ["all"] * len(docs)
         singletons = [None] + list(docs)
         for labels, pairs in ((one, 1), (singletons, 12), (one, 1), (singletons, 12)):
@@ -596,7 +596,7 @@ class TestGroupedTopK:
 
         monkeypatch.setattr(index, "_accumulate_top", counting)
         answer = index.score(query, 3, labels.__getitem__)
-        assert answer == brute_force_grouped(dict(naive_score(index, docs, query)), 3, labels)
+        assert answer == brute_force_grouped(dict(naive_score(docs, query)), 3, labels)
         assert len(ranked) == 2
         assert sum(ranked) < len(docs) // 2
 
@@ -737,7 +737,7 @@ class TestAccumulateUnderExternalIngredients:
         ]:
             accumulator: dict[int, float] = {}
             index.accumulate(query, idf_by_term, average_length, accumulator)
-            assert accumulator == naive_accumulate(index, docs, query, idf_by_term, average_length)
+            assert accumulator == naive_accumulate(docs, query, idf_by_term, average_length)
 
     def test_duplicated_term_contributes_twice_into_a_shared_accumulator(self, indexed_corpus):
         index, docs, vocabulary = indexed_corpus
@@ -745,7 +745,7 @@ class TestAccumulateUnderExternalIngredients:
         idf_by_term = {term: 0.9}
         accumulator = {-1: 4.0}  # another shard's document, already merged
         index.accumulate([term, term], idf_by_term, 20.0, accumulator)
-        expected = naive_accumulate(index, docs, [term, term], idf_by_term, 20.0)
+        expected = naive_accumulate(docs, [term, term], idf_by_term, 20.0)
         expected[-1] = 4.0
         assert accumulator == expected
         once: dict[int, float] = {}

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ClusterBackend, shard_of
 from repro.persist import SqliteBackend
+from repro.search.engine import SearchEngine
 from repro.store import (
     IngestRecord,
     Ingestor,
@@ -38,7 +39,7 @@ def sharded(shard_count: int, replicas: int = 1) -> ClusterBackend:
     return ClusterBackend(shard_count, replicas=replicas, deadline_seconds=30)
 
 
-#: Every DocumentCatalog subclass; "sharded" is the 4 x 1 cluster.
+#: Every StorageBackend subclass; "sharded" is the 4 x 1 cluster.
 BACKENDS = {
     "memory": lambda tmp_path: InMemoryBackend(),
     "sqlite": lambda tmp_path: SqliteBackend(tmp_path / "store.sqlite3"),
@@ -444,12 +445,12 @@ class TestIngestor:
         ingestor.add_listener(lambda record, doc_id: seen.append((record.url, doc_id)))
         ingestor.ingest(record("u://1", "alpha"))
         ingestor.ingest(record("u://1", "alpha"))  # duplicate: no event
-        ingestor.ingest_batch([record("u://2", "bravo"), record("u://3", "charlie")])
+        ingestor.ingest(record("u://2", "bravo"))
+        ingestor.ingest(record("u://3", "charlie"))
         assert seen == [("u://1", 1), ("u://2", 2), ("u://3", 3)]
 
     def test_batch_returns_ids_in_order(self):
-        ingestor = Ingestor(InMemoryBackend())
-        ids = ingestor.ingest_batch(
+        ids = SearchEngine().ingest_records(
             [record("u://1", "a"), record("u://2", "b"), record("u://1", "a")]
         )
         assert ids == [1, 2, 1]

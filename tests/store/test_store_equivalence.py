@@ -33,8 +33,8 @@ class LegacyEngine:
     as the executable definition of "pre-refactor behavior".
     """
 
-    def __init__(self, k1: float = 1.5, b: float = 0.75) -> None:
-        self._index = InvertedIndex(k1=k1, b=b)
+    def __init__(self) -> None:
+        self._index = InvertedIndex()
         self._documents: dict[int, dict] = {}
         self._url_to_doc: dict[str, int] = {}
         self._next_id = 1
