@@ -3,7 +3,7 @@
 
 Builds a small deep-web world, crawls and surfaces it into the shared
 index, then replays a reproducible Zipf query stream through the
-:class:`~repro.serve.frontend.QueryFrontend` (worker pool + LRU/TTL
+:class:`~repro.serve.frontend.QueryFrontend` (worker pool + LRU
 result cache).  Every run with the same arguments serves the identical
 query sequence, so the cache-hit rate is a property of the workload, not
 of the wall clock.

@@ -37,9 +37,8 @@ The package implements, over a fully simulated web:
   keyword vs ``field:value`` queries and emits explicit routed plans,
   an executor with per-route fetch budgets and blend provenance.
 * ``repro.serve`` -- the query-serving frontend for keyword queries:
-  worker pool with bounded admission and load shedding, LRU+TTL result
-  cache invalidated on ingest, and seeded Zipf/mixed-mode workload
-  generation.
+  a worker pool for workload replays, an LRU result cache invalidated on
+  ingest, and seeded Zipf/mixed-mode workload generation.
 * ``repro.core`` -- the paper's contribution: surfacing configuration and
   results, plus typed-input recognition, iterative probing, informative
   query templates, correlated inputs, URL generation with an indexability

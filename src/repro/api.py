@@ -274,23 +274,12 @@ class DeepWebServiceBuilder:
         self._resilience = (policy, breakers if breakers is not None else BreakerRegistry())
         return self
 
-    def serving(
-        self,
-        workers: int = 4,
-        cache_size: int = 1024,
-        ttl_seconds: float | None = None,
-        queue_limit: int | None = None,
-    ) -> "DeepWebServiceBuilder":
+    def serving(self, workers: int = 4, cache_size: int = 1024) -> "DeepWebServiceBuilder":
         """Configure the query-serving frontend (``service.frontend``):
-        worker-pool width, result-cache capacity and TTL, and the bounded
-        admission queue.  Without this call the frontend still exists,
-        with :class:`~repro.serve.frontend.QueryFrontend` defaults."""
-        self._serving = dict(
-            workers=workers,
-            cache_size=cache_size,
-            ttl_seconds=ttl_seconds,
-            queue_limit=queue_limit,
-        )
+        worker-pool width and result-cache capacity.  Without this call
+        the frontend still exists, with
+        :class:`~repro.serve.frontend.QueryFrontend` defaults."""
+        self._serving = dict(workers=workers, cache_size=cache_size)
         return self
 
     def create(self) -> "DeepWebService":
@@ -396,9 +385,9 @@ class DeepWebService:
 
     @property
     def frontend(self) -> QueryFrontend:
-        """The query-serving frontend over the shared index: worker pool,
-        bounded admission queue, and a result cache invalidated on every
-        ingest (created lazily; configure with the builder's
+        """The query-serving frontend over the shared index: a worker pool
+        for replays and a result cache invalidated on every ingest
+        (created lazily; configure with the builder's
         :meth:`~DeepWebServiceBuilder.serving`).  A frontend the caller
         closed (e.g. via ``with service.frontend:``) is replaced with a
         fresh one on the next access, so the serving path never sticks

@@ -22,7 +22,7 @@ Two invariants make it safe to put in front of real traffic:
   every shard answering, rankings and scores are bit-identical to
   :class:`~repro.store.memory.InMemoryBackend`.
 * **Degradation is shrinkage, never substitution.**  When a shard misses
-  its deadline or every replica is dead/refusing, its documents simply
+  its deadline or every replica is dead or failing, its documents simply
   drop out of the merge.  Because the scoring ingredients come from the
   coordinator (not from the surviving shards), the remaining hits keep
   *identical* scores -- the degraded result is a strict subset of the
@@ -68,7 +68,6 @@ class ClusterStats:
     hedge_wins: int
     deadline_misses: int
     failovers: int
-    refused: int
     degraded_searches: int
     injected: dict[str, int]
     replica_serves: dict[str, int]
@@ -79,7 +78,7 @@ class ClusterStats:
             f"cluster: {self.shard_count} x {self.replicas} replicas, "
             f"{self.documents} documents",
             f"cluster scatters: {self.scatters} ({self.tasks} tasks, "
-            f"{self.failovers} failovers, {self.refused} refused)",
+            f"{self.failovers} failovers)",
             f"cluster hedges: {self.hedges} ({self.hedge_wins} won), "
             f"deadline misses: {self.deadline_misses}, "
             f"degraded searches: {self.degraded_searches}",
@@ -102,7 +101,6 @@ class ClusterBackend(StorageBackend):
         shard_count: int = 8,
         replicas: int = 1,
         deadline_seconds: float = 0.25,
-        inflight_limit: int = 8,
         fault_plan: FaultPlan | ScriptedFaults | None = None,
     ) -> None:
         if shard_count <= 0:
@@ -113,10 +111,7 @@ class ClusterBackend(StorageBackend):
         self.shard_count = shard_count
         self.replicas = replicas
         self.replica_sets: list[list[ShardNode]] = [
-            [
-                ShardNode(shard, replica, inflight_limit=inflight_limit)
-                for replica in range(replicas)
-            ]
+            [ShardNode(shard, replica) for replica in range(replicas)]
             for shard in range(shard_count)
         ]
         self.executor = ScatterGatherExecutor(self.replica_sets, deadline_seconds, fault_plan)
@@ -262,7 +257,6 @@ class ClusterBackend(StorageBackend):
                 hedge_wins=executor.hedge_wins,
                 deadline_misses=executor.deadline_misses,
                 failovers=executor.failovers,
-                refused=sum(node.refused for node in nodes),
                 degraded_searches=self.degraded_searches,
                 injected=dict(sorted(executor.injected.items())),
                 replica_serves={

@@ -8,8 +8,8 @@ chosen by a per-shard round-robin cursor, under
   shard starts -- a shard whose turn comes too late is dropped from the
   merge (the backend degrades to an exact-score subset: fewer hits,
   never wrong ones); a running shard is never interrupted;
-* **replica failover** -- a dead, refusing (admission-limited) or
-  erroring replica hands the attempt to the next candidate;
+* **replica failover** -- a dead or erroring replica hands the attempt
+  to the next candidate;
 * **hedged duplicates** -- an attempt injected as a straggler makes the
   next replica tried a hedge of it.
 
@@ -46,7 +46,6 @@ from repro.resilience.faults import (
 #: Why a shard produced no response (``ShardOutcome.reason``).
 REASON_DEADLINE = "deadline"
 REASON_DOWN = "down"
-REASON_REFUSED = "refused"
 REASON_ERROR = "error"
 REASON_STALLED = "stalled"
 
@@ -142,10 +141,10 @@ class ScatterGatherExecutor:
     ) -> ShardOutcome:
         """Try replicas in cursor order until one answers.
 
-        An attempt that ends ``down``, ``refused`` or ``error`` makes the
-        next one a failover.  An injected ``timeout`` marks it a straggler
-        instead: it never answers, so every further attempt for this shard
-        is a hedged duplicate of it, not a failover.
+        An attempt that ends ``down`` or ``error`` makes the next one a
+        failover.  An injected ``timeout`` marks it a straggler instead: it
+        never answers, so every further attempt for this shard is a hedged
+        duplicate of it, not a failover.
         """
         tried: set[int] = set()
         attempts = 0
@@ -158,11 +157,12 @@ class ScatterGatherExecutor:
                 with self.lock:
                     self.failovers += 1
             verdict = self._consult_plan(node)
-            if verdict is None and not node.admit():
-                verdict = REASON_DOWN if not node.alive else REASON_REFUSED
+            if verdict is None and not node.alive:
+                verdict = REASON_DOWN  # killed after _pick chose it
             if verdict is None:
                 with self.lock:
                     self.tasks += 1
+                    node.tasks_served += 1
                     if hedged:
                         self.hedges += 1
                 try:
@@ -174,8 +174,6 @@ class ScatterGatherExecutor:
                         with self.lock:
                             self.hedge_wins += 1
                     return ShardOutcome(shard, value, attempts, hedged)
-                finally:
-                    node.release()
             reason = verdict
             failover = verdict != REASON_STALLED
             hedged = hedged or not failover

@@ -1,15 +1,12 @@
-"""One shard replica: a postings index behind an admission counter.
+"""One shard replica: a postings index and its liveness.
 
 A :class:`ShardNode` is the process-level model of one shard server.  It
 owns a private :class:`~repro.search.inverted_index.InvertedIndex` over
 its shard's token streams -- postings only; the documents themselves
 live in the coordinator's catalog.  Query work runs in the calling
 thread (the scatter-gather executor's): the node has no thread of its
-own.  Admission control is an in-flight counter checked against
-``inflight_limit`` under the node's lock: past it the node refuses new
-work instead of queueing without bound, the same degradation contract
-the :class:`~repro.serve.frontend.QueryFrontend` applies at the top of
-the stack.
+own and no admission limit, so any number of callers may search it at
+once (the index locks its own reads and writes).
 
 ``kill()`` / ``revive()`` model replica failure for chaos soaks: a dead
 node refuses query work.  The *write* path deliberately keeps every
@@ -41,29 +38,20 @@ def replica_name(shard_index: int, replica_index: int) -> str:
 
 
 class ShardNode:
-    """One replica of one shard: a postings index + admission control."""
+    """One replica of one shard: a postings index that can be killed."""
 
-    def __init__(
-        self,
-        shard_index: int,
-        replica_index: int,
-        inflight_limit: int = 8,
-    ) -> None:
-        if inflight_limit <= 0:
-            raise ValueError(f"inflight_limit must be positive, got {inflight_limit}")
+    def __init__(self, shard_index: int, replica_index: int) -> None:
         self.shard_index = shard_index
         self.replica_index = replica_index
         self.name = replica_name(shard_index, replica_index)
         self.index = InvertedIndex()
-        self.inflight_limit = inflight_limit
         self._lock = threading.Lock()
         self._alive = True
-        self._inflight = 0
         #: Per-replica fault-plan index (consumed only for governed tasks,
         #: mirroring :class:`~repro.resilience.faults.FaultyWeb` semantics).
         self._fault_index = 0
+        #: Tasks this replica ran; the executor counts them under its lock.
         self.tasks_served = 0
-        self.refused = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -90,23 +78,6 @@ class ShardNode:
             index = self._fault_index
             self._fault_index += 1
             return index
-
-    def admit(self) -> bool:
-        """Take an admission slot (given back by :meth:`release`) or refuse:
-        ``False`` when dead or at ``inflight_limit`` (counted in ``refused``)."""
-        if not self._alive:
-            return False
-        with self._lock:
-            if self._inflight >= self.inflight_limit:
-                self.refused += 1
-                return False
-            self._inflight += 1
-            self.tasks_served += 1
-        return True
-
-    def release(self) -> None:
-        with self._lock:
-            self._inflight -= 1
 
     def accumulate(
         self,

@@ -234,7 +234,10 @@ def restore_service(path: str | Path, web: Web | None = None) -> "DeepWebService
 
         builder = DeepWebService.build().web(web).surfacing(snapshot.surfacing_config)
         if snapshot.serving:
-            builder = builder.serving(**snapshot.serving)
+            try:
+                builder = builder.serving(**snapshot.serving)
+            except TypeError as error:  # a key .serving() does not take
+                raise _layout_error(source, f"meta row 'serving': {error}") from error
         service = builder.create()
         service.web_config = snapshot.web_config
         # The tables, and the BM25 parameters the corpus was scored under.

@@ -104,8 +104,8 @@ class PlannerStats:
     """Cumulative provenance counters over every executed plan.
 
     Shared between the service facade (``report()``) and whichever
-    executor instances serve traffic; recording is locked because plan
-    execution may happen on frontend worker threads.
+    executor instances serve traffic; recording is locked because callers
+    may call ``query()`` from their own threads.
     """
 
     def __init__(self) -> None:

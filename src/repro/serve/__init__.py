@@ -1,13 +1,13 @@
 """The query-serving subsystem: the read path under production traffic.
 
 Everything the other layers ingest and shard is only useful if it can be
-*served* -- at volume, concurrently, with result caching and honest
-overload behavior.  This package provides:
+*served* -- at volume, concurrently, with result caching.  This package
+provides:
 
-* :class:`QueryFrontend` -- a thread-pool request executor over the
-  shared :class:`~repro.search.engine.SearchEngine` with a bounded
-  admission queue, load shedding, and an LRU+TTL
-  :class:`QueryResultCache` invalidated automatically on every ingest;
+* :class:`QueryFrontend` -- the read entry point over the shared
+  :class:`~repro.search.engine.SearchEngine`: a worker pool for workload
+  replays and an LRU :class:`QueryResultCache` invalidated automatically
+  on every ingest (nothing is shed and nothing expires on a timer);
 * :class:`ServeStats` / :class:`WorkloadOutcome` -- traffic counters,
   latency percentiles and lossless workload replays;
 * :class:`WorkloadGenerator` -- seeded Zipf query streams over the

@@ -13,21 +13,19 @@ longer matches is treated as a miss and dropped on the next lookup, so
 a write anywhere in the content store (crawl, surfacing, webtables,
 vertical registration) can never serve a stale result list.  Expiry is
 lazy: bumping the generation is O(1) regardless of cache size, which
-matters during bulk ingestion (a crawl bumps it once per page).
-
-Time is injected (``clock``) so TTL behavior is deterministic in tests;
-without a TTL the cache never reads it.  The frontend maps each raw
-request text to its key once, so a hit reaches :meth:`QueryResultCache.get`
-without tokenizing.
+matters during bulk ingestion (a crawl bumps it once per page).  Nothing
+expires on a timer: every write already makes every entry stale, and the
+cache never reads a clock.  The frontend maps each raw request text to
+its key once, so a hit reaches :meth:`QueryResultCache.get` without
+tokenizing.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.search.engine import SearchResult
 from repro.util.text import tokenize
@@ -47,37 +45,26 @@ def normalize_query(query: str) -> str:
 class _Entry:
     results: tuple[SearchResult, ...]
     generation: int
-    stored_at: float
 
 
 class QueryResultCache:
-    """A thread-safe LRU + TTL cache of ranked result lists.
+    """A thread-safe LRU cache of ranked result lists.
 
     ``max_entries=0`` disables storage entirely (every lookup is a miss),
     which gives the frontend an honest "uncached" mode without a second
-    code path.  ``ttl_seconds=None`` disables time-based expiry.
+    code path.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 1024,
-        ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be positive or None, got {ttl_seconds}")
         self.max_entries = max_entries
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
         self._entries: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
         self._lock = threading.Lock()
         self._generation = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
         self.invalidations = 0
 
     @property
@@ -104,7 +91,7 @@ class QueryResultCache:
                 self._generation = to
 
     def get(self, query_key: str, k: int) -> tuple[SearchResult, ...] | None:
-        """The cached ranking, or ``None`` on miss/stale/expired."""
+        """The cached ranking, or ``None`` on a miss or a stale entry."""
         entry_key = (query_key, k)
         with self._lock:
             entry = self._entries.get(entry_key)
@@ -114,14 +101,6 @@ class QueryResultCache:
             if entry.generation != self._generation:
                 del self._entries[entry_key]
                 self.invalidations += 1
-                self.misses += 1
-                return None
-            if (
-                self.ttl_seconds is not None
-                and self._clock() - entry.stored_at > self.ttl_seconds
-            ):
-                del self._entries[entry_key]
-                self.expirations += 1
                 self.misses += 1
                 return None
             self._entries.move_to_end(entry_key)
@@ -148,8 +127,6 @@ class QueryResultCache:
             self._entries[(query_key, k)] = _Entry(
                 results=tuple(results),
                 generation=self._generation if generation is None else generation,
-                # Only TTL expiry reads the stored time.
-                stored_at=self._clock() if self.ttl_seconds is not None else 0.0,
             )
             self._entries.move_to_end((query_key, k))
             while len(self._entries) > self.max_entries:
@@ -166,7 +143,6 @@ class QueryResultCache:
         return {
             "entries": len(self._entries),
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "generation": self._generation,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
             "hits": self.hits,

@@ -7,20 +7,18 @@ reproduction: it sits on top of a :class:`~repro.search.engine.SearchEngine`
 (and therefore whatever :class:`~repro.store.backend.StorageBackend` is
 behind it) and provides
 
-* a :class:`~repro.serve.cache.QueryResultCache` -- LRU + TTL, keyed on
+* a :class:`~repro.serve.cache.QueryResultCache` -- an LRU keyed on
   the normalized query and ``k``, stamped with a corpus generation the
   frontend bumps from an ingest listener, so writes through *any*
   content layer invalidate cached rankings automatically.  A ranking the
-  backend served degraded is never cached;
-* a thread-pool request executor with a bounded admission queue:
-  :meth:`submit` sheds load once ``queue_limit`` requests are in flight
-  (a production frontend degrades by refusing, not by queueing without
-  bound), while :meth:`serve_workload` defaults to blocking backpressure
-  so replayed workloads are lossless and deterministic;
-* :class:`ServeStats` -- served/shed/cache-hit counts and latency
-  percentiles of one :meth:`serve_workload` replay, counted from that
-  replay's own requests.  Timing belongs to the replay: :meth:`serve`
-  reads no clock.
+  backend served degraded is never cached, and nothing expires on a
+  timer: only a write makes an entry stale;
+* a worker pool that :meth:`serve_workload` replays a query stream
+  through: every request is served (nothing is shed), so a replay is
+  lossless and deterministic;
+* :class:`ServeStats` -- served/cache-hit counts and latency percentiles
+  of one :meth:`serve_workload` replay, counted from that replay's own
+  requests.  Timing belongs to the replay: :meth:`serve` reads no clock.
 
 A hit does four things: the closed check, one lookup in the frontend's
 alias map (raw request text -> normalized key, at most ``cache_size``
@@ -73,7 +71,6 @@ class ServeStats:
     """
 
     served: int
-    shed: int
     cache_hits: int
     cache_misses: int
     latency_p50: float
@@ -92,7 +89,6 @@ class ServeStats:
     @staticmethod
     def from_counters(
         served: int,
-        shed: int,
         cache_hits: int,
         cache_misses: int,
         latencies: Sequence[float],
@@ -109,7 +105,6 @@ class ServeStats:
             p50 = p90 = p99 = mean = top = 0.0
         return ServeStats(
             served=served,
-            shed=shed,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             latency_p50=p50,
@@ -124,7 +119,7 @@ class ServeStats:
     def lines(self) -> list[str]:
         """A deterministic, human-readable rendering."""
         out = [
-            f"served: {self.served} ({self.shed} shed)",
+            f"served: {self.served}",
             f"cache: {self.cache_hits} hits / {self.cache_misses} misses "
             f"({self.cache_hit_rate:.1%} hit rate)",
             f"latency: p50={self.latency_p50 * 1000:.3f}ms "
@@ -145,49 +140,38 @@ class WorkloadOutcome:
     """What a replayed workload produced.
 
     ``results`` is position-aligned with the input stream: one ranked
-    list per query, or ``None`` where the request was shed (only possible
-    with ``shed_on_overload=True``).
+    list per query.
     """
 
-    results: list[list[SearchResult] | None]
+    results: list[list[SearchResult]]
     stats: ServeStats
 
     @property
     def shed(self) -> int:
-        return self.stats.shed
+        """Always 0: a replay serves every request.  Kept because the
+        benchmark's ``serve.shed`` metric still reads it."""
+        return 0
 
 
 class QueryFrontend:
-    """Serves queries over the shared index with caching and admission control."""
+    """Serves queries over the shared index through a result cache."""
 
     def __init__(
         self,
         engine: SearchEngine,
         workers: int = 4,
         cache_size: int = 1024,
-        ttl_seconds: float | None = None,
-        queue_limit: int | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if queue_limit is not None and queue_limit <= 0:
-            raise ValueError(f"queue_limit must be positive, got {queue_limit}")
         self.engine = engine
         self.workers = workers
-        #: In-flight request bound: submissions beyond this are shed (or
-        #: block, under backpressure) instead of queueing without limit.
-        self.queue_limit = queue_limit if queue_limit is not None else workers * 8
-        # The cache shares the injected clock so TTL expiry is as
-        # deterministic in tests as the latency measurements are.
-        self.cache = QueryResultCache(
-            max_entries=cache_size, ttl_seconds=ttl_seconds, clock=clock
-        )
+        self.cache = QueryResultCache(max_entries=cache_size)
         self._clock = clock
         #: Raw request text -> normalized key, at most ``cache_size`` texts.
         self._aliases: dict[str, str] = {}
         self._pool: ThreadPoolExecutor | None = None
-        self._slots = threading.BoundedSemaphore(self.queue_limit)
         self._lock = threading.Lock()
         self._closed = False
         engine.ingestor.add_listener(self._on_ingest)
@@ -262,81 +246,46 @@ class QueryFrontend:
             self.cache.put(key, k, results, generation=generation)
         return results, "miss"
 
-    def submit(self, query: str, k: int = 10) -> Future | None:
-        """Enqueue one query on the worker pool.
-
-        Returns ``None`` -- the request was *shed* -- when ``queue_limit``
-        requests are already in flight.  The returned future resolves to
-        the same list :meth:`serve` would produce.
-        """
-        return self._admit(self.serve, query, k, block=False)
-
-    def _admit(self, fn, query: str, k: int, block: bool) -> Future | None:
-        """Run ``fn(query, k)`` on the pool under an admission slot
-        (released on completion).  Without ``block`` a full queue sheds
-        the request -- ``None`` returned -- instead of waiting."""
-        if block:
-            self._slots.acquire()
-        elif not self._slots.acquire(blocking=False):
-            return None
-        try:
-            future = self._executor().submit(fn, query, k)
-        except BaseException:
-            self._slots.release()
-            raise
-        future.add_done_callback(lambda _future: self._slots.release())
-        return future
-
     def serve_workload(
-        self,
-        queries: Iterable[WorkloadQuery | str],
-        default_k: int = 10,
-        shed_on_overload: bool = False,
+        self, queries: Iterable[WorkloadQuery | str], default_k: int = 10
     ) -> WorkloadOutcome:
         """Replay a query stream through the worker pool.
 
-        With the default blocking backpressure every query is served and
-        ``results`` is a lossless, deterministic replay (byte-identical
-        to serving the stream serially).  With ``shed_on_overload=True``
-        requests beyond the admission queue are dropped and their
-        ``results`` slots are ``None`` -- the load-test mode.
+        Every query is served, so ``results`` is a lossless, deterministic
+        replay (byte-identical to serving the stream serially).
         """
         started = self._clock()
-        futures: list[Future | None] = []
+        pool = self._executor()
+        futures: list[Future] = []
         for item in queries:
             text, k = (item, default_k) if isinstance(item, str) else (item.text, item.k)
-            futures.append(self._admit(self._serve_timed, text, k, block=not shed_on_overload))
+            futures.append(pool.submit(self._serve_timed, text, k))
         # Gather *every* future before letting an exception escape: a
         # raising result() must not abandon in-flight requests ungathered
-        # (their admission slots would drain behind the caller's back and
-        # a second failure would be silently lost).  The first exception
+        # (a second failure would be silently lost).  The first exception
         # is re-raised once, after the whole replay has settled.
-        outcomes: list[tuple[list[SearchResult], float, str | None] | None] = []
+        outcomes: list[tuple[list[SearchResult], float, str | None]] = []
         failure: BaseException | None = None
         for future in futures:
             try:
-                outcomes.append(future.result() if future is not None else None)
+                outcomes.append(future.result())
             except BaseException as error:
                 failure = failure or error
-                outcomes.append(None)
         if failure is not None:
             raise failure
         elapsed = self._clock() - started
-        served = [outcome for outcome in outcomes if outcome is not None]
         # Stats come from workload-local accumulators, never from deltas
         # of the frontend-global counters: a background thread serving
         # directly during the replay must not pollute this workload's
-        # served/shed/hit-rate numbers.
+        # served/hit-rate numbers.
         stats = ServeStats.from_counters(
-            served=len(served),
-            shed=futures.count(None),
-            cache_hits=sum(1 for outcome in served if outcome[2] == "hit"),
-            cache_misses=sum(1 for outcome in served if outcome[2] == "miss"),
-            latencies=[outcome[1] for outcome in served],
+            served=len(outcomes),
+            cache_hits=sum(1 for outcome in outcomes if outcome[2] == "hit"),
+            cache_misses=sum(1 for outcome in outcomes if outcome[2] == "miss"),
+            latencies=[outcome[1] for outcome in outcomes],
             elapsed_seconds=elapsed,
         )
-        results = [outcome[0] if outcome is not None else None for outcome in outcomes]
-        return WorkloadOutcome(results=results, stats=stats)
+        return WorkloadOutcome(results=[outcome[0] for outcome in outcomes], stats=stats)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -347,12 +296,13 @@ class QueryFrontend:
         return self._closed
 
     def _executor(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise RuntimeError("frontend is closed")
-        # Lazy creation must happen under the lock: two threads racing the
-        # first submit would otherwise each build a pool, and the loser's
-        # pool (with its worker threads) leaks without a shutdown.
+        # The closed check and the lazy creation share the lock close()
+        # takes: two racing first replays would otherwise each build a
+        # pool, and a close() landing between the check and the build
+        # would leave a pool (and its worker threads) nobody shuts down.
         with self._lock:
+            if self._closed:
+                raise RuntimeError("frontend is closed")
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="query-frontend"
@@ -361,15 +311,16 @@ class QueryFrontend:
 
     def close(self) -> None:
         """Drain the pool and unsubscribe from the ingestor; the frontend
-        rejects both submissions and direct serves afterwards (without
-        the listener its cache could go stale undetected)."""
-        self._closed = True
+        rejects both replays and direct serves afterwards (without the
+        listener its cache could go stale undetected)."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+            self._aliases.clear()
         self.engine.ingestor.remove_listener(self._on_ingest)
         self.cache.clear()
-        self._aliases.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryFrontend":
         return self

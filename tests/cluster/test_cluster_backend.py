@@ -283,6 +283,37 @@ class TestInline:
         assert threading.active_count() == before
 
 
+class TestConcurrentCallers:
+    def test_twelve_client_threads_get_single_index_answers(self, cluster, reference):
+        """More callers than any replica once admitted (8) search one
+        cluster at once: no replica refuses, nothing degrades, and every
+        answer is the single index's."""
+        clients, rounds = 12, 20
+        expected = [reference.search(query, 10) for query in QUERIES]
+        barrier = threading.Barrier(clients)
+        wrong: list[object] = []
+
+        def client() -> None:
+            barrier.wait(timeout=10)
+            for _ in range(rounds):
+                for query, answer in zip(QUERIES, expected):
+                    got = cluster.search(query, 10)
+                    if got != answer:
+                        wrong.append((query, got))
+
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        stats = cluster.cluster_stats()
+        assert stats.degraded_searches == 0
+        assert stats.scatters == clients * rounds * len(QUERIES)
+        assert sum(stats.replica_serves.values()) == stats.scatters * 4
+
+
 class TestShardRouting:
     def test_documents_land_on_their_crc32_shard(self, cluster):
         held = {

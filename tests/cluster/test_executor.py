@@ -1,10 +1,9 @@
-"""ScatterGatherExecutor: hedging, deadlines, failover, admission, routing.
+"""ScatterGatherExecutor: hedging, deadlines, failover, routing.
 
 The executor walks the shards in the calling thread, so everything here
 is deterministic: injected ``timeout`` faults model stragglers (the
-attempt never answers, so the next replica tried *is* the hedge),
-deadline misses are driven by a fake clock, and the admission tests hold
-a replica's slot from a second client thread that waits on an event.
+attempt never answers, so the next replica tried *is* the hedge) and
+deadline misses are driven by a fake clock.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.cluster import (
     REASON_DEADLINE,
     REASON_DOWN,
     REASON_ERROR,
-    REASON_REFUSED,
     REASON_STALLED,
     ScatterGatherExecutor,
     ShardNode,
@@ -29,6 +27,7 @@ from repro.resilience.faults import (
     KIND_ERROR,
     KIND_OUTAGE,
     KIND_TIMEOUT,
+    DECISION_OK,
     FaultDecision,
     FaultPlan,
     FaultSpec,
@@ -36,31 +35,19 @@ from repro.resilience.faults import (
 )
 
 DEADLINE = 10.0
-#: Upper bound on every event wait and thread join in here.
-WAIT = 10.0
 
 ERROR = FaultDecision(kind=KIND_ERROR)
 TIMEOUT = FaultDecision(kind=KIND_TIMEOUT)
 OUTAGE = FaultDecision(kind=KIND_OUTAGE)
 
 
-def build_nodes(shards: int, replicas: int, inflight_limit: int = 8):
-    return [
-        [
-            ShardNode(shard, replica, inflight_limit=inflight_limit)
-            for replica in range(replicas)
-        ]
-        for shard in range(shards)
-    ]
+def build_nodes(shards: int, replicas: int):
+    return [[ShardNode(shard, replica) for replica in range(replicas)] for shard in range(shards)]
 
 
 def name_task(node: ShardNode):
     """Task factory whose result records which replica served it."""
     return lambda: node.name
-
-
-def all_slots_free(nodes) -> bool:
-    return all(node._inflight == 0 for replica_set in nodes for node in replica_set)
 
 
 class TestScatterBasics:
@@ -88,8 +75,6 @@ class TestScatterBasics:
             ScatterGatherExecutor([[]])
         with pytest.raises(ValueError):
             ScatterGatherExecutor(nodes, deadline_seconds=0.0)
-        with pytest.raises(ValueError):
-            ShardNode(0, 0, inflight_limit=0)
 
 
 class TestRouting:
@@ -104,8 +89,68 @@ class TestRouting:
             replica_name(0, 1),
         ]
 
+    def test_tasks_served_counts_only_attempts_that_ran(self):
+        """A dead replica is never charged; a raising task is, since it ran."""
+        nodes = build_nodes(1, 2)
+        executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
+        for _ in range(4):
+            executor.scatter(name_task)
+        assert [node.tasks_served for node in nodes[0]] == [2, 2]
+        nodes[0][0].kill()
+        for _ in range(3):
+            executor.scatter(name_task)
+        assert [node.tasks_served for node in nodes[0]] == [2, 5]
+
+        def raising(node: ShardNode):
+            def run():
+                raise RuntimeError(f"boom on {node.name}")
+
+            return run
+
+        nodes[0][0].revive()
+        assert not executor.scatter(raising)[0].ok
+        assert [node.tasks_served for node in nodes[0]] == [3, 6]
+        assert executor.tasks == sum(node.tasks_served for node in nodes[0]) == 9
+
+
+class KillOnConsult:
+    """A fault-plan duck type that kills the replica it is consulted
+    about and lets the attempt run: the kill lands after ``_pick`` chose
+    the replica but before its task starts."""
+
+    def __init__(self, victim: ShardNode) -> None:
+        self.victim = victim
+
+    def applies_to(self, agent: str) -> bool:
+        return agent == AGENT_CLUSTER
+
+    def decide(self, name: str, index: int) -> FaultDecision:
+        if name == self.victim.name:
+            self.victim.kill()
+        return DECISION_OK
+
 
 class TestFailover:
+    def test_a_replica_killed_after_pick_fails_over_as_down(self):
+        nodes = build_nodes(1, 2)
+        executor = ScatterGatherExecutor(
+            nodes, deadline_seconds=DEADLINE, fault_plan=KillOnConsult(nodes[0][0])
+        )
+        outcome = executor.scatter(name_task)[0]
+        assert outcome.ok and outcome.value == replica_name(0, 1)
+        assert outcome.attempts == 2 and executor.failovers == 1
+        assert [node.tasks_served for node in nodes[0]] == [0, 1]
+
+    def test_a_shard_whose_last_replica_dies_after_pick_is_down(self):
+        nodes = build_nodes(1, 1)
+        executor = ScatterGatherExecutor(
+            nodes, deadline_seconds=DEADLINE, fault_plan=KillOnConsult(nodes[0][0])
+        )
+        outcome = executor.scatter(name_task)[0]
+        assert not outcome.ok and outcome.reason == REASON_DOWN
+        assert outcome.attempts == 1
+        assert executor.tasks == 0 and nodes[0][0].tasks_served == 0
+
     def test_dead_primary_fails_over_to_live_replica(self):
         nodes = build_nodes(1, 2)
         nodes[0][0].kill()
@@ -138,10 +183,9 @@ class TestFailover:
         assert not outcome.ok and outcome.reason == REASON_ERROR
         assert outcome.attempts == 2  # both replicas were tried
         assert executor.failovers == 1
-        assert all_slots_free(nodes)
 
     def test_raising_primary_recovers_on_replica(self):
-        nodes = build_nodes(1, 2, inflight_limit=1)
+        nodes = build_nodes(1, 2)
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
         raised = []
 
@@ -157,71 +201,12 @@ class TestFailover:
         outcome = executor.scatter(task)[0]
         assert outcome.ok and outcome.value == replica_name(0, 1)
         assert outcome.attempts == 2 and executor.failovers == 1
-        # The raising task gave its only slot back: replica 0 serves on.
+        # The raising task leaves replica 0 in the rotation: it serves on.
         assert [executor.scatter(task)[0].value for _ in range(2)] == [
             replica_name(0, 0),
             replica_name(0, 1),
         ]
-        assert raised == [replica_name(0, 0)] and all_slots_free(nodes)
-
-
-class TestAdmissionControl:
-    """A second client, on its own executor over the same nodes, holds
-    replicas' only slots inside tasks that wait on an event."""
-
-    def hold(self, nodes, replicas):
-        """Start one holder thread per replica of shard 0, in order; return
-        once every holder is inside its task."""
-        release = threading.Event()
-        holder = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
-        inside = {replica: threading.Event() for replica in range(replicas)}
-
-        def task(node: ShardNode):
-            def run():
-                inside[node.replica_index].set()
-                return release.wait(WAIT)
-
-            return run
-
-        threads = []
-        for replica in range(replicas):
-            thread = threading.Thread(target=holder.scatter, args=(task,))
-            thread.start()
-            threads.append(thread)
-            assert inside[replica].wait(WAIT), "the holder never got its slot"
-        return release, threads
-
-    def let_go(self, release, threads) -> None:
-        release.set()
-        for thread in threads:
-            thread.join(timeout=WAIT)
-        assert not any(thread.is_alive() for thread in threads)
-
-    def test_saturated_replica_refuses_and_fails_over(self):
-        nodes = build_nodes(1, 2, inflight_limit=1)
-        executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
-        release, threads = self.hold(nodes, 1)
-        try:
-            outcome = executor.scatter(name_task)[0]
-        finally:
-            self.let_go(release, threads)
-        assert outcome.ok and outcome.value == replica_name(0, 1)
-        assert nodes[0][0].refused == 1 and nodes[0][1].refused == 0
-        assert outcome.attempts == 2 and executor.failovers == 1
-        assert all_slots_free(nodes)
-
-    def test_every_replica_saturated_is_a_refused_outcome(self):
-        nodes = build_nodes(1, 2, inflight_limit=1)
-        executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
-        release, threads = self.hold(nodes, 2)
-        try:
-            outcome = executor.scatter(name_task)[0]
-        finally:
-            self.let_go(release, threads)
-        assert not outcome.ok and outcome.reason == REASON_REFUSED
-        assert [node.refused for node in nodes[0]] == [1, 1]
-        assert executor.tasks == 0
-        assert all_slots_free(nodes)
+        assert raised == [replica_name(0, 0)]
 
 
 class TestDeadlines:
@@ -318,8 +303,8 @@ class TestInjectedFaults:
 
     #: Verdicts for replicas 0, 1, 2 of one shard (``None`` = answers) ->
     #: (reason, hedged, hedges, hedge_wins, failovers).  A failover is an
-    #: attempt that replaces a ``down``, ``refused`` or ``error`` one; an
-    #: attempt after a straggler is a hedge, counted only when admitted.
+    #: attempt that replaces a ``down`` or ``error`` one; an attempt after
+    #: a straggler is a hedge, counted only when it runs.
     SEQUENCES = {
         "stall-error-answer": ((TIMEOUT, ERROR, None), (None, True, 1, 1, 1)),
         "outage-stall-answer": ((OUTAGE, TIMEOUT, None), (None, True, 1, 1, 1)),
@@ -383,7 +368,7 @@ class TestConcurrentScatters:
         scatters of different clients interleave as finely as they can.
         """
         clients, rounds, shards = 6, 150, 4
-        nodes = build_nodes(shards, 2, inflight_limit=clients)
+        nodes = build_nodes(shards, 2)
         executor = ScatterGatherExecutor(nodes, deadline_seconds=DEADLINE)
         wrong: list[object] = []
 
@@ -408,4 +393,5 @@ class TestConcurrentScatters:
         assert wrong == []
         assert executor.scatters == clients * rounds
         assert executor.tasks == clients * rounds * shards
-        assert all_slots_free(nodes)
+        served = [node.tasks_served for replica_set in nodes for node in replica_set]
+        assert sum(served) == executor.tasks

@@ -33,6 +33,7 @@ from repro.store import InMemoryBackend, IngestRecord
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.search.inverted_index import InvertedIndex
+from repro.serve.frontend import QueryFrontend
 from repro.serve.loadgen import WorkloadGenerator
 from repro.webspace import sitegen
 from repro.webspace.loadmeter import AGENT_SURFACER
@@ -684,6 +685,12 @@ def build_service_on(store) -> DeepWebService:
          "WHERE doc_id = 2", "1 stored URLs repeat"),
         ("UPDATE documents SET annotations = '7' WHERE doc_id = 2", "not iterable"),
         ("DELETE FROM documents WHERE doc_id = 2", "not contiguous .row 3 is number 2."),
+        ("UPDATE meta SET value = json_set(value, '$.surprise', 1) WHERE key = 'serving'",
+         "meta row 'serving'.*unexpected keyword argument 'surprise'"),
+        # The row older builds stored for a service built with .serving().
+        ("UPDATE meta SET value = '{\"cache_size\": 64, \"queue_limit\": null, "
+         "\"ttl_seconds\": null, \"workers\": 2}' WHERE key = 'serving'",
+         "meta row 'serving'.*unexpected keyword argument 'queue_limit'"),
     ],
     ids=[
         "unknown-result-key", "missing-result-field", "unknown-meta-key", "missing-meta-entry",
@@ -694,6 +701,7 @@ def build_service_on(store) -> DeepWebService:
         "other-byteorder",
         "tf-total-not-length-total", "tf-below-one", "term-repeated", "postings-blob-not-bytes",
         "url-repeated", "annotations-not-an-object", "doc-ids-not-contiguous",
+        "unknown-serving-key", "four-key-serving-row",
     ],
 )
 def test_restore_refuses_a_file_of_another_layout(round_trip, tmp_path, statement, complaint):
@@ -705,3 +713,47 @@ def test_restore_refuses_a_file_of_another_layout(round_trip, tmp_path, statemen
     _, _, _, path = round_trip
     with pytest.raises(SnapshotError, match=f"layout.*{complaint}"):
         DeepWebService.restore(tampered(path, tmp_path, statement))
+
+
+def test_restore_keeps_the_serving_settings(round_trip):
+    """The ``serving`` row rebuilds the frontend with the writer's worker
+    count and cache capacity."""
+    service, restored, _, _ = round_trip
+    assert restored._serving == service._serving == {"workers": 2, "cache_size": 64}
+    assert restored.frontend.workers == 2
+    assert restored.frontend.cache.max_entries == 64
+
+
+def test_a_refused_serving_row_is_raised_before_the_store_loads(
+    round_trip, tmp_path, monkeypatch
+):
+    _, _, _, path = round_trip
+    loads = []
+    monkeypatch.setattr(InMemoryBackend, "load", lambda self, *args: loads.append(args))
+    copy = tampered(
+        path, tmp_path,
+        "UPDATE meta SET value = json_set(value, '$.ttl_seconds', 5) WHERE key = 'serving'",
+    )
+    with pytest.raises(SnapshotError, match="meta row 'serving'.*'ttl_seconds'"):
+        DeepWebService.restore(copy)
+    assert loads == []
+
+
+def test_a_service_built_without_serving_stores_an_empty_row(tmp_path):
+    """No ``.serving()`` call: the row is ``{}``, and the restore builds
+    the frontend with its defaults and answers as the writer did."""
+    service = build_service_on(InMemoryBackend())
+    service.crawl(max_pages=100)
+    service.surface()
+    path = service.snapshot(tmp_path / "snapshot.sqlite3")
+    with closing(sqlite3.connect(path)) as raw:
+        [(row,)] = raw.execute("SELECT value FROM meta WHERE key = 'serving'")
+    assert row == "{}"
+
+    restored = DeepWebService.restore(path)
+    assert restored._serving == {}
+    assert searched(restored) == searched(service)
+    defaults = QueryFrontend(restored.engine)
+    defaults.close()
+    assert restored.frontend.workers == defaults.workers
+    assert restored.frontend.cache.max_entries == defaults.cache.max_entries

@@ -17,7 +17,7 @@ from repro.webspace.sitegen import WebConfig
 
 #: What the serving frontend counts; plan provenance is not among them.
 SERVING_FACTS = {
-    "served", "shed", "cache_hits", "cache_misses", "latency_p50", "latency_p90",
+    "served", "cache_hits", "cache_misses", "latency_p50", "latency_p90",
     "latency_p99", "latency_mean", "latency_max", "elapsed_seconds", "qps",
 }
 

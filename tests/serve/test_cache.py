@@ -1,6 +1,8 @@
-"""QueryResultCache: LRU + TTL + generation invalidation semantics."""
+"""QueryResultCache: LRU + generation invalidation semantics."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -17,17 +19,6 @@ def result(doc_id: int, score: float = 1.0) -> SearchResult:
         score=score,
         source="surface",
     )
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestNormalizeQuery:
@@ -74,29 +65,6 @@ class TestLru:
             QueryResultCache(max_entries=-1)
 
 
-class TestTtl:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = QueryResultCache(max_entries=4, ttl_seconds=10.0, clock=clock)
-        cache.put("q", 10, (result(1),))
-        clock.advance(9.9)
-        assert cache.get("q", 10) is not None
-        clock.advance(0.2)
-        assert cache.get("q", 10) is None
-        assert cache.expirations == 1
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        cache = QueryResultCache(max_entries=4, ttl_seconds=None, clock=clock)
-        cache.put("q", 10, (result(1),))
-        clock.advance(1e9)
-        assert cache.get("q", 10) is not None
-
-    def test_non_positive_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            QueryResultCache(ttl_seconds=0.0)
-
-
 class TestGenerationInvalidation:
     def test_bump_invalidates_every_entry(self):
         cache = QueryResultCache(max_entries=4)
@@ -122,6 +90,18 @@ class TestGenerationInvalidation:
         cache.bump_generation()  # a write lands while the search runs
         cache.put("q", 10, (result(1),), generation=observed)
         assert cache.get("q", 10) is None
+
+    def test_only_a_write_makes_an_entry_stale(self, monkeypatch):
+        """Nothing expires on a timer: an entry outlives any jump of the
+        clocks and goes stale only when the generation is bumped."""
+        cache = QueryResultCache(max_entries=4)
+        cache.put("q", 10, (result(1),))
+        for name in ("time", "monotonic", "perf_counter"):
+            monkeypatch.setattr(time, name, lambda: 1e12)
+        assert cache.get("q", 10) == (result(1),)
+        cache.bump_generation()
+        assert cache.get("q", 10) is None
+        assert (cache.hits, cache.misses, cache.invalidations) == (1, 1, 1)
 
     def test_stats_rendering_is_deterministic(self):
         cache = QueryResultCache(max_entries=4)

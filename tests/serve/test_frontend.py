@@ -1,4 +1,4 @@
-"""QueryFrontend behavior: serving, admission control, shedding, stats."""
+"""QueryFrontend behavior: serving, caching, lifecycle, stats."""
 
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ class TestServe:
         with pytest.raises(ValueError):
             QueryFrontend(engine, workers=0)
         with pytest.raises(ValueError):
-            QueryFrontend(engine, queue_limit=0)
+            QueryFrontend(engine, cache_size=-1)
 
     def test_closed_frontend_rejects_submissions_and_serves(self, engine):
         """After close() the listener is gone, so serving from the cache
@@ -74,25 +74,10 @@ class TestServe:
         frontend.serve("toyota", k=2)
         frontend.close()
         with pytest.raises(RuntimeError):
-            frontend.submit("toyota")
+            frontend.serve_workload(["toyota"])
         with pytest.raises(RuntimeError):
             frontend.serve("toyota", k=2)
         assert frontend.cache.stats()["entries"] == 0
-
-    def test_ttl_uses_the_injected_clock(self, engine):
-        now = [0.0]
-        frontend = QueryFrontend(
-            engine, workers=1, ttl_seconds=10.0, clock=lambda: now[0]
-        )
-        try:
-            first = frontend.serve("toyota", k=2)
-            now[0] += 11.0
-            assert frontend.serve("toyota", k=2) == first
-            assert frontend.cache.expirations == 1, (
-                "the entry must expire on the injected clock, not wall time"
-            )
-        finally:
-            frontend.close()
 
     def test_close_unsubscribes_from_the_ingestor(self, engine):
         frontend = QueryFrontend(engine, workers=1)
@@ -188,10 +173,20 @@ class TestHitPath:
             assert (frontend.cache.hits, frontend.cache.misses) == (0, 2)
 
 
-class TestAdmissionControl:
-    def test_submit_sheds_when_queue_is_full(self, engine):
-        """With one worker blocked and every queue slot held, the next
-        submission must be refused, deterministically."""
+class TestWorkload:
+    """A replay serves every request: nothing is shed, however far the
+    stream outruns the workers."""
+
+    def test_a_workload_serves_every_request_and_sheds_none(self, engine):
+        with QueryFrontend(engine, workers=2) as frontend:
+            outcome = frontend.serve_workload(["toyota"] * 50, default_k=2)
+        assert outcome.shed == 0
+        assert outcome.stats.served == 50
+        assert outcome.results == [engine.search("toyota", k=2)] * 50
+
+    def test_requests_beyond_the_workers_wait_instead_of_being_shed(self, engine):
+        """One worker held inside its first search: the other requests
+        queue behind it and are all answered once it lets go."""
         release = threading.Event()
         entered = threading.Event()
 
@@ -201,38 +196,26 @@ class TestAdmissionControl:
 
             def search(self, query, k=10):
                 entered.set()
-                release.wait(timeout=10)
+                assert release.wait(timeout=10)
                 return engine.search(query, k=k)
 
-        frontend = QueryFrontend(BlockingEngine(), workers=1, queue_limit=2)
-        try:
-            first = frontend.submit("toyota", k=2)  # occupies the worker
-            assert first is not None
-            assert entered.wait(timeout=10)
-            second = frontend.submit("honda", k=2)  # occupies the last slot
-            assert second is not None
-            shed = frontend.submit("ford", k=2)  # queue full -> shed
-            assert shed is None
-            release.set()
-            assert first.result(timeout=10) == engine.search("toyota", k=2)
-            assert second.result(timeout=10) == engine.search("honda", k=2)
-        finally:
-            release.set()
-            frontend.close()
-
-    def test_slots_are_released_after_completion(self, engine):
-        with QueryFrontend(engine, workers=2, queue_limit=2) as frontend:
-            for _ in range(10):  # far more requests than slots, sequentially
-                future = frontend.submit("toyota", k=2)
-                assert future is not None
-                future.result(timeout=10)
-
-    def test_blocking_workload_never_sheds(self, engine):
-        with QueryFrontend(engine, workers=2, queue_limit=1) as frontend:
-            outcome = frontend.serve_workload(["toyota"] * 50, default_k=2)
-            assert outcome.stats.shed == 0
-            assert outcome.stats.served == 50
-            assert all(result is not None for result in outcome.results)
+        queries = ["toyota", "honda", "ford", "red"]
+        outcomes = []
+        with QueryFrontend(BlockingEngine(), workers=1) as frontend:
+            replay = threading.Thread(
+                target=lambda: outcomes.append(frontend.serve_workload(queries, default_k=2))
+            )
+            replay.start()
+            try:
+                assert entered.wait(timeout=10)
+                assert replay.is_alive() and outcomes == []
+            finally:
+                release.set()
+                replay.join(timeout=10)
+        assert not replay.is_alive()
+        [outcome] = outcomes
+        assert outcome.shed == 0 and outcome.stats.served == len(queries)
+        assert outcome.results == [engine.search(query, k=2) for query in queries]
 
 
 class TestStats:
@@ -256,7 +239,7 @@ class TestStats:
         assert "hit rate" in rendered
 
     def test_empty_stats_are_all_zero(self):
-        stats = ServeStats.from_counters(0, 0, 0, 0, [])
+        stats = ServeStats.from_counters(0, 0, 0, [])
         assert stats.cache_hit_rate == 0.0
         assert stats.latency_p99 == 0.0
         assert stats.qps == 0.0

@@ -1,9 +1,11 @@
-"""Regression tests for the frontend's concurrency bugs (PR 9).
+"""Regression tests for the frontend's concurrency bugs.
 
 Each test pins one fixed bug and fails on the pre-fix code:
 
-* lazy pool creation raced outside the lock (two first-submitters each
+* lazy pool creation raced outside the lock (two first replays each
   built a ThreadPoolExecutor; one leaked unshutdown);
+* ``close()`` landing while the first replay built the pool left that
+  pool, and its worker threads, running with nobody to shut it down;
 * ``serve_workload`` computed its stats from frontend-global counter
   deltas, so concurrent direct ``serve()`` traffic polluted a workload's
   reported served/hit-rate;
@@ -52,7 +54,7 @@ def engine() -> SearchEngine:
 
 class TestLazyPoolCreationRace:
     def test_racing_first_submits_build_exactly_one_pool(self, engine, monkeypatch):
-        """Many threads racing the first submit must share one pool.
+        """Many threads racing the first replay must share one pool.
 
         The instrumented executor stalls inside ``__init__`` to hold the
         ``_pool is None`` window wide open: without the lock around lazy
@@ -71,20 +73,20 @@ class TestLazyPoolCreationRace:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(frontend_module, "ThreadPoolExecutor", CountingExecutor)
-        frontend = QueryFrontend(engine, workers=2, queue_limit=64)
+        frontend = QueryFrontend(engine, workers=2)
         expected = engine.search("toyota", k=2)
         racers = 16
         barrier = threading.Barrier(racers)
-        futures: list[object] = []
-        futures_lock = threading.Lock()
+        replies: list[object] = []
+        replies_lock = threading.Lock()
 
-        def first_submit() -> None:
+        def first_replay() -> None:
             barrier.wait(timeout=10)
-            future = frontend.submit("toyota", k=2)
-            with futures_lock:
-                futures.append(future)
+            outcome = frontend.serve_workload(["toyota"], default_k=2)
+            with replies_lock:
+                replies.extend(outcome.results)
 
-        threads = [threading.Thread(target=first_submit) for _ in range(racers)]
+        threads = [threading.Thread(target=first_replay) for _ in range(racers)]
         try:
             for thread in threads:
                 thread.start()
@@ -92,13 +94,65 @@ class TestLazyPoolCreationRace:
                 thread.join(timeout=10)
             assert len(built) == 1, (
                 f"{len(built)} thread pools were constructed by racing first "
-                "submits; lazy creation must be serialized under the lock"
+                "replays; lazy creation must be serialized under the lock"
             )
-            for future in futures:
-                assert future is not None
-                assert future.result(timeout=10) == expected
+            assert replies == [expected] * racers
         finally:
             frontend.close()
+            for pool in built:  # pre-fix leftovers must not leak threads
+                pool.shutdown(wait=False)
+
+    def test_a_close_during_the_first_pool_build_leaks_no_thread(self, engine, monkeypatch):
+        """A ``close()`` that lands while the first replay builds the pool
+        either waits for the build and shuts the pool down, or comes first
+        and the replay is refused: no worker thread outlives both calls.
+
+        Pre-fix the closed check ran outside the lock and ``close()`` read
+        the pool without it, so the close found no pool, returned, and the
+        pool built after it was never shut down.
+        """
+        building = threading.Event()
+        proceed = threading.Event()
+        built: list[frontend_module.ThreadPoolExecutor] = []
+        real_executor = frontend_module.ThreadPoolExecutor
+
+        class HeldExecutor(real_executor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                building.set()
+                assert proceed.wait(timeout=10)
+                super().__init__(*args, **kwargs)
+
+        def frontend_threads() -> set[threading.Thread]:
+            return {t for t in threading.enumerate() if t.name.startswith("query-frontend")}
+
+        monkeypatch.setattr(frontend_module, "ThreadPoolExecutor", HeldExecutor)
+        before = frontend_threads()
+        frontend = QueryFrontend(engine, workers=2)
+
+        def replay() -> None:
+            try:
+                frontend.serve_workload(["toyota"], default_k=2)
+            except RuntimeError:  # the close won the race: a refusal is fine
+                pass
+
+        replayer = threading.Thread(target=replay)
+        closer = threading.Thread(target=frontend.close)
+        try:
+            replayer.start()
+            assert building.wait(timeout=10)
+            closer.start()
+            closer.join(timeout=0.2)  # a close() that waits for the build is right
+            proceed.set()
+            replayer.join(timeout=10)
+            closer.join(timeout=10)
+            assert not replayer.is_alive() and not closer.is_alive()
+            assert frontend.closed
+            assert frontend_threads() - before == set(), (
+                "a pool built beside close() was never shut down"
+            )
+        finally:
+            proceed.set()
             for pool in built:  # pre-fix leftovers must not leak threads
                 pool.shutdown(wait=False)
 
@@ -146,42 +200,6 @@ class TestWorkloadLocalStats:
         assert stats.served == 3, "background serves leaked into workload stats"
         assert stats.cache_misses == 3
         assert stats.cache_hits == 0, "background cache hit leaked into workload stats"
-        assert stats.shed == 0
-
-    def test_workload_sheds_are_counted_locally(self, engine):
-        """Shed counts come from the workload's own refused admissions."""
-        release = threading.Event()
-        entered = threading.Event()
-
-        class BlockingEngine:
-            ingestor = engine.ingestor
-            backend = engine.backend
-
-            def search(self, query, k=10):
-                entered.set()
-                release.wait(timeout=10)
-                return engine.search(query, k=k)
-
-        frontend = QueryFrontend(BlockingEngine(), workers=1, queue_limit=2)
-        try:
-            # Inflate the global shed counter before the workload runs.
-            blocked = frontend.submit("toyota", k=2)
-            assert blocked is not None and entered.wait(timeout=10)
-            queued = frontend.submit("corolla", k=2)  # occupies the last slot
-            assert queued is not None
-            assert frontend.submit("honda", k=2) is None  # shed
-            release.set()
-            assert blocked.result(timeout=10) is not None
-            assert queued.result(timeout=10) is not None
-            outcome = frontend.serve_workload(
-                ["red camry", "blue civic"], default_k=2, shed_on_overload=True
-            )
-            assert outcome.stats.shed == 0, (
-                "pre-workload sheds must not leak into the workload's stats"
-            )
-        finally:
-            release.set()
-            frontend.close()
 
 
 class TestWorkloadGathersAllFutures:
@@ -192,8 +210,7 @@ class TestWorkloadGathersAllFutures:
         (raises), ``last`` (gated).  Pre-fix, ``serve_workload`` raised as
         soon as it consumed ``boom``'s future -- while ``last`` was still
         in flight.  Post-fix it gathers every outcome first and re-raises
-        once, so no future is left ungathered and every admission slot has
-        drained by the time the caller sees the error.
+        once, so no future is left ungathered, and the pool serves on.
         """
         release_first = threading.Event()
         release_last = threading.Event()
@@ -215,7 +232,7 @@ class TestWorkloadGathersAllFutures:
                     assert release_last.wait(timeout=10)
                 return engine.search(query, k=k)
 
-        frontend = QueryFrontend(GatedEngine(), workers=1, queue_limit=4)
+        frontend = QueryFrontend(GatedEngine(), workers=1)
         finished = threading.Event()
         caught: list[BaseException] = []
 
@@ -247,20 +264,7 @@ class TestWorkloadGathersAllFutures:
             thread.join(timeout=10)
         assert len(caught) == 1 and isinstance(caught[0], ValueError)
         assert str(caught[0]) == "boom"
-        # Every admission slot drained (done-callbacks may trail result()
-        # by an instant, so poll briefly before judging).
-        deadline = time.time() + 5.0
-        while time.time() < deadline:
-            held = 0
-            for _ in range(frontend.queue_limit):
-                if frontend._slots.acquire(blocking=False):
-                    held += 1
-                else:
-                    break
-            for _ in range(held):
-                frontend._slots.release()
-            if held == frontend.queue_limit:
-                break
-        else:
-            pytest.fail("admission slots were leaked by the failed workload")
+        # The failed replay left the pool whole: the next one is served.
+        outcome = frontend.serve_workload(["first", "last"], default_k=2)
+        assert outcome.results == [engine.search(q, k=2) for q in ("first", "last")]
         frontend.close()

@@ -72,7 +72,7 @@ class TestCachedVsUncachedVsConcurrent:
         with QueryFrontend(served_service.engine, workers=8, cache_size=512) as frontend:
             outcome = frontend.serve_workload(workload)
         assert outcome.results == expected
-        assert outcome.stats.shed == 0
+        assert outcome.stats.served == len(workload)
 
     def test_concurrent_equals_concurrent_replay(self, served_service):
         """Two concurrent replays of the same stream are identical to each

@@ -25,7 +25,7 @@ def test_serve_demo_runs_and_reports(capsys):
     )
     assert exit_code == 0
     out = capsys.readouterr().out
-    assert "served: 120 (0 shed)" in out
+    assert "served: 120\n" in out
     assert "hit rate" in out
     assert "throughput:" in out
     assert "queries with at least one result:" in out
